@@ -273,14 +273,31 @@ class _User:
 
 
 class _Ingress(Receiver):
-    """Adapter: wired-network packets land in one user's downlink queue."""
+    """Adapter: wired-network packets land in one user's downlink queue.
+
+    The base station reads its queues once per subframe, so a packet
+    handed over ahead of time (``receive_at``, see :class:`Receiver`)
+    costs no event: it waits in ``wire`` until the network's next drain
+    at or after its arrival instant.
+    """
+
+    SNAPSHOT_SKIP = ("network",)
 
     def __init__(self, network: "CellularNetwork", rnti: int) -> None:
         self.network = network
         self.rnti = rnti
+        #: ``(arrival_us, packet)`` still on the wire, in arrival order.
+        self.wire: deque[tuple[int, Packet]] = deque()
 
     def receive(self, packet: Packet) -> None:
         self.network.enqueue(self.rnti, packet)
+
+    def receive_at(self, packet: Packet, arrival_us: int) -> bool:
+        wire = self.wire
+        if wire and arrival_us < wire[-1][0]:
+            return False  # would overtake the FIFO: take it as an event
+        wire.append((arrival_us, packet))
+        return True
 
 
 class CellularNetwork:
@@ -319,6 +336,11 @@ class CellularNetwork:
         self.ca = CarrierAggregationManager(ca_policy)
         self._rng = np.random.default_rng(seed)
         self._users: dict[int, _User] = {}
+        #: One wired-side adapter per RNTI ever asked for; their ``wire``
+        #: FIFOs are the packets in flight towards this network.
+        self._ingresses: dict[int, _Ingress] = {}
+        #: Packets that arrived for an unknown or detached RNTI.
+        self.unrouted_packets = 0
         #: Cached ``list(self._users.values())`` for the tick loop;
         #: invalidated (set to None) on attach/detach.
         self._user_list: Optional[list[_User]] = None
@@ -400,6 +422,7 @@ class CellularNetwork:
         for cell in cells:
             if cell not in self.carriers:
                 raise ValueError(f"unknown cell {cell}")
+        self._drain_wire()  # arrivals so far found no such user
         user = _User(rnti, AggregationState(configured=list(cells)),
                      channel, category or UeCategory(),
                      DownlinkQueue(queue_packets), ue,
@@ -455,6 +478,7 @@ class CellularNetwork:
 
     def remove_user(self, rnti: int) -> None:
         """Detach a user (its queued traffic is discarded)."""
+        self._drain_wire()  # arrivals so far still found the user
         user = self._users.pop(rnti, None)
         if user is not None:
             self._user_list = None
@@ -559,10 +583,14 @@ class CellularNetwork:
 
         The RNTI is resolved at packet-arrival time, so the ingress can
         be wired up before :meth:`add_user` attaches the user (traffic
-        for unknown/departed users is silently dropped, like a network
-        routing to a detached device).
+        for unknown/departed users is dropped and counted in
+        ``unrouted_packets``, like a network routing to a detached
+        device).
         """
-        return _Ingress(self, rnti)
+        ingress = self._ingresses.get(rnti)
+        if ingress is None:
+            ingress = self._ingresses[rnti] = _Ingress(self, rnti)
+        return ingress
 
     def attach_monitor(self, cell_id: int,
                        callback: Callable[[SubframeRecord], None]) -> None:
@@ -574,22 +602,45 @@ class CellularNetwork:
     # Introspection
     # ------------------------------------------------------------------
     def user(self, rnti: int) -> _User:
+        self._drain_wire()
         return self._users[rnti]
 
     def aggregation_state(self, rnti: int) -> AggregationState:
         return self._users[rnti].agg
 
     def queue_backlog_bits(self, rnti: int) -> int:
+        self._drain_wire()
         return self._users[rnti].queue.backlog_bits
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
     def enqueue(self, rnti: int, packet: Packet) -> None:
+        self._drain_wire()
+        self._push_for(rnti)(packet)
+
+    def _push_for(self, rnti: int) -> Callable[[Packet], Any]:
         user = self._users.get(rnti)
-        if user is None:
-            return  # user departed; traffic in flight is dropped
-        user.queue.push(packet)
+        return self._count_unrouted if user is None else user.queue.push
+
+    def _count_unrouted(self, packet: Packet) -> None:
+        self.unrouted_packets += 1  # user departed; traffic is dropped
+
+    def _drain_wire(self) -> None:
+        """Land every wire packet that has arrived (``arrival_us <= now``).
+
+        Runs at the top of each subframe — a packet arriving exactly on
+        the boundary is schedulable in that subframe — and before
+        anything that changes ``_users`` or exposes a queue, so each
+        packet meets the user set of its own arrival instant.
+        """
+        now = self.sim.now
+        for ingress in self._ingresses.values():
+            wire = ingress.wire
+            if wire and wire[0][0] <= now:
+                push = self._push_for(ingress.rnti)
+                while wire and wire[0][0] <= now:
+                    push(wire.popleft()[1])
 
     # ------------------------------------------------------------------
     # Subframe engine
@@ -605,6 +656,7 @@ class CellularNetwork:
         perf = self.perf
         t0 = time.perf_counter() \
             if perf is not None and perf.time_subsystems else 0.0
+        self._drain_wire()
         now = self.sim.now
         subframe = self.subframe
         users = self._user_list

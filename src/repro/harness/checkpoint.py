@@ -1,12 +1,13 @@
 """Crash-consistent mid-run snapshots with byte-identical resume.
 
 A checkpoint captures a live :class:`repro.harness.runner.Experiment`
-at a subframe boundary — event heap, derived RNG streams, PHY/channel/
-HARQ state, scheduler and PF state, monitor/decoder columnar buffers,
-per-flow transport state — as one versioned state document built by the
-:mod:`repro.statedict` codec (no raw pickling of live objects; every
-class is registered with an explicit skip list, and anything
-unrecognized raises instead of silently corrupting the snapshot).
+at a subframe boundary — event heap, packets on the wire, derived RNG
+streams, PHY/channel/HARQ state, scheduler and PF state, monitor/decoder
+columnar buffers, per-flow transport state — as one versioned state
+document built by the :mod:`repro.statedict` codec (no raw pickling of
+live objects; every class is registered with an explicit skip list, and
+anything unrecognized raises instead of silently corrupting the
+snapshot).
 
 The restore contract is **byte identity**: rebuild the experiment from
 its spec exactly as an uninterrupted run would, restore the newest
@@ -19,7 +20,7 @@ sequence numbers and compaction behaviour replay exactly).
 
 On-disk format (one file per snapshot, ``ckpt-<subframe>.snap``)::
 
-    {"schema": ..., "version": 1, "subframe": N,
+    {"schema": ..., "version": 2, "subframe": N,
      "length": L, "sha256": ...}\\n
     <L bytes of pickle payload>
 
@@ -60,7 +61,8 @@ from ..baselines.sprout import Sprout
 from ..baselines.vegas import Vegas
 from ..baselines.verus import Verus
 from ..baselines.windowed import WindowedMax, WindowedMin
-from ..cell.basestation import CellularNetwork, UeCategory, _HarqState, _User
+from ..cell.basestation import (
+    CellularNetwork, UeCategory, _HarqState, _Ingress, _User)
 from ..cell.ca_manager import CarrierAggregationManager, _UserCaState
 from ..cell.control_traffic import ControlBurst, ControlTrafficGenerator
 from ..cell.queues import DownlinkQueue, TransportBlock
@@ -91,7 +93,10 @@ logger = logging.getLogger("repro.checkpoint")
 
 #: Schema tag + version written into every snapshot header.
 SCHEMA = "repro.harness/checkpoint"
-VERSION = 1
+#: 2: packets on the wired hop are link/ingress state (``Link._starts``,
+#: ``_Ingress.wire``); a version-1 heap carries them as ``Link._finish``
+#: / ``_Ingress.receive`` events, which no longer bind.
+VERSION = 2
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"
@@ -137,7 +142,7 @@ _STATE = (
     WindowedMax, WindowedMin,
     PbeSender, PbeClient, FeedbackGuard,
     # cellular network
-    CellularNetwork, _User, _HarqState, UeCategory, UserEquipment,
+    CellularNetwork, _User, _Ingress, _HarqState, UeCategory, UserEquipment,
     DownlinkQueue, ReorderingBuffer, AggregationState,
     ControlTrafficGenerator, ControlBurst,
     ProportionalFairState, CarrierAggregationManager, _UserCaState,

@@ -386,8 +386,9 @@ class Experiment:
         after a restore it reflects dynamically (re)materialized users.
         """
         owners: dict = {"exp": self, "net": self.network}
+        # Links schedule nothing of their own: a packet crossing one is
+        # link/ingress state, or an event bound to the link's sink.
         for i, link in enumerate(self._shared_links):
-            owners[f"shared:{i}"] = link
             owners[f"sharedsink:{i}"] = link.sink
         for handle in self.flows:
             rnti = handle.spec.rnti
@@ -396,9 +397,8 @@ class Experiment:
             owners[f"uplink:{rnti}"] = handle.uplink
             if handle.impaired_pipe is not None:
                 owners[f"imp:{rnti}"] = handle.impaired_pipe
-            if handle.egress is not None:
-                owners[f"link:{rnti}"] = handle.egress
-                owners[f"ingress:{rnti}"] = handle.egress.sink
+        for rnti, ingress in self.network._ingresses.items():
+            owners[f"ingress:{rnti}"] = ingress
         for rnti, user in self.network._users.items():
             if user.ue is not None:
                 owners[f"ue:{rnti}"] = user.ue

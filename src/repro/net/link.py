@@ -2,10 +2,10 @@
 
 Two flavours:
 
-* :class:`Link` — a store-and-forward link with finite rate, propagation
-  delay and a droptail queue.  Used for the Internet segment of the
-  end-to-end path (and as the Internet *bottleneck* when its rate is set
-  below the cellular capacity).
+* :class:`Link` — a finite-rate FIFO link with propagation delay and a
+  droptail queue, worked out analytically at each arrival.  Used for the
+  Internet segment of the end-to-end path (and as the Internet
+  *bottleneck* when its rate is set below the cellular capacity).
 * :class:`DelayPipe` — an infinite-rate, pure-propagation-delay pipe.
   Used for ACK return paths and non-bottleneck segments.
 """
@@ -21,7 +21,10 @@ from .units import transmission_time_us
 
 
 class Receiver:
-    """Anything that can accept a packet (duck-typed protocol)."""
+    """Anything that can accept a packet (duck-typed protocol).  A sink
+    reading its input on its own clock may add ``receive_at(packet,
+    arrival_us) -> bool``: take the packet early, stamped with its
+    arrival instant (``False``: send the ``receive`` event instead)."""
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -194,12 +197,17 @@ class BatchingPipe(Receiver):
 
 
 class Link(Receiver):
-    """Finite-rate link with a droptail FIFO queue.
+    """Finite-rate link with a droptail FIFO queue, computed at arrival.
 
     Packets are serialized one at a time at ``rate_bps``; each then
-    propagates for ``delay_us`` before reaching ``sink``.  When the queue
-    holds ``queue_packets`` packets, further arrivals are dropped (and
-    counted), which is what loss-based congestion control reacts to.
+    propagates for ``delay_us`` before reaching ``sink``.  A FIFO's
+    departures follow from its arrivals, so :meth:`receive` fixes the
+    crossing on the spot (serialization ends at ``max(now, busy_until) +
+    tx_us``) and hands the packet over stamped with its arrival instant.
+    ``_starts`` holds the service start of each packet still waiting,
+    retired lazily; once it holds ``queue_packets``, arrivals are dropped
+    (and counted) — what loss-based congestion control reacts to.  Tie
+    rule: a serialization ending at ``t`` has freed its slot by ``t``.
     """
 
     SNAPSHOT_SKIP = ("sim", "sink")
@@ -217,60 +225,49 @@ class Link(Receiver):
         self.delay_us = delay_us
         self.queue_packets = queue_packets
         self.name = name
-
-        self._queue: deque[Packet] = deque()
-        self._transmitting = False
-        #: Absolute time the in-progress serialization completes (only
-        #: meaningful while ``_transmitting``).
-        self._tx_end_us = 0
-
-        self.forwarded = 0
+        #: Absolute time the serializer next falls idle.
+        self._busy_until = 0
+        self._starts: deque[int] = deque()
+        self._accepted = 0
         self.dropped = 0
 
-    # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
         """Packets currently queued (excluding the one being serialized)."""
-        return len(self._queue)
+        starts, now = self._starts, self.sim.now
+        while starts and starts[0] <= now:
+            starts.popleft()
+        return len(starts)
+
+    @property
+    def forwarded(self) -> int:
+        """Packets whose serialization has completed."""
+        return (self._accepted - self.queue_depth
+                - (self._busy_until > self.sim.now))
 
     def queue_delay_estimate_us(self, size_bits: int) -> int:
-        """Rough serialization delay a new arrival of ``size_bits`` sees.
+        """Exact wait + serialization a ``size_bits`` arrival would see
+        (the in-flight packet's remainder included)."""
+        return (max(0, self._busy_until - self.sim.now)
+                + transmission_time_us(size_bits, self.rate_bps))
 
-        Counts the queued backlog, the arrival itself, *and* the
-        remainder of the packet currently on the wire — the queue
-        alone under-reports by up to one full serialization time at
-        exactly the moment the link is busiest.
-        """
-        backlog = sum(p.size_bits for p in self._queue) + size_bits
-        estimate = transmission_time_us(backlog, self.rate_bps)
-        if self._transmitting:
-            estimate += max(0, self._tx_end_us - self.sim.now)
-        return estimate
-
-    # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if len(self._queue) >= self.queue_packets:
+        if self.queue_depth >= self.queue_packets:
             self.dropped += 1
             return
         packet.hops += 1
-        self._queue.append(packet)
-        if not self._transmitting:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        packet = self._queue.popleft()
-        tx_us = transmission_time_us(packet.size_bits, self.rate_bps)
-        self._tx_end_us = self.sim.now + tx_us
-        self.sim.schedule(tx_us, self._finish, packet)
-
-    def _finish(self, packet: Packet) -> None:
-        self.forwarded += 1
-        self.sim.schedule(self.delay_us, self.sink.receive, packet)
-        self._start_next()
+        self._accepted += 1
+        start = self._busy_until
+        if start > self.sim.now:
+            self._starts.append(start)
+        else:
+            start = self.sim.now
+        self._busy_until = end = start + transmission_time_us(
+            packet.size_bits, self.rate_bps)
+        arrival_us = end + self.delay_us
+        park = getattr(self.sink, "receive_at", None)
+        if park is None or not park(packet, arrival_us):
+            self.sim.schedule_at(arrival_us, self.sink.receive, packet)
 
 
 class FlowDemux(Receiver):
@@ -297,6 +294,10 @@ class FlowDemux(Receiver):
             self.unrouted += 1
             return
         sink.receive(packet)
+
+    def receive_at(self, packet: Packet, arrival_us: int) -> bool:
+        park = getattr(self._routes.get(packet.flow_id), "receive_at", None)
+        return park is not None and park(packet, arrival_us)
 
 
 class PacketSink(Receiver):

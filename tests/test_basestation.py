@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cell.basestation import CellularNetwork, DemandSource, UeCategory
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import MSS_BITS
@@ -258,3 +259,106 @@ def test_cqi_delay_increases_error_rate_under_fast_fading():
         return retx / max(1, new)
 
     assert retx_fraction(8) > retx_fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# Stamped arrivals: packets a Link hands over ahead of time
+# ---------------------------------------------------------------------------
+
+def _link_into(sim, net, rnti, delay_us=18_000):
+    return Link(sim, net.ingress(rnti), rate_bps=1e9, delay_us=delay_us)
+
+
+def test_wire_packets_cost_no_event_and_land_on_arrival():
+    sim = Simulator()
+    net = _network(sim)
+    net.add_user(1, [0], StaticChannel(20.0))
+    link = _link_into(sim, net, 1)
+    before = sim.pending_events
+    for seq in range(5):
+        link.receive(Packet(1, seq, MSS_BITS))
+    assert sim.pending_events == before  # parked, not scheduled
+    assert len(net.ingress(1).wire) == 5
+    sim.run(until_us=17_999)
+    assert net.queue_backlog_bits(1) == 0  # none has arrived yet
+    sim.run(until_us=18_100)  # 12 µs of serialization each
+    assert net.queue_backlog_bits(1) == 5 * MSS_BITS
+    assert not net.ingress(1).wire
+
+
+def test_tie_rule_boundary_arrival_is_schedulable_in_that_subframe():
+    """Rule 2: arrival instant == subframe boundary -> served in it."""
+    sim = Simulator()
+    net = _network(sim)
+    got = []
+    net.add_user(1, [0], StaticChannel(20.0), log_allocations=True,
+                 on_packet=got.append)
+    net.start()
+    # 12 µs serialization + 19 988 µs propagation = arrival at 20 000.
+    link = _link_into(sim, net, 1, delay_us=19_988)
+    link.receive(Packet(1, 0, MSS_BITS))
+    assert net.ingress(1).wire[0][0] == 20_000
+    sim.run(until_us=30_000)
+    assert net.user(1).allocated_history[0][0] == 20
+    # One microsecond later it waits for subframe 21.
+    link = _link_into(sim, net, 1, delay_us=19_989)
+    sim.run(until_us=100_000)
+    link.receive(Packet(1, 1, MSS_BITS))
+    assert net.ingress(1).wire[0][0] == 120_001
+    sim.run(until_us=130_000)
+    served = [sf for sf, _, _ in net.user(1).allocated_history]
+    assert min(sf for sf in served if sf > 100) == 121
+    assert len(got) == 2
+
+
+def test_unrouted_packets_are_counted():
+    sim = Simulator()
+    net = _network(sim)
+    net.start()
+    net.ingress(7).receive(Packet(7, 0, MSS_BITS))  # never attached
+    link = _link_into(sim, net, 7)
+    link.receive(Packet(7, 1, MSS_BITS))
+    sim.run(until_us=50_000)
+    assert net.unrouted_packets == 2
+
+
+def test_detach_reattach_resolves_rnti_at_arrival_time():
+    """Packets on the wire when their user leaves are unrouted even if
+    the RNTI is re-attached before the next subframe reads the queues —
+    and none of them lands in the newcomer's queue."""
+    sim = Simulator()
+    net = _network(sim)
+    net.add_user(1, [0], StaticChannel(20.0))
+    link = _link_into(sim, net, 1)
+    for seq in range(20):
+        link.receive(Packet(1, seq, MSS_BITS))  # arrive by 18 240 µs
+    sim.run(until_us=18_100)  # no tick: the network is not started
+    net.remove_user(1)        # the 8 arrived so far went to the old queue
+    on_wire = len(net.ingress(1).wire)
+    assert 0 < on_wire < 20
+    sim.run(until_us=18_500)  # the rest arrive at a detached RNTI
+    net.add_user(1, [0], StaticChannel(20.0))
+    assert net.unrouted_packets == on_wire
+    assert net.queue_backlog_bits(1) == 0
+    assert not net.ingress(1).wire
+    link.receive(Packet(1, 99, MSS_BITS))  # the newcomer's own traffic
+    sim.run(until_us=40_000)
+    assert net.queue_backlog_bits(1) == MSS_BITS
+    assert net.unrouted_packets == on_wire
+
+
+def test_two_links_into_one_ingress_keep_arrival_order():
+    """The wire is a FIFO: a packet that would overtake it is refused
+    and comes as an event instead, so the queue still fills by arrival."""
+    sim = Simulator()
+    net = _network(sim)
+    net.add_user(1, [0], StaticChannel(20.0))
+    slow = _link_into(sim, net, 1, delay_us=50_000)
+    fast = _link_into(sim, net, 1, delay_us=1_000)
+    slow.receive(Packet(1, 0, MSS_BITS))
+    before = sim.pending_events
+    fast.receive(Packet(1, 1, MSS_BITS))
+    assert sim.pending_events == before + 1
+    slow.receive(Packet(1, 2, MSS_BITS))
+    sim.run(until_us=60_000)
+    assert [entry[0].seq for entry in net.user(1).queue._entries] == [1, 0, 2]

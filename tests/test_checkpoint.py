@@ -28,6 +28,7 @@ from repro.exec.job import Job
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.checkpoint import (
     SNAPSHOT_SUFFIX,
+    VERSION,
     CheckpointConfig,
     CheckpointDrain,
     CheckpointManager,
@@ -93,6 +94,35 @@ def test_pinned_suite_resume_matches_straight(name, tmp_path):
     scenario, specs = fingerprint_configs(DURATION_S)[name]
     assert _resume_digest(scenario, specs, tmp_path,
                           interval) == straight
+
+
+def test_kill_point_with_packets_parked_on_the_wire(tmp_path):
+    """Packets crossing the wired hop are link/ingress state, not heap
+    entries: a snapshot taken with hundreds of them in flight must put
+    every one back, due at the same instant."""
+    scenario, specs = fingerprint_configs(DURATION_S)["idle_3cc_pbe"]
+    straight = run_fingerprint(scenario, specs)
+
+    scenario, specs = fingerprint_configs(DURATION_S)["idle_3cc_pbe"]
+    experiment, handles = _build(scenario, specs)
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, us_from_seconds(DURATION_S / 2))
+    wire = experiment.network.ingress(handles[0].spec.rnti).wire
+    parked = [(arrival_us, packet.seq) for arrival_us, packet in wire]
+    assert len(parked) >= 100
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    scenario, specs = fingerprint_configs(DURATION_S)["idle_3cc_pbe"]
+    experiment, handles = _build(scenario, specs)
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == int(DURATION_S / 2 * 1000)
+    wire = experiment.network.ingress(handles[0].spec.rnti).wire
+    assert [(arrival_us, packet.seq)
+            for arrival_us, packet in wire] == parked
+    results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +309,26 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
     assert count_quarantined(tmp_path) == 1
     results = experiment.run(checkpoint=manager)
     assert digest_run(experiment, handles, results) == straight
+
+
+def test_version_1_snapshot_is_quarantined(tmp_path):
+    """A v1 heap carries ``Link._finish`` / ``_Ingress.receive`` entries
+    that no longer bind: the file must be set aside, not restored."""
+    assert VERSION == 2
+    path = write_snapshot(tmp_path, 100, {"sim": {}})
+    header, _, payload = path.read_bytes().partition(b"\n")
+    doctored = dict(json.loads(header), version=1)
+    path.write_bytes(json.dumps(doctored, sort_keys=True).encode()
+                     + b"\n" + payload)
+    with pytest.raises(SnapshotCorrupt):
+        read_snapshot(path)
+
+    scenario, specs = _config_for_corruption()
+    experiment, _ = _build(scenario, specs)
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=120))
+    assert manager.try_restore(experiment) is None
+    assert manager.quarantined == 1 and experiment.sim.now == 0
 
 
 def test_read_snapshot_rejects_bad_checksum(tmp_path):

@@ -239,6 +239,29 @@ def test_cancel_after_pop_does_not_corrupt_count():
     assert sim.pending_events == 1
 
 
+def test_event_budget_per_data_packet():
+    """The wired hop costs no heap event per packet.
+
+    What is left per data packet is its pacing wake-up plus amortized
+    shares of the subframe tick, TB delivery, the 5 ms ACK batch and
+    RTO re-arms — about 1.2 events on this packet-dominated config.
+    With the link's ``_finish`` and the ingress ``receive`` events back
+    it would be about 3.2.  A count, so it cannot flake on a busy box.
+    """
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+    from repro.perf import PerfCounters
+
+    scenario, specs = fingerprint_configs(1.0)["idle_3cc_pbe"]
+    perf = PerfCounters()
+    experiment = Experiment(scenario, perf_counters=perf)
+    (handle,) = [experiment.add_flow(spec) for spec in specs]
+    experiment.run()
+    sent = handle.sender.sent_packets
+    assert sent > 5_000
+    assert perf.events_scheduled / sent <= 1.5
+
+
 # ----------------------------------------------------------------------
 # Rolling-sum equivalence: CA manager
 # ----------------------------------------------------------------------

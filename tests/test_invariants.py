@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cell.basestation import CellularNetwork, DemandSource
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import MSS_BITS
@@ -71,6 +72,33 @@ def test_packet_conservation_under_overload():
     total_sent = next(seq)
     # Allow a handful of packets still in HARQ/reordering flight.
     assert abs(total_sent - accounted) <= 30
+
+
+def test_packet_conservation_counts_traffic_for_a_detached_user():
+    """... + arrived-for-a-detached-RNTI, with the wire in the path."""
+    sim = Simulator()
+    net = CellularNetwork(sim, [CarrierConfig(0, 5.0)], seed=3)
+    delivered = []
+    ue = net.add_user(1, [0], StaticChannel(3.0, seed=1),
+                      on_packet=delivered.append, queue_packets=100)
+    net.start()
+    link = Link(sim, net.ingress(1), rate_bps=1e9, delay_us=18_000)
+    seq = itertools.count()
+
+    def send():
+        link.receive(Packet(1, next(seq), MSS_BITS, sent_time_us=sim.now))
+        if sim.now < 1_000_000:
+            sim.schedule(300, send)
+
+    sim.schedule(0, send)
+    sim.run(until_us=500_000)
+    user = net.user(1)
+    net.remove_user(1)
+    sim.run(until_us=1_200_000)
+    assert net.unrouted_packets > 1_000 and not net.ingress(1).wire
+    accounted = (len(delivered) + user.queue.dropped + ue.lost_packets
+                 + len(user.queue) + net.unrouted_packets + link.dropped)
+    assert abs(next(seq) - accounted) <= 30
 
 
 def test_delay_never_below_propagation_floor():
