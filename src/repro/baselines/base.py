@@ -91,6 +91,14 @@ class CongestionControl:
         """Inflight cap in bits, or ``None`` for rate-only control."""
         return None
 
+    def rate_valid_until_us(self, now_us: int) -> int:
+        """Instant up to which the :meth:`pacing_rate_bps`/:meth:`cwnd_bits`
+        answers given for ``now_us`` hold unless an ``on_ack``/``on_loss``/
+        ``on_timeout`` callback intervenes (``on_send`` must not move
+        them; asked once a second packet is due under those answers).
+        The default re-asks for every packet."""
+        return now_us
+
 
 class Sender(Receiver):
     """A server-side endpoint pushing one flow through the network."""
@@ -189,45 +197,56 @@ class Sender(Receiver):
         self._pace_event = self.sim.schedule(delay_us, self._pace)
 
     def _pace(self) -> None:
+        """Send a *train* of packets: after each one, move the clock to
+        the next send instant in place while :meth:`Simulator.advance_to`
+        allows it (no callback can run in between, so state that only
+        ACK/RTO callbacks write is read once), else wake via the heap."""
         self._pace_event = None
         if not self._running:
             return
-        now = self.sim.now
-        rate = self.cc.pacing_rate_bps(now)
-        app_limited = (self.app_rate_bps is not None
-                       and self.app_rate_bps < rate)
-        if app_limited:
-            rate = self.app_rate_bps
-        if rate <= 0:
-            self._pacing_active = False
-            self._schedule_pacing(self._IDLE_POLL_US)
-            return
-        cwnd = self.cc.cwnd_bits(now)
-        if cwnd is not None and self.inflight_bits + self.mss_bits > cwnd:
-            # Window-limited: ACKs re-arm sending instantly.
-            self._pacing_active = False
-            self._schedule_pacing(self._IDLE_POLL_US)
-            return
-        self._transmit(app_limited=app_limited)
-        gap_us = max(1, round(self.mss_bits * US_PER_S / rate))
-        self._pacing_active = True
-        self._schedule_pacing(gap_us)
-
-    def _transmit(self, app_limited: bool = False) -> None:
-        now = self.sim.now
-        packet = Packet(self.flow_id, self.next_seq, self.mss_bits,
-                        sent_time_us=now)
-        packet.app_limited = app_limited
-        packet.delivered_at_send = self.delivered_bits
-        packet.delivered_time_at_send = self.delivered_time_us or now
-        self.next_seq += 1
-        self._outstanding[packet.seq] = (packet.size_bits, now)
-        self._send_order.append(packet.seq)
-        self.inflight_bits += packet.size_bits
-        self.sent_packets += 1
-        self.cc.on_send(packet)
-        self._arm_rto()
-        self.egress.receive(packet)
+        sim, cc, mss = self.sim, self.cc, self.mss_bits
+        now = sim.now
+        rto_us = max(MIN_RTO_US, 4 * self.srtt_us)  # = _rto_us(), no call
+        valid_until = -1  # nothing asked yet
+        while True:
+            if now > valid_until:
+                rate = cc.pacing_rate_bps(now)
+                app_limited = (self.app_rate_bps is not None
+                               and self.app_rate_bps < rate)
+                if app_limited:
+                    rate = self.app_rate_bps
+                if rate <= 0:
+                    break
+                cwnd = cc.cwnd_bits(now)
+                gap_us = max(1, round(mss * US_PER_S / rate))
+                asked_us, valid_until = now, None  # horizon: on first reuse
+            if cwnd is not None and self.inflight_bits + mss > cwnd:
+                break
+            seq = self.next_seq
+            packet = Packet(self.flow_id, seq, mss, sent_time_us=now)
+            packet.app_limited = app_limited
+            packet.delivered_at_send = self.delivered_bits
+            packet.delivered_time_at_send = self.delivered_time_us or now
+            self.next_seq = seq + 1
+            self._outstanding[seq] = (mss, now)
+            self._send_order.append(seq)
+            self.inflight_bits += mss
+            self.sent_packets += 1
+            cc.on_send(packet)
+            self._rto_deadline_us = now + rto_us
+            if self._rto_event is None:
+                self._rto_event = sim.schedule(rto_us, self._on_rto)
+            self.egress.receive(packet)
+            now += gap_us
+            if not sim.advance_to(now):
+                self._pacing_active = True
+                self._schedule_pacing(gap_us)
+                return
+            if valid_until is None:
+                valid_until = cc.rate_valid_until_us(asked_us)
+        # Zero rate or window-limited: poll; ACKs re-arm sending instantly.
+        self._pacing_active = False
+        self._schedule_pacing(self._IDLE_POLL_US)
 
     # ------------------------------------------------------------------
     # Receiving ACKs
@@ -300,9 +319,9 @@ class Sender(Receiver):
         :meth:`_arm_rto` at block end (a stale firing re-arms for the
         remainder, so only the final deadline is observable).  The
         pacing-resume check moves to block end because
-        ``_pacing_active`` is only ever mutated by ``_pace``, which
-        cannot fire mid-block — the last ACK's reschedule is the only
-        one that survives in scalar mode anyway.
+        ``_pacing_active`` is only ever mutated by ``_pace``, whose whole
+        train runs inside one event, never mid-block — the last ACK's
+        reschedule is the only one that survives in scalar mode anyway.
         """
         if (batch.mixed or batch.flow_id != self.flow_id
                 or self.on_ack_hook is not None):
@@ -424,8 +443,6 @@ class Sender(Receiver):
     # Timeout handling
     # ------------------------------------------------------------------
     def _rto_us(self) -> int:
-        if self.srtt_us == 0:
-            return MIN_RTO_US
         return max(MIN_RTO_US, 4 * self.srtt_us)
 
     def _arm_rto(self) -> None:

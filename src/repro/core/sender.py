@@ -406,3 +406,16 @@ class PbeSender(CongestionControl):
             bdp = rate * (self.rtprop_us + self.retx_margin_us) / US_PER_S
             return bdp + slack
         return self.bbr.cwnd_bits(now_us)
+
+    def rate_valid_until_us(self, now_us: int) -> int:
+        """Outside the STARTUP ramp the rate and window move only on
+        callbacks — or when the feedback watchdog fires, so the answers
+        hold up to its deadline; :meth:`_check_watchdog` then trips at
+        the first packet paced past it, as it would asked every packet.
+        With no armed watchdog (FALLBACK, or before the first ACK) the
+        sender is simply re-asked per packet."""
+        reference = (self._last_fresh_us if self._last_fresh_us is not None
+                     else self._first_ack_us)
+        if self.state in (STARTUP, FALLBACK) or reference is None:
+            return now_us
+        return reference + self._watchdog_timeout_us()

@@ -78,6 +78,8 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq: int = 0
         self._running = False
+        #: ``until_us`` of the ``run`` in progress (infinite if none).
+        self._limit: float = 0
         #: Cancelled events still sitting in the heap.
         self._cancelled: int = 0
         self.perf = perf_counters
@@ -150,15 +152,17 @@ class Simulator:
     def run(self, until_us: Optional[int] = None) -> None:
         """Run events until the heap drains or the clock passes ``until_us``.
 
-        When ``until_us`` is given the clock is left exactly there, so
-        consecutive ``run`` calls see a continuous timeline.
+        When ``until_us`` is given and nothing at or before it is left
+        the clock is set exactly there, so consecutive ``run`` calls see
+        a continuous timeline; after :meth:`stop` it stays at the last
+        event, because earlier events may still be queued.
         """
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
         perf = self.perf
         # One comparison per pop instead of a None check + comparison.
-        limit = float("inf") if until_us is None else until_us
+        self._limit = limit = float("inf") if until_us is None else until_us
         while heap and self._running:
             entry = heap[0]
             if entry[0] > limit:
@@ -175,7 +179,7 @@ class Simulator:
             if perf is not None:
                 perf.events_popped += 1
             event.callback(*event.args)
-        if until_us is not None and self.now < until_us:
+        if self._running and until_us is not None and self.now < until_us:
             self.now = until_us
         self._running = False
 
@@ -186,6 +190,25 @@ class Simulator:
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
         self._running = False
+
+    def advance_to(self, time_us: int) -> bool:
+        """Move the clock to ``time_us`` from inside a callback, if no
+        queued event could tell the difference.
+
+        Equivalent to scheduling the caller's continuation at
+        ``time_us`` and returning, minus the heap traffic.  Refused
+        (``False``, clock untouched) outside ``run`` or after
+        :meth:`stop`, beyond the running ``run``'s ``until_us``, and when
+        any heap entry — cancelled or not — is due at or before
+        ``time_us``: an equal-time entry was queued first, so it fires
+        first.  On refusal the caller schedules itself as usual.
+        """
+        heap = self._heap
+        if ((heap and heap[0][0] <= time_us) or not self._running
+                or not self.now <= time_us <= self._limit):
+            return False
+        self.now = time_us
+        return True
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -35,13 +35,14 @@ def test_app_limited_packets_marked():
     exp = Experiment(_scenario())
     handle = exp.add_flow(FlowSpec(scheme="bbr", app_rate_bps=5e6))
     marked = []
-    original = handle.sender._transmit
+    egress = handle.sender.egress
 
-    def spy(app_limited=False):
-        marked.append(app_limited)
-        original(app_limited=app_limited)
+    class Spy:
+        def receive(self, packet):
+            marked.append(packet.app_limited)
+            egress.receive(packet)
 
-    handle.sender._transmit = spy
+    handle.sender.egress = Spy()
     exp.run()
     # Once BBR's allowed rate exceeds 5 Mbit/s, packets are marked.
     assert any(marked)

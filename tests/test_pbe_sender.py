@@ -241,3 +241,122 @@ def test_state_durations_cover_whole_timeline():
     durations = cc.state_durations_us(t)
     assert sum(durations.values()) == t
     assert durations[FALLBACK] > 0
+
+
+# ----------------------------------------------------------------------
+# rate_valid_until_us: how long a pacing train may reuse one answer
+# ----------------------------------------------------------------------
+def _assert_answers_hold_until(cc, now_us, horizon_us):
+    """The contract, checked on a deep copy so probing moves nothing:
+    same rate, window and state at every instant up to the horizon, and
+    the watchdog trips at the first instant past it."""
+    import copy
+    rate, cwnd = cc.pacing_rate_bps(now_us), cc.cwnd_bits(now_us)
+    probe = copy.deepcopy(cc)
+    for t in (now_us + 1, (now_us + horizon_us) // 2, horizon_us):
+        assert (probe.pacing_rate_bps(t), probe.cwnd_bits(t)) == (rate, cwnd)
+        assert probe.state == cc.state
+    probe.pacing_rate_bps(horizon_us + 1)
+    assert probe.state == FALLBACK
+
+
+def test_horizon_is_now_in_startup_before_and_after_the_first_report():
+    cc = PbeSender()
+    assert cc.rate_valid_until_us(0) == 0          # nothing heard yet
+    cc.on_ack(_ack(1_000, None))                   # an ACK, no report
+    assert cc.rate_valid_until_us(1_500) == 1_500  # flat, but STARTUP
+    cc.on_ack(_ack(2_000, _fb(fair=60e6)))         # first Cf: ramp armed
+    assert cc.state == STARTUP
+    assert cc.pacing_rate_bps(30_000) > cc.pacing_rate_bps(20_000)
+    assert cc.rate_valid_until_us(20_000) == 20_000
+
+
+@pytest.mark.parametrize("timeout_us", [50_000, None])
+def test_horizon_is_the_watchdog_deadline_in_wireless(timeout_us):
+    cc = PbeSender(feedback_timeout_us=timeout_us)
+    t = _warm(cc)
+    last_fresh = t - 1_000
+    assert cc.state == WIRELESS
+    # Unset, the timeout is max(4 x RTprop, 100 ms) = 160 ms here.
+    deadline = last_fresh + (timeout_us or 4 * cc.rtprop_us)
+    assert cc.rate_valid_until_us(t) == deadline
+    assert cc.rate_valid_until_us(t + 7_000) == deadline  # not relative
+    _assert_answers_hold_until(cc, t, deadline)
+
+
+def test_horizon_is_the_watchdog_deadline_in_drain_and_internet():
+    cc = PbeSender(feedback_timeout_us=50_000)
+    t = _warm(cc)
+    cc.on_ack(_ack(t, _fb(internet=True)))
+    assert cc.state == DRAIN
+    assert cc.rate_valid_until_us(t) == t + 50_000
+    _assert_answers_hold_until(cc, t, t + 50_000)
+    t = _warm(cc, count=80, start=t + 1_000, internet=True)
+    assert cc.state == INTERNET
+    assert cc.rate_valid_until_us(t) == t - 1_000 + 50_000
+    _assert_answers_hold_until(cc, t, t - 1_000 + 50_000)
+
+
+def test_horizon_is_now_in_fallback_and_after_a_timeout():
+    cc = PbeSender(feedback_timeout_us=50_000)
+    t = _warm(cc)
+    cc.pacing_rate_bps(t + 200_000)
+    assert cc.state == FALLBACK
+    assert cc.rate_valid_until_us(t + 200_000) == t + 200_000
+    cc.on_timeout(t + 300_000)  # RTO: back to STARTUP
+    assert cc.rate_valid_until_us(t + 300_000) == t + 300_000
+
+
+def _silence_run(sender_cls):
+    """Reports every 5 ms (RTT 40-45 ms) for 300 ms, then nothing.  The
+    window (100 ms of margin) still has room when the 10 ms watchdog
+    runs out, so it trips from the pacing loop, in the middle of a
+    train."""
+    from repro.net.link import PacketSink
+    from repro.net.sim import Simulator
+
+    class Waking(sender_cls):
+        def _pace(self):
+            wake_ups.append(self.sim.now)
+            super()._pace()
+
+    sim = Simulator()
+    cc = PbeSender(feedback_timeout_us=10_000, retx_margin_us=100_000)
+    wire = PacketSink()
+    wake_ups = []
+    sender = Waking(sim, 1, cc, wire)
+    acked = 0
+
+    def report():
+        nonlocal acked
+        while wire.packets[acked].sent_time_us <= sim.now - 40_000:
+            sender.receive(wire.packets[acked].make_ack(
+                sim.now, feedback=_fb()))
+            acked += 1
+
+    for time_us in range(5_000, 300_001, 5_000):
+        sim.schedule_at(time_us, report)
+    sender.start()
+    sim.run(until_us=450_000)
+    first_fallback = next(p for p in wire.packets
+                          if p.meta["phase"] == FALLBACK)
+    return (cc, wake_ups, len(wire.packets),
+            (first_fallback.seq, first_fallback.sent_time_us))
+
+
+def test_silence_mid_train_trips_the_watchdog_at_the_same_packet():
+    from repro.baselines.base import Sender
+    from .reference_pacer import ReferenceSender
+
+    cc, wake_ups, sent, first = _silence_run(Sender)
+    ref_cc, ref_wake_ups, ref_sent, ref_first = _silence_run(ReferenceSender)
+    assert cc.fallback_entries == ref_cc.fallback_entries == 1
+    assert cc.state_changes == ref_cc.state_changes
+    assert (sent, first) == (ref_sent, ref_first)
+    # The first packet paced past the deadline (last report + 10 ms)
+    # entered the fallback — from inside a train, where the reference
+    # needed a heap wake-up.
+    fallback_at = cc.state_changes[-1][0]
+    assert cc.state_changes[-1] == (fallback_at, FALLBACK)
+    assert 310_000 < fallback_at == first[1] < 310_500
+    assert fallback_at in ref_wake_ups and fallback_at not in wake_ups
