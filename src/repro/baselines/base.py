@@ -502,7 +502,7 @@ class AckingReceiver(Receiver):
         self.uplink.receive(ack)
 
     def receive_block(self, packets: list[Packet]) -> None:
-        """Deliver one released burst (a transport block's packets).
+        """Deliver one released burst (a subframe's packets for this UE).
 
         Equivalent to calling :meth:`receive` once per packet in order,
         with the per-packet dispatch hoisted and the generated ACKs

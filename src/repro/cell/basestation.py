@@ -341,6 +341,12 @@ class CellularNetwork:
         self._ingresses: dict[int, _Ingress] = {}
         #: Packets that arrived for an unknown or detached RNTI.
         self.unrouted_packets = 0
+        #: Transport blocks on the air: ``(ue, [(tb, decoded), ...])`` in
+        #: ``_transmit`` order, consecutive blocks of one UE sharing an
+        #: entry; landed at the top of the next tick.  (Snapshots encode
+        #: attributes in this order, so each ``ue`` here is a reference
+        #: to the one already written under ``_users``.)
+        self._air: list[tuple[UserEquipment, list]] = []
         #: Cached ``list(self._users.values())`` for the tick loop;
         #: invalidated (set to None) on attach/detach.
         self._user_list: Optional[list[_User]] = None
@@ -653,6 +659,13 @@ class CellularNetwork:
         self.sim.schedule(0, self._tick)
 
     def _tick(self) -> None:
+        # Last subframe's transport blocks land first: they were events
+        # queued just ahead of this tick (DESIGN.md, "Event-free air
+        # interface"), one burst per run of same-UE blocks.
+        if self._air:
+            air, self._air = self._air, []
+            for ue, entries in air:
+                ue.receive_subframe(entries)
         perf = self.perf
         t0 = time.perf_counter() \
             if perf is not None and perf.time_subsystems else 0.0
@@ -855,14 +868,16 @@ class CellularNetwork:
 
         ber = retransmission_ber(harq.base_ber, harq.attempt)
         failed = self._rng.random() < block_error_rate(ber, tb.bits)
-        if not failed:
-            if user.ue is not None:
-                self.sim.schedule(SUBFRAME_US, user.ue.receive_tb, tb)
-            return
-        if harq.attempt < MAX_RETRANSMISSIONS:
+        if failed and harq.attempt < MAX_RETRANSMISSIONS:
             harq.attempt += 1
             key = (tb.cell_id, subframe + RETX_DELAY_SUBFRAMES)
             self._retx.setdefault(key, []).append(harq)
             self._cell_retx_count[tb.cell_id] += 1
         elif user.ue is not None:
-            self.sim.schedule(SUBFRAME_US, user.ue.abandon_tb, tb)
+            # Decoded, or abandoned after the last retransmission: the
+            # UE learns one subframe later, at the top of the next tick.
+            air = self._air
+            if air and air[-1][0] is user.ue:
+                air[-1][1].append((tb, not failed))
+            else:
+                air.append((user.ue, [(tb, not failed)]))

@@ -33,9 +33,9 @@ class UserEquipment:
         self.rnti = rnti
         #: Callback invoked for every in-order, uncorrupted packet.
         self.on_packet = on_packet
-        #: Optional burst callback: one call per released transport
-        #: block with all its delivered packets (the batched engine's
-        #: columnar ACK-generation entry point).  Takes precedence over
+        #: Optional burst callback: one call per subframe with every
+        #: packet it delivered (the batched engine's columnar
+        #: ACK-generation entry point).  Takes precedence over
         #: ``on_packet`` when set.
         self.on_packet_block: Optional[Callable[[list[Packet]], None]] \
             = None
@@ -54,40 +54,45 @@ class UserEquipment:
     # ------------------------------------------------------------------
     def receive_tb(self, tb: TransportBlock) -> None:
         """Accept a correctly decoded transport block."""
-        self.delivered_tbs += 1
-        for released in self._reorder.insert(tb.seq, tb):
-            self._release(released)
+        self.receive_subframe(((tb, True),))
 
     def abandon_tb(self, tb: TransportBlock) -> None:
         """HARQ gave up on ``tb``; unblock the reordering buffer."""
-        self.abandoned_tbs += 1
-        for packet in tb.touches:
-            packet.meta[CORRUPT_KEY] = True
-        self.lost_packets += len(tb.completes)
-        for released in self._reorder.abandon(tb.seq):
-            self._release(released)
+        self.receive_subframe(((tb, False),))
 
-    # ------------------------------------------------------------------
-    def _release(self, tb: TransportBlock) -> None:
+    def receive_subframe(self, entries) -> None:
+        """One instant's ``(tb, decoded)`` outcomes, in transmit order.
+
+        Every entry passes through the reordering buffer in turn; what
+        becomes deliverable is handed on as *one* burst (the base
+        station lands a subframe's transport blocks through here —
+        ``receive_tb``/``abandon_tb`` are the one-entry case).
+        """
         now = self.sim.now
-        block = self.on_packet_block
-        if block is not None:
-            delivered: list[Packet] = []
-            for packet in tb.completes:
-                if packet.meta.get(CORRUPT_KEY):
-                    self.lost_packets += 1
-                    continue
-                packet.recv_time_us = now
-                delivered.append(packet)
-            self.delivered_packets += len(delivered)
-            if delivered:
-                block(delivered)
+        reorder = self._reorder
+        delivered: list[Packet] = []
+        for tb, decoded in entries:
+            if decoded:
+                self.delivered_tbs += 1
+                released = reorder.insert(tb.seq, tb)
+            else:
+                self.abandoned_tbs += 1
+                for packet in tb.touches:
+                    packet.meta[CORRUPT_KEY] = True
+                self.lost_packets += len(tb.completes)
+                released = reorder.abandon(tb.seq)
+            for block in released:
+                for packet in block.completes:
+                    if packet.meta.get(CORRUPT_KEY):
+                        self.lost_packets += 1
+                        continue
+                    packet.recv_time_us = now
+                    delivered.append(packet)
+        if not delivered:
             return
-        for packet in tb.completes:
-            if packet.meta.get(CORRUPT_KEY):
-                self.lost_packets += 1
-                continue
-            packet.recv_time_us = now
-            self.delivered_packets += 1
-            if self.on_packet is not None:
+        self.delivered_packets += len(delivered)
+        if self.on_packet_block is not None:
+            self.on_packet_block(delivered)
+        elif self.on_packet is not None:
+            for packet in delivered:
                 self.on_packet(packet)

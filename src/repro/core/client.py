@@ -191,19 +191,33 @@ class PbeClient(AckingReceiver):
     # Columnar receive (batched ACK generation)
     # ------------------------------------------------------------------
     def receive_block(self, packets: list[Packet]) -> None:
-        """One transport block's deliveries → one run of feedback ACKs.
+        """One subframe's deliveries → one run of feedback ACKs.
 
         Fuses the base class's record-and-ack loop with
-        :meth:`feedback_for`, byte-identical, with the per-packet state
-        hoisted into locals: the Dprop min-deque is manipulated
-        directly (its 10 s window is fixed and every sample carries
-        ``now``, so one up-front expiry covers the block), the
-        receive-rate window keeps its per-packet pruning (its horizon
-        tracks the packet's own stamped srtt), and the monitor report
-        is re-read only when its inputs can have changed — a new
-        averaging window, a consumed carrier-activation edge, or
-        pending decode hints — mirroring the monitor's own memo key,
-        which cannot otherwise change inside one flush event.
+        :meth:`feedback_for`: the same ACK values and the same
+        observable client state, with everything that is constant
+        across a burst — ``now`` and whatever only the report or the
+        stamped srtt can move — done once instead of per packet:
+
+        * the Dprop filter runs as a running minimum in a local and
+          takes ONE insert, of the burst minimum, at the end (the tail
+          entries a per-packet insert would leave behind it share its
+          timestamp, so they expire with it and can never be the head);
+        * the receive-rate window gets one ``(now, burst bits)`` entry
+          (entries of one instant are pruned together) while
+          ``_recent_bits`` still runs per packet, and is pruned only
+          when the stamped srtt — hence the horizon — changes;
+        * the monitor report is re-read only when its inputs can have
+          changed — a new averaging window or a consumed
+          carrier-activation edge; the burst's first read leaves no
+          pending activation or decode hints behind, and nothing feeds
+          the monitor with no callback in between;
+        * ACKs share one frozen :class:`PbeFeedback` until the report
+          is re-read or the state flips (replace, never mutate).
+
+        Every per-packet *decision* stays per packet: the threshold
+        test against the running Dprop, the over/under runs against
+        ``Npkt``, the state machine, ``stale_reports``.
 
         The fusion assumes :meth:`feedback_for` is this class's own —
         an instance monkeypatch or a subclass override (tests tap it
@@ -218,28 +232,28 @@ class PbeClient(AckingReceiver):
             return
         now = self.sim.now
         flow_id = self.flow_id
-        record = self.stats.record
         monitor = self.monitor
-        feedback_cls = PbeFeedback
         default_rtprop = self.default_rtprop_us
         margin = self.delay_margin_us
         recent = self._recent
-        recent_append = recent.append
         recent_bits = self._recent_bits
-        dprop_samples = self._dprop._samples
-        horizon = now - self._dprop.window_us
-        while dprop_samples and dprop_samples[0][0] < horizon:
-            dprop_samples.popleft()
+        dprop = self._dprop
+        dprop.expire(now)
+        dprop_min = dprop.get()
+        if dprop_min is None:
+            dprop_min = threshold = float("inf")
+        else:
+            threshold = dprop_min + margin
         state = self.state
         over_run = self._over_threshold_run
         under_run = self._under_threshold_run
         stale_reports = 0
         now_subframe = now // US_PER_MS
-        report = None
+        report = feedback = last_srtt = None
         report_window = -1
-        npkt = 0
-        target = fair_bps = 0.0
-        activated = is_stale = False
+        activated = False
+        sizes: list[int] = []
+        delays: list[int] = []
         acks: list[Packet] = []
         ack_append = acks.append
 
@@ -248,40 +262,37 @@ class PbeClient(AckingReceiver):
                 continue
             size_bits = packet.size_bits
             delay = now - packet.sent_time_us
-            record(now, size_bits, delay)
-
-            # _dprop.update(now, delay): tail-domination pops + append.
-            while dprop_samples and dprop_samples[-1][1] >= delay:
-                dprop_samples.pop()
-            dprop_samples.append((now, delay))
-            recent_append((now, size_bits))
+            sizes.append(size_bits)
+            delays.append(delay)
+            if delay < dprop_min:
+                dprop_min = delay
+                threshold = delay + margin
             recent_bits += size_bits
 
             srtt = packet.meta.get("srtt_us", 0)
-            rtprop_us = srtt if srtt > 0 else default_rtprop
-            prune_horizon = now - rtprop_us
-            while recent and recent[0][0] < prune_horizon:
-                recent_bits -= recent.popleft()[1]
-            rtprop_subframes = max(1, rtprop_us // 1_000)
-            if (rtprop_subframes != report_window or activated
-                    or monitor._activation_pending
-                    or monitor._pending_hints):
+            if srtt != last_srtt:
+                last_srtt = srtt
+                rtprop_us = srtt if srtt > 0 else default_rtprop
+                prune_horizon = now - rtprop_us
+                while recent and recent[0][0] < prune_horizon:
+                    recent_bits -= recent.popleft()[1]
+                rtprop_subframes = max(1, rtprop_us // 1_000)
+            if rtprop_subframes != report_window or activated:
                 report = monitor.report(rtprop_subframes,
                                         now_subframe=now_subframe)
                 report_window = rtprop_subframes
                 npkt = max(3, round(SWITCH_SUBFRAMES
                                     * report.transport_capacity
                                     / MSS_BITS))
-                target = max(report.transport_capacity_bps,
-                             report.transport_fair_share_bps)
                 fair_bps = report.transport_fair_share_bps
                 activated = report.carrier_activated
                 is_stale = report.is_stale
                 # from_rates, with the encodes hoisted per report.
-                target_interval = encode_interval_us(target)
+                target_interval = encode_interval_us(
+                    max(report.transport_capacity_bps, fair_bps))
                 fair_interval = encode_interval_us(fair_bps)
+                feedback = None
 
-            threshold = dprop_samples[0][1] + margin
             if delay > threshold:
                 over_run += 1
                 under_run = 0
@@ -290,39 +301,39 @@ class PbeClient(AckingReceiver):
                 over_run = 0
 
             if state == WIRELESS:
-                if over_run >= npkt:
-                    self.time_in_state[state] += now - self._state_since
-                    self._state_since = now
-                    state = INTERNET
-                    self.state_changes.append((now, state))
-                    over_run = 0
-                    under_run = 0
+                flip = over_run >= npkt
             else:
-                receive_rate = recent_bits * US_PER_S / rtprop_us
-                if (under_run >= npkt
-                        and receive_rate >= FAIR_SHARE_FRACTION * fair_bps):
-                    self.time_in_state[state] += now - self._state_since
-                    self._state_since = now
-                    state = WIRELESS
-                    self.state_changes.append((now, state))
-                    over_run = 0
-                    under_run = 0
+                flip = (under_run >= npkt
+                        and recent_bits * US_PER_S / rtprop_us
+                        >= FAIR_SHARE_FRACTION * fair_bps)
+            if flip:
+                self.time_in_state[state] += now - self._state_since
+                self._state_since = now
+                state = INTERNET if state == WIRELESS else WIRELESS
+                self.state_changes.append((now, state))
+                over_run = under_run = 0
+                feedback = None
 
             if is_stale:
                 stale_reports += 1
-            ack_append(packet.make_ack(now, feedback=feedback_cls(
-                target_interval, fair_interval,
-                state == INTERNET, activated, is_stale)))
+            if feedback is None:
+                feedback = PbeFeedback(target_interval, fair_interval,
+                                       state == INTERNET, activated,
+                                       is_stale)
+            ack_append(packet.make_ack(now, feedback=feedback))
 
+        if not acks:
+            return
+        self.stats.record_block(now, sizes, delays)
+        dprop.update(now, min(delays))
+        recent.append((now, sum(sizes)))
         self._recent_bits = recent_bits
         self.state = state
         self._over_threshold_run = over_run
         self._under_threshold_run = under_run
         self.stale_reports += stale_reports
-        if report is not None:
-            self._last_report = report
-        if acks:
-            self._forward_acks(acks)
+        self._last_report = report
+        self._forward_acks(acks)
 
     # ------------------------------------------------------------------
     def state_fractions(self, now_us: int) -> dict[str, float]:

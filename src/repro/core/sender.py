@@ -286,6 +286,7 @@ class PbeSender(CongestionControl):
         bbr_block = bbr.on_ack_block
         run: list[AckContext] = []
         run_append = run.append
+        decoded = None
 
         for ctx in contexts:
             now = ctx.now_us
@@ -309,14 +310,19 @@ class PbeSender(CongestionControl):
                 run.clear()
                 self._resync_after_fallback(now)  # reads bbr.btlbw_bps
             self._last_fresh_us = now
-            target_rate = feedback.target_rate_bps
+            if feedback is not decoded:
+                # The client shares one feedback object between the ACKs
+                # of a report: decode its two rates once per object.
+                decoded = feedback
+                target_rate = feedback.target_rate_bps
+                fair_rate = feedback.fair_rate_bps
             self.target_rate_bps = target_rate
-            self.fair_rate_bps = feedback.fair_rate_bps
+            self.fair_rate_bps = fair_rate
             if self.guard is not None:
                 self.guard.observe(now, target_rate,
                                    ctx.delivery_rate_bps)
             if (self.state == STARTUP and self._ramp_start_us is None
-                    and self.fair_rate_bps > 0):
+                    and fair_rate > 0):
                 self._ramp_start_us = now  # first Cf report arms the ramp
 
             if (feedback.carrier_activated

@@ -724,13 +724,12 @@ class FleetBackend(ExecBackend):
         # expired lease is cleared now rather than waited out; a
         # pre-existing result is kept only if it validates — a
         # completed-but-uncollected job from a SIGKILLed driver is
-        # picked up for free, which is fleet-scope resume.
+        # picked up for free, which is fleet-scope resume — and is
+        # otherwise quarantined and counted like any corrupt result.
         lease = _read_json(self._lease_path(fp))
         if lease is not None and lease_expired(lease):
             _unlink_quiet(self._lease_path(fp))
-        result = self._result_path(fp)
-        if result.exists() and self._validate(fp, quarantine=False) is None:
-            _unlink_quiet(result)
+        self._validate(fp)  # a missing result is not a corrupt one
         from ..harness.serialize import write_json_atomic
         write_json_atomic(wire, self._queue_path(fp), indent=None)
         self._handles[fp] = handle
@@ -772,7 +771,7 @@ class FleetBackend(ExecBackend):
             error = handle.error
             handle.error = None  # a resubmitted handle starts clean
             raise error
-        payload = self._validate(handle.fingerprint, quarantine=True)
+        payload = self._validate(handle.fingerprint)
         if payload is None:
             # Corrupt in transit: quarantined by _validate; the queue
             # entry stays so workers re-execute after the runner
@@ -842,12 +841,12 @@ class FleetBackend(ExecBackend):
                     proc.kill()
 
     # -- internals -----------------------------------------------------
-    def _validate(self, fp: str, quarantine: bool):
+    def _validate(self, fp: str):
         """Payload dict, :class:`RemoteJobError`, or None (invalid).
 
-        Invalid results are optionally quarantined (driver collection
-        path) — preserved for diagnosis under ``quarantine/`` and
-        removed from ``results/`` so the job re-executes.
+        Invalid results are quarantined and counted — preserved for
+        diagnosis under ``quarantine/`` and removed from ``results/``
+        so the job re-executes.
         """
         path = self._result_path(fp)
         try:
@@ -871,14 +870,13 @@ class FleetBackend(ExecBackend):
                 and entry.get("sha256")
                 == payload_checksum(entry["payload"])):
             return entry["payload"]
-        if quarantine:
-            dest = self.root / QUARANTINE_DIR / f"{fp}.json"
-            try:
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, dest)
-            except OSError:
-                _unlink_quiet(path)
-            self.corrupt_results += 1
+        dest = self.root / QUARANTINE_DIR / f"{fp}.json"
+        try:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(path, dest)
+        except OSError:
+            _unlink_quiet(path)
+        self.corrupt_results += 1
         return None
 
     def _cleanup(self, fp: str) -> None:

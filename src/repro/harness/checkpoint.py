@@ -20,7 +20,7 @@ sequence numbers and compaction behaviour replay exactly).
 
 On-disk format (one file per snapshot, ``ckpt-<subframe>.snap``)::
 
-    {"schema": ..., "version": 2, "subframe": N,
+    {"schema": ..., "version": 3, "subframe": N,
      "length": L, "sha256": ...}\\n
     <L bytes of pickle payload>
 
@@ -96,7 +96,10 @@ SCHEMA = "repro.harness/checkpoint"
 #: 2: packets on the wired hop are link/ingress state (``Link._starts``,
 #: ``_Ingress.wire``); a version-1 heap carries them as ``Link._finish``
 #: / ``_Ingress.receive`` events, which no longer bind.
-VERSION = 2
+#: 3: transport blocks on the air are network state
+#: (``CellularNetwork._air``); a version-2 heap carries them as
+#: ``receive_tb`` / ``abandon_tb`` events ahead of the tick.
+VERSION = 3
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

@@ -48,6 +48,19 @@ class FlowStats:
         self.delay_us.append(delay_us)
         self.total_bits += size_bits
 
+    def record_block(self, arrival_us: int, sizes: list[int],
+                     delays: list[int]) -> None:
+        """Log a burst delivered at one instant (≡ a :meth:`record` loop)."""
+        if not sizes:
+            return
+        if self.first_arrival_us < 0:
+            self.first_arrival_us = arrival_us
+        self.last_arrival_us = arrival_us
+        self.arrival_us.extend([arrival_us] * len(sizes))
+        self.size_bits.extend(sizes)
+        self.delay_us.extend(delays)
+        self.total_bits += sum(sizes)
+
     # ------------------------------------------------------------------
     @property
     def packets(self) -> int:

@@ -125,6 +125,50 @@ def test_kill_point_with_packets_parked_on_the_wire(tmp_path):
     assert digest_run(experiment, handles, results) == straight
 
 
+def test_kill_point_with_blocks_and_an_abandon_on_the_air(
+        tmp_path, monkeypatch):
+    """Transport blocks crossing the air are network state, not heap
+    entries: a snapshot taken with several of them in flight — one the
+    UE is about to learn HARQ gave up on — must land every one at the
+    top of the next tick, on the restored UE."""
+    from repro.cell import basestation
+
+    # 60 % of all attempts fail, so 13 % of blocks are abandoned.
+    monkeypatch.setattr(basestation, "block_error_rate",
+                        lambda ber, bits: 0.6)
+    kill_subframe = 97
+
+    def config():
+        return (Scenario(name="ck-air", aggregated_cells=3,
+                         duration_s=DURATION_S, seed=21),
+                [FlowSpec(scheme="pbe")])
+
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    ((ue, blocks),) = experiment.network._air
+    on_air = [(tb.seq, tb.cell_id, decoded) for tb, decoded in blocks]
+    assert len(on_air) >= 2
+    assert [decoded for _, _, decoded in on_air].count(False) == 1
+    assert ue.reorder_depth > 0
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    ((ue, blocks),) = experiment.network._air
+    assert ue is experiment.network.user(handles[0].spec.rnti).ue
+    assert [(tb.seq, tb.cell_id, decoded)
+            for tb, decoded in blocks] == on_air
+    results = experiment.run(checkpoint=manager)
+    assert ue.abandoned_tbs > 10
+    assert digest_run(experiment, handles, results) == straight
+
+
 # ---------------------------------------------------------------------------
 # Randomized configurations x randomized kill points
 # ---------------------------------------------------------------------------
@@ -311,13 +355,11 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
     assert digest_run(experiment, handles, results) == straight
 
 
-def test_version_1_snapshot_is_quarantined(tmp_path):
-    """A v1 heap carries ``Link._finish`` / ``_Ingress.receive`` entries
-    that no longer bind: the file must be set aside, not restored."""
-    assert VERSION == 2
+def _assert_version_quarantined(tmp_path, old_version: int) -> None:
+    assert old_version < VERSION == 3
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
-    doctored = dict(json.loads(header), version=1)
+    doctored = dict(json.loads(header), version=old_version)
     path.write_bytes(json.dumps(doctored, sort_keys=True).encode()
                      + b"\n" + payload)
     with pytest.raises(SnapshotCorrupt):
@@ -329,6 +371,20 @@ def test_version_1_snapshot_is_quarantined(tmp_path):
         directory=str(tmp_path), interval_subframes=120))
     assert manager.try_restore(experiment) is None
     assert manager.quarantined == 1 and experiment.sim.now == 0
+
+
+def test_version_1_snapshot_is_quarantined(tmp_path):
+    """A v1 heap carries ``Link._finish`` / ``_Ingress.receive`` entries
+    that no longer bind: the file must be set aside, not restored."""
+    _assert_version_quarantined(tmp_path, 1)
+
+
+def test_version_2_snapshot_is_quarantined(tmp_path):
+    """A v2 heap carries the transport blocks on the air as
+    ``receive_tb`` / ``abandon_tb`` events, which would still bind —
+    and land a subframe's blocks as events beside an empty ``_air``:
+    set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 2)
 
 
 def test_read_snapshot_rejects_bad_checksum(tmp_path):

@@ -271,6 +271,22 @@ def test_corrupt_result_is_quarantined_and_retried(tmp_path):
             / f"{handle.fingerprint}.json").exists()
 
 
+def test_submit_quarantines_a_corrupt_preexisting_result(tmp_path):
+    """A corrupt result found at (re)submission — a reclaimed worker's
+    envelope landing late — is set aside and counted, not unlinked."""
+    backend = FleetBackend(tmp_path, ttl_s=2.0, poll_s=0.02)
+    job = probe(9)
+    fingerprint = backend.submit(job).fingerprint
+    result = tmp_path / RESULT_DIR / f"{fingerprint}.json"
+    result.write_text('{"torn":')
+    backend.submit(job)
+    assert not result.exists()
+    assert (tmp_path / "quarantine" / f"{fingerprint}.json").read_text() \
+        == '{"torn":'
+    assert backend.corrupt_results == 1
+    assert (tmp_path / QUEUE_DIR / f"{fingerprint}.json").exists()
+
+
 def test_checksum_mismatch_is_rejected(tmp_path):
     backend = FleetBackend(tmp_path, ttl_s=2.0, poll_s=0.02)
     handle = backend.submit(probe(9))

@@ -240,14 +240,16 @@ def test_cancel_after_pop_does_not_corrupt_count():
 
 
 def test_event_budget_per_data_packet():
-    """Neither the wired hop nor the pacer costs a heap event per packet.
+    """Neither the wired hop, the pacer nor the air costs a heap event
+    per packet (or per transport block).
 
     What is left is one pacing wake-up per *train* plus the subframe
-    tick, TB delivery, the 5 ms ACK batch and RTO re-arms — about 0.3
-    events per data packet on this packet-dominated config.  A pacer
-    that wakes through the heap for every packet again would read about
-    1.25, the link's ``_finish`` and the ingress ``receive`` events on
-    top about 3.2.  A count, so it cannot flake on a busy box.
+    tick, the 5 ms ACK batch and RTO re-arms — about 0.16 events per
+    data packet on this packet-dominated config.  Transport blocks
+    crossing the air as events again would read about 0.31, a pacer
+    that wakes through the heap for every packet about 1.25, the link's
+    ``_finish`` and the ingress ``receive`` events on top about 3.2.  A
+    count, so it cannot flake on a busy box.
     """
     from repro.harness import Experiment
     from repro.harness.fingerprint import fingerprint_configs
@@ -260,7 +262,7 @@ def test_event_budget_per_data_packet():
     experiment.run()
     sent = handle.sender.sent_packets
     assert sent > 5_000
-    assert perf.events_scheduled / sent <= 0.5
+    assert perf.events_scheduled / sent <= 0.2
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ ahead of same-instant arrivals makes it follow that rule too, so the
 comparison covers every sequence.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.link import Link, PacketSink
 from repro.net.packet import Packet
@@ -111,8 +111,18 @@ def test_analytic_link_matches_reference(workload):
         assert analytic == plain
 
 
+#: A full one-packet queue meeting arrivals on serialization ends:
+#: forwarded/dropped read (5, 16) under tie rule 1, (4, 17) on the old
+#: link's own heap order.  Doubling the instants does not remove it.
+_FULL_QUEUE_TIE = (
+    {"rate_bps": 1e6, "delay_us": 0, "queue_packets": 1},
+    [(0, 1, 400)] * 5 + [(0, 2, 400)] + [(0, 3, 400)] * 5
+    + [(12_000, 1, 4_000), (12_000, 3, 4_000)] + [(16_000, 1, 400)] * 8)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_workloads(), st.lists(st.integers(0, 60_000), max_size=8))
+@example(_FULL_QUEUE_TIE, [])
 def test_counters_match_reference_mid_flight(workload, probes):
     """``forwarded``/``queue_depth`` agree at any instant, not just at rest."""
     config, arrivals = workload
@@ -121,7 +131,10 @@ def test_counters_match_reference_mid_flight(workload, probes):
     config = dict(config, rate_bps=1e6)       # even tx times for even sizes
     arrivals = [(2 * t, f, s) for t, f, s in arrivals]
     probes = sorted(2 * t + 1 for t in probes)
-    reference = _drive(ReferenceLink, config, arrivals, probes=probes)
+    # Even instants still tie (an arrival on a serialization end with
+    # the queue full), so the reference runs completions-first: rule 1.
+    reference = _drive(ReferenceLink, config, arrivals,
+                       completions_first=True, probes=probes)
     assert _drive(Link, config, arrivals, probes=probes) == reference
 
 
