@@ -308,7 +308,9 @@ class CellularNetwork:
     #: ``_after_restore`` (``_channel_users`` is keyed by ``id()``,
     #: which cannot survive a process boundary).
     SNAPSHOT_SKIP = ("sim", "perf", "carriers", "_prbs_by_cell",
-                     "_monitors", "_user_list", "_channel_users")
+                     "_monitors", "_user_list", "_channel_users",
+                     "_live_cells", "_cell_roster", "_exo_users",
+                     "_ca_users")
 
     def __init__(self, sim: Simulator, carriers: list[CarrierConfig],
                  ca_policy: Optional[CaPolicy] = None,
@@ -347,9 +349,19 @@ class CellularNetwork:
         #: attributes in this order, so each ``ue`` here is a reference
         #: to the one already written under ``_users``.)
         self._air: list[tuple[UserEquipment, list]] = []
-        #: Cached ``list(self._users.values())`` for the tick loop;
-        #: invalidated (set to None) on attach/detach.
-        self._user_list: Optional[list[_User]] = None
+        #: Tick rosters (DESIGN.md, "Tick rosters"): what the subframe
+        #: loop visits, built by ``_build_rosters`` at the next tick
+        #: after anything that could change them set ``_live_cells`` to
+        #: None.  ``_live_cells`` holds ``(cell_id, total_prbs)`` of the
+        #: cells to tick, in ``carriers`` order; ``_cell_roster`` each
+        #: live cell's active users, ``_user_list`` every user,
+        #: ``_exo_users`` those with a demand source and ``_ca_users``
+        #: those the CA manager observes — all in ``_users`` order.
+        self._live_cells: Optional[list[tuple[int, int]]] = None
+        self._cell_roster: dict[int, list[_User]] = {}
+        self._user_list: list[_User] = []
+        self._exo_users: list[_User] = []
+        self._ca_users: list[_User] = []
         self.perf = perf_counters
         self.subframe = 0
         self._retx: dict[tuple[int, int], list[_HarqState]] = {}
@@ -385,10 +397,11 @@ class CellularNetwork:
         self._cell_user_count = {c: 0 for c in self.carriers}
         #: Pending HARQ retransmissions per cell (skip-safety guard).
         self._cell_retx_count = {c: 0 for c in self.carriers}
-        #: Subframes an unobservable cell's tick was skipped — its
-        #: control-traffic RNG is caught up by replaying exactly this
-        #: many generator ticks if the cell ever becomes observable.
-        self._control_lag = {c: 0 for c in self.carriers}
+        #: First subframe each currently unobservable cell's tick was
+        #: skipped at — its control-traffic RNG is caught up by
+        #: replaying the generator ticks since then if the cell ever
+        #: becomes observable.
+        self._dormant_since: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -434,7 +447,6 @@ class CellularNetwork:
                      DownlinkQueue(queue_packets), ue,
                      cqi_delay_subframes=self.cqi_delay_subframes)
         self._users[rnti] = user
-        self._user_list = None
         self._refresh_active_cells(user)
         self._register_channel(user, channel)
         for cell in cells:
@@ -469,9 +481,9 @@ class CellularNetwork:
         Python-level tick per subframe — so catching a cell up after a
         long unobserved gap costs O(bursty subframes), not O(gap).
         """
-        lag = self._control_lag[cell_id]
-        if lag:
-            self._control_lag[cell_id] = 0
+        since = self._dormant_since.pop(cell_id, None)
+        if since is not None:
+            lag = self.subframe - since
             generator = self._control[cell_id]
             advance = generator.advance_idle
             generator_tick = generator.tick
@@ -487,7 +499,8 @@ class CellularNetwork:
         self._drain_wire()  # arrivals so far still found the user
         user = self._users.pop(rnti, None)
         if user is not None:
-            self._user_list = None
+            self._live_cells = None
+            self.ca.forget(rnti)
             for cell in user.agg.configured:
                 self._cell_user_count[cell] -= 1
             user.release_channel_block()
@@ -499,6 +512,7 @@ class CellularNetwork:
 
     def _refresh_active_cells(self, user: _User) -> None:
         """Rebuild the user's cached active-cell set and PRB total."""
+        self._live_cells = None
         cells = user.agg.active_cells
         user.active_cell_set = set(cells)
         prbs = self._prbs_by_cell
@@ -567,7 +581,7 @@ class CellularNetwork:
             self._register_channel(user, channel)
         self._refresh_active_cells(user)
         # The new cell group starts its CA bookkeeping from scratch.
-        self.ca._users.pop(rnti, None)
+        self.ca.forget(rnti)
 
     def _after_restore(self) -> None:
         """Rebuild derived views after a checkpoint restore.
@@ -575,10 +589,10 @@ class CellularNetwork:
         ``_channel_users`` is keyed by ``id(channel)`` and must be
         regrouped around the restored channel objects; ``block_safe``
         and the block caches themselves come straight from the
-        snapshot, so no demotion logic reruns here.  ``_user_list`` is
-        a lazy cache the tick loop rebuilds on demand.
+        snapshot, so no demotion logic reruns here.  The tick rosters
+        are rebuilt by the next tick.
         """
-        self._user_list = None
+        self._live_cells = None
         self._channel_users = {}
         for user in self._users.values():
             self._channel_users.setdefault(
@@ -603,6 +617,7 @@ class CellularNetwork:
         """Subscribe a control-channel decoder to one cell."""
         self._catch_up_control(cell_id)
         self._monitors[cell_id].append(callback)
+        self._live_cells = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -672,12 +687,12 @@ class CellularNetwork:
         self._drain_wire()
         now = self.sim.now
         subframe = self.subframe
+        live = self._live_cells
+        if live is None:
+            live = self._build_rosters(subframe)
         users = self._user_list
-        if users is None:
-            users = self._user_list = list(self._users.values())
         cqi_delay = self.cqi_delay_subframes
-        batched = self.batched
-        if batched:
+        if self.batched:
             for user in users:
                 if user.block_safe:
                     # Refresh from the per-user channel block cache,
@@ -693,38 +708,21 @@ class CellularNetwork:
                     user.refresh_from_block(slot)
                 else:
                     user.refresh_channel(now, cqi_delay)
-                if user.demand_source is not None:
-                    self._inject_exogenous(user, subframe)
         else:
             for user in users:
                 user.refresh_channel(now, cqi_delay)
-                if user.demand_source is not None:
-                    self._inject_exogenous(user, subframe)
+        # Injection touches only the user's own demand RNG and queue,
+        # never a channel, so it may follow the whole refresh loop.
+        for user in self._exo_users:
+            self._inject_exogenous(user, subframe)
 
         used_by_user: dict[int, int] = {}
-        for cell_id, carrier in self.carriers.items():
-            if (batched and not self._monitors[cell_id]
-                    and self._cell_user_count[cell_id] == 0
-                    and self._cell_retx_count[cell_id] == 0
-                    and cell_id not in self._pf):
-                # Nothing on this cell can be observed (no monitor, no
-                # configured users, no HARQ in flight, no PF bookkeeping
-                # with amortized eviction): defer its control-traffic
-                # RNG draws.  _catch_up_control replays exactly this
-                # many ticks before the cell next becomes observable.
-                self._control_lag[cell_id] += 1
-                continue
-            self._tick_cell(cell_id, carrier, subframe, used_by_user)
+        for cell_id, total_prbs in live:
+            self._tick_cell(cell_id, total_prbs, subframe, used_by_user)
 
         observe = self.ca.observe
         used_get = used_by_user.get
-        for user in users:
-            if batched and len(user.agg.configured) == 1:
-                # A single-cell user can neither activate nor deactivate
-                # a carrier (AggregationState gates both on the
-                # configured count), so observe() could only append to
-                # unobservable per-user history.
-                continue
+        for user in self._ca_users:
             switched = observe(
                 subframe, user.rnti, user.agg,
                 used_prbs=used_get(user.rnti, 0),
@@ -739,6 +737,47 @@ class CellularNetwork:
             perf.ticks += 1
             if perf.time_subsystems:
                 perf.add_time("net.tick", time.perf_counter() - t0)
+
+    def _build_rosters(self, subframe: int) -> list[tuple[int, int]]:
+        """Rebuild the tick rosters; returns the live cells.
+
+        The one place that decides which cells tick and who is on them.
+        In the batched engine a cell on which nothing can be observed
+        (no monitor, no configured user, no HARQ in flight, no PF
+        bookkeeping with amortized eviction) is left out and stamped in
+        ``_dormant_since``, deferring its control-traffic RNG draws until
+        ``_catch_up_control``.  Only a cell kept live by HARQ alone can
+        go dormant without an invalidating call — when its last
+        retransmission drains — so while one exists the rosters stay
+        stale and the next tick rebuilds them again.
+        """
+        batched = self.batched
+        live: list[tuple[int, int]] = []
+        retx_only = False
+        for cell_id, total_prbs in self._prbs_by_cell.items():
+            if (batched and not self._monitors[cell_id]
+                    and self._cell_user_count[cell_id] == 0
+                    and cell_id not in self._pf):
+                if self._cell_retx_count[cell_id] == 0:
+                    self._dormant_since.setdefault(cell_id, subframe)
+                    continue
+                retx_only = True
+            live.append((cell_id, total_prbs))
+        roster: dict[int, list[_User]] = {cell_id: [] for cell_id, _ in live}
+        users = self._user_list = list(self._users.values())
+        for user in users:
+            for cell_id in user.active_cell_set:
+                roster[cell_id].append(user)
+        self._cell_roster = roster
+        self._exo_users = [u for u in users if u.demand_source is not None]
+        # A single-cell user can neither activate nor deactivate a
+        # carrier (AggregationState gates both on the configured count),
+        # so observe() could only append to unobservable per-user
+        # history: the batched engine leaves such users out.
+        self._ca_users = [u for u in users
+                          if not batched or len(u.agg.configured) != 1]
+        self._live_cells = None if retx_only else live
+        return live
 
     def _inject_exogenous(self, user: _User, subframe: int) -> None:
         bits = user.demand_source.bits(subframe)
@@ -755,9 +794,8 @@ class CellularNetwork:
             push(packet)
             bits -= size
 
-    def _tick_cell(self, cell_id: int, carrier: CarrierConfig,
+    def _tick_cell(self, cell_id: int, total_prbs: int,
                    subframe: int, used_by_user: dict[int, int]) -> None:
-        total_prbs = carrier.total_prbs
         available = total_prbs
         callbacks = self._monitors[cell_id]
         # DciMessage/SubframeRecord objects exist only for the decoders
@@ -796,12 +834,8 @@ class CellularNetwork:
 
         # 3. Equal-share allocation over backlogged data users.
         demands = []
-        users = self._user_list
-        if users is None:
-            users = self._user_list = list(self._users.values())
-        for user in users:
-            if cell_id not in user.active_cell_set:
-                continue
+        roster = self._cell_roster[cell_id]
+        for user in roster:
             if user.queue.empty or subframe < user.suspended_until:
                 continue
             demands.append(DemandEntry(user.rnti, user.queue.backlog_bits,
@@ -834,9 +868,8 @@ class CellularNetwork:
                 user.allocated_history.append((subframe, cell_id, n_prbs))
 
         if cell_id in self._pf:
-            attached = {u.rnti for u in users
-                        if cell_id in u.active_cell_set}
-            self._pf[cell_id].record(served_bits, attached)
+            self._pf[cell_id].record(served_bits,
+                                     {u.rnti for u in roster})
 
         # 5. Publish the decoded control channel.
         if callbacks:

@@ -80,6 +80,10 @@ class CarrierAggregationManager:
     def state_for(self, rnti: int) -> _UserCaState:
         return self._users.setdefault(rnti, _UserCaState())
 
+    def forget(self, rnti: int) -> None:
+        """Drop a user's bookkeeping (departure, or a handover's restart)."""
+        self._users.pop(rnti, None)
+
     def activations_for(self, rnti: int) -> int:
         """How many times a secondary cell was activated for this user."""
         return self.state_for(rnti).activations

@@ -493,6 +493,14 @@ class FleetWorker:
                                         ttl_s=self.ttl_s, force=force)
                     if not outcome:
                         continue
+                    if not force and (self.root / RESULT_DIR
+                                      / f"{fp}.json").exists():
+                        # A peer wrote this result (then released its
+                        # lease) between _claimable's result check and
+                        # its lease read: leave the envelope for the
+                        # driver instead of running the job again.
+                        release_lease(self.root, fp)
+                        continue
                     if outcome == CLAIM_TAKEOVER:
                         # A dead peer's expired lease: count it and
                         # beacon immediately so the driver's

@@ -99,7 +99,10 @@ SCHEMA = "repro.harness/checkpoint"
 #: 3: transport blocks on the air are network state
 #: (``CellularNetwork._air``); a version-2 heap carries them as
 #: ``receive_tb`` / ``abandon_tb`` events ahead of the tick.
-VERSION = 3
+#: 4: a skipped cell's control-traffic lag is a stamp
+#: (``CellularNetwork._dormant_since``); a version-3 network carries it
+#: as the ``_control_lag`` counters, which nothing reads any more.
+VERSION = 4
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

@@ -99,3 +99,51 @@ def test_events_log():
     assert manager.events
     subframe, rnti, action, cell = manager.events[0]
     assert (rnti, action, cell) == (1, "activate", 1)
+
+
+def test_forget_drops_a_users_bookkeeping():
+    manager = CarrierAggregationManager(_policy())
+    agg = AggregationState(configured=[0, 1])
+    _drive(manager, agg, 30, used=90, total=100, backlogged=True)
+    assert manager.activations_for(1) == 1
+    manager.forget(1)
+    manager.forget(2)  # unknown RNTI: nothing to drop
+    assert manager.activations_for(1) == 0
+    assert not manager.state_for(1).history
+
+
+def test_reattached_rnti_starts_carrier_aggregation_afresh():
+    """``remove_user`` forgets the departed user: the same RNTI attached
+    again must earn its secondary cell over a full window, not inherit
+    the old utilisation history, cooldown and activation count."""
+    from repro.cell.basestation import CellularNetwork
+    from repro.net.sim import Simulator
+    from repro.phy.carrier import CarrierConfig
+    from repro.phy.channel import StaticChannel
+    from repro.traces.workload import CbrDemand
+
+    policy = _policy(window=32, cooldown=10)
+    sim = Simulator()
+    network = CellularNetwork(
+        sim, [CarrierConfig(cell_id=0), CarrierConfig(cell_id=1)],
+        ca_policy=policy)
+    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0), CbrDemand(200e6))
+    network.start()
+    sim.run(until_us=59_500)
+    assert network.ca.activations_for(9) == 1
+    assert network.aggregation_state(9).active_cells == [0, 1]
+
+    network.remove_user(9)
+    assert 9 not in network.ca._users
+    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0), CbrDemand(200e6))
+    reattached_at = network.subframe
+    assert network.ca.activations_for(9) == 0
+    sim.run(until_us=60_500)
+    assert len(network.ca.state_for(9).history) == 1
+
+    sim.run(until_us=200_000)
+    activations = [subframe for subframe, rnti, action, _ in
+                   network.ca.events if action == "activate"]
+    assert len(activations) == 2
+    assert activations[1] >= reattached_at + policy.window - 1
+    assert network.ca.activations_for(9) == 1

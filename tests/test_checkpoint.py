@@ -169,6 +169,76 @@ def test_kill_point_with_blocks_and_an_abandon_on_the_air(
     assert digest_run(experiment, handles, results) == straight
 
 
+def test_kill_point_with_a_dormant_and_a_volatile_cell(
+        tmp_path, monkeypatch):
+    """Tick rosters are derived state, the dormancy stamps are not: a
+    snapshot taken on a sparse network while most cells are dormant
+    (non-zero lag) and one is kept live only by a departed user's HARQ
+    must resume to the same rebuilds, the same stamps and — once the
+    cells wake — the same control-traffic streams."""
+    from repro.cell import basestation
+    from repro.phy.carrier import CarrierConfig
+    from repro.traces.workload import OnOffRandomDemand
+
+    monkeypatch.setattr(basestation, "block_error_rate",
+                        lambda ber, bits: 0.6)
+    kill_subframe, leaver, walker = 62, 700, 701
+
+    def build():
+        scenario = Scenario(
+            name="ck-sparse",
+            carriers=[CarrierConfig(cell_id=c) for c in range(24)],
+            aggregated_cells=2, duration_s=DURATION_S, seed=5,
+            control_arrivals_by_cell={c: 0.4 for c in range(24)})
+        experiment, handles = _build(scenario, [FlowSpec(scheme="pbe")])
+        network = experiment.network
+        for rnti, cell in ((leaver, 5), (walker, 9)):
+            network.add_exogenous_user(
+                rnti, [cell], StaticChannel(18.0, 1.0, seed=rnti),
+                OnOffRandomDemand(mean_on_s=50.0, mean_off_s=1e-3,
+                                  rate_range_bps=(2e7, 3e7), seed=rnti))
+        schedule = experiment.sim.schedule
+        schedule(60_300, network.remove_user, leaver)
+        schedule(150_300, network.handover, walker, [7])  # wakes 7
+        schedule(250_300, network.handover, walker, [5])  # wakes 5
+        return experiment, handles
+
+    def finish(experiment, handles, manager=None):
+        results = experiment.run(checkpoint=manager)
+        network = experiment.network
+        stamps = dict(network._dormant_since)
+        assert stamps[9] == 151 and stamps[7] == 251 and stamps[20] == 0
+        streams = {}
+        for cell_id in (5, 7, 9, 20):
+            network._catch_up_control(cell_id)
+            generator = network._control[cell_id]
+            streams[cell_id] = (generator._rng.bit_generator.state,
+                                generator._next_rnti)
+        return digest_run(experiment, handles, results), stamps, streams
+
+    straight = finish(*build())
+
+    experiment, handles = build()
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    network = experiment.network
+    assert network._cell_retx_count[5] > 0  # volatile: HARQ only
+    assert network._cell_user_count[5] == 0 and network._live_cells is None
+    stamps = dict(network._dormant_since)
+    assert stamps[7] == 0 and 5 not in stamps and len(stamps) == 20
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = build()
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    network = experiment.network
+    assert network._dormant_since == stamps
+    assert network._live_cells is None and leaver not in network._users
+    assert finish(experiment, handles, manager) == straight
+
+
 # ---------------------------------------------------------------------------
 # Randomized configurations x randomized kill points
 # ---------------------------------------------------------------------------
@@ -356,7 +426,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 3
+    assert old_version < VERSION == 4
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -385,6 +455,15 @@ def test_version_2_snapshot_is_quarantined(tmp_path):
     and land a subframe's blocks as events beside an empty ``_air``:
     set aside, not half-restored."""
     _assert_version_quarantined(tmp_path, 2)
+
+
+def test_version_3_snapshot_is_quarantined(tmp_path):
+    """A v3 network carries a skipped cell's control-traffic lag in
+    ``_control_lag``, which nothing reads any more: restored, every
+    dormant cell would replay from an empty ``_dormant_since`` and its
+    generator would silently lose the skipped ticks.  Set aside, not
+    half-restored."""
+    _assert_version_quarantined(tmp_path, 3)
 
 
 def test_read_snapshot_rejects_bad_checksum(tmp_path):

@@ -161,6 +161,36 @@ def test_worker_skips_live_leases(tmp_path):
     assert list(worker._claimable()) == []
 
 
+def test_worker_leaves_a_job_finished_during_its_scan(tmp_path):
+    """``_claimable`` checks the result file, *then* reads the lease: a
+    peer that writes its result and releases its lease in between
+    leaves a candidate with no lease and a result the scan never saw.
+    The claim succeeds — and must be given back without running the
+    job, or a corrupt envelope is overwritten before the driver can
+    quarantine and count it."""
+    fp = enqueue(tmp_path, probe(6))
+    result = tmp_path / RESULT_DIR / f"{fp}.json"
+    result.parent.mkdir(parents=True)
+    result.write_bytes(b"a peer's envelope, corrupt in transit")
+    worker = FleetWorker(tmp_path, worker_id="late", poll_s=0.02,
+                         log=open(os.devnull, "w"))
+    scans = []
+
+    def stale_scan():
+        if scans:
+            worker.stop_requested = True
+        else:
+            scans.append(fp)
+            yield fp, tmp_path / QUEUE_DIR / f"{fp}.json", False
+
+    worker._claimable = stale_scan
+    worker._execute_claimed = lambda *args: pytest.fail("job ran twice")
+    assert worker.run() == 0
+    assert scans == [fp] and worker.executed == 0
+    assert result.read_bytes() == b"a peer's envelope, corrupt in transit"
+    assert not (tmp_path / LEASE_DIR / f"{fp}.json").exists()
+
+
 # ---------------------------------------------------------------------
 # Driver backend.
 

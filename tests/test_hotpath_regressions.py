@@ -30,6 +30,7 @@ from repro.monitor.capacity import CellCapacityEstimator
 from repro.net.sim import Simulator
 from repro.phy.carrier import AggregationState
 from repro.phy.dci import DciMessage, SubframeRecord
+from repro.traces.workload import CbrDemand
 
 
 # ----------------------------------------------------------------------
@@ -378,3 +379,85 @@ def test_estimator_samples_roundtrip():
     assert samples[0].subframe == 50 and samples[-1].subframe == 449
     assert samples[-1].own_prbs == 1 + 449 % 5
     assert samples[-1].ber == 449.0
+
+
+# ----------------------------------------------------------------------
+# Tick rosters: rebuilds are counted, not timed
+# ----------------------------------------------------------------------
+def _sparse_network(n_cells=240):
+    from repro.cell.basestation import CellularNetwork
+    from repro.phy.carrier import CarrierConfig
+
+    sim = Simulator()
+    network = CellularNetwork(
+        sim, [CarrierConfig(cell_id=c) for c in range(n_cells)],
+        control_arrivals_per_subframe=0.05, seed=3)
+    calls = {"build": 0, "cell": 0}
+    build, tick_cell = network._build_rosters, network._tick_cell
+
+    def counting_build(subframe):
+        calls["build"] += 1
+        return build(subframe)
+
+    def counting_tick_cell(*args):
+        calls["cell"] += 1
+        tick_cell(*args)
+
+    network._build_rosters = counting_build
+    network._tick_cell = counting_tick_cell
+    return sim, network, calls
+
+
+def test_sparse_network_builds_rosters_once_and_ticks_one_cell():
+    """240 carriers, one attached flow, 1 000 ticks: one roster build
+    and one ``_tick_cell`` per tick — the per-tick cost does not grow
+    with the number of configured carriers."""
+    from repro.phy.channel import StaticChannel
+
+    sim, network, calls = _sparse_network()
+    network.add_exogenous_user(1, [7], StaticChannel(20.0), CbrDemand(20e6))
+    network.start()
+    sim.run(until_us=999_000)
+    assert network.subframe == 1_000
+    assert calls == {"build": 1, "cell": 1_000}
+    assert len(network._dormant_since) == 239
+
+
+def test_attach_burst_costs_one_roster_rebuild():
+    from repro.phy.channel import StaticChannel
+
+    sim, network, calls = _sparse_network()
+    network.start()
+    sim.run(until_us=9_500)
+    assert calls == {"build": 1, "cell": 0}
+    for i in range(20):
+        network.add_exogenous_user(100 + i, [10 * i], StaticChannel(15.0),
+                                   CbrDemand(20e6))
+    sim.run(until_us=19_500)
+    assert calls == {"build": 2, "cell": 20 * 10}
+
+
+def test_roster_rebuilds_stop_once_departed_users_harq_drains():
+    """A cell kept live only by a departed user's pending HARQ is
+    re-examined every tick, and only until that drains."""
+    from unittest import mock
+
+    from repro.cell import basestation
+    from repro.phy.channel import StaticChannel
+    from repro.phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
+
+    bound = MAX_RETRANSMISSIONS * (RETX_DELAY_SUBFRAMES + 1) + 1
+    sim, network, calls = _sparse_network()
+    network.add_exogenous_user(1, [7], StaticChannel(20.0), CbrDemand(20e6))
+    network.start()
+    with mock.patch.object(basestation, "block_error_rate",
+                           lambda ber, bits: 1.0):
+        sim.run(until_us=4_500)
+    assert network._cell_retx_count[7] > 0
+    network.remove_user(1)
+    before = calls["build"]
+    sim.run(until_us=4_500 + 1_000 * (bound + 20))
+    assert 2 <= calls["build"] - before <= bound
+    assert network._cell_retx_count[7] == 0 and not network._retx
+    assert network._live_cells == []
+    assert len(network._dormant_since) == 240
