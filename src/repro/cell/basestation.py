@@ -15,7 +15,6 @@ Once per subframe (1 ms) it runs, for every component carrier:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -64,9 +63,9 @@ MIMO_SINR_THRESHOLD_DB = 10.0
 CONTROL_MCS = 4
 #: Their fixed per-PRB rate, precomputed for the per-burst hot path.
 _CONTROL_BITS_PER_PRB = bits_per_prb(CONTROL_MCS, 1)
-#: Subframes of channel trajectory precomputed per user per block in
-#: the batched engine (one ``sinr_block`` draw + one vectorized
-#: SINR→MCS→rate/BER chain instead of 64 scalar rounds).
+#: Subframes of channel trajectory precomputed per user per block (one
+#: ``sinr_block`` draw + one vectorized SINR→MCS→rate/BER chain instead
+#: of 64 scalar rounds).
 CHANNEL_BLOCK_SUBFRAMES = 64
 #: Channel models whose ``sinr_block`` is exact (RNG-stream identical
 #: to scalar calls) *and* whose output depends only on time — the
@@ -137,9 +136,9 @@ class _User:
         self.current_streams = 1
         self.rate_now = bits_per_prb(0, 1)
         self.ber_now = sinr_to_ber(0.0)
-        #: Batched-engine channel cache: True when the channel model may
-        #: be sampled in blocks (known-exact model, not shared with
-        #: another user).  Set by the network.
+        #: Channel block cache: True when the channel model may be
+        #: sampled in blocks (known-exact model, not shared with another
+        #: user).  Set by the network.
         self.block_safe = False
         self._blk_idx = 0
         self._blk_len = 0
@@ -319,8 +318,7 @@ class CellularNetwork:
                  scheduler_policy: str = "equal",
                  cqi_delay_subframes: int = 0,
                  seed: int = 0,
-                 perf_counters: Optional[Any] = None,
-                 batched: bool = True) -> None:
+                 perf_counters: Optional[Any] = None) -> None:
         if cqi_delay_subframes < 0:
             raise ValueError("CQI delay must be non-negative")
         if not carriers:
@@ -383,11 +381,6 @@ class CellularNetwork:
             self._pf = {cell_id: ProportionalFairState()
                         for cell_id in self.carriers}
         self._started = False
-        #: ``batched=False`` selects the per-subframe scalar reference
-        #: engine; the batched engine is byte-identical to it (block
-        #: channel sampling, skipped unobservable cells, single-cell CA
-        #: shortcut) and is the default.
-        self.batched = batched
         #: ``id(channel)`` of every channel attached so far — a channel
         #: shared by two users must be sampled in user-interleaved
         #: order, so its users are excluded from block caching.
@@ -455,7 +448,7 @@ class CellularNetwork:
         return user
 
     def _register_channel(self, user: _User, channel: ChannelModel) -> None:
-        """Decide block-cache eligibility; demote sharers to scalar."""
+        """Decide block-cache eligibility (sharers sample per subframe)."""
         peers = self._channel_users.setdefault(id(channel), [])
         peers.append(user)
         if len(peers) > 1:
@@ -472,8 +465,8 @@ class CellularNetwork:
     def _catch_up_control(self, cell_id: int) -> None:
         """Replay control-generator ticks skipped while unobservable.
 
-        The replayed ticks draw the identical arrival/burst sequence the
-        scalar engine would have drawn subframe by subframe, so the
+        The replayed ticks draw the identical arrival/burst sequence
+        ticking the cell every subframe would have drawn, so the
         generator's RNG stream and in-flight burst list re-converge
         exactly before the cell's next observed subframe.  Idle
         stretches are crossed with :meth:`ControlTrafficGenerator.
@@ -681,9 +674,6 @@ class CellularNetwork:
             air, self._air = self._air, []
             for ue, entries in air:
                 ue.receive_subframe(entries)
-        perf = self.perf
-        t0 = time.perf_counter() \
-            if perf is not None and perf.time_subsystems else 0.0
         self._drain_wire()
         now = self.sim.now
         subframe = self.subframe
@@ -692,24 +682,20 @@ class CellularNetwork:
             live = self._build_rosters(subframe)
         users = self._user_list
         cqi_delay = self.cqi_delay_subframes
-        if self.batched:
-            for user in users:
-                if user.block_safe:
-                    # Refresh from the per-user channel block cache,
-                    # refilling it (one vectorized SINR→CQI→MCS→rate→BER
-                    # pass) whenever the cursor runs off the end.  Block
-                    # sampling consumes the channel RNG stream exactly
-                    # like per-subframe calls, so this is byte-identical
-                    # to refresh_channel.
-                    slot = user._blk_idx
-                    if slot >= user._blk_len:
-                        user.fill_channel_block(now, cqi_delay)
-                        slot = 0
-                    user.refresh_from_block(slot)
-                else:
-                    user.refresh_channel(now, cqi_delay)
-        else:
-            for user in users:
+        for user in users:
+            if user.block_safe:
+                # Refresh from the per-user channel block cache,
+                # refilling it (one vectorized SINR→CQI→MCS→rate→BER
+                # pass) whenever the cursor runs off the end.  Block
+                # sampling consumes the channel RNG stream exactly like
+                # per-subframe calls, so this is byte-identical to
+                # refresh_channel.
+                slot = user._blk_idx
+                if slot >= user._blk_len:
+                    user.fill_channel_block(now, cqi_delay)
+                    slot = 0
+                user.refresh_from_block(slot)
+            else:
                 user.refresh_channel(now, cqi_delay)
         # Injection touches only the user's own demand RNG and queue,
         # never a channel, so it may follow the whole refresh loop.
@@ -733,29 +719,27 @@ class CellularNetwork:
 
         self.subframe += 1
         self.sim.schedule(SUBFRAME_US, self._tick)
+        perf = self.perf
         if perf is not None:
             perf.ticks += 1
-            if perf.time_subsystems:
-                perf.add_time("net.tick", time.perf_counter() - t0)
 
     def _build_rosters(self, subframe: int) -> list[tuple[int, int]]:
         """Rebuild the tick rosters; returns the live cells.
 
         The one place that decides which cells tick and who is on them.
-        In the batched engine a cell on which nothing can be observed
-        (no monitor, no configured user, no HARQ in flight, no PF
-        bookkeeping with amortized eviction) is left out and stamped in
+        A cell on which nothing can be observed (no monitor, no
+        configured user, no HARQ in flight, no PF bookkeeping with
+        amortized eviction) is left out and stamped in
         ``_dormant_since``, deferring its control-traffic RNG draws until
         ``_catch_up_control``.  Only a cell kept live by HARQ alone can
         go dormant without an invalidating call — when its last
         retransmission drains — so while one exists the rosters stay
         stale and the next tick rebuilds them again.
         """
-        batched = self.batched
         live: list[tuple[int, int]] = []
         retx_only = False
         for cell_id, total_prbs in self._prbs_by_cell.items():
-            if (batched and not self._monitors[cell_id]
+            if (not self._monitors[cell_id]
                     and self._cell_user_count[cell_id] == 0
                     and cell_id not in self._pf):
                 if self._cell_retx_count[cell_id] == 0:
@@ -773,9 +757,9 @@ class CellularNetwork:
         # A single-cell user can neither activate nor deactivate a
         # carrier (AggregationState gates both on the configured count),
         # so observe() could only append to unobservable per-user
-        # history: the batched engine leaves such users out.
+        # history: such users are left out.
         self._ca_users = [u for u in users
-                          if not batched or len(u.agg.configured) != 1]
+                          if len(u.agg.configured) != 1]
         self._live_cells = None if retx_only else live
         return live
 
@@ -875,15 +859,8 @@ class CellularNetwork:
         if callbacks:
             record = SubframeRecord(subframe, cell_id, total_prbs,
                                     messages)
-            perf = self.perf
-            if perf is not None and perf.time_subsystems:
-                t0 = time.perf_counter()
-                for callback in callbacks:
-                    callback(record)
-                perf.add_time("monitor.feed", time.perf_counter() - t0)
-            else:
-                for callback in callbacks:
-                    callback(record)
+            for callback in callbacks:
+                callback(record)
 
     def _transmit(self, harq: _HarqState, subframe: int,
                   messages: Optional[list[DciMessage]],

@@ -34,9 +34,8 @@ class UserEquipment:
         #: Callback invoked for every in-order, uncorrupted packet.
         self.on_packet = on_packet
         #: Optional burst callback: one call per subframe with every
-        #: packet it delivered (the batched engine's columnar
-        #: ACK-generation entry point).  Takes precedence over
-        #: ``on_packet`` when set.
+        #: packet it delivered (the columnar ACK-generation entry
+        #: point).  Takes precedence over ``on_packet`` when set.
         self.on_packet_block: Optional[Callable[[list[Packet]], None]] \
             = None
         self._reorder: ReorderingBuffer[TransportBlock] = ReorderingBuffer()

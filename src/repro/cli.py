@@ -21,8 +21,6 @@ Commands
                fleet from any host that shares the directory
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
-``perf``       hot-path benchmark suite; writes ``BENCH_hotpath.json``
-               (``--smoke`` for the CI-sized run)
 ``list``       list schemes, experiments and metro scenario sets
 
 Multi-run commands (``experiment`` sweeps, ``sweep``) accept ``--jobs
@@ -53,7 +51,6 @@ Examples
     python -m repro metro --set metro-240 --jobs 8 \\
         --cache-dir .repro-cache --resume
     python -m repro cache verify --cache-dir .repro-cache
-    python -m repro perf --smoke --out BENCH_hotpath.json
     python -m repro fleet sweep --dir /shared/fleet --workers 4 \\
         --cache-dir .repro-cache --resume
     python -m repro fleet worker --dir /shared/fleet   # on any host
@@ -64,7 +61,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -493,79 +489,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """``repro perf``: run (or compare) the hot-path benchmark suite."""
-    from .perf.bench import compare_benchmarks, run_benchmarks
-    if args.compare:
-        old_path, new_path = args.compare
-        with open(old_path) as fh:
-            old = json.load(fh)
-        with open(new_path) as fh:
-            new = json.load(fh)
-        lines, regressions = compare_benchmarks(old, new)
-        for line in lines:
-            print(line)
-        if regressions:
-            print(f"warning: possible regression in "
-                  f"{', '.join(regressions)} (advisory only — wall "
-                  f"clocks are machine/load dependent)", file=sys.stderr)
-        return 0
-    doc = run_benchmarks(smoke=args.smoke, progress=sys.stderr,
-                         only=args.only)
-    benches = doc["benches"]
-    # Per-bench table row: b -> (wall column, rate column).  The doc may
-    # be a subset when --only is given, so look up lazily.
-    row_formats = {
-        "estimator": lambda b: (
-            b["wall_s"], f'{b["estimates_per_s"]:,.0f} estimates/s'),
-        "scheduler": lambda b: (
-            b["wall_s"], f'{b["calls_per_s"]:,.0f} allocations/s'),
-        "channel_block": lambda b: (
-            b["block_wall_s"],
-            f'{b["block_subframes_per_s"]:,.0f} subframes/s '
-            f'({b["speedup"]:g}x scalar)'),
-        "dci_batch": lambda b: (
-            b["batch_wall_s"],
-            f'{b["batch_rows_per_s"]:,.0f} rows/s '
-            f'({b["speedup"]:g}x scalar)'),
-        "transport_batch": lambda b: (
-            b["batch_wall_s"],
-            f'{b["batch_acks_per_s"]:,.0f} acks/s '
-            f'({b["speedup"]:g}x scalar)'),
-        "cc_block": lambda b: (
-            b["block_wall_s"],
-            f'{b["block_contexts_per_s"]:,.0f} acks/s '
-            f'({b["speedup"]:g}x scalar)'),
-        "subframe_loop": lambda b: (
-            b["wall_s"],
-            f'{b["ticks_per_s"]:,.0f} ticks/s ({b["sim_s"]:g} sim-s)'),
-        "sweep": lambda b: (
-            b["wall_s"],
-            f'{b["entries"]} runs x {b["flow_s"]:g} s flows'),
-        "metro_smoke": lambda b: (
-            b["batch_wall_s"],
-            f'{b["cells"]} cells ({b["speedup"]:g}x scalar)'),
-    }
-    rows = []
-    for name, bench in benches.items():
-        wall, rate = row_formats[name](bench)
-        rows.append([name, wall, rate])
-    print(format_table(["bench", "wall (s)", "rate"], rows,
-                       title="Hot-path benchmarks "
-                             f"({'smoke' if doc['smoke'] else 'full'})"))
-    if "subframe_loop" in benches:
-        counters = benches["subframe_loop"]["counters"]
-        print(f"loop counters: events={counters['events_popped']} "
-              f"cancelled_ratio={counters['cancelled_event_ratio']} "
-              f"compactions={counters['heap_compactions']}",
-              file=sys.stderr)
-    if args.out:
-        from .harness.serialize import write_json_atomic
-        write_json_atomic(doc, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     """``repro list``: schemes, experiments and metro scenario sets."""
     from .metro import metro_scenario_sets
@@ -879,24 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "legacy entries into the checksummed "
                               "envelope")
     p_cache.set_defaults(func=cmd_cache)
-
-    p_perf = sub.add_parser(
-        "perf", help="run the hot-path benchmark suite")
-    p_perf.add_argument("--smoke", action="store_true",
-                        help="CI-sized benchmarks (seconds, not minutes)")
-    p_perf.add_argument("--out", default=None, metavar="FILE",
-                        help="write the BENCH_hotpath.json document here")
-    p_perf.add_argument("--only", action="append", default=None,
-                        metavar="BENCH",
-                        help="run only this bench (repeatable); the "
-                             "emitted document carries the subset and "
-                             "--compare treats it as partial")
-    p_perf.add_argument("--compare", nargs=2, default=None,
-                        metavar=("OLD.json", "NEW.json"),
-                        help="diff two benchmark documents on their "
-                             "headline metrics instead of running; "
-                             "always exits 0 (advisory)")
-    p_perf.set_defaults(func=cmd_perf)
 
     p_list = sub.add_parser("list", help="list schemes and experiments")
     p_list.set_defaults(func=cmd_list)

@@ -5,13 +5,14 @@ behaviour: every optimized path must be *byte-identical* to the code it
 replaced.  This module turns one simulated run into a SHA-256 digest of
 everything observable — per-packet delivery logs, sender/client state
 machines, carrier-aggregation decisions, and the monitor's internal
-estimator state — so two engine variants (e.g. the batched subframe
-engine vs. the scalar reference) can be compared with a string equality.
+estimator state — so two versions of the engine (or the engine and the
+per-subframe, per-ACK reference in ``tests/reference_engine.py``) can
+be compared with a string equality.
 
 :func:`fingerprint_configs` defines the 6-configuration suite the perf
 PRs verify against; :func:`run_fingerprint` executes one configuration
 and returns its digest.  ``tests/test_batch_engine.py`` adds randomized
-configurations on top.
+configurations on top and holds both to recorded goldens.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .scenarios import Scenario
 def _canon(part: object) -> object:
     """Canonicalize to plain Python values before hashing.
 
-    The engines store bitwise-equal numbers with different Python types
-    (the scalar path leaves ``np.float64`` where the batched path's
+    Bitwise-equal numbers can carry different Python types (per-subframe
+    channel sampling leaves ``np.float64`` where the block cache's
     ``.tolist()`` produces ``float``); ``repr`` would tell them apart,
     the IEEE bit pattern does not.  Identity means identical *values*.
     """
@@ -109,13 +110,9 @@ def digest_run(experiment: Experiment, handles: list, results: list,
 
 
 def run_fingerprint(scenario: Scenario, specs: list[FlowSpec],
-                    report_window: int = 40, batched: bool = True) -> str:
-    """Run one configuration and digest everything observable.
-
-    ``batched=False`` runs the same configuration on the scalar
-    reference engine; the equivalence tests assert both digests match.
-    """
-    experiment = Experiment(scenario, batched=batched)
+                    report_window: int = 40) -> str:
+    """Run one configuration and digest everything observable."""
+    experiment = Experiment(scenario)
     handles = [experiment.add_flow(spec) for spec in specs]
     results = experiment.run()
     return digest_run(experiment, handles, results,

@@ -174,19 +174,13 @@ class FlowResult:
 class Experiment:
     """One scenario's simulation: network plus any number of flows."""
 
-    def __init__(self, scenario: Scenario,
-                 perf_counters=None, batched: bool = True) -> None:
+    def __init__(self, scenario: Scenario, perf_counters=None) -> None:
         self.scenario = scenario
         #: Optional :class:`repro.perf.PerfCounters`; wired into both
         #: the simulator and the MAC engine (observability only — an
         #: instrumented run stays byte-identical).
         self.perf = perf_counters
         self.sim = Simulator(perf_counters=perf_counters)
-        #: ``batched=False`` selects the scalar reference engine — the
-        #: batched engine is byte-identical to it (the equivalence tests
-        #: run both and compare fingerprints).  The flag also flows into
-        #: each flow's monitor so a scalar run is scalar end to end.
-        self.batched = batched
         self.network = CellularNetwork(
             self.sim, scenario.carriers,
             control_arrivals_per_subframe=(
@@ -194,8 +188,7 @@ class Experiment:
             scheduler_policy=scenario.scheduler_policy,
             cqi_delay_subframes=scenario.cqi_delay_subframes,
             seed=scenario.seed,
-            perf_counters=perf_counters,
-            batched=batched)
+            perf_counters=perf_counters)
         self.flows: list[FlowHandle] = []
         #: Shared bottleneck links (checkpointed alongside the flows).
         self._shared_links: list[Link] = []
@@ -251,18 +244,16 @@ class Experiment:
                      **spec.cc_kwargs)
         sender = Sender(sim, flow_id=spec.rnti, cc=cc, egress=egress,
                         app_rate_bps=spec.app_rate_bps)
-        # ACK-impaired flows keep the batched transport: the injector
-        # sits *upstream* of the batching stage and draws its RNG
-        # per packet in arrival order either way, so its loss/reorder/
-        # dup/corruption decisions land in the batch columns unchanged
-        # (pinned by the faulted fingerprint configs and
-        # tests/test_cc_block.py).  The scalar-demotion rule PR 9
-        # carried is gone.
+        # An ACK injector sits *upstream* of the batching stage and
+        # draws its RNG per packet in arrival order, so its loss/
+        # reorder/dup/corruption decisions land in the batch columns
+        # unchanged (pinned by the faulted fingerprint configs and
+        # tests/test_cc_block.py).
         fault_spec = spec.fault_spec()
         batching = BatchingPipe(
             sim, sender, scenario.uplink_delay_us,
             batch_interval_us=scenario.uplink_batch_us,
-            name=f"uplink-{spec.rnti}", batched=self.batched)
+            name=f"uplink-{spec.rnti}")
         uplink: Receiver = batching
 
         # Reverse-path fault injection sits between the phone and the
@@ -285,11 +276,9 @@ class Experiment:
         ue = self.network.add_user(
             spec.rnti, cells, channel, on_packet=receiver.receive,
             log_allocations=spec.log_allocations)
-        if self.batched:
-            # Columnar ACK generation: released transport blocks hand
-            # their packets over as one burst (scalar engine keeps the
-            # per-packet reference callback).
-            ue.on_packet_block = receiver.receive_block
+        # Columnar ACK generation: released transport blocks hand their
+        # packets over as one burst.
+        ue.on_packet_block = receiver.receive_block
 
         sim.schedule(us_from_seconds(spec.start_s), sender.start)
         end_s = (spec.start_s + spec.duration_s
@@ -352,20 +341,16 @@ class Experiment:
             return user.bits_per_prb_now, user.ber_now
 
         cell_prbs = {c: network.carriers[c].total_prbs for c in cells}
-        monitor_kwargs = dict(spec.pbe_monitor_kwargs)
-        if fault_spec is not None and fault_spec.impairs_decoder:
-            # LossyDecoder drops/forges per record; the monitor must run
-            # the per-record reference path so the impaired stream keeps
-            # its exact scalar semantics.
-            monitor_kwargs.setdefault("batch_ingest", False)
-        monitor_kwargs.setdefault("batch_ingest", self.batched)
         monitor = PbeMonitor(spec.rnti, cell_prbs, primary_cell=cells[0],
                              own_rate_hint=own_rate_hint,
-                             **monitor_kwargs)
+                             **spec.pbe_monitor_kwargs)
         lossy_decoders: dict = {}
         for cell_id in cells:
             callback = monitor.decoder_callback(cell_id)
             if fault_spec is not None and fault_spec.impairs_decoder:
+                # LossyDecoder drops/forges per record: it feeds the
+                # cell's decoder (per-record fusion, which tolerates
+                # partial streams), never the columnar callback.
                 lossy = LossyDecoder(monitor.decoders[cell_id],
                                      fault_spec)
                 lossy_decoders[cell_id] = lossy

@@ -10,9 +10,9 @@ the supervised :mod:`repro.exec` machinery (process pool, result
 cache, journal, resume) exactly like single-flow jobs.
 
 Everything the shard simulates is derived from ``params`` alone, so
-the fingerprint fully keys the result — and the batched and scalar
-engines must agree byte-for-byte (:func:`shard_fingerprint` digests a
-run for the equivalence tests and the metro bench).
+the fingerprint fully keys the result (:func:`shard_fingerprint`
+digests a run for the equivalence tests against
+``tests/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class MetroShardJob:
 class _ShardRun:
     """A wired-up shard experiment, ready to run."""
 
-    def __init__(self, params: dict, batched: bool = True) -> None:
+    def __init__(self, params: dict) -> None:
         self.params = params
         cells = params["cells"]
         hours = list(params["hours"])
@@ -109,7 +109,7 @@ class _ShardRun:
                 c["cell_id"]: (BUSY_CONTROL_ARRIVALS if c["busy"]
                                else IDLE_CONTROL_ARRIVALS)
                 for c in cells})
-        self.experiment = Experiment(scenario, batched=batched)
+        self.experiment = Experiment(scenario)
         self._attach_population(cells, hours, hour_s, seed)
         self._attach_walkers(duration_s)
         self.handles = self._attach_fleets(cells, seed,
@@ -204,12 +204,12 @@ def _unit(seed: int, *scope: object) -> float:
         derived_seed(seed, *scope)).random())
 
 
-def build_shard(params: dict, batched: bool = True) -> _ShardRun:
+def build_shard(params: dict) -> _ShardRun:
     """Wire up (but do not run) one shard experiment."""
-    return _ShardRun(params, batched=batched)
+    return _ShardRun(params)
 
 
-def run_shard(params: dict, batched: bool = True) -> dict:
+def run_shard(params: dict) -> dict:
     """Simulate one shard and return its JSON-ready payload.
 
     The payload carries one row per cell — fleet flow summaries, Jain
@@ -218,7 +218,7 @@ def run_shard(params: dict, batched: bool = True) -> dict:
     the metro matrix.  No wall-clock values: payloads must be
     byte-identical across runs and across cache hits.
     """
-    shard = build_shard(params, batched=batched)
+    shard = build_shard(params)
     results = shard.run()
     network = shard.experiment.network
 
@@ -280,15 +280,11 @@ def _assemble_payload(params: dict, shard: _ShardRun,
     }
 
 
-def shard_fingerprint(params: dict, batched: bool = True) -> str:
-    """SHA-256 digest of everything observable in one shard run.
-
-    Runs the shard on the requested engine and digests it with
-    :func:`repro.harness.fingerprint.digest_run` — the batched and
-    scalar engines must return the same string (the ≥100-cell
-    equivalence test and the metro bench both assert this).
-    """
+def shard_fingerprint(params: dict) -> str:
+    """SHA-256 digest of everything observable in one shard run
+    (:func:`repro.harness.fingerprint.digest_run`; the ≥100-cell
+    equivalence test compares it with the reference engine's)."""
     from ..harness.fingerprint import digest_run
-    shard = build_shard(params, batched=batched)
+    shard = build_shard(params)
     results = shard.run()
     return digest_run(shard.experiment, shard.handles, results)

@@ -69,9 +69,9 @@ class ControlChannelDecoder:
         search attempts, so a block of ``n`` records with ``m`` total
         messages costs ``m·(N_DCI_FORMATS - 1) + n·N_SEARCH_POSITIONS``
         — identical to ``n`` scalar :meth:`on_subframe` calls.  Batch
-        ingestion bypasses the latency buffer and the sink; the batched
-        monitor drains blocks itself (scalar ingest is the reference
-        path for latency/fault configurations).
+        ingestion bypasses the latency buffer and the sink; the monitor
+        drains blocks itself (latency/fault configurations ingest per
+        record).
         """
         if batch.cell_id != self.cell_id:
             raise ValueError(

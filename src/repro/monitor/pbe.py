@@ -97,8 +97,7 @@ class PbeMonitor:
                  user_window_subframes: int = 40,
                  decode_latency_subframes: int = 0,
                  filter_control_users: bool = True,
-                 averaging_window_override: Optional[int] = None,
-                 batch_ingest: bool = True) -> None:
+                 averaging_window_override: Optional[int] = None) -> None:
         """``cell_prbs`` maps every *configured* cell id to its PRB count.
 
         ``own_rate_hint()`` returns ``(bits_per_prb, ber)`` from the
@@ -109,13 +108,13 @@ class PbeMonitor:
         detected user in N; ``averaging_window_override`` replaces the
         RTprop averaging window (1 = instantaneous estimates).
 
-        ``batch_ingest=True`` (default) buffers decoded subframes as a
-        columnar :class:`~repro.phy.dci.SubframeBatch` per cell and
-        folds whole blocks into the estimators on demand — byte-
-        identical to the per-record path, which remains the reference
-        (and is selected automatically when ``decode_latency_subframes
-        > 0``, whose timing semantics are inherently per-record; the
-        fault injectors likewise bypass batching by design).
+        :meth:`decoder_callback` buffers decoded subframes as a columnar
+        :class:`~repro.phy.dci.SubframeBatch` per cell and folds whole
+        blocks into the estimators on demand — byte-identical to the
+        per-record path (``decoders[cell].on_subframe`` → fusion), which
+        ``decode_latency_subframes > 0`` selects because its timing
+        semantics are inherently per-record, and which the fault
+        injectors feed directly.
         """
         if primary_cell not in cell_prbs:
             raise ValueError("primary cell must be configured")
@@ -144,8 +143,7 @@ class PbeMonitor:
         #: snapshot stream, and total subframes never fused.
         self._gap_events = 0
         self._missed_subframes = 0
-        self.batch_ingest = (bool(batch_ingest)
-                             and decode_latency_subframes == 0)
+        self.batch_ingest = decode_latency_subframes == 0
         #: Configured cells in attachment (= engine tick) order.
         self._cell_order = list(cell_prbs)
         self._batches = {
@@ -225,13 +223,16 @@ class PbeMonitor:
         order = self._cell_order
         batches = [self._batches[c] for c in order]
         subframes = batches[0].subframes
-        for b in batches[1:]:
+        for cell_id, b in zip(order, batches):
             if len(b) != n or b.subframes != subframes:
                 raise RuntimeError(
-                    "batch ingest requires cell-aligned subframe "
-                    "streams; use scalar ingest (batch_ingest=False)")
-        if len(batches[0]) != n:
-            raise RuntimeError("hint/row count mismatch in batch ingest")
+                    f"cell {cell_id} buffered {len(b)} subframes where "
+                    f"{n} were completed by all {len(order)} configured "
+                    f"cells (or numbers them unlike cell {order[0]}): "
+                    "decoder_callback() needs every cell to report every "
+                    "subframe; attach monitor.decoders[cell].on_subframe "
+                    "instead, the per-record path that fuses partial "
+                    "streams")
         own = self.own_rnti
         if n == 1:
             # Steady state under ACK clocking: each feedback drains the

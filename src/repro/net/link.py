@@ -64,16 +64,17 @@ class BatchingPipe(Receiver):
     of the "ACK delay, ACK compression" problems §2 attributes to
     delay-based schemes on cellular paths).
 
-    With ``batched=True`` each flush delivers the whole burst — single
-    ACKs included — as **one** scheduled event carrying an
-    :class:`AckBatch`, handed to the sink's ``receive_batch`` method
-    when it has one (per-packet ``receive`` loop otherwise).  Scalar
-    same-instant deliveries form a contiguous run of event sequence
+    Each flush delivers the whole burst — single ACKs included — as
+    **one** scheduled event carrying an :class:`AckBatch`, handed to the
+    sink's ``receive_batch`` method when it has one (per-packet
+    ``receive`` loop otherwise).  One event per ACK would put the same
+    deliveries at the same instant as a contiguous run of event sequence
     numbers with nothing interleaved between them, so collapsing the
     run into a single event only relabels subsequent sequence numbers
     uniformly — relative event order, and therefore behaviour, is
-    unchanged (pinned by the ``repro.harness.fingerprint`` byte-identity
-    suite).
+    unchanged (``tests/reference_engine.py`` keeps the event-per-ACK
+    pipe; the ``repro.harness.fingerprint`` byte-identity suite runs
+    both).
 
     The batch is *staged columnar*: arriving ACKs append straight into
     the flush cycle's :class:`AckBatch` columns (``_stage``), so the
@@ -88,7 +89,7 @@ class BatchingPipe(Receiver):
 
     def __init__(self, sim: Simulator, sink: Receiver, delay_us: int,
                  batch_interval_us: int = 5_000,
-                 name: str = "uplink", batched: bool = False) -> None:
+                 name: str = "uplink") -> None:
         if delay_us < 0:
             raise ValueError("delay must be non-negative")
         if batch_interval_us < 1:
@@ -98,10 +99,9 @@ class BatchingPipe(Receiver):
         self.delay_us = delay_us
         self.batch_interval_us = batch_interval_us
         self.name = name
-        self.batched = batched
         self._held: list[Packet] = []
         #: Columnar view of ``_held`` for the current flush cycle
-        #: (``None`` while idle, in scalar mode, or after a restore).
+        #: (``None`` while idle, or after a restore).
         self._stage: Optional[AckBatch] = None
         self.forwarded = 0
         self.batches = 0
@@ -112,10 +112,9 @@ class BatchingPipe(Receiver):
         # not the next one a full cycle later.
         wait = -self.sim.now % self.batch_interval_us
         self.sim.schedule(wait, self._flush)
-        if self.batched:
-            stage = AckBatch.stage(flow_id)
-            stage.packets = self._held  # one list, two views
-            self._stage = stage
+        stage = AckBatch.stage(flow_id)
+        stage.packets = self._held  # one list, two views
+        self._stage = stage
 
     def receive(self, packet: Packet) -> None:
         packet.hops += 1
@@ -172,19 +171,15 @@ class BatchingPipe(Receiver):
         self.batches += 1
         n = len(batch)
         self.forwarded += n
-        if self.batched and n >= 1:
-            if (stage is None or stage.packets is not batch
-                    or len(stage.acked_seq) != n):
-                # Stage lost (checkpoint restore mid-cycle): rebuild.
-                stage = AckBatch.from_packets(batch)
-            perf = self.sim.perf
-            if perf is not None:
-                perf.ack_batches += 1
-                perf.acks_batched += n
-            self.sim.schedule(self.delay_us, self._deliver, stage)
-        else:
-            for packet in batch:
-                self.sim.schedule(self.delay_us, self.sink.receive, packet)
+        if (stage is None or stage.packets is not batch
+                or len(stage.acked_seq) != n):
+            # Stage lost (checkpoint restore mid-cycle): rebuild.
+            stage = AckBatch.from_packets(batch)
+        perf = self.sim.perf
+        if perf is not None:
+            perf.ack_batches += 1
+            perf.acks_batched += n
+        self.sim.schedule(self.delay_us, self._deliver, stage)
 
     def _deliver(self, batch: AckBatch) -> None:
         receive_batch = getattr(self.sink, "receive_batch", None)

@@ -77,9 +77,9 @@ class AckBatch:
     """Struct-of-arrays view of one uplink grant cycle's ACKs.
 
     The LTE uplink releases ACKs in bursts (see
-    :class:`repro.net.link.BatchingPipe`); the batched transport engine
-    delivers each burst as **one** scheduled event carrying this
-    container instead of N per-packet ``sink.receive`` events.  The
+    :class:`repro.net.link.BatchingPipe`), which delivers each burst as
+    **one** scheduled event carrying this container instead of N
+    per-packet ``sink.receive`` events.  The
     sender-side fields every ACK-clocking step needs are unpacked into
     parallel columns once, at flush time, so
     :meth:`repro.baselines.base.Sender.receive_batch` can run its
@@ -116,8 +116,8 @@ class AckBatch:
     def stage(cls, flow_id: int) -> "AckBatch":
         """Empty batch for incremental staging.
 
-        The batched uplink (:class:`repro.net.link.BatchingPipe`) builds
-        its flush batch one :meth:`append` at a time as ACKs arrive,
+        The uplink (:class:`repro.net.link.BatchingPipe`) builds its
+        flush batch one :meth:`append` at a time as ACKs arrive,
         instead of buffering packets and re-scanning them at flush time
         — each packet's fields are read exactly once.
         """

@@ -1,10 +1,8 @@
-"""Hot-path observability: lightweight counters and wall-time probes.
+"""Hot-path observability: lightweight event and tick counters.
 
-The ROADMAP's "fast as the hardware allows" goal is gated on the
-per-subframe tick, so this package gives the simulator a cheap,
-opt-in instrumentation surface plus a benchmark harness
-(:mod:`repro.perf.bench`) that turns it into a recorded trajectory
-(``BENCH_hotpath.json``, emitted by ``python -m repro perf``).
+Wall time is measured from outside the package (``bench/clock.py`` for
+end-to-end runs, ``bench/trace.py`` for per-layer spans); this module
+only counts.
 
 Design constraints:
 
@@ -14,16 +12,9 @@ Design constraints:
 * **No behavioural footprint.**  Counters never feed back into
   simulation decisions, so an instrumented run is byte-identical to an
   uninstrumented one (the determinism suite is the oracle for this).
-* **Cheap counters, opt-in timers.**  Integer counters are always
-  maintained once a :class:`PerfCounters` is attached; wall-clock
-  subsystem timers additionally require ``time_subsystems=True``
-  because ``perf_counter()`` calls in a per-subframe loop are not free.
 """
 
 from __future__ import annotations
-
-import time
-from typing import Iterator
 
 __all__ = ["PerfCounters"]
 
@@ -33,11 +24,11 @@ class PerfCounters:
 
     Attach one instance to the pieces you want to observe::
 
-        perf = PerfCounters(time_subsystems=True)
+        perf = PerfCounters()
         sim = Simulator(perf_counters=perf)
         network = CellularNetwork(sim, carriers, perf_counters=perf)
         ...
-        print(perf.format())
+        print(perf.as_dict())
 
     or pass it to :class:`repro.harness.runner.Experiment`, which wires
     both for you.  Counters:
@@ -54,20 +45,16 @@ class PerfCounters:
         times the simulator rebuilt its heap to evict cancelled
         entries (see :meth:`Simulator.schedule`'s lazy deletion).
     ``ack_batches`` / ``acks_batched``
-        grant-cycle flushes the columnar transport engine delivered as
-        one :class:`~repro.net.packet.AckBatch` event, and how many
-        ACKs rode in them (single-ACK flushes stay scalar).
-    ``timers``
-        ``{subsystem: seconds}`` wall time, populated only with
-        ``time_subsystems=True``.
+        grant-cycle flushes the uplink delivered, each as one
+        :class:`~repro.net.packet.AckBatch` event, and how many ACKs
+        rode in them (a flush of a single ACK is a batch of one).
     """
 
     __slots__ = ("ticks", "events_popped", "events_cancelled_popped",
                  "events_scheduled", "heap_compactions", "ack_batches",
-                 "acks_batched", "timers", "time_subsystems", "_t0")
+                 "acks_batched")
 
-    def __init__(self, time_subsystems: bool = False) -> None:
-        self.time_subsystems = time_subsystems
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -79,26 +66,7 @@ class PerfCounters:
         self.heap_compactions = 0
         self.ack_batches = 0
         self.acks_batched = 0
-        self.timers: dict[str, float] = {}
-        self._t0 = time.perf_counter()
 
-    # ------------------------------------------------------------------
-    # Subsystem wall-time probes
-    # ------------------------------------------------------------------
-    def timed(self, key: str) -> "_Timed":
-        """Context manager accumulating wall time under ``timers[key]``.
-
-        A no-op (but still valid) context when ``time_subsystems`` is
-        off, so call sites do not need to branch.
-        """
-        return _Timed(self, key)
-
-    def add_time(self, key: str, seconds: float) -> None:
-        self.timers[key] = self.timers.get(key, 0.0) + seconds
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
     @property
     def cancelled_event_ratio(self) -> float:
         """Fraction of popped events that were dead on arrival."""
@@ -107,15 +75,8 @@ class PerfCounters:
             return 0.0
         return self.events_cancelled_popped / total
 
-    def ticks_per_second(self) -> float:
-        """Subframes processed per wall-clock second since reset."""
-        elapsed = time.perf_counter() - self._t0
-        if elapsed <= 0.0:
-            return 0.0
-        return self.ticks / elapsed
-
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (the ``counters`` block of the bench)."""
+        """JSON-ready snapshot of every counter."""
         return {
             "ticks": self.ticks,
             "events_popped": self.events_popped,
@@ -125,40 +86,4 @@ class PerfCounters:
             "ack_batches": self.ack_batches,
             "acks_batched": self.acks_batched,
             "cancelled_event_ratio": round(self.cancelled_event_ratio, 6),
-            "timers_s": {k: round(v, 6)
-                         for k, v in sorted(self.timers.items())},
         }
-
-    def format(self) -> str:
-        """One-line human summary for progress/stderr output."""
-        parts = [f"ticks={self.ticks}",
-                 f"events={self.events_popped}",
-                 f"cancelled={self.events_cancelled_popped} "
-                 f"({100 * self.cancelled_event_ratio:.1f}%)",
-                 f"compactions={self.heap_compactions}"]
-        if self.timers:
-            timing = ", ".join(f"{k}={v:.3f}s"
-                               for k, v in sorted(self.timers.items()))
-            parts.append(timing)
-        return " ".join(parts)
-
-
-class _Timed:
-    """Wall-clock accumulator used by :meth:`PerfCounters.timed`."""
-
-    __slots__ = ("_perf", "_key", "_start")
-
-    def __init__(self, perf: PerfCounters, key: str) -> None:
-        self._perf = perf
-        self._key = key
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timed":
-        if self._perf.time_subsystems:
-            self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._perf.time_subsystems:
-            self._perf.add_time(self._key,
-                                time.perf_counter() - self._start)

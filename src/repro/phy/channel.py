@@ -51,8 +51,8 @@ class ChannelModel:
 
         Equivalent — including the random stream consumed — to calling
         :meth:`sinr_db` once per subframe at ``start_us``,
-        ``start_us + SUBFRAME_US``, …; the batched engine relies on the
-        bitwise identity of the two paths.  Subclasses override this
+        ``start_us + SUBFRAME_US``, …; the engine's channel block cache
+        relies on the bitwise identity of the two.  Subclasses override this
         with a vectorized implementation; the base class falls back to
         the scalar calls so custom channel models stay correct.
         """

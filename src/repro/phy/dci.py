@@ -74,10 +74,10 @@ class SubframeRecord:
 class SubframeBatch:
     """Columnar (struct-of-arrays) block of one cell's decoded subframes.
 
-    The scalar pipeline hands one :class:`SubframeRecord` — a list of
+    The per-record path hands one :class:`SubframeRecord` — a list of
     :class:`DciMessage` objects — per cell per subframe through a chain
-    of Python callbacks.  The batched pipeline instead accumulates the
-    same information as parallel plain-``int`` columns and lets the
+    of Python callbacks.  A batch instead accumulates the same
+    information as parallel plain-``int`` columns and lets the
     consumers (:mod:`repro.monitor`) fold whole blocks at once, without
     per-record dispatch or per-message attribute access.
 

@@ -232,32 +232,6 @@ def test_one_client_pass_per_subframe_for_an_aggregated_user():
     assert len(calls) == len(set(calls))       # one burst per instant
 
 
-def test_net_tick_timer_does_not_book_the_landing():
-    """``repro perf``'s ``net.tick`` probe times the subframe engine;
-    the UE/client/uplink work the landing triggers is not the tick."""
-    import time
-
-    from repro.perf import PerfCounters
-
-    sim = Simulator()
-    perf = PerfCounters(time_subsystems=True)
-    net = CellularNetwork(sim, [CarrierConfig(0, 20.0)],
-                          perf_counters=perf)
-    slept = []
-
-    def slow_receiver(packet):
-        time.sleep(0.02)
-        slept.append(sim.now)
-
-    net.add_user(1, [0], StaticChannel(20.0), on_packet=slow_receiver)
-    for seq in range(5):
-        net.enqueue(1, Packet(1, seq, MSS_BITS))
-    net.start()
-    sim.run(until_us=10_000)
-    assert len(slept) == 5
-    assert perf.timers["net.tick"] < 0.02 * len(slept) / 2
-
-
 # ----------------------------------------------------------------------
 # Client: receive_block(burst) against the per-packet receive loop
 # ----------------------------------------------------------------------

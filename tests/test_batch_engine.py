@@ -1,17 +1,20 @@
 """Batched subframe engine: byte-identity and RNG-stream preservation.
 
-The batched engine (block channel sampling, idle-cell fast-forward,
-columnar DCI ingest) must be *byte-identical* to the scalar reference —
-same packet logs, same estimator state, same RNG stream consumption.
-These tests compare whole-run SHA-256 fingerprints across the pinned
+The engine (block channel sampling, idle-cell fast-forward, columnar
+DCI ingest, one event per ACK burst) must be *byte-identical* to the
+per-subframe, per-ACK reference in ``tests/reference_engine.py`` — same
+packet logs, same estimator state, same RNG stream consumption.  These
+tests compare whole-run SHA-256 fingerprints across the pinned
 6-configuration suite plus randomized configurations covering all three
 channel models, carrier aggregation on/off and fault injection on/off,
-and pin the stream-preservation tricks (block draws, speculative
-rollback, idle fast-forward) at the unit level.
+hold both sides to recorded goldens, and pin the stream-preservation
+tricks (block draws, speculative rollback, idle fast-forward) at the
+unit level.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import platform
@@ -30,6 +33,8 @@ from repro.phy.channel import (GaussMarkovChannel, StaticChannel,
                                TraceChannel)
 from repro.phy.dci import DciMessage, SubframeBatch, SubframeRecord
 
+from .reference_engine import reference_engine
+
 #: Short but non-trivial: long enough for CA activation, window closes
 #: and control-burst catch-up to all fire.
 DURATION_S = 0.6
@@ -42,7 +47,7 @@ SUBFRAME_US = 1_000
 # ---------------------------------------------------------------------------
 
 #: Digests frozen on the commit before the engine switch was removed
-#: (``python tests/test_batch_engine.py`` rewrites the file), so the
+#: (``python -m tests.test_batch_engine`` rewrites the file), so the
 #: engine and its reference are each held to a recorded value, not only
 #: to each other.
 GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
@@ -52,34 +57,35 @@ GOLDEN_KEYS = [(kind, key) for kind in ("pinned", "random", "sparse_metro")
 
 
 @functools.cache
-def _digest(kind: str, key: str, batched: bool) -> str:
-    """One configuration's digest on one engine (each run once per
-    session; configs are rebuilt per call because channels are
-    stateful)."""
-    if kind == "sparse_metro":
-        from repro.metro import shard_fingerprint
-        return shard_fingerprint(_sparse_metro_params(), batched=batched)
-    if kind == "pinned":
-        scenario, specs = fingerprint_configs(DURATION_S)[key]
-    else:
-        scenario, specs = _random_config(int(key))
-    return run_fingerprint(scenario, specs, batched=batched)
+def _digest(kind: str, key: str, reference: bool) -> str:
+    """One configuration's digest from the engine or from the reference
+    (each run once per session; configs are rebuilt per call because
+    channels are stateful)."""
+    with reference_engine() if reference else contextlib.nullcontext():
+        if kind == "sparse_metro":
+            from repro.metro import shard_fingerprint
+            return shard_fingerprint(_sparse_metro_params())
+        if kind == "pinned":
+            scenario, specs = fingerprint_configs(DURATION_S)[key]
+        else:
+            scenario, specs = _random_config(int(key))
+        return run_fingerprint(scenario, specs)
 
 
 @pytest.mark.skipif(
     np.__version__ != GOLDEN["numpy"],
     reason=f"goldens were recorded with numpy {GOLDEN['numpy']}, this is "
            f"{np.__version__}: RNG streams and ulps may differ")
-@pytest.mark.parametrize("batched", [True, False],
+@pytest.mark.parametrize("reference", [False, True],
                          ids=["engine", "reference"])
 @pytest.mark.parametrize("kind,key", GOLDEN_KEYS)
-def test_digest_equals_the_recorded_golden(kind, key, batched):
-    assert _digest(kind, key, batched) == GOLDEN[kind][key]
+def test_digest_equals_the_recorded_golden(kind, key, reference):
+    assert _digest(kind, key, reference) == GOLDEN[kind][key]
 
 
 @pytest.mark.parametrize("name", sorted(fingerprint_configs(0.1)))
 def test_pinned_suite_batched_matches_scalar(name):
-    assert _digest("pinned", name, True) == _digest("pinned", name, False)
+    assert _digest("pinned", name, False) == _digest("pinned", name, True)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +146,8 @@ def test_randomized_pool_covers_the_matrix():
 
 @pytest.mark.parametrize("seed", range(N_RANDOM_CONFIGS))
 def test_randomized_configs_batched_matches_scalar(seed):
-    assert (_digest("random", str(seed), True)
-            == _digest("random", str(seed), False))
+    assert (_digest("random", str(seed), False)
+            == _digest("random", str(seed), True))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +158,9 @@ def _sparse_metro_params():
     """A ≥100-cell, mostly-idle metro shard (one hotspot fleet).
 
     This is the workload the idle-cell fast-forward exists for: at any
-    instant all but a handful of cells are unobservable, so the batched
-    engine skips them wholesale while the scalar reference ticks every
-    cell every subframe.  The fingerprints must still match exactly.
+    instant all but a handful of cells are unobservable, so the engine
+    skips them wholesale while the reference ticks every cell every
+    subframe.  The fingerprints must still match exactly.
     """
     from repro.metro import GridSpec, MetroSet, build_grid, shard_jobs
     mset = MetroSet(
@@ -172,8 +178,8 @@ def test_sparse_metro_batched_matches_scalar():
     params = _sparse_metro_params()
     assert len(params["cells"]) >= 100
     assert sum(1 for c in params["cells"] if c["busy"]) <= 2
-    assert (_digest("sparse_metro", "sparse-fp", True)
-            == _digest("sparse_metro", "sparse-fp", False))
+    assert (_digest("sparse_metro", "sparse-fp", False)
+            == _digest("sparse_metro", "sparse-fp", True))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +367,7 @@ def test_batch_round_trips_to_records():
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps({
         "python": platform.python_version(), "numpy": np.__version__,
-        **{kind: {key: _digest(kind, key, True)
+        **{kind: {key: _digest(kind, key, False)
                   for key in sorted(GOLDEN[kind])}
            for kind in ("pinned", "random", "sparse_metro")}},
         indent=1) + "\n")

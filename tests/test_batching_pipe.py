@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.net.link import BatchingPipe, PacketSink
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
+from repro.perf import PerfCounters
 
 
 def _packet(seq):
@@ -104,24 +105,30 @@ def _ack(seq, flow_id=1):
 def test_batched_mode_delivers_one_event_per_flush():
     sim = Simulator()
     sink = PacketSink(sim)
+    perf = PerfCounters()
+    sim = Simulator(perf_counters=perf)
+    sink = PacketSink(sim)
     pipe = BatchingPipe(sim, sink, delay_us=1_000,
-                        batch_interval_us=5_000, batched=True)
+                        batch_interval_us=5_000)
     for t, seq in ((100, 0), (2_000, 1), (4_900, 2)):
         sim.schedule(t, pipe.receive, _ack(seq))
     sim.run()
     # PacketSink has no receive_batch: the AckBatch falls back to a
-    # per-packet loop, so delivery content matches scalar exactly.
+    # per-packet loop, so delivery content matches per-ACK events.
     assert [p.seq for p in sink.packets] == [0, 1, 2]
     assert [p.recv_time_us for p in sink.packets] == [6_000] * 3
     assert pipe.forwarded == 3 and pipe.batches == 1
+    # Three arrivals, one flush, one delivery.
+    assert perf.events_scheduled == 3 + 1 + 1
 
 
-def test_batched_mode_single_packet_stays_scalar():
-    sim = Simulator()
+def test_single_packet_flush_is_a_batch_of_one():
+    perf = PerfCounters()
+    sim = Simulator(perf_counters=perf)
     sink = PacketSink(sim)
-    pipe = BatchingPipe(sim, sink, delay_us=0,
-                        batch_interval_us=5_000, batched=True)
+    pipe = BatchingPipe(sim, sink, delay_us=0, batch_interval_us=5_000)
     sim.schedule(100, pipe.receive, _ack(0))
     sim.run()
     assert [p.seq for p in sink.packets] == [0]
     assert pipe.forwarded == 1
+    assert (perf.ack_batches, perf.acks_batched) == (1, 1)

@@ -15,10 +15,10 @@ monotonic-deque argument), so filters are compared through
 The matrix runs every scheme against clean, lossy, reordered and
 duplicate-ACK streams; a scripted PBE client drives the sender through
 all five §4.1 states (including the feedback watchdog's FALLBACK and
-its resync).  A final test pins the batched transport engine under an
-ACK-impairing :class:`~repro.faults.pipe.ImpairedPipe` — the PR 9
-demotion rule is gone, so the impaired uplink must stay batched *and*
-stay byte-identical to the scalar engine.
+its resync).  A final test pins the transport under an ACK-impairing
+:class:`~repro.faults.pipe.ImpairedPipe`: every ACK that survives the
+injector must still reach the sender in a batch, byte-identical to the
+per-ACK reference (``tests/reference_engine.py``).
 
 Also here: the FlowStats packed-column (``array('q')``) equivalence
 check against a plain-list reference implementation.
@@ -44,6 +44,9 @@ from repro.net.link import BatchingPipe, DelayPipe, Link
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
+from repro.perf import PerfCounters
+
+from .reference_engine import ReferencePipe, reference_engine
 
 DURATION_S = 0.6
 
@@ -214,12 +217,13 @@ _STREAMS = ("clean", "lossy", "reordered", "dup")
 
 
 def _run(scheme, stream, batched):
+    """``batched=False`` delivers every ACK as its own event."""
     sim = Simulator()
     cc = _SCHEMES[scheme]()
     rows = _instrument(cc)
     sender = Sender(sim, flow_id=1, cc=cc, egress=None)
-    uplink = BatchingPipe(sim, sender, delay_us=2_000,
-                          batch_interval_us=5_000, batched=batched)
+    uplink = (BatchingPipe if batched else ReferencePipe)(
+        sim, sender, delay_us=2_000, batch_interval_us=5_000)
     ack_path = uplink
     if stream == "dup":
         ack_path = AckDuplicator(uplink)
@@ -288,39 +292,20 @@ def _faulted_scenario():
 
 
 def test_impaired_uplink_runs_batched_and_matches_scalar():
-    experiment = Experiment(_faulted_scenario(), batched=True)
+    perf = PerfCounters()
+    experiment = Experiment(_faulted_scenario(), perf_counters=perf)
     handle = experiment.add_flow(FlowSpec(scheme="pbe",
                                           faults=ACK_FAULTS))
-    assert handle.uplink.batched is True
+    experiment.run()
+    assert handle.impaired_pipe is not None
+    assert 0 < handle.uplink.forwarded == perf.acks_batched
 
     batched = run_fingerprint(_faulted_scenario(),
-                              [FlowSpec(scheme="pbe", faults=ACK_FAULTS)],
-                              batched=True)
-    scalar = run_fingerprint(_faulted_scenario(),
-                             [FlowSpec(scheme="pbe", faults=ACK_FAULTS)],
-                             batched=False)
+                              [FlowSpec(scheme="pbe", faults=ACK_FAULTS)])
+    with reference_engine():
+        scalar = run_fingerprint(
+            _faulted_scenario(), [FlowSpec(scheme="pbe", faults=ACK_FAULTS)])
     assert batched == scalar
-
-
-# ---------------------------------------------------------------------------
-# The cc_block microbench and the perf --only selector
-# ---------------------------------------------------------------------------
-
-def test_perf_only_selector_emits_a_partial_document():
-    from repro.perf.bench import (SCHEMA, bench_names, compare_benchmarks,
-                                  run_benchmarks)
-    assert "cc_block" in bench_names()
-    doc = run_benchmarks(smoke=True, only=["cc_block"])
-    assert doc["schema"] == SCHEMA
-    assert set(doc["benches"]) == {"cc_block"}
-    bench = doc["benches"]["cc_block"]
-    assert set(bench["schemes"]) == {"pbe", "bbr", "cubic", "copa"}
-    assert bench["speedup"] > 0
-    # The partial document compares cleanly against itself.
-    lines, regressions = compare_benchmarks(doc, doc)
-    assert not regressions
-    with pytest.raises(ValueError, match="unknown benches"):
-        run_benchmarks(smoke=True, only=["no_such_bench"])
 
 
 # ---------------------------------------------------------------------------

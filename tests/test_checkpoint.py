@@ -55,7 +55,7 @@ SUBFRAME_US = 1_000
 
 
 def _build(scenario: Scenario, specs: list) -> tuple:
-    experiment = Experiment(scenario, batched=True)
+    experiment = Experiment(scenario)
     handles = [experiment.add_flow(spec) for spec in specs]
     return experiment, handles
 

@@ -33,6 +33,8 @@ from repro.metro import (
     walker_plan,
 )
 
+from .reference_engine import reference_engine
+
 #: A deliberately tiny set so inline end-to-end tests stay fast.
 TINY = MetroSet(
     name="tiny", description="test set",
@@ -147,8 +149,9 @@ def test_shard_payload_is_deterministic():
 def test_shard_batched_matches_scalar():
     busy_job = next(job for job in shard_jobs(TINY)
                     if any(c["busy"] for c in job.params["cells"]))
-    assert (shard_fingerprint(busy_job.params, batched=True)
-            == shard_fingerprint(busy_job.params, batched=False))
+    engine = shard_fingerprint(busy_job.params)
+    with reference_engine():
+        assert shard_fingerprint(busy_job.params) == engine
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Tick rosters: the batched tick visits only live cells and each cell
-only its own users (DESIGN.md, "Tick rosters").
+"""Tick rosters: the tick visits only live cells and each cell only its
+own users (DESIGN.md, "Tick rosters").
 
-The oracle already exists: ``batched=False`` ticks every configured cell
-every subframe and filters every user per cell.  The differential tests
-drive both engines through random schedules of ``add_user`` /
-``add_exogenous_user`` / ``remove_user`` / ``handover`` /
-``attach_monitor`` on 12-40-carrier networks, with a block error rate
-high enough that users routinely depart with HARQ still pending (the
-volatile case), and compare everything observable.  The white-box test
-checks, after every tick of the batched run, the rule itself: a cell is
+The oracle is ``tests/reference_engine.py``, which ticks every
+configured cell every subframe and filters every user per cell, from
+scratch each tick.  The differential tests drive both through random
+schedules of ``add_user`` / ``add_exogenous_user`` / ``remove_user`` /
+``handover`` / ``attach_monitor`` on 12-40-carrier networks, with a
+block error rate high enough that users routinely depart with HARQ
+still pending (the volatile case), and compare everything observable.  The white-box test
+checks, after every tick of the engine, the rule itself: a cell is
 ticked iff the four-clause predicate holds at the top of that tick, the
 rosters equal the from-scratch filters, and a dormant cell's stamp
 replays exactly the ticks it was skipped.
@@ -28,6 +28,8 @@ from repro.phy.carrier import CarrierConfig
 from repro.phy.channel import StaticChannel
 from repro.traces.workload import CbrDemand
 
+from .reference_engine import ReferenceExperiment
+
 DURATION_MS = 240
 #: Every first transmission and every retransmission fails this often,
 #: so a departing user leaves HARQ processes behind about as often as not.
@@ -46,7 +48,7 @@ _CELLS = st.integers(12, 40)
 def _apply(experiment: Experiment, records: dict, n_cells: int,
            kind: str, slot: int, salt: int) -> None:
     """One schedule entry, made valid against the network's own state
-    (which both engines share for as long as they agree)."""
+    (which engine and reference share for as long as they agree)."""
     network = experiment.network
     rnti = FIRST_RNTI + slot
     primary = salt % n_cells
@@ -71,7 +73,7 @@ def _apply(experiment: Experiment, records: dict, n_cells: int,
                          channel=channel if salt & 2 else None)
 
 
-def _build(n_cells: int, ops: list, batched: bool,
+def _build(n_cells: int, ops: list, reference: bool,
            policy: str = "equal") -> tuple:
     scenario = Scenario(
         name="rosters",
@@ -82,7 +84,8 @@ def _build(n_cells: int, ops: list, batched: bool,
         duration_s=DURATION_MS / 1000, seed=n_cells,
         control_arrivals_by_cell={c: (0.4 if c % 2 else 0.05)
                                   for c in range(n_cells)})
-    experiment = Experiment(scenario, batched=batched)
+    experiment = (ReferenceExperiment if reference else Experiment)(
+        scenario)
     handle = experiment.add_flow(FlowSpec(scheme="pbe"))
     records: dict = {}
     for at_ms, kind, slot, salt in ops:
@@ -91,13 +94,14 @@ def _build(n_cells: int, ops: list, batched: bool,
     return experiment, handle, records
 
 
-def _observable(n_cells: int, ops: list, cuts: list, batched: bool,
+def _observable(n_cells: int, ops: list, cuts: list, reference: bool,
                 policy: str = "equal") -> tuple[dict, int]:
     """Everything observable after a run, and how many cells ended it
     dormant."""
     with mock.patch.object(basestation, "block_error_rate",
                            lambda ber, bits: BLER):
-        experiment, handle, records = _build(n_cells, ops, batched, policy)
+        experiment, handle, records = _build(n_cells, ops, reference,
+                                             policy)
         for cut in sorted(cuts):
             experiment.sim.run(until_us=cut)
         results = experiment.run()
@@ -123,20 +127,20 @@ def _observable(n_cells: int, ops: list, cuts: list, batched: bool,
 @given(n_cells=_CELLS, ops=_OPS,
        cuts=st.lists(st.integers(1, DURATION_MS * 1000), max_size=3))
 def test_batched_matches_scalar_under_random_schedules(n_cells, ops, cuts):
-    batched, _ = _observable(n_cells, ops, cuts, batched=True)
-    scalar, dormant = _observable(n_cells, ops, [], batched=False)
+    engine, _ = _observable(n_cells, ops, cuts, reference=False)
+    reference, dormant = _observable(n_cells, ops, [], reference=True)
     assert dormant == 0
-    assert batched == scalar
+    assert engine == reference
 
 
 @settings(max_examples=8, deadline=None)
 @given(n_cells=_CELLS, ops=_OPS)
 def test_proportional_fair_network_keeps_every_cell_live(n_cells, ops):
-    batched, dormant = _observable(n_cells, ops, [], True,
-                                   "proportional_fair")
-    scalar, _ = _observable(n_cells, ops, [], False, "proportional_fair")
+    engine, dormant = _observable(n_cells, ops, [], False,
+                                  "proportional_fair")
+    reference, _ = _observable(n_cells, ops, [], True, "proportional_fair")
     assert dormant == 0
-    assert batched == scalar
+    assert engine == reference
 
 
 def _observable_now(network, cell_id: int) -> bool:
@@ -152,7 +156,7 @@ def _observable_now(network, cell_id: int) -> bool:
 def test_rule_holds_after_every_tick(n_cells, ops):
     with mock.patch.object(basestation, "block_error_rate",
                            lambda ber, bits: BLER):
-        experiment, _, _ = _build(n_cells, ops, batched=True)
+        experiment, _, _ = _build(n_cells, ops, reference=False)
         network, sim = experiment.network, experiment.sim
         cells = list(network.carriers)
         ticked: list[int] = []

@@ -1,13 +1,13 @@
 """Columnar per-ACK transport core: block/scalar byte identity.
 
 The uplink grant cycle hands the sender its ACKs in natural bursts;
-the batched transport engine delivers each burst as one
-:class:`AckBatch` event and runs :meth:`Sender.receive_batch` over the
-columns.  The contract is the repo's usual one: byte-identical to the
-scalar per-packet reference.  These tests pin the container, the
+the uplink delivers each burst as one :class:`AckBatch` event and
+:meth:`Sender.receive_batch` runs over the columns.  The contract is
+the repo's usual one: byte-identical to the event-per-ACK reference
+(``tests/reference_engine.py``).  These tests pin the container, the
 block loop (including losses, duplicate and spurious ACKs, and the
-on_loss/on_ack interleaving), the harness engine-selection rule for
-ACK-impaired flows, the per-ACK-hook fallback, checkpoint/restore with
+on_loss/on_ack interleaving), that ACK-impaired flows are batched like
+any other, the per-ACK-hook fallback, checkpoint/restore with
 an :class:`AckBatch` held mid-flight, and the srtt dedup between the
 transport layer and PBE's control.
 """
@@ -33,6 +33,8 @@ from repro.net.packet import AckBatch, Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
+
+from .reference_engine import ReferencePipe, reference_engine
 
 DURATION_S = 0.4
 
@@ -149,12 +151,13 @@ class AckDuplicator(Receiver):
 
 def _run_transport(batched, with_losses=True, with_dups=True,
                    duration_s=0.25):
-    """One sender/receiver loop through a (possibly batched) uplink."""
+    """One sender/receiver loop through the uplink, or (``batched=False``)
+    through the event-per-ACK reference pipe."""
     sim = Simulator()
     cc = RecordingCc()
     sender = Sender(sim, flow_id=1, cc=cc, egress=None)
-    uplink = BatchingPipe(sim, sender, delay_us=7_000,
-                          batch_interval_us=5_000, batched=batched)
+    uplink = (BatchingPipe if batched else ReferencePipe)(
+        sim, sender, delay_us=7_000, batch_interval_us=5_000)
     ack_path = AckDuplicator(sim, uplink) if with_dups else uplink
     receiver = AckingReceiver(sim, 1, ack_path)
     downlink = DelayPipe(sim, receiver, delay_us=6_000)
@@ -208,7 +211,7 @@ def test_block_loop_counts_batches():
     cc = RecordingCc()
     sender = Sender(sim, flow_id=1, cc=cc, egress=None)
     uplink = BatchingPipe(sim, sender, delay_us=7_000,
-                          batch_interval_us=5_000, batched=True)
+                          batch_interval_us=5_000)
     receiver = AckingReceiver(sim, 1, uplink)
     sender.egress = DelayPipe(sim, receiver, delay_us=6_000)
     sender.start()
@@ -231,7 +234,7 @@ def test_hooked_sender_falls_back_to_per_packet_delivery():
     hooked = []
     sender.on_ack_hook = hooked.append
     uplink = BatchingPipe(sim, sender, delay_us=7_000,
-                          batch_interval_us=5_000, batched=True)
+                          batch_interval_us=5_000)
     receiver = AckingReceiver(sim, 1, uplink)
     downlink = DelayPipe(sim, receiver, delay_us=6_000)
     sender.egress = SeqDropper(downlink)
@@ -261,7 +264,7 @@ def test_mixed_batch_falls_back_to_per_packet_delivery():
 
 
 # ---------------------------------------------------------------------------
-# Harness engine selection
+# ACK-impaired flows in the harness
 # ---------------------------------------------------------------------------
 
 def _scenario(seed=31, **kw):
@@ -277,27 +280,27 @@ ACK_FAULTS = {"seed": 9, "ack_loss_rate": 0.02, "ack_dup_rate": 0.01}
 
 def test_ack_impaired_flows_stay_on_the_batched_transport():
     # The AckBatch carries per-row columns through loss/dup/reorder
-    # faults byte-identically, so ACK impairment no longer demotes the
-    # uplink to the scalar path.
-    experiment = Experiment(_scenario(), batched=True)
+    # faults byte-identically, so every ACK either flow's uplink
+    # forwards rides in a batch: nothing is demoted to per-ACK events.
+    perf = PerfCounters()
+    experiment = Experiment(_scenario(), perf_counters=perf)
     impaired = experiment.add_flow(FlowSpec(scheme="pbe",
                                             faults=ACK_FAULTS))
     clean = experiment.add_flow(FlowSpec(scheme="pbe", rnti=101))
-    assert impaired.uplink.batched is True
-    assert clean.uplink.batched is True
-
-
-def test_scalar_engine_never_batches_the_uplink():
-    experiment = Experiment(_scenario(), batched=False)
-    handle = experiment.add_flow(FlowSpec(scheme="pbe"))
-    assert handle.uplink.batched is False
+    experiment.run()
+    assert impaired.impaired_pipe is not None
+    assert impaired.uplink.forwarded > 0 and clean.uplink.forwarded > 0
+    assert (perf.acks_batched
+            == impaired.uplink.forwarded + clean.uplink.forwarded)
+    assert perf.ack_batches == impaired.uplink.batches + clean.uplink.batches
 
 
 def test_ack_impaired_config_batched_matches_scalar():
     specs = [FlowSpec(scheme="pbe", faults=ACK_FAULTS)]
-    batched = run_fingerprint(_scenario(seed=33), specs, batched=True)
+    batched = run_fingerprint(_scenario(seed=33), specs)
     specs = [FlowSpec(scheme="pbe", faults=ACK_FAULTS)]
-    scalar = run_fingerprint(_scenario(seed=33), specs, batched=False)
+    with reference_engine():
+        scalar = run_fingerprint(_scenario(seed=33), specs)
     assert batched == scalar
 
 
@@ -321,7 +324,7 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
     # propagation guarantees AckBatch delivery events span snapshot
     # boundaries once traffic is flowing.
     scenario, specs = fingerprint_configs(DURATION_S)[name]
-    experiment = Experiment(scenario, batched=True)
+    experiment = Experiment(scenario)
     for spec in specs:
         experiment.add_flow(spec)
     manager = CheckpointManager(CheckpointConfig(
@@ -331,7 +334,7 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
     assert _pending_ack_batches(experiment.sim)   # held at the "crash"
 
     scenario, specs = fingerprint_configs(DURATION_S)[name]
-    resumed = Experiment(scenario, batched=True)
+    resumed = Experiment(scenario)
     handles = [resumed.add_flow(spec) for spec in specs]
     manager = CheckpointManager(CheckpointConfig(
         directory=str(tmp_path), interval_subframes=1, wall_budget=None))
@@ -351,7 +354,7 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_pbe_srtt_agrees_with_transport_srtt():
-    experiment = Experiment(_scenario(seed=35), batched=True)
+    experiment = Experiment(_scenario(seed=35))
     handle = experiment.add_flow(FlowSpec(scheme="pbe"))
     experiment.run()
     assert handle.sender.srtt_us > 0
