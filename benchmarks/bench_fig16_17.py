@@ -3,12 +3,15 @@
 import os
 
 import numpy as np
+import pytest
 
 from repro.harness.experiments import run_fig16_17
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: Copa collapse lost since PR 9")
 def test_fig16_17_mobility(benchmark):
     duration = 40.0 if FULL else 16.0
     result = benchmark.pedantic(

@@ -1,9 +1,13 @@
 """Table 1: summary throughput speedup and delay reduction vs BBR,
 Verus and Copa over busy and idle links."""
 
+import pytest
+
 from repro.harness.experiments import table1_from_sweep
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: Copa collapse lost since PR 9")
 def test_table1(benchmark, stationary_sweep):
     result = benchmark.pedantic(
         table1_from_sweep, args=(stationary_sweep,),

@@ -64,85 +64,9 @@ class Copa(CongestionControl):
         current_pps = self.cwnd * US_PER_S / rtt_standing
         self._step(now, +1 if current_pps < target_pps else -1)
 
-    def on_ack_block(self, contexts: list[AckContext]) -> None:
-        """Columnar delay steering over one grant cycle's ACKs.
-
-        Byte-identical to the scalar loop, with the filter state hoisted
-        into locals: the monotonic deques are manipulated directly
-        (update → tail-domination pops, append, head expiry — the exact
-        :meth:`~repro.baselines.windowed._WindowedExtreme.update`
-        sequence), and the velocity state machine runs on locals.  The
-        RTTmin expiry is lifted out of the loop: all samples in a block
-        share ``now_us`` and that filter's window is fixed, so the first
-        expiry pass leaves nothing more to expire.  The standing-RTT
-        window is retuned from the running srtt per ACK, exactly as the
-        scalar path does, so that filter keeps its per-ACK expiry.
-        """
-        if len(contexts) == 1:
-            self.on_ack(contexts[0])
-            return
-        now = contexts[0].now_us
-        if contexts[-1].now_us != now:  # not one flush: keep scalar order
-            on_ack = self.on_ack
-            for ctx in contexts:
-                on_ack(ctx)
-            return
-        srtt = self._srtt_us
-        cwnd = self.cwnd
-        velocity = self.velocity
-        direction = self._direction
-        round_start = self._round_start_us
-        delta = self.delta
-        min_samples = self._rtt_min._samples
-        st_samples = self._rtt_standing._samples
-        st_window = self._rtt_standing.window_us
-        # One up-front expiry covers the whole block for the fixed
-        # 10 s RTTmin window (timestamps grow toward the tail, and the
-        # block's own samples all carry `now`, inside the window).
-        horizon = now - self._rtt_min.window_us
-        while min_samples and min_samples[0][0] < horizon:
-            min_samples.popleft()
-        for ctx in contexts:
-            rtt = ctx.rtt_us
-            if rtt <= 0:
-                continue
-            srtt = round(0.875 * srtt + 0.125 * rtt)
-            while min_samples and min_samples[-1][1] >= rtt:
-                min_samples.pop()
-            min_samples.append((now, rtt))
-            st_window = max(1_000, srtt // 2)
-            while st_samples and st_samples[-1][1] >= rtt:
-                st_samples.pop()
-            st_samples.append((now, rtt))
-            st_horizon = now - st_window
-            while st_samples and st_samples[0][0] < st_horizon:
-                st_samples.popleft()
-
-            rtt_min = min_samples[0][1] or rtt
-            rtt_standing = st_samples[0][1] or rtt
-            dq_us = max(0.0, rtt_standing - rtt_min)
-            if dq_us <= 0:
-                d = +1  # no measurable standing queue: increase
-            else:
-                target_pps = US_PER_S / (delta * dq_us)
-                current_pps = cwnd * US_PER_S / rtt_standing
-                d = +1 if current_pps < target_pps else -1
-            if d == direction:
-                if now - round_start >= 3 * srtt:
-                    velocity = min(velocity * 2, 1 << 16)
-                    round_start = now
-            else:
-                velocity = 1.0
-                direction = d
-                round_start = now
-            cwnd += d * velocity / (delta * cwnd)
-            cwnd = max(2.0, cwnd)
-        self._srtt_us = srtt
-        self.cwnd = cwnd
-        self.velocity = velocity
-        self._direction = direction
-        self._round_start_us = round_start
-        self._rtt_standing.window_us = st_window
+    #: The inherited per-ACK loop, named here so ``bench/trace.py`` (which
+    #: wraps only what a class defines itself) keeps its Copa span.
+    on_ack_block = CongestionControl.on_ack_block
 
     def _step(self, now_us: int, direction: int) -> None:
         # Velocity doubles after three round trips in the same direction.

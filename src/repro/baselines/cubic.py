@@ -48,77 +48,9 @@ class Cubic(CongestionControl):
             return
         self._cubic_update(ctx.now_us)
 
-    def on_ack_block(self, contexts: list[AckContext]) -> None:
-        """Columnar window growth over one grant cycle's ACKs.
-
-        Byte-identical to the scalar loop.  All contexts in a block
-        share ``now_us`` (one flush event) and ``on_loss`` never
-        interleaves inside a block call, so the cubic terms that
-        :meth:`_cubic_update` recomputes per ACK — ``t``, the cubic
-        ``target`` and the TCP-friendly coefficients — are *block
-        constants* once the epoch is (re)anchored at the block's first
-        congestion-avoidance ACK.  Only the srtt EWMA, the slow-start
-        increment and the ``cwnd`` recurrence stay sequential (each
-        step reads the previous step's ``cwnd``).
-        """
-        if len(contexts) == 1:
-            self.on_ack(contexts[0])
-            return
-        now = contexts[0].now_us
-        if contexts[-1].now_us != now:  # not one flush: keep scalar order
-            on_ack = self.on_ack
-            for ctx in contexts:
-                on_ack(ctx)
-            return
-        srtt = self._srtt_us
-        cwnd = self.cwnd
-        ssthresh = self.ssthresh
-        epoch_start = self._epoch_start
-        w_max = self._w_max
-        k = self._k
-        w_est = self._w_est
-        acks_in_epoch = self._acks_in_epoch
-        # Lazily resolved block constants (first CA ACK of the block).
-        target = None
-        t = 0.0
-        w_base = 0.0
-        w_coeff = 3 * (1 - CUBIC_BETA) / (1 + CUBIC_BETA)
-        for ctx in contexts:
-            rtt = ctx.rtt_us
-            if rtt > 0:
-                srtt = round(0.875 * srtt + 0.125 * rtt)
-            if cwnd < ssthresh:
-                cwnd += 1.0  # slow start
-                continue
-            if target is None:
-                if epoch_start is None:
-                    epoch_start = now
-                    if cwnd < w_max:
-                        k = ((w_max - cwnd) / CUBIC_C) ** (1 / 3)
-                    else:
-                        k = 0.0
-                        w_max = cwnd
-                    w_est = cwnd
-                    acks_in_epoch = 0
-                t = (now - epoch_start) / US_PER_S
-                target = CUBIC_C * (t - k) ** 3 + w_max
-                w_base = w_max * CUBIC_BETA
-            if target > cwnd:
-                cwnd += (target - cwnd) / cwnd
-            else:
-                cwnd += 0.01 / cwnd  # minimal growth near plateau
-            acks_in_epoch += 1
-            rtt_s = srtt / US_PER_S
-            w_est = w_base + w_coeff * (t / rtt_s if rtt_s > 0 else 0.0)
-            if w_est > cwnd:
-                cwnd = w_est
-        self._srtt_us = srtt
-        self.cwnd = cwnd
-        self._epoch_start = epoch_start
-        self._w_max = w_max
-        self._k = k
-        self._w_est = w_est
-        self._acks_in_epoch = acks_in_epoch
+    #: The inherited per-ACK loop, named here so ``bench/trace.py`` (which
+    #: wraps only what a class defines itself) keeps its CUBIC span.
+    on_ack_block = CongestionControl.on_ack_block
 
     def _cubic_update(self, now_us: int) -> None:
         if self._epoch_start is None:

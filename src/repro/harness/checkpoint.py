@@ -85,7 +85,7 @@ from ..net.sim import Event, Simulator
 from ..net.units import SUBFRAME_US
 from ..phy.carrier import AggregationState
 from ..phy.channel import GaussMarkovChannel, StaticChannel, TraceChannel
-from ..phy.dci import DciMessage, SubframeBatch, SubframeRecord
+from ..phy.dci import DciMessage, SubframeRecord
 from ..phy.harq import ReorderingBuffer
 from ..traces.workload import CbrDemand, OnOffRandomDemand, ScheduledDemand
 
@@ -102,7 +102,10 @@ SCHEMA = "repro.harness/checkpoint"
 #: 4: a skipped cell's control-traffic lag is a stamp
 #: (``CellularNetwork._dormant_since``); a version-3 network carries it
 #: as the ``_control_lag`` counters, which nothing reads any more.
-VERSION = 4
+#: 5: the monitor folds every decoded record as it arrives; a version-4
+#: monitor can carry decoded rows in its columnar buffers, which
+#: nothing would fold any more.
+VERSION = 5
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"
@@ -159,7 +162,7 @@ _STATE = (
     PbeMonitor, CellCapacityEstimator, CellEstimate,
     ControlChannelDecoder,
     MessageFusion, ActiveUserFilter, UserActivity, _SubframeUsers,
-    SubframeBatch, MonitorReport,
+    MonitorReport,
     # fault injectors
     ImpairedPipe, LossyDecoder,
 )

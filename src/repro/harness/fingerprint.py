@@ -56,7 +56,7 @@ def _monitor_digest(hasher: "hashlib._Hash", monitor: PbeMonitor) -> None:
 
     Monitor state that never fed back into the sender would not show up
     in the packet log, so it is hashed explicitly — this is what makes
-    the fingerprint sensitive to batch-ingest bugs on quiet cells.
+    the fingerprint sensitive to ingest bugs on quiet cells.
     """
     _hash_update(hasher, monitor.last_subframe, monitor.gap_events,
                  monitor.missed_subframes, monitor.active_cells())

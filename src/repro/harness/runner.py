@@ -348,9 +348,8 @@ class Experiment:
         for cell_id in cells:
             callback = monitor.decoder_callback(cell_id)
             if fault_spec is not None and fault_spec.impairs_decoder:
-                # LossyDecoder drops/forges per record: it feeds the
-                # cell's decoder (per-record fusion, which tolerates
-                # partial streams), never the columnar callback.
+                # LossyDecoder drops/forges per record in front of
+                # the cell's decoder.
                 lossy = LossyDecoder(monitor.decoders[cell_id],
                                      fault_spec)
                 lossy_decoders[cell_id] = lossy

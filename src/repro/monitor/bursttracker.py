@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..phy.dci import SubframeBatch, SubframeRecord
+from ..phy.dci import SubframeRecord
 
 #: Default classification window (subframes = ms).
 DEFAULT_WINDOW = 100
@@ -96,38 +96,6 @@ class BurstTracker:
             self._longest_gap = max(self._longest_gap, self._gap)
         if self._count == self.window_subframes:
             self._close_window()
-
-    def ingest_batch(self, batch: SubframeBatch) -> None:
-        """Fold a columnar block in — equivalent to feeding
-        ``batch.to_records()`` through :meth:`update` one by one
-        (same windows, same float share sums, same classifications)."""
-        counts = batch.msg_counts
-        rnti_col, prbs_col = batch.rnti, batch.prbs
-        own_rnti = self.own_rnti
-        total = batch.total_prbs
-        base = 0
-        for k, sf in enumerate(batch.subframes):
-            if self._count == 0:
-                self._window_start = sf
-            own = 0
-            allocated = 0
-            for i in range(base, base + counts[k]):
-                p = prbs_col[i]
-                allocated += p
-                if rnti_col[i] == own_rnti:
-                    own += p
-            base += counts[k]
-            self._count += 1
-            if own > 0:
-                self._scheduled += 1
-                self._share_sum += own / (own + total - allocated)
-                self._gap = 0
-            else:
-                self._gap += 1
-                if self._gap > self._longest_gap:
-                    self._longest_gap = self._gap
-            if self._count == self.window_subframes:
-                self._close_window()
 
     def _close_window(self) -> None:
         window = BurstWindow(self._window_start, self._scheduled,

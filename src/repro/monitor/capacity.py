@@ -109,7 +109,7 @@ class CellCapacityEstimator:
 
     def update(self, record: SubframeRecord, own_rate_hint: int,
                ber_hint: float) -> None:
-        """Fold one decoded subframe in.
+        """Fold one decoded subframe in, scanning its messages once.
 
         ``own_rate_hint``/``ber_hint`` supply the user's own physical
         rate and BER from its local channel measurements (CQI reporting
@@ -120,84 +120,40 @@ class CellCapacityEstimator:
             raise ValueError(
                 f"record for cell {record.cell_id} fed to estimator "
                 f"for cell {self.cell_id}")
-        self.users.update(record)
+        own = self.own_rnti
         own_prbs = 0
         own_rate = own_rate_hint
+        allocated = 0
+        allocations: dict[int, int] = {}
         for message in record.messages:
-            if message.rnti == self.own_rnti and message.n_prbs > 0:
-                own_prbs += message.n_prbs
-                own_rate = max(1, message.tbs_bits // message.n_prbs)
+            prbs = message.n_prbs
+            allocated += prbs
+            if prbs > 0:
+                rnti = message.rnti
+                allocations[rnti] = allocations.get(rnti, 0) + prbs
+                if rnti == own:
+                    own_prbs += prbs
+                    own_rate = max(1, message.tbs_bits // prbs)
+        idle = record.total_prbs - allocated
+        if idle < 0:
+            raise ValueError(
+                f"over-allocated subframe {record.subframe} on cell "
+                f"{self.cell_id}: {allocated}/{record.total_prbs}")
+        subframe = record.subframe
+        self.users.update_allocations(subframe, allocations)
         if own_prbs > 0:
-            self.last_own_grant_subframe = record.subframe
+            self.last_own_grant_subframe = subframe
         count = self._count
         slot = count % self._cap
-        self._subframes[slot] = record.subframe
+        self._subframes[slot] = subframe
         self._bers[slot] = ber_hint
         cum_slot = count % (self._cap + 1)
         next_slot = (count + 1) % (self._cap + 1)
         self._cum_pa[next_slot] = self._cum_pa[cum_slot] + own_prbs
-        self._cum_idle[next_slot] = self._cum_idle[cum_slot] \
-            + record.idle_prbs
+        self._cum_idle[next_slot] = self._cum_idle[cum_slot] + idle
         self._cum_rate[next_slot] = self._cum_rate[cum_slot] + own_rate
         self._count = count + 1
-        self.last_subframe = record.subframe
-
-    def update_block(self, subframes: list[int], own_prbs: list[int],
-                     idle_prbs: list[int], own_rates: list[int],
-                     bers: list[float],
-                     allocations: list[dict[int, int]]) -> None:
-        """Fold a block of pre-scanned subframes in (batch ingest).
-
-        The columnar drain scans each subframe's message columns once
-        and hands the derived per-subframe figures here; this loop then
-        only touches the rings and the user filter — no records, no
-        per-message dispatch.  State after the call is identical to the
-        same subframes fed one by one through :meth:`update`.
-        """
-        count = self._count
-        cap, cap1 = self._cap, self._cap + 1
-        subs, brs = self._subframes, self._bers
-        cum_pa, cum_idle = self._cum_pa, self._cum_idle
-        cum_rate = self._cum_rate
-        users_update = self.users.update_allocations
-        for sf, pa, idle, rate, ber, alloc in zip(
-                subframes, own_prbs, idle_prbs, own_rates, bers,
-                allocations):
-            users_update(sf, alloc)
-            if pa > 0:
-                self.last_own_grant_subframe = sf
-            slot = count % cap
-            subs[slot] = sf
-            brs[slot] = ber
-            cum = count % cap1
-            nxt = (count + 1) % cap1
-            cum_pa[nxt] = cum_pa[cum] + pa
-            cum_idle[nxt] = cum_idle[cum] + idle
-            cum_rate[nxt] = cum_rate[cum] + rate
-            count += 1
-        self._count = count
-        if subframes:
-            self.last_subframe = subframes[-1]
-
-    def update_one(self, sf: int, pa: int, idle: int, rate: int,
-                   ber: float, alloc: dict[int, int]) -> None:
-        """Single-subframe :meth:`update_block` (the per-ACK drain in
-        steady state folds exactly one buffered subframe, so the block
-        machinery's list/zip setup was pure overhead there)."""
-        self.users.update_allocations(sf, alloc)
-        if pa > 0:
-            self.last_own_grant_subframe = sf
-        count = self._count
-        cap1 = self._cap + 1
-        self._subframes[count % self._cap] = sf
-        self._bers[count % self._cap] = ber
-        cum = count % cap1
-        nxt = (count + 1) % cap1
-        self._cum_pa[nxt] = self._cum_pa[cum] + pa
-        self._cum_idle[nxt] = self._cum_idle[cum] + idle
-        self._cum_rate[nxt] = self._cum_rate[cum] + rate
-        self._count = count + 1
-        self.last_subframe = sf
+        self.last_subframe = subframe
 
     # ------------------------------------------------------------------
     def samples(self) -> list[CellSample]:

@@ -78,9 +78,10 @@ class ActiveUserFilter:
                            allocations: dict[int, int]) -> None:
         """Fold one subframe's prebuilt ``{rnti: prbs}`` map in.
 
-        Batch-ingest entry point: the columnar drain already scans the
-        message columns once, so it hands the aggregated allocations
-        straight in instead of paying a second per-message pass here.
+        :meth:`repro.monitor.capacity.CellCapacityEstimator.update`
+        builds the map in its one scan of the record's messages and
+        hands it straight in instead of paying a second pass through
+        :meth:`update`.
         """
         activity = self._activity
         for rnti, prbs in allocations.items():

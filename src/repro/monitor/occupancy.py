@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..phy.dci import SubframeBatch, SubframeRecord
+from ..phy.dci import SubframeRecord
 
 
 @dataclass
@@ -91,51 +91,6 @@ class OccupancyAnalyzer:
             self._bucket_users.add(message.rnti)
         if self.subframes % self.bucket_subframes == 0:
             self._close_bucket()
-
-    def ingest_batch(self, batch: SubframeBatch) -> None:
-        """Fold a columnar block in — state after the call is identical
-        to feeding ``batch.to_records()`` through :meth:`update`, with
-        one pass over the flat message columns instead of per-record
-        attribute access."""
-        if batch.cell_id != self.cell_id:
-            raise ValueError(
-                f"batch for cell {batch.cell_id} fed to analyzer "
-                f"for cell {self.cell_id}")
-        total = batch.total_prbs
-        counts = batch.msg_counts
-        rnti_col, prbs_col = batch.rnti, batch.prbs
-        tbs_col, ndi_col = batch.tbs_bits, batch.ndi
-        users = self.users
-        base = 0
-        for k, sf in enumerate(batch.subframes):
-            self.subframes += 1
-            self.total_prbs_seen += total
-            allocated = 0
-            bucket_users = self._bucket_users
-            for i in range(base, base + counts[k]):
-                p = prbs_col[i]
-                allocated += p
-                if p <= 0:
-                    continue
-                r = rnti_col[i]
-                user = users.get(r)
-                if user is None:
-                    user = users[r] = UserOccupancy(r)
-                user.subframes_active += 1
-                user.total_prbs += p
-                user.total_bits += tbs_col[i]
-                if not ndi_col[i]:
-                    user.retransmissions += 1
-                if user.first_subframe < 0:
-                    user.first_subframe = sf
-                user.last_subframe = sf
-                bucket_users.add(r)
-            base += counts[k]
-            self.allocated_prbs += allocated
-            self._bucket_alloc += allocated
-            self._bucket_capacity += total
-            if self.subframes % self.bucket_subframes == 0:
-                self._close_bucket()
 
     def _close_bucket(self) -> None:
         utilization = (self._bucket_alloc / self._bucket_capacity

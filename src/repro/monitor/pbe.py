@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.units import SUBFRAME_US, US_PER_S
-from ..phy.dci import SubframeBatch, SubframeRecord
+from ..phy.dci import SubframeRecord
 from .capacity import CellCapacityEstimator, CellEstimate
 from .decoder import ControlChannelDecoder, MessageFusion
 from .translation import TranslationTable
@@ -108,13 +108,13 @@ class PbeMonitor:
         detected user in N; ``averaging_window_override`` replaces the
         RTprop averaging window (1 = instantaneous estimates).
 
-        :meth:`decoder_callback` buffers decoded subframes as a columnar
-        :class:`~repro.phy.dci.SubframeBatch` per cell and folds whole
-        blocks into the estimators on demand — byte-identical to the
-        per-record path (``decoders[cell].on_subframe`` → fusion), which
-        ``decode_latency_subframes > 0`` selects because its timing
-        semantics are inherently per-record, and which the fault
-        injectors feed directly.
+        Every decoded subframe takes one path, whether the cell or a
+        fault injector feeds it: ``decoders[cell].on_subframe`` (which
+        holds a record back ``decode_latency_subframes``) →
+        :class:`MessageFusion` → one
+        :meth:`CellCapacityEstimator.update` per cell of the fused
+        snapshot.  Nothing is buffered beyond that, so the telemetry
+        attributes need no call to bring them up to date.
         """
         if primary_cell not in cell_prbs:
             raise ValueError("primary cell must be configured")
@@ -136,228 +136,22 @@ class PbeMonitor:
                 cell_id, self.fusion.on_record, decode_latency_subframes)
             for cell_id in cell_prbs}
         self.translation = TranslationTable()
-        self._last_subframe = -1
+        #: Latest subframe folded into the estimators.
+        self.last_subframe = -1
         self._activation_pending = False
         self._previously_active: set[int] = {primary_cell}
         #: Decode-gap telemetry: distinct discontinuities in the fused
         #: snapshot stream, and total subframes never fused.
-        self._gap_events = 0
-        self._missed_subframes = 0
-        self.batch_ingest = decode_latency_subframes == 0
-        #: Configured cells in attachment (= engine tick) order.
-        self._cell_order = list(cell_prbs)
-        self._batches = {
-            cell_id: SubframeBatch(cell_id, total)
-            for cell_id, total in cell_prbs.items()} \
-            if self.batch_ingest else {}
-        #: One ``(rate, ber)`` hint per buffered subframe, captured the
-        #: moment the subframe's last cell reported — exactly when the
-        #: scalar fusion stage would have called ``own_rate_hint``.
-        self._pending_hints: list[tuple[int, float]] = []
-        self._arrivals = 0
-        #: Total subframes ever folded in (memo version stamp).
+        self.gap_events = 0
+        self.missed_subframes = 0
+        #: Total snapshots ever folded in (memo version stamp).
         self._ingest_version = 0
         self._report_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    # Telemetry reads drain any buffered subframes first so external
-    # observers always see the same values the scalar path would show.
-    @property
-    def last_subframe(self) -> int:
-        """Latest subframe folded into the estimators."""
-        if self._pending_hints:
-            self._drain()
-        return self._last_subframe
-
-    @last_subframe.setter
-    def last_subframe(self, value: int) -> None:
-        self._last_subframe = value
-
-    @property
-    def gap_events(self) -> int:
-        """Distinct discontinuities seen in the decoded stream."""
-        if self._pending_hints:
-            self._drain()
-        return self._gap_events
-
-    @property
-    def missed_subframes(self) -> int:
-        """Total subframes never decoded (sum over all gaps)."""
-        if self._pending_hints:
-            self._drain()
-        return self._missed_subframes
-
-    # ------------------------------------------------------------------
     def decoder_callback(self, cell_id: int):
         """The callable to attach to one cell's control channel."""
-        if not self.batch_ingest:
-            return self.decoders[cell_id].on_subframe
-        append = self._batches[cell_id].append_record
-        n_cells = len(self._cell_order)
-        hints = self._pending_hints
-        hint = self.own_rate_hint
-
-        def on_subframe(record: SubframeRecord) -> None:
-            append(record)
-            self._arrivals += 1
-            if self._arrivals == n_cells:
-                self._arrivals = 0
-                hints.append(hint())
-
-        return on_subframe
-
-    def _drain(self) -> None:
-        """Fold every buffered subframe into the estimators.
-
-        Each buffered subframe's message columns are scanned exactly
-        once, producing the per-subframe figures
-        (:meth:`CellCapacityEstimator.update_block` inputs) plus the
-        carrier-activation / gap-telemetry replay the scalar
-        ``_on_snapshot`` performs per snapshot — same final state,
-        no per-record dispatch.
-        """
-        hints = self._pending_hints
-        n = len(hints)
-        if n == 0:
-            return
-        order = self._cell_order
-        batches = [self._batches[c] for c in order]
-        subframes = batches[0].subframes
-        for cell_id, b in zip(order, batches):
-            if len(b) != n or b.subframes != subframes:
-                raise RuntimeError(
-                    f"cell {cell_id} buffered {len(b)} subframes where "
-                    f"{n} were completed by all {len(order)} configured "
-                    f"cells (or numbers them unlike cell {order[0]}): "
-                    "decoder_callback() needs every cell to report every "
-                    "subframe; attach monitor.decoders[cell].on_subframe "
-                    "instead, the per-record path that fuses partial "
-                    "streams")
-        own = self.own_rnti
-        if n == 1:
-            # Steady state under ACK clocking: each feedback drains the
-            # single subframe buffered since the previous one, so skip
-            # the block machinery (per-cell column lists, zip folds)
-            # and do the one-row scan directly.
-            sf = subframes[0]
-            rate_hint, ber = hints[0]
-            primary = self.primary_cell
-            active = {primary}
-            for cell_id, batch in zip(order, batches):
-                prbs_col, rnti_col = batch.prbs, batch.rnti
-                tbs_col = batch.tbs_bits
-                own_prbs = 0
-                own_rate = rate_hint
-                allocated = 0
-                alloc: dict[int, int] = {}
-                for i in range(len(prbs_col)):
-                    p = prbs_col[i]
-                    allocated += p
-                    if p > 0:
-                        r = rnti_col[i]
-                        alloc[r] = alloc.get(r, 0) + p
-                        if r == own:
-                            own_prbs += p
-                            own_rate = max(1, tbs_col[i] // p)
-                est = self.estimators[cell_id]
-                est.update_one(sf, own_prbs,
-                               batch.total_prbs - allocated, own_rate,
-                               ber, alloc)
-                self.decoders[cell_id].ingest_batch(batch)
-                if cell_id != primary:
-                    g = est.last_own_grant_subframe
-                    if g >= 0 and sf - g <= SECONDARY_INACTIVE_TIMEOUT:
-                        active.add(cell_id)
-                batch.clear()
-            last = self._last_subframe
-            if last >= 0 and sf > last + 1:
-                self._gap_events += 1
-                self._missed_subframes += sf - last - 1
-            self._last_subframe = sf
-            if active - self._previously_active:
-                self._activation_pending = True
-            self._previously_active = active
-            self._ingest_version += 1
-            hints.clear()
-            return
-        own_prbs_by_cell: dict[int, list[int]] = {}
-        pre_grant = {c: self.estimators[c].last_own_grant_subframe
-                     for c in order}
-        for cell_id, batch in zip(order, batches):
-            total = batch.total_prbs
-            counts = batch.msg_counts
-            rnti_col, prbs_col = batch.rnti, batch.prbs
-            tbs_col = batch.tbs_bits
-            own_prbs_list: list[int] = []
-            idle_list: list[int] = []
-            rate_list: list[int] = []
-            ber_list: list[float] = []
-            alloc_list: list[dict[int, int]] = []
-            base = 0
-            for k in range(n):
-                own_prbs = 0
-                own_rate = hints[k][0]
-                allocated = 0
-                alloc: dict[int, int] = {}
-                for i in range(base, base + counts[k]):
-                    p = prbs_col[i]
-                    allocated += p
-                    if p > 0:
-                        r = rnti_col[i]
-                        alloc[r] = alloc.get(r, 0) + p
-                        if r == own:
-                            own_prbs += p
-                            own_rate = max(1, tbs_col[i] // p)
-                base += counts[k]
-                own_prbs_list.append(own_prbs)
-                # The engine never over-allocates, so idle needs no
-                # non-negativity check here (the scalar path's
-                # record.idle_prbs validation is construction-time).
-                idle_list.append(total - allocated)
-                rate_list.append(own_rate)
-                ber_list.append(hints[k][1])
-                alloc_list.append(alloc)
-            self.estimators[cell_id].update_block(
-                subframes, own_prbs_list, idle_list, rate_list,
-                ber_list, alloc_list)
-            self.decoders[cell_id].ingest_batch(batch)
-            own_prbs_by_cell[cell_id] = own_prbs_list
-
-        # Replay the per-snapshot bookkeeping: gap telemetry, and the
-        # carrier-activation edge detection (a secondary may time out
-        # and re-activate *within* a block, so end-state comparison is
-        # not enough — walk every subframe).
-        primary = self.primary_cell
-        prev_active = self._previously_active
-        pending = self._activation_pending
-        last = self._last_subframe
-        gap_events, missed = self._gap_events, self._missed_subframes
-        secondaries = [c for c in order if c != primary]
-        grant_age = {c: pre_grant[c] for c in secondaries}
-        for k in range(n):
-            sf = subframes[k]
-            if last >= 0 and sf > last + 1:
-                gap_events += 1
-                missed += sf - last - 1
-            last = sf
-            active = {primary}
-            for c in secondaries:
-                if own_prbs_by_cell[c][k] > 0:
-                    grant_age[c] = sf
-                g = grant_age[c]
-                if g >= 0 and sf - g <= SECONDARY_INACTIVE_TIMEOUT:
-                    active.add(c)
-            if active - prev_active:
-                pending = True
-            prev_active = active
-        self._last_subframe = last
-        self._gap_events, self._missed_subframes = gap_events, missed
-        self._activation_pending = pending
-        self._previously_active = prev_active
-        self._ingest_version += n
-        for b in batches:
-            b.clear()
-        hints.clear()
+        return self.decoders[cell_id].on_subframe
 
     def set_primary(self, cell_id: int) -> None:
         """Re-anchor on a new primary cell after a handover (§1).
@@ -368,7 +162,6 @@ class PbeMonitor:
         """
         if cell_id not in self.estimators:
             raise ValueError(f"cell {cell_id} has no decoder configured")
-        self._drain()
         self.primary_cell = cell_id
         self._previously_active = {cell_id}
         self._activation_pending = False
@@ -376,16 +169,16 @@ class PbeMonitor:
 
     def _on_snapshot(self, records: dict[int, SubframeRecord]) -> None:
         rate, ber = self.own_rate_hint()
-        snapshot_subframe = self._last_subframe
+        snapshot_subframe = self.last_subframe
         for cell_id, record in records.items():
             self.estimators[cell_id].update(record, rate, ber)
             snapshot_subframe = max(snapshot_subframe, record.subframe)
-        if (self._last_subframe >= 0
-                and snapshot_subframe > self._last_subframe + 1):
-            self._gap_events += 1
-            self._missed_subframes += (snapshot_subframe
-                                       - self._last_subframe - 1)
-        self._last_subframe = snapshot_subframe
+        if (self.last_subframe >= 0
+                and snapshot_subframe > self.last_subframe + 1):
+            self.gap_events += 1
+            self.missed_subframes += (snapshot_subframe
+                                      - self.last_subframe - 1)
+        self.last_subframe = snapshot_subframe
         self._ingest_version += 1
         active = set(self.active_cells())
         newly_active = active - self._previously_active
@@ -402,7 +195,6 @@ class PbeMonitor:
         possibly incomplete, subframes) so the final estimates account
         for every decoded subframe.
         """
-        self._drain()
         for decoder in self.decoders.values():
             decoder.flush()
         self.fusion.flush()
@@ -417,13 +209,11 @@ class PbeMonitor:
         models, so we age it out — §3's deactivation is driven by the
         network observing unused capacity).
         """
-        if self._pending_hints:
-            self._drain()
         cells = [self.primary_cell]
         for cell_id, est in self.estimators.items():
             if cell_id == self.primary_cell:
                 continue
-            age = self._last_subframe - est.last_own_grant_subframe
+            age = self.last_subframe - est.last_own_grant_subframe
             if (est.last_own_grant_subframe >= 0
                     and age <= SECONDARY_INACTIVE_TIMEOUT):
                 cells.append(cell_id)
@@ -441,8 +231,6 @@ class PbeMonitor:
         lets the report carry a staleness/confidence signal so the
         client can flag estimates that have outlived the decode stream.
         """
-        if self._pending_hints:
-            self._drain()
         window = max(1, rtprop_subframes)
         if self.averaging_window_override is not None:
             window = self.averaging_window_override
@@ -477,12 +265,12 @@ class PbeMonitor:
         activated = self._activation_pending
         self._activation_pending = False
         staleness = 0
-        if now_subframe is not None and self._last_subframe >= 0:
-            staleness = max(0, now_subframe - self._last_subframe)
+        if now_subframe is not None and self.last_subframe >= 0:
+            staleness = max(0, now_subframe - self.last_subframe)
         coverage = cov / len(estimates) if estimates else 0.0
         decay = max(0.0, 1.0 - staleness / CONFIDENCE_HORIZON_SUBFRAMES)
         report = MonitorReport(
-            subframe=self._last_subframe,
+            subframe=self.last_subframe,
             physical_capacity=cp, transport_capacity=ct,
             fair_share=cf, transport_fair_share=cf_t,
             users_per_cell={e.cell_id: e.users for e in estimates},

@@ -5,12 +5,13 @@ thing the engine infers it may skip or batch.  Every configured cell
 ticks every subframe, with its users filtered from scratch; every
 channel is sampled per subframe; the CA manager observes every user;
 the uplink schedules one ``sink.receive`` event per ACK; the UE hands
-packets over one at a time; the monitor fuses one snapshot per subframe
-from per-record decoders.  Nothing under ``src/`` imports this module;
-the differential tests (``test_batch_engine``, ``test_tick_rosters``,
-``test_cc_block``, ``test_transport_batch``, ``test_metro``) require
-byte-identical results from it, and ``test_reference_engine`` checks
-that it really takes the slow paths.
+packets over one at a time.  (The monitor needs no stand-in: the
+engine's per-record ingest is the one the reference always ran.)
+Nothing under ``src/`` imports this module; the differential tests
+(``test_batch_engine``, ``test_tick_rosters``, ``test_cc_block``,
+``test_transport_batch``, ``test_metro``) require byte-identical
+results from it, and ``test_reference_engine`` checks that it really
+takes the slow paths.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from unittest import mock
 from repro.cell.basestation import CellularNetwork
 from repro.harness import fingerprint, runner
 from repro.metro import shard
-from repro.monitor.pbe import PbeMonitor
 from repro.net.link import BatchingPipe
 
 
@@ -60,15 +60,7 @@ class ReferencePipe(BatchingPipe):
             self.sim.schedule(self.delay_us, self.sink.receive, packet)
 
 
-class ReferenceMonitor(PbeMonitor):
-    """Per-record ingest: each cell's decoder feeds the fusion stage."""
-
-    def decoder_callback(self, cell_id: int):
-        return self.decoders[cell_id].on_subframe
-
-
-_PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe,
-          "PbeMonitor": ReferenceMonitor}
+_PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe}
 
 
 class ReferenceExperiment(runner.Experiment):

@@ -1,9 +1,9 @@
 """Batched subframe engine: byte-identity and RNG-stream preservation.
 
-The engine (block channel sampling, idle-cell fast-forward, columnar
-DCI ingest, one event per ACK burst) must be *byte-identical* to the
-per-subframe, per-ACK reference in ``tests/reference_engine.py`` — same
-packet logs, same estimator state, same RNG stream consumption.  These
+The engine (block channel sampling, idle-cell fast-forward, one event
+per ACK burst) must be *byte-identical* to the per-subframe, per-ACK
+reference in ``tests/reference_engine.py`` — same packet logs, same
+estimator state, same RNG stream consumption.  These
 tests compare whole-run SHA-256 fingerprints across the pinned
 6-configuration suite plus randomized configurations covering all three
 channel models, carrier aggregation on/off and fault injection on/off,
@@ -27,11 +27,8 @@ import pytest
 from repro.cell.control_traffic import ControlTrafficGenerator
 from repro.harness import FlowSpec, Scenario
 from repro.harness.fingerprint import fingerprint_configs, run_fingerprint
-from repro.monitor.bursttracker import BurstTracker
-from repro.monitor.occupancy import OccupancyAnalyzer
 from repro.phy.channel import (GaussMarkovChannel, StaticChannel,
                                TraceChannel)
-from repro.phy.dci import DciMessage, SubframeBatch, SubframeRecord
 
 from .reference_engine import reference_engine
 
@@ -286,82 +283,6 @@ def test_advance_idle_refuses_while_bursts_in_flight():
     while not generator._active:
         generator.tick()
     assert generator.advance_idle(100) == 0
-
-
-# ---------------------------------------------------------------------------
-# Columnar analytics ingest (occupancy / bursttracker)
-# ---------------------------------------------------------------------------
-
-def _synth_records(n_subframes: int, seed: int) -> list[SubframeRecord]:
-    rng = random.Random(seed)
-    records = []
-    for sf in range(n_subframes):
-        messages = []
-        budget = 100
-        for _ in range(rng.randrange(0, 6)):
-            prbs = min(rng.choice([0, 0, 3, 10, 25]), budget)
-            budget -= prbs
-            messages.append(DciMessage(
-                sf, 0, rng.choice([1, 2, 3, 17]), prbs,
-                rng.randrange(18), 2, tbs_bits=prbs * 100,
-                new_data=rng.random() < 0.9,
-                is_control=rng.random() < 0.1))
-        records.append(SubframeRecord(sf, 0, 100, messages))
-    return records
-
-
-def _feed_in_batches(records, sinks, seed):
-    rng = random.Random(seed)
-    batch = SubframeBatch(0, 100)
-    i = 0
-    while i < len(records):
-        n = rng.randrange(1, 97)          # irregular block boundaries
-        batch.clear()
-        for record in records[i:i + n]:
-            batch.append_record(record)
-        for sink in sinks:
-            sink.ingest_batch(batch)
-        i += n
-
-
-def test_occupancy_batch_ingest_matches_scalar():
-    records = _synth_records(2_500, seed=7)
-    scalar = OccupancyAnalyzer(0, bucket_subframes=100)
-    batched = OccupancyAnalyzer(0, bucket_subframes=100)
-    for record in records:
-        scalar.update(record)
-    _feed_in_batches(records, [batched], seed=8)
-    assert batched.summary() == scalar.summary()
-    assert batched.utilization_series == scalar.utilization_series
-    assert batched.users_series == scalar.users_series
-    assert ({r: vars(u) for r, u in batched.users.items()}
-            == {r: vars(u) for r, u in scalar.users.items()})
-
-
-def test_bursttracker_batch_ingest_matches_scalar():
-    records = _synth_records(2_500, seed=7)
-    scalar = BurstTracker(1, window_subframes=100)
-    batched = BurstTracker(1, window_subframes=100)
-    for record in records:
-        scalar.update(record)
-    _feed_in_batches(records, [batched], seed=8)
-    assert batched.windows == scalar.windows
-    assert batched.classifications == scalar.classifications
-    # Open-window float state matches exactly (same summation order).
-    assert batched._share_sum == scalar._share_sum
-    assert batched._count == scalar._count
-
-
-def test_batch_round_trips_to_records():
-    records = _synth_records(300, seed=11)
-    batch = SubframeBatch(0, 100)
-    for record in records:
-        batch.append_record(record)
-    assert batch.to_records() == records
-    assert len(batch) == 300
-    assert batch.n_messages == sum(len(r.messages) for r in records)
-    batch.clear()
-    assert len(batch) == 0 and batch.n_messages == 0
 
 
 if __name__ == "__main__":

@@ -109,6 +109,17 @@ def test_wrong_cell_rejected():
         est.update(_record(0, [], cell=5), 1000, 1e-6)
 
 
+def test_over_allocated_record_rejected_before_anything_is_folded():
+    est = _estimator()
+    est.update(_record(0, [(OWN, 10, 1000)]), 1000, 1e-6)
+    with pytest.raises(ValueError, match="over-allocated subframe 1 on "
+                                         "cell 0: 110/100"):
+        est.update(_record(1, [(OWN, 60, 1000), (7, 50, 1000)]),
+                   1000, 1e-6)
+    assert est.last_subframe == 0 and len(est.samples()) == 1
+    assert est.users.detected_users() == {OWN}
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         _estimator().estimate(0)

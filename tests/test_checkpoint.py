@@ -426,7 +426,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 4
+    assert old_version < VERSION == 5
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -464,6 +464,14 @@ def test_version_3_snapshot_is_quarantined(tmp_path):
     generator would silently lose the skipped ticks.  Set aside, not
     half-restored."""
     _assert_version_quarantined(tmp_path, 3)
+
+
+def test_version_4_snapshot_is_quarantined(tmp_path):
+    """A v4 monitor can carry decoded rows in its columnar buffers
+    (``_batches`` / ``_pending_hints``), which nothing would fold any
+    more: restored, those subframes would silently never reach the
+    estimators.  Set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 4)
 
 
 def test_read_snapshot_rejects_bad_checksum(tmp_path):

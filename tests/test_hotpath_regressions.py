@@ -27,6 +27,7 @@ from repro.cell.scheduler import (
     allocate_prbs,
 )
 from repro.monitor.capacity import CellCapacityEstimator
+from repro.monitor.filters import ActiveUserFilter
 from repro.net.sim import Simulator
 from repro.phy.carrier import AggregationState
 from repro.phy.dci import DciMessage, SubframeRecord
@@ -350,6 +351,49 @@ def test_estimator_bitwise_equal_to_naive_rescan():
             # physical/fair recombine mean_rate with the user count;
             # verify the rate term via the fair-share identity.
             assert got.fair_share == rate * 100 / got.users
+
+
+class _CountingMessages(list):
+    """A record's message list that counts how often it is scanned."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_estimator_update_scans_a_records_messages_once():
+    """One fold, one scan: the allocated sum, the ``{rnti: prbs}`` map
+    for the user filter, own PRBs and own rate come out of a single
+    pass over the messages (it used to take three) — and equal what the
+    record's own one-question-per-scan helpers and a filter fed the
+    record directly say."""
+    rng = random.Random(21)
+    est = CellCapacityEstimator(cell_id=0, total_prbs=100, own_rnti=1)
+    users = ActiveUserFilter(est.users.window_subframes)
+    for subframe in range(120):
+        messages = _CountingMessages()
+        budget = 100
+        for _ in range(rng.randrange(0, 6)):
+            prbs = min(rng.choice([0, 3, 10, 25]), budget)
+            budget -= prbs
+            messages.append(DciMessage(
+                subframe, 0, rng.choice([1, 1, 2, 17]), prbs, 12, 2,
+                tbs_bits=prbs * rng.randint(200, 900)))
+        record = SubframeRecord(subframe, 0, 100, messages)
+        est.update(record, own_rate_hint=555, ber_hint=1e-6)
+        assert messages.scans == 1
+        users.update(record)
+        sample = est.samples()[-1]
+        assert sample.own_prbs == record.prbs_for(1)
+        assert sample.idle_prbs == record.idle_prbs
+        own = [m for m in messages if m.rnti == 1 and m.n_prbs > 0]
+        assert sample.own_rate == (
+            max(1, own[-1].tbs_bits // own[-1].n_prbs) if own else 555)
+        assert est.users.activity() == users.activity()
+        assert est.last_own_grant_subframe == max(
+            (s.subframe for s in est.samples() if s.own_prbs), default=-1)
 
 
 def test_estimator_memo_invalidated_by_update():

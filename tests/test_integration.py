@@ -139,3 +139,25 @@ def test_competition_forces_rate_down_then_recovers():
     assert after > 0.9 * before      # grabbed the capacity back
     # And delay never exploded while yielding.
     assert results[0].summary.p95_delay_ms < 80.0
+
+
+def test_monitor_of_a_quiet_client_keeps_decoding_and_stays_current():
+    """The monitor folds every subframe as it is decoded, ACK clock or
+    not: once the sender has stopped, nothing reads a report any more,
+    yet the decoders' counters and ``last_subframe`` must keep up with
+    the network (they used to sit in a buffer, one row per cell per
+    millisecond, until some property happened to drain it)."""
+    exp = Experiment(_scenario(duration_s=0.6))
+    handle = exp.add_flow(FlowSpec(scheme="pbe", duration_s=0.3))
+    exp.sim.run(until_us=300_500)
+    assert not handle.sender.running
+    exp.sim.run(until_us=600_500)     # 300 more subframes, nobody asks
+    network, monitor = exp.network, handle.monitor
+    assert network.subframe == 601
+    assert len(monitor.decoders) == 2
+    for decoder in monitor.decoders.values():
+        assert decoder.subframes_decoded == network.subframe
+    # Looked at in the raw, so no property gets a chance to catch up.
+    assert vars(monitor)["last_subframe"] == network.subframe - 1
+    assert monitor.fusion.emitted == network.subframe
+    assert monitor.fusion._buffers == {}

@@ -140,24 +140,18 @@ def test_monitor_counts_decode_gaps():
     assert m.missed_subframes == 20 + 15
 
 
-def test_one_sided_decoder_callback_fails_naming_the_cell_and_the_remedy():
-    """``decoder_callback`` needs every configured cell to report every
-    subframe; wired to one cell of two, the first report after the
-    second subframe must say which cell fell short and where the
-    per-record path (which fuses partial streams) is."""
-    m = _monitor()
-    _feed(m, 0, {0: [(OWN, 50, 1000)]})
-    _feed(m, 1, {0: [(OWN, 50, 1000)]})
-    with pytest.raises(RuntimeError) as error:
-        m.report(10)
-    message = str(error.value)
-    assert "cell 0 buffered 2 subframes where 1 were completed" in message
-    assert "monitor.decoders[cell].on_subframe" in message
-    assert "batch_ingest" not in message
-
-    # The remedy it names works on the same one-sided stream: fusion
-    # gives up on a subframe's missing cell two subframes later.
+def test_one_sided_feed_through_decoder_callback_fuses_partial_snapshots():
+    """``decoder_callback`` wired to one cell of two is a partial
+    stream, not an error: fusion gives up on a subframe's missing cell
+    two subframes later and folds what it has."""
     m = _monitor()
     for sf in range(4):
-        m.decoders[0].on_subframe(SubframeRecord(sf, 0, 100))
+        _feed(m, sf, {0: [(OWN, 50, 1000)]})
+    assert m.fusion.emitted == 2
+    assert m.last_subframe == 1
     assert m.report(10).subframe == 1
+    assert m.estimators[0].last_subframe == 1
+    assert m.estimators[1].last_subframe == -1   # never reported
+    assert m.decoders[0].subframes_decoded == 4
+    m.flush()
+    assert m.report(10).subframe == 3

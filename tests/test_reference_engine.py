@@ -25,6 +25,7 @@ from repro.metro.shard import _ShardRun
 from repro.monitor.pbe import PbeMonitor
 from repro.net.link import BatchingPipe
 from repro.perf import PerfCounters
+from repro.phy import dci
 
 from .reference_engine import ReferenceExperiment, reference_engine
 from .test_batch_engine import DURATION_S, _sparse_metro_params
@@ -72,10 +73,10 @@ def test_reference_never_stages_the_uplink():
 
 
 def test_reference_fuses_one_snapshot_per_subframe():
-    engine = _observe("idle_3cc_pbe", False)
-    reference = _observe("idle_3cc_pbe", True)
-    assert reference["fused"] == reference["subframes"] > 0
-    assert engine["fused"] == 0
+    # ... and so does the engine: there is one ingest path.
+    for reference in (False, True):
+        observed = _observe("idle_3cc_pbe", reference)
+        assert observed["fused"] == observed["subframes"] > 0
 
 
 def test_reference_observes_single_cell_users_and_samples_per_subframe():
@@ -108,6 +109,13 @@ def test_no_engine_switch(capsys):
         names = set(inspect.signature(func).parameters)
         assert not names & {"batched", "batch_ingest"}, func
     assert not inspect.signature(PerfCounters).parameters
+    # The columnar DCI ingest is gone too, not hidden behind a name.
+    assert not hasattr(dci, "SubframeBatch")
+    monitor = PbeMonitor(1, {0: 100}, 0, own_rate_hint=lambda: (1, 0.0))
+    for owner, names in ((monitor, ("batch_ingest", "_drain")),
+                         (monitor.estimators[0],
+                          ("update_block", "update_one"))):
+        assert not [n for n in names if hasattr(owner, n)], owner
     with pytest.raises(SystemExit) as exit_info:
         main(["perf"])
     assert exit_info.value.code == 2
