@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Fleet smoke test: chaos-laden fleet sweep, SIGINT, resume, verify.
+"""Fleet smoke test: chaos-laden fleet sweep, SIGINT, re-run, verify.
 
-Spawns ``python -m repro fleet sweep`` — two local workers pulling
-from a shared queue directory under a seeded :class:`ChaosSpec` that
-SIGKILLs every worker once per job — and checks the fabric's promises
-end to end:
+Spawns ``python -m repro sweep --fleet-dir`` — two local workers
+pulling from a shared queue directory under a seeded
+:class:`ChaosSpec` that SIGKILLs every worker once per job — and
+checks the fabric's promises end to end:
 
 * the chaos run completes with exit 0, reports reclaimed leases and
-  respawned workers, and its saved entries are byte-identical to a
-  plain ``repro sweep`` of the same jobs on a process pool;
+  respawned workers, and both its saved entries and its result-store
+  entries are byte-identical to a plain ``repro sweep --jobs 2`` of
+  the same jobs on a process pool;
 * a second fleet run is SIGINTed mid-sweep: the driver drains, exits
-  130, its journal ends ``interrupted``, and every persisted cache
-  entry passes ``repro cache verify``;
-* ``--resume`` on the same fleet+cache finishes only the unfinished
-  jobs and saves entries byte-identical to the chaos run's;
+  130, and the result store it leaves — the only record of what
+  finished — verifies with nothing quarantined;
+* re-running the same command on the same fleet+cache executes exactly
+  the jobs the store does not hold and saves entries byte-identical
+  to the pool run's;
 * a fourth fleet run arms the ``kill_mid_job`` fault with
   ``--checkpoint-dir``: every worker SIGKILLs itself *mid-simulation*
   right after writing a snapshot, the reclaimed retry restores that
@@ -25,7 +27,6 @@ arguments, or ``--duration`` to scale it up.
 """
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -35,6 +36,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.exec import ResultStore  # noqa: E402
 
 SWEEP = ("--schemes", "pbe,bbr", "--busy", "2", "--idle", "1")
 CHAOS = ("--chaos-seed", "3", "--chaos-kill", "1")
@@ -42,9 +46,9 @@ CHAOS = ("--chaos-seed", "3", "--chaos-kill", "1")
 
 def fleet_cmd(fleet_dir: str, cache_dir: str, args,
               extra=(), chaos=CHAOS) -> list:
-    return [sys.executable, "-m", "repro", "fleet", "sweep",
-            "--dir", fleet_dir, "--workers", "2", "--ttl", "3",
-            *SWEEP, "--duration", str(args.duration),
+    return [sys.executable, "-m", "repro", "sweep",
+            "--fleet-dir", fleet_dir, "--fleet-workers", "2",
+            "--fleet-ttl", "3", *SWEEP, "--duration", str(args.duration),
             "--retries", "3", "--cache-dir", cache_dir,
             *chaos, *extra]
 
@@ -68,7 +72,7 @@ def fail(message: str) -> None:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        description="fleet + chaos + SIGINT + resume smoke test")
+        description="fleet + chaos + SIGINT + re-run smoke test")
     parser.add_argument("--duration", type=float, default=1.0)
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="overall smoke deadline in seconds")
@@ -81,6 +85,7 @@ def main(argv=None) -> None:
         pool = subprocess.run(
             [sys.executable, "-m", "repro", "sweep", *SWEEP,
              "--duration", str(args.duration), "--jobs", "2",
+             "--cache-dir", str(work / "cache-pool"),
              "--save", str(work / "pool.json")],
             env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=args.timeout)
@@ -102,6 +107,11 @@ def main(argv=None) -> None:
         if ((work / "chaos.json").read_bytes()
                 != (work / "pool.json").read_bytes()):
             fail("chaos fleet entries differ from pool baseline")
+        pool_store = {p.name: p.read_bytes()
+                      for p in store_entries(work / "cache-pool")}
+        if pool_store != {p.name: p.read_bytes()
+                          for p in store_entries(work / "cache-a")}:
+            fail("chaos fleet store entries differ from pool baseline")
         print("chaos ok: kill-per-job fleet sweep byte-identical to "
               "pool run, leases reclaimed", flush=True)
 
@@ -124,46 +134,35 @@ def main(argv=None) -> None:
         if proc.returncode != 130:
             fail(f"interrupted fleet sweep exited {proc.returncode}, "
                  f"expected 130\n{stderr}")
-        journal = cache_b / "journal.jsonl"
-        records = [json.loads(line)
-                   for line in journal.read_text().splitlines()]
-        if records[-1] != {"kind": "end", "status": "interrupted"}:
-            fail(f"journal does not end interrupted: {records[-1]}")
-        done = {r["fingerprint"] for r in records
-                if r.get("kind") == "job" and r.get("status") == "done"}
-        verify = subprocess.run(
-            [sys.executable, "-m", "repro", "cache", "verify",
-             "--cache-dir", str(cache_b), "--no-upgrade"],
-            env=env(), cwd=REPO_ROOT, capture_output=True, text=True)
-        if verify.returncode != 0:
-            fail(f"cache verify failed after interrupt:\n"
-                 f"{verify.stdout}{verify.stderr}")
-        print(f"interrupt ok: fleet drained, {len(done)} jobs "
-              f"persisted, journal and store intact", flush=True)
+        report = ResultStore(cache_b).verify(upgrade=False)
+        stored = report["ok"]
+        if report["quarantined"] or stored != len(store_entries(cache_b)):
+            fail(f"store does not verify after interrupt: {report}")
+        print(f"interrupt ok: exit 130, fleet drained, {stored} jobs "
+              f"stored, 0 quarantined", flush=True)
 
-        # --- resumed fleet run (idempotent restart) ------------------
+        # --- the same command again: the re-run is the resume ----------
         resumed = subprocess.run(
             fleet_cmd(fleet_b, str(cache_b), args,
-                      extra=("--resume", "--save",
-                             str(work / "resumed.json"))),
+                      extra=("--save", str(work / "resumed.json"))),
             env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=args.timeout)
         if resumed.returncode != 0:
-            fail(f"fleet resume exited {resumed.returncode}\n"
+            fail(f"fleet re-run exited {resumed.returncode}\n"
                  f"{resumed.stderr}")
         executed = sum(" executed " in line
                        for line in resumed.stderr.splitlines())
         cached = sum(" cached " in line and "[repro.exec]" in line
                      for line in resumed.stderr.splitlines())
         total = 6  # 2 schemes x (2 busy + 1 idle)
-        if executed != total - len(done) or cached != len(done):
-            fail(f"fleet resume recomputed finished work: {executed} "
-                 f"executed / {cached} cached with {len(done)} done")
+        if executed != total - stored or cached != stored:
+            fail(f"fleet re-run recomputed finished work: {executed} "
+                 f"executed / {cached} cached with {stored} stored")
         if ((work / "resumed.json").read_bytes()
                 != (work / "pool.json").read_bytes()):
-            fail("resumed fleet sweep is not byte-identical to the "
+            fail("re-run fleet sweep is not byte-identical to the "
                  "uninterrupted pool run")
-        print(f"resume ok: {executed} executed, {cached} cached, "
+        print(f"re-run ok: {executed} executed, {cached} cached, "
               f"byte-identical output", flush=True)
 
         # --- mid-job SIGKILL -> checkpoint restore -------------------

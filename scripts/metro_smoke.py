@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Metro matrix smoke test: determinism, SIGINT drain, resume.
+"""Metro matrix smoke test: determinism, SIGINT drain, re-run.
 
 Checks the ``python -m repro metro`` acceptance contract end to end:
 
 * two fresh runs of the same set/seed write byte-identical matrix
   files;
-* a run interrupted with SIGINT mid-sweep exits 130 with a valid
-  journal beside the cache;
-* a ``--resume`` run completes from the journal (finished shards are
-  cache hits) and its matrix is byte-identical to the uninterrupted
+* a run interrupted with SIGINT mid-sweep exits 130 and the result
+  store it leaves — the only record of what finished — verifies with
+  nothing quarantined;
+* re-running the same command executes exactly the shards the store
+  does not hold and its matrix is byte-identical to the uninterrupted
   one.
 
 CI runs this on every push; run it locally with no arguments, or
@@ -16,7 +17,6 @@ CI runs this on every push; run it locally with no arguments, or
 """
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -26,6 +26,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.exec import ResultStore  # noqa: E402
 
 
 def metro_cmd(out: str, args, extra=()) -> list:
@@ -51,6 +54,12 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def count_events(stderr: str, kind: str) -> int:
+    """Runner progress lines of one kind ("executed" / "cached")."""
+    return sum(f" {kind} " in line and "[repro.exec]" in line
+               for line in stderr.splitlines())
+
+
 def run_metro(out: str, args, extra=(), timeout=None):
     return subprocess.run(
         metro_cmd(out, args, extra), env=env(), cwd=REPO_ROOT,
@@ -59,7 +68,7 @@ def run_metro(out: str, args, extra=(), timeout=None):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        description="metro determinism + SIGINT/resume smoke")
+        description="metro determinism + SIGINT/re-run smoke")
     parser.add_argument("--hour-s", type=float, default=1.5,
                         help="simulated seconds per diurnal hour "
                              "(stretches the run so SIGINT lands "
@@ -79,6 +88,7 @@ def main(argv=None) -> None:
             if proc.returncode != 0:
                 fail(f"fresh metro run exited {proc.returncode}\n"
                      f"{proc.stderr}")
+        total = count_events(proc.stderr, "executed")
         if (work / "a.json").read_bytes() != (work / "b.json").read_bytes():
             fail("two fresh runs with the same seed wrote different "
                  "matrices")
@@ -103,35 +113,33 @@ def main(argv=None) -> None:
         if proc.returncode != 130:
             fail(f"interrupted metro run exited {proc.returncode}, "
                  f"expected 130\n{stderr}")
-        journal = cache / "journal.jsonl"
-        records = [json.loads(line)
-                   for line in journal.read_text().splitlines()]
-        if records[-1] != {"kind": "end", "status": "interrupted"}:
-            fail(f"journal does not end interrupted: {records[-1]}")
-        done = {r["fingerprint"] for r in records
-                if r.get("kind") == "job" and r.get("status") == "done"}
-        print(f"interrupt ok: exit 130, {len(done)} shards "
-              f"drained+persisted", flush=True)
+        report = ResultStore(cache).verify(upgrade=False)
+        stored = report["ok"]
+        if report["quarantined"] or stored != len(store_entries(cache)):
+            fail(f"store does not verify after interrupt: {report}")
+        print(f"interrupt ok: exit 130, {stored} of {total} shards "
+              f"drained+stored, 0 quarantined", flush=True)
 
-        # --- resumed run ---------------------------------------------
+        # --- the same command again: the re-run is the resume ----------
         resumed = run_metro(str(work / "resumed.json"), args,
-                            extra=("--cache-dir", str(cache),
-                                   "--resume"),
+                            extra=("--cache-dir", str(cache)),
                             timeout=args.timeout / 3)
         if resumed.returncode != 0:
-            fail(f"resume exited {resumed.returncode}\n"
+            fail(f"re-run exited {resumed.returncode}\n"
                  f"{resumed.stderr}")
-        cached = sum(" cached " in line and "[repro.exec]" in line
-                     for line in resumed.stderr.splitlines())
-        if cached < len(done):
-            fail(f"resume recomputed finished shards: only {cached} "
-                 f"cache hits with {len(done)} journaled done")
+        executed = count_events(resumed.stderr, "executed")
+        cached = count_events(resumed.stderr, "cached")
+        if executed != total - stored or cached != stored:
+            fail(f"re-run recomputed finished shards: {executed} "
+                 f"executed / {cached} cached with {stored} of "
+                 f"{total} stored")
         if ((work / "resumed.json").read_bytes()
                 != (work / "a.json").read_bytes()):
-            fail("resumed matrix is not byte-identical to an "
+            fail("re-run matrix is not byte-identical to an "
                  "uninterrupted run")
-        print(f"resume ok: {cached} shards from cache, matrix "
-              f"byte-identical to uninterrupted run", flush=True)
+        print(f"re-run ok: {executed} executed, {cached} from the "
+              f"store, matrix byte-identical to uninterrupted run",
+              flush=True)
 
     print("metro smoke PASSED", flush=True)
 

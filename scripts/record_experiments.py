@@ -19,7 +19,7 @@ import argparse
 import os
 import time
 
-from repro.exec import StderrReporter
+from repro.exec import StderrReporter, make_runner
 from repro.harness import experiments as exp
 
 
@@ -36,10 +36,9 @@ def parse_args(argv=None):
                              "(default: one per CPU, capped at 8)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed result cache directory "
-                             "(resume/replay recording passes cheaply; "
-                             "a sweep journal is kept beside it, so an "
-                             "interrupted pass resumes with zero "
-                             "recomputation)")
+                             "(an interrupted or repeated pass, "
+                             "re-run, executes only what never "
+                             "finished)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-job deadline in seconds for the long "
                              "sweeps (enforced concurrently)")
@@ -59,8 +58,8 @@ def main(argv=None) -> None:
     # The long sweeps additionally run supervised: per-job deadlines,
     # retry backoff and a failure budget (failed configurations are
     # isolated and reported instead of aborting the recording pass).
-    supervised = dict(
-        execution, timeout_s=args.timeout, retries=args.retries,
+    supervised = make_runner(
+        **execution, timeout_s=args.timeout, retries=args.retries,
         failure_budget=(args.failure_budget / 100.0
                         if args.failure_budget is not None else None))
     t0 = time.time()
@@ -68,7 +67,7 @@ def main(argv=None) -> None:
     section("Stationary sweep (Table 1 / Figure 12 / Figure 15)")
     sweep = exp.run_stationary_sweep(
         schemes=("pbe", "bbr", "cubic", "verus", "copa"),
-        n_busy=8, n_idle=5, duration_s=10.0, **supervised)
+        n_busy=8, n_idle=5, duration_s=10.0, runner=supervised)
     for failure in sweep.failures:
         print(f"FAILED {failure.summary()}", flush=True)
     print(exp.table1_from_sweep(sweep).format())

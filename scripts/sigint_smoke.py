@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Interrupted-sweep smoke test: SIGINT a sweep, then resume it.
+"""Interrupted-sweep smoke test: SIGINT a sweep, then re-run it.
 
 Spawns ``python -m repro sweep`` with a result cache, delivers SIGINT
 once at least one payload has persisted, and checks the contract the
 supervision layer promises:
 
 * the interrupted process exits 130 after a clean drain;
-* the journal beside the cache is valid JSONL ending in an
-  ``interrupted`` marker, and every persisted entry passes
-  ``repro cache verify``;
-* a ``--resume`` run recomputes only the unfinished jobs (finished
-  fingerprints are cache hits) and its final payloads are byte-
-  identical to an uninterrupted run of the same sweep.
+* the result store — the only record of what finished — verifies
+  with nothing quarantined, and nothing else sits beside its shards;
+* re-running the same command executes exactly the jobs the store does
+  not hold (finished fingerprints are cache hits) and its final
+  payloads are byte-identical to an uninterrupted run of the sweep.
 
 CI runs this (CI-sized) on every push; run it locally with no
 arguments, or ``--duration/--jobs`` to scale it up.
 """
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -28,6 +26,12 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.exec import ResultStore  # noqa: E402
+
+#: 2 schemes x (2 busy + 2 idle) locations.
+TOTAL_JOBS = 8
 
 
 def sweep_cmd(cache_dir: str, args, extra=()) -> list:
@@ -56,7 +60,7 @@ def fail(message: str) -> None:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        description="SIGINT a sweep mid-run, then resume it")
+        description="SIGINT a sweep mid-run, then re-run it")
     parser.add_argument("--duration", type=float, default=1.0)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--timeout", type=float, default=600.0,
@@ -84,49 +88,40 @@ def main(argv=None) -> None:
             fail(f"interrupted sweep exited {proc.returncode}, "
                  f"expected 130\n{stderr}")
 
-        journal = cache / "journal.jsonl"
-        records = [json.loads(line)
-                   for line in journal.read_text().splitlines()]
-        if records[-1] != {"kind": "end", "status": "interrupted"}:
-            fail(f"journal does not end interrupted: {records[-1]}")
-        done = {r["fingerprint"] for r in records
-                if r.get("kind") == "job" and r.get("status") == "done"}
         persisted = store_entries(cache)
-        if {p.stem for p in persisted} != done:
-            fail("journal done-set does not match persisted entries")
-        verify = subprocess.run(
-            [sys.executable, "-m", "repro", "cache", "verify",
-             "--cache-dir", str(cache), "--no-upgrade"],
-            env=env(), cwd=REPO_ROOT, capture_output=True, text=True)
-        if verify.returncode != 0:
-            fail(f"cache verify failed after interrupt:\n"
-                 f"{verify.stdout}{verify.stderr}")
+        report = ResultStore(cache).verify(upgrade=False)
+        if report["quarantined"] or report["ok"] != len(persisted):
+            fail(f"store does not verify after interrupt: {report}")
+        stray = [p.name for p in cache.iterdir() if not p.is_dir()]
+        if stray:
+            fail(f"files beside the store's shards: {stray}")
+        stored = len(persisted)
         snapshot = {p.stem: p.read_bytes() for p in persisted}
-        print(f"interrupt ok: {len(done)} jobs drained+persisted, "
-              f"journal and store intact", flush=True)
+        print(f"interrupt ok: exit 130, {stored} jobs drained+stored, "
+              f"0 quarantined", flush=True)
 
-        # --- resumed run ---------------------------------------------
+        # --- the same command again: the re-run is the resume ----------
         resumed = subprocess.run(
             sweep_cmd(str(cache), args,
-                      extra=("--resume", "--save",
+                      extra=("--save",
                              str(Path(workdir) / "resumed.json"))),
             env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=args.timeout)
         if resumed.returncode != 0:
-            fail(f"resume exited {resumed.returncode}\n"
+            fail(f"re-run exited {resumed.returncode}\n"
                  f"{resumed.stderr}")
         executed = sum(" executed " in line
                        for line in resumed.stderr.splitlines())
         cached = sum(" cached " in line and "[repro.exec]" in line
                      for line in resumed.stderr.splitlines())
-        if executed != 8 - len(done) or cached != len(done):
-            fail(f"resume recomputed finished work: {executed} "
-                 f"executed / {cached} cached with {len(done)} done")
+        if executed != TOTAL_JOBS - stored or cached != stored:
+            fail(f"re-run recomputed finished work: {executed} "
+                 f"executed / {cached} cached with {stored} stored")
         for fp, blob in snapshot.items():
             path = cache / fp[:2] / f"{fp}.json"
             if path.read_bytes() != blob:
-                fail(f"resume rewrote finished entry {fp}")
-        print(f"resume ok: {executed} executed, {cached} cached, "
+                fail(f"re-run rewrote finished entry {fp}")
+        print(f"re-run ok: {executed} executed, {cached} cached, "
               f"finished entries untouched", flush=True)
 
         # --- equivalence with an uninterrupted run -------------------
@@ -142,9 +137,9 @@ def main(argv=None) -> None:
         resumed_bytes = (Path(workdir) / "resumed.json").read_bytes()
         fresh_bytes = (Path(workdir) / "fresh.json").read_bytes()
         if resumed_bytes != fresh_bytes:
-            fail("resumed sweep is not byte-identical to an "
+            fail("re-run sweep is not byte-identical to an "
                  "uninterrupted run")
-        print("equivalence ok: resumed == uninterrupted "
+        print("equivalence ok: re-run == uninterrupted "
               "(byte-identical)", flush=True)
 
     print("sigint smoke PASSED", flush=True)

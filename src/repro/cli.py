@@ -12,13 +12,13 @@ Commands
 ``metro``      metro-scale scenario engine: hundreds of cells with
                diurnal populations, walker handover churn and
                coexistence fleets; writes the per-cell fairness/
-               capacity matrix (``--smoke`` for the CI-sized set;
-               ``--fleet-dir`` routes shards through a worker fleet)
-``fleet``      distributed sweep fabric: ``fleet sweep`` drives the
-               stationary sweep through a shared-directory worker
-               fleet (leases, heartbeats, crash reclamation, optional
-               seeded chaos injection); ``fleet worker`` joins a
-               fleet from any host that shares the directory
+               capacity matrix (``--smoke`` for the CI-sized set)
+``fleet``      distributed sweep fabric: ``fleet worker`` joins a
+               shared-directory worker fleet (leases, heartbeats,
+               crash reclamation) from any host that shares the
+               directory, ``fleet status`` observes one; ``sweep`` and
+               ``metro`` drive their jobs through a fleet with
+               ``--fleet-dir`` (optional seeded chaos injection)
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes, experiments and metro scenario sets
@@ -31,9 +31,11 @@ sweeps (``sweep``, ``resilience``) are additionally *supervised*:
 re-submits crashed/timed-out jobs with jittered backoff, failures are
 isolated as structured records instead of aborting (``--strict`` to
 abort on the first failure, ``--failure-budget PCT`` to abort once
-more than PCT%% of jobs fail), Ctrl-C drains in-flight work and
-persists everything finished, and ``--resume`` replays the journal
-next to the cache to skip finished work and re-attempt only failures.
+more than PCT%% of jobs fail), and Ctrl-C drains in-flight work.
+The result cache is the only record of a finished job, so re-running
+the same command *is* the resume: finished jobs are cache hits,
+failures (never cached) re-attempt, and with ``--checkpoint-dir``
+interrupted jobs restore their newest mid-run snapshot.
 
 Examples
 --------
@@ -46,13 +48,12 @@ Examples
     python -m repro resilience --miss 0,0.05,0.2 --outage-ms 0,500 \\
         --jobs 4
     python -m repro resilience --smoke
-    python -m repro sweep --jobs 8 --cache-dir .repro-cache --resume
     python -m repro metro --smoke --out metro_matrix.json
     python -m repro metro --set metro-240 --jobs 8 \\
-        --cache-dir .repro-cache --resume
+        --cache-dir .repro-cache
     python -m repro cache verify --cache-dir .repro-cache
-    python -m repro fleet sweep --dir /shared/fleet --workers 4 \\
-        --cache-dir .repro-cache --resume
+    python -m repro sweep --fleet-dir /shared/fleet --fleet-workers 4 \\
+        --cache-dir .repro-cache
     python -m repro fleet worker --dir /shared/fleet   # on any host
     python -m repro metro --smoke --fleet-dir /tmp/fleet \\
         --fleet-workers 2
@@ -129,25 +130,11 @@ def _exec_kwargs(args: argparse.Namespace) -> dict:
             "progress": progress}
 
 
-def _supervised_runner(args: argparse.Namespace, backend=None):
-    """Build the supervised runner for the long sweep commands."""
-    from .exec import make_runner
-    budget = (args.failure_budget / 100.0
-              if args.failure_budget is not None else None)
-    kwargs = _exec_kwargs(args)
-    return make_runner(
-        retries=args.retries, timeout_s=args.timeout,
-        strict=args.strict, failure_budget=budget, backend=backend,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        **kwargs)
-
-
-def _chaos_spec(args: argparse.Namespace, ttl_s: float):
+def _chaos_spec(args: argparse.Namespace):
     """A :class:`ChaosSpec` from the ``--chaos-*`` flags (or None)."""
     from .exec import ChaosSpec
     stall_s = (args.chaos_stall_s if args.chaos_stall_s is not None
-               else 2.5 * ttl_s)  # long enough to trip lease reclaim
+               else 2.5 * args.fleet_ttl)  # enough to trip reclaim
     spec = ChaosSpec(seed=args.chaos_seed, kill_prob=args.chaos_kill,
                      kill_mid_job_prob=args.chaos_kill_mid,
                      stall_prob=args.chaos_stall, stall_s=stall_s,
@@ -158,11 +145,10 @@ def _chaos_spec(args: argparse.Namespace, ttl_s: float):
     return spec if spec.active else None
 
 
-def _fleet_backend(args: argparse.Namespace, root: str, workers: int,
-                   ttl_s: float):
-    """Build the fleet backend (and its telemetry line) for a driver."""
+def _fleet_backend(args: argparse.Namespace):
+    """Build the ``--fleet-dir`` backend (and its telemetry line)."""
     from .exec import FleetBackend
-    chaos = _chaos_spec(args, ttl_s)
+    chaos = _chaos_spec(args)
     if chaos is not None:
         print(f"[repro] chaos injection armed: {chaos.to_dict()}",
               file=sys.stderr)
@@ -170,36 +156,52 @@ def _fleet_backend(args: argparse.Namespace, root: str, workers: int,
     def telemetry(line: str) -> None:
         print(f"[repro] {line}", file=sys.stderr, flush=True)
 
-    return FleetBackend(root, ttl_s=ttl_s, local_workers=workers,
+    return FleetBackend(args.fleet_dir, ttl_s=args.fleet_ttl,
+                        local_workers=args.fleet_workers,
                         chaos=chaos, telemetry=telemetry)
 
 
-def _report_resume(args: argparse.Namespace) -> None:
-    """``--resume``: replay the journal and report what it skips."""
-    from .exec import JOURNAL_NAME, SweepJournal
-    if not args.cache_dir:
-        raise SystemExit("--resume requires --cache-dir (the journal "
-                         "lives beside the result cache)")
-    from pathlib import Path
-    journal = SweepJournal(Path(args.cache_dir) / JOURNAL_NAME)
-    state = journal.replay()
-    print(f"[repro] resume: journal {journal.path} shows "
-          f"{state.summary()}; finished jobs load from cache, "
-          f"failures re-attempt", file=sys.stderr)
-    for failure in state.failed.values():
-        print(f"[repro] resume: re-attempting {failure.summary()}",
-              file=sys.stderr)
+def _run_supervised(args: argparse.Namespace, drive, render) -> int:
+    """Run ``drive(runner)`` supervised, ``render`` what it returns.
 
-
-def _finish_supervised(runner, failures) -> int:
-    """Surface degraded-run telemetry; exit non-zero on failures."""
+    Builds the supervised runner for the long sweep commands (through
+    a worker fleet when the command has ``--fleet-dir`` set) and maps
+    its aborts to exit codes: a drained SIGINT/SIGTERM → 130, a
+    tripped failure budget → 3, any isolated job failure → 1.
+    """
+    from .exec import FailureBudgetExceeded, SweepInterrupted, make_runner
+    budget = (args.failure_budget / 100.0
+              if args.failure_budget is not None else None)
+    backend = (_fleet_backend(args)
+               if getattr(args, "fleet_dir", None) else None)
+    runner = make_runner(
+        retries=args.retries, timeout_s=args.timeout,
+        strict=args.strict, failure_budget=budget, backend=backend,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every, **_exec_kwargs(args))
+    try:
+        result = drive(runner)
+    except SweepInterrupted as exc:
+        print(f"[repro] {exc}", file=sys.stderr)
+        return 130
+    except FailureBudgetExceeded as exc:
+        print(f"[repro] {exc}", file=sys.stderr)
+        return 3
+    finally:
+        # The runner shuts a persistent backend down when it ran jobs;
+        # cover the all-cache-hits path (and idempotently otherwise)
+        # so spawned local workers never outlive the drive.
+        if backend is not None:
+            backend.shutdown(wait=True)
+    render(result)
+    # Surface degraded-run telemetry; exit non-zero on failures.
     stats = runner.stats
-    if (runner.progress is not None or failures or stats.failed
+    if (runner.progress is not None or result.failures or stats.failed
             or stats.quarantined):
         print(f"[repro] {stats.format()}", file=sys.stderr)
-    for failure in failures:
+    for failure in result.failures:
         print(f"[repro] FAILED {failure.summary()}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if result.failures else 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -294,26 +296,16 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: the stationary sweep, supervised end to end."""
-    from .exec import FailureBudgetExceeded, SweepInterrupted
     from .harness import experiments as exp
     schemes = tuple(s.strip() for s in args.schemes.split(",")
                     if s.strip())
-    if args.resume:
-        _report_resume(args)
-    runner = _supervised_runner(args)
-    try:
-        sweep = exp.run_stationary_sweep(
+    return _run_supervised(
+        args,
+        lambda runner: exp.run_stationary_sweep(
             schemes=schemes, n_busy=args.busy, n_idle=args.idle,
             duration_s=args.duration, base_seed=args.seed,
-            runner=runner)
-    except SweepInterrupted as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 130
-    except FailureBudgetExceeded as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 3
-    _print_sweep(args, sweep)
-    return _finish_supervised(runner, sweep.failures)
+            runner=runner),
+        lambda sweep: _print_sweep(args, sweep))
 
 
 def cmd_fleet_worker(args: argparse.Namespace) -> int:
@@ -357,36 +349,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet_sweep(args: argparse.Namespace) -> int:
-    """``repro fleet sweep``: drive the stationary sweep via a fleet."""
-    from .exec import FailureBudgetExceeded, SweepInterrupted
-    from .harness import experiments as exp
-    schemes = tuple(s.strip() for s in args.schemes.split(",")
-                    if s.strip())
-    if args.resume:
-        _report_resume(args)
-    backend = _fleet_backend(args, args.dir, args.workers, args.ttl)
-    runner = _supervised_runner(args, backend=backend)
-    try:
-        sweep = exp.run_stationary_sweep(
-            schemes=schemes, n_busy=args.busy, n_idle=args.idle,
-            duration_s=args.duration, base_seed=args.seed,
-            runner=runner)
-    except SweepInterrupted as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 130
-    except FailureBudgetExceeded as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 3
-    finally:
-        # The runner shuts a persistent backend down when it ran jobs;
-        # cover the all-cache-hits path (and idempotently otherwise)
-        # so spawned local workers never outlive the drive.
-        backend.shutdown(wait=True)
-    _print_sweep(args, sweep)
-    return _finish_supervised(runner, sweep.failures)
-
-
 def cmd_resilience(args: argparse.Namespace) -> int:
     """``repro resilience``: the fault-injection degradation sweep."""
     from .harness import experiments as exp
@@ -403,29 +365,18 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         miss_rates = tuple(float(m) for m in args.miss.split(","))
         outages_ms = tuple(int(o) for o in args.outage_ms.split(","))
         duration = args.duration
-    from .exec import FailureBudgetExceeded, SweepInterrupted
-    if args.resume:
-        _report_resume(args)
-    runner = _supervised_runner(args)
-    try:
-        result = exp.run_resilience(
+    return _run_supervised(
+        args,
+        lambda runner: exp.run_resilience(
             schemes=schemes, miss_rates=miss_rates,
             outages_ms=outages_ms, duration_s=duration,
             base_seed=args.seed, fault_seed=args.fault_seed,
-            runner=runner)
-    except SweepInterrupted as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 130
-    except FailureBudgetExceeded as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 3
-    print(result.format())
-    return _finish_supervised(runner, result.failures)
+            runner=runner),
+        lambda result: print(result.format()))
 
 
 def cmd_metro(args: argparse.Namespace) -> int:
     """``repro metro``: the metro-scale fairness/capacity matrix."""
-    from .exec import FailureBudgetExceeded, SweepInterrupted
     from .harness.serialize import write_json_atomic
     from .metro import format_summary, resolve_set, run_metro
     mset = resolve_set("smoke" if args.smoke else args.set)
@@ -446,28 +397,15 @@ def cmd_metro(args: argparse.Namespace) -> int:
         overrides["walkers_per_shard"] = args.walkers
     if overrides:
         mset = mset.with_overrides(**overrides)
-    if args.resume:
-        _report_resume(args)
-    backend = (_fleet_backend(args, args.fleet_dir, args.fleet_workers,
-                              args.fleet_ttl)
-               if args.fleet_dir else None)
-    runner = _supervised_runner(args, backend=backend)
-    try:
-        result = run_metro(mset, runner=runner)
-    except SweepInterrupted as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 130
-    except FailureBudgetExceeded as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if backend is not None:
-            backend.shutdown(wait=True)
-    print(format_summary(result.matrix))
-    write_json_atomic(result.matrix, args.out)
-    print(f"wrote matrix ({len(result.matrix['cells'])} cells) to "
-          f"{args.out}", file=sys.stderr)
-    return _finish_supervised(runner, result.failures)
+
+    def render(result) -> None:
+        print(format_summary(result.matrix))
+        write_json_atomic(result.matrix, args.out)
+        print(f"wrote matrix ({len(result.matrix['cells'])} cells) to "
+              f"{args.out}", file=sys.stderr)
+
+    return _run_supervised(
+        args, lambda runner: run_metro(mset, runner=runner), render)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -511,7 +449,7 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
-    """Failure-isolation/deadline/resume knobs for the long sweeps."""
+    """Failure-isolation/deadline/checkpoint knobs for the long sweeps."""
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="S",
                         help="per-job deadline in seconds, enforced "
@@ -527,27 +465,33 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
                         metavar="PCT",
                         help="abort early once more than PCT%% of jobs "
                              "have failed")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay the journal beside --cache-dir: "
-                             "report finished work (loaded from cache) "
-                             "and re-attempt only failures; with "
-                             "--checkpoint-dir, interrupted jobs "
-                             "restore their newest mid-run snapshot "
-                             "instead of starting over")
     parser.add_argument("--checkpoint-dir", default=None,
                         metavar="DIR",
                         help="write crash-consistent mid-run snapshots "
                              "under DIR/<fingerprint>/ so killed or "
-                             "preempted jobs resume byte-identically "
-                             "from the last subframe boundary")
+                             "preempted jobs, on a re-run, restore "
+                             "their newest snapshot and finish "
+                             "byte-identically")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="N",
                         help="snapshot cadence in simulated subframes "
                              "(default 1000 = one simulated second)")
 
 
-def _add_chaos_options(parser: argparse.ArgumentParser) -> None:
-    """Seeded fault-injection knobs for fleet drivers."""
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    """``--fleet-*`` routing plus seeded fault injection for it."""
+    parser.add_argument("--fleet-dir", default=None, metavar="DIR",
+                        help="route jobs through a worker fleet "
+                             "sharing DIR instead of a local process "
+                             "pool (external workers may join with "
+                             "`repro fleet worker --dir DIR`)")
+    parser.add_argument("--fleet-workers", type=int, default=2,
+                        metavar="N",
+                        help="local fleet workers to spawn "
+                             "(default 2; 0 = external workers only)")
+    parser.add_argument("--fleet-ttl", type=float, default=10.0,
+                        metavar="S",
+                        help="fleet lease TTL in seconds (default 10)")
     group = parser.add_argument_group(
         "chaos injection (deterministic per --chaos-seed; each fault "
         "fires at most once per job fleet-wide, so sweeps converge to "
@@ -648,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write per-run JSON entries here")
     _add_exec_options(p_sweep)
     _add_supervision_options(p_sweep)
+    _add_fleet_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_res = sub.add_parser(
@@ -698,27 +643,16 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FILE",
                          help="matrix output path "
                               "(default metro_matrix.json)")
-    p_metro.add_argument("--fleet-dir", default=None, metavar="DIR",
-                         help="route shards through a worker fleet "
-                              "sharing DIR instead of a local process "
-                              "pool (external workers may join with "
-                              "`repro fleet worker --dir DIR`)")
-    p_metro.add_argument("--fleet-workers", type=int, default=2,
-                         metavar="N",
-                         help="local fleet workers to spawn "
-                              "(default 2; 0 = external workers only)")
-    p_metro.add_argument("--fleet-ttl", type=float, default=10.0,
-                         metavar="S",
-                         help="fleet lease TTL in seconds (default 10)")
     _add_exec_options(p_metro)
     _add_supervision_options(p_metro)
-    _add_chaos_options(p_metro)
+    _add_fleet_options(p_metro)
     p_metro.set_defaults(func=cmd_metro)
 
     p_fleet = sub.add_parser(
-        "fleet", help="distributed sweep fabric: drive a sweep "
-                      "through (or join) a shared-directory worker "
-                      "fleet")
+        "fleet", help="distributed sweep fabric: join or observe a "
+                      "shared-directory worker fleet (drive one "
+                      "with `sweep --fleet-dir` / `metro "
+                      "--fleet-dir`)")
     fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
 
     p_fw = fleet_sub.add_parser(
@@ -746,42 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fstat.add_argument("--dir", required=True,
                          help="the fleet's shared directory")
     p_fstat.set_defaults(func=cmd_fleet_status)
-
-    p_fs = fleet_sub.add_parser(
-        "sweep", help="run the stationary sweep through a fleet at "
-                      "--dir (spawns local workers; remote ones may "
-                      "join mid-sweep)")
-    p_fs.add_argument("--dir", required=True,
-                      help="shared fleet directory (local path, or a "
-                           "mount every worker host shares)")
-    p_fs.add_argument("--workers", type=int, default=2, metavar="N",
-                      help="local workers to spawn (default 2; "
-                           "0 = external workers only)")
-    p_fs.add_argument("--ttl", type=float, default=10.0, metavar="S",
-                      help="lease TTL in seconds (default 10)")
-    p_fs.add_argument("--schemes", default="pbe,bbr",
-                      help="comma-separated scheme list")
-    p_fs.add_argument("--busy", type=int, default=4,
-                      help="busy locations (paper: 25)")
-    p_fs.add_argument("--idle", type=int, default=2,
-                      help="idle locations (paper: 15)")
-    p_fs.add_argument("--duration", type=float, default=6.0,
-                      help="flow duration in seconds")
-    p_fs.add_argument("--seed", type=int, default=100,
-                      help="base seed of the location grid")
-    p_fs.add_argument("--view", default="summary",
-                      choices=("summary", "table1", "fig12", "fig15"),
-                      help="how to reduce the sweep for printing")
-    p_fs.add_argument("--save", default=None, metavar="FILE",
-                      help="also write per-run JSON entries here")
-    p_fs.add_argument("--cache-dir", default=None,
-                      help="content-addressed result cache directory "
-                           "(required for --resume)")
-    _add_supervision_options(p_fs)
-    _add_chaos_options(p_fs)
-    # The fleet paces itself (capacity=None); `jobs` only gates the
-    # runner's inline shortcut and progress reporting.
-    p_fs.set_defaults(func=cmd_fleet_sweep, jobs=2)
 
     p_cache = sub.add_parser(
         "cache", help="audit the result cache (verify / gc)")

@@ -9,14 +9,15 @@ package is the backbone that exploits both properties:
 * :class:`ResultStore` — a disk cache of completed payloads keyed by
   fingerprint, written atomically inside a checksummed envelope;
   invalid entries are quarantined (never silently deleted) and
-  ``python -m repro cache verify|gc`` audits and repairs the store;
+  ``python -m repro cache verify|gc`` audits and repairs the store.
+  It is the one record of which jobs are done: re-running a sweep on
+  the same store *is* the resume (finished fingerprints are cache
+  hits; failures are never stored, so they re-attempt);
 * :class:`ParallelRunner` — fans jobs out over a process pool (with
   inline fallback, concurrent per-job deadlines and crash retries with
-  jittered backoff), memoizes through the store, journals every
-  outcome, isolates per-job failures as :class:`JobFailure` records,
-  and drains cleanly on SIGINT/SIGTERM (:class:`SweepInterrupted`);
-* :class:`SweepJournal` — the append-only JSONL manifest that makes
-  interrupted sweeps resumable with zero recomputation.
+  jittered backoff), memoizes through the store, isolates per-job
+  failures as :class:`JobFailure` records, and drains cleanly on
+  SIGINT/SIGTERM (:class:`SweepInterrupted`).
 
 The stationary sweep, the figure drivers, the benchmark suite and the
 ``python -m repro sweep`` command all submit their runs through here.
@@ -42,12 +43,6 @@ from .fleet import (
     spawn_local_workers,
 )
 from .job import FINGERPRINT_VERSION, Job, canonical_json, scenario_to_dict
-from .journal import (
-    JOURNAL_NAME,
-    JournalState,
-    SweepJournal,
-    sweep_fingerprint,
-)
 from .runner import (
     JobEvent,
     JobExecutionError,
@@ -56,7 +51,7 @@ from .runner import (
     StderrReporter,
     make_runner,
 )
-from .store import ResultStore, StoreStats, payload_checksum
+from .store import ResultStore, StoreStats, payload_checksum, seal, unseal
 from .supervisor import (
     BackoffPolicy,
     FailureBudgetExceeded,
@@ -69,15 +64,14 @@ from .worker import execute_job, initialize_worker
 
 __all__ = [
     "BackoffPolicy", "ChaosSpec", "ExecBackend", "FINGERPRINT_VERSION",
-    "FailureBudgetExceeded", "FleetBackend", "FleetWorker",
-    "JOURNAL_NAME", "Job", "JobEvent", "JobExecutionError",
-    "JobFailure", "JournalState", "ParallelRunner", "ProbeJob",
-    "ProcessPoolBackend", "RemoteJobError", "ResultStore",
+    "FailureBudgetExceeded", "FleetBackend", "FleetWorker", "Job",
+    "JobEvent", "JobExecutionError", "JobFailure", "ParallelRunner",
+    "ProbeJob", "ProcessPoolBackend", "RemoteJobError", "ResultStore",
     "RunnerStats", "SignalDrain", "StderrReporter", "StoreStats",
-    "SweepInterrupted", "SweepJournal", "WorkerLostError",
-    "canonical_json", "chaos_events", "execute_job", "fleet_status",
-    "initialize_worker", "is_failure", "job_from_wire", "job_to_wire",
-    "make_runner", "payload_checksum", "register_job_kind",
-    "run_worker", "scenario_to_dict", "spawn_local_workers",
-    "sweep_fingerprint", "wire_kind_of",
+    "SweepInterrupted", "WorkerLostError", "canonical_json",
+    "chaos_events", "execute_job", "fleet_status", "initialize_worker",
+    "is_failure", "job_from_wire", "job_to_wire", "make_runner",
+    "payload_checksum", "register_job_kind", "run_worker",
+    "scenario_to_dict", "seal", "spawn_local_workers", "unseal",
+    "wire_kind_of",
 ]

@@ -1,8 +1,8 @@
 """Pluggable execution backends for the sweep runner.
 
 :class:`repro.exec.ParallelRunner` owns the sweep-level semantics —
-dedup, memoization, deadlines, retries, failure isolation, journaling,
-signal drains — and delegates the *mechanics* of running one job
+dedup, memoization, deadlines, retries, failure isolation, signal
+drains — and delegates the *mechanics* of running one job
 somewhere else to an :class:`ExecBackend`:
 
 * :class:`ProcessPoolBackend` — the original

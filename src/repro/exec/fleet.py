@@ -31,14 +31,16 @@ The robustness contract:
   :class:`~repro.exec.BackoffPolicy` — fleet reclamation and pool
   crash-retry share one policy and one stats surface;
 * results travel in the same checksummed envelope as the
-  :class:`~repro.exec.ResultStore`; a corrupt file (torn write, chaos
-  injection) is quarantined and the job re-runs;
+  :class:`~repro.exec.ResultStore`, through the same
+  :func:`~repro.exec.store.seal` / :func:`~repro.exec.store.unseal`
+  codec; a corrupt file (torn write, chaos injection) is quarantined
+  and the job re-runs;
 * duplicate completions (lease takeover racing a stalled-but-alive
   worker) are harmless: jobs are deterministic, so both writers
   produce identical bytes and atomic rename makes last-write-wins
   safe;
-* everything flows into the driver's ``ResultStore`` + fsynced
-  ``SweepJournal``, so ``--resume`` works at fleet scope: a SIGKILLed
+* everything flows into the driver's ``ResultStore``, the one record
+  of which jobs are done, so resume works at fleet scope: a SIGKILLed
   fleet restarted on the same cache re-runs only unfinished jobs.
 """
 
@@ -58,7 +60,7 @@ from typing import Iterable, Optional, Set, Union
 
 from .backend import ExecBackend, job_from_wire, job_to_wire
 from .chaos import CHAOS_FILE, ChaosSpec, corrupt_bytes
-from .store import ENVELOPE_KEY, SCHEMA_VERSION, payload_checksum
+from .store import seal, unseal
 from .worker import execute_job, initialize_worker
 
 QUEUE_DIR = "queue"
@@ -370,10 +372,7 @@ class FleetWorker:
             time.sleep(min(0.05, deadline - time.monotonic()))
 
     def _write_result(self, fingerprint: str, payload: dict) -> None:
-        entry = {ENVELOPE_KEY: SCHEMA_VERSION,
-                 "sha256": payload_checksum(payload),
-                 "payload": payload}
-        encoded = json.dumps(entry, separators=(",", ":")).encode()
+        encoded = seal(payload)
         if self.chaos is not None and self.chaos.fire(
                 self.root, "corrupt", fingerprint):
             encoded = corrupt_bytes(encoded, self.chaos.seed,
@@ -861,23 +860,20 @@ class FleetBackend(ExecBackend):
             raw = path.read_bytes()
         except (FileNotFoundError, OSError):
             return None
-        entry = None
         try:
-            entry = json.loads(raw.decode("utf-8", errors="strict"))
-        except (ValueError, UnicodeDecodeError):
-            pass
+            return unseal(raw)
+        except ValueError:
+            pass  # not a sealed payload: a failure record, or junk
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            entry = None
         if isinstance(entry, dict) and entry.get("kind") == "failure":
             failure = entry.get("failure") or {}
             return RemoteJobError(
                 failure.get("exc_type", "Exception"),
                 failure.get("message", "remote job failed"),
                 failure.get("traceback", ""))
-        if (isinstance(entry, dict)
-                and entry.get(ENVELOPE_KEY) == SCHEMA_VERSION
-                and isinstance(entry.get("payload"), dict)
-                and entry.get("sha256")
-                == payload_checksum(entry["payload"])):
-            return entry["payload"]
         dest = self.root / QUARANTINE_DIR / f"{fp}.json"
         try:
             dest.parent.mkdir(parents=True, exist_ok=True)

@@ -87,7 +87,7 @@ class Job:
         The execution subsystem dispatches through this method, so job
         types other than the single-flow simulation (e.g.
         :class:`repro.metro.MetroShardJob`) plug into the same
-        supervised runner, cache and journal.  Imports are deferred:
+        supervised runner and cache.  Imports are deferred:
         the job module stays importable without the full harness.
 
         A ``checkpoint`` attribute (a :meth:`CheckpointConfig.to_dict`

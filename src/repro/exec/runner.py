@@ -7,20 +7,23 @@ The execution plan for one :meth:`ParallelRunner.run` call:
 
 1. fingerprint every job; duplicates collapse onto one execution;
 2. satisfy what the :class:`ResultStore` already holds (cache hits);
-3. execute the remainder — inline when ``jobs=1`` (or the platform has
-   no working process pool), otherwise across worker processes with
-   concurrent per-job deadlines and retry-on-worker-crash;
-4. persist each payload (and journal each outcome) the moment it
-   completes, so an interrupted sweep resumes from where it stopped.
+3. execute the remainder — inline when no deadline is set and
+   ``jobs=1`` or one job is pending (or the platform has no working
+   process pool), otherwise across worker processes with concurrent
+   per-job deadlines and retry-on-worker-crash;
+4. persist each payload the moment it completes.  The store is the
+   only record of a finished job: re-running the same sweep *is* the
+   resume (finished fingerprints are cache hits, failures are never
+   stored so they re-attempt).
 
 Supervision (see :mod:`repro.exec.supervisor`): a job whose own code
 raises becomes a structured :class:`JobFailure` in its result slot
 instead of aborting the sweep (``strict=True`` restores
 abort-on-first-failure), a failure-budget circuit breaker aborts early
 when too large a fraction of jobs fail, retries back off exponentially
-with deterministic jitter, and SIGINT/SIGTERM drain in-flight work and
-flush the journal before raising :class:`SweepInterrupted` (a second
-signal hard-aborts).
+with deterministic jitter, and SIGINT/SIGTERM drain in-flight work
+(every finished payload is already in the store) before raising
+:class:`SweepInterrupted` (a second signal hard-aborts).
 
 Results come back in submission order, and ``runner.stats`` describes
 the last run (executed / cached / failed / quarantined counts, per-job
@@ -39,7 +42,6 @@ from typing import Callable, Optional, Sequence
 
 from .backend import ExecBackend, ProcessPoolBackend
 from .job import Job
-from .journal import JOURNAL_NAME, SweepJournal, sweep_fingerprint
 from .store import ResultStore
 from .supervisor import (
     BackoffPolicy,
@@ -158,18 +160,20 @@ class StderrReporter:
 class ParallelRunner:
     """Fans jobs out over worker processes, memoizing via a store.
 
-    ``jobs=1`` executes inline (no pool, no pickling) — the worker path
-    calls the identical :func:`execute_job`, so both modes return
-    byte-identical payloads.  ``timeout_s`` is a per-job *execution*
-    deadline enforced *concurrently* across all in-flight jobs (stall
-    detection for k slow jobs is O(timeout), not O(k × timeout)); jobs
-    are handed to the pool only as workers free up, so the clock never
-    runs down on a job that is merely queued behind a full pool —
-    queue wait is not execution time and consumes no attempts;
-    ``retries`` is how many times a job is
-    re-submitted after a worker crash or timeout (with exponential
-    backoff and deterministic jitter) before the failure becomes
-    terminal.
+    ``jobs=1`` without a deadline executes inline (no pool, no
+    pickling) — the worker path calls the identical
+    :func:`execute_job`, so both modes return byte-identical payloads.
+    ``timeout_s`` is a per-job *execution* deadline; only a pool can
+    enforce one, so setting it routes even ``jobs=1`` or a single
+    pending job through a worker process.  It is enforced
+    *concurrently* across all in-flight jobs (stall detection for k
+    slow jobs is O(timeout), not O(k × timeout)); jobs are handed to
+    the pool only as workers free up, so the clock never runs down on
+    a job that is merely queued behind a full pool — queue wait is not
+    execution time and consumes no attempts.  ``retries`` is how many
+    times a job is re-submitted after a worker crash or timeout (with
+    exponential backoff and deterministic jitter) before the failure
+    becomes terminal.
 
     Terminal failures: with ``strict=False`` (default) a failed job —
     its own code raised, its deadline expired, or its worker crashed
@@ -179,9 +183,8 @@ class ParallelRunner:
     :class:`JobExecutionError` for crashes/timeouts).
     ``failure_budget`` (a fraction) aborts the whole sweep with
     :class:`FailureBudgetExceeded` once more than that share of jobs
-    has failed.  A :class:`SweepJournal` records every outcome as it
-    happens; SIGINT/SIGTERM drain in-flight work, flush journal and
-    store, and raise :class:`SweepInterrupted`.
+    has failed.  SIGINT/SIGTERM drain in-flight work and raise
+    :class:`SweepInterrupted`; what finished is in the store.
     """
 
     def __init__(self, jobs: int = 1,
@@ -192,7 +195,6 @@ class ParallelRunner:
                  strict: bool = False,
                  failure_budget: Optional[float] = None,
                  backoff: Optional[BackoffPolicy] = None,
-                 journal: Optional[SweepJournal] = None,
                  handle_signals: bool = True,
                  backend: Optional[ExecBackend] = None,
                  checkpoint_dir=None,
@@ -214,7 +216,6 @@ class ParallelRunner:
         self.strict = strict
         self.failure_budget = failure_budget
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.journal = journal
         self.handle_signals = handle_signals
         #: Explicit execution backend (e.g. a
         #: :class:`repro.exec.fleet.FleetBackend`).  ``None`` keeps the
@@ -277,15 +278,13 @@ class ParallelRunner:
         if self.checkpoint_dir is not None and pending:
             self._attach_checkpoints(pending, fingerprints)
 
-        if self.journal is not None and pending:
-            self.journal.begin(sweep_fingerprint(fingerprints),
-                               total=len(jobs))
-
         drain = SignalDrain(enabled=self.handle_signals)
         try:
             with drain:
                 if pending:
-                    if (self.backend is None
+                    # Only a pool can enforce a deadline, so the
+                    # inline shortcut is for deadline-free runs.
+                    if (self.backend is None and self.timeout_s is None
                             and (self.jobs == 1 or len(pending) == 1)):
                         self._run_inline(pending, fingerprints, results,
                                          drain)
@@ -295,29 +294,20 @@ class ParallelRunner:
         except BaseException:
             # Any propagating abort — FailureBudgetExceeded, a
             # strict-mode job exception, JobExecutionError, a hard
-            # second-signal KeyboardInterrupt — still finalizes stats
-            # and leaves an end marker, so ``stats`` describes the
-            # partial run and ``replay()`` sees how it terminated.
+            # second-signal KeyboardInterrupt — still finalizes stats,
+            # so ``stats`` describes the partial run.
             self._finish(t0, quarantined_before)
-            if pending:
-                self._journal_end("aborted")
             raise
         if drain.stop_requested:
             self._finish(t0, quarantined_before)
-            if pending:
-                self._journal_end("interrupted")
-            raise SweepInterrupted(
-                done=self._done, total=self.stats.total,
-                journal_path=(self.journal.path
-                              if self.journal is not None else None))
+            raise SweepInterrupted(done=self._done,
+                                   total=self.stats.total)
 
         for i, source in duplicates:
             results[i] = results[source]
             self._done += 1
 
         self._finish(t0, quarantined_before)
-        if pending:
-            self._journal_end("complete")
         return results
 
     def _attach_checkpoints(self, pending: list,
@@ -349,10 +339,6 @@ class ParallelRunner:
             self.stats.checkpoints_quarantined = count_quarantined(
                 Path(self.checkpoint_dir))
 
-    def _journal_end(self, status: str) -> None:
-        if self.journal is not None:
-            self.journal.end(status)
-
     # ------------------------------------------------------------------
     def _emit(self, kind: str, job: Optional[Job] = None,
               wall_s: Optional[float] = None, detail: str = "") -> None:
@@ -368,8 +354,6 @@ class ParallelRunner:
         results[index] = payload
         if self.store is not None:
             self.store.put(fingerprint, payload)
-        if self.journal is not None:
-            self.journal.record_done(fingerprint, job.label, wall_s)
         self.stats.executed += 1
         self.stats.job_wall_s.append(wall_s)
         self._done += 1
@@ -380,16 +364,13 @@ class ParallelRunner:
               results: list) -> None:
         """Record one terminal failure (non-strict path).
 
-        Failed jobs are journaled but never stored, so a re-run (or
-        ``--resume``) re-attempts exactly the failures while finished
-        fingerprints stay cache hits.
+        Failed jobs are never stored, so a re-run re-attempts exactly
+        the failures while finished fingerprints stay cache hits.
         """
         failure = JobFailure.from_exception(
             job.label, fingerprint, kind, exc, attempts=attempts,
             wall_s=wall_s)
         results[index] = failure
-        if self.journal is not None:
-            self.journal.record_failure(failure)
         self.stats.failed += 1
         self._done += 1
         self._emit("failed", job=job, wall_s=wall_s,
@@ -432,9 +413,11 @@ class ParallelRunner:
             while queue and not drain.stop_requested:
                 backend = persistent or self._make_backend(len(queue))
                 if backend is None:
-                    self._emit("fallback",
-                               detail="process pool unavailable; "
-                                      "running jobs inline")
+                    detail = ("process pool unavailable; running "
+                              "jobs inline")
+                    if self.timeout_s is not None:
+                        detail += " (deadlines are not enforced)"
+                    self._emit("fallback", detail=detail)
                     self._run_inline(queue, fingerprints, results, drain)
                     return
                 if backend.persistent or backend is self.backend:
@@ -680,39 +663,26 @@ class ParallelRunner:
 
 
 def make_runner(jobs: int = 1, cache_dir=None,
-                runner: Optional[ParallelRunner] = None,
                 progress: Optional[Callable[[JobEvent], None]] = None,
                 *,
                 retries: int = 1,
                 timeout_s: Optional[float] = None,
                 strict: bool = False,
                 failure_budget: Optional[float] = None,
-                journal=None,
                 handle_signals: bool = True,
                 backend: Optional[ExecBackend] = None,
                 checkpoint_dir=None,
                 checkpoint_every: Optional[int] = None) -> ParallelRunner:
     """The experiment drivers' shared runner-construction shorthand.
 
-    Passing an explicit ``runner`` wins (and exposes its ``stats`` to
-    the caller); otherwise one is built from ``jobs`` and an optional
-    ``cache_dir`` (which enables the on-disk result store *and* an
-    append-only sweep journal beside it — pass ``journal=False`` to
-    disable, or a path/:class:`SweepJournal` to relocate it).
+    Builds a :class:`ParallelRunner` from ``jobs`` and an optional
+    ``cache_dir``, which enables the on-disk :class:`ResultStore` —
+    the one record of which jobs are done.
     """
-    if runner is not None:
-        return runner
     store = ResultStore(cache_dir) if cache_dir else None
-    if journal is None and cache_dir:
-        journal = SweepJournal(Path(cache_dir) / JOURNAL_NAME)
-    elif isinstance(journal, (str, Path)):
-        journal = SweepJournal(journal)
-    elif journal is False:
-        journal = None
     return ParallelRunner(jobs=jobs, store=store, progress=progress,
                           retries=retries, timeout_s=timeout_s,
                           strict=strict, failure_budget=failure_budget,
-                          journal=journal,
                           handle_signals=handle_signals,
                           backend=backend,
                           checkpoint_dir=checkpoint_dir,

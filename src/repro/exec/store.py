@@ -8,6 +8,11 @@ payloads travel inside a checksummed envelope::
     {"__repro_envelope__": 1, "sha256": "<payload checksum>",
      "payload": {...}}
 
+:func:`seal` / :func:`unseal` are the envelope's one codec — the store
+and the fleet's ``results/`` files (:mod:`repro.exec.fleet`) both go
+through it, so a result is validated by the same checks, with the same
+quarantine reasons, wherever it is read.
+
 Writes go through :func:`repro.harness.serialize.write_json_atomic`,
 so an interrupted run can never leave a truncated entry — and whatever
 *did* complete is picked up as cache hits when the sweep is re-run,
@@ -56,6 +61,44 @@ def payload_checksum(payload: dict) -> str:
     """SHA-256 over the canonical JSON encoding of ``payload``."""
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def _envelope(payload: dict) -> dict:
+    return {ENVELOPE_KEY: SCHEMA_VERSION,
+            "sha256": payload_checksum(payload),
+            "payload": payload}
+
+
+def seal(payload: dict) -> bytes:
+    """``payload`` in its checksummed envelope, as compact JSON bytes."""
+    return json.dumps(_envelope(payload),
+                      separators=(",", ":")).encode()
+
+
+def unseal(raw: bytes, legacy: bool = False) -> dict:
+    """The payload inside a sealed entry, checksum verified.
+
+    Raises :class:`ValueError` whose message is the quarantine reason.
+    ``legacy=True`` accepts a pre-envelope entry (a bare JSON object)
+    as its own payload.
+    """
+    try:
+        entry = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        raise ValueError("unparseable JSON") from None
+    if not isinstance(entry, dict):
+        raise ValueError("not a JSON object")
+    if legacy and ENVELOPE_KEY not in entry:
+        return entry
+    schema = entry.get(ENVELOPE_KEY)
+    payload = entry.get("payload")
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"unknown envelope schema {schema!r}")
+    if not isinstance(payload, dict):
+        raise ValueError("envelope without payload")
+    if entry.get("sha256") != payload_checksum(payload):
+        raise ValueError("checksum mismatch")
+    return payload
 
 
 @dataclass
@@ -107,34 +150,17 @@ class ResultStore:
         """
         path = self.path_for(fingerprint)
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except (FileNotFoundError, OSError):
             return None
         try:
-            entry = json.loads(text)
-        except ValueError:
-            self.quarantine(fingerprint, "unparseable JSON")
+            # Pre-envelope entries are accepted as-is (determinism
+            # already guarantees their content; verify() upgrades them
+            # in place).
+            return unseal(raw, legacy=True)
+        except ValueError as exc:
+            self.quarantine(fingerprint, str(exc))
             return None
-        if not isinstance(entry, dict):
-            self.quarantine(fingerprint, "not a JSON object")
-            return None
-        if ENVELOPE_KEY not in entry:
-            # Pre-envelope entry: accept as-is (determinism already
-            # guarantees its content; verify() upgrades it in place).
-            return entry
-        schema = entry.get(ENVELOPE_KEY)
-        payload = entry.get("payload")
-        if schema != SCHEMA_VERSION:
-            self.quarantine(fingerprint,
-                            f"unknown envelope schema {schema!r}")
-            return None
-        if not isinstance(payload, dict):
-            self.quarantine(fingerprint, "envelope without payload")
-            return None
-        if entry.get("sha256") != payload_checksum(payload):
-            self.quarantine(fingerprint, "checksum mismatch")
-            return None
-        return payload
 
     def put(self, fingerprint: str, payload: dict) -> None:
         """Persist one completed job's payload (atomic, checksummed).
@@ -148,10 +174,7 @@ class ResultStore:
         anyway.  ``fsync`` before the rename keeps a machine crash
         from leaving an empty (→ quarantined) entry behind.
         """
-        entry = {ENVELOPE_KEY: SCHEMA_VERSION,
-                 "sha256": payload_checksum(payload),
-                 "payload": payload}
-        write_json_atomic(entry, self.path_for(fingerprint),
+        write_json_atomic(_envelope(payload), self.path_for(fingerprint),
                           indent=None, fsync=True)
 
     def discard(self, fingerprint: str) -> None:

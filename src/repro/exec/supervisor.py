@@ -131,19 +131,16 @@ class FailureBudgetExceeded(RuntimeError):
 class SweepInterrupted(RuntimeError):
     """A signal stopped the sweep after a clean drain.
 
-    Everything that finished before the drain is persisted (store +
-    journal); re-running the same sweep resumes from there.
+    Everything that finished before the drain is in the result store;
+    re-running the same sweep resumes from there.
     """
 
-    def __init__(self, done: int, total: int,
-                 journal_path=None) -> None:
-        where = f" (journal at {journal_path})" if journal_path else ""
+    def __init__(self, done: int, total: int) -> None:
         super().__init__(
             f"sweep interrupted: {done}/{total} jobs finished and "
-            f"persisted{where}; re-run to resume")
+            f"persisted; re-run to resume")
         self.done = done
         self.total = total
-        self.journal_path = journal_path
 
 
 class SignalDrain:

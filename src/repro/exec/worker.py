@@ -27,8 +27,8 @@ def initialize_worker(role: str = "pool") -> None:
     ignores SIGINT **and** SIGTERM so a Ctrl-C (or a terminal-wide
     TERM) interrupts only the parent, whose
     :class:`repro.exec.SignalDrain` then drains in-flight jobs cleanly
-    — completed jobs already sit in the result store and journal,
-    making interrupted sweeps resumable.
+    — completed jobs already sit in the result store, making
+    interrupted sweeps resumable.
 
     ``"fleet"`` ignores only SIGINT: a standalone fleet worker has no
     supervising parent on its host, so SIGTERM must reach the worker
@@ -64,8 +64,8 @@ def execute_job(job: Job) -> dict:
     the current snapshot interval, writes one last snapshot at the
     boundary and raises :class:`~repro.harness.checkpoint.
     CheckpointDrain` (an ``OSError``, so the supervising runner files
-    it under crash-retry and a later ``--resume`` picks the job up from
-    the snapshot instead of from scratch).
+    it under crash-retry and a later re-run picks the job up from the
+    snapshot instead of from scratch).
     """
     if getattr(job, "checkpoint", None) is None:
         return json.loads(json.dumps(job.execute()))

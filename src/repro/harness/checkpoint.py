@@ -2,8 +2,8 @@
 
 A checkpoint captures a live :class:`repro.harness.runner.Experiment`
 at a subframe boundary — event heap, packets on the wire, derived RNG
-streams, PHY/channel/HARQ state, scheduler and PF state, monitor/decoder
-columnar buffers, per-flow transport state — as one versioned state
+streams, PHY/channel/HARQ state, scheduler and PF state, monitor and
+decoder state, per-flow transport state — as one versioned state
 document built by the :mod:`repro.statedict` codec (no raw pickling of
 live objects; every class is registered with an explicit skip list, and
 anything unrecognized raises instead of silently corrupting the
@@ -20,7 +20,7 @@ sequence numbers and compaction behaviour replay exactly).
 
 On-disk format (one file per snapshot, ``ckpt-<subframe>.snap``)::
 
-    {"schema": ..., "version": 3, "subframe": N,
+    {"schema": ..., "version": VERSION, "subframe": N,
      "length": L, "sha256": ...}\\n
     <L bytes of pickle payload>
 

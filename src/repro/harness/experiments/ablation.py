@@ -83,8 +83,8 @@ def run_ablation(variants: tuple = tuple(VARIANTS),
         for variant in variants]
     # Strict: this driver consumes payloads positionally, so a failed
     # job must abort (pass a non-strict ``runner`` to override).
-    runner = make_runner(jobs=jobs, cache_dir=cache_dir, runner=runner,
-                         progress=progress, strict=True)
+    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
+                                   progress=progress, strict=True)
     rows = []
     for variant, payload in zip(variants, runner.run(job_list)):
         fractions = payload["state_fractions"] or {}

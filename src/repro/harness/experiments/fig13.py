@@ -65,8 +65,8 @@ def run_fig13_14(schemes: tuple = EIGHT_SCHEMES,
                 for key in keys for scheme in schemes]
     # Strict: this driver consumes payloads positionally, so a failed
     # job must abort (pass a non-strict ``runner`` to override).
-    runner = make_runner(jobs=jobs, cache_dir=cache_dir, runner=runner,
-                         progress=progress, strict=True)
+    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
+                                   progress=progress, strict=True)
     payloads = iter(runner.run(job_list))
     out: dict[str, dict] = {}
     for key in keys:

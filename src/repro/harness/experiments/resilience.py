@@ -167,10 +167,7 @@ def run_resilience(schemes: tuple[str, ...] = ("pbe", "bbr"),
                    duration_s: float = 6.0,
                    base_seed: int = 400, fault_seed: int = 7,
                    jobs: int = 1, cache_dir=None,
-                   runner=None, progress=None,
-                   timeout_s=None, retries: int = 1,
-                   strict: bool = False,
-                   failure_budget=None) -> ResilienceResult:
+                   runner=None, progress=None) -> ResilienceResult:
     """Run the miss-rate × outage-duration resilience grid.
 
     Every scheme's (0, 0) cell is its unimpaired reference; the
@@ -179,10 +176,8 @@ def run_resilience(schemes: tuple[str, ...] = ("pbe", "bbr"),
     """
     job_list = resilience_jobs(schemes, miss_rates, outages_ms,
                                duration_s, base_seed, fault_seed)
-    runner = make_runner(jobs=jobs, cache_dir=cache_dir, runner=runner,
-                         progress=progress, timeout_s=timeout_s,
-                         retries=retries, strict=strict,
-                         failure_budget=failure_budget)
+    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
+                                   progress=progress)
     payloads = runner.run(job_list)
     result = ResilienceResult(duration_s=duration_s)
     for job, payload in zip(job_list, payloads):

@@ -9,7 +9,8 @@ Each (location, scheme) run is an independent, deterministic job, so
 the sweep submits through :class:`repro.exec.ParallelRunner`: pass
 ``jobs=N`` to fan runs out over worker processes and ``cache_dir`` to
 memoize completed runs on disk (re-running a sweep then only executes
-jobs whose inputs changed, and interrupted sweeps resume for free).
+jobs whose inputs changed or that never finished — the result store is
+the one record of finished work, so re-running *is* resuming).
 """
 
 from __future__ import annotations
@@ -117,10 +118,7 @@ def run_stationary_sweep(schemes: tuple[str, ...] = ("pbe", "bbr"),
                          duration_s: float = 8.0,
                          base_seed: int = 100,
                          jobs: int = 1, cache_dir=None,
-                         runner=None, progress=None,
-                         timeout_s=None, retries: int = 1,
-                         strict: bool = False,
-                         failure_budget=None) -> SweepResult:
+                         runner=None, progress=None) -> SweepResult:
     """Run ``schemes`` over a busy/idle location grid.
 
     ``n_busy=25, n_idle=15`` reproduces the paper's full 40-location
@@ -128,22 +126,17 @@ def run_stationary_sweep(schemes: tuple[str, ...] = ("pbe", "bbr"),
     reduced grid by default to keep runtimes sane).
 
     ``jobs``/``cache_dir`` configure parallelism and result caching
-    (see :func:`repro.exec.make_runner`); pass a ``runner`` directly to
-    reuse a pool/store across sweeps or to inspect its telemetry.
-    Supervision knobs pass straight through: ``timeout_s`` (concurrent
-    per-job deadline), ``retries`` (crash/timeout re-submissions with
-    jittered backoff), ``strict`` (abort on first failure instead of
-    recording a :class:`repro.exec.JobFailure` in ``.failures``) and
-    ``failure_budget`` (abort once that fraction of jobs has failed).
-    With a ``cache_dir`` the sweep journals every outcome beside the
-    cache, so an interrupted run resumes with zero recomputation.
+    (see :func:`repro.exec.make_runner`); pass a ``runner`` instead to
+    set its supervision (deadline, retries, ``strict``, failure
+    budget), to reuse a store across sweeps or to inspect its
+    telemetry.  Failed jobs land in ``.failures`` as
+    :class:`repro.exec.JobFailure` records; with a cache an
+    interrupted run, re-run, recomputes only what never finished.
     """
     job_list = sweep_jobs(schemes, n_busy=n_busy, n_idle=n_idle,
                           duration_s=duration_s, base_seed=base_seed)
-    runner = make_runner(jobs=jobs, cache_dir=cache_dir, runner=runner,
-                         progress=progress, timeout_s=timeout_s,
-                         retries=retries, strict=strict,
-                         failure_budget=failure_budget)
+    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
+                                   progress=progress)
     payloads = runner.run(job_list)
     result = SweepResult()
     for job, payload in zip(job_list, payloads):

@@ -3,7 +3,7 @@
 The driver splits the grid into site-aligned shards, wraps each as a
 fingerprinted :class:`MetroShardJob`, submits the lot through the
 supervised :func:`repro.exec.make_runner` machinery (process pool,
-content-addressed cache, journal, SIGINT drain, resume) and merges the
+content-addressed cache, SIGINT drain, resume) and merges the
 payloads into the matrix document.  Shard payloads are pure functions
 of their fingerprints, so a resumed or fully-cached run reassembles a
 byte-identical matrix.
@@ -65,23 +65,21 @@ def shard_jobs(mset: MetroSet,
 
 
 def run_metro(name_or_set: "str | MetroSet", jobs: int = 1,
-              cache_dir=None, runner=None, progress=None,
-              timeout_s=None, retries: int = 1, strict: bool = False,
-              failure_budget=None) -> MetroRunResult:
+              cache_dir=None, runner=None,
+              progress=None) -> MetroRunResult:
     """Run one metro set end to end and build its matrix.
 
-    Supervision knobs mirror :func:`repro.harness.experiments.
-    run_stationary_sweep`; with a ``cache_dir`` every shard outcome is
-    journaled beside the cache, so an interrupted run resumes with
-    zero recomputation and an identical matrix.
+    Execution arguments mirror :func:`repro.harness.experiments.
+    run_stationary_sweep` (pass a ``runner`` to set its supervision);
+    with a cache every finished shard is stored, so an interrupted
+    run, re-run, recomputes only the rest and builds an identical
+    matrix.
     """
     mset = resolve_set(name_or_set)
     grid = build_grid(mset.grid)
     job_list = shard_jobs(mset, grid=grid)
-    runner = make_runner(jobs=jobs, cache_dir=cache_dir, runner=runner,
-                         progress=progress, timeout_s=timeout_s,
-                         retries=retries, strict=strict,
-                         failure_budget=failure_budget)
+    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
+                                   progress=progress)
     payloads = runner.run(job_list)
 
     good, failures, missing = [], [], []

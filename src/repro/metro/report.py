@@ -6,7 +6,7 @@ measurements of §6.4 — Jain index over the cell's coexistence fleet,
 PBE capacity-tracking error, handover churn, fallback time — plus the
 diurnal population counts.  It contains no wall-clock values, so two
 runs with the same seed produce byte-identical files (including runs
-resumed after SIGINT: rows are rebuilt from journaled payloads).
+resumed after SIGINT: rows are rebuilt from stored payloads).
 """
 
 from __future__ import annotations

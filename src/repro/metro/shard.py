@@ -7,7 +7,7 @@ walkers handing over between cells, and a PBE/cubic/BBR fairness fleet
 on every busy cell.  :class:`MetroShardJob` wraps the shard's
 parameter dictionary with a content fingerprint so shards run through
 the supervised :mod:`repro.exec` machinery (process pool, result
-cache, journal, resume) exactly like single-flow jobs.
+cache, resume) exactly like single-flow jobs.
 
 Everything the shard simulates is derived from ``params`` alone, so
 the fingerprint fully keys the result (:func:`shard_fingerprint`

@@ -100,12 +100,6 @@ def test_sweep_failure_budget_exit_code():
                  "--failure-budget", "10"]) == 3
 
 
-def test_resume_requires_cache_dir():
-    with pytest.raises(SystemExit, match="--cache-dir"):
-        main(["sweep", "--schemes", "bbr", "--busy", "1", "--idle",
-              "1", "--duration", "1", "--resume"])
-
-
 def test_cache_verify_and_gc(capsys, tmp_path):
     cache = tmp_path / "cache"
     assert main(["sweep", "--schemes", "bbr", "--busy", "1", "--idle",

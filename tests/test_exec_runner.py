@@ -6,19 +6,26 @@ simulator.
 """
 
 import concurrent.futures
+import inspect
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+import repro.exec
+from repro.cli import main
 from repro.exec import (
     Job,
     JobEvent,
     JobExecutionError,
     ParallelRunner,
+    ProbeJob,
     ResultStore,
     canonical_json,
     execute_job,
     is_failure,
+    make_runner,
 )
 from repro.harness import Scenario
 from repro.harness.experiments import run_stationary_sweep
@@ -173,6 +180,18 @@ def test_pool_unavailable_falls_back_inline(monkeypatch):
     assert runner.stats.executed == 1
 
 
+def test_pool_unavailable_fallback_says_deadlines_are_off(monkeypatch):
+    for timeout_s, expected in ((None, False), (60.0, True)):
+        events = []
+        runner = ParallelRunner(jobs=4, timeout_s=timeout_s,
+                                progress=events.append)
+        monkeypatch.setattr(runner, "_make_executor", lambda n: None)
+        payloads = runner.run([ProbeJob({"id": i}) for i in range(2)])
+        assert [p["probe"] for p in payloads] == [0, 1]
+        [detail] = [e.detail for e in events if e.kind == "fallback"]
+        assert ("deadlines are not enforced" in detail) is expected
+
+
 def test_job_error_isolated_inline_by_default():
     runner = ParallelRunner()
     [failure] = runner.run([Job(tiny_scenario(), "warp-drive")])
@@ -196,11 +215,82 @@ def test_timeout_guard_raises_after_retries_when_strict():
     runner = ParallelRunner(jobs=2, timeout_s=0.001, retries=0,
                             strict=True)
     with pytest.raises(JobExecutionError) as err:
-        # two jobs: a single pending job would take the inline path,
-        # which has no pool to time out on
         runner.run([Job(tiny_scenario(seed=7), "bbr"),
                     Job(tiny_scenario(seed=8), "bbr")])
     assert "/bbr" in str(err.value)
+    with pytest.raises(JobExecutionError):  # the one-job case too
+        runner.run([Job(tiny_scenario(seed=7), "bbr")])
+
+
+@pytest.mark.parametrize("jobs, n_pending", [(1, 2), (4, 1)])
+def test_deadline_is_enforced_where_the_inline_shortcut_applied(
+        jobs, n_pending):
+    # Regression: ``jobs == 1`` (the CLI default) or a single pending
+    # job (the typical re-run: the one job that hung) took the inline
+    # path, which has no deadline — timeout_s was silently ignored.
+    if not pool_works():
+        pytest.skip("no working process pool on this platform")
+    runner = ParallelRunner(jobs=jobs, timeout_s=0.2, retries=0)
+    t0 = time.monotonic()
+    results = runner.run([ProbeJob({"id": i, "sleep_s": 1.0})
+                          for i in range(n_pending)])
+    assert all(is_failure(r) and r.kind == "timeout" for r in results)
+    assert runner.stats.failed == n_pending
+    # each 1 s sleeper is cut off at 0.2 s, one worker at a time
+    assert time.monotonic() - t0 < n_pending * 1.0
+
+
+# ---------------------------------------------------------------------
+# The store is the only record of a finished job.
+def test_rerun_reexecutes_only_failures(tmp_path):
+    """The resume contract: done jobs are cache hits, failed re-run."""
+    jobs = [Job(tiny_scenario(seed=1), "bbr"),
+            Job(tiny_scenario(seed=2), "warp-drive")]
+    make_runner(jobs=1, cache_dir=tmp_path).run(jobs)
+    assert len(ResultStore(tmp_path)) == 1  # failures are never stored
+
+    again = make_runner(jobs=1, cache_dir=tmp_path)
+    results = again.run(jobs)
+    assert again.stats.cache_hits == 1  # done job not recomputed
+    assert again.stats.executed == 0
+    assert again.stats.failed == 1      # failure re-attempted, not skipped
+    assert is_failure(results[1])
+
+
+def test_strict_abort_finalizes_stats(tmp_path):
+    # Regression: a strict-mode job exception used to skip _finish —
+    # stats.wall_s stayed 0 for a run that actually aborted.
+    runner = make_runner(jobs=1, cache_dir=tmp_path, strict=True)
+    jobs = [Job(tiny_scenario(seed=1), "bbr"),
+            Job(tiny_scenario(seed=2), "warp-drive"),
+            Job(tiny_scenario(seed=3), "bbr")]
+    with pytest.raises(ValueError):
+        runner.run(jobs)
+    assert runner.stats.wall_s > 0
+    assert runner.stats.executed == 1
+    assert jobs[0].fingerprint() in runner.store  # stored pre-abort
+    assert len(runner.store) == 1
+
+
+def test_one_record_of_done(tmp_path, capsys):
+    for func in (ParallelRunner, make_runner):
+        names = set(inspect.signature(func).parameters)
+        assert not names & {"journal", "runner"}, func
+    assert not [n for n in dir(repro.exec) if "journal" in n.lower()]
+    assert not hasattr(repro.exec.SweepInterrupted(1, 2), "journal_path")
+    # a cache directory holds store shards and nothing else
+    make_runner(cache_dir=tmp_path).run([ProbeJob({"id": 1})])
+    assert [p for p in tmp_path.iterdir() if not p.is_dir()] == []
+    for argv in (["sweep", "--resume"],
+                 ["fleet", "sweep", "--dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+    capsys.readouterr()
+    # the fleet speaks the store's envelope codec, not a copy of it
+    fleet_source = Path(repro.exec.fleet.__file__).read_text()
+    for name in ("ENVELOPE_KEY", "SCHEMA_VERSION", "payload_checksum"):
+        assert name not in fleet_source
 
 
 def test_timeout_isolated_as_failure_by_default():

@@ -5,7 +5,16 @@ import os
 
 import pytest
 
-from repro.exec import ResultStore, payload_checksum
+from repro.exec import (
+    FleetBackend,
+    ProbeJob,
+    ResultStore,
+    WorkerLostError,
+    payload_checksum,
+    seal,
+    unseal,
+)
+from repro.exec.fleet import RESULT_DIR
 from repro.exec.store import ENVELOPE_KEY, SCHEMA_VERSION
 from repro.harness.serialize import write_json_atomic
 
@@ -83,6 +92,61 @@ def test_put_writes_checksummed_envelope(tmp_path):
     assert entry[ENVELOPE_KEY] == SCHEMA_VERSION
     assert entry["sha256"] == payload_checksum({"x": 1})
     assert entry["payload"] == {"x": 1}
+
+
+def test_seal_unseal_roundtrip():
+    payload = {"x": 1.5, "nested": {"k": [1, 2]}, "s": "é"}
+    sealed = seal(payload)
+    assert isinstance(sealed, bytes)
+    assert unseal(sealed) == payload
+    # the format is the one hand-built envelopes have always had
+    assert json.loads(sealed) == {
+        ENVELOPE_KEY: SCHEMA_VERSION,
+        "sha256": payload_checksum(payload), "payload": payload}
+    # a bare object is a payload only to the store's legacy read path
+    assert unseal(b'{"pre": "envelope"}', legacy=True) == {
+        "pre": "envelope"}
+    with pytest.raises(ValueError, match="unknown envelope schema None"):
+        unseal(b'{"pre": "envelope"}')
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (b'{"ok": tru', "unparseable JSON"),
+    (b"\xff\xfe{}", "unparseable JSON"),
+    (b"[1, 2, 3]", "not a JSON object"),
+    (json.dumps({ENVELOPE_KEY: SCHEMA_VERSION + 1, "sha256": "x",
+                 "payload": {}}).encode(),
+     f"unknown envelope schema {SCHEMA_VERSION + 1}"),
+    (json.dumps({ENVELOPE_KEY: SCHEMA_VERSION,
+                 "sha256": "x"}).encode(), "envelope without payload"),
+    (json.dumps({ENVELOPE_KEY: SCHEMA_VERSION, "sha256": "0" * 64,
+                 "payload": {"probe": 1}}).encode(),
+     "checksum mismatch"),
+])
+def test_one_codec_rejects_store_entries_and_fleet_results_alike(
+        tmp_path, raw, reason):
+    with pytest.raises(ValueError) as err:
+        unseal(raw)
+    assert str(err.value) == reason
+    # as a store entry: quarantined with that reason, a miss
+    store = ResultStore(tmp_path / "cache")
+    store.path_for(FP).parent.mkdir(parents=True)
+    store.path_for(FP).write_bytes(raw)
+    assert store.get(FP) is None
+    assert store.quarantine_events == 1
+    log = (store.quarantine_root / "log.jsonl").read_text()
+    assert json.loads(log)["reason"] == reason
+    # as a fleet result: quarantined, the job is lost and re-queued
+    backend = FleetBackend(tmp_path / "fleet", poll_s=0.02)
+    handle = backend.submit(ProbeJob({"id": 1}))
+    result = tmp_path / "fleet" / RESULT_DIR / f"{handle.fingerprint}.json"
+    result.write_bytes(raw)
+    with pytest.raises(WorkerLostError, match="corrupt in transit"):
+        backend.result(handle)
+    assert backend.corrupt_results == 1
+    assert (tmp_path / "fleet" / "quarantine"
+            / f"{handle.fingerprint}.json").read_bytes() == raw
+    backend.shutdown(wait=False)
 
 
 def test_non_dict_entry_quarantined(tmp_path):

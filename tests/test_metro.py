@@ -228,5 +228,5 @@ def test_cli_parses_metro_options():
     from repro.cli import build_parser
     args = build_parser().parse_args(
         ["metro", "--smoke", "--hour-s", "0.2", "--jobs", "2",
-         "--cache-dir", "/tmp/x", "--resume", "--out", "m.json"])
-    assert args.smoke and args.hour_s == 0.2 and args.resume
+         "--cache-dir", "/tmp/x", "--out", "m.json"])
+    assert args.smoke and args.hour_s == 0.2 and args.out == "m.json"
