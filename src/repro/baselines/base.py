@@ -29,9 +29,10 @@ DUPACK_THRESHOLD = 3
 MIN_RTO_US = 200_000
 
 
-@dataclass
+@dataclass(slots=True)
 class AckContext:
-    """Everything a congestion controller learns from one ACK."""
+    """Everything a congestion controller learns from one ACK (one per
+    ACK: slotted, and built positionally on the block path)."""
 
     ack: Packet
     now_us: int
@@ -62,7 +63,7 @@ class CongestionControl:
     def on_ack_block(self, contexts: list[AckContext]) -> None:
         """Process one grant cycle's worth of acknowledgements.
 
-        The columnar transport engine hands each uplink burst to the
+        The transport engine hands each uplink burst to the
         controller as a block.  The default is the sequential
         :meth:`on_ack` loop — byte-identical to scalar delivery, with
         the method dispatch hoisted out of the loop — so every scheme
@@ -205,6 +206,10 @@ class Sender(Receiver):
         if not self._running:
             return
         sim, cc, mss = self.sim, self.cc, self.mss_bits
+        flow_id, egress = self.flow_id, self.egress
+        outstanding, send_order = self._outstanding, self._send_order
+        delivered_bits = self.delivered_bits
+        delivered_time_us = self.delivered_time_us
         now = sim.now
         rto_us = max(MIN_RTO_US, 4 * self.srtt_us)  # = _rto_us(), no call
         valid_until = -1  # nothing asked yet
@@ -223,20 +228,19 @@ class Sender(Receiver):
             if cwnd is not None and self.inflight_bits + mss > cwnd:
                 break
             seq = self.next_seq
-            packet = Packet(self.flow_id, seq, mss, sent_time_us=now)
-            packet.app_limited = app_limited
-            packet.delivered_at_send = self.delivered_bits
-            packet.delivered_time_at_send = self.delivered_time_us or now
+            packet = Packet(flow_id, seq, mss, False, now, -1, None,
+                            delivered_bits, delivered_time_us or now,
+                            app_limited)
             self.next_seq = seq + 1
-            self._outstanding[seq] = (mss, now)
-            self._send_order.append(seq)
+            outstanding[seq] = (mss, now)
+            send_order.append(seq)
             self.inflight_bits += mss
             self.sent_packets += 1
             cc.on_send(packet)
             self._rto_deadline_us = now + rto_us
             if self._rto_event is None:
                 self._rto_event = sim.schedule(rto_us, self._on_rto)
-            self.egress.receive(packet)
+            egress.receive(packet)
             now += gap_us
             if not sim.advance_to(now):
                 self._pacing_active = True
@@ -308,7 +312,7 @@ class Sender(Receiver):
 
         Three guards route back to the scalar path: a mixed batch
         (non-ACK or foreign-flow packets — only same-flow ACKs have the
-        uniform shape the columns assume), a foreign ``flow_id``, and
+        uniform shape the loop assumes), a foreign ``flow_id``, and
         an installed ``on_ack_hook`` (hooks observe per-ACK
         interleaving the block deliberately elides).
 
@@ -332,12 +336,7 @@ class Sender(Receiver):
 
         now = self.sim.now
         outstanding = self._outstanding
-        packets = batch.packets
-        acked_seqs = batch.acked_seq
-        sent_times = batch.sent_time_us
-        das = batch.delivered_at_send
-        dtas = batch.delivered_time_at_send
-        app_limiteds = batch.app_limited
+        send_order = self._send_order
 
         # Hoisted sender state (written back before any CC callback).
         srtt = self.srtt_us
@@ -360,18 +359,18 @@ class Sender(Receiver):
                 self.cc.on_ack_block(pending)
                 pending.clear()
 
-        for i in range(len(packets)):
-            entry = outstanding.pop(acked_seqs[i], None)
+        for ack in batch.packets:
+            acked = ack.acked_seq
+            entry = outstanding.pop(acked, None)
             if entry is None:
                 continue  # spurious/duplicate ACK
             bits, _sent = entry
             self.inflight_bits -= bits
             acked_count += 1
-            acked = acked_seqs[i]
             if acked > highest:
                 highest = acked
 
-            rtt = now - sent_times[i]
+            rtt = now - ack.sent_time_us
             if rtt > 0:
                 srtt = (rtt if srtt == 0
                         else round(0.875 * srtt + 0.125 * rtt))
@@ -379,23 +378,28 @@ class Sender(Receiver):
                     min_rtt = rtt
 
             delivered += bits
-            interval = now - dtas[i]
+            interval = now - ack.delivered_time_at_send
             if interval > 0:
-                rate = (delivered - das[i]) * US_PER_S / interval
+                rate = ((delivered - ack.delivered_at_send)
+                        * US_PER_S / interval)
             else:
                 rate = 0.0
 
-            lost_bits = self._scan_losses(highest)
-            if lost_bits:
-                # cc.on_loss must see every prior ACK first, exactly as
-                # the scalar interleaving would deliver them.
-                flush_pending()
-                self.cc.on_loss(now, lost_bits, self.inflight_bits)
+            # Everything outstanding was sent at or after the head of
+            # the send order: unless that has fallen DUPACK_THRESHOLD
+            # behind, the scan could only retire acked heads, which
+            # the scan that does find a loss retires just the same.
+            if (send_order
+                    and highest - send_order[0] >= DUPACK_THRESHOLD):
+                lost_bits = self._scan_losses(highest)
+                if lost_bits:
+                    # cc.on_loss must see every prior ACK first, exactly
+                    # as the scalar interleaving would deliver them.
+                    flush_pending()
+                    self.cc.on_loss(now, lost_bits, self.inflight_bits)
             pending.append(AckContext(
-                ack=packets[i], now_us=now, rtt_us=rtt,
-                delivery_rate_bps=rate, newly_acked_bits=bits,
-                inflight_bits=self.inflight_bits,
-                app_limited=app_limiteds[i], srtt_us=srtt))
+                ack, now, rtt, rate, bits, self.inflight_bits,
+                ack.app_limited, srtt))
             if (self._rto_event is None and self._running
                     and outstanding):
                 # Scalar creates the timer during this ACK's receive;
@@ -523,8 +527,7 @@ class AckingReceiver(Receiver):
             if packet.is_ack or packet.flow_id != flow_id:
                 continue
             record(now, packet.size_bits, now - packet.sent_time_us)
-            ack_append(packet.make_ack(now,
-                                       feedback=feedback_for(packet)))
+            ack_append(packet.make_ack(now, feedback_for(packet)))
         if not acks:
             return
         self._forward_acks(acks)

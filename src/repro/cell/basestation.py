@@ -88,7 +88,7 @@ class UeCategory:
             raise ValueError("max_streams out of range")
 
 
-@dataclass
+@dataclass(slots=True)
 class _HarqState:
     tb: TransportBlock
     base_ber: float
@@ -813,8 +813,7 @@ class CellularNetwork:
             if messages is not None:
                 messages.append(DciMessage(
                     subframe, cell_id, burst.rnti, grant, CONTROL_MCS, 1,
-                    tbs_bits=grant * _CONTROL_BITS_PER_PRB,
-                    is_control=True))
+                    grant * _CONTROL_BITS_PER_PRB, True, True))
 
         # 3. Equal-share allocation over backlogged data users.
         demands = []
@@ -833,11 +832,9 @@ class CellularNetwork:
         for rnti, n_prbs in grants.items():
             user = self._users[rnti]
             tb = TransportBlock(
-                seq=user.tb_seq, rnti=rnti, cell_id=cell_id,
-                subframe=subframe,
-                bits=n_prbs * user.rate_now, n_prbs=n_prbs,
-                mcs=user.current_mcs,
-                spatial_streams=user.current_streams)
+                user.tb_seq, rnti, cell_id, subframe,
+                n_prbs * user.rate_now, n_prbs,
+                user.current_mcs, user.current_streams)
             user.tb_seq += 1
             # γ of the TB is protocol headers (Eqn. 5): only the rest
             # carries transport-layer payload.
@@ -845,7 +842,7 @@ class CellularNetwork:
             pulled = user.queue.pull(payload_budget, tb)
             if pulled:
                 tb.bits = int(pulled / (1.0 - PROTOCOL_OVERHEAD))
-            harq = _HarqState(tb, base_ber=user.ber_now)
+            harq = _HarqState(tb, user.ber_now)
             served_bits[rnti] = tb.bits
             self._transmit(harq, subframe, messages, used_by_user)
             if user.allocated_history is not None:
@@ -870,8 +867,7 @@ class CellularNetwork:
         if messages is not None:
             messages.append(DciMessage(
                 subframe, tb.cell_id, tb.rnti, tb.n_prbs, tb.mcs,
-                tb.spatial_streams, tbs_bits=tb.bits,
-                new_data=(harq.attempt == 0)))
+                tb.spatial_streams, tb.bits, harq.attempt == 0))
         used_by_user[tb.rnti] = used_by_user.get(tb.rnti, 0) + tb.n_prbs
         if user is None:
             return  # user departed mid-HARQ

@@ -22,7 +22,7 @@ from ..net.packet import Packet
 PROTOCOL_OVERHEAD = 0.068
 
 
-@dataclass
+@dataclass(slots=True)
 class TransportBlock:
     """One MAC transport block: a slice of a user's downlink queue."""
 
@@ -43,32 +43,38 @@ class TransportBlock:
 class DownlinkQueue:
     """Droptail per-user buffer at the base station, with segmentation.
 
-    Tracks ``(packet, remaining_bits)`` pairs so :meth:`pull` can cut a
-    transport block at any bit boundary the scheduler grants.
+    The packets wait whole in ``_packets``; only the head can be partly
+    sent, so ``_head_remaining`` — the head's bits not yet pulled (0
+    while empty) — is all :meth:`pull` needs to cut a transport block
+    at any bit boundary the scheduler grants.
     """
 
     def __init__(self, capacity_packets: int = 3000) -> None:
         if capacity_packets < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity_packets = capacity_packets
-        self._entries: deque[list] = deque()  # [packet, remaining_bits]
+        self._packets: deque[Packet] = deque()
+        self._head_remaining = 0
         self.backlog_bits = 0
         self.dropped = 0
         self.enqueued = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._packets)
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self._packets
 
     def push(self, packet: Packet) -> bool:
         """Enqueue a packet; returns ``False`` (and counts) on droptail."""
-        if len(self._entries) >= self.capacity_packets:
+        packets = self._packets
+        if len(packets) >= self.capacity_packets:
             self.dropped += 1
             return False
-        self._entries.append([packet, packet.size_bits])
+        if not packets:
+            self._head_remaining = packet.size_bits
+        packets.append(packet)
         self.backlog_bits += packet.size_bits
         self.enqueued += 1
         return True
@@ -84,19 +90,22 @@ class DownlinkQueue:
         if max_bits < 0:
             raise ValueError("max_bits must be non-negative")
         taken = 0
-        entries = self._entries
+        packets = self._packets
+        remaining = self._head_remaining
         touch = tb.touches.append
         complete = tb.completes.append
-        while taken < max_bits and entries:
-            entry = entries[0]
-            remaining = entry[1]
+        while taken < max_bits and packets:
+            packet = packets[0]
+            touch(packet)
             room = max_bits - taken
-            chunk = remaining if remaining < room else room
-            taken += chunk
-            entry[1] = remaining - chunk
-            touch(entry[0])
-            if remaining == chunk:
-                complete(entry[0])
-                entries.popleft()
+            if remaining > room:
+                remaining -= room
+                taken = max_bits
+                break
+            taken += remaining
+            complete(packet)
+            packets.popleft()
+            remaining = packets[0].size_bits if packets else 0
+        self._head_remaining = remaining
         self.backlog_bits -= taken
         return taken

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class DemandEntry:
     """One user's scheduling input for a subframe on one carrier."""
 
@@ -139,7 +139,16 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     if policy == "proportional_fair" and pf_state is None:
         raise ValueError("proportional_fair needs a pf_state")
     grants: dict[int, int] = {}
-    pending = [d for d in demands if d.demand_prbs > 0]
+    # Materialize per-user demand (here) and weight (below) once: both
+    # are pure functions of the entry (and the frozen pf_state), and
+    # recomputing them per round was the dominant cost here.
+    pending: list[DemandEntry] = []
+    demand_prbs: list[int] = []
+    for d in demands:
+        need = d.demand_prbs
+        if need > 0:
+            pending.append(d)
+            demand_prbs.append(need)
     remaining = available_prbs
     if not pending or remaining == 0:
         return grants
@@ -147,16 +156,12 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
         # Lone backlogged user: every policy hands it the whole carrier
         # (its weight share is 1), capped by its own demand — the
         # water-filling/remainder rounds below reduce to exactly this.
-        d = pending[0]
-        grants[d.rnti] = min(d.demand_prbs, remaining)
+        grants[pending[0].rnti] = min(demand_prbs[0], remaining)
         return grants
 
-    # Materialize per-user demand and weight once: both are pure
-    # functions of the entry (and the frozen pf_state), and the old
-    # per-round recomputation was the dominant cost here.  ``equal``
-    # keeps weights as None so its total weight is the exact float the
-    # per-entry summation used to produce (sum of 1.0s == float(n)).
-    demand_prbs = [d.demand_prbs for d in pending]
+    # ``equal`` keeps weights as None so its total weight is the exact
+    # float the per-entry summation used to produce (sum of 1.0s ==
+    # float(n)).
     if policy == "equal":
         weights = None
     elif policy == "proportional_fair":

@@ -81,12 +81,17 @@ class UserEquipment:
                 self.lost_packets += len(tb.completes)
                 released = reorder.abandon(tb.seq)
             for block in released:
-                for packet in block.completes:
-                    if packet.meta.get(CORRUPT_KEY):
-                        self.lost_packets += 1
-                        continue
+                completes = block.completes
+                # Only an abandoned block sets CORRUPT_KEY, and only on
+                # this UE's packets: none abandoned, none to look for.
+                if self.abandoned_tbs:
+                    intact = [packet for packet in completes
+                              if not packet.meta.get(CORRUPT_KEY)]
+                    self.lost_packets += len(completes) - len(intact)
+                    completes = intact
+                for packet in completes:
                     packet.recv_time_us = now
-                    delivered.append(packet)
+                delivered += completes
         if not delivered:
             return
         self.delivered_packets += len(delivered)

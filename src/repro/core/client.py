@@ -320,7 +320,7 @@ class PbeClient(AckingReceiver):
                 feedback = PbeFeedback(target_interval, fair_interval,
                                        state == INTERNET, activated,
                                        is_stale)
-            ack_append(packet.make_ack(now, feedback=feedback))
+            ack_append(packet.make_ack(now, feedback))
 
         if not acks:
             return

@@ -105,7 +105,11 @@ SCHEMA = "repro.harness/checkpoint"
 #: 5: the monitor folds every decoded record as it arrives; a version-4
 #: monitor can carry decoded rows in its columnar buffers, which
 #: nothing would fold any more.
-VERSION = 5
+#: 6: a downlink queue is ``_packets`` + ``_head_remaining`` and an
+#: uplink's held cycle ``_held`` + ``_mixed``; a version-5 queue carries
+#: ``_entries`` pairs and its ``AckBatch`` events six columns, neither
+#: of which anything reads any more.
+VERSION = 6
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

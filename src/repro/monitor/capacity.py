@@ -44,7 +44,7 @@ class CellSample:
     ber: float          #: SINR-estimated residual bit error rate.
 
 
-@dataclass
+@dataclass(slots=True)
 class CellEstimate:
     """Averaged per-cell capacity figures."""
 

@@ -23,7 +23,7 @@ MIN_ACTIVE_SUBFRAMES = 2   # Ta > 1
 MIN_AVG_PRBS = 5           # Pa > 4
 
 
-@dataclass
+@dataclass(slots=True)
 class UserActivity:
     """Aggregate activity of one RNTI inside the sliding window."""
 
@@ -37,7 +37,7 @@ class UserActivity:
         return self.total_prbs / self.active_subframes
 
 
-@dataclass
+@dataclass(slots=True)
 class _SubframeUsers:
     subframe: int
     #: ``{rnti: prbs}`` allocations seen this subframe.

@@ -76,16 +76,12 @@ class BatchingPipe(Receiver):
     pipe; the ``repro.harness.fingerprint`` byte-identity suite runs
     both).
 
-    The batch is *staged columnar*: arriving ACKs append straight into
-    the flush cycle's :class:`AckBatch` columns (``_stage``), so the
-    flush itself is O(1) instead of a second pass over the burst.
-    ``_held`` stays the canonical packet list (it doubles as the staged
-    batch's ``packets`` column); after a checkpoint restore the stage is
-    gone (it is derived state) and the flush falls back to
-    :meth:`AckBatch.from_packets`.
+    ``_held`` is the cycle's packets in arrival order and ``_mixed``
+    whether any of them is not an ACK of the first one's flow (tracked
+    as they arrive, so the flush is O(1)); both are snapshot state.
     """
 
-    SNAPSHOT_SKIP = ("sim", "sink", "_stage")
+    SNAPSHOT_SKIP = ("sim", "sink")
 
     def __init__(self, sim: Simulator, sink: Receiver, delay_us: int,
                  batch_interval_us: int = 5_000,
@@ -100,86 +96,54 @@ class BatchingPipe(Receiver):
         self.batch_interval_us = batch_interval_us
         self.name = name
         self._held: list[Packet] = []
-        #: Columnar view of ``_held`` for the current flush cycle
-        #: (``None`` while idle, or after a restore).
-        self._stage: Optional[AckBatch] = None
+        self._mixed = False
         self.forwarded = 0
         self.batches = 0
 
-    def _open_cycle(self, flow_id: int) -> None:
+    def _open_cycle(self) -> None:
         # Align the flush to the next grant boundary.  A packet
         # landing exactly on a boundary rides that grant (wait 0),
         # not the next one a full cycle later.
         wait = -self.sim.now % self.batch_interval_us
         self.sim.schedule(wait, self._flush)
-        stage = AckBatch.stage(flow_id)
-        stage.packets = self._held  # one list, two views
-        self._stage = stage
 
     def receive(self, packet: Packet) -> None:
         packet.hops += 1
-        if not self._held:
-            self._open_cycle(packet.flow_id)
-        stage = self._stage
-        if stage is not None:
-            stage.append(packet)  # appends to _held via the alias
-        else:
-            self._held.append(packet)
+        held = self._held
+        if not held:
+            self._open_cycle()
+        held.append(packet)
+        if not packet.is_ack or packet.flow_id != held[0].flow_id:
+            self._mixed = True
 
     def receive_block(self, packets: list[Packet]) -> None:
-        """Accept one burst of ACKs (same effects as per-packet calls).
-
-        The columnar ACK-generation path hands a whole released
-        transport block's ACKs over in one call; the column appends are
-        hoisted into locals here instead of dispatching
-        :meth:`AckBatch.append` per packet.
-        """
+        """Accept one burst of ACKs (same effects as per-packet calls):
+        a whole released transport block's ACKs in one call."""
         if not packets:
             return
         held = self._held
         if not held:
-            self._open_cycle(packets[0].flow_id)
-        stage = self._stage
-        if stage is None:
-            for packet in packets:
-                packet.hops += 1
-                held.append(packet)
-            return
-        flow_id = stage.flow_id
-        ap_pkt = held.append
-        ap_seq = stage.acked_seq.append
-        ap_sent = stage.sent_time_us.append
-        ap_size = stage.size_bits.append
-        ap_das = stage.delivered_at_send.append
-        ap_dtas = stage.delivered_time_at_send.append
-        ap_app = stage.app_limited.append
+            self._open_cycle()
+            flow_id = packets[0].flow_id
+        else:
+            flow_id = held[0].flow_id
         for packet in packets:
             packet.hops += 1
             if not packet.is_ack or packet.flow_id != flow_id:
-                stage.mixed = True
-            ap_pkt(packet)
-            ap_seq(packet.acked_seq)
-            ap_sent(packet.sent_time_us)
-            ap_size(packet.size_bits)
-            ap_das(packet.delivered_at_send)
-            ap_dtas(packet.delivered_time_at_send)
-            ap_app(packet.app_limited)
+                self._mixed = True
+        held += packets
 
     def _flush(self) -> None:
-        batch, self._held = self._held, []
-        stage, self._stage = self._stage, None
+        batch = AckBatch(self._held[0].flow_id, self._held, self._mixed)
+        self._held, self._mixed = [], False
         self.batches += 1
         n = len(batch)
         self.forwarded += n
-        if (stage is None or stage.packets is not batch
-                or len(stage.acked_seq) != n):
-            # Stage lost (checkpoint restore mid-cycle): rebuild.
-            stage = AckBatch.from_packets(batch)
         perf = self.sim.perf
         if perf is not None:
             perf.ack_batches += 1
             perf.acks_batched += n
-        self.sim.schedule(self.delay_us, self._deliver, stage)
+        self.sim.schedule(self.delay_us, self._deliver, batch)
 
     def _deliver(self, batch: AckBatch) -> None:
         receive_batch = getattr(self.sink, "receive_batch", None)
@@ -199,6 +163,8 @@ class Link(Receiver):
     departures follow from its arrivals, so :meth:`receive` fixes the
     crossing on the spot (serialization ends at ``max(now, busy_until) +
     tx_us``) and hands the packet over stamped with its arrival instant.
+    ``rate_bps`` is fixed at construction: ``tx_us`` is remembered per
+    packet size (``_tx_size_bits``/``_tx_us``, snapshotted with the rest).
     ``_starts`` holds the service start of each packet still waiting,
     retired lazily; once it holds ``queue_packets``, arrivals are dropped
     (and counted) — what loss-based congestion control reacts to.  Tie
@@ -225,6 +191,10 @@ class Link(Receiver):
         self._starts: deque[int] = deque()
         self._accepted = 0
         self.dropped = 0
+        #: Serialization time of the last size seen (a flow's packets
+        #: are one size and ``rate_bps`` is fixed at construction).
+        self._tx_size_bits: Optional[int] = None
+        self._tx_us = 0
 
     @property
     def queue_depth(self) -> int:
@@ -247,18 +217,27 @@ class Link(Receiver):
                 + transmission_time_us(size_bits, self.rate_bps))
 
     def receive(self, packet: Packet) -> None:
-        if self.queue_depth >= self.queue_packets:
-            self.dropped += 1
-            return
+        now = self.sim.now
+        starts = self._starts
+        if starts:
+            # queue_depth, in place: retire what has started service.
+            while starts and starts[0] <= now:
+                starts.popleft()
+            if len(starts) >= self.queue_packets:
+                self.dropped += 1
+                return
         packet.hops += 1
         self._accepted += 1
         start = self._busy_until
-        if start > self.sim.now:
-            self._starts.append(start)
+        if start > now:
+            starts.append(start)
         else:
-            start = self.sim.now
-        self._busy_until = end = start + transmission_time_us(
-            packet.size_bits, self.rate_bps)
+            start = now
+        size_bits = packet.size_bits
+        if size_bits != self._tx_size_bits:
+            self._tx_size_bits = size_bits
+            self._tx_us = transmission_time_us(size_bits, self.rate_bps)
+        self._busy_until = end = start + self._tx_us
         arrival_us = end + self.delay_us
         park = getattr(self.sink, "receive_at", None)
         if park is None or not park(packet, arrival_us):

@@ -15,12 +15,10 @@ paper's SDR decoder consumes decoded control channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DciMessage:
-    """One decoded downlink control message."""
-
+class _DciFields(NamedTuple):
     subframe: int          #: Subframe index (1 per millisecond).
     cell_id: int           #: Component carrier / cell identifier.
     rnti: int              #: Radio network temporary identifier (user id).
@@ -28,17 +26,35 @@ class DciMessage:
     mcs: int               #: Modulation-and-coding-scheme index.
     spatial_streams: int   #: Number of MIMO spatial streams.
     tbs_bits: int          #: Transport block size, bits.
-    new_data: bool = True  #: New-data indicator (False = retransmission).
-    is_control: bool = False  #: Parameter-update (control-plane) traffic.
+    new_data: bool         #: New-data indicator (False = retransmission).
+    is_control: bool       #: Parameter-update (control-plane) traffic.
 
-    def __post_init__(self) -> None:
-        if self.n_prbs < 0:
+
+class DciMessage(_DciFields):
+    """One decoded downlink control message.
+
+    One per grant per subframe, so it is an immutable named tuple (what
+    a tuple costs to build) rather than a frozen dataclass; the two
+    range checks run in ``__new__``.  It compares, hashes and unpacks
+    as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subframe: int, cell_id: int, rnti: int, n_prbs: int,
+                mcs: int, spatial_streams: int, tbs_bits: int,
+                new_data: bool = True,
+                is_control: bool = False) -> "DciMessage":
+        if n_prbs < 0:
             raise ValueError("PRB count must be non-negative")
-        if self.tbs_bits < 0:
+        if tbs_bits < 0:
             raise ValueError("TBS must be non-negative")
+        return tuple.__new__(cls, (subframe, cell_id, rnti, n_prbs, mcs,
+                                   spatial_streams, tbs_bits, new_data,
+                                   is_control))
 
 
-@dataclass
+@dataclass(slots=True)
 class SubframeRecord:
     """Everything decoded from one cell's control channel in one subframe."""
 

@@ -46,11 +46,7 @@ class ReferenceNetwork(CellularNetwork):
 
 
 class ReferencePipe(BatchingPipe):
-    """One ``sink.receive`` event per ACK; nothing is staged."""
-
-    def _open_cycle(self, flow_id: int) -> None:
-        self.sim.schedule(-self.sim.now % self.batch_interval_us,
-                          self._flush)
+    """One ``sink.receive`` event per ACK; no :class:`AckBatch`."""
 
     def _flush(self) -> None:
         batch, self._held = self._held, []

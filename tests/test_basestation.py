@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cell.basestation import CellularNetwork, DemandSource, UeCategory
+from repro.cell.queues import TransportBlock
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
@@ -361,4 +362,7 @@ def test_two_links_into_one_ingress_keep_arrival_order():
     assert sim.pending_events == before + 1
     slow.receive(Packet(1, 2, MSS_BITS))
     sim.run(until_us=60_000)
-    assert [entry[0].seq for entry in net.user(1).queue._entries] == [1, 0, 2]
+    queue = net.user(1).queue
+    tb = TransportBlock(0, 1, 0, 0, queue.backlog_bits, 1, 0, 1)
+    queue.pull(queue.backlog_bits, tb)
+    assert [packet.seq for packet in tb.completes] == [1, 0, 2]

@@ -23,6 +23,7 @@ import textwrap
 
 import pytest
 
+from repro import statedict
 from repro.exec import ChaosSpec, ParallelRunner, job_from_wire, job_to_wire
 from repro.exec.job import Job
 from repro.harness import Experiment, FlowSpec, Scenario
@@ -45,8 +46,9 @@ from repro.harness.fingerprint import (
     fingerprint_configs,
     run_fingerprint,
 )
-from repro.net.units import us_from_seconds
+from repro.net.units import MSS_BITS, us_from_seconds
 from repro.phy.channel import GaussMarkovChannel, StaticChannel
+from repro.phy.dci import DciMessage, SubframeRecord
 
 #: Long enough for CA activation and control-burst catch-up to fire,
 #: short enough to keep the suite's many full runs affordable.
@@ -121,6 +123,49 @@ def test_kill_point_with_packets_parked_on_the_wire(tmp_path):
     wire = experiment.network.ingress(handles[0].spec.rnti).wire
     assert [(arrival_us, packet.seq)
             for arrival_us, packet in wire] == parked
+    results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
+
+
+def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
+    """The downlink queue's cut position is one int beside the packets
+    (``_head_remaining``) and an uplink cycle's ACKs wait in ``_held``
+    with their ``_mixed`` flag: a snapshot taken while the head packet
+    is partly inside a transport block on the air and ACKs are waiting
+    for their grant must restore both, and finish byte-identically."""
+    kill_subframe = 84
+
+    def config():
+        return fingerprint_configs(DURATION_S)["idle_3cc_pbe"]
+
+    def observe(experiment, handle):
+        queue = experiment.network._users[handle.spec.rnti].queue
+        ((_, blocks),) = experiment.network._air
+        uplink = handle.uplink
+        return (queue._head_remaining, [p.seq for p in queue._packets],
+                queue.backlog_bits,
+                [[p.seq for p in tb.touches] for tb, _ in blocks],
+                [p.acked_seq for p in uplink._held], uplink._mixed)
+
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    before = observe(experiment, handles[0])
+    remaining, queued, backlog, touched, held, mixed = before
+    assert queued and 0 < remaining < MSS_BITS       # head half pulled ...
+    assert backlog == remaining + (len(queued) - 1) * MSS_BITS
+    assert touched[-1][-1] == queued[0]              # ... into a block on the air
+    assert len(held) >= 10 and not mixed             # ACKs awaiting their grant
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    assert observe(experiment, handles[0]) == before
     results = experiment.run(checkpoint=manager)
     assert digest_run(experiment, handles, results) == straight
 
@@ -426,7 +471,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 5
+    assert old_version < VERSION == 6
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -472,6 +517,32 @@ def test_version_4_snapshot_is_quarantined(tmp_path):
     more: restored, those subframes would silently never reach the
     estimators.  Set aside, not half-restored."""
     _assert_version_quarantined(tmp_path, 4)
+
+
+def test_version_5_snapshot_is_quarantined(tmp_path):
+    """A v5 downlink queue carries ``[packet, remaining]`` pairs under
+    ``_entries`` and its ``AckBatch`` events six columns: restored, the
+    queue would come back empty beside a non-zero ``backlog_bits`` and
+    the batches would not unpickle.  Set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 5)
+
+
+def test_dci_messages_ride_the_snapshot_as_shared_identity_records(
+        tmp_path):
+    """``DciMessage`` is a named tuple now; it must still cross the
+    codec and the restricted unpickler as itself — not be walked as a
+    plain tuple — with aliasing preserved."""
+    message = DciMessage(3, 0, 61, 10, 12, 2, 5_000, new_data=False)
+    record = SubframeRecord(3, 0, 100, [message])
+    tree = statedict.encode_value(
+        {"sim": {}, "pending": [message, record], "again": message})
+    assert tree["again"] is message
+    _, doc = read_snapshot(write_snapshot(tmp_path, 3, tree))
+    decoded = statedict.decode_value(doc)
+    first, restored = decoded["pending"]
+    assert type(first) is DciMessage and first == message
+    assert first is decoded["again"] is restored.messages[0]
+    assert (restored.subframe, restored.total_prbs) == (3, 100)
 
 
 def test_read_snapshot_rejects_bad_checksum(tmp_path):

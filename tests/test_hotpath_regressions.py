@@ -267,6 +267,62 @@ def test_event_budget_per_data_packet():
     assert perf.events_scheduled / sent <= 0.2
 
 
+#: ``call`` + ``c_call`` profile events per sent packet on the
+#: ``idle_3cc_pbe`` config at the commit before "a packet's life on a
+#: budget", by interpreter (the count depends on how an interpreter
+#: reports comprehensions and builtins, so each needs its own figure).
+PARENT_CALLS_PER_PACKET = {(3, 11): 69.1}
+
+
+def test_call_budget_per_data_packet():
+    """A packet's life — pace, link, wire, queue, transport block, UE,
+    client, ACK, uplink batch, ACK clock, controller — costs at most
+    0.92 of the Python and C calls it cost before the per-packet and
+    per-grant objects were cut (DESIGN.md, "A packet's life").
+
+    Figures, ``sys.setprofile`` ``call`` + ``c_call`` events during
+    ``experiment.run()`` over packets sent, CPython 3.11.7: 69.1 before
+    (Python 24.8 + C 44.3), 54.6 after (20.6 + 34.0); the bound is
+    0.92 x 69.1 = 63.6.  Going back to ``Packet(...)`` + overwrites for
+    every ACK, a keyword-built ``AckContext``, ``transmission_time_us``
+    and ``queue_depth`` per packet, a ``_scan_losses`` call per ACK and
+    the staged ``AckBatch`` columns reads 69.1 again.  A count, so it
+    cannot flake on a busy box; an interpreter with no recorded parent
+    figure skips (3.10 and 3.12 were not available with numpy where
+    this was written).
+    """
+    import sys
+
+    import pytest
+
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+
+    parent = PARENT_CALLS_PER_PACKET.get(sys.version_info[:2])
+    if parent is None:
+        pytest.skip("no parent calls-per-packet figure recorded for "
+                    f"Python {sys.version_info[0]}.{sys.version_info[1]}")
+    scenario, specs = fingerprint_configs(1.0)["idle_3cc_pbe"]
+    experiment = Experiment(scenario)
+    (handle,) = [experiment.add_flow(spec) for spec in specs]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        experiment.run()
+    finally:
+        sys.setprofile(previous)
+    sent = handle.sender.sent_packets
+    assert sent > 5_000
+    assert calls / sent <= 0.92 * parent
+
+
 # ----------------------------------------------------------------------
 # Rolling-sum equivalence: CA manager
 # ----------------------------------------------------------------------

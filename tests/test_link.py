@@ -5,6 +5,7 @@ import pytest
 from repro.net.link import DelayPipe, Link, PacketSink
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
+from repro.net.units import transmission_time_us
 
 
 def _packet(seq=0, bits=12_000):
@@ -121,3 +122,22 @@ def test_hop_counter_increments():
     pipe1.receive(p)
     sim.run()
     assert p.hops == 2
+
+
+def test_link_interleaved_sizes_each_get_their_own_serialization_time():
+    """The link remembers the last size's serialization time; a packet
+    of another size must not be served with it."""
+    sim = Simulator()
+    sink = PacketSink(sim)
+    rate_bps = 3.7e6
+    link = Link(sim, sink, rate_bps=rate_bps, delay_us=0)
+    sizes = [12_000, 400, 12_000, 12_000, 400, 400, 7, 12_000]
+    for seq, size_bits in enumerate(sizes):
+        link.receive(Packet(flow_id=1, seq=seq, size_bits=size_bits))
+    sim.run()
+    arrivals = [p.recv_time_us for p in sink.packets]
+    expected, clock = [], 0
+    for size_bits in sizes:
+        clock += transmission_time_us(size_bits, rate_bps)
+        expected.append(clock)
+    assert arrivals == expected

@@ -31,6 +31,36 @@ def test_make_ack_echoes_identity_and_timestamps():
     assert ack.size_bits == ACK_BITS
 
 
+def test_make_ack_equals_the_constructor_built_ack_slot_for_slot():
+    """``make_ack`` fills the slots itself instead of going through
+    ``Packet(...)``; iterating ``__slots__`` means a slot added later
+    cannot be forgotten there (an unset slot raises AttributeError)."""
+    data = Packet(flow_id=3, seq=42, size_bits=9_000, sent_time_us=123_456,
+                  delivered_at_send=999, delivered_time_at_send=111,
+                  app_limited=True)
+    data.hops, data.recv_time_us = 4, 150_000
+    data.meta["srtt_us"] = 40_000
+    feedback = object()
+    for kwargs in ({}, {"feedback": feedback},
+                   {"feedback": feedback, "size_bits": 512}):
+        ack = data.make_ack(200_000, **kwargs)
+        built = Packet(3, 42, kwargs.get("size_bits", ACK_BITS), is_ack=True,
+                       sent_time_us=123_456, acked_seq=42,
+                       feedback=kwargs.get("feedback"),
+                       delivered_at_send=999, delivered_time_at_send=111,
+                       app_limited=True)
+        built.recv_time_us = 200_000
+        for name in Packet.__slots__:
+            assert getattr(ack, name) == getattr(built, name), name
+        assert ack.meta is not data.meta
+
+
+def test_constructor_takes_the_delivery_bookkeeping():
+    p = Packet(1, 0, MSS_BITS, False, 5, -1, None, 100, 200, True)
+    assert (p.delivered_at_send, p.delivered_time_at_send,
+            p.app_limited) == (100, 200, True)
+
+
 def test_ack_is_small():
     assert ACK_BITS < MSS_BITS / 10
 

@@ -1,9 +1,13 @@
 """Tests for base-station downlink queues and transport-block packing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cell.queues import PROTOCOL_OVERHEAD, DownlinkQueue, TransportBlock
 from repro.net.packet import Packet
+
+from . import reference_queue
 
 
 def _tb(seq=0, bits=0):
@@ -85,3 +89,42 @@ def test_touches_includes_partially_carried_packets():
     q.pull(15_000, tb)  # all of packet 0, half of packet 1
     assert [p.seq for p in tb.touches] == [0, 1]
     assert [p.seq for p in tb.completes] == [0]
+
+
+# ---------------------------------------------------------------------------
+# Differential: the queue against the [packet, remaining]-pair queue it
+# replaced (tests/reference_queue.py), on random schedules
+# ---------------------------------------------------------------------------
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 3_000)),
+        st.tuples(st.just("pull"), st.integers(0, 7_000))),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 6), ops=_OPS)
+def test_queue_matches_the_pair_queue_on_random_schedules(capacity, ops):
+    """Equal ``completes`` / ``touches`` / return value and equal
+    ``backlog_bits`` / ``dropped`` / ``enqueued`` / ``len`` / ``empty``
+    after every call: zero-size packets, zero-bit pulls, pulls that stop
+    mid-packet (several in a row on one head) and droptail included."""
+    queue = DownlinkQueue(capacity)
+    oracle = reference_queue.DownlinkQueue(capacity)
+    seq = 0
+    for op, bits in ops:
+        if op == "push":
+            packet = _packet(seq, bits)
+            seq += 1
+            assert queue.push(packet) == oracle.push(packet)
+        else:
+            tb, oracle_tb = _tb(), _tb()
+            assert queue.pull(bits, tb) == oracle.pull(bits, oracle_tb)
+            assert tb.completes == oracle_tb.completes
+            assert tb.touches == oracle_tb.touches
+        assert queue.backlog_bits == oracle.backlog_bits
+        assert queue.dropped == oracle.dropped
+        assert queue.enqueued == oracle.enqueued
+        assert len(queue) == len(oracle)
+        assert queue.empty == oracle.empty

@@ -52,20 +52,15 @@ def _ack_for(seq, flow_id=1, sent_time_us=100):
     return data.make_ack(now_us=sent_time_us + 30_000)
 
 
-def test_ackbatch_columns_mirror_the_packets():
+def test_ackbatch_is_the_packets_and_nothing_staged():
     acks = [_ack_for(seq) for seq in range(5)]
     batch = AckBatch.from_packets(acks)
     assert len(batch) == 5
     assert not batch.mixed
     assert batch.flow_id == 1
-    assert batch.packets == acks
-    assert batch.acked_seq == [a.acked_seq for a in acks]
-    assert batch.sent_time_us == [a.sent_time_us for a in acks]
-    assert batch.size_bits == [a.size_bits for a in acks]
-    assert batch.delivered_at_send == [a.delivered_at_send for a in acks]
-    assert batch.delivered_time_at_send == [a.delivered_time_at_send
-                                            for a in acks]
-    assert batch.app_limited == [a.app_limited for a in acks]
+    assert batch.packets is acks
+    # No projected columns: the sender reads the ACK objects.
+    assert AckBatch.__slots__ == ("flow_id", "packets", "mixed")
 
 
 def test_ackbatch_flags_mixed_content():
