@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..net.flow import FlowStats
 from ..net.link import Receiver
@@ -112,7 +112,7 @@ class Sender(Receiver):
     #: in place through the generic codec.  ``_pace_event``/
     #: ``_rto_event`` are live heap references, encoded as sequence
     #: numbers by the checkpoint layer.
-    SNAPSHOT_SKIP = ("sim", "egress", "on_ack_hook")
+    SNAPSHOT_SKIP = ("sim", "egress")
 
     def __init__(self, sim: Simulator, flow_id: int, cc: CongestionControl,
                  egress: Receiver, mss_bits: int = MSS_BITS,
@@ -160,8 +160,6 @@ class Sender(Receiver):
         #: instead of a cancel + reschedule per ACK (which used to be
         #: the simulator heap's single biggest churn source).
         self._rto_deadline_us = 0
-        #: Hook: called with each ACK after CC processing (telemetry).
-        self.on_ack_hook: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -290,8 +288,6 @@ class Sender(Receiver):
                          app_limited=packet.app_limited,
                          srtt_us=self.srtt_us)
         self.cc.on_ack(ctx)
-        if self.on_ack_hook is not None:
-            self.on_ack_hook(packet)
         self._arm_rto()
         # ACK clocking: if sending was blocked (window-limited or idle),
         # resume immediately.  Never disturb an in-progress pacing gap.
@@ -310,11 +306,9 @@ class Sender(Receiver):
         dispatches, and the RTO/pacing timers are touched once per
         block instead of once per ACK.
 
-        Three guards route back to the scalar path: a mixed batch
+        Two guards route back to the scalar path: a mixed batch
         (non-ACK or foreign-flow packets — only same-flow ACKs have the
-        uniform shape the loop assumes), a foreign ``flow_id``, and
-        an installed ``on_ack_hook`` (hooks observe per-ACK
-        interleaving the block deliberately elides).
+        uniform shape the loop assumes) and a foreign ``flow_id``.
 
         Timer equivalence: the RTO event is *created* in-loop at the
         first processed ACK, exactly where the scalar path creates it,
@@ -327,8 +321,7 @@ class Sender(Receiver):
         train runs inside one event, never mid-block — the last ACK's
         reschedule is the only one that survives in scalar mode anyway.
         """
-        if (batch.mixed or batch.flow_id != self.flow_id
-                or self.on_ack_hook is not None):
+        if batch.mixed or batch.flow_id != self.flow_id:
             receive = self.receive
             for packet in batch.packets:
                 receive(packet)

@@ -26,12 +26,7 @@ from ..net.packet import Packet
 from ..net.sim import Simulator
 from ..net.units import SUBFRAME_US
 from ..phy.carrier import AggregationState, CarrierConfig
-from ..phy.channel import (
-    ChannelModel,
-    GaussMarkovChannel,
-    StaticChannel,
-    TraceChannel,
-)
+from ..phy.channel import ChannelModel
 from ..phy.dci import DciMessage, SubframeRecord
 from ..phy.error import (
     block_error_rate,
@@ -44,7 +39,6 @@ from ..phy.mcs import (
     MAX_MCS_INDEX,
     bits_per_prb,
     bits_per_prb_block,
-    sinr_to_mcs,
     sinr_to_mcs_block,
 )
 from .ca_manager import CaPolicy, CarrierAggregationManager
@@ -67,11 +61,6 @@ _CONTROL_BITS_PER_PRB = bits_per_prb(CONTROL_MCS, 1)
 #: ``sinr_block`` draw + one vectorized SINR→MCS→rate/BER chain instead
 #: of 64 scalar rounds).
 CHANNEL_BLOCK_SUBFRAMES = 64
-#: Channel models whose ``sinr_block`` is exact (RNG-stream identical
-#: to scalar calls) *and* whose output depends only on time — the
-#: precondition for precomputing a user's trajectory ahead of the
-#: clock.  Custom models fall back to per-subframe sampling.
-_BLOCK_SAFE_CHANNELS = (StaticChannel, GaussMarkovChannel, TraceChannel)
 
 
 @dataclass
@@ -114,9 +103,8 @@ class _User:
         "demand_source", "sinr_db", "current_mcs", "current_streams",
         "rate_now", "ber_now", "active_cell_set", "active_prb_total",
         "allocated_history", "exo_packet_seq", "suspended_until",
-        "_sinr_history", "block_safe", "_blk_idx", "_blk_len",
+        "_sinr_history", "_blk_idx", "_blk_len",
         "_blk_sinr", "_blk_mcs", "_blk_streams", "_blk_rate", "_blk_ber",
-        "_blk_ckpt", "_blk_start_us",
     )
 
     def __init__(self, rnti: int, agg: AggregationState,
@@ -136,10 +124,8 @@ class _User:
         self.current_streams = 1
         self.rate_now = bits_per_prb(0, 1)
         self.ber_now = sinr_to_ber(0.0)
-        #: Channel block cache: True when the channel model may be
-        #: sampled in blocks (known-exact model, not shared with another
-        #: user).  Set by the network.
-        self.block_safe = False
+        #: Channel block cache: the next ``_blk_len - _blk_idx``
+        #: subframes of channel state, filled by fill_channel_block.
         self._blk_idx = 0
         self._blk_len = 0
         self._blk_sinr: list[float] = []
@@ -147,8 +133,6 @@ class _User:
         self._blk_streams: list[int] = []
         self._blk_rate: list[int] = []
         self._blk_ber: list[float] = []
-        self._blk_ckpt: object = None
-        self._blk_start_us = 0
         #: Cached views of ``agg.active_cells`` (membership set, PRB
         #: total) — refreshed by the network whenever aggregation
         #: changes, so the per-subframe loops avoid rebuilding them.
@@ -159,36 +143,11 @@ class _User:
         self.exo_packet_seq = 0
         #: Scheduling suspended until this subframe (handover gap).
         self.suspended_until = -1
-        #: Recent SINR samples for CQI-reporting delay (newest last).
-        #: The maxlen bounds it to delay+1 entries, so append evicts the
-        #: stale head in O(1) — the old list.pop(0) was O(window) per
-        #: subframe per user.
+        #: The SINRs of the last delay+1 *consumed* subframes (newest
+        #: last), for the CQI-reporting delay; the current block's are
+        #: appended only as far as the block was used.
         self._sinr_history: deque[float] = deque(
             maxlen=cqi_delay_subframes + 1)
-
-    def refresh_channel(self, now_us: int,
-                        cqi_delay_subframes: int = 0) -> None:
-        """Sample the channel; pick MCS from the (possibly stale) CQI.
-
-        With ``cqi_delay_subframes > 0`` the link adaptation uses the
-        SINR the UE reported that many subframes ago — the real
-        CQI-reporting loop — while transport-block errors are always
-        drawn at the *current* channel, so fast fades genuinely hurt.
-        """
-        self.sinr_db = self.channel.sinr_db(now_us)
-        if cqi_delay_subframes > 0:
-            self._sinr_history.append(self.sinr_db)
-            reported = self._sinr_history[0]
-        else:
-            reported = self.sinr_db
-        self.current_mcs = sinr_to_mcs(reported, self.category.max_mcs)
-        if reported >= MIMO_SINR_THRESHOLD_DB:
-            self.current_streams = self.category.max_streams
-        else:
-            self.current_streams = 1
-        self.rate_now = bits_per_prb(self.current_mcs,
-                                     self.current_streams)
-        self.ber_now = sinr_to_ber(self.sinr_db)
 
     def fill_channel_block(self, now_us: int,
                            cqi_delay_subframes: int,
@@ -197,20 +156,21 @@ class _User:
         """Precompute the next block of per-subframe channel state.
 
         One ``sinr_block`` draw plus one vectorized SINR→CQI→MCS→rate/
-        BER chain replaces ``n`` rounds of :meth:`refresh_channel`,
-        consuming the channel's RNG stream identically and producing
-        bitwise-equal values (``tests/test_batch_engine.py``).
+        BER chain gives ``n`` subframes of SINR, MCS, streams, rate and
+        BER, bitwise-equal to sampling every subframe (the oracle in
+        ``tests/reference_engine.py``).  With ``cqi_delay_subframes > 0``
+        the link adaptation uses the SINR the UE reported that many
+        subframes earlier — the real CQI-reporting loop — while
+        transport-block errors are always drawn at the *current*
+        channel, so fast fades genuinely hurt.
         """
-        # Checkpoint first, so release_channel_block can rewind the
-        # channel if the cache is dropped before the block is used up.
-        self._blk_ckpt = self.channel.state_checkpoint()
-        self._blk_start_us = now_us
+        history = self._sinr_history
+        history.extend(self._blk_sinr[:self._blk_idx])
         sinr = self.channel.sinr_block(now_us, n_subframes)
         if cqi_delay_subframes > 0:
-            # reported[k] is what the history deque's head would be
-            # after appending sinr[k]: element max(0, h+k-delay) of the
-            # (history + block) concatenation.
-            history = self._sinr_history
+            # reported[k] is the SINR ``delay`` subframes before sinr[k]
+            # (or the oldest one known): element max(0, h+k-delay) of
+            # the (history + block) concatenation.
             h = len(history)
             if h:
                 joined = np.concatenate(
@@ -219,7 +179,6 @@ class _User:
                 joined = sinr
             reported = joined[np.maximum(
                 h + np.arange(n_subframes) - cqi_delay_subframes, 0)]
-            history.extend(sinr.tolist())
         else:
             reported = sinr
         mcs = sinr_to_mcs_block(reported, self.category.max_mcs)
@@ -246,25 +205,11 @@ class _User:
         self._blk_idx = slot + 1
 
     def invalidate_channel_block(self) -> None:
-        """Drop precomputed channel state (handover / channel swap)."""
+        """Drop precomputed channel state (channel swap); the CQI
+        history keeps only the subframes actually consumed."""
+        self._sinr_history.extend(self._blk_sinr[:self._blk_idx])
         self._blk_idx = 0
         self._blk_len = 0
-
-    def release_channel_block(self) -> None:
-        """Drop the cache AND rewind the channel to the consumed slot.
-
-        Block sampling draws the channel's stream ahead of consumption;
-        if this user stops sampling the channel (departure, channel
-        swap) while the cache is only partially consumed, the model must
-        be left where per-subframe sampling would have left it, in case
-        the object is handed to another user.  Restore the pre-block
-        checkpoint, then re-consume exactly the used prefix.
-        """
-        if self._blk_len and self._blk_idx < self._blk_len:
-            self.channel.state_restore(self._blk_ckpt)
-            if self._blk_idx:
-                self.channel.sinr_block(self._blk_start_us, self._blk_idx)
-        self.invalidate_channel_block()
 
     @property
     def bits_per_prb_now(self) -> int:
@@ -303,13 +248,11 @@ class CellularNetwork:
     """All cells of one operator around the measurement location."""
 
     #: Checkpointing (see repro.statedict): wiring and config restored
-    #: from the rebuilt experiment, plus derived caches recomputed by
-    #: ``_after_restore`` (``_channel_users`` is keyed by ``id()``,
-    #: which cannot survive a process boundary).
+    #: from the rebuilt experiment, plus the tick rosters, which the
+    #: first tick after ``_after_restore`` rebuilds.
     SNAPSHOT_SKIP = ("sim", "perf", "carriers", "_prbs_by_cell",
-                     "_monitors", "_user_list", "_channel_users",
-                     "_live_cells", "_cell_roster", "_exo_users",
-                     "_ca_users")
+                     "_monitors", "_user_list", "_live_cells",
+                     "_cell_roster", "_exo_users", "_ca_users")
 
     def __init__(self, sim: Simulator, carriers: list[CarrierConfig],
                  ca_policy: Optional[CaPolicy] = None,
@@ -381,10 +324,6 @@ class CellularNetwork:
             self._pf = {cell_id: ProportionalFairState()
                         for cell_id in self.carriers}
         self._started = False
-        #: ``id(channel)`` of every channel attached so far — a channel
-        #: shared by two users must be sampled in user-interleaved
-        #: order, so its users are excluded from block caching.
-        self._channel_users: dict[int, list[_User]] = {}
         #: Users configured (not merely active) per cell; a cell with
         #: no configured users and no monitors is unobservable.
         self._cell_user_count = {c: 0 for c in self.carriers}
@@ -434,6 +373,7 @@ class CellularNetwork:
         for cell in cells:
             if cell not in self.carriers:
                 raise ValueError(f"unknown cell {cell}")
+        self._check_channel_owner(channel, rnti)
         self._drain_wire()  # arrivals so far found no such user
         user = _User(rnti, AggregationState(configured=list(cells)),
                      channel, category or UeCategory(),
@@ -441,26 +381,18 @@ class CellularNetwork:
                      cqi_delay_subframes=self.cqi_delay_subframes)
         self._users[rnti] = user
         self._refresh_active_cells(user)
-        self._register_channel(user, channel)
         for cell in cells:
             self._cell_user_count[cell] += 1
             self._catch_up_control(cell)
         return user
 
-    def _register_channel(self, user: _User, channel: ChannelModel) -> None:
-        """Decide block-cache eligibility (sharers sample per subframe)."""
-        peers = self._channel_users.setdefault(id(channel), [])
-        peers.append(user)
-        if len(peers) > 1:
-            # A shared channel must be sampled in the engine's user-
-            # interleaved order — demote every sharer to per-subframe
-            # sampling, rewinding any live cache so the stream sits
-            # exactly where interleaved sampling expects it.
-            for peer in peers:
-                peer.block_safe = False
-                peer.release_channel_block()
-        else:
-            user.block_safe = isinstance(channel, _BLOCK_SAFE_CHANNELS)
+    def _check_channel_owner(self, channel: ChannelModel, rnti: int) -> None:
+        """A channel model belongs to one live user: its block cache
+        draws the model's stream ahead of the clock for that user alone."""
+        for other in self._users.values():
+            if other.channel is channel and other.rnti != rnti:
+                raise ValueError(
+                    f"channel model already held by RNTI {other.rnti}")
 
     def _catch_up_control(self, cell_id: int) -> None:
         """Replay control-generator ticks skipped while unobservable.
@@ -496,12 +428,6 @@ class CellularNetwork:
             self.ca.forget(rnti)
             for cell in user.agg.configured:
                 self._cell_user_count[cell] -= 1
-            user.release_channel_block()
-            peers = self._channel_users.get(id(user.channel))
-            if peers is not None and user in peers:
-                peers.remove(user)
-                if not peers:
-                    del self._channel_users[id(user.channel)]
 
     def _refresh_active_cells(self, user: _User) -> None:
         """Rebuild the user's cached active-cell set and PRB total."""
@@ -525,7 +451,8 @@ class CellularNetwork:
         interruption gap, carrier aggregation restarts from the new
         primary alone, and HARQ processes pending on cells the user is
         leaving are abandoned (their transport blocks are lost — the
-        transport layer recovers them end to end).
+        transport layer recovers them end to end).  A ``channel`` other
+        than the user's own replaces it from the next subframe on.
         """
         if interruption_subframes < 0:
             raise ValueError("interruption must be non-negative")
@@ -535,6 +462,8 @@ class CellularNetwork:
         for cell in new_cells:
             if cell not in self.carriers:
                 raise ValueError(f"unknown cell {cell}")
+        if channel is not None:
+            self._check_channel_owner(channel, rnti)
 
         # Abandon HARQ processes stranded on cells being left.
         keeping = set(new_cells)
@@ -563,33 +492,18 @@ class CellularNetwork:
             self._cell_user_count[cell] += 1
             self._catch_up_control(cell)
         user.suspended_until = self.subframe + interruption_subframes
-        if channel is not None:
-            user.release_channel_block()
-            peers = self._channel_users.get(id(user.channel))
-            if peers is not None and user in peers:
-                peers.remove(user)
-                if not peers:
-                    del self._channel_users[id(user.channel)]
+        if channel is not None and channel is not user.channel:
+            user.invalidate_channel_block()
             user.channel = channel
-            self._register_channel(user, channel)
         self._refresh_active_cells(user)
         # The new cell group starts its CA bookkeeping from scratch.
         self.ca.forget(rnti)
 
     def _after_restore(self) -> None:
-        """Rebuild derived views after a checkpoint restore.
-
-        ``_channel_users`` is keyed by ``id(channel)`` and must be
-        regrouped around the restored channel objects; ``block_safe``
-        and the block caches themselves come straight from the
-        snapshot, so no demotion logic reruns here.  The tick rosters
-        are rebuilt by the next tick.
-        """
+        """Rebuild derived views after a checkpoint restore: the tick
+        rosters are rebuilt by the next tick (the block caches come
+        straight from the snapshot)."""
         self._live_cells = None
-        self._channel_users = {}
-        for user in self._users.values():
-            self._channel_users.setdefault(
-                id(user.channel), []).append(user)
 
     def ingress(self, rnti: int) -> Receiver:
         """Wired-side entry point delivering into one user's queue.
@@ -683,20 +597,16 @@ class CellularNetwork:
         users = self._user_list
         cqi_delay = self.cqi_delay_subframes
         for user in users:
-            if user.block_safe:
-                # Refresh from the per-user channel block cache,
-                # refilling it (one vectorized SINR→CQI→MCS→rate→BER
-                # pass) whenever the cursor runs off the end.  Block
-                # sampling consumes the channel RNG stream exactly like
-                # per-subframe calls, so this is byte-identical to
-                # refresh_channel.
-                slot = user._blk_idx
-                if slot >= user._blk_len:
-                    user.fill_channel_block(now, cqi_delay)
-                    slot = 0
-                user.refresh_from_block(slot)
-            else:
-                user.refresh_channel(now, cqi_delay)
+            # Refresh from the per-user channel block cache, refilling
+            # it (one vectorized SINR→CQI→MCS→rate→BER pass) whenever
+            # the cursor runs off the end.  Block sampling consumes the
+            # channel RNG stream exactly like per-subframe calls, so
+            # this is byte-identical to sampling every subframe.
+            slot = user._blk_idx
+            if slot >= user._blk_len:
+                user.fill_channel_block(now, cqi_delay)
+                slot = 0
+            user.refresh_from_block(slot)
         # Injection touches only the user's own demand RNG and queue,
         # never a channel, so it may follow the whole refresh loop.
         for user in self._exo_users:

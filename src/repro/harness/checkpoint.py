@@ -109,7 +109,10 @@ SCHEMA = "repro.harness/checkpoint"
 #: uplink's held cycle ``_held`` + ``_mixed``; a version-5 queue carries
 #: ``_entries`` pairs and its ``AckBatch`` events six columns, neither
 #: of which anything reads any more.
-VERSION = 6
+#: 7: a user's ``_sinr_history`` holds only consumed subframes (not the
+#: current channel block) and ``_User`` lost three slots; a version-6
+#: user would replay the block's SINRs into the CQI history twice.
+VERSION = 7
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

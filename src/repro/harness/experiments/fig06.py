@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...cell.basestation import MIMO_SINR_THRESHOLD_DB
 from ...phy.carrier import CarrierConfig
 from ...phy.error import block_error_rate, sinr_to_ber
+from ...phy.mcs import bits_per_prb, sinr_to_mcs
 from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
@@ -79,11 +81,8 @@ def _overhead_at(sinr_db: float, load_fraction: float,
     experiment.network.attach_monitor(0, records.append)
     # Estimate the location's capacity from the PHY tables, then offer
     # the requested fraction of it.
-    user_probe = Experiment(scenario)  # fresh sim for a probe
-    probe_net = user_probe.network
-    probe_net.add_user(1, [0], scenario.channel())
-    probe_net.user(1).refresh_channel(0)
-    capacity_bps = probe_net.user(1).bits_per_prb_now * 100 * 1_000
+    streams = 2 if sinr_db >= MIMO_SINR_THRESHOLD_DB else 1
+    capacity_bps = bits_per_prb(sinr_to_mcs(sinr_db), streams) * 100 * 1_000
     offered = load_fraction * capacity_bps
 
     experiment.add_flow(FlowSpec(scheme="cbr",

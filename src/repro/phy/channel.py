@@ -40,7 +40,15 @@ def rssi_to_sinr_db(rssi_dbm: float,
 
 
 class ChannelModel:
-    """Base class: a subframe-sampled SINR process."""
+    """Base class: a subframe-sampled SINR process.
+
+    The contract the engine's channel block cache relies on: a model's
+    output is a function of the sampling time and the model's own RNG
+    stream only, so a user's next 64 subframes can be drawn ahead of
+    the clock.  A model therefore belongs to one live user
+    (``CellularNetwork`` rejects a second), and a custom model needs
+    only :meth:`sinr_db` — the base :meth:`sinr_block` loops over it.
+    """
 
     def sinr_db(self, now_us: int) -> float:  # pragma: no cover
         """SINR (dB) seen by the user at simulation time ``now_us``."""
@@ -58,21 +66,6 @@ class ChannelModel:
         """
         return np.array([self.sinr_db(start_us + k * SUBFRAME_US)
                          for k in range(n_subframes)], dtype=np.float64)
-
-    def state_checkpoint(self) -> object:
-        """Opaque snapshot of the sampling state (RNG position etc.).
-
-        Together with :meth:`state_restore` this lets a block-sampling
-        caller *rewind* draws it speculated past — e.g. when a channel
-        block cache is released half-consumed — leaving the model
-        exactly where per-subframe sampling would have left it.  Only
-        models declared block-safe by the engine need to implement it.
-        """
-        raise NotImplementedError
-
-    def state_restore(self, state: object) -> None:
-        """Restore a snapshot taken by :meth:`state_checkpoint`."""
-        raise NotImplementedError
 
 
 class StaticChannel(ChannelModel):
@@ -98,12 +91,6 @@ class StaticChannel(ChannelModel):
             return np.full(n_subframes, self.mean_sinr_db)
         return self.mean_sinr_db + self._rng.normal(
             0.0, self.fading_std_db, n_subframes)
-
-    def state_checkpoint(self) -> object:
-        return self._rng.bit_generator.state
-
-    def state_restore(self, state: object) -> None:
-        self._rng.bit_generator.state = state
 
 
 class GaussMarkovChannel(ChannelModel):
@@ -164,15 +151,6 @@ class GaussMarkovChannel(ChannelModel):
         self._state = state
         self._last_step = final
         return self.mean_sinr_db + states[np.maximum(steps - last, 0)]
-
-    def state_checkpoint(self) -> object:
-        return (self._rng.bit_generator.state, self._state, self._last_step)
-
-    def state_restore(self, state: object) -> None:
-        rng_state, ar_state, last_step = state
-        self._rng.bit_generator.state = rng_state
-        self._state = ar_state
-        self._last_step = last_step
 
 
 class TraceChannel(ChannelModel):
@@ -243,9 +221,3 @@ class TraceChannel(ChannelModel):
         if self.fading_std_db > 0:
             sinr += self._rng.normal(0.0, self.fading_std_db, n_subframes)
         return sinr
-
-    def state_checkpoint(self) -> object:
-        return self._rng.bit_generator.state
-
-    def state_restore(self, state: object) -> None:
-        self._rng.bit_generator.state = state

@@ -19,18 +19,64 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.cell.basestation import CellularNetwork
+from repro.cell.basestation import (MIMO_SINR_THRESHOLD_DB, CellularNetwork,
+                                    _User)
 from repro.harness import fingerprint, runner
 from repro.metro import shard
 from repro.net.link import BatchingPipe
+from repro.phy.error import sinr_to_ber
+from repro.phy.mcs import bits_per_prb, sinr_to_mcs
+
+
+class ReferenceUser(_User):
+    """Samples its channel once per subframe through the scalar maps:
+    every block is one subframe long, filled by the per-subframe
+    ``refresh_channel`` the block cache replaced (kept verbatim)."""
+
+    __slots__ = ()
+
+    def refresh_channel(self, now_us: int,
+                        cqi_delay_subframes: int = 0) -> None:
+        """Sample the channel; pick MCS from the (possibly stale) CQI.
+
+        With ``cqi_delay_subframes > 0`` the link adaptation uses the
+        SINR the UE reported that many subframes ago — the real
+        CQI-reporting loop — while transport-block errors are always
+        drawn at the *current* channel, so fast fades genuinely hurt.
+        """
+        self.sinr_db = self.channel.sinr_db(now_us)
+        if cqi_delay_subframes > 0:
+            self._sinr_history.append(self.sinr_db)
+            reported = self._sinr_history[0]
+        else:
+            reported = self.sinr_db
+        self.current_mcs = sinr_to_mcs(reported, self.category.max_mcs)
+        if reported >= MIMO_SINR_THRESHOLD_DB:
+            self.current_streams = self.category.max_streams
+        else:
+            self.current_streams = 1
+        self.rate_now = bits_per_prb(self.current_mcs,
+                                     self.current_streams)
+        self.ber_now = sinr_to_ber(self.sinr_db)
+
+    def fill_channel_block(self, now_us, cqi_delay_subframes,
+                           n_subframes=1) -> None:
+        self.refresh_channel(now_us, cqi_delay_subframes)
+        self._blk_idx, self._blk_len = 0, 1
+
+    def refresh_from_block(self, slot) -> None:
+        # refresh_channel already set the state; ``_blk_sinr`` stays
+        # empty, so a channel swap adds nothing to the history.
+        self._blk_idx = 1
 
 
 class ReferenceNetwork(CellularNetwork):
     """No dormant cells, no channel block cache, no CA shortcut."""
 
-    def _register_channel(self, user, channel) -> None:
-        super()._register_channel(user, channel)
-        user.block_safe = False
+    def _make_user(self, *args, **kwargs):
+        user = super()._make_user(*args, **kwargs)
+        user.__class__ = ReferenceUser
+        return user
 
     def _build_rosters(self, subframe):
         # ``_live_cells`` stays None: rebuilt every tick, so the oracle

@@ -8,8 +8,9 @@ tests compare whole-run SHA-256 fingerprints across the pinned
 6-configuration suite plus randomized configurations covering all three
 channel models, carrier aggregation on/off and fault injection on/off,
 hold both sides to recorded goldens, and pin the stream-preservation
-tricks (block draws, speculative rollback, idle fast-forward) at the
-unit level.
+tricks (block draws, idle fast-forward) at the unit level.  A channel
+model belongs to one live user, and the CQI-reporting delay sees only
+the subframes a user actually consumed.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import numpy as np
 import pytest
 
 from repro.cell.control_traffic import ControlTrafficGenerator
-from repro.harness import FlowSpec, Scenario
-from repro.harness.fingerprint import fingerprint_configs, run_fingerprint
+from repro.harness import Experiment, FlowSpec, Scenario
+from repro.harness.fingerprint import (digest_run, fingerprint_configs,
+                                       run_fingerprint)
 from repro.phy.channel import (GaussMarkovChannel, StaticChannel,
                                TraceChannel)
 
-from .reference_engine import reference_engine
+from .reference_engine import ReferenceExperiment, reference_engine
 
 #: Short but non-trivial: long enough for CA activation, window closes
 #: and control-burst catch-up to all fire.
@@ -222,22 +224,57 @@ def test_block_and_scalar_interleave_preserves_the_stream(kind):
     assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
-@pytest.mark.parametrize("kind", sorted(_channel_factories()))
-def test_checkpoint_restore_rewinds_the_stream(kind):
-    """The engine speculatively draws a block and rolls back when a
-    user leaves mid-block; restore must rewind the stream exactly."""
-    make = _channel_factories()[kind]
-    channel = make()
-    channel.sinr_block(0, 64)                   # advance somewhere
-    state = channel.state_checkpoint()
-    first = channel.sinr_block(64 * SUBFRAME_US, 64)
-    channel.state_restore(state)
-    again = channel.sinr_block(64 * SUBFRAME_US, 64)
-    assert again.tobytes() == first.tobytes()
-    # Partial re-consume after restore matches the block's prefix.
-    channel.state_restore(state)
-    prefix = [channel.sinr_db((64 + k) * SUBFRAME_US) for k in range(17)]
-    assert np.array(prefix).tobytes() == first[:17].tobytes()
+def _cqi_swap_digest(reference: bool, at_s: float) -> str:
+    """A PBE flow handed over to a new channel model at ``at_s`` on a
+    network with a 4-subframe CQI-reporting delay."""
+    scenario = Scenario(
+        name="cqi-swap", aggregated_cells=2, mean_sinr_db=14,
+        fading_std_db=3, busy=True, background_users=2,
+        cqi_delay_subframes=4, duration_s=1, seed=7)
+    experiment = (ReferenceExperiment if reference else Experiment)(scenario)
+    handle = experiment.add_flow(FlowSpec(
+        scheme="pbe", channel=StaticChannel(14, 3, seed=3)))
+    experiment.schedule_handover(handle, at_s, [1, 0],
+                                 channel=StaticChannel(9, 3, seed=11))
+    results = experiment.run()
+    return digest_run(experiment, [handle], results)
+
+
+@pytest.mark.parametrize("at_s", [0.3205, 0.384],
+                         ids=["mid-block", "block-boundary"])
+def test_cqi_history_holds_only_consumed_subframes(at_s):
+    """A channel swapped in mid-block must see, for its first CQI-delay
+    subframes, the SINRs the old channel actually produced — not the
+    unconsumed rest of the old block, which never happened."""
+    assert _cqi_swap_digest(False, at_s) == _cqi_swap_digest(True, at_s)
+
+
+def test_a_channel_model_belongs_to_one_live_user():
+    """Sharing is rejected, not demoted: under block sampling a second
+    user would read the stream the first one drew ahead."""
+    experiment = Experiment(Scenario(name="one-owner", aggregated_cells=2,
+                                     duration_s=0.1, seed=1))
+    network = experiment.network
+    channel, other = StaticChannel(15.0, 2.0, seed=1), StaticChannel(12.0)
+    network.add_user(1, [0], channel)
+    network.add_user(2, [0], other)
+    with pytest.raises(ValueError, match="held by RNTI 1"):
+        network.add_user(3, [0], channel)
+    with pytest.raises(ValueError, match="held by RNTI 1"):
+        network.add_exogenous_user(3, [0], channel, demand=None)
+    with pytest.raises(ValueError, match="held by RNTI 2"):
+        network.handover(1, [1], channel=other)
+    assert 3 not in network._users
+    assert network.aggregation_state(1).configured == [0]   # untouched
+    experiment.sim.run(until_us=10 * SUBFRAME_US)
+    # Handing a user its own channel is not a swap: the block stays.
+    cursor = network.user(1)._blk_idx
+    network.handover(1, [1], channel=channel)
+    assert network.user(1)._blk_idx == cursor > 0
+    # A departed user's model is free again.
+    network.remove_user(2)
+    network.handover(1, [1], channel=other)
+    assert network.user(1).channel is other
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,45 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
     assert digest_run(experiment, handles, results) == straight
 
 
+def test_kill_point_mid_channel_block_with_a_cqi_delay(tmp_path):
+    """A user's channel state is its block cache plus the CQI history of
+    the subframes it consumed (not the current block's): a snapshot
+    taken part-way through every user's block, with a 4-subframe CQI
+    delay, must restore both and finish byte-identically."""
+    kill_subframe = 100   # 36 subframes into the second 64-subframe block
+
+    def config():
+        return fingerprint_configs(DURATION_S)["busy_1cc_gauss_cqi"]
+
+    def observe(experiment):
+        return {rnti: (user._blk_idx, user._blk_len, list(user._blk_sinr),
+                       list(user._sinr_history))
+                for rnti, user in experiment.network._users.items()}
+
+    scenario, _ = config()
+    assert scenario.cqi_delay_subframes == 4
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    before = observe(experiment)
+    assert len(before) == 3                          # the flow + 2 background
+    for cursor, length, _, history in before.values():
+        assert 0 < cursor < length == 64             # mid-block ...
+        assert len(history) == 5                     # ... delay + 1 consumed
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    assert observe(experiment) == before
+    results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
+
+
 def test_kill_point_with_blocks_and_an_abandon_on_the_air(
         tmp_path, monkeypatch):
     """Transport blocks crossing the air are network state, not heap
@@ -471,7 +510,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 6
+    assert old_version < VERSION == 7
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -525,6 +564,14 @@ def test_version_5_snapshot_is_quarantined(tmp_path):
     queue would come back empty beside a non-zero ``backlog_bits`` and
     the batches would not unpickle.  Set aside, not half-restored."""
     _assert_version_quarantined(tmp_path, 5)
+
+
+def test_version_6_snapshot_is_quarantined(tmp_path):
+    """A v6 user's ``_sinr_history`` already holds its whole current
+    channel block, which the next refill would append again, and it
+    carries ``block_safe`` / ``_blk_ckpt`` / ``_blk_start_us``, which
+    ``_User`` no longer has slots for.  Set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 6)
 
 
 def test_dci_messages_ride_the_snapshot_as_shared_identity_records(

@@ -15,9 +15,11 @@ import inspect
 
 import pytest
 
-from repro.cell.basestation import CellularNetwork
+from repro.baselines import Sender
+from repro.cell import basestation
+from repro.cell.basestation import CHANNEL_BLOCK_SUBFRAMES, CellularNetwork
 from repro.cli import main
-from repro.harness import Experiment
+from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import fingerprint_configs, run_fingerprint
 from repro.harness.runner import BACKGROUND_RNTI_BASE
 from repro.metro import build_shard, run_shard, shard_fingerprint
@@ -27,6 +29,8 @@ from repro.net.link import BatchingPipe
 from repro.net.packet import AckBatch
 from repro.perf import PerfCounters
 from repro.phy import dci
+from repro.phy.channel import (ChannelModel, GaussMarkovChannel,
+                               StaticChannel, TraceChannel)
 
 from .reference_engine import ReferenceExperiment, reference_engine
 from .test_batch_engine import DURATION_S, _sparse_metro_params
@@ -57,8 +61,8 @@ def _observe(name: str, reference: bool) -> dict:
         "fused": (None if handle.monitor is None
                   else handle.monitor.fusion.emitted),
         "ca_observed": set(experiment.network.ca._users),
-        "block_safe": {u.block_safe
-                       for u in experiment.network._users.values()},
+        "block_subframes": {u._blk_len
+                            for u in experiment.network._users.values()},
     }
 
 
@@ -92,8 +96,10 @@ def test_reference_observes_single_cell_users_and_samples_per_subframe():
     assert background <= reference["ca_observed"]
     assert not background & engine["ca_observed"]
     assert len(reference["ca_observed"]) == len(engine["ca_observed"]) + 2
-    assert reference["block_safe"] == {False}
-    assert engine["block_safe"] == {True}
+    # Both take the one channel path; the reference's blocks are one
+    # subframe of scalar sampling, the engine's are 64.
+    assert reference["block_subframes"] == {1}
+    assert engine["block_subframes"] == {CHANNEL_BLOCK_SUBFRAMES} == {64}
 
 
 def test_reference_ticks_every_cell_of_the_sparse_shard():
@@ -122,6 +128,25 @@ def test_no_engine_switch(capsys):
                          (monitor.estimators[0],
                           ("update_block", "update_one"))):
         assert not [n for n in names if hasattr(owner, n)], owner
+    # So is the per-subframe channel fork with its sharer registry and
+    # RNG rewind, and the per-ACK hook that demoted batches.
+    experiment = Experiment(Scenario(name="gone", duration_s=0.1))
+    handle = experiment.add_flow(FlowSpec(scheme="bbr"))
+    network = experiment.network
+    user = network.user(handle.spec.rnti)
+    for owner, names in (
+            (basestation, ("_BLOCK_SAFE_CHANNELS",)),
+            (network, ("_register_channel", "_channel_users")),
+            (user, ("refresh_channel", "block_safe", "_blk_ckpt",
+                    "_blk_start_us", "release_channel_block")),
+            (ChannelModel, ("state_checkpoint", "state_restore")),
+            *((model, ("state_checkpoint", "state_restore"))
+              for model in (StaticChannel, GaussMarkovChannel,
+                            TraceChannel)),
+            (handle.sender, ("on_ack_hook",))):
+        assert not [n for n in names if hasattr(owner, n)], owner
+    assert "_channel_users" not in CellularNetwork.SNAPSHOT_SKIP
+    assert "on_ack_hook" not in Sender.SNAPSHOT_SKIP
     with pytest.raises(SystemExit) as exit_info:
         main(["perf"])
     assert exit_info.value.code == 2

@@ -181,14 +181,3 @@ def test_receiver_records_one_way_delay():
     sim.run(until_us=100_000)
     assert receiver.stats.packets > 0
     assert all(d == 9_000 for d in receiver.stats.delay_us)
-
-
-def test_on_ack_hook_called():
-    sim = Simulator()
-    cc = FixedCc(rate_bps=12e6)
-    sender, _ = _loop(sim, cc)
-    seen = []
-    sender.on_ack_hook = seen.append
-    sender.start()
-    sim.run(until_us=50_000)
-    assert len(seen) == sender.acked_packets > 0

@@ -217,30 +217,6 @@ def test_block_loop_counts_batches():
     assert perf.as_dict()["ack_batches"] == perf.ack_batches
 
 
-def test_hooked_sender_falls_back_to_per_packet_delivery():
-    """on_ack_hook observes per-ACK interleaving: the block path must
-    route hooked senders through the scalar loop (and still deliver
-    every ACK to the hook)."""
-    _, s_sender, s_cc, _ = _run_transport(False, True, False)
-
-    sim = Simulator()
-    cc = RecordingCc()
-    sender = Sender(sim, flow_id=1, cc=cc, egress=None)
-    hooked = []
-    sender.on_ack_hook = hooked.append
-    uplink = BatchingPipe(sim, sender, delay_us=7_000,
-                          batch_interval_us=5_000)
-    receiver = AckingReceiver(sim, 1, uplink)
-    downlink = DelayPipe(sim, receiver, delay_us=6_000)
-    sender.egress = SeqDropper(downlink)
-    sender.start()
-    sim.schedule(us_from_seconds(0.25), sender.stop)
-    sim.run(until_us=us_from_seconds(0.25) + 100_000)
-
-    assert cc.calls == s_cc.calls
-    assert len(hooked) == sender.acked_packets
-
-
 def test_mixed_batch_falls_back_to_per_packet_delivery():
     sim = Simulator()
     cc = RecordingCc()
