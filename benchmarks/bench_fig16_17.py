@@ -11,7 +11,8 @@ FULL = os.environ.get("REPRO_FULL", "") == "1"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: Copa collapse lost since PR 9")
+                   reason="ROADMAP item 2: Copa collapse waits on a "
+                          "spec-grounded LTE uplink")
 def test_fig16_17_mobility(benchmark):
     duration = 40.0 if FULL else 16.0
     result = benchmark.pedantic(

@@ -7,7 +7,8 @@ from repro.harness.experiments import table1_from_sweep
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: Copa collapse lost since PR 9")
+                   reason="ROADMAP item 2: Copa collapse waits on a "
+                          "spec-grounded LTE uplink")
 def test_table1(benchmark, stationary_sweep):
     result = benchmark.pedantic(
         table1_from_sweep, args=(stationary_sweep,),

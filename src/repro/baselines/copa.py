@@ -3,9 +3,12 @@
 Delay-based: Copa steers its rate toward ``λ = 1/(δ·dq)`` where ``dq``
 is the standing queueing delay (RTTstanding − RTTmin).  On cellular
 links the 8 ms HARQ retransmission spikes (paper Figure 8) look like
-standing queueing delay to Copa, so it backs off hard — the mechanism
-behind the ~11× throughput gap the paper reports against PBE-CC, while
-achieving slightly *lower* delay (Table 1's 0.8× rows).
+standing queueing delay to Copa, so it backs off.  The paper reports an
+~11× throughput gap against PBE-CC at slightly *lower* delay (Table 1's
+0.8× rows).  This simulator's substrate shows a 2.1-2.6× gap.  The
+5-7× it once showed came from one uplink tie-break: an ACK landing on
+the 5 ms grant boundary waited a whole cycle.  ACK batching on its own
+is not the mechanism (EXPERIMENTS.md, "Uplink flush rule").
 """
 
 from __future__ import annotations

@@ -57,6 +57,12 @@ MIMO_SINR_THRESHOLD_DB = 10.0
 CONTROL_MCS = 4
 #: Their fixed per-PRB rate, precomputed for the per-burst hot path.
 _CONTROL_BITS_PER_PRB = bits_per_prb(CONTROL_MCS, 1)
+#: Share of a transport block left for payload after γ (Eqn. 5).
+_PAYLOAD_SHARE = 1.0 - PROTOCOL_OVERHEAD
+#: Builds the engine's DCI messages without ``DciMessage.__new__``'s
+#: range checks (``_make`` semantics, docs/API.md): grants are never
+#: negative and TB sizes are products of non-negative rates.
+_new_dci = tuple.__new__
 #: Subframes of channel trajectory precomputed per user per block (one
 #: ``sinr_block`` draw + one vectorized SINR→MCS→rate/BER chain instead
 #: of 64 scalar rounds).
@@ -210,10 +216,6 @@ class _User:
         self._sinr_history.extend(self._blk_sinr[:self._blk_idx])
         self._blk_idx = 0
         self._blk_len = 0
-
-    @property
-    def bits_per_prb_now(self) -> int:
-        return self.rate_now
 
 
 class _Ingress(Receiver):
@@ -623,7 +625,7 @@ class CellularNetwork:
                 subframe, user.rnti, user.agg,
                 used_prbs=used_get(user.rnti, 0),
                 active_total_prbs=user.active_prb_total,
-                backlogged=not user.queue.empty)
+                backlogged=bool(user.queue._packets))
             if switched is not None:
                 self._refresh_active_cells(user)
 
@@ -721,26 +723,29 @@ class CellularNetwork:
                 break
             available -= grant
             if messages is not None:
-                messages.append(DciMessage(
+                messages.append(_new_dci(DciMessage, (
                     subframe, cell_id, burst.rnti, grant, CONTROL_MCS, 1,
-                    grant * _CONTROL_BITS_PER_PRB, True, True))
+                    grant * _CONTROL_BITS_PER_PRB, True, True)))
 
         # 3. Equal-share allocation over backlogged data users.
         demands = []
         roster = self._cell_roster[cell_id]
         for user in roster:
-            if user.queue.empty or subframe < user.suspended_until:
+            queue = user.queue
+            if not queue._packets or subframe < user.suspended_until:
                 continue
-            demands.append(DemandEntry(user.rnti, user.queue.backlog_bits,
+            demands.append(DemandEntry(user.rnti, queue.backlog_bits,
                                        user.rate_now))
-        grants = allocate_prbs(available, demands, rotation=subframe,
-                               policy=self.scheduler_policy,
-                               pf_state=self._pf.get(cell_id))
+        pf = self._pf.get(cell_id)
+        grants = allocate_prbs(available, demands, subframe,
+                               self.scheduler_policy, pf)
 
         # 4. Transport-block assembly and transmission.
         served_bits: dict[int, int] = {}
+        users = self._users
+        transmit = self._transmit
         for rnti, n_prbs in grants.items():
-            user = self._users[rnti]
+            user = users[rnti]
             tb = TransportBlock(
                 user.tb_seq, rnti, cell_id, subframe,
                 n_prbs * user.rate_now, n_prbs,
@@ -748,19 +753,17 @@ class CellularNetwork:
             user.tb_seq += 1
             # γ of the TB is protocol headers (Eqn. 5): only the rest
             # carries transport-layer payload.
-            payload_budget = int(tb.bits * (1.0 - PROTOCOL_OVERHEAD))
-            pulled = user.queue.pull(payload_budget, tb)
+            pulled = user.queue.pull(int(tb.bits * _PAYLOAD_SHARE), tb)
             if pulled:
-                tb.bits = int(pulled / (1.0 - PROTOCOL_OVERHEAD))
-            harq = _HarqState(tb, user.ber_now)
+                tb.bits = int(pulled / _PAYLOAD_SHARE)
             served_bits[rnti] = tb.bits
-            self._transmit(harq, subframe, messages, used_by_user)
+            transmit(_HarqState(tb, user.ber_now), subframe, messages,
+                     used_by_user)
             if user.allocated_history is not None:
                 user.allocated_history.append((subframe, cell_id, n_prbs))
 
-        if cell_id in self._pf:
-            self._pf[cell_id].record(served_bits,
-                                     {u.rnti for u in roster})
+        if pf is not None:
+            pf.record(served_bits, {u.rnti for u in roster})
 
         # 5. Publish the decoded control channel.
         if callbacks:
@@ -773,19 +776,23 @@ class CellularNetwork:
                   messages: Optional[list[DciMessage]],
                   used_by_user: dict[int, int]) -> None:
         tb = harq.tb
-        user = self._users.get(tb.rnti)
+        rnti = tb.rnti
+        attempt = harq.attempt
         if messages is not None:
-            messages.append(DciMessage(
-                subframe, tb.cell_id, tb.rnti, tb.n_prbs, tb.mcs,
-                tb.spatial_streams, tb.bits, harq.attempt == 0))
-        used_by_user[tb.rnti] = used_by_user.get(tb.rnti, 0) + tb.n_prbs
+            messages.append(_new_dci(DciMessage, (
+                subframe, tb.cell_id, rnti, tb.n_prbs, tb.mcs,
+                tb.spatial_streams, tb.bits, attempt == 0, False)))
+        used_by_user[rnti] = used_by_user.get(rnti, 0) + tb.n_prbs
+        user = self._users.get(rnti)
         if user is None:
             return  # user departed mid-HARQ
 
-        ber = retransmission_ber(harq.base_ber, harq.attempt)
+        # A first transmission's BER is the base BER (ber * 0.1 ** 0).
+        ber = (retransmission_ber(harq.base_ber, attempt) if attempt
+               else harq.base_ber)
         failed = self._rng.random() < block_error_rate(ber, tb.bits)
-        if failed and harq.attempt < MAX_RETRANSMISSIONS:
-            harq.attempt += 1
+        if failed and attempt < MAX_RETRANSMISSIONS:
+            harq.attempt = attempt + 1
             key = (tb.cell_id, subframe + RETX_DELAY_SUBFRAMES)
             self._retx.setdefault(key, []).append(harq)
             self._cell_retx_count[tb.cell_id] += 1

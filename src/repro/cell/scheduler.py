@@ -139,16 +139,18 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     if policy == "proportional_fair" and pf_state is None:
         raise ValueError("proportional_fair needs a pf_state")
     grants: dict[int, int] = {}
-    # Materialize per-user demand (here) and weight (below) once: both
-    # are pure functions of the entry (and the frozen pf_state), and
-    # recomputing them per round was the dominant cost here.
+    # Materialize per-user demand (here, DemandEntry.demand_prbs
+    # inlined) and weight (below) once: both are pure functions of the
+    # entry (and the frozen pf_state), and recomputing them per round
+    # was the dominant cost here.
     pending: list[DemandEntry] = []
     demand_prbs: list[int] = []
     for d in demands:
-        need = d.demand_prbs
-        if need > 0:
+        bits = d.demand_bits
+        rate = d.bits_per_prb
+        if bits > 0 and rate > 0:
             pending.append(d)
-            demand_prbs.append(need)
+            demand_prbs.append(-(-bits // rate))
     remaining = available_prbs
     if not pending or remaining == 0:
         return grants
@@ -159,9 +161,8 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
         grants[pending[0].rnti] = min(demand_prbs[0], remaining)
         return grants
 
-    # ``equal`` keeps weights as None so its total weight is the exact
-    # float the per-entry summation used to produce (sum of 1.0s ==
-    # float(n)).
+    # ``equal`` keeps weights as None: every user's share in a round is
+    # the one float ``remaining * 1.0 / n``, computed once per round.
     if policy == "equal":
         weights = None
     elif policy == "proportional_fair":
@@ -176,10 +177,8 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     # share, redistributing what they do not need.
     while active and remaining > 0:
         if weights is None:
-            total_weight = float(len(active))
-            satisfied = [i for i in active
-                         if demand_prbs[i]
-                         <= remaining * 1.0 / total_weight]
+            share = remaining * 1.0 / len(active)
+            satisfied = [i for i in active if demand_prbs[i] <= share]
         else:
             total_weight = sum(weights[i] for i in active)
             satisfied = [i for i in active
@@ -203,17 +202,17 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     while active and remaining > 0:
         n = len(active)
         if weights is None:
-            total_weight = float(n)
-            shares = [int(remaining * 1.0 / total_weight)
-                      for _ in active]
+            shares = [int(remaining * 1.0 / n)] * n
         else:
             total_weight = sum(weights[i] for i in active)
             shares = [int(remaining * weights[i] / total_weight)
                       for i in active]
         leftover = remaining - sum(shares)
-        order = sorted(range(n), key=lambda k: (k + rotation) % n)
+        # Rank r serves position (r - rotation) % n, so which users get
+        # the +1 extras rotates with the subframe.
         progress = 0
-        for rank, k in enumerate(order):
+        for rank in range(n):
+            k = (rank - rotation) % n
             i = active[k]
             extra = 1 if rank < leftover else 0
             room = demand_prbs[i] - granted[i]

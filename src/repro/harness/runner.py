@@ -337,8 +337,11 @@ class Experiment:
         network = self.network
 
         def own_rate_hint() -> tuple[int, float]:
-            user = network.user(spec.rnti)
-            return user.bits_per_prb_now, user.ber_now
+            # Runs inside a cell's monitor callback, mid-tick: read the
+            # user directly, since network.user() would drain the wire
+            # between one cell's grants and the next.
+            user = network._users[spec.rnti]
+            return user.rate_now, user.ber_now
 
         cell_prbs = {c: network.carriers[c].total_prbs for c in cells}
         monitor = PbeMonitor(spec.rnti, cell_prbs, primary_cell=cells[0],

@@ -28,6 +28,8 @@ every returned figure is bit-identical to the naive windowed average
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from ..phy.dci import SubframeRecord
 from .filters import ActiveUserFilter
@@ -130,7 +132,10 @@ class CellCapacityEstimator:
             allocated += prbs
             if prbs > 0:
                 rnti = message.rnti
-                allocations[rnti] = allocations.get(rnti, 0) + prbs
+                if rnti in allocations:
+                    allocations[rnti] += prbs
+                else:
+                    allocations[rnti] = prbs
                 if rnti == own:
                     own_prbs += prbs
                     own_rate = max(1, message.tbs_bits // prbs)
@@ -144,11 +149,12 @@ class CellCapacityEstimator:
         if own_prbs > 0:
             self.last_own_grant_subframe = subframe
         count = self._count
-        slot = count % self._cap
+        cap = self._cap
+        slot = count % cap
         self._subframes[slot] = subframe
         self._bers[slot] = ber_hint
-        cum_slot = count % (self._cap + 1)
-        next_slot = (count + 1) % (self._cap + 1)
+        cum_slot = count % (cap + 1)
+        next_slot = (count + 1) % (cap + 1)
         self._cum_pa[next_slot] = self._cum_pa[cum_slot] + own_prbs
         self._cum_idle[next_slot] = self._cum_idle[cum_slot] + idle
         self._cum_rate[next_slot] = self._cum_rate[cum_slot] + own_rate
@@ -185,42 +191,50 @@ class CellCapacityEstimator:
         if count == 0:
             return CellEstimate(self.cell_id, 0.0, 0.0, 0.0, 0.0, 1, 0.0,
                                 coverage=0.0)
-        if self._memo_version != count:
-            self._memo.clear()
+        memo = self._memo
+        if self._memo_version == count:
+            cached = memo.get(window_subframes)
+            if cached is not None:
+                return cached
+        else:
+            memo.clear()
             self._memo_version = count
-        cached = self._memo.get(window_subframes)
-        if cached is not None:
-            return cached
 
-        n = min(window_subframes, count, self._cap)
-        cap, cap1 = self._cap, self._cap + 1
+        cap = self._cap
+        n = min(window_subframes, count, cap)
+        cap1 = cap + 1
         lo, hi = (count - n) % cap1, count % cap1
         mean_pa = (self._cum_pa[hi] - self._cum_pa[lo]) / n
         mean_idle = (self._cum_idle[hi] - self._cum_idle[lo]) / n
         mean_rate = (self._cum_rate[hi] - self._cum_rate[lo]) / n
         # The BER field is a float: a prefix-sum difference would round
-        # differently from the naive chronological sum, so it is summed
+        # differently from the naive chronological sum, so it is folded
         # left-to-right over the window (then memoized until the next
-        # sample arrives).
+        # sample arrives).  ``reduce(add, ..., 0.0)`` performs exactly
+        # the additions of a ``+=`` loop; ``sum()`` would not (it
+        # compensates float sums from CPython 3.12 on), nor ``fsum``.
         bers = self._bers
-        ber_sum = 0.0
-        for k in range(count - n, count):
-            ber_sum += bers[k % cap]
+        start = (count - n) % cap
+        stop = start + n
+        if stop <= cap:
+            ber_sum = reduce(add, bers[start:stop], 0.0)
+        else:  # the window wraps the ring: oldest part first
+            ber_sum = reduce(add, bers[:stop - cap],
+                             reduce(add, bers[start:], 0.0))
         mean_ber = ber_sum / n
-        # Decode gaps widen the subframe span the n samples cover.
-        first = self._subframes[(count - n) % cap]
-        last = self._subframes[(count - 1) % cap]
-        span = max(1, last - first + 1)
-        coverage = min(1.0, n / span)
+        # Decode gaps widen the subframe span the n samples cover:
+        # coverage = min(1.0, n / max(1, span)), without the calls.
+        span = (self._subframes[(count - 1) % cap]
+                - self._subframes[start] + 1)
+        coverage = n / span if n < span else 1.0
         if self.filter_control_users:
-            users = self.users.data_user_count(include=self.own_rnti)
+            users = self.users.data_user_count(self.own_rnti)
         else:
             users = max(1, len(self.users.detected_users()
                                | {self.own_rnti}))
         physical = mean_rate * (mean_pa + mean_idle / users)
         fair = mean_rate * self.total_prbs / users
-        out = CellEstimate(self.cell_id, physical, fair, mean_pa,
-                           mean_idle, users, mean_ber,
-                           coverage=coverage)
-        self._memo[window_subframes] = out
+        out = memo[window_subframes] = CellEstimate(
+            self.cell_id, physical, fair, mean_pa, mean_idle, users,
+            mean_ber, coverage)
         return out

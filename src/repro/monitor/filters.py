@@ -85,11 +85,12 @@ class ActiveUserFilter:
         """
         activity = self._activity
         for rnti, prbs in allocations.items():
-            act = activity.get(rnti)
-            if act is None:
-                act = activity[rnti] = UserActivity()
-            act.active_subframes += 1
-            act.total_prbs += prbs
+            if rnti in activity:
+                act = activity[rnti]
+                act.active_subframes += 1
+                act.total_prbs += prbs
+            else:
+                activity[rnti] = UserActivity(1, prbs)
         window = self._window
         window.append(_SubframeUsers(subframe, allocations))
         if len(window) > self.window_subframes:
@@ -133,5 +134,21 @@ class ActiveUserFilter:
         return users
 
     def data_user_count(self, include: int | None = None) -> int:
-        """The fair-share denominator ``N`` of Eqns. 1-3 (≥ 1)."""
-        return max(1, len(self.data_users(include)))
+        """The fair-share denominator ``N`` of Eqns. 1-3 (≥ 1).
+
+        ``max(1, len(data_users(include)))`` without building the set:
+        it runs once per capacity estimate.  ``Pa > 4`` is tested as
+        ``total >= MIN_AVG_PRBS * subframes`` on the integer counts,
+        which decides as ``total / subframes >= MIN_AVG_PRBS`` does for
+        any count below 2**51 (DESIGN.md, "A subframe's life").
+        """
+        count = 0
+        include_counted = include is None
+        for rnti, act in self._activity.items():
+            subframes = act.active_subframes
+            if (subframes >= MIN_ACTIVE_SUBFRAMES
+                    and act.total_prbs >= MIN_AVG_PRBS * subframes):
+                count += 1
+                if rnti == include:
+                    include_counted = True
+        return max(1, count if include_counted else count + 1)

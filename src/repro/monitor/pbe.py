@@ -84,12 +84,14 @@ class PbeMonitor:
     """Mobile-endpoint physical-layer bandwidth measurement module."""
 
     #: Checkpointing: the rate hint is a rebuilt-wiring closure, the
-    #: translation table and report memo are pure caches (identical
-    #: values recompute on demand).
-    SNAPSHOT_SKIP = ("own_rate_hint", "translation", "_report_memo")
+    #: translation table, report memo and active-cell list are pure
+    #: caches (identical values recompute on demand).
+    SNAPSHOT_SKIP = ("own_rate_hint", "translation", "_report_memo",
+                     "_active_cells")
 
     def _after_restore(self) -> None:
         self._report_memo = None
+        self._active_cells = self.active_cells()
 
     def __init__(self, own_rnti: int, cell_prbs: dict[int, int],
                  primary_cell: int,
@@ -147,6 +149,9 @@ class PbeMonitor:
         #: Total snapshots ever folded in (memo version stamp).
         self._ingest_version = 0
         self._report_memo: Optional[tuple] = None
+        #: ``active_cells()`` as of the last snapshot or primary change
+        #: (nothing else moves it), shared by the reports built on it.
+        self._active_cells = self.active_cells()
 
     # ------------------------------------------------------------------
     def decoder_callback(self, cell_id: int):
@@ -166,25 +171,25 @@ class PbeMonitor:
         self._previously_active = {cell_id}
         self._activation_pending = False
         self._report_memo = None
+        self._active_cells = self.active_cells()
 
     def _on_snapshot(self, records: dict[int, SubframeRecord]) -> None:
         rate, ber = self.own_rate_hint()
-        snapshot_subframe = self.last_subframe
+        last = snapshot_subframe = self.last_subframe
+        estimators = self.estimators
         for cell_id, record in records.items():
-            self.estimators[cell_id].update(record, rate, ber)
-            snapshot_subframe = max(snapshot_subframe, record.subframe)
-        if (self.last_subframe >= 0
-                and snapshot_subframe > self.last_subframe + 1):
+            estimators[cell_id].update(record, rate, ber)
+            if record.subframe > snapshot_subframe:
+                snapshot_subframe = record.subframe
+        if last >= 0 and snapshot_subframe > last + 1:
             self.gap_events += 1
-            self.missed_subframes += (snapshot_subframe
-                                      - self.last_subframe - 1)
+            self.missed_subframes += snapshot_subframe - last - 1
         self.last_subframe = snapshot_subframe
         self._ingest_version += 1
-        active = set(self.active_cells())
-        newly_active = active - self._previously_active
-        if newly_active:
-            self._activation_pending = True
-        self._previously_active = active
+        active = self._active_cells = self.active_cells()
+        if not self._previously_active.issuperset(active):
+            self._activation_pending = True  # a cell newly active
+        self._previously_active = set(active)
 
     def flush(self) -> None:
         """End-of-stream teardown: drain decoder latency buffers.
@@ -209,13 +214,12 @@ class PbeMonitor:
         models, so we age it out — §3's deactivation is driven by the
         network observing unused capacity).
         """
-        cells = [self.primary_cell]
+        primary, last = self.primary_cell, self.last_subframe
+        cells = [primary]
         for cell_id, est in self.estimators.items():
-            if cell_id == self.primary_cell:
-                continue
-            age = self.last_subframe - est.last_own_grant_subframe
-            if (est.last_own_grant_subframe >= 0
-                    and age <= SECONDARY_INACTIVE_TIMEOUT):
+            granted = est.last_own_grant_subframe
+            if (cell_id != primary and granted >= 0
+                    and last - granted <= SECONDARY_INACTIVE_TIMEOUT):
                 cells.append(cell_id)
         return cells
 
@@ -242,44 +246,43 @@ class PbeMonitor:
         key = (self._ingest_version, window, now_subframe,
                self.primary_cell)
         memo = self._report_memo
-        if (memo is not None and memo[0] == key
-                and not self._activation_pending):
+        activated = self._activation_pending
+        if memo is not None and memo[0] == key and not activated:
             return memo[1]
-        active = self.active_cells()
-        estimates: list[CellEstimate] = [
-            self.estimators[cell_id].estimate(window)
-            for cell_id in active]
+        active = self._active_cells
+        estimators = self.estimators
         # §4.1: per-cell rates are computed separately and summed, so the
         # Eqn. 5 TB-size term uses each carrier's own transport-block
         # size rather than pretending the aggregate is one giant TB.
-        # (One fused left-to-right pass: report() runs once per
-        # feedback, and the separate genexpr sums were measurable.)
+        # (One fused left-to-right pass over the active cells, which
+        # _on_snapshot already listed: report() runs once per feedback.)
         transport_rate = self.translation.transport_rate
+        estimates: list[CellEstimate] = []
+        users_per_cell = {}
         cp = cf = ct = cf_t = cov = 0.0
-        for e in estimates:
+        for cell_id in active:
+            e = estimators[cell_id].estimate(window)
+            estimates.append(e)
+            users_per_cell[cell_id] = e.users
             cp += e.physical_capacity
             cf += e.fair_share
             ct += transport_rate(e.physical_capacity, e.mean_ber)
             cf_t += transport_rate(e.fair_share, e.mean_ber)
             cov += e.coverage
-        activated = self._activation_pending
         self._activation_pending = False
         staleness = 0
         if now_subframe is not None and self.last_subframe >= 0:
             staleness = max(0, now_subframe - self.last_subframe)
         coverage = cov / len(estimates) if estimates else 0.0
         decay = max(0.0, 1.0 - staleness / CONFIDENCE_HORIZON_SUBFRAMES)
+        # Positional, in field order: keyword passing was a measurable
+        # share of a report.
         report = MonitorReport(
-            subframe=self.last_subframe,
-            physical_capacity=cp, transport_capacity=ct,
-            fair_share=cf, transport_fair_share=cf_t,
-            users_per_cell={e.cell_id: e.users for e in estimates},
-            active_cells=active, carrier_activated=activated,
-            per_cell=estimates,
-            staleness_subframes=staleness,
-            confidence=coverage * decay)
+            self.last_subframe, cp, ct, cf, cf_t, users_per_cell, active,
+            activated, estimates, staleness, coverage * decay)
         # Only activation-free reports are repeatable (the flag is a
         # consumed edge); callers treat reports as read-only, like the
-        # memoized CellEstimates they embed.
+        # memoized CellEstimates and the shared active-cell list they
+        # embed.
         self._report_memo = None if activated else (key, report)
         return report

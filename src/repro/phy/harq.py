@@ -49,7 +49,14 @@ class ReorderingBuffer(Generic[T]):
 
     def insert(self, seq: int, payload: T) -> list[T]:
         """Accept block ``seq``; return now-deliverable payloads in order."""
-        if seq < self._expected or seq in self._held:
+        expected = self._expected
+        if seq == expected and not self._held and not self._abandoned:
+            # In order with nothing parked: _drain would release exactly
+            # this block and stop (max_held is unchanged, as held ends
+            # empty).
+            self._expected = expected + 1
+            return [payload]
+        if seq < expected or seq in self._held:
             return []  # duplicate of something already delivered/held
         self._held[seq] = payload
         released = self._drain()

@@ -323,6 +323,97 @@ def test_call_budget_per_data_packet():
     assert calls / sent <= 0.92 * parent
 
 
+#: ``call`` + ``c_call`` profile events per subframe tick on the
+#: ``busy_2cc_pbe`` config at the commit before "a subframe's life on a
+#: budget", by interpreter (see PARENT_CALLS_PER_PACKET).
+PARENT_CALLS_PER_TICK = {(3, 11): 578.1}
+
+
+def test_call_budget_per_tick():
+    """A subframe's life — channel refresh, exogenous injection, HARQ,
+    control traffic, scheduler, transport blocks, DCI, monitor ingest,
+    CA, and the air landing with its capacity reports — costs at most
+    0.93 of the Python and C calls it cost before the per-grant,
+    per-record and per-report work was cut (DESIGN.md, "A subframe's
+    life").
+
+    Figures, ``sys.setprofile`` ``call`` + ``c_call`` events during
+    ``experiment.run()`` over ``network.subframe``, CPython 3.11.7:
+    578.1 before (Python 236.6 + C 341.5), 530.5 after (206.8 + 323.7);
+    the bound is 0.93 x 578.1 = 537.6.  A count, so it cannot flake on
+    a busy box; an interpreter with no recorded parent figure skips.
+    """
+    import sys
+
+    import pytest
+
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+
+    parent = PARENT_CALLS_PER_TICK.get(sys.version_info[:2])
+    if parent is None:
+        pytest.skip("no parent calls-per-tick figure recorded for "
+                    f"Python {sys.version_info[0]}.{sys.version_info[1]}")
+    scenario, specs = fingerprint_configs(1.0)["busy_2cc_pbe"]
+    experiment = Experiment(scenario)
+    for spec in specs:
+        experiment.add_flow(spec)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        experiment.run()
+    finally:
+        sys.setprofile(previous)
+    ticks = experiment.network.subframe
+    assert ticks > 900
+    assert calls / ticks <= 0.93 * parent
+
+
+def test_monitor_callback_does_not_drain_the_wire():
+    """Every tick drains the wire exactly once, at its top.
+
+    The PBE monitor's rate hint runs inside a cell's monitor callback,
+    between one cell's grants and the next.  It used to read the user
+    through ``network.user()``, which drains the wire: a second O(ingress)
+    scan every subframe, at a point where queues could change mid-tick.
+    """
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+
+    scenario, specs = fingerprint_configs(1.0)["busy_2cc_pbe"]
+    experiment = Experiment(scenario)
+    for spec in specs:
+        experiment.add_flow(spec)
+    network = experiment.network
+    drain, tick = network._drain_wire, network._tick
+    drains = 0
+    per_tick = []
+
+    def counting_drain():
+        nonlocal drains
+        drains += 1
+        drain()
+
+    def counting_tick():
+        before = drains
+        tick()
+        per_tick.append(drains - before)
+
+    network._drain_wire = counting_drain
+    network._tick = counting_tick
+    experiment.run()
+    # The Experiment scheduled the first tick before the patch.
+    assert len(per_tick) == network.subframe - 1 > 900
+    assert set(per_tick) == {1}
+
+
 # ----------------------------------------------------------------------
 # Rolling-sum equivalence: CA manager
 # ----------------------------------------------------------------------
