@@ -16,19 +16,19 @@ Run:  python examples/misreporting_guard.py
 from repro.core import FeedbackGuard, PbeFeedback
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.report import format_table
+from repro.net import Tap
 
 
 def _lie_about_capacity(handle, rate_bps=500e6):
-    """Monkey-patch a client to always report an inflated capacity."""
-    original = handle.receiver.feedback_for
-
-    def inflated(packet):
-        feedback = original(packet)
-        return PbeFeedback.from_rates(
+    """Rewrite every ACK the client sends to claim an inflated capacity."""
+    def inflate(ack):
+        feedback = ack.feedback
+        ack.feedback = PbeFeedback.from_rates(
             rate_bps, rate_bps, feedback.internet_bottleneck,
             feedback.carrier_activated)
 
-    handle.receiver.feedback_for = inflated
+    client = handle.receiver
+    client.uplink = Tap(client.uplink, inflate)
 
 
 DURATION_S = 16.0

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from ..net.flow import FlowStats
 from ..net.link import Receiver
-from ..net.packet import AckBatch, Packet
+from ..net.packet import Packet
 from ..net.sim import Event, Simulator
 from ..net.units import MSS_BITS, US_PER_S
 
@@ -254,64 +254,23 @@ class Sender(Receiver):
     # Receiving ACKs
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if not packet.is_ack or packet.flow_id != self.flow_id:
-            return
-        now = self.sim.now
-        entry = self._outstanding.pop(packet.acked_seq, None)
-        if entry is None:
-            return  # spurious/duplicate ACK
-        bits, _sent = entry
-        self.inflight_bits -= bits
-        self.acked_packets += 1
-        self.highest_acked = max(self.highest_acked, packet.acked_seq)
+        self.receive_batch([packet])
 
-        rtt = now - packet.sent_time_us
-        if rtt > 0:
-            self.srtt_us = (rtt if self.srtt_us == 0
-                            else round(0.875 * self.srtt_us + 0.125 * rtt))
-            if self.min_rtt_us is None or rtt < self.min_rtt_us:
-                self.min_rtt_us = rtt
-
-        self.delivered_bits += bits
-        self.delivered_time_us = now
-        interval = now - packet.delivered_time_at_send
-        if interval > 0:
-            rate = ((self.delivered_bits - packet.delivered_at_send)
-                    * US_PER_S / interval)
-        else:
-            rate = 0.0
-
-        self._detect_losses()
-        ctx = AckContext(ack=packet, now_us=now, rtt_us=rtt,
-                         delivery_rate_bps=rate, newly_acked_bits=bits,
-                         inflight_bits=self.inflight_bits,
-                         app_limited=packet.app_limited,
-                         srtt_us=self.srtt_us)
-        self.cc.on_ack(ctx)
-        self._arm_rto()
-        # ACK clocking: if sending was blocked (window-limited or idle),
-        # resume immediately.  Never disturb an in-progress pacing gap.
-        if self._running and not self._pacing_active:
-            self._schedule_pacing(0)
-
-    def receive_batch(self, batch: AckBatch) -> None:
+    def receive_batch(self, packets: list[Packet]) -> None:
         """Process one grant cycle's ACK burst as a block.
 
-        Semantically equivalent to calling :meth:`receive` once per
-        packet in flush order — the per-ACK bookkeeping below mirrors
-        that method step for step — but with the loop-invariant work
-        hoisted: sender state lives in locals across the burst, the
-        congestion controller sees the burst through one
-        :meth:`CongestionControl.on_ack_block` call instead of N
-        dispatches, and the RTO/pacing timers are touched once per
-        block instead of once per ACK.
-
-        Two guards route back to the scalar path: a mixed batch
-        (non-ACK or foreign-flow packets — only same-flow ACKs have the
-        uniform shape the loop assumes) and a foreign ``flow_id``.
+        Equivalent to processing the ACKs one by one in flush order
+        (``tests/reference_transport.py`` keeps that per-ACK body as the
+        oracle), with the loop-invariant work hoisted: sender state
+        lives in locals across the burst, the congestion controller sees
+        the burst through one :meth:`CongestionControl.on_ack_block`
+        call instead of N dispatches, and the RTO/pacing timers are
+        touched once per block instead of once per ACK.  A data packet,
+        another flow's ACK and a spurious or duplicate ACK are skipped
+        where they stand, as the per-ACK body skips them.
 
         Timer equivalence: the RTO event is *created* in-loop at the
-        first processed ACK, exactly where the scalar path creates it,
+        first processed ACK, exactly where the per-ACK body creates it,
         so its heap sequence number is in the same relative position;
         subsequent per-ACK deadline writes are deferred to one
         :meth:`_arm_rto` at block end (a stale firing re-arms for the
@@ -319,14 +278,9 @@ class Sender(Receiver):
         pacing-resume check moves to block end because
         ``_pacing_active`` is only ever mutated by ``_pace``, whose whole
         train runs inside one event, never mid-block — the last ACK's
-        reschedule is the only one that survives in scalar mode anyway.
+        reschedule is the only one that survives per ACK anyway.
         """
-        if batch.mixed or batch.flow_id != self.flow_id:
-            receive = self.receive
-            for packet in batch.packets:
-                receive(packet)
-            return
-
+        flow_id = self.flow_id
         now = self.sim.now
         outstanding = self._outstanding
         send_order = self._send_order
@@ -342,7 +296,7 @@ class Sender(Receiver):
         def flush_pending() -> None:
             # Publish hoisted state, then hand the contexts accumulated
             # so far to the controller — it must observe the same
-            # sender state it would have mid-scalar-loop.
+            # sender state it would have between two per-ACK calls.
             self.srtt_us = srtt
             self.min_rtt_us = min_rtt
             self.delivered_bits = delivered
@@ -352,7 +306,9 @@ class Sender(Receiver):
                 self.cc.on_ack_block(pending)
                 pending.clear()
 
-        for ack in batch.packets:
+        for ack in packets:
+            if not ack.is_ack or ack.flow_id != flow_id:
+                continue
             acked = ack.acked_seq
             entry = outstanding.pop(acked, None)
             if entry is None:
@@ -387,7 +343,7 @@ class Sender(Receiver):
                 lost_bits = self._scan_losses(highest)
                 if lost_bits:
                     # cc.on_loss must see every prior ACK first, exactly
-                    # as the scalar interleaving would deliver them.
+                    # as the per-ACK interleaving would deliver them.
                     flush_pending()
                     self.cc.on_loss(now, lost_bits, self.inflight_bits)
             pending.append(AckContext(
@@ -395,7 +351,7 @@ class Sender(Receiver):
                 ack.app_limited, srtt))
             if (self._rto_event is None and self._running
                     and outstanding):
-                # Scalar creates the timer during this ACK's receive;
+                # The per-ACK body creates the timer during this ACK;
                 # match its heap position (deadline refreshed at end).
                 delay = (MIN_RTO_US if srtt == 0
                          else max(MIN_RTO_US, 4 * srtt))
@@ -409,12 +365,6 @@ class Sender(Receiver):
         self._arm_rto()
         if self._running and not self._pacing_active:
             self._schedule_pacing(0)
-
-    def _detect_losses(self) -> None:
-        """Declare head-of-line packets lost once enough later ACKs."""
-        lost_bits = self._scan_losses(self.highest_acked)
-        if lost_bits:
-            self.cc.on_loss(self.sim.now, lost_bits, self.inflight_bits)
 
     def _scan_losses(self, highest_acked: int) -> int:
         """Pop head-of-line packets now considered lost; return bits."""
@@ -485,58 +435,26 @@ class AckingReceiver(Receiver):
         self.uplink = uplink
         self.stats = FlowStats(flow_id)
 
-    def feedback_for(self, packet: Packet) -> Optional[Any]:
-        """Override point: feedback object to ride on this packet's ACK."""
-        return None
-
     def receive(self, packet: Packet) -> None:
-        if packet.is_ack or packet.flow_id != self.flow_id:
-            return
-        now = self.sim.now
-        delay = now - packet.sent_time_us
-        self.stats.record(now, packet.size_bits, delay)
-        ack = packet.make_ack(now, feedback=self.feedback_for(packet))
-        self.uplink.receive(ack)
+        self.receive_block([packet])
 
     def receive_block(self, packets: list[Packet]) -> None:
-        """Deliver one released burst (a subframe's packets for this UE).
-
-        Equivalent to calling :meth:`receive` once per packet in order,
-        with the per-packet dispatch hoisted and the generated ACKs
-        handed to the uplink as one block when it supports it
-        (:meth:`repro.net.link.BatchingPipe.receive_block`).  Deferring
-        the uplink hand-off past the later packets' bookkeeping is
-        unobservable: ACK generation reads no uplink state and the
-        uplink's flush alignment depends only on ``sim.now``, which is
-        constant across the burst.
+        """Deliver one released burst (a subframe's packets for this UE):
+        log each of this flow's data packets and hand their ACKs to the
+        uplink as one burst.  Deferring the uplink hand-off past the
+        later packets' bookkeeping is unobservable: ACK generation reads
+        no uplink state and the uplink's flush alignment depends only on
+        ``sim.now``, which is constant across the burst.
         """
         now = self.sim.now
         flow_id = self.flow_id
         record = self.stats.record
-        feedback_for = self.feedback_for
         acks: list[Packet] = []
         ack_append = acks.append
         for packet in packets:
             if packet.is_ack or packet.flow_id != flow_id:
                 continue
             record(now, packet.size_bits, now - packet.sent_time_us)
-            ack_append(packet.make_ack(now, feedback_for(packet)))
-        if not acks:
-            return
-        self._forward_acks(acks)
-
-    def _forward_acks(self, acks: list[Packet]) -> None:
-        """Hand a burst of ACKs to the uplink, as a block if it can.
-
-        A per-packet fallback keeps impaired uplinks
-        (:class:`repro.faults.pipe.ImpairedPipe`) on their defined
-        semantics: their RNG draws happen per packet in arrival order
-        either way.
-        """
-        receive_block = getattr(self.uplink, "receive_block", None)
-        if receive_block is not None:
-            receive_block(acks)
-            return
-        receive = self.uplink.receive
-        for ack in acks:
-            receive(ack)
+            ack_append(packet.make_ack(now))
+        if acks:
+            self.uplink.receive_block(acks)

@@ -169,7 +169,7 @@ class Bbr(CongestionControl):
                 on_ack(ctx)
             return
         rt_head = rt_samples[0][1]
-        block_min = None  # min RTT once per AckBatch, not per ACK
+        block_min = None  # min RTT once per ACK burst, not per ACK
         for ctx in contexts:
             rtt = ctx.rtt_us
             if rtt > 0 and (block_min is None or rtt < block_min):

@@ -342,11 +342,13 @@ class CellularNetwork:
     # ------------------------------------------------------------------
     def add_user(self, rnti: int, cells: list[int], channel: ChannelModel,
                  category: Optional[UeCategory] = None,
-                 on_packet: Optional[Callable[[Packet], None]] = None,
+                 on_packet_block: Optional[
+                     Callable[[list[Packet]], None]] = None,
                  queue_packets: int = 3000,
                  log_allocations: bool = False) -> UserEquipment:
-        """Attach a full transport endpoint user; returns its UE object."""
-        ue = UserEquipment(self.sim, rnti, on_packet)
+        """Attach a full transport endpoint user; returns its UE object
+        (``on_packet_block`` takes each instant's delivered burst)."""
+        ue = UserEquipment(self.sim, rnti, on_packet_block)
         user = self._make_user(rnti, cells, channel, category,
                                queue_packets, ue)
         if log_allocations:

@@ -24,20 +24,17 @@ class UserEquipment:
     """Receiver-side state for one mobile user."""
 
     #: Checkpointing: wiring restored from the rebuilt experiment.
-    SNAPSHOT_SKIP = ("sim", "on_packet", "on_packet_block")
+    SNAPSHOT_SKIP = ("sim", "on_packet_block")
 
     def __init__(self, sim: Simulator, rnti: int,
-                 on_packet: Optional[Callable[[Packet], None]] = None)\
-            -> None:
+                 on_packet_block: Optional[
+                     Callable[[list[Packet]], None]] = None) -> None:
         self.sim = sim
         self.rnti = rnti
-        #: Callback invoked for every in-order, uncorrupted packet.
-        self.on_packet = on_packet
-        #: Optional burst callback: one call per subframe with every
-        #: packet it delivered (the columnar ACK-generation entry
-        #: point).  Takes precedence over ``on_packet`` when set.
-        self.on_packet_block: Optional[Callable[[list[Packet]], None]] \
-            = None
+        #: Burst callback: one call per instant with every in-order,
+        #: uncorrupted packet it delivered (a receiver's
+        #: ``receive_block``).
+        self.on_packet_block = on_packet_block
         self._reorder: ReorderingBuffer[TransportBlock] = ReorderingBuffer()
         self.delivered_packets = 0
         self.lost_packets = 0
@@ -97,6 +94,3 @@ class UserEquipment:
         self.delivered_packets += len(delivered)
         if self.on_packet_block is not None:
             self.on_packet_block(delivered)
-        elif self.on_packet is not None:
-            for packet in delivered:
-                self.on_packet(packet)

@@ -98,106 +98,22 @@ class PbeClient(AckingReceiver):
         """``Dth`` of §4.2.2."""
         return self.dprop_us + self.delay_margin_us
 
-    def _rtprop_us(self, packet: Packet) -> int:
-        srtt = packet.meta.get("srtt_us", 0)
-        return srtt if srtt > 0 else self.default_rtprop_us
-
-    def _prune_recent(self, horizon_us: int) -> None:
-        recent = self._recent
-        while recent and recent[0][0] < horizon_us:
-            self._recent_bits -= recent.popleft()[1]
-
-    def _receive_rate_bps(self, now_us: int, window_us: int) -> float:
-        self._prune_recent(now_us - window_us)
-        bits = self._recent_bits
-        return bits * US_PER_S / window_us if window_us > 0 else 0.0
-
-    def _npkt(self, ct_bits_per_subframe: float) -> int:
-        """Consecutive-packet threshold Npkt (Eqn. 6), at least 3.
-
-        ``Npkt = 6 · Ct / MSS`` with Ct in bits per subframe — the
-        number of packets the current rate carries in six subframes.
-        """
-        return max(3, round(SWITCH_SUBFRAMES * ct_bits_per_subframe
-                            / MSS_BITS))
-
     # ------------------------------------------------------------------
-    # Per-packet processing
-    # ------------------------------------------------------------------
-    def feedback_for(self, packet: Packet) -> PbeFeedback:
-        now = self.sim.now
-        delay = now - packet.sent_time_us
-        self._dprop.update(now, delay)
-        self._recent.append((now, packet.size_bits))
-        self._recent_bits += packet.size_bits
-
-        rtprop_us = self._rtprop_us(packet)
-        # Keep the receive-rate window bounded on *every* packet.  It
-        # used to be pruned only on the Internet-bottleneck branch
-        # below, so a flow that stayed wireless-bottlenecked grew the
-        # deque by one entry per packet for the whole run.
-        self._prune_recent(now - rtprop_us)
-        rtprop_subframes = max(1, rtprop_us // 1_000)
-        # The UE's subframe clock keeps ticking even when the decoder
-        # is dark — pass it so the report carries a staleness signal.
-        report = self.monitor.report(rtprop_subframes,
-                                     now_subframe=now // US_PER_MS)
-        self._last_report = report
-
-        threshold = self.delay_threshold_us
-        npkt = self._npkt(report.transport_capacity)
-        if delay > threshold:
-            self._over_threshold_run += 1
-            self._under_threshold_run = 0
-        else:
-            self._under_threshold_run += 1
-            self._over_threshold_run = 0
-
-        if self.state == WIRELESS:
-            if self._over_threshold_run >= npkt:
-                self._switch(INTERNET, now)
-        else:
-            receive_rate = self._receive_rate_bps(now, rtprop_us)
-            fair = report.transport_fair_share_bps
-            if (self._under_threshold_run >= npkt
-                    and receive_rate >= FAIR_SHARE_FRACTION * fair):
-                self._switch(WIRELESS, now)
-
-        # §4.1/§4.2.1: the sender offers at least its fair share of the
-        # cell (so an under-allocated flow keeps pressure on the
-        # scheduler and converges back to the equal split), and more
-        # when idle capacity makes Cp exceed the fair share.  The base
-        # station's per-user fairness arbitrates any overshoot.
-        target = max(report.transport_capacity_bps,
-                     report.transport_fair_share_bps)
-        if report.is_stale:
-            self.stale_reports += 1
-        return PbeFeedback.from_rates(
-            target_rate_bps=target,
-            fair_rate_bps=report.transport_fair_share_bps,
-            internet_bottleneck=(self.state == INTERNET),
-            carrier_activated=report.carrier_activated,
-            stale=report.is_stale)
-
-    def _switch(self, state: str, now_us: int) -> None:
-        self.time_in_state[self.state] += now_us - self._state_since
-        self._state_since = now_us
-        self.state = state
-        self.state_changes.append((now_us, state))
-        self._over_threshold_run = 0
-        self._under_threshold_run = 0
-
-    # ------------------------------------------------------------------
-    # Columnar receive (batched ACK generation)
+    # Per-burst processing
     # ------------------------------------------------------------------
     def receive_block(self, packets: list[Packet]) -> None:
         """One subframe's deliveries → one run of feedback ACKs.
 
-        Fuses the base class's record-and-ack loop with
-        :meth:`feedback_for`: the same ACK values and the same
-        observable client state, with everything that is constant
-        across a burst — ``now`` and whatever only the report or the
-        stamped srtt can move — done once instead of per packet:
+        Per packet (``tests/reference_transport.py`` keeps the per-packet
+        body this replaced as the oracle): fold the one-way delay into
+        Dprop, add the packet to the receive-rate window (pruned to the
+        RTprop the sender stamped as ``meta["srtt_us"]``, else
+        ``default_rtprop_us``), read the monitor's report over that
+        window, run the §4.2.2 state machine against ``Dth`` and
+        ``Npkt``, and stamp the ACK with a :class:`PbeFeedback`.
+        Everything that is constant across a burst — ``now`` and
+        whatever only the report or the stamped srtt can move — is done
+        once instead of per packet:
 
         * the Dprop filter runs as a running minimum in a local and
           takes ONE insert, of the burst minimum, at the end (the tail
@@ -217,19 +133,9 @@ class PbeClient(AckingReceiver):
 
         Every per-packet *decision* stays per packet: the threshold
         test against the running Dprop, the over/under runs against
-        ``Npkt``, the state machine, ``stale_reports``.
-
-        The fusion assumes :meth:`feedback_for` is this class's own —
-        an instance monkeypatch or a subclass override (tests tap it
-        to observe the feedback stream) demotes the block to the
-        per-packet reference loop so the hook sees every packet.
+        ``Npkt``, the state machine, ``stale_reports``.  To watch or
+        rewrite the feedback, wrap ``uplink`` (it receives the burst).
         """
-        if ("feedback_for" in self.__dict__
-                or type(self).feedback_for is not PbeClient.feedback_for):
-            receive = self.receive
-            for packet in packets:
-                receive(packet)
-            return
         now = self.sim.now
         flow_id = self.flow_id
         monitor = self.monitor
@@ -281,13 +187,17 @@ class PbeClient(AckingReceiver):
                 report = monitor.report(rtprop_subframes,
                                         now_subframe=now_subframe)
                 report_window = rtprop_subframes
+                # Npkt (Eqn. 6), at least 3: the packets the current
+                # rate Ct (bits per subframe) carries in six subframes.
                 npkt = max(3, round(SWITCH_SUBFRAMES
                                     * report.transport_capacity
                                     / MSS_BITS))
                 fair_bps = report.transport_fair_share_bps
                 activated = report.carrier_activated
                 is_stale = report.is_stale
-                # from_rates, with the encodes hoisted per report.
+                # §4.1/§4.2.1: offer at least the fair share, more when
+                # idle capacity makes Cp exceed it (``from_rates``, with
+                # the encodes hoisted per report).
                 target_interval = encode_interval_us(
                     max(report.transport_capacity_bps, fair_bps))
                 fair_interval = encode_interval_us(fair_bps)
@@ -333,7 +243,7 @@ class PbeClient(AckingReceiver):
         self._under_threshold_run = under_run
         self.stale_reports += stale_reports
         self._last_report = report
-        self._forward_acks(acks)
+        self.uplink.receive_block(acks)
 
     # ------------------------------------------------------------------
     def state_fractions(self, now_us: int) -> dict[str, float]:

@@ -80,7 +80,7 @@ from ..monitor.filters import ActiveUserFilter, UserActivity, _SubframeUsers
 from ..monitor.pbe import MonitorReport, PbeMonitor
 from ..net.flow import FlowStats
 from ..net.link import BatchingPipe, DelayPipe, FlowDemux, Link
-from ..net.packet import AckBatch, Packet
+from ..net.packet import Packet
 from ..net.sim import Event, Simulator
 from ..net.units import SUBFRAME_US
 from ..phy.carrier import AggregationState
@@ -112,7 +112,10 @@ SCHEMA = "repro.harness/checkpoint"
 #: 7: a user's ``_sinr_history`` holds only consumed subframes (not the
 #: current channel block) and ``_User`` lost three slots; a version-6
 #: user would replay the block's SINRs into the CQI history twice.
-VERSION = 7
+#: 8: an uplink's flushed burst is the held list itself; a version-7
+#: uplink carries ``_mixed`` and its ``_deliver`` events an
+#: ``AckBatch``, neither of which exists any more.
+VERSION = 8
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"
@@ -145,7 +148,7 @@ DEFAULT_WALL_BUDGET = 0.02
 #: block queued for HARQ retransmission and parked in a reordering
 #: buffer decodes back to one shared object).
 _IDENTITY = (Packet, TransportBlock, PbeFeedback, DciMessage,
-             SubframeRecord, AckBatch)
+             SubframeRecord)
 
 #: Classes restored through the generic attribute walker.
 _STATE = (

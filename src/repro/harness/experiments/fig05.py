@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...net.link import Tap
 from ...phy.carrier import CarrierConfig
 from ..report import format_table
 from ..runner import Experiment, FlowSpec
@@ -76,15 +77,9 @@ def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,
         scheme="pbe", rnti=102, app_rate_bps=limited_rate_bps))
 
     estimates: list[tuple[float, float]] = []
-    original = victim.receiver.feedback_for
-
-    def tap(packet):
-        feedback = original(packet)
-        estimates.append((experiment.sim.now / 1e6,
-                          feedback.target_rate_bps / 1e6))
-        return feedback
-
-    victim.receiver.feedback_for = tap
+    client = victim.receiver
+    client.uplink = Tap(client.uplink, lambda ack: estimates.append(
+        (experiment.sim.now / 1e6, ack.feedback.target_rate_bps / 1e6)))
     results = experiment.run()
 
     end = competitor_end_s

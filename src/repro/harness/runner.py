@@ -246,7 +246,7 @@ class Experiment:
                         app_rate_bps=spec.app_rate_bps)
         # An ACK injector sits *upstream* of the batching stage and
         # draws its RNG per packet in arrival order, so its loss/
-        # reorder/dup/corruption decisions land in the batch columns
+        # reorder/dup/corruption decisions land in the held burst
         # unchanged (pinned by the faulted fingerprint configs and
         # tests/test_cc_block.py).
         fault_spec = spec.fault_spec()
@@ -273,12 +273,10 @@ class Experiment:
         else:
             receiver = AckingReceiver(sim, spec.rnti, uplink)
 
-        ue = self.network.add_user(
-            spec.rnti, cells, channel, on_packet=receiver.receive,
+        # Released transport blocks hand their packets over as one burst.
+        self.network.add_user(
+            spec.rnti, cells, channel, on_packet_block=receiver.receive_block,
             log_allocations=spec.log_allocations)
-        # Columnar ACK generation: released transport blocks hand their
-        # packets over as one burst.
-        ue.on_packet_block = receiver.receive_block
 
         sim.schedule(us_from_seconds(spec.start_s), sender.start)
         end_s = (spec.start_s + spec.duration_s

@@ -14,6 +14,7 @@ from .link import (
     Link,
     PacketSink,
     Receiver,
+    Tap,
 )
 from .packet import ACK_BITS, Packet
 from .sim import Event, Simulator
@@ -36,6 +37,6 @@ __all__ = [
     "ACK_BITS", "BatchingPipe", "DelayPipe", "Event", "FlowDemux",
     "FlowStats", "Link", "MSS_BITS",
     "MSS_BYTES", "Packet", "PacketSink", "Receiver", "SUBFRAME_US",
-    "Simulator", "US_PER_MS", "US_PER_S", "bps_from_mbps", "mbps", "ms",
+    "Simulator", "Tap", "US_PER_MS", "US_PER_S", "bps_from_mbps", "mbps", "ms",
     "seconds", "transmission_time_us", "us_from_ms", "us_from_seconds",
 ]

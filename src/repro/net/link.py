@@ -13,21 +13,39 @@ Two flavours:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
-from .packet import AckBatch, Packet
+from .packet import Packet
 from .sim import Simulator
 from .units import transmission_time_us
 
 
 class Receiver:
-    """Anything that can accept a packet (duck-typed protocol).  A sink
-    reading its input on its own clock may add ``receive_at(packet,
-    arrival_us) -> bool``: take the packet early, stamped with its
-    arrival instant (``False``: send the ``receive`` event instead)."""
+    """Anything that can accept packets: one delivery contract.
+
+    ``receive`` takes one packet; ``receive_block`` takes a burst (one
+    subframe's packets, one grant cycle's ACKs) and ``receive_batch`` is
+    the same call under the name the uplink's flush uses.  By default a
+    burst is a loop of ``receive`` in order, so a sink that only defines
+    ``receive`` takes bursts unchanged; an endpoint with a burst body
+    makes ``receive`` its burst of one.  A sink reading its input on its
+    own clock overrides ``receive_at(packet, arrival_us) -> bool``: take
+    the packet early, stamped with its arrival instant (the default
+    ``False`` makes the link send the ``receive`` event instead)."""
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def receive_block(self, packets: list[Packet]) -> None:
+        receive = self.receive
+        for packet in packets:
+            receive(packet)
+
+    def receive_batch(self, packets: list[Packet]) -> None:
+        self.receive_block(packets)
+
+    def receive_at(self, packet: Packet, arrival_us: int) -> bool:
+        return False
 
 
 class DelayPipe(Receiver):
@@ -65,20 +83,16 @@ class BatchingPipe(Receiver):
     delay-based schemes on cellular paths).
 
     Each flush delivers the whole burst — single ACKs included — as
-    **one** scheduled event carrying an :class:`AckBatch`, handed to the
-    sink's ``receive_batch`` method when it has one (per-packet
-    ``receive`` loop otherwise).  One event per ACK would put the same
-    deliveries at the same instant as a contiguous run of event sequence
-    numbers with nothing interleaved between them, so collapsing the
-    run into a single event only relabels subsequent sequence numbers
-    uniformly — relative event order, and therefore behaviour, is
-    unchanged (``tests/reference_engine.py`` keeps the event-per-ACK
-    pipe; the ``repro.harness.fingerprint`` byte-identity suite runs
-    both).
+    **one** scheduled event carrying the held list to the sink's
+    ``receive_batch``.  One event per ACK would put the same deliveries
+    at the same instant as a contiguous run of event sequence numbers
+    with nothing interleaved between them, so collapsing the run into a
+    single event only relabels subsequent sequence numbers uniformly —
+    relative event order, and therefore behaviour, is unchanged
+    (``tests/reference_engine.py`` keeps the event-per-ACK pipe; the
+    ``repro.harness.fingerprint`` byte-identity suite runs both).
 
-    ``_held`` is the cycle's packets in arrival order and ``_mixed``
-    whether any of them is not an ACK of the first one's flow (tracked
-    as they arrive, so the flush is O(1)); both are snapshot state.
+    ``_held`` is the cycle's packets in arrival order (snapshot state).
     """
 
     SNAPSHOT_SKIP = ("sim", "sink")
@@ -96,7 +110,6 @@ class BatchingPipe(Receiver):
         self.batch_interval_us = batch_interval_us
         self.name = name
         self._held: list[Packet] = []
-        self._mixed = False
         self.forwarded = 0
         self.batches = 0
 
@@ -108,51 +121,38 @@ class BatchingPipe(Receiver):
         self.sim.schedule(wait, self._flush)
 
     def receive(self, packet: Packet) -> None:
+        # ``receive_block`` for a burst of one.
         packet.hops += 1
         held = self._held
         if not held:
             self._open_cycle()
         held.append(packet)
-        if not packet.is_ack or packet.flow_id != held[0].flow_id:
-            self._mixed = True
 
     def receive_block(self, packets: list[Packet]) -> None:
-        """Accept one burst of ACKs (same effects as per-packet calls):
-        a whole released transport block's ACKs in one call."""
+        """Hold one burst (a whole released transport block's ACKs) for
+        the next grant."""
         if not packets:
             return
         held = self._held
         if not held:
             self._open_cycle()
-            flow_id = packets[0].flow_id
-        else:
-            flow_id = held[0].flow_id
         for packet in packets:
             packet.hops += 1
-            if not packet.is_ack or packet.flow_id != flow_id:
-                self._mixed = True
         held += packets
 
     def _flush(self) -> None:
-        batch = AckBatch(self._held[0].flow_id, self._held, self._mixed)
-        self._held, self._mixed = [], False
+        held, self._held = self._held, []
         self.batches += 1
-        n = len(batch)
+        n = len(held)
         self.forwarded += n
         perf = self.sim.perf
         if perf is not None:
             perf.ack_batches += 1
             perf.acks_batched += n
-        self.sim.schedule(self.delay_us, self._deliver, batch)
+        self.sim.schedule(self.delay_us, self._deliver, held)
 
-    def _deliver(self, batch: AckBatch) -> None:
-        receive_batch = getattr(self.sink, "receive_batch", None)
-        if receive_batch is not None:
-            receive_batch(batch)
-        else:
-            receive = self.sink.receive
-            for packet in batch.packets:
-                receive(packet)
+    def _deliver(self, held: list[Packet]) -> None:
+        self.sink.receive_batch(held)
 
 
 class Link(Receiver):
@@ -239,9 +239,9 @@ class Link(Receiver):
             self._tx_us = transmission_time_us(size_bits, self.rate_bps)
         self._busy_until = end = start + self._tx_us
         arrival_us = end + self.delay_us
-        park = getattr(self.sink, "receive_at", None)
-        if park is None or not park(packet, arrival_us):
-            self.sim.schedule_at(arrival_us, self.sink.receive, packet)
+        sink = self.sink
+        if not sink.receive_at(packet, arrival_us):
+            self.sim.schedule_at(arrival_us, sink.receive, packet)
 
 
 class FlowDemux(Receiver):
@@ -270,8 +270,29 @@ class FlowDemux(Receiver):
         sink.receive(packet)
 
     def receive_at(self, packet: Packet, arrival_us: int) -> bool:
-        park = getattr(self._routes.get(packet.flow_id), "receive_at", None)
-        return park is not None and park(packet, arrival_us)
+        sink = self._routes.get(packet.flow_id)
+        return sink is not None and sink.receive_at(packet, arrival_us)
+
+
+class Tap(Receiver):
+    """Calls ``observe(packet)`` on every packet of a burst, then hands
+    the burst on to ``sink`` (``observe`` may edit a packet in place).
+    Wrapping a client's ``uplink`` in one is how a run watches or
+    rewrites the feedback its ACKs carry."""
+
+    def __init__(self, sink: Receiver,
+                 observe: Callable[[Packet], None]) -> None:
+        self.sink = sink
+        self.observe = observe
+
+    def receive(self, packet: Packet) -> None:
+        self.receive_block([packet])
+
+    def receive_block(self, packets: list[Packet]) -> None:
+        observe = self.observe
+        for packet in packets:
+            observe(packet)
+        self.sink.receive_block(packets)
 
 
 class PacketSink(Receiver):

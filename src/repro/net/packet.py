@@ -85,39 +85,3 @@ class Packet:
         return (f"<{kind} flow={self.flow_id} seq={self.seq} "
                 f"bits={self.size_bits}>")
 
-
-class AckBatch:
-    """One uplink grant cycle's ACKs, delivered as a unit.
-
-    The LTE uplink releases ACKs in bursts (see
-    :class:`repro.net.link.BatchingPipe`), which delivers each burst as
-    **one** scheduled event carrying this container instead of N
-    per-packet ``sink.receive`` events;
-    :meth:`repro.baselines.base.Sender.receive_batch` reads what it
-    needs straight off the ACK objects in ``packets``.
-
-    ``mixed`` flags a batch holding anything other than ``flow_id``'s
-    ACKs — the transport core routes such batches through the scalar
-    per-packet path rather than guessing.
-    """
-
-    __slots__ = ("flow_id", "packets", "mixed")
-
-    def __init__(self, flow_id: int, packets: list["Packet"],
-                 mixed: bool) -> None:
-        self.flow_id = flow_id
-        self.packets = packets
-        self.mixed = mixed
-
-    @classmethod
-    def from_packets(cls, packets: list["Packet"]) -> "AckBatch":
-        """Batch for the first packet's flow; ``mixed`` from one pass."""
-        flow_id = packets[0].flow_id
-        mixed = any(not p.is_ack or p.flow_id != flow_id for p in packets)
-        return cls(flow_id, packets, mixed)
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<AckBatch flow={self.flow_id} n={len(self.packets)}>"

@@ -46,7 +46,7 @@ class PerfCounters:
         entries (see :meth:`Simulator.schedule`'s lazy deletion).
     ``ack_batches`` / ``acks_batched``
         grant-cycle flushes the uplink delivered, each as one
-        :class:`~repro.net.packet.AckBatch` event, and how many ACKs
+        ``receive_batch`` event carrying the burst, and how many ACKs
         rode in them (a flush of a single ACK is a batch of one).
     """
 

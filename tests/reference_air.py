@@ -38,27 +38,16 @@ class ReferenceUserEquipment(UserEquipment):
 
     def _release(self, tb) -> None:
         now = self.sim.now
-        block = self.on_packet_block
-        if block is not None:
-            delivered: list[Packet] = []
-            for packet in tb.completes:
-                if packet.meta.get(CORRUPT_KEY):
-                    self.lost_packets += 1
-                    continue
-                packet.recv_time_us = now
-                delivered.append(packet)
-            self.delivered_packets += len(delivered)
-            if delivered:
-                block(delivered)
-            return
+        delivered: list[Packet] = []
         for packet in tb.completes:
             if packet.meta.get(CORRUPT_KEY):
                 self.lost_packets += 1
                 continue
             packet.recv_time_us = now
-            self.delivered_packets += 1
-            if self.on_packet is not None:
-                self.on_packet(packet)
+            delivered.append(packet)
+        self.delivered_packets += len(delivered)
+        if delivered and self.on_packet_block is not None:
+            self.on_packet_block(delivered)
 
 
 class ReferenceCellularNetwork(CellularNetwork):
@@ -68,9 +57,9 @@ class ReferenceCellularNetwork(CellularNetwork):
     """
 
     def add_user(self, rnti, cells, channel, category=None,
-                 on_packet=None, queue_packets=3000,
+                 on_packet_block=None, queue_packets=3000,
                  log_allocations=False):
-        ue = ReferenceUserEquipment(self.sim, rnti, on_packet)
+        ue = ReferenceUserEquipment(self.sim, rnti, on_packet_block)
         user = self._make_user(rnti, cells, channel, category,
                                queue_packets, ue)
         if log_allocations:

@@ -4,9 +4,11 @@ Built from outside, not a copy of the tick: subclasses switch off each
 thing the engine infers it may skip or batch.  Every configured cell
 ticks every subframe, with its users filtered from scratch; every
 channel is sampled per subframe; the CA manager observes every user;
-the uplink schedules one ``sink.receive`` event per ACK; the UE hands
-packets over one at a time.  (The monitor needs no stand-in: the
-engine's per-record ingest is the one the reference always ran.)
+the uplink schedules one ``sink.receive`` event per ACK; the sender
+folds, and the client acknowledges, one packet at a time through the
+per-packet bodies of ``tests/reference_transport.py``.  (The monitor
+needs no stand-in: the engine's per-record ingest is the one the
+reference always ran.)
 Nothing under ``src/`` imports this module; the differential tests
 (``test_batch_engine``, ``test_tick_rosters``, ``test_cc_block``,
 ``test_transport_batch``, ``test_metro``) require byte-identical
@@ -26,6 +28,9 @@ from repro.metro import shard
 from repro.net.link import BatchingPipe
 from repro.phy.error import sinr_to_ber
 from repro.phy.mcs import bits_per_prb, sinr_to_mcs
+
+from .reference_transport import (ReferenceAckingReceiver,
+                                  ReferenceAckSender, ReferencePbeClient)
 
 
 class ReferenceUser(_User):
@@ -92,7 +97,7 @@ class ReferenceNetwork(CellularNetwork):
 
 
 class ReferencePipe(BatchingPipe):
-    """One ``sink.receive`` event per ACK; no :class:`AckBatch`."""
+    """One ``sink.receive`` event per ACK, never a burst."""
 
     def _flush(self) -> None:
         batch, self._held = self._held, []
@@ -102,12 +107,15 @@ class ReferencePipe(BatchingPipe):
             self.sim.schedule(self.delay_us, self.sink.receive, packet)
 
 
-_PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe}
+_PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe,
+          "Sender": ReferenceAckSender,
+          "AckingReceiver": ReferenceAckingReceiver,
+          "PbeClient": ReferencePbeClient}
 
 
 class ReferenceExperiment(runner.Experiment):
-    """An :class:`Experiment` wired from the reference parts, whose UEs
-    deliver per packet (``on_packet`` only)."""
+    """An :class:`Experiment` wired from the reference parts: its UEs'
+    bursts reach the receivers' per-packet loops."""
 
     def __init__(self, scenario, perf_counters=None) -> None:
         with mock.patch.multiple(runner, **_PARTS):
@@ -115,9 +123,7 @@ class ReferenceExperiment(runner.Experiment):
 
     def add_flow(self, spec):
         with mock.patch.multiple(runner, **_PARTS):
-            handle = super().add_flow(spec)
-        self.network._users[spec.rnti].ue.on_packet_block = None
-        return handle
+            return super().add_flow(spec)
 
 
 @contextmanager

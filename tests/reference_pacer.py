@@ -3,19 +3,21 @@
 This is ``Sender._pace``/``Sender._transmit`` as they stood before
 pacing trains replaced them: one heap event per data packet, the
 controller asked for ``pacing_rate_bps``/``cwnd_bits`` at every one of
-them and ``rate_valid_until_us`` never consulted.  Nothing under
-``src/`` imports it; ``tests/test_pacing_trains.py`` and
+them and ``rate_valid_until_us`` never consulted.  Its ACKs take the
+per-ACK body of ``tests/reference_transport.py``, bursts included.
+Nothing under ``src/`` imports it; ``tests/test_pacing_trains.py`` and
 ``tests/test_pbe_sender.py`` run it beside the train.
 """
 
 from __future__ import annotations
 
-from repro.baselines.base import Sender
 from repro.net.packet import Packet
 from repro.net.units import US_PER_S
 
+from .reference_transport import ReferenceAckSender
 
-class ReferenceSender(Sender):
+
+class ReferenceSender(ReferenceAckSender):
     """A :class:`Sender` that wakes through the heap for every packet."""
 
     def _pace(self) -> None:

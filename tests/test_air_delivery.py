@@ -15,7 +15,8 @@ burst per report instead of per packet.  Both must be unobservable:
   still runs before (after) them;
 * ``PbeClient.receive_block(burst)`` leaves the same ACKs — equal
   feedback *values* on every one — and the same observable state as
-  the per-packet ``receive`` loop, whatever changes inside the burst.
+  the per-packet body it replaced (``tests/reference_transport.py``),
+  whatever changes inside the burst.
 """
 
 from contextlib import ExitStack
@@ -32,13 +33,14 @@ from repro.net.flow import FlowStats
 from repro.net.link import PacketSink
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
-from repro.net.units import MSS_BITS
+from repro.net.units import MSS_BITS, US_PER_S
 from repro.phy.carrier import CarrierConfig
 from repro.phy.channel import StaticChannel
 from repro.phy.dci import DciMessage, SubframeRecord
 
 from . import reference_air
 from .reference_air import ReferenceCellularNetwork
+from .reference_transport import ReferencePbeClient
 
 END_US = 150_000
 #: Quick carrier activation — also for users sharing a cell three ways —
@@ -50,7 +52,7 @@ FAST_CA = dict(window=4, cooldown=4, deactivation_hold=8,
 # ----------------------------------------------------------------------
 # Base station + UE: same stream, same counters
 # ----------------------------------------------------------------------
-def _drive(network_cls, case, block):
+def _drive(network_cls, case):
     """Run one drawn case; returns ``(stream, counters, bursts)``."""
     sim = Simulator()
     carriers = list(range(case["carriers"]))
@@ -58,14 +60,11 @@ def _drive(network_cls, case, block):
                       ca_policy=CaPolicy(**FAST_CA), seed=case["seed"])
     stream, bursts, ues = [], [], {}
 
-    def on_packet(packet):
-        stream.append((sim.now, packet.recv_time_us, packet.flow_id,
-                       packet.seq))
-
     def on_block(packets):
         bursts.append(len(packets))
         for packet in packets:
-            on_packet(packet)
+            stream.append((sim.now, packet.recv_time_us, packet.flow_id,
+                           packet.seq))
 
     def offer(rnti, gap_us, seq=0):
         net.ingress(rnti).receive(
@@ -82,10 +81,8 @@ def _drive(network_cls, case, block):
             net.handover(rnti, cells, interruption_subframes=5)
 
     for rnti, gap_us in enumerate(case["gaps_us"], start=1):
-        ue = ues[rnti] = net.add_user(rnti, carriers, StaticChannel(20.0),
-                                      on_packet=on_packet)
-        if block:
-            ue.on_packet_block = on_block
+        ues[rnti] = net.add_user(rnti, carriers, StaticChannel(20.0),
+                                 on_packet_block=on_block)
         sim.schedule(0, offer, rnti, gap_us)
     for time_us, kind, rnti, cells in case["actions"]:
         sim.schedule_at(time_us, act, kind, rnti, cells)
@@ -133,10 +130,10 @@ def _cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_cases(), st.booleans())
-def test_landed_air_matches_event_per_block_delivery(case, block):
-    reference = _drive(ReferenceCellularNetwork, case, block)
-    landed = _drive(CellularNetwork, case, block)
+@given(_cases())
+def test_landed_air_matches_event_per_block_delivery(case):
+    reference = _drive(ReferenceCellularNetwork, case)
+    landed = _drive(CellularNetwork, case)
     assert landed[0] == reference[0]           # the packet stream
     assert landed[1] == reference[1]           # the UE counters
     assert all(now == recv for now, recv, _, _ in landed[0])
@@ -150,8 +147,8 @@ def test_the_differential_reaches_abandonment_and_aggregation():
     blocks, parks others in the reordering buffer and merges bursts."""
     case = {"carriers": 3, "seed": 7, "gaps_us": [150], "tbler": 0.8,
             "actions": [(60_000, "handover", 1, [1])], "cuts_us": []}
-    reference = _drive(ReferenceCellularNetwork, case, block=True)
-    landed = _drive(CellularNetwork, case, block=True)
+    reference = _drive(ReferenceCellularNetwork, case)
+    landed = _drive(CellularNetwork, case)
     assert landed[:2] == reference[:2]
     delivered, abandoned, _, lost, _, max_held = landed[1][1]
     assert delivered > 50 and abandoned > 5 and lost > 0 and max_held > 3
@@ -170,7 +167,8 @@ def _rule_log(network_cls):
     sim, net = _one_user_network(network_cls)
     log = []
     net.add_user(1, [0], StaticChannel(20.0),
-                 on_packet=lambda packet: log.append("packet"))
+                 on_packet_block=lambda packets: log.extend(
+                     "packet" for _ in packets))
     # Queued at set-up for the landing instant: ahead of the blocks
     # tick 4 puts on the air (and of tick 5 itself).
     sim.schedule_at(5_000, log.append, "before")
@@ -221,8 +219,8 @@ def test_only_consecutive_blocks_of_one_ue_merge():
 def test_one_client_pass_per_subframe_for_an_aggregated_user():
     sim, net = _one_user_network(CellularNetwork, carriers=3)
     calls = []
-    ue = net.add_user(1, [0, 1, 2], StaticChannel(20.0))
-    ue.on_packet_block = lambda packets: calls.append(sim.now)
+    ue = net.add_user(1, [0, 1, 2], StaticChannel(20.0),
+                      on_packet_block=lambda packets: calls.append(sim.now))
     for seq in range(3_000):
         net.enqueue(1, Packet(1, seq, MSS_BITS))
     net.start()
@@ -233,26 +231,33 @@ def test_one_client_pass_per_subframe_for_an_aggregated_user():
 
 
 # ----------------------------------------------------------------------
-# Client: receive_block(burst) against the per-packet receive loop
+# Client: receive_block(burst) against the per-packet body it replaced
 # ----------------------------------------------------------------------
 OWN = 100
 
 
+def _receive_rate_bps(client, now_us, window_us):
+    """The oracle's windowed receive rate, read off either client."""
+    ReferencePbeClient._prune_recent(client, now_us - window_us)
+    return client._recent_bits * US_PER_S / window_us
+
+
 class _Twins:
-    """Two clients on one clock, fed alike: one takes bursts whole
-    (``receive_block``), the other packet by packet (``receive``)."""
+    """Two clients on one clock, fed alike: the engine's takes bursts
+    whole (``receive_block``), the oracle packet by packet."""
 
     def __init__(self, rate=1000):
         self.sim = Simulator()
         #: Bits per PRB, hinted and decoded: sets Ct, hence Npkt.
         self.rate = rate
-        self.block, self.loop = (self._client() for _ in range(2))
+        self.block = self._client(PbeClient)
+        self.loop = self._client(ReferencePbeClient)
         self.seq = 0
 
-    def _client(self):
+    def _client(self, cls):
         monitor = PbeMonitor(OWN, {0: 100, 1: 100}, primary_cell=0,
                              own_rate_hint=lambda: (self.rate, 1e-6))
-        return PbeClient(self.sim, 1, PacketSink(self.sim), monitor)
+        return cls(self.sim, 1, PacketSink(self.sim), monitor)
 
     def advance(self, ms):
         self.sim.run(until_us=self.sim.now + ms * 1_000)
@@ -310,8 +315,8 @@ class _Twins:
                 == sum(bits for _, bits in client._recent)
         assert len(block._recent) <= len(loop._recent)
         for window_us in (60_000, 40_000, 5_000):  # each prunes further
-            assert block._receive_rate_bps(now, window_us) \
-                == loop._receive_rate_bps(now, window_us)
+            assert _receive_rate_bps(block, now, window_us) \
+                == _receive_rate_bps(loop, now, window_us)
 
 
 def test_one_burst_with_every_kind_of_change_inside():

@@ -72,7 +72,7 @@ def test_low_load_delivered_with_low_delay():
     net = _network(sim)
     delivered = []
     net.add_user(1, [0], StaticChannel(20.0),
-                 on_packet=delivered.append)
+                 on_packet_block=delivered.extend)
     net.start()
     _offer_cbr(sim, net.ingress(1), 10e6, 1_000_000)
     sim.run(until_us=1_100_000)
@@ -87,7 +87,7 @@ def test_overload_caps_at_cell_capacity():
     net = _network(sim)
     delivered = []
     net.add_user(1, [0], StaticChannel(20.0),
-                 on_packet=delivered.append, queue_packets=200)
+                 on_packet_block=delivered.extend, queue_packets=200)
     net.start()
     _offer_cbr(sim, net.ingress(1), 500e6, 1_000_000)
     sim.run(until_us=1_200_000)
@@ -103,7 +103,7 @@ def test_retransmission_delays_quantized_to_8ms():
     sim = Simulator()
     net = _network(sim, seed=5)
     delivered = []
-    net.add_user(1, [0], StaticChannel(4.0), on_packet=delivered.append)
+    net.add_user(1, [0], StaticChannel(4.0), on_packet_block=delivered.extend)
     net.start()
     _offer_cbr(sim, net.ingress(1), 8e6, 3_000_000)
     sim.run(until_us=3_200_000)
@@ -119,7 +119,7 @@ def test_in_order_delivery_despite_retx():
     sim = Simulator()
     net = _network(sim, seed=6)
     delivered = []
-    net.add_user(1, [0], StaticChannel(0.0), on_packet=delivered.append)
+    net.add_user(1, [0], StaticChannel(0.0), on_packet_block=delivered.extend)
     net.start()
     _offer_cbr(sim, net.ingress(1), 10e6, 2_000_000)
     sim.run(until_us=2_300_000)
@@ -133,7 +133,7 @@ def test_two_users_share_equally():
     got = {1: [], 2: []}
     for rnti in (1, 2):
         net.add_user(rnti, [0], StaticChannel(20.0, seed=rnti),
-                     on_packet=got[rnti].append, queue_packets=400)
+                     on_packet_block=got[rnti].extend, queue_packets=400)
     net.start()
     for rnti in (1, 2):
         _offer_cbr(sim, net.ingress(rnti), 400e6, 1_000_000, flow_id=rnti)
@@ -163,7 +163,7 @@ def test_user_removal_stops_service():
     sim = Simulator()
     net = _network(sim)
     delivered = []
-    net.add_user(1, [0], StaticChannel(20.0), on_packet=delivered.append)
+    net.add_user(1, [0], StaticChannel(20.0), on_packet_block=delivered.extend)
     net.start()
     _offer_cbr(sim, net.ingress(1), 10e6, 500_000)
     sim.run(until_us=250_000)
@@ -242,7 +242,7 @@ def test_cqi_delay_increases_error_rate_under_fast_fading():
         net.add_user(1, [0],
                      GaussMarkovChannel(14.0, std_db=5.0, memory=0.5,
                                         coherence_us=5_000, seed=2),
-                     on_packet=got.append)
+                     on_packet_block=got.extend)
         records = []
         net.attach_monitor(0, records.append)
         net.start()
@@ -293,7 +293,7 @@ def test_tie_rule_boundary_arrival_is_schedulable_in_that_subframe():
     net = _network(sim)
     got = []
     net.add_user(1, [0], StaticChannel(20.0), log_allocations=True,
-                 on_packet=got.append)
+                 on_packet_block=got.extend)
     net.start()
     # 12 µs serialization + 19 988 µs propagation = arrival at 20 000.
     link = _link_into(sim, net, 1, delay_us=19_988)

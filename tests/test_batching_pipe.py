@@ -113,8 +113,9 @@ def test_batched_mode_delivers_one_event_per_flush():
     for t, seq in ((100, 0), (2_000, 1), (4_900, 2)):
         sim.schedule(t, pipe.receive, _ack(seq))
     sim.run()
-    # PacketSink has no receive_batch: the AckBatch falls back to a
-    # per-packet loop, so delivery content matches per-ACK events.
+    # PacketSink defines only ``receive``: its inherited
+    # ``receive_batch`` is the per-packet loop, so delivery content
+    # matches per-ACK events.
     assert [p.seq for p in sink.packets] == [0, 1, 2]
     assert [p.recv_time_us for p in sink.packets] == [6_000] * 3
     assert pipe.forwarded == 3 and pipe.batches == 1

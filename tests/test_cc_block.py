@@ -40,13 +40,14 @@ from repro.core.sender import PbeSender
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import run_fingerprint
 from repro.net.flow import FlowStats
-from repro.net.link import BatchingPipe, DelayPipe, Link
+from repro.net.link import BatchingPipe, DelayPipe, Link, Receiver
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
 from .reference_engine import ReferencePipe, reference_engine
+from .reference_transport import ReferenceAckingReceiver, ReferenceAckSender
 
 DURATION_S = 0.6
 
@@ -126,7 +127,7 @@ def _cc_state(cc):
 # the identical packet sequence)
 # ---------------------------------------------------------------------------
 
-class SeqDropper:
+class SeqDropper(Receiver):
     """Drop every data packet whose seq hits a fixed residue class."""
 
     def __init__(self, sink, modulus=29, residue=13):
@@ -140,7 +141,7 @@ class SeqDropper:
         self.sink.receive(packet)
 
 
-class AckDuplicator:
+class AckDuplicator(Receiver):
     """Deliver every Nth ACK twice (spurious duplicate at the sender)."""
 
     def __init__(self, sink, every=17):
@@ -155,7 +156,7 @@ class AckDuplicator:
             self.sink.receive(packet)
 
 
-class PairSwapper:
+class PairSwapper(Receiver):
     """Hold every Nth ACK and release it after its successor."""
 
     def __init__(self, sink, every=13):
@@ -187,8 +188,7 @@ class ScriptedPbeClient(AckingReceiver):
     before phase 0 resyncs it.
     """
 
-    def feedback_for(self, packet):
-        seq = packet.seq
+    def _feedback(self, seq):
         phase = (self.sim.now // 50_000) % 6
         if phase == 4 and seq % 3:
             return None  # feedback lost in the network
@@ -200,6 +200,18 @@ class ScriptedPbeClient(AckingReceiver):
             carrier_activated=(phase == 1 and seq % 37 == 0),
             stale=stale,
         )
+
+    def receive_block(self, packets):
+        now = self.sim.now
+        acks = []
+        for packet in packets:
+            if packet.is_ack or packet.flow_id != self.flow_id:
+                continue
+            self.stats.record(now, packet.size_bits,
+                              now - packet.sent_time_us)
+            acks.append(packet.make_ack(now, self._feedback(packet.seq)))
+        if acks:
+            self.uplink.receive_block(acks)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +229,13 @@ _STREAMS = ("clean", "lossy", "reordered", "dup")
 
 
 def _run(scheme, stream, batched):
-    """``batched=False`` delivers every ACK as its own event."""
+    """``batched=False`` delivers every ACK as its own event, to the
+    per-ACK sender."""
     sim = Simulator()
     cc = _SCHEMES[scheme]()
     rows = _instrument(cc)
-    sender = Sender(sim, flow_id=1, cc=cc, egress=None)
+    sender = (Sender if batched else ReferenceAckSender)(
+        sim, flow_id=1, cc=cc, egress=None)
     uplink = (BatchingPipe if batched else ReferencePipe)(
         sim, sender, delay_us=2_000, batch_interval_us=5_000)
     ack_path = uplink
@@ -229,7 +243,10 @@ def _run(scheme, stream, batched):
         ack_path = AckDuplicator(uplink)
     elif stream == "reordered":
         ack_path = PairSwapper(uplink)
-    client_cls = ScriptedPbeClient if scheme == "pbe" else AckingReceiver
+    if scheme == "pbe":
+        client_cls = ScriptedPbeClient
+    else:
+        client_cls = AckingReceiver if batched else ReferenceAckingReceiver
     receiver = client_cls(sim, 1, ack_path)
     last_mile = DelayPipe(sim, receiver, delay_us=2_000)
     # A 16 Mbit/s bottleneck with a shallow queue: rate-based schemes

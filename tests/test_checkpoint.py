@@ -129,10 +129,10 @@ def test_kill_point_with_packets_parked_on_the_wire(tmp_path):
 
 def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
     """The downlink queue's cut position is one int beside the packets
-    (``_head_remaining``) and an uplink cycle's ACKs wait in ``_held``
-    with their ``_mixed`` flag: a snapshot taken while the head packet
-    is partly inside a transport block on the air and ACKs are waiting
-    for their grant must restore both, and finish byte-identically."""
+    (``_head_remaining``) and an uplink cycle's ACKs wait in ``_held``:
+    a snapshot taken while the head packet is partly inside a transport
+    block on the air and ACKs are waiting for their grant must restore
+    both, and finish byte-identically."""
     kill_subframe = 84
 
     def config():
@@ -145,7 +145,7 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
         return (queue._head_remaining, [p.seq for p in queue._packets],
                 queue.backlog_bits,
                 [[p.seq for p in tb.touches] for tb, _ in blocks],
-                [p.acked_seq for p in uplink._held], uplink._mixed)
+                [p.acked_seq for p in uplink._held])
 
     straight = run_fingerprint(*config())
 
@@ -154,11 +154,11 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
         directory=str(tmp_path), interval_subframes=1_000))
     manager.run_to(experiment, kill_subframe * SUBFRAME_US)
     before = observe(experiment, handles[0])
-    remaining, queued, backlog, touched, held, mixed = before
+    remaining, queued, backlog, touched, held = before
     assert queued and 0 < remaining < MSS_BITS       # head half pulled ...
     assert backlog == remaining + (len(queued) - 1) * MSS_BITS
     assert touched[-1][-1] == queued[0]              # ... into a block on the air
-    assert len(held) >= 10 and not mixed             # ACKs awaiting their grant
+    assert len(held) >= 10                           # ACKs awaiting a grant
     manager.save(experiment)  # what a kill point does, then SIGKILL
 
     experiment, handles = _build(*config())
@@ -167,6 +167,64 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
     assert manager.try_restore(experiment) == kill_subframe
     assert observe(experiment, handles[0]) == before
     results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
+
+
+def test_kill_point_with_acks_held_for_their_grant_and_a_burst_in_flight(
+        tmp_path):
+    """Between the phone and the sender an ACK is either held for its
+    grant (the uplink's ``_held``) or on its way in a flushed burst (one
+    ``_deliver`` event of the uplink carrying the list for the sender's
+    ``receive_batch``): a snapshot taken with both, on an ACK-impaired
+    flow whose injector holds reordered ACKs back as well, must restore
+    every ACK where it was — each burst still one event, bound to the
+    restored uplink — and finish byte-identically."""
+    kill_subframe = 144
+
+    def config():
+        return (Scenario(name="ck-uplink", aggregated_cells=2,
+                         mean_sinr_db=18.0, duration_s=DURATION_S, seed=23),
+                [FlowSpec(scheme="pbe", faults={
+                    "seed": 3, "ack_loss_rate": 0.02,
+                    "ack_reorder_rate": 0.05})])
+
+    def observe(experiment, handle):
+        """ACKs held, ``(due, ACKs)`` per burst in flight, ACKs the
+        injector holds back; with the owner each event is bound to."""
+        pending = [(time, event) for time, _, event in
+                   sorted(experiment.sim._heap) if not event.cancelled]
+        bursts = [(time, event.callback.__self__ is handle.uplink,
+                   [ack.acked_seq for ack in event.args[0]])
+                  for time, event in pending
+                  if event.callback.__name__ == "_deliver"]
+        reordered = [(time, event.args[0].acked_seq)
+                     for time, event in pending
+                     if event.callback.__name__ == "receive"
+                     and event.callback.__self__ is handle.uplink]
+        return ([ack.acked_seq for ack in handle.uplink._held], bursts,
+                reordered)
+
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    before = observe(experiment, handles[0])
+    held, bursts, reordered = before
+    assert len(held) >= 10                           # awaiting their grant
+    assert len(bursts) >= 5                          # 20 ms of flushed bursts
+    assert all(own and len(acks) >= 3 for _, own, acks in bursts)
+    assert reordered                                 # held by the injector
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    assert observe(experiment, handles[0]) == before
+    results = experiment.run(checkpoint=manager)
+    assert results[0].fault_stats["ack_pipe"]["reordered"] > 0
     assert digest_run(experiment, handles, results) == straight
 
 
@@ -510,7 +568,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 7
+    assert old_version < VERSION == 8
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -572,6 +630,14 @@ def test_version_6_snapshot_is_quarantined(tmp_path):
     carries ``block_safe`` / ``_blk_ckpt`` / ``_blk_start_us``, which
     ``_User`` no longer has slots for.  Set aside, not half-restored."""
     _assert_version_quarantined(tmp_path, 6)
+
+
+def test_version_7_snapshot_is_quarantined(tmp_path):
+    """A v7 uplink carries a ``_mixed`` flag, and its flushed bursts
+    ride ``_deliver`` events as ``AckBatch`` records: the flag has no
+    attribute to land on and the class no longer exists to unpickle.
+    Set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 7)
 
 
 def test_dci_messages_ride_the_snapshot_as_shared_identity_records(

@@ -32,11 +32,15 @@ def test_default_rtprop_used_without_srtt_meta():
     sim = Simulator()
     client, monitor, sink = _setup(sim, default_rtprop_us=33_000)
     _feed(monitor, 0)
-    packet = Packet(1, 0, sent_time_us=0)  # no srtt_us in meta
-    sim.run_for(25_000)
+    sim.run_for(5_000)
+    client.receive(Packet(1, 0, sent_time_us=0))  # no srtt_us in meta
+    sim.run_for(35_000)
+    packet = Packet(1, 1, sent_time_us=20_000)
     client.receive(packet)
-    assert sink.packets  # feedback produced without crashing
-    assert client._rtprop_us(packet) == 33_000
+    assert len(sink.packets) == 2  # feedback produced without crashing
+    # The receive-rate window spans the 33 ms default RTprop: the first
+    # packet (8 ms older than that) has left it, the second is all.
+    assert client._recent_bits == packet.size_bits
 
 
 def test_negative_delay_margin_rejected():

@@ -54,7 +54,7 @@ def test_packet_conservation_under_overload():
     net = CellularNetwork(sim, [CarrierConfig(0, 5.0)], seed=3)
     delivered = []
     ue = net.add_user(1, [0], StaticChannel(3.0, seed=1),
-                      on_packet=delivered.append, queue_packets=100)
+                      on_packet_block=delivered.extend, queue_packets=100)
     net.start()
     seq = itertools.count()
 
@@ -80,7 +80,7 @@ def test_packet_conservation_counts_traffic_for_a_detached_user():
     net = CellularNetwork(sim, [CarrierConfig(0, 5.0)], seed=3)
     delivered = []
     ue = net.add_user(1, [0], StaticChannel(3.0, seed=1),
-                      on_packet=delivered.append, queue_packets=100)
+                      on_packet_block=delivered.extend, queue_packets=100)
     net.start()
     link = Link(sim, net.ingress(1), rate_bps=1e9, delay_us=18_000)
     seq = itertools.count()

@@ -2,10 +2,11 @@
 
 ``tests/reference_pacer.py`` is the old ``Sender._pace``/``_transmit``
 verbatim: one heap event per data packet, the controller asked at every
-one.  The train must put the same packets on the egress at the same
-instants with the same marks, hand the controller the same callbacks in
-the same order, and end with the same counters — whatever else shares
-the simulator, wherever ``run(until_us)`` is cut, and whichever validity
+one, and every ACK folded on its own (``tests/reference_transport.py``).
+The train must put the same packets on the egress at the same instants
+with the same marks, hand the controller the same callbacks in the same
+order, and end with the same counters — whatever else shares the
+simulator, wherever ``run(until_us)`` is cut, and whichever validity
 horizon the controller reports.  Two rules make that true and are
 checked here from the sender's side (``tests/test_sim.py`` checks them
 on ``Simulator.advance_to`` itself): a queued event due at or before
@@ -20,7 +21,6 @@ from repro.baselines.base import CongestionControl, Sender
 from repro.harness import Experiment
 from repro.harness.fingerprint import digest_run, fingerprint_configs
 from repro.net.link import Receiver
-from repro.net.packet import AckBatch
 from repro.net.sim import Simulator
 from repro.net.units import MSS_BITS, US_PER_S
 
@@ -135,7 +135,7 @@ def _build(sender_cls, script):
         if not acks:
             return
         if batched:
-            sender.receive_batch(AckBatch.from_packets(acks))
+            sender.receive_batch(acks)
         else:
             for packet in acks:
                 sender.receive(packet)
@@ -167,7 +167,12 @@ def _observe(sim, flows):
             "next_seq", "inflight_bits", "highest_acked", "delivered_bits",
             "delivered_time_us", "srtt_us", "min_rtt_us", "sent_packets",
             "acked_packets", "lost_packets", "timeouts", "running",
-            "_pacing_active", "_rto_deadline_us")}
+            "_pacing_active")}
+        # The RTO deadline is read only by a pending timer: a burst
+        # that empties the window leaves it where the per-ACK body
+        # would not, with no timer left to read it.
+        counters["rto_due"] = (sender._rto_deadline_us
+                               if sender._rto_event is not None else None)
         counters["outstanding"] = dict(sender._outstanding)
         counters["pace_due"] = (sender._pace_event.time
                                 if sender._pace_event is not None else None)

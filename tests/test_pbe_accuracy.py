@@ -8,6 +8,7 @@ achievable goodput of the simulated cell.
 import pytest
 
 from repro.harness import Experiment, FlowSpec, Scenario
+from repro.net import Tap
 from repro.phy.carrier import CarrierConfig
 from repro.phy.error import sinr_to_ber
 from repro.phy.mcs import bits_per_prb, sinr_to_mcs
@@ -63,14 +64,9 @@ def test_estimate_tracks_capacity_within_feedback_delay():
     handle = exp.add_flow(FlowSpec(scheme="pbe", rnti=100))
     exp.add_flow(FlowSpec(scheme="pbe", rnti=101, duration_s=1.5))
     samples = []
-    original = handle.receiver.feedback_for
-
-    def tap(packet):
-        feedback = original(packet)
-        samples.append((exp.sim.now, feedback.target_rate_bps))
-        return feedback
-
-    handle.receiver.feedback_for = tap
+    client = handle.receiver
+    client.uplink = Tap(client.uplink, lambda ack: samples.append(
+        (exp.sim.now, ack.feedback.target_rate_bps)))
     exp.run()
     before = [r for t, r in samples if 1.2e6 < t < 1.45e6]
     after = [r for t, r in samples if 1.8e6 < t < 2.2e6]

@@ -26,7 +26,6 @@ from repro.metro import build_shard, run_shard, shard_fingerprint
 from repro.metro.shard import _ShardRun
 from repro.monitor.pbe import PbeMonitor
 from repro.net.link import BatchingPipe
-from repro.net.packet import AckBatch
 from repro.perf import PerfCounters
 from repro.phy import dci
 from repro.phy.channel import (ChannelModel, GaussMarkovChannel,
@@ -38,8 +37,8 @@ from .test_batch_engine import DURATION_S, _sparse_metro_params
 
 @functools.cache
 def _observe(name: str, reference: bool) -> dict:
-    """Run one pinned config, stopping every millisecond to look for an
-    :class:`AckBatch` on its way to the sender; returns what the run
+    """Run one pinned config, stopping every millisecond to look for a
+    flushed ACK burst on its way to the sender; returns what the run
     left behind."""
     scenario, specs = fingerprint_configs(DURATION_S)[name]
     perf = PerfCounters()
@@ -49,8 +48,9 @@ def _observe(name: str, reference: bool) -> dict:
     staged = 0
     for ms in range(1, int(DURATION_S * 1000)):
         experiment.sim.run(until_us=ms * 1000 + 500)
-        staged += any(event.args and isinstance(event.args[0], AckBatch)
-                      for _, _, event in experiment.sim._heap)
+        staged += any(
+            getattr(event.callback, "__name__", "") == "_deliver"
+            for _, _, event in experiment.sim._heap)
     experiment.run()
     return {
         "events_scheduled": perf.events_scheduled,
@@ -75,9 +75,9 @@ def test_reference_schedules_an_event_per_ack_and_per_packet():
 
 
 def test_reference_never_stages_the_uplink():
-    # The engine's flush is one AckBatch event (20 ms in flight, so one
-    # is pending at nearly every instant); the reference's is an event
-    # per ACK and never builds one.
+    # The engine's flush is one ``_deliver`` event carrying the burst
+    # (20 ms in flight, so one is pending at nearly every instant); the
+    # reference's is an event per ACK and never schedules one.
     assert _observe("idle_3cc_pbe", True)["staged_instants"] == 0
     assert _observe("idle_3cc_pbe", False)["staged_instants"] > 50
 
@@ -151,3 +151,53 @@ def test_no_engine_switch(capsys):
         main(["perf"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+
+def test_one_delivery_contract():
+    """Every endpoint takes a burst through one contract: no per-packet
+    twin, no hook that demotes a burst, no burst container and no
+    capability probe is left in the delivery modules."""
+    from repro.baselines import base
+    from repro.baselines.base import AckingReceiver
+    from repro.cell import ue
+    from repro.cell.ue import UserEquipment
+    from repro.core import client
+    from repro.core.client import PbeClient
+    from repro.faults import pipe
+    from repro.net import link, packet
+    from repro.net.link import Receiver
+
+    for module in (link, base, client, pipe, ue):
+        assert "getattr(" not in inspect.getsource(module), module
+    assert not hasattr(packet, "AckBatch")
+    experiment = Experiment(Scenario(name="gone", duration_s=0.1))
+    handle = experiment.add_flow(FlowSpec(scheme="pbe"))
+    ue_obj = experiment.network.user(handle.spec.rnti).ue
+    for owner, names in (
+            (handle.receiver, ("feedback_for", "_forward_acks",
+                               "_rtprop_us", "_prune_recent",
+                               "_receive_rate_bps", "_npkt", "_switch")),
+            (AckingReceiver, ("feedback_for", "_forward_acks")),
+            (handle.sender, ("_detect_losses",)),
+            (handle.uplink, ("_mixed",)),
+            (ue_obj, ("on_packet",))):
+        assert not [n for n in names if hasattr(owner, n)], owner
+    for func in (UserEquipment, experiment.network.add_user):
+        assert "on_packet" not in inspect.signature(func).parameters
+    assert "on_packet" not in UserEquipment.SNAPSHOT_SKIP
+    # The engine hands the UE's bursts to the client's burst body.
+    assert ue_obj.on_packet_block == handle.receiver.receive_block
+    assert type(handle.receiver) is PbeClient
+    # The defaults: a sink with only ``receive`` takes bursts as its
+    # loop and refuses a stamped hand-over.
+    got = []
+
+    class Plain(Receiver):
+        def receive(self, packet):
+            got.append(packet)
+
+    burst = [packet.Packet(1, seq) for seq in range(3)]
+    Plain().receive_block(burst[:2])
+    Plain().receive_batch(burst[2:])
+    assert got == burst
+    assert Plain().receive_at(burst[0], 5) is False

@@ -1,15 +1,16 @@
-"""Columnar per-ACK transport core: block/scalar byte identity.
+"""Per-burst transport core: burst/per-ACK byte identity.
 
 The uplink grant cycle hands the sender its ACKs in natural bursts;
-the uplink delivers each burst as one :class:`AckBatch` event and
-:meth:`Sender.receive_batch` runs over the columns.  The contract is
-the repo's usual one: byte-identical to the event-per-ACK reference
-(``tests/reference_engine.py``).  These tests pin the container, the
-block loop (including losses, duplicate and spurious ACKs, and the
-on_loss/on_ack interleaving), that ACK-impaired flows are batched like
-any other, the per-ACK-hook fallback, checkpoint/restore with
-an :class:`AckBatch` held mid-flight, and the srtt dedup between the
-transport layer and PBE's control.
+the uplink delivers each burst as one event carrying the held list to
+:meth:`Sender.receive_batch`.  The contract is the repo's usual one:
+byte-identical to the event-per-ACK reference (``tests/reference_engine.py``
+with the per-ACK bodies of ``tests/reference_transport.py``).  These
+tests pin the flush, the burst loop (including losses, duplicate and
+spurious ACKs, and the on_loss/on_ack interleaving), that ACK-impaired
+flows are batched like any other, checkpoint/restore with a flushed
+burst held mid-flight, and the srtt dedup between the transport layer
+and PBE's control.  ``tests/test_sender_stateful.py`` drives the burst
+loop against the per-ACK oracle under adversarial ACK streams.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ from repro.harness.fingerprint import (
     run_fingerprint,
 )
 from repro.net.link import BatchingPipe, DelayPipe, Receiver
-from repro.net.packet import AckBatch, Packet
+from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
 from .reference_engine import ReferencePipe, reference_engine
+from .reference_transport import ReferenceAckingReceiver, ReferenceAckSender
 
 DURATION_S = 0.4
 
 
 # ---------------------------------------------------------------------------
-# AckBatch container
+# The flush: one event, the held list itself
 # ---------------------------------------------------------------------------
 
 def _ack_for(seq, flow_id=1, sent_time_us=100):
@@ -52,23 +54,33 @@ def _ack_for(seq, flow_id=1, sent_time_us=100):
     return data.make_ack(now_us=sent_time_us + 30_000)
 
 
-def test_ackbatch_is_the_packets_and_nothing_staged():
+class BurstLog(Receiver):
+    """Sink recording each ``receive_batch`` call's list."""
+
+    def __init__(self):
+        self.bursts = []
+
+    def receive(self, packet):  # pragma: no cover - never per packet
+        raise AssertionError("a flush delivers the burst whole")
+
+    def receive_batch(self, packets):
+        self.bursts.append(packets)
+
+
+def test_flush_hands_the_held_burst_to_receive_batch():
+    sim = Simulator()
+    sink = BurstLog()
+    pipe = BatchingPipe(sim, sink, delay_us=1_000, batch_interval_us=5_000)
     acks = [_ack_for(seq) for seq in range(5)]
-    batch = AckBatch.from_packets(acks)
-    assert len(batch) == 5
-    assert not batch.mixed
-    assert batch.flow_id == 1
-    assert batch.packets is acks
-    # No projected columns: the sender reads the ACK objects.
-    assert AckBatch.__slots__ == ("flow_id", "packets", "mixed")
-
-
-def test_ackbatch_flags_mixed_content():
-    foreign = AckBatch.from_packets([_ack_for(0), _ack_for(1, flow_id=2)])
-    assert foreign.mixed
-    data = Packet(flow_id=1, seq=7, size_bits=12_000)
-    with_data = AckBatch.from_packets([_ack_for(0), data])
-    assert with_data.mixed
+    pipe.receive_block(acks[:2])
+    pipe.receive(acks[2])
+    pipe.receive_block(acks[3:])
+    held = pipe._held
+    assert held == acks and held is not acks     # the pipe's own list
+    sim.run()
+    # Nothing staged, nothing copied: the held list is the burst.
+    assert len(sink.bursts) == 1 and sink.bursts[0] is held
+    assert pipe._held == [] and (pipe.batches, pipe.forwarded) == (1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +159,16 @@ class AckDuplicator(Receiver):
 def _run_transport(batched, with_losses=True, with_dups=True,
                    duration_s=0.25):
     """One sender/receiver loop through the uplink, or (``batched=False``)
-    through the event-per-ACK reference pipe."""
+    through the event-per-ACK reference pipe and per-ACK endpoints."""
     sim = Simulator()
     cc = RecordingCc()
-    sender = Sender(sim, flow_id=1, cc=cc, egress=None)
+    sender = (Sender if batched else ReferenceAckSender)(
+        sim, flow_id=1, cc=cc, egress=None)
     uplink = (BatchingPipe if batched else ReferencePipe)(
         sim, sender, delay_us=7_000, batch_interval_us=5_000)
     ack_path = AckDuplicator(sim, uplink) if with_dups else uplink
-    receiver = AckingReceiver(sim, 1, ack_path)
+    receiver = (AckingReceiver if batched else ReferenceAckingReceiver)(
+        sim, 1, ack_path)
     downlink = DelayPipe(sim, receiver, delay_us=6_000)
     sender.egress = SeqDropper(downlink) if with_losses else downlink
     sender.start()
@@ -217,23 +231,6 @@ def test_block_loop_counts_batches():
     assert perf.as_dict()["ack_batches"] == perf.ack_batches
 
 
-def test_mixed_batch_falls_back_to_per_packet_delivery():
-    sim = Simulator()
-    cc = RecordingCc()
-    sender = Sender(sim, flow_id=1, cc=cc, egress=None)
-    # Hand-deliver a mixed batch: the foreign-flow ACK must be ignored
-    # exactly as the scalar path ignores it.
-    sender._outstanding = {0: (12_000, 0)}
-    sender._send_order.append(0)
-    sender.inflight_bits = 12_000
-    own = Packet(1, 0, is_ack=True, acked_seq=0, sent_time_us=0)
-    foreign = Packet(2, 0, is_ack=True, acked_seq=0, sent_time_us=0)
-    sender.receive_batch(AckBatch.from_packets([foreign, own]))
-    assert sender.acked_packets == 1
-    assert sender.inflight_bits == 0
-    assert [c[0] for c in cc.calls] == ["ack"]
-
-
 # ---------------------------------------------------------------------------
 # ACK-impaired flows in the harness
 # ---------------------------------------------------------------------------
@@ -250,9 +247,9 @@ ACK_FAULTS = {"seed": 9, "ack_loss_rate": 0.02, "ack_dup_rate": 0.01}
 
 
 def test_ack_impaired_flows_stay_on_the_batched_transport():
-    # The AckBatch carries per-row columns through loss/dup/reorder
-    # faults byte-identically, so every ACK either flow's uplink
-    # forwards rides in a batch: nothing is demoted to per-ACK events.
+    # The injector draws per packet in front of the uplink, so every
+    # ACK either flow's uplink forwards rides in a burst: nothing is
+    # demoted to per-ACK events.
     perf = PerfCounters()
     experiment = Experiment(_scenario(), perf_counters=perf)
     impaired = experiment.add_flow(FlowSpec(scheme="pbe",
@@ -276,13 +273,12 @@ def test_ack_impaired_config_batched_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint/restore with an AckBatch held mid-grant-cycle
+# Checkpoint/restore with a flushed burst held mid-flight
 # ---------------------------------------------------------------------------
 
-def _pending_ack_batches(sim):
+def _bursts_in_flight(sim):
     return [event for _, _, event in sim._heap
-            if not event.cancelled and event.args
-            and isinstance(event.args[0], AckBatch)
+            if not event.cancelled
             and getattr(event.callback, "__name__", "") == "_deliver"]
 
 
@@ -292,8 +288,8 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
     straight = run_fingerprint(scenario, specs)
 
     # Snapshot every subframe with no wall throttle: the 20 ms uplink
-    # propagation guarantees AckBatch delivery events span snapshot
-    # boundaries once traffic is flowing.
+    # propagation guarantees flushed bursts span snapshot boundaries
+    # once traffic is flowing.
     scenario, specs = fingerprint_configs(DURATION_S)[name]
     experiment = Experiment(scenario)
     for spec in specs:
@@ -302,7 +298,7 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
         directory=str(tmp_path), interval_subframes=1, wall_budget=None))
     manager.run_to(experiment, us_from_seconds(DURATION_S / 2))
     assert manager.saved >= 1
-    assert _pending_ack_batches(experiment.sim)   # held at the "crash"
+    assert _bursts_in_flight(experiment.sim)      # held at the "crash"
 
     scenario, specs = fingerprint_configs(DURATION_S)[name]
     resumed = Experiment(scenario)
@@ -311,11 +307,13 @@ def test_checkpoint_restores_a_held_ack_batch(tmp_path):
         directory=str(tmp_path), interval_subframes=1, wall_budget=None))
     restored_at = manager.try_restore(resumed)
     assert restored_at is not None
-    held = _pending_ack_batches(resumed.sim)
+    held = _bursts_in_flight(resumed.sim)
     assert held                                   # decoded back as one event
     for event in held:
-        batch = event.args[0]
-        assert isinstance(batch, AckBatch) and len(batch) >= 1
+        (burst,) = event.args
+        assert event.callback.__self__ is handles[0].uplink
+        assert type(burst) is list and len(burst) >= 1
+        assert all(ack.is_ack for ack in burst)
     results = resumed.run(checkpoint=manager)
     assert digest_run(resumed, handles, results) == straight
 

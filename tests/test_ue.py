@@ -17,7 +17,7 @@ def _tb(seq, completes=(), touches=None):
 def test_in_order_delivery_stamps_time():
     sim = Simulator()
     got = []
-    ue = UserEquipment(sim, 1, on_packet=got.append)
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
     p = Packet(1, 0)
     sim.schedule(5_000, ue.receive_tb, _tb(0, [p]))
     sim.run()
@@ -29,7 +29,7 @@ def test_in_order_delivery_stamps_time():
 def test_out_of_order_tbs_buffered():
     sim = Simulator()
     got = []
-    ue = UserEquipment(sim, 1, on_packet=got.append)
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
     p0, p1 = Packet(1, 0), Packet(1, 1)
     ue.receive_tb(_tb(1, [p1]))
     assert got == []
@@ -42,7 +42,7 @@ def test_out_of_order_tbs_buffered():
 def test_abandoned_tb_drops_and_unblocks():
     sim = Simulator()
     got = []
-    ue = UserEquipment(sim, 1, on_packet=got.append)
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
     lost = Packet(1, 0)
     later = Packet(1, 1)
     ue.receive_tb(_tb(1, [later]))
@@ -55,7 +55,7 @@ def test_abandoned_tb_drops_and_unblocks():
 def test_packet_spanning_abandoned_tb_is_corrupt():
     sim = Simulator()
     got = []
-    ue = UserEquipment(sim, 1, on_packet=got.append)
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
     spanning = Packet(1, 5)
     # TB 0 carries part of `spanning` but is abandoned; TB 1 completes it.
     ue.abandon_tb(_tb(0, completes=[], touches=[spanning]))
@@ -66,6 +66,6 @@ def test_packet_spanning_abandoned_tb_is_corrupt():
 
 def test_no_callback_is_fine():
     sim = Simulator()
-    ue = UserEquipment(sim, 1, on_packet=None)
+    ue = UserEquipment(sim, 1, on_packet_block=None)
     ue.receive_tb(_tb(0, [Packet(1, 0)]))
     assert ue.delivered_packets == 1
