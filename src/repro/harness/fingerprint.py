@@ -9,7 +9,7 @@ estimator state — so two versions of the engine (or the engine and the
 per-subframe, per-ACK reference in ``tests/reference_engine.py``) can
 be compared with a string equality.
 
-:func:`fingerprint_configs` defines the 6-configuration suite the perf
+:func:`fingerprint_configs` defines the 7-configuration suite the perf
 PRs verify against; :func:`run_fingerprint` executes one configuration
 and returns its digest.  ``tests/test_batch_engine.py`` adds randomized
 configurations on top and holds both to recorded goldens.
@@ -121,11 +121,12 @@ def run_fingerprint(scenario: Scenario, specs: list[FlowSpec],
 
 def fingerprint_configs(duration_s: float = 2.0) \
         -> dict[str, tuple[Scenario, list[FlowSpec]]]:
-    """The 6-configuration byte-identity suite.
+    """The 7-configuration byte-identity suite.
 
     Covers: all three channel models, 1/2/3 aggregated cells (CA on and
-    off), busy and idle cells, CQI reporting delay, a second competing
-    scheme, and decoder/ACK fault injection.
+    off), busy and idle cells, CQI reporting delay, decoder/ACK fault
+    injection, and five schemes (PBE, BBR, CUBIC, Copa, Verus) sharing
+    one busy carrier.
     """
     trace = TraceChannel(
         [(0, -92.0), (400_000, -101.0), (900_000, -88.0),
@@ -136,6 +137,13 @@ def fingerprint_configs(duration_s: float = 2.0) \
         coherence_us=8_000, seed=42)
     faults = {"seed": 5, "dci_miss_rate": 0.05, "dci_false_rate": 0.002,
               "ack_loss_rate": 0.01}
+    mixed = [FlowSpec(scheme=scheme, rnti=100 + i,
+                      channel=GaussMarkovChannel(
+                          mean_sinr_db=15.0, std_db=2.0, memory=0.9,
+                          coherence_us=8_000, seed=70 + i),
+                      faults=faults if scheme == "pbe" else None)
+             for i, scheme in enumerate(
+                 ("pbe", "bbr", "cubic", "copa", "verus"))]
     return {
         "busy_2cc_pbe": (
             Scenario(name="fp-busy-2cc", aggregated_cells=2,
@@ -168,11 +176,17 @@ def fingerprint_configs(duration_s: float = 2.0) \
                      mean_sinr_db=17.0, busy=True, background_users=2,
                      duration_s=duration_s, seed=16),
             [FlowSpec(scheme="pbe", faults=faults)]),
+        "mixed_1cc_five_schemes": (
+            Scenario(name="fp-mixed-1cc", aggregated_cells=1,
+                     mean_sinr_db=15.0, busy=True, background_users=2,
+                     cqi_delay_subframes=4, duration_s=duration_s,
+                     seed=17),
+            mixed),
     }
 
 
 def fingerprint_suite(duration_s: float = 2.0) -> dict[str, str]:
-    """Run the whole 6-configuration suite; ``{name: digest}``."""
+    """Run the whole 7-configuration suite; ``{name: digest}``."""
     return {name: run_fingerprint(scenario, specs)
             for name, (scenario, specs) in
             fingerprint_configs(duration_s).items()}
