@@ -8,6 +8,7 @@ Copa, PCC Allegro and PCC Vivace (recent research), plus Reno.
 
 from .base import (
     DUPACK_THRESHOLD,
+    UNTIL_CALLBACK,
     AckContext,
     AckingReceiver,
     CongestionControl,
@@ -35,5 +36,6 @@ __all__ = [
     "Cubic", "DUPACK_THRESHOLD", "FixedRate", "PROBE_BW", "PROBE_BW_GAINS",
     "PROBE_RTT",
     "PccAllegro", "PccVivace", "Reno", "STARTUP", "STARTUP_GAIN", "Sender",
-    "Sprout", "Vegas", "Verus", "WindowedMax", "WindowedMin",
+    "Sprout", "UNTIL_CALLBACK", "Vegas", "Verus", "WindowedMax",
+    "WindowedMin",
 ]

@@ -27,6 +27,10 @@ from ..net.units import MSS_BITS, US_PER_S
 DUPACK_THRESHOLD = 3
 #: Lower bound on the retransmission timeout, µs.
 MIN_RTO_US = 200_000
+#: :meth:`CongestionControl.rate_valid_until_us` answer meaning "until
+#: the next ``on_ack``/``on_loss``/``on_timeout`` callback": no instant
+#: of the clock ends it.
+UNTIL_CALLBACK = 2**63 - 1
 
 
 @dataclass(slots=True)
@@ -96,23 +100,32 @@ class CongestionControl:
         """Instant up to which the :meth:`pacing_rate_bps`/:meth:`cwnd_bits`
         answers given for ``now_us`` hold unless an ``on_ack``/``on_loss``/
         ``on_timeout`` callback intervenes (``on_send`` must not move
-        them; asked once a second packet is due under those answers).
-        The default re-asks for every packet."""
+        them; asked together with every fresh pair of answers, which the
+        sender keeps across wake-ups until this instant or the next
+        callback).  :data:`UNTIL_CALLBACK` says no clock instant ends
+        them — only a scheme whose two queries read nothing but state
+        its callbacks write may return it; a sender blocked under such
+        answers queues no wake-up.  The default re-asks for every
+        packet."""
         return now_us
 
 
 class Sender(Receiver):
     """A server-side endpoint pushing one flow through the network."""
 
-    #: Pacing poll interval while the controller reports a zero rate.
+    #: Pacing poll interval while blocked (zero rate or full window)
+    #: under answers with a finite validity horizon.
     _IDLE_POLL_US = 1_000
 
     #: Checkpointing: wiring restored from the rebuilt experiment.  The
     #: congestion controller is *not* skipped — its state is restored
     #: in place through the generic codec.  ``_pace_event``/
     #: ``_rto_event`` are live heap references, encoded as sequence
-    #: numbers by the checkpoint layer.
-    SNAPSHOT_SKIP = ("sim", "egress")
+    #: numbers by the checkpoint layer.  The carried answers are derived
+    #: state, dropped on restore: re-asked inside their horizon, the
+    #: controller gives the same ones.
+    SNAPSHOT_SKIP = ("sim", "egress", "_held_rate", "_held_cwnd",
+                     "_held_until")
 
     def __init__(self, sim: Simulator, flow_id: int, cc: CongestionControl,
                  egress: Receiver, mss_bits: int = MSS_BITS,
@@ -160,6 +173,18 @@ class Sender(Receiver):
         #: instead of a cancel + reschedule per ACK (which used to be
         #: the simulator heap's single biggest churn source).
         self._rto_deadline_us = 0
+        self._forget_answers()
+
+    def _forget_answers(self) -> None:
+        """Drop the controller's carried answers (``pacing_rate_bps``,
+        ``cwnd_bits``, ``rate_valid_until_us``): the next wake-up asks
+        afresh.  Called after every ACK/loss/timeout callback the sender
+        delivers, on :meth:`stop` and on restore."""
+        self._held_rate = 0.0
+        self._held_cwnd: Optional[float] = None
+        self._held_until = -1
+
+    _after_restore = _forget_answers
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -174,6 +199,7 @@ class Sender(Receiver):
     def stop(self) -> None:
         """Stop sending; in-flight packets drain naturally."""
         self._running = False
+        self._forget_answers()
         if self._pace_event is not None:
             self._pace_event.cancel()
             self._pace_event = None
@@ -199,7 +225,16 @@ class Sender(Receiver):
         """Send a *train* of packets: after each one, move the clock to
         the next send instant in place while :meth:`Simulator.advance_to`
         allows it (no callback can run in between, so state that only
-        ACK/RTO callbacks write is read once), else wake via the heap."""
+        ACK/RTO callbacks write is read once), else wake via the heap.
+
+        The controller's answers are carried across wake-ups until their
+        horizon passes or a callback drops them; the application cap and
+        the gap are re-derived at every wake-up (``app_rate_bps`` is set
+        from outside).  Blocked — zero rate or full window — the sender
+        polls every :attr:`_IDLE_POLL_US` under a finite horizon and
+        queues nothing under :data:`UNTIL_CALLBACK`: only an ACK, a loss
+        or a timeout can change those answers, and each one re-arms
+        pacing."""
         self._pace_event = None
         if not self._running:
             return
@@ -210,45 +245,49 @@ class Sender(Receiver):
         delivered_time_us = self.delivered_time_us
         now = sim.now
         rto_us = max(MIN_RTO_US, 4 * self.srtt_us)  # = _rto_us(), no call
-        valid_until = -1  # nothing asked yet
-        while True:
+        rate, cwnd = self._held_rate, self._held_cwnd
+        valid_until = self._held_until
+        while True:  # one pass per set of answers
             if now > valid_until:
                 rate = cc.pacing_rate_bps(now)
-                app_limited = (self.app_rate_bps is not None
-                               and self.app_rate_bps < rate)
-                if app_limited:
-                    rate = self.app_rate_bps
-                if rate <= 0:
-                    break
-                cwnd = cc.cwnd_bits(now)
-                gap_us = max(1, round(mss * US_PER_S / rate))
-                asked_us, valid_until = now, None  # horizon: on first reuse
-            if cwnd is not None and self.inflight_bits + mss > cwnd:
+                cwnd = cc.cwnd_bits(now) if rate > 0 else None
+                valid_until = cc.rate_valid_until_us(now)
+                self._held_rate, self._held_cwnd = rate, cwnd
+                self._held_until = valid_until
+            app_rate = self.app_rate_bps
+            app_limited = app_rate is not None and app_rate < rate
+            pace_rate = app_rate if app_limited else rate
+            if pace_rate <= 0:
                 break
-            seq = self.next_seq
-            packet = Packet(flow_id, seq, mss, False, now, -1, None,
-                            delivered_bits, delivered_time_us or now,
-                            app_limited)
-            self.next_seq = seq + 1
-            outstanding[seq] = (mss, now)
-            send_order.append(seq)
-            self.inflight_bits += mss
-            self.sent_packets += 1
-            cc.on_send(packet)
-            self._rto_deadline_us = now + rto_us
-            if self._rto_event is None:
-                self._rto_event = sim.schedule(rto_us, self._on_rto)
-            egress.receive(packet)
-            now += gap_us
-            if not sim.advance_to(now):
-                self._pacing_active = True
-                self._schedule_pacing(gap_us)
-                return
-            if valid_until is None:
-                valid_until = cc.rate_valid_until_us(asked_us)
-        # Zero rate or window-limited: poll; ACKs re-arm sending instantly.
+            gap_us = max(1, round(mss * US_PER_S / pace_rate))
+            while cwnd is None or not self.inflight_bits + mss > cwnd:
+                seq = self.next_seq
+                packet = Packet(flow_id, seq, mss, False, now, -1, None,
+                                delivered_bits, delivered_time_us or now,
+                                app_limited)
+                self.next_seq = seq + 1
+                outstanding[seq] = (mss, now)
+                send_order.append(seq)
+                self.inflight_bits += mss
+                self.sent_packets += 1
+                cc.on_send(packet)
+                self._rto_deadline_us = now + rto_us
+                if self._rto_event is None:
+                    self._rto_event = sim.schedule(rto_us, self._on_rto)
+                egress.receive(packet)
+                now += gap_us
+                if not sim.advance_to(now):
+                    self._pacing_active = True
+                    self._schedule_pacing(gap_us)
+                    return
+                if now > valid_until:
+                    break  # answers expired: ask again
+            else:
+                break  # window-limited
+        # Blocked: ACKs, losses and timeouts re-arm sending instantly.
         self._pacing_active = False
-        self._schedule_pacing(self._IDLE_POLL_US)
+        if valid_until != UNTIL_CALLBACK:
+            self._schedule_pacing(self._IDLE_POLL_US)
 
     # ------------------------------------------------------------------
     # Receiving ACKs
@@ -278,7 +317,9 @@ class Sender(Receiver):
         pacing-resume check moves to block end because
         ``_pacing_active`` is only ever mutated by ``_pace``, whose whole
         train runs inside one event, never mid-block — the last ACK's
-        reschedule is the only one that survives per ACK anyway.
+        reschedule is the only one that survives per ACK anyway.  For
+        the same reason the controller's carried answers are dropped
+        once, at block end, if any callback was delivered.
         """
         flow_id = self.flow_id
         now = self.sim.now
@@ -361,6 +402,7 @@ class Sender(Receiver):
         if not acked_count and not pending:
             return
         flush_pending()
+        self._forget_answers()
         self.acked_packets += acked_count
         self._arm_rto()
         if self._running and not self._pacing_active:
@@ -419,6 +461,7 @@ class Sender(Receiver):
         self._send_order.clear()
         self.inflight_bits = 0
         self.cc.on_timeout(self.sim.now)
+        self._forget_answers()
         if self._running:
             self._schedule_pacing(0)
 

@@ -19,7 +19,7 @@ import math
 from typing import Callable, Optional
 
 from ..net.units import MSS_BITS, US_PER_S
-from .base import AckContext, CongestionControl
+from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 from .windowed import WindowedMax, WindowedMin
 
 #: 2/ln2 — BBR's startup pacing/cwnd gain.
@@ -405,3 +405,10 @@ class Bbr(CongestionControl):
         if self.state == PROBE_RTT:
             return 4.0 * self.mss_bits
         return max(4.0 * self.mss_bits, self.bdp_bits(self.cwnd_gain))
+
+    def rate_valid_until_us(self, now_us: int) -> int:
+        # The state machine and both cached filter outputs move only on
+        # callbacks; a probe cap is someone else's state (PBE's Cf).
+        if self.probe_rate_cap is None:
+            return UNTIL_CALLBACK
+        return now_us

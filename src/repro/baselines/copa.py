@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..net.units import MSS_BITS, US_PER_S
-from .base import AckContext, CongestionControl
+from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 from .windowed import WindowedMin
 
 #: Copa's default delta (1/packets): target rate 1/(δ·dq).
@@ -102,3 +102,8 @@ class Copa(CongestionControl):
 
     def cwnd_bits(self, now_us: int) -> Optional[float]:
         return self.cwnd * self.mss_bits
+
+    def rate_valid_until_us(self, now_us: int) -> int:
+        # cwnd, srtt and the RTTstanding filter (read, never expired, by
+        # the queries) are written only by callbacks.
+        return UNTIL_CALLBACK

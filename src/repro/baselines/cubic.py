@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..net.units import MSS_BITS, US_PER_S
-from .base import AckContext, CongestionControl
+from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 
 #: CUBIC scaling constant (packets/s³).
 CUBIC_C = 0.4
@@ -104,6 +104,11 @@ class Cubic(CongestionControl):
     def cwnd_bits(self, now_us: int) -> Optional[float]:
         return self.cwnd * self.mss_bits
 
+    def rate_valid_until_us(self, now_us: int) -> int:
+        # Both answers read only cwnd and srtt, which only callbacks
+        # write: the cubic law advances per ACK, not with the clock.
+        return UNTIL_CALLBACK
+
 
 class Reno(CongestionControl):
     """TCP NewReno-style AIMD (used in friendliness/ablation tests)."""
@@ -142,3 +147,6 @@ class Reno(CongestionControl):
 
     def cwnd_bits(self, now_us: int) -> Optional[float]:
         return self.cwnd * self.mss_bits
+
+    def rate_valid_until_us(self, now_us: int) -> int:
+        return UNTIL_CALLBACK  # cwnd and srtt move only on callbacks

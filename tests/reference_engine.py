@@ -5,8 +5,10 @@ thing the engine infers it may skip or batch.  Every configured cell
 ticks every subframe, with its users filtered from scratch; every
 channel is sampled per subframe; the CA manager observes every user;
 the uplink schedules one ``sink.receive`` event per ACK; the sender
-folds, and the client acknowledges, one packet at a time through the
-per-packet bodies of ``tests/reference_transport.py``.  (The monitor
+wakes through the heap for every packet and polls every millisecond
+while blocked (``tests/reference_pacer.py``); the sender folds, and the
+client acknowledges, one packet at a time through the per-packet bodies
+of ``tests/reference_transport.py``.  (The monitor
 needs no stand-in: the engine's per-record ingest is the one the
 reference always ran.)
 Nothing under ``src/`` imports this module; the differential tests
@@ -29,8 +31,8 @@ from repro.net.link import BatchingPipe
 from repro.phy.error import sinr_to_ber
 from repro.phy.mcs import bits_per_prb, sinr_to_mcs
 
-from .reference_transport import (ReferenceAckingReceiver,
-                                  ReferenceAckSender, ReferencePbeClient)
+from .reference_pacer import ReferenceSender
+from .reference_transport import ReferenceAckingReceiver, ReferencePbeClient
 
 
 class ReferenceUser(_User):
@@ -108,7 +110,7 @@ class ReferencePipe(BatchingPipe):
 
 
 _PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe,
-          "Sender": ReferenceAckSender,
+          "Sender": ReferenceSender,
           "AckingReceiver": ReferenceAckingReceiver,
           "PbeClient": ReferencePbeClient}
 

@@ -3,10 +3,14 @@
 This is ``Sender._pace``/``Sender._transmit`` as they stood before
 pacing trains replaced them: one heap event per data packet, the
 controller asked for ``pacing_rate_bps``/``cwnd_bits`` at every one of
-them and ``rate_valid_until_us`` never consulted.  Its ACKs take the
-per-ACK body of ``tests/reference_transport.py``, bursts included.
-Nothing under ``src/`` imports it; ``tests/test_pacing_trains.py`` and
-``tests/test_pbe_sender.py`` run it beside the train.
+them, ``rate_valid_until_us`` never consulted, and a 1 ms poll whenever
+the sender is blocked (zero rate or full window), whatever the answers
+say.  Its ACKs take the per-ACK body of ``tests/reference_transport.py``,
+bursts included.  Nothing under ``src/`` imports it;
+``tests/reference_engine.py`` wires it into the reference experiment, and
+``test_pacing_trains``, ``test_pacing_controllers``, ``test_pbe_sender``,
+``test_sender_stateful``, ``test_transport_batch`` and ``test_cc_block``
+run it beside the engine's sender.
 """
 
 from __future__ import annotations

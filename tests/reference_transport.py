@@ -8,10 +8,13 @@ packet, one ``uplink.receive`` per ACK.  Each class's burst entry points
 are the per-packet loop of :class:`repro.net.link.Receiver`, so wired
 into an experiment they deliver and acknowledge packet by packet.
 Nothing under ``src/`` imports this module; ``tests/reference_engine.py``
-wires these classes into the reference experiment, and
-``test_transport_batch``, ``test_cc_block``, ``test_pacing_trains``,
-``test_sender_stateful`` and ``test_air_delivery`` run them beside the
-burst bodies.
+wires these classes into the reference experiment (the sender through
+``tests/reference_pacer.py``'s :class:`ReferenceSender`, which paces per
+packet on top of :class:`ReferenceAckSender` — the engine's pacer relies
+on ``receive_batch`` dropping the answers it carries, which this per-ACK
+body does not), and ``test_transport_batch``, ``test_cc_block``,
+``test_pacing_trains``, ``test_sender_stateful`` and
+``test_air_delivery`` run them beside the burst bodies.
 """
 
 from __future__ import annotations

@@ -47,7 +47,8 @@ from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
 from .reference_engine import ReferencePipe, reference_engine
-from .reference_transport import ReferenceAckingReceiver, ReferenceAckSender
+from .reference_pacer import ReferenceSender
+from .reference_transport import ReferenceAckingReceiver
 
 DURATION_S = 0.6
 
@@ -234,7 +235,7 @@ def _run(scheme, stream, batched):
     sim = Simulator()
     cc = _SCHEMES[scheme]()
     rows = _instrument(cc)
-    sender = (Sender if batched else ReferenceAckSender)(
+    sender = (Sender if batched else ReferenceSender)(
         sim, flow_id=1, cc=cc, egress=None)
     uplink = (BatchingPipe if batched else ReferencePipe)(
         sim, sender, delay_us=2_000, batch_interval_us=5_000)

@@ -381,6 +381,49 @@ def test_kill_point_with_a_dormant_and_a_volatile_cell(
     assert finish(experiment, handles, manager) == straight
 
 
+def test_kill_point_with_a_sender_blocked_unqueued_and_carried_answers(
+        tmp_path):
+    """A window-blocked CUBIC sender has nothing on the heap (only a
+    callback can change its answers), and the PBE sender carries its
+    controller's answers between wake-ups.  The first is heap state and
+    survives as such; the second is derived state, dropped on restore
+    and re-asked inside its horizon — the resumed run is byte-identical
+    with the same ``VERSION``."""
+    kill_subframe = 209
+
+    def config():
+        return fingerprint_configs(DURATION_S)["mixed_1cc_five_schemes"]
+
+    def by_scheme(handles):
+        return {handle.spec.scheme: handle for handle in handles}
+
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    now = experiment.sim.now
+    cubic, pbe = by_scheme(handles)["cubic"], by_scheme(handles)["pbe"]
+    sender = cubic.sender
+    assert sender.running and not sender._pacing_active
+    assert sender.inflight_bits + sender.mss_bits > cubic.cc.cwnd_bits(now)
+    assert sender._pace_event is None                # blocked, unqueued
+    assert pbe.sender._held_until >= now             # answers carried
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    cubic, pbe = by_scheme(handles)["cubic"], by_scheme(handles)["pbe"]
+    assert cubic.sender._pace_event is None
+    assert pbe.sender._held_until == -1              # re-asked on waking
+    assert VERSION == 8
+    results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
+
+
 # ---------------------------------------------------------------------------
 # Randomized configurations x randomized kill points
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for the fault-injection subsystem (repro.faults)."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.feedback import PbeFeedback
 from repro.faults import FaultSpec, ImpairedPipe, LossyDecoder, derived_rng
@@ -71,6 +74,48 @@ def test_spec_roundtrips_through_json_dict():
 def test_spec_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown fault fields"):
         FaultSpec.from_dict({"dci_miss_rate": 0.1, "bogus": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("outage_mean_subframes", float("nan")),   # an outage never ended
+    ("outage_mean_subframes", float("inf")),
+    ("ack_reorder_delay_us", 1.5),             # a fractional clock time
+    ("ack_reorder_delay_us", float("nan")),
+    ("outages", [[1.7, 2]]),                   # was truncated to (1, 2)
+    ("outages", [[1, 2, 3]]),
+    ("outages", 5),
+    ("dci_miss_rate", "0.1"),                  # was a TypeError
+    ("ack_loss_rate", float("nan")),
+    ("ack_dup_rate", True),
+    ("seed", "x"),                             # was accepted
+    ("seed", 1.0),
+])
+def test_spec_rejects_a_bad_value_naming_its_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        FaultSpec.from_dict({field: value})
+
+
+_FAULT_FIELDS = [f.name for f in dataclasses.fields(FaultSpec)]
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**6), st.floats(),
+    st.floats(0, 1), st.text(max_size=4),
+    st.lists(st.lists(st.one_of(st.integers(-5, 100),
+                                st.floats(-5, 100)), max_size=3),
+             max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FAULT_FIELDS + ["bogus"]),
+                       _ANY_VALUE, max_size=6))
+def test_spec_loader_fuzz_round_trips_or_names_the_field(data):
+    """Hostile JSON: either a spec that survives ``to_dict`` → JSON →
+    ``from_dict`` unchanged, or a ``ValueError`` naming a field given."""
+    try:
+        spec = FaultSpec.from_dict(data)
+    except ValueError as error:
+        assert [name for name in data if name in str(error)], error
+        return
+    assert FaultSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 def test_spec_impairment_properties():

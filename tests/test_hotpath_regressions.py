@@ -376,6 +376,79 @@ def test_call_budget_per_tick():
     assert calls / ticks <= 0.93 * parent
 
 
+#: ``Sender._pace`` wake-ups per sent packet on the
+#: ``mixed_1cc_five_schemes`` config (1 s) at the commit before "a
+#: sender wakes only to send", by numpy version (the run's RNG streams,
+#: and so its packets, are those of the numpy the goldens pin).
+PARENT_WAKE_UPS_PER_PACKET = {"2.4.6": 1.2973}
+
+
+def test_wake_up_budget_per_data_packet():
+    """A sender wakes only when it could send: CUBIC, Copa and BBR
+    answer until the next callback, so blocked on a window they queue no
+    wake-up, and their answers ride across wake-ups.  At most 0.9 of the
+    wake-ups per packet the five-scheme cell cost before.
+
+    Figures, CPython 3.11.7 + numpy 2.4.6: 7 846 wake-ups for 6 048
+    packets (1.2973) before, 6 836 (1.1303) after — CUBIC 2 313 →
+    1 898, Copa 1 320 → 879, BBR 1 159 → 1 037; PBE and Verus (finite
+    and default horizons) unchanged but for the trains.  A count, so it
+    cannot flake; another numpy skips."""
+    import numpy as np
+    import pytest
+
+    from repro.baselines.base import Sender
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+
+    parent = PARENT_WAKE_UPS_PER_PACKET.get(np.__version__)
+    if parent is None:
+        pytest.skip(f"no parent wake-up figure recorded for numpy "
+                    f"{np.__version__}")
+    pace = Sender._pace
+    wake_ups = 0
+
+    def counting(self):
+        nonlocal wake_ups
+        wake_ups += 1
+        pace(self)
+
+    scenario, specs = fingerprint_configs(1.0)["mixed_1cc_five_schemes"]
+    experiment = Experiment(scenario)
+    handles = [experiment.add_flow(spec) for spec in specs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Sender, "_pace", counting)
+        experiment.run()
+    sent = sum(handle.sender.sent_packets for handle in handles)
+    assert sent > 5_000
+    assert wake_ups / sent <= 0.9 * parent
+
+
+def test_a_window_blocked_callback_bound_sender_holds_no_wake_up():
+    """Stopped every millisecond of the five-scheme cell: whenever the
+    CUBIC, Copa or BBR sender is blocked on its window, nothing of its
+    is queued — an ACK, a loss or a timeout re-arms it."""
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+
+    scenario, specs = fingerprint_configs(1.0)["mixed_1cc_five_schemes"]
+    experiment = Experiment(scenario)
+    handles = [experiment.add_flow(spec) for spec in specs]
+    watched = [h for h in handles if h.spec.scheme in ("bbr", "cubic", "copa")]
+    blocked = dict.fromkeys((h.spec.scheme for h in watched), 0)
+    sim = experiment.sim
+    for ms in range(1, 1_000):
+        sim.run(until_us=ms * 1_000)
+        for handle in watched:
+            sender = handle.sender
+            cwnd = handle.cc.cwnd_bits(sim.now)
+            if (sender.running and not sender._pacing_active
+                    and sender.inflight_bits + sender.mss_bits > cwnd):
+                assert sender._pace_event is None, handle.spec.scheme
+                blocked[handle.spec.scheme] += 1
+    assert min(blocked.values()) >= 10, blocked
+
+
 def test_monitor_callback_does_not_drain_the_wire():
     """Every tick drains the wire exactly once, at its top.
 

@@ -17,7 +17,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.base import CongestionControl, Sender
+from repro.baselines.base import UNTIL_CALLBACK, CongestionControl, Sender
 from repro.harness import Experiment
 from repro.harness.fingerprint import digest_run, fingerprint_configs
 from repro.net.link import Receiver
@@ -38,8 +38,10 @@ class ScriptedCc(CongestionControl):
     entry of ``ack_gains`` (so a script can invalidate a horizon it has
     just reported).  ``horizon`` picks what ``rate_valid_until_us``
     says: ``"default"`` (the base class's ``now``: re-ask for every
-    packet) or ``"step"`` (the instant before the next clock step — as
-    far as the answers really hold, absent an ACK).
+    packet), ``"step"`` (the instant before the next clock step — as
+    far as the answers really hold, absent an ACK) or ``"callback"``
+    (:data:`UNTIL_CALLBACK`; such a script has a single step, so only
+    the ACK gains move the answers).
     """
 
     def __init__(self, steps, ack_gains, horizon):
@@ -72,6 +74,9 @@ class ScriptedCc(CongestionControl):
     def rate_valid_until_us(self, now_us):
         if self.horizon == "default":
             until = super().rate_valid_until_us(now_us)
+        elif self.horizon == "callback":
+            assert len(self.steps) == 1
+            until = UNTIL_CALLBACK
         else:
             later = [s[0] for s in self.steps if s[0] > now_us]
             until = min(later) - 1 if later else FOREVER
@@ -112,25 +117,31 @@ class Wire(Receiver):
     def receive(self, packet):
         self.sent.append((packet.seq, packet.sent_time_us,
                           packet.app_limited, packet.delivered_at_send,
-                          packet.delivered_time_at_send))
+                          packet.delivered_time_at_send, dict(packet.meta)))
         self.unacked.append(packet)
 
 
-def _build(sender_cls, script):
-    """One simulator, the script's senders and all its events queued."""
+def _scripted(flow):
+    cc = ScriptedCc(flow["steps"], flow["ack_gains"], flow["horizon"])
+    return cc, cc.log
+
+
+def _build(sender_cls, script, make_cc=_scripted):
+    """One simulator, the script's senders and all its events queued.
+    ``make_cc(flow)`` returns a flow's controller and its callback log."""
     sim = Simulator()
     flows = []
     for flow_id, flow in enumerate(script["flows"]):
-        cc = ScriptedCc(flow["steps"], flow["ack_gains"], flow["horizon"])
+        cc, log = make_cc(flow)
         wire = Wire()
         sender = sender_cls(sim, flow_id, cc, wire,
                             app_rate_bps=flow["app_rate_bps"])
-        flows.append((sender, cc, wire))
+        flows.append((sender, cc, log, wire))
 
-    def ack(flow, lose, count, batched):
-        sender, _, wire = flows[flow]
+    def ack(flow, lose, count, batched, feedback=None):
+        sender, _, _, wire = flows[flow]
         del wire.unacked[:lose]  # never acknowledged: dup-ACK / RTO food
-        acks = [p.make_ack(sim.now) for p in wire.unacked[:count]]
+        acks = [p.make_ack(sim.now, feedback) for p in wire.unacked[:count]]
         del wire.unacked[:count]
         if not acks:
             return
@@ -162,7 +173,7 @@ def _build(sender_cls, script):
 
 def _observe(sim, flows):
     out = []
-    for sender, cc, wire in flows:
+    for sender, _, log, wire in flows:
         counters = {name: getattr(sender, name) for name in (
             "next_seq", "inflight_bits", "highest_acked", "delivered_bits",
             "delivered_time_us", "srtt_us", "min_rtt_us", "sent_packets",
@@ -174,19 +185,41 @@ def _observe(sim, flows):
         counters["rto_due"] = (sender._rto_deadline_us
                                if sender._rto_event is not None else None)
         counters["outstanding"] = dict(sender._outstanding)
-        counters["pace_due"] = (sender._pace_event.time
-                                if sender._pace_event is not None else None)
-        out.append((wire.sent, cc.log, counters))
+        pace_due = (sender._pace_event.time
+                    if sender._pace_event is not None else None)
+        callback_bound = sender._held_until == UNTIL_CALLBACK
+        out.append((wire.sent, log, counters, pace_due, callback_bound))
     return out, sim.now, sim.pending_events
 
 
-def _run(sender_cls, script, cuts=()):
-    sim, flows = _build(sender_cls, script)
+def _run(sender_cls, script, cuts=(), make_cc=_scripted):
+    sim, flows = _build(sender_cls, script, make_cc)
     for cut_us in cuts:
         sim.run(until_us=cut_us)
         assert sim.now == cut_us
     sim.run(until_us=END_US)
-    return _observe(sim, flows), [cc.queries for _, cc, _ in flows]
+    return _observe(sim, flows), flows
+
+
+def assert_same_run(oracle, engine):
+    """The engine's run (``_observe``) equals the per-packet oracle's:
+    packets, callback log and counters per flow; the pending wake-up
+    and the heap, except that a sender blocked under answers only a
+    callback can change holds no wake-up where the oracle polls."""
+    (expected, end, pending), (got, got_end, got_pending) = oracle, engine
+    polls = 0
+    for flow, (want, have) in enumerate(zip(expected, got)):
+        sent, log, counters, pace_due, callback_bound = have
+        assert sent == want[0], f"flow {flow}: packets differ"
+        assert log == want[1], f"flow {flow}: callback log differs"
+        assert counters == want[2], f"flow {flow}: counters differ"
+        blocked = counters["running"] and not counters["_pacing_active"]
+        if blocked and callback_bound:
+            assert pace_due is None, f"flow {flow}: a blocked sender woke"
+            polls += want[3] is not None
+        else:
+            assert pace_due == want[3], f"flow {flow}: wake-up differs"
+    assert (got_end, got_pending) == (end, pending - polls)
 
 
 RATES = [0.0, 1.2e6, 12e6, 12e6, 48e6, 96e6]   # 12 Mbit/s = 1 packet/ms
@@ -201,14 +234,15 @@ def _scripts(draw):
     n_flows = draw(st.integers(1, 3))
     flows = []
     for _ in range(n_flows):
-        n_steps = draw(st.integers(1, 4))
+        horizon = draw(st.sampled_from(["default", "step", "callback"]))
+        n_steps = 1 if horizon == "callback" else draw(st.integers(1, 4))
         times = [0] + sorted(draw(TIMES) for _ in range(n_steps - 1))
         flows.append({
             "steps": [(t, draw(st.sampled_from(RATES)),
                        draw(st.sampled_from(CWNDS))) for t in times],
             "ack_gains": draw(st.sampled_from(
                 [[1.0], [1.0, 0.5], [1.0, 2.0, 0.0, 1.0]])),
-            "horizon": draw(st.sampled_from(["default", "step"])),
+            "horizon": horizon,
             "app_rate_bps": draw(st.sampled_from([None, None, 6e6])),
             "start_us": draw(st.sampled_from([0, 0, 1_000, 12_345])),
         })
@@ -239,20 +273,18 @@ def _scripts(draw):
 @given(_scripts())
 def test_train_matches_per_packet_pacer(case):
     script, cuts = case
-    (expected, end, pending), ref_queries = _run(ReferenceSender, script)
-    (got, got_end, got_pending), queries = _run(Sender, script, cuts)
-    for flow, (want, have) in enumerate(zip(expected, got)):
-        assert have[0] == want[0], f"flow {flow}: packets differ"
-        assert have[1] == want[1], f"flow {flow}: callback log differs"
-        assert have[2] == want[2], f"flow {flow}: counters differ"
-    assert (got_end, got_pending) == (end, pending)
+    expected, ref_flows = _run(ReferenceSender, script)
+    got, flows = _run(Sender, script, cuts)
+    assert_same_run(expected, got)
     for flow, spec in enumerate(script["flows"]):
+        queries = flows[flow][1].queries
+        ref_queries = ref_flows[flow][1].queries
         if spec["horizon"] == "default":
             # "Re-ask for every packet": the controller is asked exactly
             # as often, with exactly the same clock readings.
-            assert queries[flow] == ref_queries[flow]
+            assert queries == ref_queries
         else:
-            assert len(queries[flow]) <= len(ref_queries[flow])
+            assert len(queries) <= len(ref_queries)
 
 
 def _lone_sender(rate_bps=12e6, horizon="step"):
@@ -309,6 +341,77 @@ def test_rule_2_the_run_limit_ends_a_train():
     sender.stop()
     sim.run(until_us=10_000)
     assert len(wire.sent) == 3
+
+
+def _blocked_sender(horizon):
+    """A 2-packet window, both packets out by 1 000 µs, no ACK yet."""
+    sim = Simulator()
+    cc = ScriptedCc([(0, 12e6, 2 * MSS_BITS)], [1.0, 0.5], horizon)
+    wire = Wire()
+    sender = Sender(sim, 0, cc, wire)
+    sender.start()
+    sim.run(until_us=10_000)
+    assert len(wire.sent) == 2 and not sender._pacing_active
+    return sim, sender, cc, wire
+
+
+def test_a_blocked_callback_bound_sender_queues_no_wake_up():
+    sim, sender, cc, wire = _blocked_sender("callback")
+    # Nothing but the RTO timer; the window was found full once.
+    assert sender._pace_event is None and sim.pending_events == 1
+    assert cc.queries == [("rate", 0), ("cwnd", 0)]
+    # An ACK re-arms at once, with fresh answers (the gain moved).
+    sender.receive_batch([wire.unacked.pop(0).make_ack(sim.now)])
+    assert sender._pace_event.time == 10_000
+    sim.run(until_us=20_000)
+    assert [t for _, t, *_ in wire.sent] == [0, 1_000, 10_000]
+    assert cc.queries[2:] == [("rate", 10_000), ("cwnd", 10_000)]
+    assert sender._pace_event is None
+
+
+def test_a_blocked_sender_with_a_finite_horizon_keeps_polling():
+    sim, sender, cc, wire = _blocked_sender("step")
+    assert sender._pace_event.time == 11_000
+    # The poll chain re-checks the window; the answers are carried.
+    assert cc.queries == [("rate", 0), ("cwnd", 0)]
+
+
+def test_answers_are_carried_across_wake_ups_until_a_callback():
+    """Events queued on every send instant break the train into one
+    wake-up per packet: one ask serves them all, an ACK forces one."""
+    sim, sender, cc, wire = _lone_sender(horizon="callback")
+    for t in range(1_000, 6_001, 1_000):
+        sim.schedule_at(t, lambda: None)
+    sim.run(until_us=3_500)
+    assert len(wire.sent) == 4 and cc.queries == [("rate", 0), ("cwnd", 0)]
+    # Mid-gap: the ACK re-arms nothing; the next wake-up asks afresh.
+    sender.receive_batch([wire.unacked.pop(0).make_ack(sim.now)])
+    sim.run(until_us=6_000)
+    assert len(wire.sent) == 7
+    assert cc.queries[2:] == [("rate", 4_000), ("cwnd", 4_000)]
+
+
+def test_a_stopped_sender_holds_no_answers():
+    """``stop`` drops the carried answers: restarted at the very instant
+    they were asked, a default-horizon sender asks again, as the
+    per-packet pacer does."""
+
+    def queries(sender_cls):
+        sim = Simulator()
+        cc = ScriptedCc([(0, 0.0, None)], [1.0], "default")
+        sender = sender_cls(sim, 0, cc, Wire())
+        sender.start()  # wakes at 0: zero rate, blocked
+
+        def restart():
+            sender.stop()
+            sender.start()
+
+        sim.schedule_at(0, restart)
+        sim.run(until_us=2_500)
+        return cc.queries
+
+    assert queries(Sender) == queries(ReferenceSender) == [
+        ("rate", 0), ("rate", 0), ("rate", 1_000), ("rate", 2_000)]
 
 
 def test_chunked_run_digests_like_one_call():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+from unittest import mock
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.phy.channel import (ChannelModel, GaussMarkovChannel,
                                StaticChannel, TraceChannel)
 
 from .reference_engine import ReferenceExperiment, reference_engine
+from .reference_pacer import ReferenceSender
 from .test_batch_engine import DURATION_S, _sparse_metro_params
 
 
@@ -100,6 +102,36 @@ def test_reference_observes_single_cell_users_and_samples_per_subframe():
     # subframe of scalar sampling, the engine's are 64.
     assert reference["block_subframes"] == {1}
     assert engine["block_subframes"] == {CHANNEL_BLOCK_SUBFRAMES} == {64}
+
+
+def test_reference_sender_wakes_for_every_packet_and_polls():
+    """The reference's senders are the per-packet pacer: one wake-up per
+    packet sent plus a 1 ms poll whenever blocked.  The engine's trains
+    and callback-bound answers need far fewer on the five-scheme cell."""
+    wake_ups = {}
+
+    def run(reference):
+        cls = ReferenceSender if reference else Sender
+        pace = cls._pace
+
+        def counting(self):
+            wake_ups[reference] = wake_ups.get(reference, 0) + 1
+            pace(self)
+
+        scenario, specs = fingerprint_configs(DURATION_S)[
+            "mixed_1cc_five_schemes"]
+        with mock.patch.object(cls, "_pace", counting):
+            experiment = (ReferenceExperiment if reference
+                          else Experiment)(scenario)
+            handles = [experiment.add_flow(spec) for spec in specs]
+            experiment.run()
+        assert {type(h.sender) for h in handles} == {cls}
+        return sum(h.sender.sent_packets for h in handles)
+
+    sent = run(True)
+    assert run(False) == sent > 2_000
+    assert wake_ups[True] > 1.2 * sent      # every packet, and the polls
+    assert wake_ups[False] < 0.9 * wake_ups[True]
 
 
 def test_reference_ticks_every_cell_of_the_sparse_shard():

@@ -25,7 +25,7 @@ from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import MSS_BITS
 
-from .reference_transport import ReferenceAckSender
+from .reference_pacer import ReferenceSender
 
 FLOW = 1
 
@@ -115,7 +115,7 @@ class SenderPair(RuleBasedStateMachine):
                 gains=st.sampled_from([[1.0], [1.0, 0.5], [1.0, 2.0, 0.0]]))
     def setup(self, rate_bps, cwnd_packets, gains):
         self.engine = Side(Sender, rate_bps, cwnd_packets, gains)
-        self.oracle = Side(ReferenceAckSender, rate_bps, cwnd_packets, gains)
+        self.oracle = Side(ReferenceSender, rate_bps, cwnd_packets, gains)
         self.sides = (self.engine, self.oracle)
         for side in self.sides:
             side.sender.start()

@@ -36,7 +36,8 @@ from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
 from .reference_engine import ReferencePipe, reference_engine
-from .reference_transport import ReferenceAckingReceiver, ReferenceAckSender
+from .reference_pacer import ReferenceSender
+from .reference_transport import ReferenceAckingReceiver
 
 DURATION_S = 0.4
 
@@ -162,7 +163,7 @@ def _run_transport(batched, with_losses=True, with_dups=True,
     through the event-per-ACK reference pipe and per-ACK endpoints."""
     sim = Simulator()
     cc = RecordingCc()
-    sender = (Sender if batched else ReferenceAckSender)(
+    sender = (Sender if batched else ReferenceSender)(
         sim, flow_id=1, cc=cc, egress=None)
     uplink = (BatchingPipe if batched else ReferencePipe)(
         sim, sender, delay_us=7_000, batch_interval_us=5_000)
