@@ -9,7 +9,7 @@ estimator state — so two versions of the engine (or the engine and the
 per-subframe, per-ACK reference in ``tests/reference_engine.py``) can
 be compared with a string equality.
 
-:func:`fingerprint_configs` defines the 7-configuration suite the perf
+:func:`fingerprint_configs` defines the 8-configuration suite the perf
 PRs verify against; :func:`run_fingerprint` executes one configuration
 and returns its digest.  ``tests/test_batch_engine.py`` adds randomized
 configurations on top and holds both to recorded goldens.
@@ -121,12 +121,13 @@ def run_fingerprint(scenario: Scenario, specs: list[FlowSpec],
 
 def fingerprint_configs(duration_s: float = 2.0) \
         -> dict[str, tuple[Scenario, list[FlowSpec]]]:
-    """The 7-configuration byte-identity suite.
+    """The 8-configuration byte-identity suite.
 
     Covers: all three channel models, 1/2/3 aggregated cells (CA on and
     off), busy and idle cells, CQI reporting delay, decoder/ACK fault
-    injection, and five schemes (PBE, BBR, CUBIC, Copa, Verus) sharing
-    one busy carrier.
+    injection, per-cell decoder outages that leave a subframe decoded
+    on one cell but not the other, and five schemes (PBE, BBR, CUBIC,
+    Copa, Verus) sharing one busy carrier.
     """
     trace = TraceChannel(
         [(0, -92.0), (400_000, -101.0), (900_000, -88.0),
@@ -182,11 +183,18 @@ def fingerprint_configs(duration_s: float = 2.0) \
                      cqi_delay_subframes=4, duration_s=duration_s,
                      seed=17),
             mixed),
+        "outage_2cc_pbe": (
+            Scenario(name="fp-outage-2cc", aggregated_cells=2,
+                     mean_sinr_db=18.0, busy=True, background_users=2,
+                     duration_s=duration_s, seed=18),
+            [FlowSpec(scheme="pbe", faults={
+                "seed": 19, "outage_enter_rate": 0.02,
+                "outage_mean_subframes": 3.0})]),
     }
 
 
 def fingerprint_suite(duration_s: float = 2.0) -> dict[str, str]:
-    """Run the whole 7-configuration suite; ``{name: digest}``."""
+    """Run the whole 8-configuration suite; ``{name: digest}``."""
     return {name: run_fingerprint(scenario, specs)
             for name, (scenario, specs) in
             fingerprint_configs(duration_s).items()}
