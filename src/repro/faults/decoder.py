@@ -121,10 +121,6 @@ class LossyDecoder:
             subframe=record.subframe, cell_id=record.cell_id,
             total_prbs=record.total_prbs, messages=list(messages)))
 
-    def flush(self) -> None:
-        """Drain the wrapped decoder's latency buffer (end of stream)."""
-        self.decoder.flush()
-
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Impairment counters (for telemetry/results)."""

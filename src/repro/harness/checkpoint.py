@@ -75,7 +75,7 @@ from ..core.sender import PbeSender
 from ..faults.decoder import LossyDecoder
 from ..faults.pipe import ImpairedPipe
 from ..monitor.capacity import CellCapacityEstimator, CellEstimate
-from ..monitor.decoder import ControlChannelDecoder, MessageFusion
+from ..monitor.decoder import ControlChannelDecoder
 from ..monitor.filters import ActiveUserFilter, UserActivity, _SubframeUsers
 from ..monitor.pbe import MonitorReport, PbeMonitor
 from ..net.flow import FlowStats
@@ -115,7 +115,9 @@ SCHEMA = "repro.harness/checkpoint"
 #: 8: an uplink's flushed burst is the held list itself; a version-7
 #: uplink carries ``_mixed`` and its ``_deliver`` events an
 #: ``AckBatch``, neither of which exists any more.
-VERSION = 8
+#: 9: the monitor folds each record into its cell's estimator on arrival;
+#: a version-8 monitor carries fusion buckets no estimator has folded.
+VERSION = 9
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"
@@ -170,8 +172,7 @@ _STATE = (
     CbrDemand, ScheduledDemand, OnOffRandomDemand,
     # monitor pipeline
     PbeMonitor, CellCapacityEstimator, CellEstimate,
-    ControlChannelDecoder,
-    MessageFusion, ActiveUserFilter, UserActivity, _SubframeUsers,
+    ControlChannelDecoder, ActiveUserFilter, UserActivity, _SubframeUsers,
     MonitorReport,
     # fault injectors
     ImpairedPipe, LossyDecoder,

@@ -124,10 +124,9 @@ def fingerprint_configs(duration_s: float = 2.0) \
     """The 8-configuration byte-identity suite.
 
     Covers: all three channel models, 1/2/3 aggregated cells (CA on and
-    off), busy and idle cells, CQI reporting delay, decoder/ACK fault
-    injection, per-cell decoder outages that leave a subframe decoded
-    on one cell but not the other, and five schemes (PBE, BBR, CUBIC,
-    Copa, Verus) sharing one busy carrier.
+    off), busy and idle cells, CQI reporting delay, decoder/ACK faults,
+    per-cell decoder outages, and five schemes (PBE, BBR, CUBIC, Copa,
+    Verus) sharing one busy carrier.
     """
     trace = TraceChannel(
         [(0, -92.0), (400_000, -101.0), (900_000, -88.0),

@@ -407,10 +407,6 @@ class Experiment:
             if isinstance(handle.receiver, PbeClient):
                 state_fractions = handle.receiver.state_fractions(
                     self.sim.now)
-            if handle.monitor is not None:
-                # Teardown: drain decoder latency buffers so the last
-                # records of the stream are not stranded in _pending.
-                handle.monitor.flush()
             sender_states = None
             if isinstance(handle.cc, PbeSender):
                 sender_states = {

@@ -1,7 +1,8 @@
 """PBE physical-layer bandwidth measurement module (the paper's §4.2.1/§5).
 
 The mobile-endpoint measurement stack: per-cell control-channel
-decoders, subframe-aligned message fusion, active-user filtering,
+decoders folding each record into its cell's estimator, active-user
+filtering,
 capacity estimation (Eqns. 1-4) and cross-layer rate translation
 (Eqn. 5), packaged behind :class:`PbeMonitor`.
 """
@@ -19,7 +20,6 @@ from .decoder import (
     N_DCI_FORMATS,
     N_SEARCH_POSITIONS,
     ControlChannelDecoder,
-    MessageFusion,
 )
 from .filters import (
     DEFAULT_WINDOW_SUBFRAMES,
@@ -40,7 +40,7 @@ __all__ = [
     "ActiveUserFilter", "BurstTracker", "BurstWindow",
     "CellCapacityEstimator", "CellEstimate",
     "CellSample", "ControlChannelDecoder", "DEFAULT_WINDOW_SUBFRAMES",
-    "MIN_ACTIVE_SUBFRAMES", "MIN_AVG_PRBS", "MessageFusion",
+    "MIN_ACTIVE_SUBFRAMES", "MIN_AVG_PRBS",
     "IDLE", "MonitorReport", "N_DCI_FORMATS", "N_SEARCH_POSITIONS",
     "OccupancyAnalyzer", "UserOccupancy",
     "UPSTREAM_BOTTLENECK", "WIRELESS_BOTTLENECK",

@@ -20,8 +20,8 @@ path — so the sliding-window averages are served from ring buffers
 with O(1) rolling integer sums instead of copying the sample deque and
 re-summing the window on every call.  The integer fields (PRBs, rate)
 use prefix-sum differences, which are exact; the float BER field is
-summed chronologically on demand and memoized per window size, so
-every returned figure is bit-identical to the naive windowed average
+summed chronologically on demand, so every returned figure is
+bit-identical to the naive windowed average
 (``tests/test_hotpath_regressions.py`` holds the equivalence suite).
 """
 
@@ -68,14 +68,6 @@ class CellCapacityEstimator:
     #: Upper bound on the averaging window, subframes (RTprop can grow).
     MAX_WINDOW = 400
 
-    #: Checkpointing: the per-window memo is a pure cache (identical
-    #: estimates recompute from the snapshotted rings).
-    SNAPSHOT_SKIP = ("_memo",)
-
-    def _after_restore(self) -> None:
-        self._memo = {}
-        self._memo_version = -1
-
     def __init__(self, cell_id: int, total_prbs: int, own_rnti: int,
                  user_window_subframes: int = 40,
                  filter_control_users: bool = True) -> None:
@@ -90,7 +82,7 @@ class CellCapacityEstimator:
         self.users = ActiveUserFilter(user_window_subframes)
         cap = self.MAX_WINDOW
         self._cap = cap
-        #: Total samples ever folded in (also the memo version stamp).
+        #: Total samples ever folded in.
         self._count = 0
         # Ring buffers over the last MAX_WINDOW samples.
         self._subframes = [0] * cap
@@ -102,9 +94,6 @@ class CellCapacityEstimator:
         self._cum_pa = [0] * (cap + 1)
         self._cum_idle = [0] * (cap + 1)
         self._cum_rate = [0] * (cap + 1)
-        #: ``{window: estimate}`` memo for the current sample version.
-        self._memo: dict[int, CellEstimate] = {}
-        self._memo_version = -1
         self.last_subframe = -1
         #: Last subframe in which this user itself received a grant.
         self.last_own_grant_subframe = -1
@@ -181,9 +170,7 @@ class CellCapacityEstimator:
     def estimate(self, window_subframes: int) -> CellEstimate:
         """Average the most recent ``window_subframes`` samples (Eqn. 3).
 
-        Estimates are memoized per window size until the next
-        :meth:`update`; callers must treat the returned
-        :class:`CellEstimate` as read-only.
+        Every call returns a fresh :class:`CellEstimate`.
         """
         if window_subframes < 1:
             raise ValueError("window must be positive")
@@ -191,15 +178,6 @@ class CellCapacityEstimator:
         if count == 0:
             return CellEstimate(self.cell_id, 0.0, 0.0, 0.0, 0.0, 1, 0.0,
                                 coverage=0.0)
-        memo = self._memo
-        if self._memo_version == count:
-            cached = memo.get(window_subframes)
-            if cached is not None:
-                return cached
-        else:
-            memo.clear()
-            self._memo_version = count
-
         cap = self._cap
         n = min(window_subframes, count, cap)
         cap1 = cap + 1
@@ -209,10 +187,10 @@ class CellCapacityEstimator:
         mean_rate = (self._cum_rate[hi] - self._cum_rate[lo]) / n
         # The BER field is a float: a prefix-sum difference would round
         # differently from the naive chronological sum, so it is folded
-        # left-to-right over the window (then memoized until the next
-        # sample arrives).  ``reduce(add, ..., 0.0)`` performs exactly
-        # the additions of a ``+=`` loop; ``sum()`` would not (it
-        # compensates float sums from CPython 3.12 on), nor ``fsum``.
+        # left-to-right over the window.  ``reduce(add, ..., 0.0)``
+        # performs exactly the additions of a ``+=`` loop; ``sum()``
+        # would not (it compensates float sums from CPython 3.12 on),
+        # nor ``fsum``.
         bers = self._bers
         start = (count - n) % cap
         stop = start + n
@@ -234,7 +212,6 @@ class CellCapacityEstimator:
                                | {self.own_rnti}))
         physical = mean_rate * (mean_pa + mean_idle / users)
         fair = mean_rate * self.total_prbs / users
-        out = memo[window_subframes] = CellEstimate(
+        return CellEstimate(
             self.cell_id, physical, fair, mean_pa, mean_idle, users,
             mean_ber, coverage)
-        return out

@@ -1,8 +1,8 @@
-"""The PBE measurement module: fused multi-cell capacity reports.
+"""The PBE measurement module: summed multi-cell capacity reports.
 
 :class:`PbeMonitor` is the mobile-side physical-layer measurement API
 the paper argues for (§1): it owns one control-channel decoder per
-configured cell, fuses their outputs by subframe, tracks which cells
+configured cell, feeds each cell's estimator, tracks which cells
 are currently activated for this user, and on demand produces a
 :class:`MonitorReport` containing the available capacity ``Cp``, the
 fair share ``Cf`` (Eqns. 1-3) and their transport-layer translations
@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ..net.units import SUBFRAME_US, US_PER_S
 from ..phy.dci import SubframeRecord
 from .capacity import CellCapacityEstimator, CellEstimate
-from .decoder import ControlChannelDecoder, MessageFusion
+from .decoder import ControlChannelDecoder
 from .translation import TranslationTable
 
 #: A secondary cell with no grant for this user for this many subframes
@@ -56,8 +56,8 @@ class MonitorReport:
     #: report — the client restarts its fair-share approach (§4.1).
     carrier_activated: bool
     per_cell: list
-    #: Subframes elapsed since the last fused decoder snapshot (0 when
-    #: the caller supplied no clock, or the stream is current).
+    #: Subframes elapsed since the last decoded subframe (0 when the
+    #: caller supplied no clock, or the stream is current).
     staleness_subframes: int = 0
     #: How much to trust this report: window decode coverage decayed by
     #: staleness.  1.0 = gap-free and current, 0.0 = flying blind.
@@ -83,21 +83,17 @@ class MonitorReport:
 class PbeMonitor:
     """Mobile-endpoint physical-layer bandwidth measurement module."""
 
-    #: Checkpointing: the rate hint is a rebuilt-wiring closure, the
-    #: translation table, report memo and active-cell list are pure
-    #: caches (identical values recompute on demand).
-    SNAPSHOT_SKIP = ("own_rate_hint", "translation", "_report_memo",
-                     "_active_cells")
+    #: Checkpointing: the rate hint is rebuilt wiring; the translation
+    #: table and active-cell list are caches that recompute on demand.
+    SNAPSHOT_SKIP = ("own_rate_hint", "translation", "_active_cells")
 
     def _after_restore(self) -> None:
-        self._report_memo = None
         self._active_cells = self.active_cells()
 
     def __init__(self, own_rnti: int, cell_prbs: dict[int, int],
                  primary_cell: int,
                  own_rate_hint: Callable[[], tuple[int, float]],
                  user_window_subframes: int = 40,
-                 decode_latency_subframes: int = 0,
                  filter_control_users: bool = True,
                  averaging_window_override: Optional[int] = None) -> None:
         """``cell_prbs`` maps every *configured* cell id to its PRB count.
@@ -110,13 +106,11 @@ class PbeMonitor:
         detected user in N; ``averaging_window_override`` replaces the
         RTprop averaging window (1 = instantaneous estimates).
 
-        Every decoded subframe takes one path, whether the cell or a
-        fault injector feeds it: ``decoders[cell].on_subframe`` (which
-        holds a record back ``decode_latency_subframes``) →
-        :class:`MessageFusion` → one
-        :meth:`CellCapacityEstimator.update` per cell of the fused
-        snapshot.  Nothing is buffered beyond that, so the telemetry
-        attributes need no call to bring them up to date.
+        Every decoded record, from the cell or a fault injector, goes
+        ``decoders[cell].on_subframe`` → that cell's
+        :meth:`CellCapacityEstimator.update`, at once.  The subframe's
+        bookkeeping closes when every configured cell has reported it,
+        a later subframe's record arrives, or :meth:`report` is called.
         """
         if primary_cell not in cell_prbs:
             raise ValueError("primary cell must be configured")
@@ -132,24 +126,23 @@ class PbeMonitor:
                 cell_id, total, own_rnti, user_window_subframes,
                 filter_control_users=filter_control_users)
             for cell_id, total in cell_prbs.items()}
-        self.fusion = MessageFusion(list(cell_prbs), self._on_snapshot)
         self.decoders = {
-            cell_id: ControlChannelDecoder(
-                cell_id, self.fusion.on_record, decode_latency_subframes)
+            cell_id: ControlChannelDecoder(cell_id, self._on_record)
             for cell_id in cell_prbs}
         self.translation = TranslationTable()
-        #: Latest subframe folded into the estimators.
+        #: Latest subframe whose bookkeeping has closed.
         self.last_subframe = -1
+        #: The newest record's subframe; records folded since the last
+        #: close (0 = nothing open).
+        self._subframe = -1
+        self._pending = 0
         self._activation_pending = False
         self._previously_active: set[int] = {primary_cell}
-        #: Decode-gap telemetry: distinct discontinuities in the fused
-        #: snapshot stream, and total subframes never fused.
+        #: Decode-gap telemetry: distinct discontinuities in the closed
+        #: subframe stream, and total subframes no cell decoded.
         self.gap_events = 0
         self.missed_subframes = 0
-        #: Total snapshots ever folded in (memo version stamp).
-        self._ingest_version = 0
-        self._report_memo: Optional[tuple] = None
-        #: ``active_cells()`` as of the last snapshot or primary change
+        #: ``active_cells()`` as of the last close or primary change
         #: (nothing else moves it), shared by the reports built on it.
         self._active_cells = self.active_cells()
 
@@ -170,39 +163,33 @@ class PbeMonitor:
         self.primary_cell = cell_id
         self._previously_active = {cell_id}
         self._activation_pending = False
-        self._report_memo = None
         self._active_cells = self.active_cells()
 
-    def _on_snapshot(self, records: dict[int, SubframeRecord]) -> None:
+    def _on_record(self, record: SubframeRecord) -> None:
+        if record.subframe != self._subframe:
+            if self._pending:
+                self._close()
+            self._subframe = record.subframe
         rate, ber = self.own_rate_hint()
-        last = snapshot_subframe = self.last_subframe
-        estimators = self.estimators
-        for cell_id, record in records.items():
-            estimators[cell_id].update(record, rate, ber)
-            if record.subframe > snapshot_subframe:
-                snapshot_subframe = record.subframe
-        if last >= 0 and snapshot_subframe > last + 1:
+        self.estimators[record.cell_id].update(record, rate, ber)
+        self._pending += 1
+        if self._pending == len(self.estimators):
+            self._close()
+
+    def _close(self) -> None:
+        """Gap telemetry, active cells and the activation edge, once all
+        of a subframe's records are in: a secondary aged out by the
+        primary's record alone, then granted by its own, is no edge."""
+        self._pending = 0
+        subframe, last = self._subframe, self.last_subframe
+        if last >= 0 and subframe > last + 1:
             self.gap_events += 1
-            self.missed_subframes += snapshot_subframe - last - 1
-        self.last_subframe = snapshot_subframe
-        self._ingest_version += 1
+            self.missed_subframes += subframe - last - 1
+        self.last_subframe = max(last, subframe)
         active = self._active_cells = self.active_cells()
         if not self._previously_active.issuperset(active):
             self._activation_pending = True  # a cell newly active
         self._previously_active = set(active)
-
-    def flush(self) -> None:
-        """End-of-stream teardown: drain decoder latency buffers.
-
-        With ``decode_latency_subframes > 0`` each per-cell decoder
-        holds its last records in a pending queue; flushing pushes them
-        through the fusion stage (which then emits its own residual,
-        possibly incomplete, subframes) so the final estimates account
-        for every decoded subframe.
-        """
-        for decoder in self.decoders.values():
-            decoder.flush()
-        self.fusion.flush()
 
     # ------------------------------------------------------------------
     def active_cells(self) -> list[int]:
@@ -238,24 +225,16 @@ class PbeMonitor:
         window = max(1, rtprop_subframes)
         if self.averaging_window_override is not None:
             window = self.averaging_window_override
-        # Reports are pure in (ingested stream, window, clock, primary)
-        # except for the consumed carrier_activated edge — so a repeat
-        # call with the same key returns the memoized report, and a
-        # pending activation simply skips the memo (the *next* identical
-        # call re-computes with the flag consumed, then memoizes).
-        key = (self._ingest_version, window, now_subframe,
-               self.primary_cell)
-        memo = self._report_memo
+        if self._pending:
+            self._close()
         activated = self._activation_pending
-        if memo is not None and memo[0] == key and not activated:
-            return memo[1]
         active = self._active_cells
         estimators = self.estimators
         # §4.1: per-cell rates are computed separately and summed, so the
         # Eqn. 5 TB-size term uses each carrier's own transport-block
         # size rather than pretending the aggregate is one giant TB.
-        # (One fused left-to-right pass over the active cells, which
-        # _on_snapshot already listed: report() runs once per feedback.)
+        # (One left-to-right pass over the active cells, which _close
+        # already listed: report() runs once per feedback.)
         transport_rate = self.translation.transport_rate
         estimates: list[CellEstimate] = []
         users_per_cell = {}
@@ -275,14 +254,8 @@ class PbeMonitor:
             staleness = max(0, now_subframe - self.last_subframe)
         coverage = cov / len(estimates) if estimates else 0.0
         decay = max(0.0, 1.0 - staleness / CONFIDENCE_HORIZON_SUBFRAMES)
-        # Positional, in field order: keyword passing was a measurable
-        # share of a report.
-        report = MonitorReport(
+        # Positional, in field order (keywords cost a measurable share);
+        # callers treat the shared active-cell list as read-only.
+        return MonitorReport(
             self.last_subframe, cp, ct, cf, cf_t, users_per_cell, active,
             activated, estimates, staleness, coverage * decay)
-        # Only activation-free reports are repeatable (the flag is a
-        # consumed edge); callers treat reports as read-only, like the
-        # memoized CellEstimates and the shared active-cell list they
-        # embed.
-        self._report_memo = None if activated else (key, report)
-        return report

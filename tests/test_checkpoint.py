@@ -419,7 +419,42 @@ def test_kill_point_with_a_sender_blocked_unqueued_and_carried_answers(
     cubic, pbe = by_scheme(handles)["cubic"], by_scheme(handles)["pbe"]
     assert cubic.sender._pace_event is None
     assert pbe.sender._held_until == -1              # re-asked on waking
-    assert VERSION == 8
+    assert VERSION == 9
+    results = experiment.run(checkpoint=manager)
+    assert digest_run(experiment, handles, results) == straight
+
+
+def test_kill_point_with_a_subframe_still_open_in_the_monitor(tmp_path):
+    """Per-cell decoder outages: at the kill subframe one cell's record
+    was dropped, so the monitor has folded the other cell's record but
+    not yet closed the subframe's bookkeeping.  The open subframe is
+    monitor state; the next subframe's first record closes it after the
+    restore exactly as it would have without the kill."""
+    kill_subframe = 152
+
+    def config():
+        return fingerprint_configs(DURATION_S)["outage_2cc_pbe"]
+
+    straight = run_fingerprint(*config())
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    manager.run_to(experiment, kill_subframe * SUBFRAME_US)
+    monitor = handles[0].monitor
+    assert len(monitor.estimators) == 2
+    assert monitor._pending == 1
+    assert monitor._subframe == kill_subframe
+    assert monitor.last_subframe == kill_subframe - 1
+    manager.save(experiment)  # what a kill point does, then SIGKILL
+
+    experiment, handles = _build(*config())
+    manager = CheckpointManager(CheckpointConfig(
+        directory=str(tmp_path), interval_subframes=1_000))
+    assert manager.try_restore(experiment) == kill_subframe
+    monitor = handles[0].monitor
+    assert monitor._pending == 1 and monitor._subframe == kill_subframe
+    assert monitor.last_subframe == kill_subframe - 1
     results = experiment.run(checkpoint=manager)
     assert digest_run(experiment, handles, results) == straight
 
@@ -611,7 +646,7 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
 
 
 def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 8
+    assert old_version < VERSION == 9
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     header, _, payload = path.read_bytes().partition(b"\n")
     doctored = dict(json.loads(header), version=old_version)
@@ -681,6 +716,14 @@ def test_version_7_snapshot_is_quarantined(tmp_path):
     attribute to land on and the class no longer exists to unpickle.
     Set aside, not half-restored."""
     _assert_version_quarantined(tmp_path, 7)
+
+
+def test_version_8_snapshot_is_quarantined(tmp_path):
+    """A v8 monitor carries ``fusion`` buckets of decoded records that no
+    estimator has folded yet, and its estimators a ``_memo_version``:
+    restored, those records would never reach an estimator and the
+    attributes would land on nothing.  Set aside, not half-restored."""
+    _assert_version_quarantined(tmp_path, 8)
 
 
 def test_dci_messages_ride_the_snapshot_as_shared_identity_records(

@@ -1,8 +1,15 @@
-"""Tests for the emulated control-channel decoder and message fusion."""
+"""Tests for the emulated control-channel decoder and message fusion.
+
+Message fusion (§5) is not a stage of its own: the monitor folds each
+decoded record into its cell's estimator as it arrives and closes a
+subframe's bookkeeping once every configured cell has reported it (or a
+later subframe's record, or a report, comes first).
+"""
 
 import pytest
 
-from repro.monitor.decoder import ControlChannelDecoder, MessageFusion
+from repro.monitor.decoder import ControlChannelDecoder
+from repro.monitor.pbe import PbeMonitor
 from repro.phy.dci import DciMessage, SubframeRecord
 
 
@@ -14,6 +21,16 @@ def _record(subframe, cell=0, n_msgs=2):
     return rec
 
 
+def _monitor(cells):
+    return PbeMonitor(10, {cell: 100 for cell in cells},
+                      primary_cell=cells[0],
+                      own_rate_hint=lambda: (500, 1e-6))
+
+
+def _deliver(monitor, subframe, cell):
+    monitor.decoder_callback(cell)(_record(subframe, cell=cell))
+
+
 def test_decoder_forwards_immediately_by_default():
     got = []
     dec = ControlChannelDecoder(0, got.append)
@@ -21,14 +38,6 @@ def test_decoder_forwards_immediately_by_default():
     assert len(got) == 1
     assert dec.subframes_decoded == 1
     assert dec.messages_decoded == 2
-
-
-def test_decoder_latency_delays_by_n_subframes():
-    got = []
-    dec = ControlChannelDecoder(0, got.append, decode_latency_subframes=2)
-    for sf in range(5):
-        dec.on_subframe(_record(sf))
-    assert [r.subframe for r in got] == [0, 1, 2]
 
 
 def test_decoder_rejects_wrong_cell():
@@ -46,79 +55,58 @@ def test_decoder_search_cost_model():
 
 
 def test_fusion_waits_for_all_cells():
-    got = []
-    fusion = MessageFusion([0, 1], got.append)
-    fusion.on_record(_record(5, cell=0))
-    assert got == []
-    fusion.on_record(_record(5, cell=1))
-    assert len(got) == 1
-    assert set(got[0]) == {0, 1}
-    assert fusion.emitted == 1
+    m = _monitor([0, 1])
+    _deliver(m, 5, cell=0)
+    assert m.estimators[0].last_subframe == 5   # folded on arrival
+    assert m.last_subframe == -1                # subframe 5 still open
+    _deliver(m, 5, cell=1)
+    assert m.last_subframe == 5
+    assert m._pending == 0
 
 
 def test_fusion_single_cell_passthrough():
-    got = []
-    fusion = MessageFusion([0], got.append)
-    fusion.on_record(_record(0))
-    fusion.on_record(_record(1))
-    assert len(got) == 2
+    m = _monitor([0])
+    _deliver(m, 0, cell=0)
+    assert m.last_subframe == 0
+    _deliver(m, 1, cell=0)
+    assert m.last_subframe == 1
+    assert m._pending == 0
 
 
 def test_fusion_flushes_stale_incomplete_subframes():
-    got = []
-    fusion = MessageFusion([0, 1], got.append)
-    fusion.on_record(_record(0, cell=0))   # cell 1 never reports sf 0
-    fusion.on_record(_record(1, cell=0))
-    fusion.on_record(_record(2, cell=0))   # sf 0 is now stale -> flushed
-    subframes = [list(d.values())[0].subframe for d in got]
-    assert 0 in subframes
+    m = _monitor([0, 1])
+    _deliver(m, 0, cell=0)   # cell 1 never reports sf 0
+    _deliver(m, 1, cell=0)   # a later subframe closes sf 0
+    assert m.last_subframe == 0
+    _deliver(m, 2, cell=0)
+    assert m.last_subframe == 1
+    assert m.gap_events == 0
+    assert m.estimators[1].last_subframe == -1
 
 
 def test_fusion_rejects_unsubscribed_cell():
-    fusion = MessageFusion([0], lambda d: None)
+    m = _monitor([0])
+    with pytest.raises(KeyError):
+        m.decoder_callback(7)
     with pytest.raises(ValueError):
-        fusion.on_record(_record(0, cell=7))
+        m.decoder_callback(0)(_record(0, cell=7))
 
 
 def test_fusion_requires_cells():
     with pytest.raises(ValueError):
-        MessageFusion([], lambda d: None)
-
-
-def test_decoder_latency_validation():
-    with pytest.raises(ValueError):
-        ControlChannelDecoder(0, lambda r: None,
-                              decode_latency_subframes=-1)
-
-
-def test_decoder_flush_drains_pending_records():
-    got = []
-    dec = ControlChannelDecoder(0, got.append, decode_latency_subframes=2)
-    for sf in range(5):
-        dec.on_subframe(_record(sf))
-    assert len(got) == 3  # last two stranded in the latency buffer
-    dec.flush()
-    assert [r.subframe for r in got] == list(range(5))
-    dec.flush()  # idempotent on an empty buffer
-    assert len(got) == 5
-
-
-def test_decoder_flush_noop_without_latency():
-    got = []
-    dec = ControlChannelDecoder(0, got.append)
-    dec.on_subframe(_record(0))
-    dec.flush()
-    assert len(got) == 1
+        PbeMonitor(10, {}, primary_cell=0,
+                   own_rate_hint=lambda: (500, 1e-6))
 
 
 def test_fusion_flush_emits_residual_subframes_in_order():
-    got = []
-    fusion = MessageFusion([0, 1], got.append)
-    fusion.on_record(_record(2, cell=0))
-    fusion.on_record(_record(1, cell=0))
-    fusion.on_record(_record(1, cell=1))  # sf 1 complete -> emitted
-    fusion.on_record(_record(3, cell=1))
-    fusion.flush()
-    emitted = [max(r.subframe for r in d.values()) for d in got]
-    assert emitted == [1, 2, 3]
-    assert fusion.emitted == 3
+    m = _monitor([0, 1])
+    closed = []
+    _deliver(m, 1, cell=0)
+    _deliver(m, 1, cell=1)   # sf 1 complete -> closed
+    closed.append(m.last_subframe)
+    _deliver(m, 2, cell=0)
+    closed.append(m.report(40).subframe)   # the report closes sf 2
+    _deliver(m, 3, cell=1)
+    closed.append(m.report(40).subframe)
+    assert closed == [1, 2, 3]
+    assert m.gap_events == 0

@@ -219,18 +219,6 @@ def test_lossy_decoder_no_ghost_when_subframe_is_full():
     assert len(got[0].messages) == 10
 
 
-def test_lossy_decoder_flush_drains_latency_buffer():
-    got = []
-    decoder = ControlChannelDecoder(0, got.append,
-                                    decode_latency_subframes=3)
-    lossy = LossyDecoder(decoder, FaultSpec())
-    for sf in range(5):
-        lossy.on_subframe(_record(sf))
-    assert len(got) == 2  # three records stranded in the buffer
-    lossy.flush()
-    assert [r.subframe for r in got] == list(range(5))
-
-
 # ----------------------------------------------------------------------
 # ImpairedPipe
 # ----------------------------------------------------------------------

@@ -622,10 +622,10 @@ def test_estimator_memo_invalidated_by_update():
     naive = _NaiveEstimator(CellCapacityEstimator.MAX_WINDOW)
     _feed(est, naive, 1, rng)
     first = est.estimate(40)
-    assert est.estimate(40) is first  # memo hit between updates
+    again = est.estimate(40)
+    assert again == first and again is not first  # fresh every call
     _feed(est, naive, 2, rng)
     second = est.estimate(40)
-    assert second is not first
     pa, idle, rate, ber, cov = naive.estimate(40)
     assert second.own_allocation == pa and second.mean_ber == ber
 

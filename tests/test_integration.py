@@ -159,5 +159,6 @@ def test_monitor_of_a_quiet_client_keeps_decoding_and_stays_current():
         assert decoder.subframes_decoded == network.subframe
     # Looked at in the raw, so no property gets a chance to catch up.
     assert vars(monitor)["last_subframe"] == network.subframe - 1
-    assert monitor.fusion.emitted == network.subframe
-    assert monitor.fusion._buffers == {}
+    for estimator in monitor.estimators.values():
+        assert estimator._count == network.subframe
+    assert monitor._pending == 0      # every subframe closed itself

@@ -1,4 +1,4 @@
-"""Tests for the fused multi-cell PBE monitor."""
+"""Tests for the multi-cell PBE monitor."""
 
 import pytest
 
@@ -88,17 +88,6 @@ def test_report_before_any_data():
     assert report.active_cells == [0]
 
 
-def test_monitor_flush_drains_decode_latency_buffers():
-    m = PbeMonitor(OWN, {0: 100}, primary_cell=0,
-                   own_rate_hint=lambda: (1000, 1e-6),
-                   decode_latency_subframes=3)
-    for sf in range(10):
-        _feed(m, sf, {0: [(OWN, 100, 1000)]})
-    assert m.last_subframe < 9  # tail still buffered in the decoder
-    m.flush()
-    assert m.last_subframe == 9
-
-
 def test_report_staleness_and_confidence_decay():
     m = _monitor(cells={0: 100})
     for sf in range(40):
@@ -142,16 +131,16 @@ def test_monitor_counts_decode_gaps():
 
 def test_one_sided_feed_through_decoder_callback_fuses_partial_snapshots():
     """``decoder_callback`` wired to one cell of two is a partial
-    stream, not an error: fusion gives up on a subframe's missing cell
-    two subframes later and folds what it has."""
+    stream, not an error: each record is folded at once, and a subframe
+    missing a cell closes when the next subframe's record arrives or at
+    the next report."""
     m = _monitor()
     for sf in range(4):
         _feed(m, sf, {0: [(OWN, 50, 1000)]})
-    assert m.fusion.emitted == 2
-    assert m.last_subframe == 1
-    assert m.report(10).subframe == 1
-    assert m.estimators[0].last_subframe == 1
-    assert m.estimators[1].last_subframe == -1   # never reported
+    assert m.estimators[0].last_subframe == 3   # folded on arrival
+    assert m.estimators[1].last_subframe == -1  # never reported
     assert m.decoders[0].subframes_decoded == 4
-    m.flush()
-    assert m.report(10).subframe == 3
+    assert m.last_subframe == 2                 # subframe 3 still open
+    assert m.gap_events == 0
+    assert m.report(10).subframe == 3           # the report closes it
+    assert m.last_subframe == 3

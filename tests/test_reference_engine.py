@@ -60,8 +60,9 @@ def _observe(name: str, reference: bool) -> dict:
         "acks_forwarded": handle.uplink.forwarded,
         "staged_instants": staged,
         "subframes": experiment.network.subframe,
-        "fused": (None if handle.monitor is None
-                  else handle.monitor.fusion.emitted),
+        "folded": (None if handle.monitor is None
+                   else {est._count for est in
+                         handle.monitor.estimators.values()}),
         "ca_observed": set(experiment.network.ca._users),
         "block_subframes": {u._blk_len
                             for u in experiment.network._users.values()},
@@ -88,7 +89,8 @@ def test_reference_fuses_one_snapshot_per_subframe():
     # ... and so does the engine: there is one ingest path.
     for reference in (False, True):
         observed = _observe("idle_3cc_pbe", reference)
-        assert observed["fused"] == observed["subframes"] > 0
+        assert observed["folded"] == {observed["subframes"]}
+        assert observed["subframes"] > 0
 
 
 def test_reference_observes_single_cell_users_and_samples_per_subframe():
