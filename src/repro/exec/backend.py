@@ -265,13 +265,19 @@ def job_to_wire(job) -> dict:
 
 
 def job_from_wire(data: dict):
-    """Rebuild the job a :func:`job_to_wire` entry describes."""
-    kind = data.get("kind")
+    """Rebuild the job a :func:`job_to_wire` entry describes; a bad
+    entry raises :class:`ValueError` naming the field, ``kind`` or
+    ``spec``."""
+    kind = data.get("kind") if isinstance(data, dict) else None
     loader = _JOB_KINDS.get(kind)
     if loader is None:
         raise ValueError(f"unknown wire job kind {kind!r}; known: "
                          f"{sorted(_JOB_KINDS)}")
-    job = loader(data["spec"])
+    try:
+        job = loader(data.get("spec"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"wire job of kind {kind!r} has a bad spec: "
+                         f"{type(exc).__name__}: {exc}") from exc
     checkpoint = data.get("checkpoint")
     if checkpoint is not None:
         job.checkpoint = checkpoint

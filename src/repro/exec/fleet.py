@@ -446,6 +446,14 @@ class FleetWorker:
             from ..harness.checkpoint import CheckpointDrain
             try:
                 job = job_from_wire(entry)
+                # Its result is filed under the queue name: refuse a
+                # job that is not the one the name and field promise.
+                if not fingerprint == job.fingerprint() == entry.get(
+                        "fingerprint"):
+                    raise ValueError(
+                        f"queue entry {fingerprint} holds job "
+                        f"{job.fingerprint()} (fingerprint field "
+                        f"{entry.get('fingerprint')!r}); refusing it")
                 self._maybe_kill_mid_job(job, fingerprint)
                 payload = execute_job(job)
             except _TermSignal:
@@ -827,8 +835,13 @@ class FleetBackend(ExecBackend):
             (self.root / STOP_FILE).touch()
         except OSError:  # pragma: no cover - unwritable fleet dir
             pass
+        # With ``wait``, the sentinel gets 2 s first: a worker still
+        # starting up has no SIGTERM handler yet and dies of the signal.
+        grace = time.monotonic() + (2.0 if wait else 0.0)
         for proc in self._procs:
-            if proc.poll() is None:
+            try:
+                proc.wait(timeout=max(0.0, grace - time.monotonic()))
+            except subprocess.TimeoutExpired:
                 try:
                     proc.terminate()
                 except OSError:  # pragma: no cover

@@ -22,6 +22,7 @@ from repro.exec import (
     RunnerStats,
     WorkerLostError,
     is_failure,
+    job_from_wire,
     job_to_wire,
     payload_checksum,
     spawn_local_workers,
@@ -142,6 +143,68 @@ def test_worker_writes_failure_file_for_job_errors(tmp_path):
     assert entry["kind"] == "failure"
     assert entry["failure"]["exc_type"] == "RuntimeError"
     assert "asked to fail" in entry["failure"]["message"]
+
+
+def test_worker_refuses_an_entry_filed_under_another_jobs_fingerprint(
+        tmp_path):
+    """Job a's wire entry saved as job b's queue file (and carrying b's
+    fingerprint field, or its own) must not run: its payload would land
+    in ``results/`` under b's key for the driver to store as b's."""
+    a, b = ProbeJob(params={"id": "a", "value": 1}), probe(7)
+    fp_b = b.fingerprint()
+    queue = tmp_path / QUEUE_DIR
+    queue.mkdir(parents=True)
+    for name, field in ((fp_b, fp_b), ("0" * 64, a.fingerprint())):
+        wire = dict(job_to_wire(a), fingerprint=field)
+        (queue / f"{name}.json").write_text(json.dumps(wire))
+    worker = FleetWorker(tmp_path, worker_id="w", poll_s=0.02,
+                         max_jobs=2, log=open(os.devnull, "w"))
+    assert worker.run() == 0
+    for name in (fp_b, "0" * 64):
+        text = (tmp_path / RESULT_DIR / f"{name}.json").read_text()
+        entry = json.loads(text)
+        assert entry["kind"] == "failure"
+        assert entry["failure"]["exc_type"] == "ValueError"
+        assert a.fingerprint() in entry["failure"]["message"]
+        assert "refusing it" in entry["failure"]["message"]
+        assert '"probe"' not in text
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"kind": "flow"}, "spec"),
+    ({"kind": "flow", "spec": None}, "spec"),
+    ({"kind": "flow", "spec": {"scheme": "pbe"}}, "spec"),
+    ({"kind": "probe", "spec": {}}, "spec"),
+    ({"spec": {"params": {}}}, "kind"),
+    ({"kind": "nope", "spec": {}}, "kind"),
+    (["flow"], "kind"),
+])
+def test_job_from_wire_names_the_field_it_failed_on(data, field):
+    with pytest.raises(ValueError, match=field):
+        job_from_wire(data)
+
+
+def test_every_shipped_job_kind_round_trips_to_its_own_fingerprint():
+    """The worker's fingerprint check cannot fire on good input: every
+    job a shipped driver submits rebuilds from its JSON wire form to the
+    fingerprint it was queued under."""
+    from repro.harness.experiments.resilience import resilience_jobs
+    from repro.harness.experiments.sweep import sweep_jobs
+    from repro.metro.driver import shard_jobs
+    from repro.metro.sets import metro_scenario_sets
+
+    jobs = [*sweep_jobs(("pbe", "bbr", "cubic"), n_busy=2, n_idle=1,
+                        duration_s=1.0),
+            *resilience_jobs(duration_s=1.0),
+            *shard_jobs(metro_scenario_sets()["smoke"]),
+            probe(1), probe(2, fail=True)]
+    jobs[0].checkpoint = {"dir": "ckpt", "interval_subframes": 100}
+    assert {type(job).__name__ for job in jobs} == {
+        "Job", "MetroShardJob", "ProbeJob"}
+    for job in jobs:
+        wire = json.loads(json.dumps(job_to_wire(job)))
+        assert job_from_wire(wire).fingerprint() == wire["fingerprint"] \
+            == job.fingerprint()
 
 
 def test_worker_exits_on_stop_sentinel(tmp_path):
