@@ -2,9 +2,8 @@
 
 The mobile-endpoint measurement stack: per-cell control-channel
 decoders folding each record into its cell's estimator, active-user
-filtering,
-capacity estimation (Eqns. 1-4) and cross-layer rate translation
-(Eqn. 5), packaged behind :class:`PbeMonitor`.
+filtering, capacity estimation (Eqns. 1-4) and cross-layer rate
+translation (Eqn. 5), packaged behind :class:`PbeMonitor`.
 """
 
 from .bursttracker import (
