@@ -134,7 +134,7 @@ def main(argv=None) -> None:
         if proc.returncode != 130:
             fail(f"interrupted fleet sweep exited {proc.returncode}, "
                  f"expected 130\n{stderr}")
-        report = ResultStore(cache_b).verify(upgrade=False)
+        report = ResultStore(cache_b).verify()
         stored = report["ok"]
         if report["quarantined"] or stored != len(store_entries(cache_b)):
             fail(f"store does not verify after interrupt: {report}")

@@ -113,7 +113,7 @@ def main(argv=None) -> None:
         if proc.returncode != 130:
             fail(f"interrupted metro run exited {proc.returncode}, "
                  f"expected 130\n{stderr}")
-        report = ResultStore(cache).verify(upgrade=False)
+        report = ResultStore(cache).verify()
         stored = report["ok"]
         if report["quarantined"] or stored != len(store_entries(cache)):
             fail(f"store does not verify after interrupt: {report}")

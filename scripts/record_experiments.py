@@ -9,8 +9,10 @@ an hour on a laptop.
 The multi-run drivers (the stationary sweep, Figures 13-14, the
 ablations) go through :mod:`repro.exec`: ``--jobs N`` fans their
 simulations out over worker processes, and ``--cache-dir DIR`` memoizes
-completed runs so an interrupted or repeated recording pass only
-executes what changed.
+completed runs so an interrupted recording pass resumes where it
+stopped.  A cache serves only the code that filled it: results are
+keyed by the package source (``code_id``, printed in the header), so
+after any source change every run executes again.
 
 Run:  python scripts/record_experiments.py --jobs 8 | tee experiments_raw.txt
 """
@@ -21,6 +23,7 @@ import time
 
 from repro.exec import StderrReporter, make_runner
 from repro.harness import experiments as exp
+from repro.harness.serialize import code_id
 
 
 def section(name):
@@ -36,9 +39,9 @@ def parse_args(argv=None):
                              "(default: one per CPU, capped at 8)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed result cache directory "
-                             "(an interrupted or repeated pass, "
-                             "re-run, executes only what never "
-                             "finished)")
+                             "(an interrupted pass, re-run, executes "
+                             "only what never finished; a cache serves "
+                             "only the code that filled it)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-job deadline in seconds for the long "
                              "sweeps (enforced concurrently)")
@@ -63,6 +66,7 @@ def main(argv=None) -> None:
         failure_budget=(args.failure_budget / 100.0
                         if args.failure_budget is not None else None))
     t0 = time.time()
+    print(f"code id: {code_id()}", flush=True)
 
     section("Stationary sweep (Table 1 / Figure 12 / Figure 15)")
     sweep = exp.run_stationary_sweep(

@@ -89,7 +89,7 @@ def main(argv=None) -> None:
                  f"expected 130\n{stderr}")
 
         persisted = store_entries(cache)
-        report = ResultStore(cache).verify(upgrade=False)
+        report = ResultStore(cache).verify()
         if report["quarantined"] or report["ok"] != len(persisted):
             fail(f"store does not verify after interrupt: {report}")
         stray = [p.name for p in cache.iterdir() if not p.is_dir()]

@@ -413,9 +413,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from .exec import ResultStore
     store = ResultStore(args.cache_dir)
     if args.action == "verify":
-        report = store.verify(upgrade=not args.no_upgrade)
+        report = store.verify()
         print(f"checked {report['checked']} entries: {report['ok']} ok, "
-              f"{report['upgraded']} upgraded to checksummed envelope, "
               f"{report['quarantined']} quarantined, "
               f"{report['foreign']} foreign files skipped")
         print(f"store: {store.stats().format()}")
@@ -445,7 +444,8 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
                              "(default 1 = inline)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed result cache directory "
-                             "(skips runs whose inputs are unchanged)")
+                             "(skips runs whose inputs and code are "
+                             "unchanged)")
 
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
@@ -695,10 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "seconds (default 3600) — they may be a "
                               "live sweep's in-flight atomic write; "
                               "pass 0 when no sweep is running")
-    p_cache.add_argument("--no-upgrade", action="store_true",
-                         help="verify only; do not rewrite valid "
-                              "legacy entries into the checksummed "
-                              "envelope")
     p_cache.set_defaults(func=cmd_cache)
 
     p_list = sub.add_parser("list", help="list schemes and experiments")

@@ -5,7 +5,7 @@ seed-keyed run — embarrassingly parallel and perfectly cacheable.  This
 package is the backbone that exploits both properties:
 
 * :class:`Job` — one (scenario, scheme, overrides) simulation with a
-  deterministic content fingerprint;
+  deterministic fingerprint of its inputs and the code;
 * :class:`ResultStore` — a disk cache of completed payloads keyed by
   fingerprint, written atomically inside a checksummed envelope;
   invalid entries are quarantined (never silently deleted) and
@@ -23,6 +23,7 @@ The stationary sweep, the figure drivers, the benchmark suite and the
 ``python -m repro sweep`` command all submit their runs through here.
 """
 
+from ..harness.serialize import canonical_json
 from .backend import (
     ExecBackend,
     ProbeJob,
@@ -42,7 +43,7 @@ from .fleet import (
     run_worker,
     spawn_local_workers,
 )
-from .job import FINGERPRINT_VERSION, Job, canonical_json, scenario_to_dict
+from .job import Job, scenario_to_dict
 from .runner import (
     JobEvent,
     JobExecutionError,
@@ -63,7 +64,7 @@ from .supervisor import (
 from .worker import execute_job, initialize_worker
 
 __all__ = [
-    "BackoffPolicy", "ChaosSpec", "ExecBackend", "FINGERPRINT_VERSION",
+    "BackoffPolicy", "ChaosSpec", "ExecBackend",
     "FailureBudgetExceeded", "FleetBackend", "FleetWorker", "Job",
     "JobEvent", "JobExecutionError", "JobFailure", "ParallelRunner",
     "ProbeJob", "ProcessPoolBackend", "RemoteJobError", "ResultStore",

@@ -32,14 +32,14 @@ the fabric-testing :class:`ProbeJob`.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
-from .job import Job, canonical_json
+from ..harness.serialize import fingerprint_of
+from .job import Job
 from .worker import execute_job, initialize_worker
 
 
@@ -175,8 +175,7 @@ class ProbeJob:
         return {"kind": "probe", "params": self.params}
 
     def fingerprint(self) -> str:
-        encoded = canonical_json(self.to_dict()).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+        return fingerprint_of(self.to_dict())
 
     def execute(self) -> dict:
         if self.params.get("fail"):

@@ -30,15 +30,16 @@ The robustness contract:
   retries the job under its existing
   :class:`~repro.exec.BackoffPolicy` — fleet reclamation and pool
   crash-retry share one policy and one stats surface;
-* results travel in the same checksummed envelope as the
-  :class:`~repro.exec.ResultStore`, through the same
+* results are the same bytes a :class:`~repro.exec.ResultStore` entry
+  holds, written and read through the same
   :func:`~repro.exec.store.seal` / :func:`~repro.exec.store.unseal`
   codec; a corrupt file (torn write, chaos injection) is quarantined
   and the job re-runs;
 * duplicate completions (lease takeover racing a stalled-but-alive
   worker) are harmless: jobs are deterministic, so both writers
   produce identical bytes and atomic rename makes last-write-wins
-  safe;
+  safe; one landing after its job was collected is swept up when the
+  driver shuts its local workers down;
 * everything flows into the driver's ``ResultStore``, the one record
   of which jobs are done, so resume works at fleet scope: a SIGKILLed
   fleet restarted on the same cache re-runs only unfinished jobs.
@@ -52,12 +53,12 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Set, Union
 
+from ..harness.serialize import write_bytes_atomic, write_json_atomic
 from .backend import ExecBackend, job_from_wire, job_to_wire
 from .chaos import CHAOS_FILE, ChaosSpec, corrupt_bytes
 from .store import seal, unseal
@@ -114,24 +115,6 @@ def _read_json(path: Path) -> Optional[dict]:
     except (FileNotFoundError, OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
-
-
-def _write_bytes_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent,
-                               prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _unlink_quiet(path: Path) -> None:
@@ -198,7 +181,7 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
         if not force and not expired:
             return CLAIM_FAILED
         try:
-            _write_bytes_atomic(path, encoded)
+            write_bytes_atomic(path, encoded)
         except OSError:
             return CLAIM_FAILED
         return CLAIM_TAKEOVER if expired else CLAIM_FRESH
@@ -254,7 +237,7 @@ class _LeaseHeartbeat(threading.Thread):
                 return
             lease["renewed"] = time.time()
             try:
-                _write_bytes_atomic(path, json.dumps(
+                write_bytes_atomic(path, json.dumps(
                     lease, separators=(",", ":")).encode())
             except OSError:  # pragma: no cover - transient fs hiccup
                 pass
@@ -337,7 +320,7 @@ class FleetWorker:
                   "executed": self.executed,
                   "reclaimed": self.reclaimed}
         try:
-            _write_bytes_atomic(
+            write_bytes_atomic(
                 self.root / WORKERS_DIR / f"{self.worker_id}.json",
                 json.dumps(record, separators=(",", ":")).encode())
         except OSError:  # pragma: no cover - diagnostics only
@@ -378,7 +361,7 @@ class FleetWorker:
             encoded = corrupt_bytes(encoded, self.chaos.seed,
                                     fingerprint)
             self._say(f"chaos: corrupting result {fingerprint[:12]}")
-        _write_bytes_atomic(
+        write_bytes_atomic(
             self.root / RESULT_DIR / f"{fingerprint}.json", encoded)
 
     def _write_failure(self, fingerprint: str,
@@ -389,7 +372,7 @@ class FleetWorker:
         entry = {"kind": "failure",
                  "failure": {"exc_type": type(exc).__name__,
                              "message": str(exc), "traceback": tb}}
-        _write_bytes_atomic(
+        write_bytes_atomic(
             self.root / RESULT_DIR / f"{fingerprint}.json",
             json.dumps(entry, separators=(",", ":")).encode())
 
@@ -447,12 +430,14 @@ class FleetWorker:
             try:
                 job = job_from_wire(entry)
                 # Its result is filed under the queue name: refuse a
-                # job that is not the one the name and field promise.
+                # job that is not the one the name and field promise
+                # (as every job queued by a driver running other code).
                 if not fingerprint == job.fingerprint() == entry.get(
                         "fingerprint"):
                     raise ValueError(
                         f"queue entry {fingerprint} holds job "
-                        f"{job.fingerprint()} (fingerprint field "
+                        f"{job.fingerprint()} under this worker's code "
+                        f"(fingerprint field "
                         f"{entry.get('fingerprint')!r}); refusing it")
                 self._maybe_kill_mid_job(job, fingerprint)
                 payload = execute_job(job)
@@ -699,7 +684,8 @@ class FleetBackend(ExecBackend):
         self.worker_restarts = 0
         self.corrupt_results = 0
         self.collected = 0
-        self._handles: dict = {}
+        #: Fingerprints whose result was collected (or failed).
+        self._settled: Set[str] = set()
         self._telemetry_at = 0.0
         self._shutdown = False
         for sub in (QUEUE_DIR, LEASE_DIR, RESULT_DIR, WORKERS_DIR):
@@ -745,9 +731,7 @@ class FleetBackend(ExecBackend):
         if lease is not None and lease_expired(lease):
             _unlink_quiet(self._lease_path(fp))
         self._validate(fp)  # a missing result is not a corrupt one
-        from ..harness.serialize import write_json_atomic
         write_json_atomic(wire, self._queue_path(fp), indent=None)
-        self._handles[fp] = handle
         return handle
 
     def wait(self, handles: Set[FleetHandle],
@@ -794,11 +778,11 @@ class FleetBackend(ExecBackend):
             raise WorkerLostError(
                 f"result for {handle.label} corrupt in transit; "
                 f"quarantined and re-queued")
+        self._settled.add(handle.fingerprint)
+        self._cleanup(handle.fingerprint)
         if isinstance(payload, RemoteJobError):
-            self._cleanup(handle.fingerprint)
             raise payload
         self.collected += 1
-        self._cleanup(handle.fingerprint)
         return payload
 
     def cancel(self, handle: FleetHandle) -> bool:
@@ -855,6 +839,10 @@ class FleetBackend(ExecBackend):
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait(timeout=5.0)
+            # A duplicate claimer may have finished a job after it was
+            # collected; with the local workers gone, nothing else will.
+            for fp in self._settled:
+                self._cleanup(fp)
         else:
             for proc in self._procs:
                 if proc.poll() is None:
@@ -879,7 +867,7 @@ class FleetBackend(ExecBackend):
             pass  # not a sealed payload: a failure record, or junk
         try:
             entry = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):
             entry = None
         if isinstance(entry, dict) and entry.get("kind") == "failure":
             failure = entry.get("failure") or {}

@@ -3,10 +3,10 @@
 A :class:`Job` is the unit of work of the execution subsystem: one
 single-flow simulation, fully determined by its scenario, scheme and
 flow-spec overrides.  Because every simulation is seed-keyed and
-deterministic (see ``tests/test_determinism.py``), a job's inputs fully
-determine its outputs — which makes jobs content-addressable: the
-fingerprint of the canonical JSON encoding of the inputs keys a disk
-cache of results (:class:`repro.exec.ResultStore`).
+deterministic (see ``tests/test_determinism.py``), a job's inputs and
+the code fully determine its outputs — which makes jobs
+content-addressable: their :func:`~repro.harness.serialize.fingerprint_of`
+keys a disk cache of results (:class:`repro.exec.ResultStore`).
 
 Jobs must be JSON-encodable: scenario fields are plain dataclass
 values, and ``spec_overrides`` is restricted to the JSON-serializable
@@ -18,28 +18,10 @@ not to batch sweeps).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from ..harness.scenarios import Scenario
-
-#: Bump when the payload schema or simulation semantics change in a way
-#: that invalidates previously cached results.
-#:
-#: v2: fault-injection/degradation PR — payloads gained
-#: ``sender_states``/``fault_stats``, PBE senders gained the feedback
-#: watchdog, and monitors flush decode-latency buffers at teardown.
-#:
-#: v3: metro PR — :class:`repro.harness.Scenario` gained the
-#: ``control_arrivals_by_cell`` field (part of the canonical encoding),
-#: so v2 fingerprints no longer describe the same inputs.
-FINGERPRINT_VERSION = 3
-
-
-def canonical_json(payload) -> str:
-    """Key-sorted, whitespace-free JSON — byte-stable across runs."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+from ..harness.serialize import fingerprint_of
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -65,21 +47,19 @@ class Job:
     def to_dict(self) -> dict:
         """The job's full input description, JSON-ready."""
         return {
-            "version": FINGERPRINT_VERSION,
             "scenario": scenario_to_dict(self.scenario),
             "scheme": self.scheme,
             "spec_overrides": self.spec_overrides,
         }
 
     def fingerprint(self) -> str:
-        """Content hash of the job's inputs.
+        """Content hash of the job's inputs and of the code.
 
         Two jobs share a fingerprint iff they would run the identical
-        simulation, so the fingerprint is safe to use as a cache key
-        and for deduplicating submissions.
+        simulation under the same code, so the fingerprint is safe to
+        use as a cache key and for deduplicating submissions.
         """
-        encoded = canonical_json(self.to_dict()).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+        return fingerprint_of(self.to_dict())
 
     def execute(self) -> dict:
         """Run the job and return a JSON-serializable payload.

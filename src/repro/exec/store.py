@@ -1,19 +1,20 @@
 """Disk-backed, content-addressed store of completed job results.
 
-Each entry is one job's JSON payload, filed under the job's input
+Each entry is one job's JSON payload, filed under the job's
 fingerprint (sharded by the first two hex digits to keep directories
-small at paper scale and beyond).  Since the cache-integrity PR,
-payloads travel inside a checksummed envelope::
+small at paper scale and beyond), which digests its inputs and the
+code — a store serves only the code that filled it.  Payloads travel
+inside a checksummed envelope::
 
-    {"__repro_envelope__": 1, "sha256": "<payload checksum>",
-     "payload": {...}}
+    {"__repro_envelope__":1,"sha256":"<payload checksum>",
+     "payload":{...}}
 
 :func:`seal` / :func:`unseal` are the envelope's one codec — the store
-and the fleet's ``results/`` files (:mod:`repro.exec.fleet`) both go
-through it, so a result is validated by the same checks, with the same
-quarantine reasons, wherever it is read.
+and the fleet's ``results/`` files (:mod:`repro.exec.fleet`) both hold
+exactly :func:`seal`'s bytes, so a result is validated by the same
+checks, with the same quarantine reasons, wherever it is read.
 
-Writes go through :func:`repro.harness.serialize.write_json_atomic`,
+Writes go through :func:`repro.harness.serialize.write_bytes_atomic`,
 so an interrupted run can never leave a truncated entry — and whatever
 *did* complete is picked up as cache hits when the sweep is re-run,
 making long sweeps resumable.  Entries that fail to parse or whose
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from ..harness.serialize import write_json_atomic
-from .job import canonical_json
+from ..harness.serialize import canonical_json, write_bytes_atomic
 
 #: Bump when the envelope layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -52,7 +52,7 @@ _FINGERPRINT_RE = re.compile(r"[0-9a-f]{8,128}")
 
 #: :meth:`ResultStore.gc` leaves ``*.tmp`` files younger than this
 #: alone — a fresh one may be a concurrent sweep's in-flight
-#: ``write_json_atomic`` temp file, and unlinking it between write and
+#: ``write_bytes_atomic`` temp file, and unlinking it between write and
 #: ``os.replace`` would make that sweep's ``put()`` raise.
 TMP_GRACE_S = 3600.0
 
@@ -63,41 +63,41 @@ def payload_checksum(payload: dict) -> str:
         canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _envelope(payload: dict) -> dict:
-    return {ENVELOPE_KEY: SCHEMA_VERSION,
-            "sha256": payload_checksum(payload),
-            "payload": payload}
-
-
 def seal(payload: dict) -> bytes:
     """``payload`` in its checksummed envelope, as compact JSON bytes."""
-    return json.dumps(_envelope(payload),
+    return json.dumps({ENVELOPE_KEY: SCHEMA_VERSION,
+                       "sha256": payload_checksum(payload),
+                       "payload": payload},
                       separators=(",", ":")).encode()
 
 
-def unseal(raw: bytes, legacy: bool = False) -> dict:
-    """The payload inside a sealed entry, checksum verified.
+def unseal(raw: bytes) -> dict:
+    """The payload whose :func:`seal` is exactly ``raw``.
 
     Raises :class:`ValueError` whose message is the quarantine reason.
-    ``legacy=True`` accepts a pre-envelope entry (a bare JSON object)
-    as its own payload.
     """
     try:
         entry = json.loads(raw.decode("utf-8"))
     except ValueError:
         raise ValueError("unparseable JSON") from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     if not isinstance(entry, dict):
         raise ValueError("not a JSON object")
-    if legacy and ENVELOPE_KEY not in entry:
-        return entry
     schema = entry.get(ENVELOPE_KEY)
     payload = entry.get("payload")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"unknown envelope schema {schema!r}")
     if not isinstance(payload, dict):
         raise ValueError("envelope without payload")
-    if entry.get("sha256") != payload_checksum(payload):
-        raise ValueError("checksum mismatch")
+    try:
+        if seal(payload) != raw:
+            raise ValueError(
+                "checksum mismatch"
+                if entry.get("sha256") != payload_checksum(payload)
+                else "not in sealed form")
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     return payload
 
 
@@ -154,10 +154,7 @@ class ResultStore:
         except (FileNotFoundError, OSError):
             return None
         try:
-            # Pre-envelope entries are accepted as-is (determinism
-            # already guarantees their content; verify() upgrades them
-            # in place).
-            return unseal(raw, legacy=True)
+            return unseal(raw)
         except ValueError as exc:
             self.quarantine(fingerprint, str(exc))
             return None
@@ -174,8 +171,7 @@ class ResultStore:
         anyway.  ``fsync`` before the rename keeps a machine crash
         from leaving an empty (→ quarantined) entry behind.
         """
-        write_json_atomic(_envelope(payload), self.path_for(fingerprint),
-                          indent=None, fsync=True)
+        write_bytes_atomic(self.path_for(fingerprint), seal(payload))
 
     def discard(self, fingerprint: str) -> None:
         """Drop one entry (missing entries are fine)."""
@@ -234,16 +230,12 @@ class ResultStore:
         return out
 
     # ------------------------------------------------------------------
-    def verify(self, upgrade: bool = True) -> dict:
+    def verify(self) -> dict:
         """Validate every entry; quarantine bad ones, report counts.
 
-        ``upgrade=True`` rewrites valid pre-envelope entries into the
-        checksummed envelope format so the whole store ends uniform.
-        Returns ``{"checked", "ok", "upgraded", "quarantined",
-        "foreign"}``.
+        Returns ``{"checked", "ok", "quarantined", "foreign"}``.
         """
-        report = {"checked": 0, "ok": 0, "upgraded": 0,
-                  "quarantined": 0, "foreign": 0}
+        report = {"checked": 0, "ok": 0, "quarantined": 0, "foreign": 0}
         before = self.quarantine_events
         for path in list(self._entry_paths()):
             fingerprint = path.stem
@@ -251,18 +243,8 @@ class ResultStore:
                 report["foreign"] += 1
                 continue
             report["checked"] += 1
-            try:
-                legacy = ENVELOPE_KEY not in json.loads(
-                    path.read_text())
-            except (ValueError, OSError):
-                legacy = False
-            payload = self.get(fingerprint)
-            if payload is None:
-                continue
-            report["ok"] += 1
-            if legacy and upgrade:
-                self.put(fingerprint, payload)
-                report["upgraded"] += 1
+            if self.get(fingerprint) is not None:
+                report["ok"] += 1
         report["quarantined"] = self.quarantine_events - before
         return report
 

@@ -3,7 +3,7 @@
 A checkpoint captures a live :class:`repro.harness.runner.Experiment`
 at a subframe boundary — event heap, packets on the wire, derived RNG
 streams, PHY/channel/HARQ state, scheduler and PF state, monitor and
-decoder state, per-flow transport state — as one versioned state
+decoder state, per-flow transport state — as one state
 document built by the :mod:`repro.statedict` codec (no raw pickling of
 live objects; every class is registered with an explicit skip list, and
 anything unrecognized raises instead of silently corrupting the
@@ -20,15 +20,16 @@ sequence numbers and compaction behaviour replay exactly).
 
 On-disk format (one file per snapshot, ``ckpt-<subframe>.snap``)::
 
-    {"schema": ..., "version": VERSION, "subframe": N,
-     "length": L, "sha256": ...}\\n
+    {"code":<code id>,"length":L,"schema":...,"sha256":...,
+     "subframe":N}\\n
     <L bytes of pickle payload>
 
-written with the same fsync + atomic-rename + parent-directory-fsync
-discipline as ``ResultStore.put``.  Corrupt or truncated files (bad
-checksum, short payload, unknown schema/version) are quarantined by
-renaming to ``*.quarantined`` and the loader falls back to the next
-older snapshot — or to from-scratch execution.
+written by :func:`repro.harness.serialize.write_bytes_atomic`.  A
+snapshot restores only into the code that wrote it (``code`` is
+:func:`~repro.harness.serialize.code_id`).  Corrupt, truncated or
+foreign files are quarantined by renaming to ``*.quarantined`` and the
+loader falls back to the next older snapshot — or to from-scratch
+execution.
 
 Pickle loading goes through a restricted unpickler that only admits
 the state-dict marker classes, the registered identity record types
@@ -44,7 +45,6 @@ import logging
 import os
 import pickle
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,36 +88,12 @@ from ..phy.channel import GaussMarkovChannel, StaticChannel, TraceChannel
 from ..phy.dci import DciMessage, SubframeRecord
 from ..phy.harq import ReorderingBuffer
 from ..traces.workload import CbrDemand, OnOffRandomDemand, ScheduledDemand
+from .serialize import code_id, write_bytes_atomic
 
 logger = logging.getLogger("repro.checkpoint")
 
-#: Schema tag + version written into every snapshot header.
+#: Schema tag written into every snapshot header.
 SCHEMA = "repro.harness/checkpoint"
-#: 2: packets on the wired hop are link/ingress state (``Link._starts``,
-#: ``_Ingress.wire``); a version-1 heap carries them as ``Link._finish``
-#: / ``_Ingress.receive`` events, which no longer bind.
-#: 3: transport blocks on the air are network state
-#: (``CellularNetwork._air``); a version-2 heap carries them as
-#: ``receive_tb`` / ``abandon_tb`` events ahead of the tick.
-#: 4: a skipped cell's control-traffic lag is a stamp
-#: (``CellularNetwork._dormant_since``); a version-3 network carries it
-#: as the ``_control_lag`` counters, which nothing reads any more.
-#: 5: the monitor folds every decoded record as it arrives; a version-4
-#: monitor can carry decoded rows in its columnar buffers, which
-#: nothing would fold any more.
-#: 6: a downlink queue is ``_packets`` + ``_head_remaining`` and an
-#: uplink's held cycle ``_held`` + ``_mixed``; a version-5 queue carries
-#: ``_entries`` pairs and its ``AckBatch`` events six columns, neither
-#: of which anything reads any more.
-#: 7: a user's ``_sinr_history`` holds only consumed subframes (not the
-#: current channel block) and ``_User`` lost three slots; a version-6
-#: user would replay the block's SINRs into the CQI history twice.
-#: 8: an uplink's flushed burst is the held list itself; a version-7
-#: uplink carries ``_mixed`` and its ``_deliver`` events an
-#: ``AckBatch``, neither of which exists any more.
-#: 9: the monitor folds each record into its cell's estimator on arrival;
-#: a version-8 monitor carries fusion buckets no estimator has folded.
-VERSION = 9
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"
@@ -422,37 +398,14 @@ def snapshot_path(directory: "str | Path", subframe: int) -> Path:
 def write_snapshot(directory: "str | Path", subframe: int,
                    doc: dict) -> Path:
     """Persist one snapshot crash-consistently; returns its path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     payload = pickle.dumps(doc, protocol=4)
     header = json.dumps(
-        {"schema": SCHEMA, "version": VERSION, "subframe": subframe,
+        {"schema": SCHEMA, "code": code_id(), "subframe": subframe,
          "length": len(payload),
          "sha256": hashlib.sha256(payload).hexdigest()},
-        sort_keys=True).encode("ascii")
+        sort_keys=True, separators=(",", ":")).encode("ascii")
     final = snapshot_path(directory, subframe)
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=final.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(b"\n")
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    # Make the rename itself durable (matches ResultStore.put).
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    write_bytes_atomic(final, header + b"\n" + payload)
     return final
 
 
@@ -471,18 +424,24 @@ def read_snapshot(path: "str | Path") -> tuple[int, dict]:
         raise SnapshotCorrupt("missing header line")
     try:
         header = json.loads(header_bytes)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SnapshotCorrupt(f"bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
         raise SnapshotCorrupt(f"unknown schema {header!r}")
-    if header.get("version") != VERSION:
+    if header.get("code") != code_id():
         raise SnapshotCorrupt(
-            f"unknown snapshot version {header.get('version')!r}")
+            f"written by code {header.get('code')!r}, not this code "
+            f"{code_id()!r}")
+    subframe = header.get("subframe")
+    if type(subframe) is not int \
+            or snapshot_path(path.parent, subframe) != path:
+        raise SnapshotCorrupt(
+            f"header subframe {subframe!r} does not name {path.name}")
     length = header.get("length")
-    if not isinstance(length, int) or len(payload) != length:
+    if type(length) is not int or len(payload) != length:
         raise SnapshotCorrupt(
             f"truncated payload: {len(payload)} bytes, header says "
-            f"{length}")
+            f"{length!r}")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("sha256"):
         raise SnapshotCorrupt("checksum mismatch")
@@ -493,7 +452,7 @@ def read_snapshot(path: "str | Path") -> tuple[int, dict]:
             from exc
     if not isinstance(doc, dict) or "sim" not in doc:
         raise SnapshotCorrupt("payload is not a snapshot document")
-    return int(header["subframe"]), doc
+    return subframe, doc
 
 
 def quarantine_snapshot(path: Path, reason: str) -> Path:

@@ -2,11 +2,15 @@
 
 Turns the harness's result objects into plain dictionaries so runs can
 be archived, diffed and post-processed outside the simulator (the
-paper's artifact releases raw per-run logs the same way).
+paper's artifact releases raw per-run logs the same way).  Cache keys
+(:func:`fingerprint_of`) and snapshot headers carry :func:`code_id`,
+and every persisted file is written by :func:`write_bytes_atomic`.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -15,6 +19,33 @@ from typing import Optional, Union
 
 from .metrics import FlowSummary
 from .runner import FlowResult
+
+@functools.lru_cache(maxsize=None)
+def code_id() -> str:
+    """SHA-256 over the package's own ``*.py`` files (relative path and
+    bytes, in path order): any edit, a comment included, yields a new
+    id.  Computed once per process, on first use."""
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for path in root.rglob("*.py"))
+    for name, path in files:
+        data = path.read_bytes()
+        hasher.update(f"{name}\0{len(data)}\0".encode())
+        hasher.update(data)
+    return hasher.hexdigest()
+
+
+def canonical_json(payload) -> str:
+    """Key-sorted, whitespace-free JSON — byte-stable across runs."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def fingerprint_of(spec: dict) -> str:
+    """A job's key: SHA-256 over its ``to_dict()`` (``spec``) and
+    :func:`code_id`, so it names the simulation and the code."""
+    encoded = canonical_json({"code": code_id(), "spec": spec})
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def summary_to_dict(summary: FlowSummary) -> dict:
@@ -82,21 +113,18 @@ def result_to_dict(result: FlowResult,
     return out
 
 
-def write_json_atomic(payload, path: Union[str, Path],
-                      indent: Optional[int] = 2,
-                      fsync: bool = False) -> None:
-    """Write ``payload`` as JSON, atomically.
+def write_bytes_atomic(path: Union[str, Path], data: bytes,
+                       fsync: bool = True) -> None:
+    """Write ``data`` to ``path``, atomically.
 
-    Missing parent directories are created, and the payload lands in a
+    Missing parent directories are created, and the bytes land in a
     temporary file that is :func:`os.replace`'d over ``path`` only once
-    fully written — a crash mid-write can never leave a truncated
-    archive behind, and concurrent writers racing on the same path
-    resolve to last-write-wins with each version complete (the rename
-    is the commit point; readers only ever see a whole file).  The
-    experiment result cache (:class:`repro.exec.ResultStore`) relies on
-    both guarantees.  ``fsync=True`` additionally flushes the data to
-    disk before the rename — and the parent directory after it, so the
-    rename itself is durable (matching ``ResultStore.put``): a machine
+    fully written — a crash mid-write can never leave a truncated file
+    behind, and concurrent writers racing on the same path resolve to
+    last-write-wins with each version complete (the rename is the
+    commit point; readers only ever see a whole file).  ``fsync=True``
+    flushes the data to disk before the rename — and the parent
+    directory after it, so the rename itself is durable: a machine
     crash immediately after the call can surface neither an empty file
     nor a vanished one under ``path``.
     """
@@ -105,8 +133,8 @@ def write_json_atomic(payload, path: Union[str, Path],
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=indent)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -123,6 +151,14 @@ def write_json_atomic(payload, path: Union[str, Path],
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
+
+
+def write_json_atomic(payload, path: Union[str, Path],
+                      indent: Optional[int] = 2,
+                      fsync: bool = False) -> None:
+    """Write ``payload`` as JSON through :func:`write_bytes_atomic`."""
+    write_bytes_atomic(path, json.dumps(payload, indent=indent).encode(),
+                       fsync=fsync)
 
 
 def save_results(results: list, path: Union[str, Path],

@@ -20,13 +20,13 @@ from .mobility import handovers_into, walker_plan
 from .population import cell_activity, offered_counts, population_plan
 from .report import MATRIX_SCHEMA, build_matrix, format_summary
 from .sets import MetroSet, metro_scenario_sets
-from .shard import (SHARD_SCHEMA, SHARD_VERSION, MetroShardJob,
-                    build_shard, run_shard, shard_fingerprint)
+from .shard import (SHARD_SCHEMA, MetroShardJob, build_shard, run_shard,
+                    shard_fingerprint)
 
 __all__ = [
     "CARRIER_TIERS", "GridSpec", "MATRIX_SCHEMA", "MetroCell",
     "MetroGrid", "MetroRunResult", "MetroSet", "MetroShardJob",
-    "SHARD_SCHEMA", "SHARD_VERSION", "build_grid", "build_matrix",
+    "SHARD_SCHEMA", "build_grid", "build_matrix",
     "build_shard", "cell_activity", "format_summary",
     "handovers_into", "metro_scenario_sets", "offered_counts",
     "population_plan", "resolve_set", "run_metro", "run_shard",

@@ -9,24 +9,23 @@ parameter dictionary with a content fingerprint so shards run through
 the supervised :mod:`repro.exec` machinery (process pool, result
 cache, resume) exactly like single-flow jobs.
 
-Everything the shard simulates is derived from ``params`` alone, so
-the fingerprint fully keys the result (:func:`shard_fingerprint`
+Everything the shard simulates is derived from ``params`` and the code
+alone, so the fingerprint fully keys the result (:func:`shard_fingerprint`
 digests a run for the equivalence tests against
 ``tests/reference_engine.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exec.job import canonical_json
 from ..harness.metrics import jain_index
 from ..harness.runner import Experiment, FlowSpec
 from ..harness.scenarios import (BUSY_CONTROL_ARRIVALS,
                                  IDLE_CONTROL_ARRIVALS, Scenario)
+from ..harness.serialize import fingerprint_of
 from ..net.units import us_from_seconds
 from ..phy.carrier import CarrierConfig
 from ..phy.channel import StaticChannel
@@ -36,8 +35,6 @@ from ..traces.workload import OnOffRandomDemand
 from .mobility import handovers_into, walker_plan
 from .population import population_plan
 
-#: Bump when shard semantics change (invalidates cached shard results).
-SHARD_VERSION = 1
 #: Shard result payload schema.
 SHARD_SCHEMA = "repro.metro/shard/v1"
 
@@ -63,12 +60,10 @@ class MetroShardJob:
         return f"{self.params['set']}/shard{self.params['index']:02d}"
 
     def to_dict(self) -> dict:
-        return {"kind": "metro-shard", "version": SHARD_VERSION,
-                "params": self.params}
+        return {"kind": "metro-shard", "params": self.params}
 
     def fingerprint(self) -> str:
-        encoded = canonical_json(self.to_dict()).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+        return fingerprint_of(self.to_dict())
 
     def execute(self) -> dict:
         return run_shard(self.params)

@@ -7,8 +7,9 @@ fingerprint of an uninterrupted run — packet logs, estimator state,
 RNG streams and all.  These tests drive that contract over the pinned
 6-configuration suite, randomized configurations crossed with
 randomized kill points, a true SIGKILL through the worker entry point,
-and the corruption paths (truncated payloads, unknown schema versions)
-that must quarantine bad snapshots and fall back instead of crashing.
+and the corruption paths (truncated payloads, snapshots from other
+code) that must quarantine bad snapshots and fall back instead of
+crashing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.exec.job import Job
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.checkpoint import (
     SNAPSHOT_SUFFIX,
-    VERSION,
     CheckpointConfig,
     CheckpointDrain,
     CheckpointManager,
@@ -388,7 +388,7 @@ def test_kill_point_with_a_sender_blocked_unqueued_and_carried_answers(
     controller's answers between wake-ups.  The first is heap state and
     survives as such; the second is derived state, dropped on restore
     and re-asked inside its horizon — the resumed run is byte-identical
-    with the same ``VERSION``."""
+    under the same code."""
     kill_subframe = 209
 
     def config():
@@ -419,7 +419,6 @@ def test_kill_point_with_a_sender_blocked_unqueued_and_carried_answers(
     cubic, pbe = by_scheme(handles)["cubic"], by_scheme(handles)["pbe"]
     assert cubic.sender._pace_event is None
     assert pbe.sender._held_until == -1              # re-asked on waking
-    assert VERSION == 9
     results = experiment.run(checkpoint=manager)
     assert digest_run(experiment, handles, results) == straight
 
@@ -576,7 +575,7 @@ def _repo_src():
 
 
 # ---------------------------------------------------------------------------
-# Corruption: truncation, unknown versions, quarantine accounting
+# Corruption: truncation, other code, quarantine accounting
 # ---------------------------------------------------------------------------
 
 def _config_for_corruption() -> tuple:
@@ -624,13 +623,13 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
     scenario, specs = _config_for_corruption()
     straight = run_fingerprint(scenario, specs)
 
-    # A single snapshot from the future: nothing valid remains after
+    # A single snapshot from other code: nothing valid remains after
     # quarantining it, so the run must fall back to from-scratch.
     path = write_snapshot(tmp_path, 100, {"sim": {}})
     blob = path.read_bytes()
     header, _, payload = blob.partition(b"\n")
     doctored = json.loads(header)
-    doctored["version"] = 99
+    doctored["code"] = "0" * 64
     path.write_bytes(json.dumps(doctored, sort_keys=True).encode()
                      + b"\n" + payload)
 
@@ -643,87 +642,6 @@ def test_unknown_version_quarantined_then_from_scratch(tmp_path):
     assert count_quarantined(tmp_path) == 1
     results = experiment.run(checkpoint=manager)
     assert digest_run(experiment, handles, results) == straight
-
-
-def _assert_version_quarantined(tmp_path, old_version: int) -> None:
-    assert old_version < VERSION == 9
-    path = write_snapshot(tmp_path, 100, {"sim": {}})
-    header, _, payload = path.read_bytes().partition(b"\n")
-    doctored = dict(json.loads(header), version=old_version)
-    path.write_bytes(json.dumps(doctored, sort_keys=True).encode()
-                     + b"\n" + payload)
-    with pytest.raises(SnapshotCorrupt):
-        read_snapshot(path)
-
-    scenario, specs = _config_for_corruption()
-    experiment, _ = _build(scenario, specs)
-    manager = CheckpointManager(CheckpointConfig(
-        directory=str(tmp_path), interval_subframes=120))
-    assert manager.try_restore(experiment) is None
-    assert manager.quarantined == 1 and experiment.sim.now == 0
-
-
-def test_version_1_snapshot_is_quarantined(tmp_path):
-    """A v1 heap carries ``Link._finish`` / ``_Ingress.receive`` entries
-    that no longer bind: the file must be set aside, not restored."""
-    _assert_version_quarantined(tmp_path, 1)
-
-
-def test_version_2_snapshot_is_quarantined(tmp_path):
-    """A v2 heap carries the transport blocks on the air as
-    ``receive_tb`` / ``abandon_tb`` events, which would still bind —
-    and land a subframe's blocks as events beside an empty ``_air``:
-    set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 2)
-
-
-def test_version_3_snapshot_is_quarantined(tmp_path):
-    """A v3 network carries a skipped cell's control-traffic lag in
-    ``_control_lag``, which nothing reads any more: restored, every
-    dormant cell would replay from an empty ``_dormant_since`` and its
-    generator would silently lose the skipped ticks.  Set aside, not
-    half-restored."""
-    _assert_version_quarantined(tmp_path, 3)
-
-
-def test_version_4_snapshot_is_quarantined(tmp_path):
-    """A v4 monitor can carry decoded rows in its columnar buffers
-    (``_batches`` / ``_pending_hints``), which nothing would fold any
-    more: restored, those subframes would silently never reach the
-    estimators.  Set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 4)
-
-
-def test_version_5_snapshot_is_quarantined(tmp_path):
-    """A v5 downlink queue carries ``[packet, remaining]`` pairs under
-    ``_entries`` and its ``AckBatch`` events six columns: restored, the
-    queue would come back empty beside a non-zero ``backlog_bits`` and
-    the batches would not unpickle.  Set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 5)
-
-
-def test_version_6_snapshot_is_quarantined(tmp_path):
-    """A v6 user's ``_sinr_history`` already holds its whole current
-    channel block, which the next refill would append again, and it
-    carries ``block_safe`` / ``_blk_ckpt`` / ``_blk_start_us``, which
-    ``_User`` no longer has slots for.  Set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 6)
-
-
-def test_version_7_snapshot_is_quarantined(tmp_path):
-    """A v7 uplink carries a ``_mixed`` flag, and its flushed bursts
-    ride ``_deliver`` events as ``AckBatch`` records: the flag has no
-    attribute to land on and the class no longer exists to unpickle.
-    Set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 7)
-
-
-def test_version_8_snapshot_is_quarantined(tmp_path):
-    """A v8 monitor carries ``fusion`` buckets of decoded records that no
-    estimator has folded yet, and its estimators a ``_memo_version``:
-    restored, those records would never reach an estimator and the
-    attributes would land on nothing.  Set aside, not half-restored."""
-    _assert_version_quarantined(tmp_path, 8)
 
 
 def test_dci_messages_ride_the_snapshot_as_shared_identity_records(

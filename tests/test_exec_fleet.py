@@ -25,6 +25,7 @@ from repro.exec import (
     job_from_wire,
     job_to_wire,
     payload_checksum,
+    seal,
     spawn_local_workers,
 )
 from repro.exec.fleet import (
@@ -398,11 +399,8 @@ def test_dead_fleet_restart_collects_existing_results(tmp_path):
     job = probe(10)
     fp = job.fingerprint()
     payload = {"probe": 10, "value": 100}
-    entry = {ENVELOPE_KEY: SCHEMA_VERSION,
-             "sha256": payload_checksum(payload), "payload": payload}
     (tmp_path / RESULT_DIR).mkdir(parents=True)
-    (tmp_path / RESULT_DIR / f"{fp}.json").write_text(
-        json.dumps(entry))
+    (tmp_path / RESULT_DIR / f"{fp}.json").write_bytes(seal(payload))
     (tmp_path / LEASE_DIR).mkdir(parents=True)
     (tmp_path / LEASE_DIR / f"{fp}.json").write_text(json.dumps(
         {"worker": "gone", "renewed": time.time() - 999,
@@ -415,6 +413,25 @@ def test_dead_fleet_restart_collects_existing_results(tmp_path):
     assert not (tmp_path / LEASE_DIR / f"{fp}.json").exists()
     assert handle in backend.wait({handle}, timeout=5)
     assert backend.result(handle) == payload
+
+
+def test_shutdown_sweeps_a_duplicate_result_landing_after_collection(
+        tmp_path):
+    """A duplicate claimer can finish after the driver collected and
+    cleaned its job; once the local workers are gone, shutdown removes
+    what it left, so the fleet directory ends empty."""
+    backend = FleetBackend(tmp_path, ttl_s=2.0, poll_s=0.02)
+    job = probe(15)
+    handle = backend.submit(job)
+    payload = job.execute()
+    result = tmp_path / RESULT_DIR / f"{handle.fingerprint}.json"
+    result.write_bytes(seal(payload))
+    assert backend.result(handle) == payload
+    assert not result.exists()
+    result.write_bytes(seal(payload))  # the duplicate, landing late
+    backend.shutdown(wait=True)
+    assert list((tmp_path / RESULT_DIR).iterdir()) == []
+    assert list((tmp_path / QUEUE_DIR).iterdir()) == []
 
 
 def test_submit_discards_invalid_leftover_results(tmp_path):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.exec import FINGERPRINT_VERSION, Job, canonical_json
+from repro.exec import Job, canonical_json
 from repro.harness import Scenario
+from repro.harness.serialize import fingerprint_of
 from repro.phy.carrier import CarrierConfig
 
 
@@ -54,9 +55,12 @@ def test_scheme_and_spec_changes_change_fingerprint():
 
 
 def test_to_dict_is_json_ready_and_versioned():
+    """The description carries no version: the fingerprint mixes in
+    the code id instead (``tests/test_code_id.py``)."""
     job = Job(tiny_scenario(), "pbe", {"rnti": 105})
     data = json.loads(canonical_json(job.to_dict()))
-    assert data["version"] == FINGERPRINT_VERSION
+    assert "version" not in data
+    assert job.fingerprint() == fingerprint_of(data)
     assert data["scheme"] == "pbe"
     assert data["scenario"]["seed"] == 7
     assert data["spec_overrides"] == {"rnti": 105}

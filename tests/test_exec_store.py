@@ -77,17 +77,10 @@ def test_unknown_envelope_schema_quarantined(tmp_path):
     assert store.quarantine_events == 1
 
 
-def test_legacy_plain_entry_still_readable(tmp_path):
-    store = ResultStore(tmp_path)
-    store.path_for(FP).parent.mkdir(parents=True)
-    store.path_for(FP).write_text('{"pre": "envelope"}')
-    assert store.get(FP) == {"pre": "envelope"}
-    assert store.quarantine_events == 0
-
-
 def test_put_writes_checksummed_envelope(tmp_path):
     store = ResultStore(tmp_path)
     store.put(FP, {"x": 1})
+    assert store.path_for(FP).read_bytes() == seal({"x": 1})
     entry = json.loads(store.path_for(FP).read_text())
     assert entry[ENVELOPE_KEY] == SCHEMA_VERSION
     assert entry["sha256"] == payload_checksum({"x": 1})
@@ -103,9 +96,7 @@ def test_seal_unseal_roundtrip():
     assert json.loads(sealed) == {
         ENVELOPE_KEY: SCHEMA_VERSION,
         "sha256": payload_checksum(payload), "payload": payload}
-    # a bare object is a payload only to the store's legacy read path
-    assert unseal(b'{"pre": "envelope"}', legacy=True) == {
-        "pre": "envelope"}
+    # a bare object is not a payload
     with pytest.raises(ValueError, match="unknown envelope schema None"):
         unseal(b'{"pre": "envelope"}')
 
@@ -122,6 +113,13 @@ def test_seal_unseal_roundtrip():
     (json.dumps({ENVELOPE_KEY: SCHEMA_VERSION, "sha256": "0" * 64,
                  "payload": {"probe": 1}}).encode(),
      "checksum mismatch"),
+    (json.dumps({ENVELOPE_KEY: True, "sha256": payload_checksum({}),
+                 "payload": {}}).encode(),
+     "unknown envelope schema True"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply",
+                 id="deeply-nested"),
+    (json.dumps(json.loads(seal({"probe": 1}))).encode(),
+     "not in sealed form"),
 ])
 def test_one_codec_rejects_store_entries_and_fleet_results_alike(
         tmp_path, raw, reason):
@@ -186,27 +184,23 @@ def test_stats_and_len_cover_nested_and_quarantined(tmp_path):
     assert "2 entries" in stats.format()
 
 
-def test_verify_upgrades_legacy_and_reports(tmp_path):
+def test_verify_quarantines_bare_and_broken_entries_and_reports(
+        tmp_path):
     store = ResultStore(tmp_path)
-    store.put(FP, {"modern": True})
-    legacy_path = store.path_for(FP2)
-    legacy_path.parent.mkdir(parents=True)
-    legacy_path.write_text('{"legacy": true}')
+    store.put(FP, {"sealed": True})
+    bare_path = store.path_for(FP2)
+    bare_path.parent.mkdir(parents=True)
+    bare_path.write_text('{"bare": true}')
     bad = "ee" + "3" * 62
     store.path_for(bad).parent.mkdir(parents=True)
     store.path_for(bad).write_text("not json")
     (tmp_path / "ab" / "README.txt.json").write_text("{}")
 
     report = store.verify()
-    assert report["checked"] == 3
-    assert report["ok"] == 2
-    assert report["upgraded"] == 1
-    assert report["quarantined"] == 1
-    assert report["foreign"] == 1
-    # the legacy entry now carries the envelope and still reads back
-    entry = json.loads(legacy_path.read_text())
-    assert entry[ENVELOPE_KEY] == SCHEMA_VERSION
-    assert store.get(FP2) == {"legacy": True}
+    assert report == {"checked": 3, "ok": 1, "quarantined": 2,
+                      "foreign": 1}
+    assert not bare_path.exists()
+    assert store.get(FP) == {"sealed": True}
 
 
 def test_gc_reclaims_quarantine_and_debris(tmp_path):

@@ -46,7 +46,7 @@ def test_fault_dict_schedules_outage_at_midpoint():
 def test_fingerprints_stable_under_json_roundtrip():
     import json
 
-    from repro.exec.job import canonical_json
+    from repro.exec import canonical_json
 
     jobs = resilience_jobs(schemes=("pbe",), miss_rates=(0.2,),
                            outages_ms=(500,), duration_s=2.0)
