@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.exec import make_runner
 from repro.harness.experiments import run_stationary_sweep
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
@@ -42,4 +43,4 @@ def stationary_sweep():
         schemes=("pbe", "bbr", "cubic", "verus", "copa"),
         n_busy=SWEEP_BUSY, n_idle=SWEEP_IDLE,
         duration_s=SWEEP_DURATION_S,
-        jobs=SWEEP_JOBS, cache_dir=SWEEP_CACHE_DIR)
+        runner=make_runner(jobs=SWEEP_JOBS, cache_dir=SWEEP_CACHE_DIR))

@@ -3,8 +3,9 @@
 
 Spawns ``python -m repro sweep --fleet-dir`` — two local workers
 pulling from a shared queue directory under a seeded
-:class:`ChaosSpec` that SIGKILLs every worker once per job — and
-checks the fabric's promises end to end:
+:class:`ChaosSpec` (written to a file, passed as ``--chaos FILE``)
+that SIGKILLs every worker once per job — and checks the fabric's
+promises end to end:
 
 * the chaos run completes with exit 0, reports reclaimed leases and
   respawned workers, and both its saved entries and its result-store
@@ -38,19 +39,22 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.exec import ResultStore  # noqa: E402
+from repro.exec import ChaosSpec, ResultStore  # noqa: E402
 
 SWEEP = ("--schemes", "pbe,bbr", "--busy", "2", "--idle", "1")
-CHAOS = ("--chaos-seed", "3", "--chaos-kill", "1")
+#: The two fault plans: SIGKILL once per job after its claim, and once
+#: per job mid-simulation (right after a snapshot).
+KILL = ChaosSpec(seed=3, kill_prob=1.0)
+KILL_MID = ChaosSpec(seed=5, kill_mid_job_prob=1.0)
 
 
-def fleet_cmd(fleet_dir: str, cache_dir: str, args,
-              extra=(), chaos=CHAOS) -> list:
+def fleet_cmd(fleet_dir: str, cache_dir: str, args, chaos: Path,
+              extra=()) -> list:
     return [sys.executable, "-m", "repro", "sweep",
             "--fleet-dir", fleet_dir, "--fleet-workers", "2",
             "--fleet-ttl", "3", *SWEEP, "--duration", str(args.duration),
             "--retries", "3", "--cache-dir", cache_dir,
-            *chaos, *extra]
+            "--chaos", str(chaos), *extra]
 
 
 def env() -> dict:
@@ -80,6 +84,9 @@ def main(argv=None) -> None:
 
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
+        kill, kill_mid = work / "kill.json", work / "kill-mid.json"
+        KILL.save(kill)
+        KILL_MID.save(kill_mid)
 
         # --- chaos run vs. pool baseline (byte-identity) -------------
         pool = subprocess.run(
@@ -95,7 +102,8 @@ def main(argv=None) -> None:
 
         chaos = subprocess.run(
             fleet_cmd(str(work / "fleet-a"), str(work / "cache-a"),
-                      args, extra=("--save", str(work / "chaos.json"))),
+                      args, kill,
+                      extra=("--save", str(work / "chaos.json"))),
             env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=args.timeout)
         if chaos.returncode != 0:
@@ -119,7 +127,7 @@ def main(argv=None) -> None:
         fleet_b = str(work / "fleet-b")
         cache_b = work / "cache-b"
         proc = subprocess.Popen(
-            fleet_cmd(fleet_b, str(cache_b), args),
+            fleet_cmd(fleet_b, str(cache_b), args, kill),
             env=env(), cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE, text=True)
         deadline = time.time() + args.timeout / 2
@@ -143,7 +151,7 @@ def main(argv=None) -> None:
 
         # --- the same command again: the re-run is the resume ----------
         resumed = subprocess.run(
-            fleet_cmd(fleet_b, str(cache_b), args,
+            fleet_cmd(fleet_b, str(cache_b), args, kill,
                       extra=("--save", str(work / "resumed.json"))),
             env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=args.timeout)
@@ -169,9 +177,7 @@ def main(argv=None) -> None:
         fleet_c = Path(work / "fleet-c")
         ck_dir = work / "checkpoints"
         midkill = subprocess.run(
-            fleet_cmd(str(fleet_c), str(work / "cache-c"), args,
-                      chaos=("--chaos-seed", "5",
-                             "--chaos-kill-mid", "1"),
+            fleet_cmd(str(fleet_c), str(work / "cache-c"), args, kill_mid,
                       extra=("--checkpoint-dir", str(ck_dir),
                              "--checkpoint-every", "200",
                              "--save", str(work / "midkill.json"))),

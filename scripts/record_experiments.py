@@ -96,7 +96,8 @@ def main(argv=None) -> None:
     print(exp.run_fig11().format())
 
     section("Figures 13-14: six-location drill-down")
-    print(exp.run_fig13_14(duration_s=8.0, **execution).format())
+    print(exp.run_fig13_14(duration_s=8.0,
+                           runner=make_runner(**execution)).format())
 
     section("Figures 16-17: mobility")
     print(exp.run_fig16_17(duration_s=24.0, interval_s=1.2).format())
@@ -111,7 +112,8 @@ def main(argv=None) -> None:
     print(exp.run_fig21(time_scale=0.34).format())
 
     section("Ablations")
-    print(exp.run_ablation(duration_s=8.0, **execution).format())
+    print(exp.run_ablation(duration_s=8.0,
+                           runner=make_runner(**execution)).format())
 
     print(f"\ntotal wall time: {time.time() - t0:.0f} s", flush=True)
 

@@ -2,11 +2,11 @@
 
 Commands
 --------
-``run``        one flow over a configurable cell (scheme, SINR,
-               carriers, busy/idle, duration)
-``compare``    several schemes head-to-head on the same cell
-``experiment`` run one of the paper's table/figure drivers by name
-``sweep``      the §6.3.1 stationary sweep, parallel and cacheable
+``run``        one flow per scheme over a configurable cell (scheme
+               list, SINR, carriers, busy/idle, duration)
+``experiment`` run one of the paper's figure drivers by name
+``sweep``      the §6.3.1 stationary sweep, parallel and cacheable;
+               ``--view`` reduces it to Table 1, Fig. 12 or Fig. 15
 ``resilience`` fault-injection sweep: DCI miss-rate × decoder-outage
                grid with graceful-degradation telemetry
 ``metro``      metro-scale scenario engine: hundreds of cells with
@@ -18,15 +18,17 @@ Commands
                crash reclamation) from any host that shares the
                directory, ``fleet status`` observes one; ``sweep`` and
                ``metro`` drive their jobs through a fleet with
-               ``--fleet-dir`` (optional seeded chaos injection)
+               ``--fleet-dir`` (``--chaos FILE`` arms a seeded fault
+               plan)
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes, experiments and metro scenario sets
 
-Multi-run commands (``experiment`` sweeps, ``sweep``) accept ``--jobs
-N`` to fan simulations out over worker processes and ``--cache-dir``
-to memoize completed runs on disk (see :mod:`repro.exec`).  The long
-sweeps (``sweep``, ``resilience``) are additionally *supervised*:
+Multi-run commands (``experiment fig13|ablation``, ``sweep``,
+``resilience``, ``metro``) accept ``--jobs N`` to fan simulations out
+over worker processes and ``--cache-dir`` to memoize completed runs on
+disk (see :mod:`repro.exec`).  The long sweeps (``sweep``,
+``resilience``, ``metro``) are additionally *supervised*:
 ``--timeout`` enforces a concurrent per-job deadline, ``--retries``
 re-submits crashed/timed-out jobs with jittered backoff, failures are
 isolated as structured records instead of aborting (``--strict`` to
@@ -40,11 +42,11 @@ interrupted jobs restore their newest mid-run snapshot.
 Examples
 --------
     python -m repro run --scheme pbe --sinr 18 --busy --duration 6
-    python -m repro compare --schemes pbe,bbr,cubic --duration 5
+    python -m repro run --scheme pbe,bbr,cubic --duration 5
     python -m repro experiment fig02
-    python -m repro experiment table1 --locations 4 --jobs 4
+    python -m repro sweep --view table1 --busy 4 --idle 2 --jobs 4
     python -m repro sweep --schemes pbe,bbr --busy 8 --idle 5 \\
-        --jobs 8 --cache-dir .repro-cache --view table1
+        --jobs 8 --cache-dir .repro-cache
     python -m repro resilience --miss 0,0.05,0.2 --outage-ms 0,500 \\
         --jobs 4
     python -m repro resilience --smoke
@@ -69,51 +71,85 @@ from .harness import Experiment, FlowSpec, Scenario
 from .harness.report import format_table
 from .harness.runner import SCHEMES
 
+#: ``repro experiment <name>`` → its driver call, given the drivers
+#: module and the parsed arguments.
+_DRIVERS = {
+    "fig02": lambda exp, args: exp.run_fig02(),
+    "fig05": lambda exp, args: exp.run_fig05(),
+    "fig06": lambda exp, args: exp.run_fig06(),
+    "fig07": lambda exp, args: exp.run_fig07(duration_s=args.duration),
+    "fig08": lambda exp, args: exp.run_fig08(),
+    "fig11": lambda exp, args: exp.run_fig11(),
+    "fig13": lambda exp, args: exp.run_fig13_14(
+        duration_s=args.duration, runner=_make_runner(args)),
+    "fig16": lambda exp, args: exp.run_fig16_17(
+        duration_s=2 * args.duration),
+    "fig18": lambda exp, args: exp.run_fig18_19(
+        duration_s=2 * args.duration),
+    "fig20": lambda exp, args: exp.run_fig20(duration_s=args.duration),
+    "fig21": lambda exp, args: exp.run_fig21(
+        time_scale=args.duration / 60.0),
+    "ablation": lambda exp, args: exp.run_ablation(
+        duration_s=args.duration, runner=_make_runner(args)),
+}
 #: Experiment-name registry for the ``experiment`` command.
-EXPERIMENTS = ("table1", "fig02", "fig05", "fig06", "fig07", "fig08",
-               "fig11",
-               "fig12", "fig13", "fig15", "fig16", "fig18", "fig20",
-               "fig21", "ablation")
+EXPERIMENTS = tuple(_DRIVERS)
+
+#: ``sweep --view`` → the schemes its ``--schemes`` defaults to.  Table
+#: 1, Fig. 12 and Fig. 15 are views of the one stationary sweep.
+SWEEP_VIEWS = {"summary": ("pbe", "bbr"),
+               "table1": ("pbe", "bbr", "verus", "copa"),
+               "fig12": ("pbe", "bbr", "cubic", "verus"),
+               "fig15": ("pbe", "bbr", "cubic", "copa", "sprout")}
 
 
-def _build_scenario(args: argparse.Namespace) -> Scenario:
-    return Scenario(
-        name="cli",
-        aggregated_cells=args.carriers,
-        mean_sinr_db=args.sinr,
-        busy=args.busy,
-        background_users=4 if args.busy else 0,
-        internet_rate_bps=args.internet_mbps * 1e6,
-        duration_s=args.duration,
-        seed=args.seed)
+def _names(text: str) -> tuple:
+    """A comma-separated list → its stripped, non-empty items."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _run_one(scenario: Scenario, scheme: str) -> list:
-    experiment = Experiment(scenario)
-    experiment.add_flow(FlowSpec(scheme=scheme))
-    result = experiment.run()[0]
-    s = result.summary
-    return [scheme, s.average_throughput_mbps, s.average_delay_ms,
-            s.p95_delay_ms, result.lost_packets,
-            "yes" if result.ca_activations else "no"]
+def _scheme_list(text: str) -> tuple:
+    """``--scheme a,b,…`` → a tuple of known scheme names."""
+    schemes = _names(text)
+    for scheme in schemes or (text,):
+        if scheme not in SCHEMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown scheme {scheme!r}; known: "
+                f"{', '.join(sorted(SCHEMES))}")
+    return schemes
+
+
+def _chaos_file(path: str):
+    """``--chaos FILE`` → the :class:`ChaosSpec` that file holds."""
+    from .exec import ChaosSpec
+    try:
+        spec = ChaosSpec.load(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if spec is None:
+        raise argparse.ArgumentTypeError(f"no chaos spec at {path}")
+    return spec
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: one flow over the configured cell."""
-    row = _run_one(_build_scenario(args), args.scheme)
-    print(format_table(
-        ["scheme", "tput (Mbit/s)", "avg delay (ms)", "p95 delay (ms)",
-         "lost", "CA"], [row]))
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    """``repro compare``: several schemes on the identical cell."""
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    """``repro run``: each scheme's flow on the identical cell, rows
+    sorted by throughput."""
     rows = []
-    for scheme in schemes:
+    for scheme in args.scheme:
         print(f"running {scheme}...", file=sys.stderr)
-        rows.append(_run_one(_build_scenario(args), scheme))
+        experiment = Experiment(Scenario(
+            name="cli", aggregated_cells=args.carriers,
+            mean_sinr_db=args.sinr, busy=args.busy,
+            background_users=4 if args.busy else 0,
+            internet_rate_bps=args.internet_mbps * 1e6,
+            duration_s=args.duration, seed=args.seed))
+        experiment.add_flow(FlowSpec(scheme=scheme))
+        result = experiment.run()[0]
+        s = result.summary
+        rows.append([scheme, s.average_throughput_mbps,
+                     s.average_delay_ms, s.p95_delay_ms,
+                     result.lost_packets,
+                     "yes" if result.ca_activations else "no"])
     rows.sort(key=lambda r: -r[1])
     print(format_table(
         ["scheme", "tput (Mbit/s)", "avg delay (ms)", "p95 delay (ms)",
@@ -121,34 +157,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exec_kwargs(args: argparse.Namespace) -> dict:
-    """Runner configuration shared by the multi-run commands."""
-    from .exec import StderrReporter
+def _make_runner(args: argparse.Namespace, **supervision):
+    """The multi-run commands' runner, from ``--jobs``/``--cache-dir``
+    (progress on stderr once there is a pool or a cache to report)."""
+    from .exec import StderrReporter, make_runner
     progress = StderrReporter() if (args.jobs > 1 or args.cache_dir) \
         else None
-    return {"jobs": args.jobs, "cache_dir": args.cache_dir,
-            "progress": progress}
-
-
-def _chaos_spec(args: argparse.Namespace):
-    """A :class:`ChaosSpec` from the ``--chaos-*`` flags (or None)."""
-    from .exec import ChaosSpec
-    stall_s = (args.chaos_stall_s if args.chaos_stall_s is not None
-               else 2.5 * args.fleet_ttl)  # enough to trip reclaim
-    spec = ChaosSpec(seed=args.chaos_seed, kill_prob=args.chaos_kill,
-                     kill_mid_job_prob=args.chaos_kill_mid,
-                     stall_prob=args.chaos_stall, stall_s=stall_s,
-                     claim_delay_prob=args.chaos_delay,
-                     claim_delay_s=args.chaos_delay_s,
-                     duplicate_claim_prob=args.chaos_dup,
-                     corrupt_prob=args.chaos_corrupt)
-    return spec if spec.active else None
+    return make_runner(args.jobs, args.cache_dir, progress, **supervision)
 
 
 def _fleet_backend(args: argparse.Namespace):
     """Build the ``--fleet-dir`` backend (and its telemetry line)."""
     from .exec import FleetBackend
-    chaos = _chaos_spec(args)
+    chaos = args.chaos if args.chaos and args.chaos.active else None
     if chaos is not None:
         print(f"[repro] chaos injection armed: {chaos.to_dict()}",
               file=sys.stderr)
@@ -169,16 +190,16 @@ def _run_supervised(args: argparse.Namespace, drive, render) -> int:
     its aborts to exit codes: a drained SIGINT/SIGTERM → 130, a
     tripped failure budget → 3, any isolated job failure → 1.
     """
-    from .exec import FailureBudgetExceeded, SweepInterrupted, make_runner
+    from .exec import FailureBudgetExceeded, SweepInterrupted
     budget = (args.failure_budget / 100.0
               if args.failure_budget is not None else None)
     backend = (_fleet_backend(args)
                if getattr(args, "fleet_dir", None) else None)
-    runner = make_runner(
-        retries=args.retries, timeout_s=args.timeout,
+    runner = _make_runner(
+        args, retries=args.retries, timeout_s=args.timeout,
         strict=args.strict, failure_budget=budget, backend=backend,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every, **_exec_kwargs(args))
+        checkpoint_every=args.checkpoint_every)
     try:
         result = drive(runner)
     except SweepInterrupted as exc:
@@ -205,55 +226,9 @@ def _run_supervised(args: argparse.Namespace, drive, render) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """``repro experiment <name>``: run a paper table/figure driver."""
+    """``repro experiment <name>``: run a paper figure driver."""
     from .harness import experiments as exp
-    name = args.name
-    if name == "table1":
-        sweep = exp.run_stationary_sweep(
-            schemes=("pbe", "bbr", "verus", "copa"),
-            n_busy=args.locations, n_idle=max(1, args.locations * 3 // 5),
-            duration_s=args.duration, **_exec_kwargs(args))
-        print(exp.table1_from_sweep(sweep).format())
-    elif name == "fig12":
-        sweep = exp.run_stationary_sweep(
-            schemes=("pbe", "bbr", "cubic", "verus"),
-            n_busy=args.locations, n_idle=max(1, args.locations * 3 // 5),
-            duration_s=args.duration, **_exec_kwargs(args))
-        print(exp.fig12_from_sweep(sweep).format())
-    elif name == "fig15":
-        sweep = exp.run_stationary_sweep(
-            schemes=("pbe", "bbr", "cubic", "copa", "sprout"),
-            n_busy=args.locations, n_idle=max(1, args.locations * 3 // 5),
-            duration_s=args.duration, **_exec_kwargs(args))
-        print(exp.fig15_from_sweep(sweep).format())
-    elif name == "fig02":
-        print(exp.run_fig02().format())
-    elif name == "fig05":
-        print(exp.run_fig05().format())
-    elif name == "fig06":
-        print(exp.run_fig06().format())
-    elif name == "fig07":
-        print(exp.run_fig07(duration_s=args.duration).format())
-    elif name == "fig08":
-        print(exp.run_fig08().format())
-    elif name == "fig11":
-        print(exp.run_fig11().format())
-    elif name == "fig13":
-        print(exp.run_fig13_14(duration_s=args.duration,
-                               **_exec_kwargs(args)).format())
-    elif name == "fig16":
-        print(exp.run_fig16_17(duration_s=2 * args.duration).format())
-    elif name == "fig18":
-        print(exp.run_fig18_19(duration_s=2 * args.duration).format())
-    elif name == "fig20":
-        print(exp.run_fig20(duration_s=args.duration).format())
-    elif name == "fig21":
-        print(exp.run_fig21(time_scale=args.duration / 60.0).format())
-    elif name == "ablation":
-        print(exp.run_ablation(duration_s=args.duration,
-                               **_exec_kwargs(args)).format())
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(name)
+    print(_DRIVERS[args.name](exp, args).format())
     return 0
 
 
@@ -261,12 +236,11 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
     """Render a finished stationary sweep per ``--view`` / ``--save``."""
     from .harness import experiments as exp
     from .harness.serialize import write_json_atomic
-    if args.view == "table1":
-        print(exp.table1_from_sweep(sweep).format())
-    elif args.view == "fig12":
-        print(exp.fig12_from_sweep(sweep).format())
-    elif args.view == "fig15":
-        print(exp.fig15_from_sweep(sweep).format())
+    views = {"table1": exp.table1_from_sweep,
+             "fig12": exp.fig12_from_sweep,
+             "fig15": exp.fig15_from_sweep}
+    if args.view in views:
+        print(views[args.view](sweep).format())
     else:
         rows = []
         for scheme in sweep.schemes():
@@ -297,8 +271,7 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: the stationary sweep, supervised end to end."""
     from .harness import experiments as exp
-    schemes = tuple(s.strip() for s in args.schemes.split(",")
-                    if s.strip())
+    schemes = args.schemes or SWEEP_VIEWS[args.view]
     return _run_supervised(
         args,
         lambda runner: exp.run_stationary_sweep(
@@ -360,8 +333,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         outages_ms: tuple = (0, 500)
         duration = 2.0
     else:
-        schemes = tuple(s.strip() for s in args.schemes.split(",")
-                        if s.strip())
+        schemes = args.schemes
         miss_rates = tuple(float(m) for m in args.miss.split(","))
         outages_ms = tuple(int(o) for o in args.outage_ms.split(","))
         duration = args.duration
@@ -431,6 +403,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     from .metro import metro_scenario_sets
     print("schemes:     " + ", ".join(sorted(SCHEMES)))
     print("experiments: " + ", ".join(EXPERIMENTS))
+    print("sweep views: " + ", ".join(SWEEP_VIEWS))
     print("metro sets:")
     for name, mset in sorted(metro_scenario_sets().items()):
         print(f"  {name:<14} {mset.grid.n_cells} cells — "
@@ -479,7 +452,7 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
-    """``--fleet-*`` routing plus seeded fault injection for it."""
+    """``--fleet-*`` routing plus a seeded fault plan for it."""
     parser.add_argument("--fleet-dir", default=None, metavar="DIR",
                         help="route jobs through a worker fleet "
                              "sharing DIR instead of a local process "
@@ -492,57 +465,12 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fleet-ttl", type=float, default=10.0,
                         metavar="S",
                         help="fleet lease TTL in seconds (default 10)")
-    group = parser.add_argument_group(
-        "chaos injection (deterministic per --chaos-seed; each fault "
-        "fires at most once per job fleet-wide, so sweeps converge to "
-        "the chaos-free result)")
-    group.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed of the fault plan (default 0)")
-    group.add_argument("--chaos-kill", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker SIGKILLs itself mid-job)")
-    group.add_argument("--chaos-kill-mid", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker SIGKILLs itself mid-simulation "
-                            "at a deterministic subframe boundary; "
-                            "needs --checkpoint-dir so the retry "
-                            "resumes from the snapshot)")
-    group.add_argument("--chaos-stall", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker stalls heartbeats mid-job)")
-    group.add_argument("--chaos-stall-s", type=float, default=None,
-                       metavar="S",
-                       help="stall duration (default 2.5x the lease "
-                            "TTL, enough to trip reclamation)")
-    group.add_argument("--chaos-delay", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker holds its lease idle before "
-                            "executing, with heartbeats)")
-    group.add_argument("--chaos-delay-s", type=float, default=1.0,
-                       metavar="S", help="claim-delay duration")
-    group.add_argument("--chaos-dup", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker claims over a live lease -> "
-                            "duplicate execution)")
-    group.add_argument("--chaos-corrupt", type=float, default=0.0,
-                       metavar="P",
-                       help="P(worker corrupts the result envelope "
-                            "it writes)")
-
-
-def _add_cell_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sinr", type=float, default=18.0,
-                        help="mean SINR in dB (default 18)")
-    parser.add_argument("--carriers", type=int, default=2,
-                        choices=(1, 2, 3),
-                        help="aggregated carriers (default 2)")
-    parser.add_argument("--busy", action="store_true",
-                        help="busy cell with background users")
-    parser.add_argument("--internet-mbps", type=float, default=1000.0,
-                        help="wired-path rate (default: non-bottleneck)")
-    parser.add_argument("--duration", type=float, default=6.0,
-                        help="flow duration in seconds (default 6)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--chaos", type=_chaos_file, default=None,
+                        metavar="FILE",
+                        help="the fleet's seeded fault plan: a "
+                             "ChaosSpec JSON object, e.g. {\"seed\": 3, "
+                             "\"kill_prob\": 1}; each fault fires at "
+                             "most once per job fleet-wide")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,22 +480,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="PBE-CC reproduction (SIGCOMM 2020) simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one flow")
-    p_run.add_argument("--scheme", default="pbe",
-                       choices=sorted(SCHEMES))
-    _add_cell_options(p_run)
+    p_run = sub.add_parser(
+        "run", help="run one flow per scheme on the same cell")
+    p_run.add_argument("--scheme", type=_scheme_list, default="pbe",
+                       metavar="A[,B...]",
+                       help="comma-separated scheme list (default pbe; "
+                            "see `repro list`)")
+    p_run.add_argument("--sinr", type=float, default=18.0,
+                       help="mean SINR in dB (default 18)")
+    p_run.add_argument("--carriers", type=int, default=2,
+                       choices=(1, 2, 3),
+                       help="aggregated carriers (default 2)")
+    p_run.add_argument("--busy", action="store_true",
+                       help="busy cell with background users")
+    p_run.add_argument("--internet-mbps", type=float, default=1000.0,
+                       help="wired-path rate (default: non-bottleneck)")
+    p_run.add_argument("--duration", type=float, default=6.0,
+                       help="flow duration in seconds (default 6)")
+    p_run.add_argument("--seed", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare schemes")
-    p_cmp.add_argument("--schemes", default="pbe,bbr,cubic")
-    _add_cell_options(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_exp = sub.add_parser("experiment",
-                           help="run a paper table/figure driver")
+    p_exp = sub.add_parser(
+        "experiment", help="run a paper figure driver (Table 1, Fig. 12 "
+                           "and Fig. 15 are `repro sweep --view`)")
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    p_exp.add_argument("--locations", type=int, default=4,
-                       help="busy locations for sweep experiments")
     p_exp.add_argument("--duration", type=float, default=6.0)
     _add_exec_options(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
@@ -575,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="run the stationary location sweep "
                       "(parallel, cacheable)")
-    p_sweep.add_argument("--schemes", default="pbe,bbr",
-                         help="comma-separated scheme list")
+    p_sweep.add_argument("--schemes", type=_names, default=None,
+                         help="comma-separated scheme list (default: "
+                              "the --view's schemes)")
     p_sweep.add_argument("--busy", type=int, default=4,
                          help="busy locations (paper: 25)")
     p_sweep.add_argument("--idle", type=int, default=2,
@@ -586,8 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=100,
                          help="base seed of the location grid")
     p_sweep.add_argument("--view", default="summary",
-                         choices=("summary", "table1", "fig12", "fig15"),
-                         help="how to reduce the sweep for printing")
+                         choices=tuple(SWEEP_VIEWS),
+                         help="how to reduce the sweep for printing: "
+                              + "; ".join(f"{v} ({','.join(s)})" for v, s
+                                          in SWEEP_VIEWS.items()))
     p_sweep.add_argument("--save", default=None, metavar="FILE",
                          help="also write per-run JSON entries here")
     _add_exec_options(p_sweep)
@@ -598,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = sub.add_parser(
         "resilience",
         help="fault-injection sweep: DCI miss-rate x outage grid")
-    p_res.add_argument("--schemes", default="pbe,bbr",
+    p_res.add_argument("--schemes", type=_names, default="pbe,bbr",
                        help="comma-separated scheme list")
     p_res.add_argument("--miss", default="0,0.05,0.2",
                        help="comma-separated DCI miss probabilities")

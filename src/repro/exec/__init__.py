@@ -30,7 +30,6 @@ from .backend import (
     ProcessPoolBackend,
     job_from_wire,
     job_to_wire,
-    register_job_kind,
     wire_kind_of,
 )
 from .chaos import ChaosSpec, chaos_events
@@ -72,7 +71,7 @@ __all__ = [
     "SweepInterrupted", "WorkerLostError", "canonical_json",
     "chaos_events", "execute_job", "fleet_status", "initialize_worker",
     "is_failure", "job_from_wire", "job_to_wire", "make_runner",
-    "payload_checksum", "register_job_kind", "run_worker",
+    "payload_checksum", "run_worker",
     "scenario_to_dict", "seal", "spawn_local_workers", "unseal",
     "wire_kind_of",
 ]

@@ -214,19 +214,13 @@ def _metro_shard_from_spec(spec: dict):
     return MetroShardJob(params=spec["params"])
 
 
-#: kind -> reconstructor(spec_dict) -> job.  Extendable via
-#: :func:`register_job_kind` for repository-external job types.
+#: kind -> reconstructor(spec_dict) -> job: every job kind a fleet
+#: worker can rebuild.
 _JOB_KINDS: Dict[str, Callable[[dict], object]] = {
     "flow": _flow_job_from_spec,
     "metro-shard": _metro_shard_from_spec,
     "probe": lambda spec: ProbeJob(params=spec["params"]),
 }
-
-
-def register_job_kind(kind: str,
-                      loader: Callable[[dict], object]) -> None:
-    """Register a reconstructor for a custom fleet-capable job type."""
-    _JOB_KINDS[kind] = loader
 
 
 def wire_kind_of(job) -> Optional[str]:
@@ -250,8 +244,7 @@ def job_to_wire(job) -> dict:
     if kind is None:
         raise TypeError(
             f"{type(job).__name__} has no registered wire kind; fleet "
-            f"execution needs register_job_kind() so workers can "
-            f"rebuild it from JSON")
+            f"workers rebuild only {sorted(_JOB_KINDS)} jobs")
     wire = {"kind": kind, "fingerprint": job.fingerprint(),
             "label": job.label, "spec": job.to_dict()}
     # The checkpoint config travels OUTSIDE "spec": it steers where a

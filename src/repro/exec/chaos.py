@@ -44,9 +44,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
+
+from ..faults.spec import _require_int, _require_real
 
 #: Subdirectory of the fleet root holding once-per-fingerprint markers.
 EVENTS_DIR = "chaos-events"
@@ -89,13 +91,22 @@ class ChaosSpec:
     corrupt_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        for kind, attr in FAULT_PROBS.items():
+        """Validate every field; a bad one raises a ``ValueError`` that
+        names it (a NaN, bool or string never reaches a roll or a
+        sleep)."""
+        _require_int("seed", self.seed)
+        for attr in FAULT_PROBS.values():
             p = getattr(self, attr)
+            _require_real(attr, p)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{attr} must be a probability, "
                                  f"got {p!r}")
-        if self.stall_s < 0 or self.claim_delay_s < 0:
-            raise ValueError("fault durations must be >= 0")
+        for attr in ("stall_s", "claim_delay_s"):
+            duration = getattr(self, attr)
+            _require_real(attr, duration)
+            if duration < 0:
+                raise ValueError(f"fault durations must be >= 0, got "
+                                 f"{attr}={duration!r}")
 
     @property
     def active(self) -> bool:
@@ -108,6 +119,13 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a chaos spec must be a JSON object of "
+                             f"fault fields, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown chaos fields: {sorted(unknown, key=str)}")
         return cls(**data)
 
     def save(self, path: Union[str, Path]) -> None:
@@ -116,11 +134,20 @@ class ChaosSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> Optional["ChaosSpec"]:
-        """The spec at ``path``, or None when absent/unreadable."""
+        """The spec at ``path``, or None when there is no such file.
+
+        Anything else that is not a valid spec raises a ``ValueError``
+        naming the path and the field, so a worker never runs
+        fault-free because its plan did not parse.
+        """
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (FileNotFoundError, OSError, ValueError, TypeError):
+            text = Path(path).read_bytes()
+        except FileNotFoundError:
             return None
+        try:
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:  # also JSON and Unicode decode errors
+            raise ValueError(f"chaos spec {path}: {exc}") from None
 
     # ------------------------------------------------------------------
     def roll(self, kind: str, fingerprint: str) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...exec import Job, make_runner
+from ...exec import Job, is_failure, make_runner
 from ..metrics import FlowSummary
 from ..report import format_table
 from ..scenarios import Scenario
@@ -67,12 +67,13 @@ class AblationResult:
 
 def run_ablation(variants: tuple = tuple(VARIANTS),
                  duration_s: float = 6.0, seed: int = 53,
-                 jobs: int = 1, cache_dir=None,
-                 runner=None, progress=None) -> AblationResult:
+                 runner=None) -> AblationResult:
     """Run each PBE variant on the same busy cell.
 
-    Variants are independent jobs; ``jobs``/``cache_dir`` parallelize
-    and memoize them (see :mod:`repro.exec`).
+    Variants are independent jobs submitted through ``runner``
+    (default: ``make_runner()``; see :mod:`repro.exec`).  Every
+    variant is reported, so a failed job raises a ``RuntimeError``
+    carrying its summary.
     """
     job_list = [
         Job(Scenario(name=f"ablation-{variant}",
@@ -81,12 +82,11 @@ def run_ablation(variants: tuple = tuple(VARIANTS),
                      duration_s=duration_s, seed=seed),
             "pbe", spec_overrides=dict(VARIANTS[variant]))
         for variant in variants]
-    # Strict: this driver consumes payloads positionally, so a failed
-    # job must abort (pass a non-strict ``runner`` to override).
-    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
-                                   progress=progress, strict=True)
+    payloads = (runner or make_runner()).run(job_list)
+    for failure in filter(is_failure, payloads):
+        raise RuntimeError(failure.summary())
     rows = []
-    for variant, payload in zip(variants, runner.run(job_list)):
+    for variant, payload in zip(variants, payloads):
         fractions = payload["state_fractions"] or {}
         rows.append(AblationRow(
             variant=variant,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...exec import Job, make_runner
+from ...exec import Job, is_failure, make_runner
 from ..metrics import ORDER_STATS, FlowSummary
 from ..report import format_table
 from ..scenarios import representative_locations
@@ -51,25 +51,21 @@ class Fig13Result:
 def run_fig13_14(schemes: tuple = EIGHT_SCHEMES,
                  location_keys: tuple | None = None,
                  duration_s: float = 8.0,
-                 jobs: int = 1, cache_dir=None,
-                 runner=None, progress=None) -> Fig13Result:
+                 runner=None) -> Fig13Result:
     """Run the drill-down grid (all six locations by default).
 
-    The (location × scheme) grid is submitted as independent jobs;
-    ``jobs``/``cache_dir`` parallelize and memoize it (see
-    :mod:`repro.exec`).
+    The (location × scheme) grid is submitted as independent jobs
+    through ``runner`` (default: ``make_runner()``; see
+    :mod:`repro.exec`).  Every cell of the grid is reported, so a
+    failed job raises a ``RuntimeError`` carrying its summary.
     """
     reps = representative_locations(duration_s=duration_s)
     keys = location_keys or tuple(reps)
     job_list = [Job(reps[key], scheme)
                 for key in keys for scheme in schemes]
-    # Strict: this driver consumes payloads positionally, so a failed
-    # job must abort (pass a non-strict ``runner`` to override).
-    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
-                                   progress=progress, strict=True)
-    payloads = iter(runner.run(job_list))
-    out: dict[str, dict] = {}
-    for key in keys:
-        out[key] = {scheme: summary_from_dict(next(payloads)["summary"])
-                    for scheme in schemes}
-    return Fig13Result(out)
+    payloads = (runner or make_runner()).run(job_list)
+    for failure in filter(is_failure, payloads):
+        raise RuntimeError(failure.summary())
+    summaries = iter(summary_from_dict(p["summary"]) for p in payloads)
+    return Fig13Result({key: {scheme: next(summaries) for scheme in schemes}
+                        for key in keys})

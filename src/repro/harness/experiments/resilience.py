@@ -11,8 +11,9 @@ fallback.
 
 Each (scheme, miss, outage) run is an independent deterministic job —
 the fault schedule is part of the job's content fingerprint — so the
-sweep submits through :mod:`repro.exec` like the others: ``jobs=N``
-fans it over worker processes, ``cache_dir`` memoizes completed runs.
+sweep submits through :mod:`repro.exec` like the others: pass a
+``runner`` from :func:`repro.exec.make_runner` to fan it over worker
+processes or memoize completed runs.
 
 Exposed on the command line as ``python -m repro resilience`` (with
 ``--smoke`` for the CI-sized variant).
@@ -166,8 +167,7 @@ def run_resilience(schemes: tuple[str, ...] = ("pbe", "bbr"),
                    outages_ms: tuple[int, ...] = (0, 500),
                    duration_s: float = 6.0,
                    base_seed: int = 400, fault_seed: int = 7,
-                   jobs: int = 1, cache_dir=None,
-                   runner=None, progress=None) -> ResilienceResult:
+                   runner=None) -> ResilienceResult:
     """Run the miss-rate × outage-duration resilience grid.
 
     Every scheme's (0, 0) cell is its unimpaired reference; the
@@ -176,9 +176,7 @@ def run_resilience(schemes: tuple[str, ...] = ("pbe", "bbr"),
     """
     job_list = resilience_jobs(schemes, miss_rates, outages_ms,
                                duration_s, base_seed, fault_seed)
-    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
-                                   progress=progress)
-    payloads = runner.run(job_list)
+    payloads = (runner or make_runner()).run(job_list)
     result = ResilienceResult(duration_s=duration_s)
     for job, payload in zip(job_list, payloads):
         if is_failure(payload):

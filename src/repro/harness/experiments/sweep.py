@@ -7,10 +7,11 @@ one sweep's results.
 
 Each (location, scheme) run is an independent, deterministic job, so
 the sweep submits through :class:`repro.exec.ParallelRunner`: pass
-``jobs=N`` to fan runs out over worker processes and ``cache_dir`` to
-memoize completed runs on disk (re-running a sweep then only executes
-jobs whose inputs changed or that never finished — the result store is
-the one record of finished work, so re-running *is* resuming).
+``runner=make_runner(jobs=N, cache_dir=...)`` to fan runs out over
+worker processes and memoize completed runs on disk (re-running a
+sweep then only executes jobs whose inputs changed or that never
+finished — the result store is the one record of finished work, so
+re-running *is* resuming).
 """
 
 from __future__ import annotations
@@ -117,27 +118,23 @@ def run_stationary_sweep(schemes: tuple[str, ...] = ("pbe", "bbr"),
                          n_busy: int = 25, n_idle: int = 15,
                          duration_s: float = 8.0,
                          base_seed: int = 100,
-                         jobs: int = 1, cache_dir=None,
-                         runner=None, progress=None) -> SweepResult:
+                         runner=None) -> SweepResult:
     """Run ``schemes`` over a busy/idle location grid.
 
     ``n_busy=25, n_idle=15`` reproduces the paper's full 40-location
     grid; smaller values subsample it proportionally (benchmarks use a
     reduced grid by default to keep runtimes sane).
 
-    ``jobs``/``cache_dir`` configure parallelism and result caching
-    (see :func:`repro.exec.make_runner`); pass a ``runner`` instead to
-    set its supervision (deadline, retries, ``strict``, failure
-    budget), to reuse a store across sweeps or to inspect its
-    telemetry.  Failed jobs land in ``.failures`` as
+    ``runner`` (default: ``make_runner()``, inline and uncached) sets
+    parallelism, result caching and supervision (deadline, retries,
+    ``strict``, failure budget), and keeps the telemetry; see
+    :func:`repro.exec.make_runner`.  Failed jobs land in ``.failures`` as
     :class:`repro.exec.JobFailure` records; with a cache an
     interrupted run, re-run, recomputes only what never finished.
     """
     job_list = sweep_jobs(schemes, n_busy=n_busy, n_idle=n_idle,
                           duration_s=duration_s, base_seed=base_seed)
-    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
-                                   progress=progress)
-    payloads = runner.run(job_list)
+    payloads = (runner or make_runner()).run(job_list)
     result = SweepResult()
     for job, payload in zip(job_list, payloads):
         if is_failure(payload):

@@ -64,23 +64,20 @@ def shard_jobs(mset: MetroSet,
     return jobs
 
 
-def run_metro(name_or_set: "str | MetroSet", jobs: int = 1,
-              cache_dir=None, runner=None,
-              progress=None) -> MetroRunResult:
+def run_metro(name_or_set: "str | MetroSet",
+              runner=None) -> MetroRunResult:
     """Run one metro set end to end and build its matrix.
 
-    Execution arguments mirror :func:`repro.harness.experiments.
-    run_stationary_sweep` (pass a ``runner`` to set its supervision);
-    with a cache every finished shard is stored, so an interrupted
-    run, re-run, recomputes only the rest and builds an identical
-    matrix.
+    ``runner`` (default: ``make_runner()``) sets parallelism, caching
+    and supervision, as for :func:`repro.harness.experiments.
+    run_stationary_sweep`; with a cache every finished shard is
+    stored, so an interrupted run, re-run, recomputes only the rest
+    and builds an identical matrix.
     """
     mset = resolve_set(name_or_set)
     grid = build_grid(mset.grid)
     job_list = shard_jobs(mset, grid=grid)
-    runner = runner or make_runner(jobs=jobs, cache_dir=cache_dir,
-                                   progress=progress)
-    payloads = runner.run(job_list)
+    payloads = (runner or make_runner()).run(job_list)
 
     good, failures, missing = [], [], []
     for job, payload in zip(job_list, payloads):

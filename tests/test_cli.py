@@ -1,9 +1,60 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, SWEEP_VIEWS, build_parser, main
 from repro.harness.runner import SCHEMES
+
+_SUPERVISION = ["--jobs", "--cache-dir", "--timeout", "--retries",
+                "--strict", "--failure-budget", "--checkpoint-dir",
+                "--checkpoint-every"]
+_FLEET = ["--fleet-dir", "--fleet-workers", "--fleet-ttl", "--chaos"]
+
+#: Every subcommand's arguments, in declaration order (positionals by
+#: dest, subcommand choosers left out).  Adding one is meant to show
+#: up here as a diff.
+CLI_INVENTORY = {
+    "run": ["--scheme", "--sinr", "--carriers", "--busy",
+            "--internet-mbps", "--duration", "--seed"],
+    "experiment": ["name", "--duration", "--jobs", "--cache-dir"],
+    "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
+              "--view", "--save", *_SUPERVISION, *_FLEET],
+    "resilience": ["--schemes", "--miss", "--outage-ms", "--duration",
+                   "--seed", "--fault-seed", "--smoke", *_SUPERVISION],
+    "metro": ["--set", "--smoke", "--seed", "--cells", "--hours",
+              "--hour-s", "--shard-cells", "--walkers", "--out",
+              *_SUPERVISION, *_FLEET],
+    "fleet": [],
+    "fleet worker": ["--dir", "--id", "--ttl", "--poll", "--max-jobs"],
+    "fleet status": ["--dir"],
+    "cache": ["action", "--cache-dir", "--tmp-grace"],
+    "list": [],
+}
+
+
+def _inventory(parser, path=()):
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_inventory(sub, path + (name,)))
+        elif path:
+            out.setdefault(" ".join(path), []).append(
+                action.option_strings[0] if action.option_strings
+                else action.dest)
+    if path:
+        out.setdefault(" ".join(path), [])
+    return out
+
+
+def test_cli_inventory_is_pinned():
+    inventory = _inventory(build_parser())
+    assert inventory == CLI_INVENTORY
+    assert sum(len(flags) for flags in inventory.values()) == 75
 
 
 def test_parser_requires_command():
@@ -33,11 +84,30 @@ def test_run_rejects_unknown_scheme():
         main(["run", "--scheme", "warp-drive"])
 
 
-def test_compare_command(capsys):
-    assert main(["compare", "--schemes", "bbr,cubic", "--duration",
+def test_run_rejects_unknown_scheme_in_a_list(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--scheme", "bbr,warp-drive"])
+    assert exit_.value.code == 2
+    assert "'warp-drive'" in capsys.readouterr().err
+
+
+def test_run_command_compares_schemes(capsys):
+    assert main(["run", "--scheme", "bbr,cubic", "--duration",
                  "1", "--carriers", "1", "--sinr", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "bbr" in out and "cubic" in out
+    captured = capsys.readouterr()
+    rows = [line.split()[0] for line in captured.out.splitlines()[2:]]
+    assert sorted(rows) == ["bbr", "cubic"]
+    assert captured.err.splitlines() == ["running bbr...",
+                                         "running cubic..."]
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["experiment", "table1"],
+                                  ["experiment", "fig12"],
+                                  ["experiment", "fig15"]])
+def test_removed_commands_exit_2(argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
 
 
 def test_experiment_command_cheap(capsys):
@@ -74,6 +144,35 @@ def test_sweep_command_table1_view(capsys):
                  "1", "--idle", "1", "--duration", "1", "--view",
                  "table1"]) == 0
     assert "Table 1" in capsys.readouterr().out
+
+
+def test_sweep_view_defaults_its_schemes(capsys):
+    assert main(["sweep", "--view", "fig15", "--busy", "1", "--idle",
+                 "0", "--duration", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 15" in out
+    rows = [line.split()[0] for line in out.splitlines()[3:]]
+    assert tuple(rows) == SWEEP_VIEWS["fig15"]
+
+
+@pytest.mark.parametrize("document,named", [
+    ('{"kill_prob": 2.0}', "kill_prob"),
+    ('{"seed": 1, "stall_s": NaN}', "stall_s"),
+    ('{"kill": 1}', "kill"),
+    ("junk", "Expecting value"),
+])
+@pytest.mark.parametrize("command", ["sweep", "metro"])
+def test_malformed_chaos_file_exits_2_naming_the_field(
+        capsys, tmp_path, command, document, named):
+    path = tmp_path / "chaos.json"
+    path.write_text(document)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--fleet-dir", str(tmp_path / "fleet"),
+              "--chaos", str(path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--chaos" in err and named in err
+    assert not (tmp_path / "fleet").exists()
 
 
 def test_sweep_isolates_bad_scheme(capsys):

@@ -20,7 +20,6 @@ from repro.exec import (
     execute_job,
     job_from_wire,
     job_to_wire,
-    register_job_kind,
     wire_kind_of,
 )
 from repro.harness import Scenario
@@ -115,25 +114,6 @@ def test_unregistered_job_type_is_rejected():
 def test_unknown_wire_kind_is_rejected():
     with pytest.raises(ValueError, match="unknown wire job kind"):
         job_from_wire({"kind": "nope", "spec": {}})
-
-
-def test_register_job_kind_extends_the_wire():
-    class EchoJob:
-        def __init__(self, value):
-            self.value = value
-
-        label = "echo"
-
-        def to_dict(self):
-            return {"kind": "echo-test", "value": self.value}
-
-        def fingerprint(self):
-            return "ab" * 16
-
-    register_job_kind("echo-test",
-                      lambda spec: EchoJob(spec["value"]))
-    wire = json_round_trip(job_to_wire(EchoJob(9)))
-    assert job_from_wire(wire).value == 9
 
 
 # ---------------------------------------------------------------------

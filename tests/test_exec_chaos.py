@@ -9,10 +9,14 @@ one fault at probability 1 against real ``repro fleet worker``
 subprocesses and asserts exactly that.
 """
 
+import dataclasses
 import json
+import math
+import numbers
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
     ChaosSpec,
@@ -71,6 +75,70 @@ def test_spec_save_load_round_trip(tmp_path):
     spec.save(tmp_path / "chaos.json")
     assert ChaosSpec.load(tmp_path / "chaos.json") == spec
     assert ChaosSpec.load(tmp_path / "missing.json") is None
+
+
+@pytest.mark.parametrize("field,value", [
+    ("stall_s", float("nan")),          # all six were accepted
+    ("stall_s", float("inf")),
+    ("claim_delay_s", float("nan")),
+    ("kill_prob", True),
+    ("seed", 1.5),
+    ("seed", "x"),
+    ("corrupt_prob", "0.5"),
+    ("claim_delay_s", -1.0),
+])
+def test_spec_rejects_a_bad_value_naming_its_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ChaosSpec(**{field: value})
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"kill_prob": 2.0}', "kill_prob"),   # each loaded as None: a
+    ('{"kill_prb": 1}', "kill_prb"),       # worker ran fault-free
+    ("\x00\xff junk", "chaos spec .*chaos.json"),
+    ("[1, 2]", "JSON object"),
+])
+def test_load_raises_on_a_present_but_bad_file(tmp_path, text, named):
+    path = tmp_path / "chaos.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError, match=named):
+        ChaosSpec.load(path)
+
+
+_CHAOS_FIELDS = [f.name for f in dataclasses.fields(ChaosSpec)]
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**6), st.floats(),
+    st.floats(0, 1), st.floats(0, 100), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2))
+
+
+def _field_is_valid(name, value) -> bool:
+    """The spec's contract, restated: what each field accepts."""
+    if name == "seed":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if (name not in _CHAOS_FIELDS or isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        return False
+    return name.endswith("_s") or value <= 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.sampled_from(_CHAOS_FIELDS + ["bogus"]),
+                       _ANY_VALUE, max_size=6))
+def test_spec_loader_fuzz_round_trips_or_names_the_field(data):
+    """Hostile JSON: either a spec that survives ``to_dict`` → JSON →
+    ``from_dict`` unchanged, or a ``ValueError`` naming a bad field."""
+    bad = [name for name, value in data.items()
+           if not _field_is_valid(name, value)]
+    try:
+        spec = ChaosSpec.from_dict(data)
+    except ValueError as error:
+        assert [name for name in bad if name in str(error)], error
+        return
+    assert not bad
+    assert ChaosSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+        == spec
 
 
 def test_inactive_spec_reports_inactive():

@@ -68,8 +68,10 @@ def test_worker_process_payload_is_byte_identical_to_inline():
 
 
 def test_parallel_sweep_equals_serial_sweep():
-    serial = run_stationary_sweep(jobs=1, **SWEEP_KW)
-    parallel = run_stationary_sweep(jobs=4, **SWEEP_KW)
+    serial = run_stationary_sweep(runner=make_runner(jobs=1),
+                                  **SWEEP_KW)
+    parallel = run_stationary_sweep(runner=make_runner(jobs=4),
+                                    **SWEEP_KW)
     assert serial == parallel
     assert [e.scheme for e in serial.entries] == \
         [e.scheme for e in parallel.entries]
@@ -93,7 +95,8 @@ def test_warm_cache_executes_zero_jobs(tmp_path):
 
 
 def test_warm_cache_is_shared_by_parallel_runs(tmp_path):
-    first = run_stationary_sweep(jobs=4, cache_dir=tmp_path, **SWEEP_KW)
+    first = run_stationary_sweep(
+        runner=make_runner(jobs=4, cache_dir=tmp_path), **SWEEP_KW)
     warm = ParallelRunner(jobs=4, store=ResultStore(tmp_path))
     second = run_stationary_sweep(runner=warm, **SWEEP_KW)
     assert warm.stats.executed == 0

@@ -8,6 +8,8 @@ is already visible at small scale.  The benchmarks run the real
 
 import pytest
 
+from repro.exec import make_runner
+from repro.harness.experiments.ablation import VARIANTS
 from repro.harness.experiments import (
     fig12_from_sweep,
     fig15_from_sweep,
@@ -179,3 +181,17 @@ def test_ablation_structure():
     assert {r.variant for r in result.rows} == {"paper",
                                                 "no_linear_ramp"}
     assert result.row("paper").summary.average_throughput_bps > 0
+
+
+def test_drivers_name_a_failed_job(monkeypatch):
+    # Both read payloads by position: any runner's failure record must
+    # surface as an error naming the job, not a TypeError on indexing.
+    with pytest.raises(RuntimeError, match="warp-drive"):
+        run_fig13_14(schemes=("warp-drive",),
+                     location_keys=("fig13d_3cc_indoor_idle",),
+                     duration_s=0.5, runner=make_runner())
+    monkeypatch.setitem(VARIANTS, "warped",
+                        {"cc_kwargs": {"warp_factor": 9}})
+    with pytest.raises(RuntimeError, match="ablation-warped.*warp_factor"):
+        run_ablation(variants=("warped",), duration_s=0.5,
+                     runner=make_runner())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.exec import make_runner
 from repro.harness import run_flow
 from repro.harness.experiments.resilience import (
     fault_dict,
@@ -56,9 +57,10 @@ def test_fingerprints_stable_under_json_roundtrip():
 
 
 def test_run_resilience_small_grid(tmp_path):
+    cache = tmp_path / "cache"
     result = run_resilience(schemes=("pbe",), miss_rates=(0.0,),
                             outages_ms=(0, 200), duration_s=0.5,
-                            cache_dir=tmp_path / "cache")
+                            runner=make_runner(cache_dir=cache))
     assert len(result.entries) == 2
     clean = result.clean_for("pbe")
     assert clean is not None and clean.is_clean
@@ -71,7 +73,7 @@ def test_run_resilience_small_grid(tmp_path):
     # Rerun hits the cache and reproduces the identical entries.
     again = run_resilience(schemes=("pbe",), miss_rates=(0.0,),
                            outages_ms=(0, 200), duration_s=0.5,
-                           cache_dir=tmp_path / "cache")
+                           runner=make_runner(cache_dir=cache))
     assert [e.summary.average_throughput_bps for e in again.entries] \
         == [e.summary.average_throughput_bps for e in result.entries]
 
