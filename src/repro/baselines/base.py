@@ -13,7 +13,6 @@ feedback to each ACK.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,9 +144,12 @@ class Sender(Receiver):
         self.app_rate_bps = app_rate_bps
 
         self.next_seq = 0
+        #: ``mss_bits * len(_outstanding)``, cached: read per packet.
         self.inflight_bits = 0
-        self._outstanding: dict[int, tuple[int, int]] = {}  # seq: (bits, t)
-        self._send_order: deque[int] = deque()
+        #: Seqs sent and neither acked nor declared lost.
+        self._outstanding: set[int] = set()
+        #: No outstanding seq is below it; the loss scan starts here.
+        self._scan_from = 0
         self.highest_acked = -1
 
         self.delivered_bits = 0
@@ -155,8 +157,6 @@ class Sender(Receiver):
         self.srtt_us = 0
         self.min_rtt_us: Optional[int] = None
 
-        self.sent_packets = 0
-        self.acked_packets = 0
         self.lost_packets = 0
         self.timeouts = 0
 
@@ -185,6 +185,11 @@ class Sender(Receiver):
         self._held_until = -1
 
     _after_restore = _forget_answers
+
+    #: Read-only: ``next_seq`` counts the packets sent, and
+    #: ``delivered_bits`` grows by ``mss_bits`` per packet acked.
+    sent_packets = property(lambda self: self.next_seq)
+    acked_packets = property(lambda self: self.delivered_bits // self.mss_bits)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -240,7 +245,7 @@ class Sender(Receiver):
             return
         sim, cc, mss = self.sim, self.cc, self.mss_bits
         flow_id, egress = self.flow_id, self.egress
-        outstanding, send_order = self._outstanding, self._send_order
+        outstanding = self._outstanding
         delivered_bits = self.delivered_bits
         delivered_time_us = self.delivered_time_us
         now = sim.now
@@ -262,14 +267,12 @@ class Sender(Receiver):
             gap_us = max(1, round(mss * US_PER_S / pace_rate))
             while cwnd is None or not self.inflight_bits + mss > cwnd:
                 seq = self.next_seq
-                packet = Packet(flow_id, seq, mss, False, now, -1, None,
+                packet = Packet(flow_id, seq, mss, False, now, None,
                                 delivered_bits, delivered_time_us or now,
                                 app_limited)
                 self.next_seq = seq + 1
-                outstanding[seq] = (mss, now)
-                send_order.append(seq)
+                outstanding.add(seq)
                 self.inflight_bits += mss
-                self.sent_packets += 1
                 cc.on_send(packet)
                 self._rto_deadline_us = now + rto_us
                 if self._rto_event is None:
@@ -324,14 +327,13 @@ class Sender(Receiver):
         flow_id = self.flow_id
         now = self.sim.now
         outstanding = self._outstanding
-        send_order = self._send_order
+        mss = self.mss_bits
 
         # Hoisted sender state (written back before any CC callback).
         srtt = self.srtt_us
         min_rtt = self.min_rtt_us
         delivered = self.delivered_bits
         highest = self.highest_acked
-        acked_count = 0
         pending: list[AckContext] = []
 
         def flush_pending() -> None:
@@ -350,13 +352,11 @@ class Sender(Receiver):
         for ack in packets:
             if not ack.is_ack or ack.flow_id != flow_id:
                 continue
-            acked = ack.acked_seq
-            entry = outstanding.pop(acked, None)
-            if entry is None:
+            acked = ack.seq
+            if acked not in outstanding:
                 continue  # spurious/duplicate ACK
-            bits, _sent = entry
-            self.inflight_bits -= bits
-            acked_count += 1
+            outstanding.remove(acked)
+            self.inflight_bits -= mss
             if acked > highest:
                 highest = acked
 
@@ -367,7 +367,7 @@ class Sender(Receiver):
                 if min_rtt is None or rtt < min_rtt:
                     min_rtt = rtt
 
-            delivered += bits
+            delivered += mss
             interval = now - ack.delivered_time_at_send
             if interval > 0:
                 rate = ((delivered - ack.delivered_at_send)
@@ -375,12 +375,11 @@ class Sender(Receiver):
             else:
                 rate = 0.0
 
-            # Everything outstanding was sent at or after the head of
-            # the send order: unless that has fallen DUPACK_THRESHOLD
-            # behind, the scan could only retire acked heads, which
-            # the scan that does find a loss retires just the same.
-            if (send_order
-                    and highest - send_order[0] >= DUPACK_THRESHOLD):
+            # Everything outstanding is at or above the scan cursor:
+            # unless that has fallen DUPACK_THRESHOLD behind, the scan
+            # could only step past acked seqs, which the scan that does
+            # find a loss steps past just the same.
+            if highest - self._scan_from >= DUPACK_THRESHOLD:
                 lost_bits = self._scan_losses(highest)
                 if lost_bits:
                     # cc.on_loss must see every prior ACK first, exactly
@@ -388,7 +387,7 @@ class Sender(Receiver):
                     flush_pending()
                     self.cc.on_loss(now, lost_bits, self.inflight_bits)
             pending.append(AckContext(
-                ack, now, rtt, rate, bits, self.inflight_bits,
+                ack, now, rtt, rate, mss, self.inflight_bits,
                 ack.app_limited, srtt))
             if (self._rto_event is None and self._running
                     and outstanding):
@@ -399,34 +398,30 @@ class Sender(Receiver):
                 self._rto_deadline_us = now + delay
                 self._rto_event = self.sim.schedule(delay, self._on_rto)
 
-        if not acked_count and not pending:
+        if not pending:
             return
         flush_pending()
         self._forget_answers()
-        self.acked_packets += acked_count
         self._arm_rto()
         if self._running and not self._pacing_active:
             self._schedule_pacing(0)
 
     def _scan_losses(self, highest_acked: int) -> int:
-        """Pop head-of-line packets now considered lost; return bits."""
-        lost_bits = 0
+        """Declare head-of-line packets lost; move the cursor past them
+        and the acked seqs among them; return the bits lost."""
         outstanding = self._outstanding
-        send_order = self._send_order
-        while send_order:
-            seq = send_order[0]
-            if seq not in outstanding:
-                send_order.popleft()
-                continue
-            if highest_acked - seq >= DUPACK_THRESHOLD:
-                bits, _ = outstanding.pop(seq)
-                send_order.popleft()
-                self.inflight_bits -= bits
-                self.lost_packets += 1
-                lost_bits += bits
-            else:
-                break
-        return lost_bits
+        seq, end, lost = self._scan_from, self.next_seq, 0
+        while seq < end:
+            if seq in outstanding:
+                if highest_acked - seq < DUPACK_THRESHOLD:
+                    break
+                outstanding.remove(seq)
+                lost += 1
+            seq += 1
+        self._scan_from = seq
+        self.lost_packets += lost
+        self.inflight_bits -= lost * self.mss_bits
+        return lost * self.mss_bits
 
     # ------------------------------------------------------------------
     # Timeout handling
@@ -458,7 +453,7 @@ class Sender(Receiver):
         self.timeouts += 1
         self.lost_packets += len(self._outstanding)
         self._outstanding.clear()
-        self._send_order.clear()
+        self._scan_from = self.next_seq
         self.inflight_bits = 0
         self.cc.on_timeout(self.sim.now)
         self._forget_answers()
@@ -498,6 +493,6 @@ class AckingReceiver(Receiver):
             if packet.is_ack or packet.flow_id != flow_id:
                 continue
             record(now, packet.size_bits, now - packet.sent_time_us)
-            ack_append(packet.make_ack(now))
+            ack_append(packet.make_ack())
         if acks:
             self.uplink.receive_block(acks)

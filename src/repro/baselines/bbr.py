@@ -74,7 +74,6 @@ class Bbr(CongestionControl):
 
         self._round_start_delivered = 0
         self._delivered_bits = 0
-        self._round_count = 0
 
         self._full_bw = 0.0
         self._full_bw_rounds = 0
@@ -83,7 +82,6 @@ class Bbr(CongestionControl):
         self._cycle_index = 0
         self._cycle_stamp = 0
         self._probe_rtt_done_at: Optional[int] = None
-        self._probe_rtt_round_done = False
 
     # ------------------------------------------------------------------
     # Filters
@@ -120,7 +118,6 @@ class Bbr(CongestionControl):
                        >= self.bdp_bits())
         if round_ended:
             self._round_start_delivered = self._delivered_bits
-            self._round_count += 1
             self._check_full_pipe()
 
         if self.state == STARTUP and self.filled_pipe:
@@ -192,7 +189,6 @@ class Bbr(CongestionControl):
         # ---- Hoisted state --------------------------------------------
         delivered = self._delivered_bits
         round_start_delivered = self._round_start_delivered
-        round_count = self._round_count
         rtprop_stamp = self._rtprop_stamp
         btlbw_cache = self.btlbw_bps
         bw_run = None          # running max once the filter is touched
@@ -237,7 +233,6 @@ class Bbr(CongestionControl):
 
             if delivered - round_start_delivered >= bdp:
                 round_start_delivered = delivered
-                round_count += 1
                 # _check_full_pipe, inlined on locals.
                 if not filled_pipe and state == STARTUP:
                     if btlbw_cache >= full_bw * 1.25:
@@ -302,7 +297,6 @@ class Bbr(CongestionControl):
             bt_samples.append((now, block_rate_max))
         self._delivered_bits = delivered
         self._round_start_delivered = round_start_delivered
-        self._round_count = round_count
         self._rtprop_stamp = rtprop_stamp
         self.btlbw_bps = btlbw_cache
         self._full_bw = full_bw

@@ -39,7 +39,6 @@ class Copa(CongestionControl):
         self.cwnd = 4.0  # packets
         self.velocity = 1.0
         self._direction = 0  # +1 up, -1 down
-        self._same_direction_rounds = 0
         self._rtt_min = WindowedMin(RTT_MIN_WINDOW_US)
         self._rtt_standing = WindowedMin(50_000)  # retuned to srtt/2
         self._srtt_us = 100_000

@@ -35,7 +35,6 @@ class Cubic(CongestionControl):
         self._k = 0.0
         self._epoch_start: Optional[int] = None
         self._w_est = 0.0                 # TCP-friendly estimate
-        self._acks_in_epoch = 0
         self._srtt_us = 100_000
         self._last_loss_us = -10**9
 
@@ -61,7 +60,6 @@ class Cubic(CongestionControl):
                 self._k = 0.0
                 self._w_max = self.cwnd
             self._w_est = self.cwnd
-            self._acks_in_epoch = 0
         t = (now_us - self._epoch_start) / US_PER_S
         target = CUBIC_C * (t - self._k) ** 3 + self._w_max
         if target > self.cwnd:
@@ -69,7 +67,6 @@ class Cubic(CongestionControl):
         else:
             self.cwnd += 0.01 / self.cwnd  # minimal growth near plateau
         # TCP-friendly region (standard AIMD estimate).
-        self._acks_in_epoch += 1
         rtt_s = self._srtt_us / US_PER_S
         self._w_est = (self._w_max * CUBIC_BETA
                        + 3 * (1 - CUBIC_BETA) / (1 + CUBIC_BETA)

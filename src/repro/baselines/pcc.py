@@ -205,7 +205,6 @@ class PccVivace(_PccBase):
     def __init__(self, initial_rate_bps: float = 2.4e6,
                  mss_bits: int = MSS_BITS, seed: int = 0) -> None:
         super().__init__(initial_rate_bps, mss_bits, seed)
-        self._probe_sign = 1
         self._base_rate = initial_rate_bps
         self._pending: Optional[tuple[float, float]] = None  # (rate, util)
         self._step_mbps = 0.4

@@ -64,7 +64,6 @@ class UserEquipment:
         station lands a subframe's transport blocks through here —
         ``receive_tb``/``abandon_tb`` are the one-entry case).
         """
-        now = self.sim.now
         reorder = self._reorder
         delivered: list[Packet] = []
         for tb, decoded in entries:
@@ -86,8 +85,6 @@ class UserEquipment:
                               if not packet.meta.get(CORRUPT_KEY)]
                     self.lost_packets += len(completes) - len(intact)
                     completes = intact
-                for packet in completes:
-                    packet.recv_time_us = now
                 delivered += completes
         if not delivered:
             return

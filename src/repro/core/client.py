@@ -78,10 +78,8 @@ class PbeClient(AckingReceiver):
         #: sum is exactly the re-summed window).
         self._recent_bits = 0
         self._last_report: Optional[MonitorReport] = None
+        #: ``(instant, state)`` per flip; the state at 0 is WIRELESS.
         self.state_changes: list[tuple[int, str]] = []
-        #: Time spent in each state, µs (for §6.3.1's 18%/4% statistic).
-        self.time_in_state = {WIRELESS: 0, INTERNET: 0}
-        self._state_since = 0
         #: ACKs that carried a stale-flagged report (decode gaps).
         self.stale_reports = 0
 
@@ -217,8 +215,6 @@ class PbeClient(AckingReceiver):
                         and recent_bits * US_PER_S / rtprop_us
                         >= FAIR_SHARE_FRACTION * fair_bps)
             if flip:
-                self.time_in_state[state] += now - self._state_since
-                self._state_since = now
                 state = INTERNET if state == WIRELESS else WIRELESS
                 self.state_changes.append((now, state))
                 over_run = under_run = 0
@@ -230,7 +226,7 @@ class PbeClient(AckingReceiver):
                 feedback = PbeFeedback(target_interval, fair_interval,
                                        state == INTERNET, activated,
                                        is_stale)
-            ack_append(packet.make_ack(now, feedback))
+            ack_append(packet.make_ack(feedback))
 
         if not acks:
             return
@@ -247,9 +243,14 @@ class PbeClient(AckingReceiver):
 
     # ------------------------------------------------------------------
     def state_fractions(self, now_us: int) -> dict[str, float]:
-        """Fraction of connection time spent in each bottleneck state."""
-        totals = dict(self.time_in_state)
-        totals[self.state] += now_us - self._state_since
+        """Fraction of connection time spent in each bottleneck state
+        (for §6.3.1's 18%/4% statistic)."""
+        totals = {WIRELESS: 0, INTERNET: 0}
+        prev_t, prev_state = 0, WIRELESS
+        for t, state in self.state_changes:
+            totals[prev_state] += t - prev_t
+            prev_t, prev_state = t, state
+        totals[prev_state] += now_us - prev_t
         span = sum(totals.values())
         if span == 0:
             return {WIRELESS: 1.0, INTERNET: 0.0}

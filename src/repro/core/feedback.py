@@ -11,8 +11,7 @@ error stays under 1% for rates below 120 Mbit/s (≤6% out to 1.2 Gbit/s).
 
 Decoding is *saturating*: a corrupted interval (e.g. a flipped field on
 a mangled ACK) clamps to the representable range instead of raising, so
-one bad ACK can never kill the sender; clamp events are counted for
-telemetry (:func:`decode_clamp_count`).
+one bad ACK can never kill the sender.
 """
 
 from __future__ import annotations
@@ -22,21 +21,6 @@ from dataclasses import dataclass
 from ..net.units import MSS_BITS, US_PER_S
 
 _UINT32_MAX = 2**32 - 1
-
-#: Count of out-of-range intervals clamped by :func:`decode_rate_bps`
-#: since process start / the last :func:`reset_decode_clamp_count`.
-_clamp_events = 0
-
-
-def decode_clamp_count() -> int:
-    """Out-of-range feedback intervals saturated so far (telemetry)."""
-    return _clamp_events
-
-
-def reset_decode_clamp_count() -> None:
-    """Zero the clamp-event counter (test/experiment isolation)."""
-    global _clamp_events
-    _clamp_events = 0
 
 
 def encode_interval_us(rate_bps: float) -> int:
@@ -56,11 +40,9 @@ def decode_rate_bps(interval_us: int) -> float:
 
     Out-of-range intervals — which a well-behaved client never sends,
     but a corrupted ACK can carry — clamp to the representable range
-    and bump the clamp-event counter instead of raising.
+    instead of raising.
     """
     if not 1 <= interval_us <= _UINT32_MAX:
-        global _clamp_events
-        _clamp_events += 1
         interval_us = min(max(int(interval_us), 1), _UINT32_MAX)
     return MSS_BITS * US_PER_S / interval_us
 

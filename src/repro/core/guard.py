@@ -43,7 +43,6 @@ class FeedbackGuard:
         self._window_max_reported = 0.0
         self._suspicious_run = 0
         self.flagged = False
-        self.windows_evaluated = 0
 
     @property
     def achieved_bps(self) -> float:
@@ -64,7 +63,6 @@ class FeedbackGuard:
         self._window_max_reported = 0.0
 
     def _evaluate(self) -> None:
-        self.windows_evaluated += 1
         achieved = self.achieved_bps
         if achieved <= 0:
             return

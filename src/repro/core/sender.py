@@ -365,7 +365,6 @@ class PbeSender(CongestionControl):
         # The client needs the connection RTT to size its averaging
         # window (§4.2.1) — piggyback it on every data packet.
         packet.meta["srtt_us"] = self._srtt_us
-        packet.meta["phase"] = self.state
 
     # ------------------------------------------------------------------
     # Rate control

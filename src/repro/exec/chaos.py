@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
-from ..faults.spec import _require_int, _require_real
+from ..checks import require_int, require_real
 
 #: Subdirectory of the fleet root holding once-per-fingerprint markers.
 EVENTS_DIR = "chaos-events"
@@ -94,16 +94,16 @@ class ChaosSpec:
         """Validate every field; a bad one raises a ``ValueError`` that
         names it (a NaN, bool or string never reaches a roll or a
         sleep)."""
-        _require_int("seed", self.seed)
+        require_int("seed", self.seed)
         for attr in FAULT_PROBS.values():
             p = getattr(self, attr)
-            _require_real(attr, p)
+            require_real(attr, p)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{attr} must be a probability, "
                                  f"got {p!r}")
         for attr in ("stall_s", "claim_delay_s"):
             duration = getattr(self, attr)
-            _require_real(attr, duration)
+            require_real(attr, duration)
             if duration < 0:
                 raise ValueError(f"fault durations must be >= 0, got "
                                  f"{attr}={duration!r}")

@@ -701,7 +701,6 @@ class FleetBackend(ExecBackend):
             chaos.save(self.root / CHAOS_FILE)
         self.chaos = (chaos if chaos is not None
                       else ChaosSpec.load(self.root / CHAOS_FILE))
-        self._local_n = local_workers
         self._procs = (spawn_local_workers(
             self.root, local_workers, ttl_s=ttl_s)
             if local_workers else [])

@@ -58,13 +58,10 @@ class ImpairedPipe(Receiver):
         self.corrupted += 1
         mangled = Packet(packet.flow_id, packet.seq,
                          size_bits=packet.size_bits, is_ack=packet.is_ack,
-                         sent_time_us=packet.sent_time_us,
-                         acked_seq=packet.acked_seq)
-        mangled.recv_time_us = packet.recv_time_us
+                         sent_time_us=packet.sent_time_us)
         mangled.delivered_at_send = packet.delivered_at_send
         mangled.delivered_time_at_send = packet.delivered_time_at_send
         mangled.app_limited = packet.app_limited
-        mangled.hops = packet.hops
         mangled.meta = dict(packet.meta)
         if self._rng.random() < 0.5:
             mangled.feedback = None  # undecodable option field

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
-import numbers
 import random
 from dataclasses import dataclass
+
+from ..checks import require_int, require_real
 
 
 def derived_rng(seed: int, *scope) -> random.Random:
@@ -34,19 +34,6 @@ def derived_rng(seed: int, *scope) -> random.Random:
 _RATE_FIELDS = ("dci_miss_rate", "dci_false_rate", "outage_enter_rate",
                 "ack_loss_rate", "ack_dup_rate", "ack_reorder_rate",
                 "feedback_corrupt_rate")
-
-
-def _require_int(name: str, value: object) -> None:
-    """An integer, not a bool and not a float (``1.7`` is not truncated)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_real(name: str, value: object) -> None:
-    """A finite real number, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,17 +75,17 @@ class FaultSpec:
         """Validate every field; a bad one raises a ``ValueError`` that
         names it (types first, so a string or NaN never reaches a
         comparison, a ``1 / x`` or the simulator clock)."""
-        _require_int("seed", self.seed)
+        require_int("seed", self.seed)
         for name in _RATE_FIELDS:
             value = getattr(self, name)
-            _require_real(name, value)
+            require_real(name, value)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        _require_real("outage_mean_subframes", self.outage_mean_subframes)
+        require_real("outage_mean_subframes", self.outage_mean_subframes)
         if not self.outage_mean_subframes > 0:
             raise ValueError("outage_mean_subframes must be positive, got "
                              f"{self.outage_mean_subframes!r}")
-        _require_int("ack_reorder_delay_us", self.ack_reorder_delay_us)
+        require_int("ack_reorder_delay_us", self.ack_reorder_delay_us)
         if self.ack_reorder_delay_us < 0:
             raise ValueError("ack_reorder_delay_us must be non-negative, "
                              f"got {self.ack_reorder_delay_us!r}")
@@ -110,8 +97,8 @@ class FaultSpec:
             raise ValueError("outages must be a list of [start, duration] "
                              f"pairs, got {outages!r}")
         for start, duration in outages:
-            _require_int("outages", start)
-            _require_int("outages", duration)
+            require_int("outages", start)
+            require_int("outages", duration)
             if start < 0 or duration < 0:
                 raise ValueError("outages must use non-negative "
                                  "start/duration subframes")

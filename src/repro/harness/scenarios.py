@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..cell.scheduler import POLICIES
+from ..checks import require_int, require_real
 from ..phy.carrier import CarrierConfig
 from ..phy.channel import ChannelModel, StaticChannel
 
@@ -31,6 +33,15 @@ NON_BOTTLENECK_RATE_BPS = 1e9
 #: 40 ms window (Figure 7).
 BUSY_CONTROL_ARRIVALS = 0.40
 IDLE_CONTROL_ARRIVALS = 0.02
+
+#: :class:`Scenario`'s integer fields with the least value each takes,
+#: and its real fields that must be positive.
+_INT_MINIMUMS = (("aggregated_cells", 1), ("background_users", 0),
+                 ("internet_delay_us", 0), ("uplink_delay_us", 0),
+                 ("uplink_batch_us", 1), ("internet_queue_packets", 1),
+                 ("cqi_delay_subframes", 0), ("seed", 0))
+_POSITIVE_REALS = ("background_on_s", "background_off_s",
+                   "internet_rate_bps", "duration_s")
 
 
 def default_carriers() -> list[CarrierConfig]:
@@ -83,10 +94,27 @@ class Scenario:
     control_arrivals_by_cell: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.aggregated_cells <= len(self.carriers):
+        # Wire jobs rebuild scenarios from JSON: a bad field fails here.
+        for name, minimum in _INT_MINIMUMS:
+            value = getattr(self, name)
+            require_int(name, value)
+            if value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, "
+                                 f"got {value!r}")
+        require_real("mean_sinr_db", self.mean_sinr_db)
+        require_real("fading_std_db", self.fading_std_db)
+        if self.fading_std_db < 0:
+            raise ValueError("fading_std_db must be non-negative")
+        for name in _POSITIVE_REALS:
+            value = getattr(self, name)
+            require_real(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.aggregated_cells > len(self.carriers):
             raise ValueError("aggregated_cells out of range")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if self.scheduler_policy not in POLICIES:
+            raise ValueError(f"scheduler_policy must be one of {POLICIES}, "
+                             f"got {self.scheduler_policy!r}")
 
     @property
     def control_arrivals_per_subframe(self) -> "float | dict":

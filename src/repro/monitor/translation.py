@@ -76,8 +76,6 @@ class TranslationTable:
     def __init__(self, overhead: float = PROTOCOL_OVERHEAD) -> None:
         self.overhead = overhead
         self._cache: dict[tuple[int, int], float] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -91,9 +89,7 @@ class TranslationTable:
         key = (cp_q, ber_q)
         cached = self._cache.get(key)
         if cached is not None:
-            self.hits += 1
             return cached
-        self.misses += 1
         ber_rep = 0.0 if ber <= 0 else 10.0 ** (ber_q * _BER_QUANTUM)
         value = transport_from_physical(
             cp_q * _CP_QUANTUM, ber_rep, self.overhead)

@@ -34,38 +34,42 @@ class FlowStats:
         self.size_bits = array("q")
         #: One-way delays, µs (packed int64 column).
         self.delay_us = array("q")
-        self.first_arrival_us: int = -1
-        self.last_arrival_us: int = -1
-        self.total_bits: int = 0
 
     def record(self, arrival_us: int, size_bits: int, delay_us: int) -> None:
         """Log one delivered packet."""
-        if self.first_arrival_us < 0:
-            self.first_arrival_us = arrival_us
-        self.last_arrival_us = arrival_us
         self.arrival_us.append(arrival_us)
         self.size_bits.append(size_bits)
         self.delay_us.append(delay_us)
-        self.total_bits += size_bits
 
     def record_block(self, arrival_us: int, sizes: list[int],
                      delays: list[int]) -> None:
         """Log a burst delivered at one instant (≡ a :meth:`record` loop)."""
-        if not sizes:
-            return
-        if self.first_arrival_us < 0:
-            self.first_arrival_us = arrival_us
-        self.last_arrival_us = arrival_us
         self.arrival_us.extend([arrival_us] * len(sizes))
         self.size_bits.extend(sizes)
         self.delay_us.extend(delays)
-        self.total_bits += sum(sizes)
 
     # ------------------------------------------------------------------
     @property
     def packets(self) -> int:
         """Number of delivered packets."""
         return len(self.arrival_us)
+
+    @property
+    def first_arrival_us(self) -> int:
+        """First arrival instant, µs (-1 before any delivery)."""
+        arrivals = self.arrival_us
+        return arrivals[0] if arrivals else -1
+
+    @property
+    def last_arrival_us(self) -> int:
+        """Last arrival instant, µs (-1 before any delivery)."""
+        arrivals = self.arrival_us
+        return arrivals[-1] if arrivals else -1
+
+    @property
+    def total_bits(self) -> int:
+        """Bits delivered so far."""
+        return sum(self.size_bits)
 
     def average_throughput_bps(self) -> float:
         """Mean goodput across the flow's active span."""

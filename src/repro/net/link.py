@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
+from ..checks import require_int, require_real
 from .packet import Packet
 from .sim import Simulator
 from .units import transmission_time_us
@@ -66,7 +67,6 @@ class DelayPipe(Receiver):
         self.forwarded = 0
 
     def receive(self, packet: Packet) -> None:
-        packet.hops += 1
         self.forwarded += 1
         self.sim.schedule(self.delay_us, self.sink.receive, packet)
 
@@ -122,7 +122,6 @@ class BatchingPipe(Receiver):
 
     def receive(self, packet: Packet) -> None:
         # ``receive_block`` for a burst of one.
-        packet.hops += 1
         held = self._held
         if not held:
             self._open_cycle()
@@ -136,8 +135,6 @@ class BatchingPipe(Receiver):
         held = self._held
         if not held:
             self._open_cycle()
-        for packet in packets:
-            packet.hops += 1
         held += packets
 
     def _flush(self) -> None:
@@ -176,8 +173,13 @@ class Link(Receiver):
     def __init__(self, sim: Simulator, sink: Receiver, rate_bps: float,
                  delay_us: int, queue_packets: int = 1000,
                  name: str = "link") -> None:
+        require_real("rate_bps", rate_bps)
+        require_int("delay_us", delay_us)
+        require_int("queue_packets", queue_packets)
         if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
+            raise ValueError("rate_bps must be positive")
+        if delay_us < 0:
+            raise ValueError("delay_us must be non-negative")
         if queue_packets < 1:
             raise ValueError("queue must hold at least one packet")
         self.sim = sim
@@ -226,7 +228,6 @@ class Link(Receiver):
             if len(starts) >= self.queue_packets:
                 self.dropped += 1
                 return
-        packet.hops += 1
         self._accepted += 1
         start = self._busy_until
         if start > now:
@@ -296,13 +297,17 @@ class Tap(Receiver):
 
 
 class PacketSink(Receiver):
-    """Terminal node that records everything it receives (tests/debug)."""
+    """Terminal node that records everything it receives (tests/debug).
+
+    With a simulator, ``arrival_us[i]`` is the instant ``packets[i]``
+    arrived."""
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim
         self.packets: list[Packet] = []
+        self.arrival_us: list[int] = []
 
     def receive(self, packet: Packet) -> None:
         if self.sim is not None:
-            packet.recv_time_us = self.sim.now
+            self.arrival_us.append(self.sim.now)
         self.packets.append(packet)

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..checks import require_real
 from ..net.units import SUBFRAME_US
 
 #: Thermal noise floor plus typical interference margin for a 20 MHz
@@ -73,8 +74,10 @@ class StaticChannel(ChannelModel):
 
     def __init__(self, mean_sinr_db: float, fading_std_db: float = 0.0,
                  seed: int = 0) -> None:
+        require_real("mean_sinr_db", mean_sinr_db)
+        require_real("fading_std_db", fading_std_db)
         if fading_std_db < 0:
-            raise ValueError("fading std must be non-negative")
+            raise ValueError("fading_std_db must be non-negative")
         self.mean_sinr_db = mean_sinr_db
         self.fading_std_db = fading_std_db
         self._rng = np.random.default_rng(seed)
@@ -104,6 +107,10 @@ class GaussMarkovChannel(ChannelModel):
     def __init__(self, mean_sinr_db: float, std_db: float = 3.0,
                  memory: float = 0.95, coherence_us: int = 10_000,
                  seed: int = 0) -> None:
+        require_real("mean_sinr_db", mean_sinr_db)
+        require_real("std_db", std_db)
+        if std_db < 0:
+            raise ValueError("std_db must be non-negative")
         if not 0.0 <= memory < 1.0:
             raise ValueError("memory must be in [0, 1)")
         if coherence_us <= 0:
@@ -169,6 +176,11 @@ class TraceChannel(ChannelModel):
         times = [t for t, _ in waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
+        for _, rssi_dbm in waypoints:
+            require_real("waypoint rssi_dbm", rssi_dbm)
+        require_real("fading_std_db", fading_std_db)
+        if fading_std_db < 0:
+            raise ValueError("fading_std_db must be non-negative")
         self._times = np.asarray(times, dtype=np.int64)
         self._rssi = np.asarray([r for _, r in waypoints], dtype=np.float64)
         self.fading_std_db = fading_std_db

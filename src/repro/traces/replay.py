@@ -17,6 +17,7 @@ toolchain).  This module closes the loop for the simulator:
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -27,6 +28,11 @@ from ..net.sim import Simulator
 from ..net.units import MSS_BITS, SUBFRAME_US
 from ..phy.dci import SubframeRecord
 
+#: Latest Mahimahi timestamp a trace file may hold, ms: one hour.  The
+#: trace is a dense per-millisecond list, so without a bound one line
+#: ("10000000000") would ask for ten billion entries.
+MAX_TRACE_MS = 3_600_000
+
 
 class CapacityTrace:
     """A periodic per-millisecond capacity series (bits per ms)."""
@@ -34,8 +40,11 @@ class CapacityTrace:
     def __init__(self, bits_per_ms: Sequence[int]) -> None:
         if not bits_per_ms:
             raise ValueError("trace must be non-empty")
-        if any(b < 0 for b in bits_per_ms):
-            raise ValueError("capacities must be non-negative")
+        for ms, bits in enumerate(bits_per_ms):
+            if (isinstance(bits, bool)
+                    or not isinstance(bits, numbers.Integral) or bits < 0):
+                raise ValueError(f"bits_per_ms[{ms}] must be a non-negative "
+                                 f"integer, got {bits!r}")
         self.bits_per_ms = list(bits_per_ms)
 
     def __len__(self) -> int:
@@ -96,13 +105,26 @@ class CapacityTrace:
     @classmethod
     def from_mahimahi_lines(cls, lines: Iterable[str]) -> \
             "CapacityTrace":
-        """Parse the Mahimahi format back into a bits/ms series."""
-        timestamps = [int(line) for line in lines
-                      if line.strip() and not line.startswith("#")]
+        """Parse the Mahimahi format back into a bits/ms series.
+
+        A line that is not a timestamp in ``1..MAX_TRACE_MS`` raises a
+        :class:`ValueError` naming its 1-based line number."""
+        timestamps = []
+        for number, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                t = int(text)
+            except ValueError:
+                raise ValueError(f"line {number}: not an integer "
+                                 f"timestamp: {text!r}") from None
+            if not 1 <= t <= MAX_TRACE_MS:
+                raise ValueError(f"line {number}: timestamp {t} ms is "
+                                 f"outside 1..{MAX_TRACE_MS}")
+            timestamps.append(t)
         if not timestamps:
             raise ValueError("empty trace")
-        if any(t <= 0 for t in timestamps):
-            raise ValueError("timestamps must be positive")
         duration_ms = max(timestamps)
         bits = [0] * duration_ms
         for t in timestamps:
@@ -144,7 +166,6 @@ class TraceLink(Receiver):
         self.name = name
         self._queue: deque[list] = deque()  # [packet, remaining_bits]
         self._subframe = 0
-        self._carry = 0
         self.forwarded = 0
         self.dropped = 0
         self._started = False
@@ -161,11 +182,10 @@ class TraceLink(Receiver):
         if len(self._queue) >= self.queue_packets:
             self.dropped += 1
             return
-        packet.hops += 1
         self._queue.append([packet, packet.size_bits])
 
     def _tick(self) -> None:
-        budget = self.trace.budget(self._subframe) + self._carry
+        budget = self.trace.budget(self._subframe)
         self._subframe += 1
         while self._queue and budget > 0:
             entry = self._queue[0]
@@ -180,5 +200,4 @@ class TraceLink(Receiver):
                                   packet)
         # Unused budget is lost (a radio cannot bank airtime), but a
         # partially-served head packet keeps its progress.
-        self._carry = 0
         self.sim.schedule(SUBFRAME_US, self._tick)

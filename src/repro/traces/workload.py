@@ -24,12 +24,12 @@ class CbrDemand(DemandSource):
         if rate_bps < 0:
             raise ValueError("rate must be non-negative")
         self.rate_bps = rate_bps
-        self._carry = 0.0
+        self._frac_bits = 0.0
 
     def bits(self, subframe: int) -> int:
-        self._carry += self.rate_bps / 1_000.0  # bits per 1 ms subframe
-        whole = int(self._carry)
-        self._carry -= whole
+        self._frac_bits += self.rate_bps / 1_000.0  # bits per 1 ms subframe
+        whole = int(self._frac_bits)
+        self._frac_bits -= whole
         return whole
 
 
@@ -49,7 +49,7 @@ class ScheduledDemand(DemandSource):
             raise ValueError("schedule times must be strictly increasing")
         self._starts_subframes = [int(s * 1_000) for s in starts]
         self._rates = [r for _, r in schedule]
-        self._carry = 0.0
+        self._frac_bits = 0.0
 
     @classmethod
     def on_off(cls, period_s: float, on_s: float, rate_bps: float,
@@ -75,9 +75,9 @@ class ScheduledDemand(DemandSource):
         return rate
 
     def bits(self, subframe: int) -> int:
-        self._carry += self.rate_at(subframe) / 1_000.0
-        whole = int(self._carry)
-        self._carry -= whole
+        self._frac_bits += self.rate_at(subframe) / 1_000.0
+        whole = int(self._frac_bits)
+        self._frac_bits -= whole
         return whole
 
 
@@ -104,7 +104,7 @@ class OnOffRandomDemand(DemandSource):
                                          / (mean_on_s + mean_off_s))
         self._phase_left_subframes = self._draw_duration()
         self._rate_bps = self._draw_rate() if self._on else 0.0
-        self._carry = 0.0
+        self._frac_bits = 0.0
 
     def _draw_duration(self) -> int:
         mean = self.mean_on_s if self._on else self.mean_off_s
@@ -120,7 +120,7 @@ class OnOffRandomDemand(DemandSource):
             self._phase_left_subframes = self._draw_duration()
             self._rate_bps = self._draw_rate() if self._on else 0.0
         self._phase_left_subframes -= 1
-        self._carry += self._rate_bps / 1_000.0
-        whole = int(self._carry)
-        self._carry -= whole
+        self._frac_bits += self._rate_bps / 1_000.0
+        whole = int(self._frac_bits)
+        self._frac_bits -= whole
         return whole

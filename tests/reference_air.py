@@ -37,13 +37,11 @@ class ReferenceUserEquipment(UserEquipment):
             self._release(released)
 
     def _release(self, tb) -> None:
-        now = self.sim.now
         delivered: list[Packet] = []
         for packet in tb.completes:
             if packet.meta.get(CORRUPT_KEY):
                 self.lost_packets += 1
                 continue
-            packet.recv_time_us = now
             delivered.append(packet)
         self.delivered_packets += len(delivered)
         if delivered and self.on_packet_block is not None:

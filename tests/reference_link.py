@@ -75,7 +75,6 @@ class Link(Receiver):
         if len(self._queue) >= self.queue_packets:
             self.dropped += 1
             return
-        packet.hops += 1
         self._queue.append(packet)
         if not self._transmitting:
             self._start_next()

@@ -1,7 +1,8 @@
 """The per-packet transport endpoints, kept verbatim as oracles.
 
-These are ``Sender.receive`` / ``_detect_losses``,
-``AckingReceiver.receive`` / ``feedback_for`` and ``PbeClient``'s
+These are ``Sender.receive`` / ``_detect_losses`` / ``_scan_losses`` /
+``_on_rto`` with the ``{seq: (bits, t)}`` map and send-order deque the
+sender kept then, ``AckingReceiver.receive`` / ``feedback_for`` and ``PbeClient``'s
 ``feedback_for`` with its helpers as they stood before every endpoint
 took a burst: one ACK folded at a time, one feedback computed per
 packet, one ``uplink.receive`` per ACK.  Each class's burst entry points
@@ -19,9 +20,11 @@ body does not), and ``test_transport_batch``, ``test_cc_block``,
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Optional
 
-from repro.baselines.base import AckContext, AckingReceiver, Sender
+from repro.baselines.base import (DUPACK_THRESHOLD, AckContext,
+                                  AckingReceiver, Sender)
 from repro.core.client import (FAIR_SHARE_FRACTION, INTERNET,
                                SWITCH_SUBFRAMES, WIRELESS, PbeClient)
 from repro.core.feedback import PbeFeedback
@@ -31,21 +34,37 @@ from repro.net.units import MSS_BITS, US_PER_MS, US_PER_S
 
 
 class ReferenceAckSender(Sender):
-    """A :class:`Sender` that folds every ACK on its own."""
+    """A :class:`Sender` that folds every ACK on its own.
+
+    It keeps the per-packet bookkeeping the engine's sender dropped —
+    ``_outstanding`` as ``{seq: (bits, sent_us)}``, the ``_send_order``
+    deque and its own ``sent_packets``/``acked_packets`` counters — and
+    its own loss scan and timeout, so a differential against it checks
+    the engine's set, scan cursor and derived counters instead of
+    running the engine's code twice.  Its packets are sent by
+    ``tests/reference_pacer.py``'s ``_transmit``."""
 
     receive_batch = Receiver.receive_batch
+    # Plain class attributes in place of the engine's read-only
+    # properties, so the counters below are instance fields here.
+    sent_packets = acked_packets = 0
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._outstanding: dict[int, tuple[int, int]] = {}  # seq: (bits, t)
+        self._send_order: deque[int] = deque()
 
     def receive(self, packet: Packet) -> None:
         if not packet.is_ack or packet.flow_id != self.flow_id:
             return
         now = self.sim.now
-        entry = self._outstanding.pop(packet.acked_seq, None)
+        entry = self._outstanding.pop(packet.seq, None)
         if entry is None:
             return  # spurious/duplicate ACK
         bits, _sent = entry
         self.inflight_bits -= bits
         self.acked_packets += 1
-        self.highest_acked = max(self.highest_acked, packet.acked_seq)
+        self.highest_acked = max(self.highest_acked, packet.seq)
 
         rtt = now - packet.sent_time_us
         if rtt > 0:
@@ -82,6 +101,46 @@ class ReferenceAckSender(Sender):
         if lost_bits:
             self.cc.on_loss(self.sim.now, lost_bits, self.inflight_bits)
 
+    def _scan_losses(self, highest_acked: int) -> int:
+        """Pop head-of-line packets now considered lost; return bits."""
+        lost_bits = 0
+        outstanding = self._outstanding
+        send_order = self._send_order
+        while send_order:
+            seq = send_order[0]
+            if seq not in outstanding:
+                send_order.popleft()
+                continue
+            if highest_acked - seq >= DUPACK_THRESHOLD:
+                bits, _ = outstanding.pop(seq)
+                send_order.popleft()
+                self.inflight_bits -= bits
+                self.lost_packets += 1
+                lost_bits += bits
+            else:
+                break
+        return lost_bits
+
+    def _on_rto(self) -> None:
+        self._rto_event = None
+        if not self._outstanding:
+            return
+        remaining = self._rto_deadline_us - self.sim.now
+        if remaining > 0:
+            # The deadline moved forward since this event was queued
+            # (ACKs arrived); sleep out the remainder.
+            self._rto_event = self.sim.schedule(remaining, self._on_rto)
+            return
+        self.timeouts += 1
+        self.lost_packets += len(self._outstanding)
+        self._outstanding.clear()
+        self._send_order.clear()
+        self.inflight_bits = 0
+        self.cc.on_timeout(self.sim.now)
+        self._forget_answers()
+        if self._running:
+            self._schedule_pacing(0)
+
 
 class _PerPacketReceiver:
     """``receive`` as the ACKing receiver had it; a burst is its loop."""
@@ -98,7 +157,7 @@ class _PerPacketReceiver:
         now = self.sim.now
         delay = now - packet.sent_time_us
         self.stats.record(now, packet.size_bits, delay)
-        ack = packet.make_ack(now, feedback=self.feedback_for(packet))
+        ack = packet.make_ack(feedback=self.feedback_for(packet))
         self.uplink.receive(ack)
 
 
@@ -108,7 +167,23 @@ class ReferenceAckingReceiver(_PerPacketReceiver, AckingReceiver):
 
 class ReferencePbeClient(_PerPacketReceiver, PbeClient):
     """A :class:`PbeClient` that computes every packet's feedback on its
-    own, through the per-packet body the burst body replaced."""
+    own, through the per-packet body the burst body replaced, and
+    accumulates the time spent in each state at every flip (the engine's
+    client folds ``state_changes`` instead)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: Time spent in each state, µs.
+        self.time_in_state = {WIRELESS: 0, INTERNET: 0}
+        self._state_since = 0
+
+    def state_fractions(self, now_us: int) -> dict[str, float]:
+        totals = dict(self.time_in_state)
+        totals[self.state] += now_us - self._state_since
+        span = sum(totals.values())
+        if span == 0:
+            return {WIRELESS: 1.0, INTERNET: 0.0}
+        return {k: v / span for k, v in totals.items()}
 
     def _rtprop_us(self, packet: Packet) -> int:
         srtt = packet.meta.get("srtt_us", 0)

@@ -7,7 +7,7 @@ subframe's blocks in a list and lands them at the top of the next tick,
 one burst per run of consecutive same-UE blocks; the client stamps a
 burst per report instead of per packet.  Both must be unobservable:
 
-* the same ``(recv_time_us, flow, seq)`` stream and the same UE
+* the same ``(arrival instant, flow, seq)`` stream and the same UE
   counters, with any number of UEs and carriers, HARQ failures up to
   abandonment, handovers and departures mid-run, and ``run(until_us)``
   cut anywhere;
@@ -63,8 +63,7 @@ def _drive(network_cls, case):
     def on_block(packets):
         bursts.append(len(packets))
         for packet in packets:
-            stream.append((sim.now, packet.recv_time_us, packet.flow_id,
-                           packet.seq))
+            stream.append((sim.now, packet.flow_id, packet.seq))
 
     def offer(rnti, gap_us, seq=0):
         net.ingress(rnti).receive(
@@ -136,7 +135,6 @@ def test_landed_air_matches_event_per_block_delivery(case):
     landed = _drive(CellularNetwork, case)
     assert landed[0] == reference[0]           # the packet stream
     assert landed[1] == reference[1]           # the UE counters
-    assert all(now == recv for now, recv, _, _ in landed[0])
     # Same packets in fewer, larger bursts — never more.
     assert sum(landed[2]) == sum(reference[2])
     assert len(landed[2]) <= len(reference[2])
@@ -296,11 +294,11 @@ class _Twins:
 
     def check(self):
         block, loop, now = self.block, self.loop, self.sim.now
-        acks = [[(a.acked_seq, a.recv_time_us, a.sent_time_us,
-                  a.feedback) for a in c.uplink.packets]
-                for c in (block, loop)]
+        acks = [[(a.seq, a.sent_time_us, a.feedback)
+                 for a in c.uplink.packets] for c in (block, loop)]
         assert acks[0] == acks[1]              # equal feedback values
-        for name in ("state", "state_changes", "time_in_state",
+        assert block.uplink.arrival_us == loop.uplink.arrival_us
+        for name in ("state", "state_changes",
                      "stale_reports", "dprop_us", "delay_threshold_us",
                      "_over_threshold_run", "_under_threshold_run",
                      "_last_report"):

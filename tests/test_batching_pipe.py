@@ -21,7 +21,7 @@ def test_single_packet_waits_for_grant_boundary():
     sim.schedule(1_200, pipe.receive, _packet(0))
     sim.run()
     # Held until the 5 ms boundary, then 10 ms propagation.
-    assert sink.packets[0].recv_time_us == 5_000 + 10_000
+    assert sink.arrival_us[0] == 5_000 + 10_000
 
 
 def test_packets_in_same_interval_released_together():
@@ -31,7 +31,7 @@ def test_packets_in_same_interval_released_together():
     for t, seq in ((100, 0), (2_000, 1), (4_900, 2)):
         sim.schedule(t, pipe.receive, _packet(seq))
     sim.run()
-    assert [p.recv_time_us for p in sink.packets] == [5_000] * 3
+    assert sink.arrival_us == [5_000] * 3
     assert pipe.batches == 1
 
 
@@ -43,7 +43,7 @@ def test_packet_on_grant_boundary_rides_it():
     pipe = BatchingPipe(sim, sink, delay_us=0, batch_interval_us=5_000)
     sim.schedule(5_000, pipe.receive, _packet(0))
     sim.run()
-    assert [p.recv_time_us for p in sink.packets] == [5_000]
+    assert sink.arrival_us == [5_000]
     assert pipe.batches == 1
 
 
@@ -54,7 +54,7 @@ def test_later_packet_takes_next_batch():
     sim.schedule(100, pipe.receive, _packet(0))
     sim.schedule(6_000, pipe.receive, _packet(1))
     sim.run()
-    assert [p.recv_time_us for p in sink.packets] == [5_000, 10_000]
+    assert sink.arrival_us == [5_000, 10_000]
     assert pipe.batches == 2
 
 
@@ -89,8 +89,8 @@ def test_every_packet_arrives_with_bounded_extra_delay(send_times):
         sim.schedule(t, pipe.receive, packet)
     sim.run()
     assert len(sink.packets) == len(send_times)
-    for packet in sink.packets:
-        extra = packet.recv_time_us - packet.sent_time_us - 7_000
+    for packet, arrival_us in zip(sink.packets, sink.arrival_us):
+        extra = arrival_us - packet.sent_time_us - 7_000
         # Strictly less than one grant period: a boundary arrival
         # rides its own boundary (extra = 0), never the next one.
         assert 0 <= extra < 5_000
@@ -99,7 +99,7 @@ def test_every_packet_arrives_with_bounded_extra_delay(send_times):
 def _ack(seq, flow_id=1):
     data = Packet(flow_id=flow_id, seq=seq, size_bits=12_000,
                   sent_time_us=0)
-    return data.make_ack(now_us=0)
+    return data.make_ack()
 
 
 def test_batched_mode_delivers_one_event_per_flush():
@@ -117,7 +117,7 @@ def test_batched_mode_delivers_one_event_per_flush():
     # ``receive_batch`` is the per-packet loop, so delivery content
     # matches per-ACK events.
     assert [p.seq for p in sink.packets] == [0, 1, 2]
-    assert [p.recv_time_us for p in sink.packets] == [6_000] * 3
+    assert sink.arrival_us == [6_000] * 3
     assert pipe.forwarded == 3 and pipe.batches == 1
     # Three arrivals, one flush, one delivery.
     assert perf.events_scheduled == 3 + 1 + 1

@@ -58,7 +58,7 @@ DURATION_S = 0.6
 # ---------------------------------------------------------------------------
 
 def _ctx_row(ctx):
-    return (ctx.now_us, ctx.ack.acked_seq, ctx.rtt_us,
+    return (ctx.now_us, ctx.ack.seq, ctx.rtt_us,
             ctx.delivery_rate_bps, ctx.newly_acked_bits,
             ctx.inflight_bits, ctx.app_limited, ctx.srtt_us)
 
@@ -210,7 +210,7 @@ class ScriptedPbeClient(AckingReceiver):
                 continue
             self.stats.record(now, packet.size_bits,
                               now - packet.sent_time_us)
-            acks.append(packet.make_ack(now, self._feedback(packet.seq)))
+            acks.append(packet.make_ack(self._feedback(packet.seq)))
         if acks:
             self.uplink.receive_block(acks)
 

@@ -145,7 +145,7 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
         return (queue._head_remaining, [p.seq for p in queue._packets],
                 queue.backlog_bits,
                 [[p.seq for p in tb.touches] for tb, _ in blocks],
-                [p.acked_seq for p in uplink._held])
+                [p.seq for p in uplink._held])
 
     straight = run_fingerprint(*config())
 
@@ -194,14 +194,14 @@ def test_kill_point_with_acks_held_for_their_grant_and_a_burst_in_flight(
         pending = [(time, event) for time, _, event in
                    sorted(experiment.sim._heap) if not event.cancelled]
         bursts = [(time, event.callback.__self__ is handle.uplink,
-                   [ack.acked_seq for ack in event.args[0]])
+                   [ack.seq for ack in event.args[0]])
                   for time, event in pending
                   if event.callback.__name__ == "_deliver"]
-        reordered = [(time, event.args[0].acked_seq)
+        reordered = [(time, event.args[0].seq)
                      for time, event in pending
                      if event.callback.__name__ == "receive"
                      and event.callback.__self__ is handle.uplink]
-        return ([ack.acked_seq for ack in handle.uplink._held], bursts,
+        return ([ack.seq for ack in handle.uplink._held], bursts,
                 reordered)
 
     straight = run_fingerprint(*config())

@@ -32,7 +32,7 @@ def _lossy(spec, cell=0):
 
 
 def _ack(seq, feedback=None):
-    pkt = Packet(1, seq, is_ack=True, acked_seq=seq)
+    pkt = Packet(1, seq, is_ack=True)
     pkt.feedback = feedback
     return pkt
 
@@ -269,7 +269,7 @@ def test_impaired_pipe_reorders_via_delay():
         sim.schedule_at(seq * 100, send, seq)
     sim.run()
     assert len(sink.packets) == 40
-    seqs = [p.acked_seq for _, p in sink.packets]
+    seqs = [p.seq for _, p in sink.packets]
     assert sorted(seqs) == list(range(40))
     assert seqs != list(range(40))  # at least one packet overtaken
     assert pipe.reordered > 0

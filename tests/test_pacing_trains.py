@@ -94,7 +94,7 @@ class ScriptedCc(CongestionControl):
     def on_ack(self, ctx):
         self.held = None
         self.acks_seen += 1
-        self.log.append(("ack", ctx.now_us, ctx.ack.acked_seq, ctx.rtt_us,
+        self.log.append(("ack", ctx.now_us, ctx.ack.seq, ctx.rtt_us,
                          ctx.delivery_rate_bps, ctx.newly_acked_bits,
                          ctx.inflight_bits, ctx.app_limited, ctx.srtt_us))
 
@@ -141,7 +141,7 @@ def _build(sender_cls, script, make_cc=_scripted):
     def ack(flow, lose, count, batched, feedback=None):
         sender, _, _, wire = flows[flow]
         del wire.unacked[:lose]  # never acknowledged: dup-ACK / RTO food
-        acks = [p.make_ack(sim.now, feedback) for p in wire.unacked[:count]]
+        acks = [p.make_ack(feedback) for p in wire.unacked[:count]]
         del wire.unacked[:count]
         if not acks:
             return
@@ -184,7 +184,7 @@ def _observe(sim, flows):
         # would not, with no timer left to read it.
         counters["rto_due"] = (sender._rto_deadline_us
                                if sender._rto_event is not None else None)
-        counters["outstanding"] = dict(sender._outstanding)
+        counters["outstanding"] = set(sender._outstanding)
         pace_due = (sender._pace_event.time
                     if sender._pace_event is not None else None)
         callback_bound = sender._held_until == UNTIL_CALLBACK
@@ -361,7 +361,7 @@ def test_a_blocked_callback_bound_sender_queues_no_wake_up():
     assert sender._pace_event is None and sim.pending_events == 1
     assert cc.queries == [("rate", 0), ("cwnd", 0)]
     # An ACK re-arms at once, with fresh answers (the gain moved).
-    sender.receive_batch([wire.unacked.pop(0).make_ack(sim.now)])
+    sender.receive_batch([wire.unacked.pop(0).make_ack()])
     assert sender._pace_event.time == 10_000
     sim.run(until_us=20_000)
     assert [t for _, t, *_ in wire.sent] == [0, 1_000, 10_000]
@@ -385,7 +385,7 @@ def test_answers_are_carried_across_wake_ups_until_a_callback():
     sim.run(until_us=3_500)
     assert len(wire.sent) == 4 and cc.queries == [("rate", 0), ("cwnd", 0)]
     # Mid-gap: the ACK re-arms nothing; the next wake-up asks afresh.
-    sender.receive_batch([wire.unacked.pop(0).make_ack(sim.now)])
+    sender.receive_batch([wire.unacked.pop(0).make_ack()])
     sim.run(until_us=6_000)
     assert len(wire.sent) == 7
     assert cc.queries[2:] == [("rate", 4_000), ("cwnd", 4_000)]

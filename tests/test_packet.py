@@ -8,9 +8,16 @@ def test_data_packet_defaults():
     p = Packet(flow_id=1, seq=7)
     assert p.size_bits == MSS_BITS
     assert not p.is_ack
-    assert p.acked_seq == -1
-    assert p.recv_time_us == -1
     assert p.meta == {}
+
+
+def test_a_packet_has_ten_slots():
+    """An ACK's ``seq`` is the seq it acks, the receiver's FlowStats
+    logs arrivals: no slot holds either fact a second time."""
+    assert Packet.__slots__ == (
+        "flow_id", "seq", "size_bits", "is_ack", "sent_time_us",
+        "feedback", "delivered_at_send", "delivered_time_at_send",
+        "app_limited", "meta")
 
 
 def test_make_ack_echoes_identity_and_timestamps():
@@ -18,12 +25,11 @@ def test_make_ack_echoes_identity_and_timestamps():
     p.delivered_at_send = 999
     p.delivered_time_at_send = 111
     p.app_limited = True
-    ack = p.make_ack(now_us=200_000, feedback={"x": 1})
+    ack = p.make_ack(feedback={"x": 1})
     assert ack.is_ack
     assert ack.flow_id == 3
-    assert ack.acked_seq == 42
+    assert ack.seq == 42
     assert ack.sent_time_us == 123_456  # echoed for RTT computation
-    assert ack.recv_time_us == 200_000
     assert ack.feedback == {"x": 1}
     assert ack.delivered_at_send == 999
     assert ack.delivered_time_at_send == 111
@@ -38,25 +44,23 @@ def test_make_ack_equals_the_constructor_built_ack_slot_for_slot():
     data = Packet(flow_id=3, seq=42, size_bits=9_000, sent_time_us=123_456,
                   delivered_at_send=999, delivered_time_at_send=111,
                   app_limited=True)
-    data.hops, data.recv_time_us = 4, 150_000
     data.meta["srtt_us"] = 40_000
     feedback = object()
     for kwargs in ({}, {"feedback": feedback},
                    {"feedback": feedback, "size_bits": 512}):
-        ack = data.make_ack(200_000, **kwargs)
+        ack = data.make_ack(**kwargs)
         built = Packet(3, 42, kwargs.get("size_bits", ACK_BITS), is_ack=True,
-                       sent_time_us=123_456, acked_seq=42,
+                       sent_time_us=123_456,
                        feedback=kwargs.get("feedback"),
                        delivered_at_send=999, delivered_time_at_send=111,
                        app_limited=True)
-        built.recv_time_us = 200_000
         for name in Packet.__slots__:
             assert getattr(ack, name) == getattr(built, name), name
         assert ack.meta is not data.meta
 
 
 def test_constructor_takes_the_delivery_bookkeeping():
-    p = Packet(1, 0, MSS_BITS, False, 5, -1, None, 100, 200, True)
+    p = Packet(1, 0, MSS_BITS, False, 5, None, 100, 200, True)
     assert (p.delivered_at_send, p.delivered_time_at_send,
             p.app_limited) == (100, 200, True)
 
@@ -74,4 +78,4 @@ def test_meta_is_per_packet():
 
 def test_repr_mentions_kind():
     assert "DATA" in repr(Packet(1, 0))
-    assert "ACK" in repr(Packet(1, 0).make_ack(0))
+    assert "ACK" in repr(Packet(1, 0).make_ack())

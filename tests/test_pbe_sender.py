@@ -126,13 +126,13 @@ def test_probe_cap_follows_fair_share():
     assert cc._fair_share_cap() == pytest.approx(30e6, rel=0.01)
 
 
-def test_on_send_stamps_srtt_and_phase():
+def test_on_send_stamps_srtt():
     cc = PbeSender()
     _warm(cc)
     packet = Packet(1, 0)
     cc.on_send(packet)
-    assert packet.meta["srtt_us"] > 0
-    assert packet.meta["phase"] == WIRELESS
+    assert packet.meta == {"srtt_us": cc._srtt_us}
+    assert cc._srtt_us > 0
 
 
 def test_timeout_restarts():
@@ -331,15 +331,17 @@ def _silence_run(sender_cls):
         nonlocal acked
         while wire.packets[acked].sent_time_us <= sim.now - 40_000:
             sender.receive(wire.packets[acked].make_ack(
-                sim.now, feedback=_fb()))
+                feedback=_fb()))
             acked += 1
 
     for time_us in range(5_000, 300_001, 5_000):
         sim.schedule_at(time_us, report)
     sender.start()
     sim.run(until_us=450_000)
+    fallback_at = next(t for t, state in cc.state_changes
+                       if state == FALLBACK)
     first_fallback = next(p for p in wire.packets
-                          if p.meta["phase"] == FALLBACK)
+                          if p.sent_time_us >= fallback_at)
     return (cc, wake_ups, len(wire.packets),
             (first_fallback.seq, first_fallback.sent_time_us))
 

@@ -42,7 +42,7 @@ class TracedReno(Reno):
     def on_ack(self, ctx):
         before = self.cwnd
         super().on_ack(ctx)
-        self.trace.append(("ack", ctx.now_us, ctx.ack.acked_seq, before,
+        self.trace.append(("ack", ctx.now_us, ctx.ack.seq, before,
                            self.cwnd, self.ssthresh))
 
     def on_loss(self, now_us, lost_bits, inflight_bits):

@@ -11,6 +11,10 @@ silences long enough for a retransmission timeout, ``stop`` and
 same estimators and counters, the same packets on the wire and the same
 controller callbacks in the same order.  The engine side takes each
 burst whole or, drawn per burst, as bursts of one through ``receive``.
+The oracle keeps its own ``{seq: (bits, sent)}`` map, send-order deque,
+loss scan, timeout and counters, so the engine's set, scan cursor and
+derived ``sent_packets``/``acked_packets`` are checked against code
+they do not share.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class LoggingCc(CongestionControl):
 
     def on_ack(self, ctx):
         self.acks += 1
-        self.log.append(("ack", ctx.now_us, ctx.ack.acked_seq, ctx.rtt_us,
+        self.log.append(("ack", ctx.now_us, ctx.ack.seq, ctx.rtt_us,
                          ctx.delivery_rate_bps, ctx.newly_acked_bits,
                          ctx.inflight_bits, ctx.app_limited, ctx.srtt_us))
 
@@ -88,7 +92,7 @@ class Side:
             "delivered_time_us", "srtt_us", "min_rtt_us", "sent_packets",
             "acked_packets", "lost_packets", "timeouts", "running",
             "_pacing_active")}
-        state["outstanding"] = dict(sender._outstanding)
+        state["outstanding"] = set(sender._outstanding)
         # Read only by a pending timer (see test_pacing_trains).
         state["rto_due"] = (sender._rto_deadline_us
                             if sender._rto_event is not None else None)
@@ -140,12 +144,11 @@ class SenderPair(RuleBasedStateMachine):
             burst, acked = [], set()
             for kind, index in items:
                 if kind == "spurious":
-                    burst.append(Packet(FLOW, 0, is_ack=True,
-                                        acked_seq=side.sender.next_seq + 7,
-                                        sent_time_us=0))
+                    burst.append(Packet(FLOW, side.sender.next_seq + 7,
+                                        is_ack=True, sent_time_us=0))
                 elif unacked:
                     index %= len(unacked)
-                    ack = unacked[index].make_ack(side.sim.now)
+                    ack = unacked[index].make_ack()
                     if kind == "foreign":
                         ack.flow_id = FLOW + 1
                     elif kind == "data":
@@ -175,6 +178,19 @@ class SenderPair(RuleBasedStateMachine):
     @invariant()
     def agree(self):
         assert self.engine.observe() == self.oracle.observe()
+        for side in self.sides:
+            sender = side.sender
+            outstanding = len(sender._outstanding)
+            # Every packet sent is acked, lost or outstanding, once.
+            assert sender.next_seq == (sender.acked_packets
+                                       + sender.lost_packets + outstanding)
+            assert sender.inflight_bits == sender.mss_bits * outstanding
+        # The oracle's send-order head is its lowest outstanding seq
+        # (next_seq when none is): the engine's scan cursor never
+        # passes an outstanding packet.
+        order = self.oracle.sender._send_order
+        head = order[0] if order else self.oracle.sender.next_seq
+        assert self.engine.sender._scan_from <= head
 
 
 SenderPair.TestCase.settings = settings(max_examples=150,

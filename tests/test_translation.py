@@ -67,9 +67,7 @@ def test_table_caches():
     a = table.transport_rate(123_456, 1e-6)
     b = table.transport_rate(123_789, 1.05e-6)  # same quantization bucket
     assert a == b
-    assert table.hits == 1
-    assert table.misses == 1
-    assert len(table) == 1
+    assert len(table) == 1  # one entry served both lookups
 
 
 def test_table_close_to_exact():

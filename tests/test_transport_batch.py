@@ -52,7 +52,7 @@ def _ack_for(seq, flow_id=1, sent_time_us=100):
     data.delivered_at_send = seq * 12_000
     data.delivered_time_at_send = sent_time_us
     data.app_limited = bool(seq % 2)
-    return data.make_ack(now_us=sent_time_us + 30_000)
+    return data.make_ack()
 
 
 class BurstLog(Receiver):
@@ -100,7 +100,7 @@ class RecordingCc(CongestionControl):
 
     def on_ack(self, ctx):
         self.calls.append((
-            "ack", ctx.ack.acked_seq, ctx.now_us, ctx.rtt_us,
+            "ack", ctx.ack.seq, ctx.now_us, ctx.rtt_us,
             ctx.delivery_rate_bps, ctx.newly_acked_bits,
             ctx.inflight_bits, ctx.app_limited, ctx.srtt_us))
 
@@ -149,8 +149,7 @@ class AckDuplicator(Receiver):
         if packet.is_ack and self.seen % self.every == 0:
             dup = Packet(packet.flow_id, packet.seq,
                          size_bits=packet.size_bits, is_ack=True,
-                         sent_time_us=packet.sent_time_us,
-                         acked_seq=packet.acked_seq)
+                         sent_time_us=packet.sent_time_us)
             dup.delivered_at_send = packet.delivered_at_send
             dup.delivered_time_at_send = packet.delivered_time_at_send
             dup.app_limited = packet.app_limited
@@ -191,7 +190,7 @@ def _sender_state(sender):
         "acked": sender.acked_packets,
         "lost": sender.lost_packets,
         "timeouts": sender.timeouts,
-        "outstanding": dict(sender._outstanding),
+        "outstanding": set(sender._outstanding),
     }
 
 

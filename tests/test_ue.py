@@ -14,15 +14,15 @@ def _tb(seq, completes=(), touches=None):
     return tb
 
 
-def test_in_order_delivery_stamps_time():
+def test_in_order_delivery_lands_at_its_instant():
     sim = Simulator()
     got = []
-    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
+    ue = UserEquipment(sim, 1, on_packet_block=lambda packets: got.extend(
+        (sim.now, packet) for packet in packets))
     p = Packet(1, 0)
     sim.schedule(5_000, ue.receive_tb, _tb(0, [p]))
     sim.run()
-    assert got == [p]
-    assert p.recv_time_us == 5_000
+    assert got == [(5_000, p)]
     assert ue.delivered_packets == 1
 
 
