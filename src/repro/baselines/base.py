@@ -64,14 +64,15 @@ class CongestionControl:
         """Process one acknowledgement."""
 
     def on_ack_block(self, contexts: list[AckContext]) -> None:
-        """Process one grant cycle's worth of acknowledgements.
+        """Process one uplink flush's acknowledgements.
 
-        The transport engine hands each uplink burst to the
-        controller as a block.  The default is the sequential
-        :meth:`on_ack` loop — byte-identical to scalar delivery, with
-        the method dispatch hoisted out of the loop — so every scheme
-        works unmodified; schemes with genuinely vectorizable state may
-        override.
+        The transport engine hands each uplink burst to the controller
+        as a block; its contexts share one instant, ``now_us``.  The
+        default is the sequential :meth:`on_ack` loop, so every scheme
+        works unmodified.  A scheme whose burst work is genuinely
+        cheaper than N single ACKs (BBR and PBE-CC: every filter insert
+        of a burst carries one timestamp) makes this its one ACK body
+        instead, and its :meth:`on_ack` the burst of one.
         """
         on_ack = self.on_ack
         for ctx in contexts:

@@ -66,9 +66,10 @@ class Bbr(CongestionControl):
         self._rtprop = WindowedMin(RTPROP_WINDOW_US)
         self._rtprop_stamp = 0
         # Cached filter outputs.  Both filters only change inside
-        # on_ack(), so these attributes — refreshed there — are always
-        # equal to the filter reads they replace; every other method
-        # (and external readers like the PBE sender) hits the cache.
+        # on_ack_block(), so these attributes — refreshed there — are
+        # always equal to the filter reads they replace; every other
+        # method (and external readers like the PBE sender) hits the
+        # cache.
         self.btlbw_bps = 0.0
         self.rtprop_us = 0
 
@@ -95,104 +96,53 @@ class Bbr(CongestionControl):
     # ACK processing / state machine
     # ------------------------------------------------------------------
     def on_ack(self, ctx: AckContext) -> None:
-        now = ctx.now_us
-        self._delivered_bits += ctx.newly_acked_bits
-
-        if ctx.rtt_us > 0:
-            previous_min = self._rtprop.get()
-            self._rtprop.update(now, ctx.rtt_us)
-            value = self._rtprop.get()
-            self.rtprop_us = int(value) if value else 0
-            # The staleness stamp refreshes only when the minimum itself
-            # is refreshed — otherwise PROBE_RTT could never trigger.
-            if previous_min is None or ctx.rtt_us <= previous_min:
-                self._rtprop_stamp = now
-        rtprop = max(self.rtprop_us, 1_000)
-        self._btlbw.window_us = BTLBW_FILTER_ROUNDS * rtprop
-        if ctx.delivery_rate_bps > 0 and not ctx.app_limited:
-            self._btlbw.update(now, ctx.delivery_rate_bps)
-            self.btlbw_bps = self._btlbw.get() or 0.0
-
-        # Round accounting: one round per RTprop worth of delivered data.
-        round_ended = (self._delivered_bits - self._round_start_delivered
-                       >= self.bdp_bits())
-        if round_ended:
-            self._round_start_delivered = self._delivered_bits
-            self._check_full_pipe()
-
-        if self.state == STARTUP and self.filled_pipe:
-            self._enter_drain()
-        if self.state == DRAIN and ctx.inflight_bits <= self.bdp_bits():
-            self._enter_probe_bw(now)
-        if self.state == PROBE_BW:
-            self._advance_cycle(now, ctx.inflight_bits)
-        self._maybe_enter_probe_rtt(now, ctx.inflight_bits)
-        if self.state == PROBE_RTT:
-            self._run_probe_rtt(now, ctx.inflight_bits, round_ended)
+        self.on_ack_block([ctx])
 
     def on_ack_block(self, contexts: list[AckContext]) -> None:
-        """Columnar BBR over one grant cycle's ACKs, byte-identical.
+        """BBR's one ACK body: one uplink flush, all at one instant.
 
-        Fast-path precondition: one flush event (every context shares
-        ``now_us``), a warm RTprop filter whose head sample neither
-        expires at ``now`` nor is undercut by any RTT in the block, and
-        a cache in sync with that head.  Under it the RTprop minimum —
-        and therefore the BtlBw window and the BDP's rtprop factor —
-        are *block constants*, so both filters collapse to per-block
-        aggregates: a running min/max in locals for the intermediate
-        cache reads, plus **one** deque insert of the block extreme at
-        the end.  (Sequential inserts of the non-extreme samples only
-        add tail entries that share the block's timestamp and are
-        dominated by the extreme — they expire in the same instant the
-        extreme does and can never surface as the filter output, so
-        eliding them is unobservable; decisions and cached outputs are
-        pinned equal by ``tests/test_cc_block.py``.)  The round
-        accounting and the full state machine run inlined on hoisted
-        locals with a single write-back.
-
-        Startup transients (cold filter, a new minimum, an expiring
-        head) take the scalar loop — exactly PR 9's hoisted reference.
+        The contexts share ``now_us`` (a mismatch raises
+        :class:`ValueError`), so the burst's filter inserts all carry
+        one timestamp and collapse to one insert of its extreme at the
+        end: sequential inserts would only add dominated tail entries
+        that expire with it.  In between, the filter outputs are running
+        extremes in locals.  Three transients move RTprop — and with it
+        the BDP, the cycle length and the BtlBw window — mid-burst: a
+        cold filter, a head the 10 s window expires at ``now`` (the
+        pre-expiry head decides the staleness stamp, then a walk exposes
+        the next head) and a new minimum.  The BtlBw filter is walked at
+        the burst's first rate sample and again only after its window
+        shrank.  ``tests/reference_cc.py`` keeps the per-ACK body this
+        replaced.
         """
-        if len(contexts) == 1:
-            self.on_ack(contexts[0])
-            return
         now = contexts[0].now_us
-        rt_samples = self._rtprop._samples
-        if (contexts[-1].now_us != now or not rt_samples
-                or rt_samples[0][0] < now - RTPROP_WINDOW_US
-                or self.rtprop_us != int(rt_samples[0][1])):
-            on_ack = self.on_ack
-            for ctx in contexts:
-                on_ack(ctx)
-            return
-        rt_head = rt_samples[0][1]
-        block_min = None  # min RTT once per ACK burst, not per ACK
-        for ctx in contexts:
-            rtt = ctx.rtt_us
-            if rtt > 0 and (block_min is None or rtt < block_min):
-                block_min = rtt
-        if block_min is not None and block_min < rt_head:
-            on_ack = self.on_ack  # new minimum: scalar reference
-            for ctx in contexts:
-                on_ack(ctx)
-            return
-
-        # ---- Block constants ------------------------------------------
-        rtprop_cache = self.rtprop_us          # cannot move this block
-        rtprop_floor = max(rtprop_cache, 1_000)
-        bt_filter = self._btlbw
-        bt_filter.window_us = BTLBW_FILTER_ROUNDS * rtprop_floor
-        bt_samples = bt_filter._samples
+        if contexts[-1].now_us != now:
+            raise ValueError("an ACK burst must share one instant, got "
+                             f"{now} and {contexts[-1].now_us} µs")
         mss_bits = self.mss_bits
         probe_rtt_floor = 4 * mss_bits
+        rt_samples = self._rtprop._samples
+        bt_samples = self._btlbw._samples
+
+        # RTprop: ``rt_min`` is the filter output after the samples so
+        # far.  A cold filter or a head that expires at ``now`` starts it
+        # at infinity, so the first RTT sample takes the walk.
+        rt_walk = (not rt_samples
+                   or rt_samples[0][0] < now - RTPROP_WINDOW_US)
+        rt_min = math.inf if rt_walk else rt_samples[0][1]
+        block_min = math.inf   # the burst's RTT minimum, inserted at the end
+        rtprop = self.rtprop_us
+        rtprop_floor = max(rtprop, 1_000)
+        bt_window = BTLBW_FILTER_ROUNDS * rtprop_floor
+        bt_walk = True         # expire the BtlBw filter at the next sample
+        bw_run = 0.0           # BtlBw filter output once walked
+        block_rate_max = 0.0   # the burst's rate maximum, inserted at the end
 
         # ---- Hoisted state --------------------------------------------
         delivered = self._delivered_bits
         round_start_delivered = self._round_start_delivered
         rtprop_stamp = self._rtprop_stamp
-        btlbw_cache = self.btlbw_bps
-        bw_run = None          # running max once the filter is touched
-        block_rate_max = None  # max delivery-rate sample this batch
+        btlbw = self.btlbw_bps
         full_bw = self._full_bw
         full_bw_rounds = self._full_bw_rounds
         filled_pipe = self.filled_pipe
@@ -202,80 +152,107 @@ class Bbr(CongestionControl):
         cycle_index = self._cycle_index
         cycle_stamp = self._cycle_stamp
         probe_rtt_done_at = self._probe_rtt_done_at
-        bdp = (btlbw_cache * rtprop_cache / US_PER_S
-               if btlbw_cache and rtprop_cache else 10.0 * mss_bits)
+        bdp = (btlbw * rtprop / US_PER_S
+               if btlbw and rtprop else 10.0 * mss_bits)
 
         for ctx in contexts:
             delivered += ctx.newly_acked_bits
             rtt = ctx.rtt_us
-            if rtt > 0 and rtt <= rt_head:
-                # The minimum itself was re-observed: refresh staleness.
+            # Once the burst has an RTT sample, rt_min <= block_min: an
+            # RTT at or above the burst minimum can only re-observe the
+            # filter minimum, which refreshes the staleness stamp.
+            if rtt < block_min:
+                if rtt > 0:
+                    block_min = rtt
+                    if rtt < rt_min:  # a new minimum, or the walk
+                        if rt_walk:
+                            rt_walk = False
+                            if not rt_samples or rtt <= rt_samples[0][1]:
+                                rtprop_stamp = now
+                            horizon = now - RTPROP_WINDOW_US
+                            while rt_samples and rt_samples[0][0] < horizon:
+                                rt_samples.popleft()
+                            rt_min = (rt_samples[0][1] if rt_samples
+                                      and rt_samples[0][1] < rtt else rtt)
+                        else:
+                            rtprop_stamp = now
+                            rt_min = rtt
+                        rtprop = int(rt_min)
+                        rtprop_floor = max(rtprop, 1_000)
+                        window = BTLBW_FILTER_ROUNDS * rtprop_floor
+                        if window < bt_window:
+                            bt_walk = True
+                        bt_window = window
+                        bdp = (btlbw * rtprop / US_PER_S
+                               if btlbw and rtprop else 10.0 * mss_bits)
+                    elif rtt == rt_min:
+                        rtprop_stamp = now
+            elif rtt == rt_min:
                 rtprop_stamp = now
+
             rate = ctx.delivery_rate_bps
             if rate > 0 and not ctx.app_limited:
-                if bw_run is None:
-                    # First touch: expire under the (constant) window,
-                    # then run the max in locals.
-                    horizon = now - bt_filter.window_us
+                if bt_walk:
+                    bt_walk = False
+                    horizon = now - bt_window
                     while bt_samples and bt_samples[0][0] < horizon:
                         bt_samples.popleft()
                     bw_run = bt_samples[0][1] if bt_samples else 0.0
+                    if block_rate_max > bw_run:
+                        bw_run = block_rate_max
+                if rate > block_rate_max:
                     block_rate_max = rate
-                elif rate > block_rate_max:
-                    block_rate_max = rate
-                if rate > bw_run:
-                    bw_run = rate
-                if bw_run != btlbw_cache:
-                    btlbw_cache = bw_run
-                    bdp = (btlbw_cache * rtprop_cache / US_PER_S
-                           if btlbw_cache and rtprop_cache
-                           else 10.0 * mss_bits)
+                    if rate > bw_run:
+                        bw_run = rate
+                if bw_run != btlbw:
+                    btlbw = bw_run
+                    bdp = (btlbw * rtprop / US_PER_S
+                           if btlbw and rtprop else 10.0 * mss_bits)
 
             if delivered - round_start_delivered >= bdp:
                 round_start_delivered = delivered
-                # _check_full_pipe, inlined on locals.
+                # Full-pipe check: three rounds without 25 % growth.
                 if not filled_pipe and state == STARTUP:
-                    if btlbw_cache >= full_bw * 1.25:
-                        full_bw = btlbw_cache
+                    if btlbw >= full_bw * 1.25:
+                        full_bw = btlbw
                         full_bw_rounds = 0
                     else:
                         full_bw_rounds += 1
                         if full_bw_rounds >= 3:
                             filled_pipe = True
-                round_ended = True
-            else:
-                round_ended = False
 
             inflight = ctx.inflight_bits
-            if state == STARTUP and filled_pipe:  # _enter_drain
+            if state == STARTUP and filled_pipe:  # enter DRAIN
                 state = DRAIN
                 pacing_gain = 1.0 / STARTUP_GAIN
                 cwnd_gain = STARTUP_GAIN
-            if state == DRAIN and inflight <= bdp:  # _enter_probe_bw
+            if state == DRAIN and inflight <= bdp:  # enter PROBE_BW
                 state = PROBE_BW
                 cwnd_gain = CWND_GAIN
                 cycle_index = 2
                 cycle_stamp = now
                 pacing_gain = PROBE_BW_GAINS[2]
-            if state == PROBE_BW:  # _advance_cycle
+            if state == PROBE_BW:
+                # Advance the gain cycle once per RTprop, holding the
+                # drain phase until the probe's queue actually drains.
                 if now - cycle_stamp >= rtprop_floor and not (
                         pacing_gain < 1.0 and inflight > bdp):
                     cycle_index = (cycle_index + 1) % len(PROBE_BW_GAINS)
                     cycle_stamp = now
                     pacing_gain = PROBE_BW_GAINS[cycle_index]
-            if (state != PROBE_RTT and rtprop_cache
+            if (state != PROBE_RTT and rtprop
                     and now - rtprop_stamp > RTPROP_WINDOW_US):
-                state = PROBE_RTT  # _maybe_enter_probe_rtt
+                state = PROBE_RTT  # the minimum went stale
                 pacing_gain = 1.0
                 probe_rtt_done_at = None
-            if state == PROBE_RTT:  # _run_probe_rtt
+            if state == PROBE_RTT:
                 if (probe_rtt_done_at is None
                         and inflight <= probe_rtt_floor):
                     probe_rtt_done_at = now + PROBE_RTT_DURATION_US
                 if (probe_rtt_done_at is not None
                         and now >= probe_rtt_done_at):
                     rtprop_stamp = now
-                    if filled_pipe:  # _enter_probe_bw
+                    if filled_pipe:  # enter PROBE_BW
                         state = PROBE_BW
                         cwnd_gain = CWND_GAIN
                         cycle_index = 2
@@ -286,19 +263,21 @@ class Bbr(CongestionControl):
                         pacing_gain = STARTUP_GAIN
                         cwnd_gain = STARTUP_GAIN
 
-        # ---- Write-back + the per-block filter inserts ----------------
-        if block_min is not None:
+        # ---- Write-back + the per-burst filter inserts ----------------
+        if block_min != math.inf:
             while rt_samples and rt_samples[-1][1] >= block_min:
                 rt_samples.pop()
             rt_samples.append((now, block_min))
-        if block_rate_max is not None:
+        if block_rate_max:
             while bt_samples and bt_samples[-1][1] <= block_rate_max:
                 bt_samples.pop()
             bt_samples.append((now, block_rate_max))
+        self._btlbw.window_us = bt_window
+        self.rtprop_us = rtprop
         self._delivered_bits = delivered
         self._round_start_delivered = round_start_delivered
         self._rtprop_stamp = rtprop_stamp
-        self.btlbw_bps = btlbw_cache
+        self.btlbw_bps = btlbw
         self._full_bw = full_bw
         self._full_bw_rounds = full_bw_rounds
         self.filled_pipe = filled_pipe
@@ -309,68 +288,13 @@ class Bbr(CongestionControl):
         self._cycle_stamp = cycle_stamp
         self._probe_rtt_done_at = probe_rtt_done_at
 
-    def _check_full_pipe(self) -> None:
-        if self.filled_pipe or self.state != STARTUP:
-            return
-        if self.btlbw_bps >= self._full_bw * 1.25:
-            self._full_bw = self.btlbw_bps
-            self._full_bw_rounds = 0
-            return
-        self._full_bw_rounds += 1
-        if self._full_bw_rounds >= 3:
-            self.filled_pipe = True
-
-    def _enter_drain(self) -> None:
-        self.state = DRAIN
-        self.pacing_gain = 1.0 / STARTUP_GAIN
-        self.cwnd_gain = STARTUP_GAIN
-
     def enter_probe_bw(self, now_us: int) -> None:
         """Jump straight into PROBE_BW (used by PBE-CC's §4.2.3 entry)."""
-        self._enter_probe_bw(now_us)
-
-    def _enter_probe_bw(self, now_us: int) -> None:
         self.state = PROBE_BW
         self.cwnd_gain = CWND_GAIN
         self._cycle_index = 2  # start in a cruise phase
         self._cycle_stamp = now_us
         self.pacing_gain = PROBE_BW_GAINS[self._cycle_index]
-
-    def _advance_cycle(self, now_us: int, inflight_bits: int) -> None:
-        rtprop = max(self.rtprop_us, 1_000)
-        if now_us - self._cycle_stamp < rtprop:
-            return
-        # Hold the drain phase until the probe's queue actually drains.
-        if (self.pacing_gain < 1.0 and inflight_bits > self.bdp_bits()):
-            return
-        self._cycle_index = (self._cycle_index + 1) % len(PROBE_BW_GAINS)
-        self._cycle_stamp = now_us
-        self.pacing_gain = PROBE_BW_GAINS[self._cycle_index]
-
-    def _maybe_enter_probe_rtt(self, now_us: int,
-                               inflight_bits: int) -> None:
-        if self.state == PROBE_RTT or not self.rtprop_us:
-            return
-        if now_us - self._rtprop_stamp <= RTPROP_WINDOW_US:
-            return
-        self.state = PROBE_RTT
-        self.pacing_gain = 1.0
-        self._probe_rtt_done_at = None
-
-    def _run_probe_rtt(self, now_us: int, inflight_bits: int,
-                       round_ended: bool) -> None:
-        if (self._probe_rtt_done_at is None
-                and inflight_bits <= 4 * self.mss_bits):
-            self._probe_rtt_done_at = now_us + PROBE_RTT_DURATION_US
-        if (self._probe_rtt_done_at is not None
-                and now_us >= self._probe_rtt_done_at):
-            self._rtprop_stamp = now_us
-            if self.filled_pipe:
-                self._enter_probe_bw(now_us)
-            else:
-                self.state = STARTUP
-                self.pacing_gain = STARTUP_GAIN
-                self.cwnd_gain = STARTUP_GAIN
 
     def on_timeout(self, now_us: int) -> None:
         # Fall back to startup with a clean bandwidth estimate.

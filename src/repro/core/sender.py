@@ -200,88 +200,32 @@ class PbeSender(CongestionControl):
     # ACK processing
     # ------------------------------------------------------------------
     def on_ack(self, ctx: AckContext) -> None:
-        now = ctx.now_us
-        if self._first_ack_us is None:
-            self._first_ack_us = now
-        # The transport layer already runs the standard EWMA srtt filter
-        # over every ACK; adopt its estimate instead of re-deriving one
-        # in parallel (the two filters used to run side by side and
-        # could only stay equal by construction — now they cannot
-        # drift by definition).
-        self._srtt_us = ctx.srtt_us
-        self.bbr.on_ack(ctx)
-
-        feedback = ctx.ack.feedback
-        if not isinstance(feedback, PbeFeedback):
-            # Feedback lost/corrupted off this ACK; the watchdog decides
-            # when the silence has lasted long enough to fall back.
-            self._check_watchdog(now)
-            return
-        if feedback.stale:
-            # The client itself flagged the report as an echo of a dead
-            # decode stream — do not steer by its rates.
-            self.stale_feedback_acks += 1
-            self._check_watchdog(now)
-            return
-        if self.state == FALLBACK:
-            self._resync_after_fallback(now)
-        self._last_fresh_us = now
-        target_rate = feedback.target_rate_bps
-        self.target_rate_bps = target_rate
-        self.fair_rate_bps = feedback.fair_rate_bps
-        if self.guard is not None:
-            self.guard.observe(now, target_rate,
-                               ctx.delivery_rate_bps)
-        if (self.state == STARTUP and self._ramp_start_us is None
-                and self.fair_rate_bps > 0):
-            self._ramp_start_us = now  # first Cf report arms the ramp
-
-        if feedback.carrier_activated and self.state in (WIRELESS, STARTUP):
-            # §4.1: more carriers activated -> restart the fair-share
-            # approach from the current operating rate.
-            self._ramp_base_bps = self._current_wireless_rate(now)
-            self._ramp_start_us = now
-            self._switch(STARTUP, now)
-            return
-
-        if feedback.internet_bottleneck:
-            if self.state in (STARTUP, WIRELESS):
-                # §4.2.3: drain the queue for one RTprop first.
-                self._drain_until_us = now + self.rtprop_us
-                self._switch(DRAIN, now)
-            elif self.state == DRAIN and now >= self._drain_until_us:
-                self.bbr.filled_pipe = True
-                if self.bbr.state != PROBE_BW:
-                    self.bbr.enter_probe_bw(now)
-                self._switch(INTERNET, now)
-            return
-
-        if self.state in (DRAIN, INTERNET):
-            self._switch(WIRELESS, now)
-        elif self.state == STARTUP and self._ramp_progress(now) >= 1.0:
-            self._switch(WIRELESS, now)
+        self.on_ack_block([ctx])
 
     def on_ack_block(self, contexts: list[AckContext]) -> None:
-        """Columnar §4.1 update loop over one grant cycle's ACKs.
+        """The §4.1 update loop over one uplink flush's ACKs.
 
-        PBE's own control is a sequential state machine (every ACK can
-        flip the bottleneck state that reshapes how the next one is
-        interpreted), so that machine still runs per ACK — but the
-        embedded BBR's per-ACK feeding is *deferred* into runs handed
-        to :meth:`Bbr.on_ack_block`, where the filter work collapses to
-        per-block aggregates.  A run is flushed before any path that
+        The burst's contexts share ``now_us`` (a mismatch raises
+        :class:`ValueError`).  PBE's own control is a sequential state
+        machine (every ACK can flip the bottleneck state that reshapes
+        how the next one is interpreted), so that machine runs per ACK —
+        but the embedded BBR's feeding is *deferred* into runs handed to
+        :meth:`Bbr.on_ack_block`, where the filter work collapses to
+        per-burst aggregates.  A run is flushed before any path that
         reads or mutates BBR state (the watchdog's RTprop read, the
         fallback resync's BtlBw read, the §4.2.3 Internet-bottleneck
-        branch), so the interleaving of BBR updates with those reads is
-        exactly the scalar loop's.  The steady wireless-state path —
-        fresh feedback, no bottleneck shift — touches no BBR state, so
-        a busy flow's whole batch becomes a single deferred run.
+        branch), so BBR sees every ACK before anything reads it, as if
+        fed one ACK at a time.  The steady wireless-state path — fresh
+        feedback, no bottleneck shift — touches no BBR state, so a busy
+        flow's whole burst becomes a single deferred run.  The per-ACK
+        body this replaced is kept as the oracle ``tests/reference_cc.py``.
         """
-        if len(contexts) == 1:
-            self.on_ack(contexts[0])
-            return
+        now = contexts[0].now_us
+        if contexts[-1].now_us != now:
+            raise ValueError("an ACK burst must share one instant, got "
+                             f"{now} and {contexts[-1].now_us} µs")
         if self._first_ack_us is None:
-            self._first_ack_us = contexts[0].now_us
+            self._first_ack_us = now
         bbr = self.bbr
         bbr_block = bbr.on_ack_block
         run: list[AckContext] = []
@@ -289,17 +233,23 @@ class PbeSender(CongestionControl):
         decoded = None
 
         for ctx in contexts:
-            now = ctx.now_us
+            # The transport already runs the standard EWMA srtt filter
+            # over every ACK; adopt its estimate instead of re-deriving
+            # one in parallel.
             self._srtt_us = ctx.srtt_us
             run_append(ctx)
 
             feedback = ctx.ack.feedback
             if not isinstance(feedback, PbeFeedback):
+                # Feedback lost/corrupted off this ACK; the watchdog
+                # decides when the silence has lasted long enough.
                 bbr_block(run)
                 run.clear()
                 self._check_watchdog(now)
                 continue
             if feedback.stale:
+                # The client itself flagged the report as an echo of a
+                # dead decode stream — do not steer by its rates.
                 self.stale_feedback_acks += 1
                 bbr_block(run)
                 run.clear()
@@ -327,7 +277,9 @@ class PbeSender(CongestionControl):
 
             if (feedback.carrier_activated
                     and self.state in (WIRELESS, STARTUP)):
-                # §4.1 restart reads no BBR state: keep the run open.
+                # §4.1: more carriers activated -> restart the fair-share
+                # approach from the current operating rate.  Reads no
+                # BBR state: keep the run open.
                 self._ramp_base_bps = self._current_wireless_rate(now)
                 self._ramp_start_us = now
                 self._switch(STARTUP, now)

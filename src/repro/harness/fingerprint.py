@@ -190,10 +190,3 @@ def fingerprint_configs(duration_s: float = 2.0) \
                 "seed": 19, "outage_enter_rate": 0.02,
                 "outage_mean_subframes": 3.0})]),
     }
-
-
-def fingerprint_suite(duration_s: float = 2.0) -> dict[str, str]:
-    """Run the whole 8-configuration suite; ``{name: digest}``."""
-    return {name: run_fingerprint(scenario, specs)
-            for name, (scenario, specs) in
-            fingerprint_configs(duration_s).items()}

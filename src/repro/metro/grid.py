@@ -110,9 +110,6 @@ class MetroGrid:
     spec: GridSpec
     cells: tuple
 
-    def carrier_configs(self) -> list[CarrierConfig]:
-        return [cell.carrier() for cell in self.cells]
-
     def busy_cells(self) -> list[MetroCell]:
         return [cell for cell in self.cells if cell.busy]
 

@@ -8,7 +8,8 @@ the uplink schedules one ``sink.receive`` event per ACK; the sender
 wakes through the heap for every packet and polls every millisecond
 while blocked (``tests/reference_pacer.py``); the sender folds, and the
 client acknowledges, one packet at a time through the per-packet bodies
-of ``tests/reference_transport.py``.  (The monitor
+of ``tests/reference_transport.py``; BBR and PBE-CC flows run the
+per-ACK controller bodies of ``tests/reference_cc.py``.  (The monitor
 needs no stand-in: the engine's per-record ingest is the one the
 reference always ran.)
 Nothing under ``src/`` imports this module; the differential tests
@@ -31,6 +32,7 @@ from repro.net.link import BatchingPipe
 from repro.phy.error import sinr_to_ber
 from repro.phy.mcs import bits_per_prb, sinr_to_mcs
 
+from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_pacer import ReferenceSender
 from .reference_transport import ReferenceAckingReceiver, ReferencePbeClient
 
@@ -112,7 +114,9 @@ class ReferencePipe(BatchingPipe):
 _PARTS = {"CellularNetwork": ReferenceNetwork, "BatchingPipe": ReferencePipe,
           "Sender": ReferenceSender,
           "AckingReceiver": ReferenceAckingReceiver,
-          "PbeClient": ReferencePbeClient}
+          "PbeClient": ReferencePbeClient,
+          "SCHEMES": {**runner.SCHEMES, "bbr": ReferenceBbr,
+                      "pbe": ReferencePbeSender}}
 
 
 class ReferenceExperiment(runner.Experiment):

@@ -1,15 +1,16 @@
-"""Columnar congestion-control chain: scalar-vs-block CC equality.
+"""Congestion control under ACK bursts: engine-vs-per-ACK CC equality.
 
-PR 10 gives every scheme a true :meth:`on_ack_block` — the §4.1 PBE
-loop, BBR's filter/state machine, CUBIC's window law and Copa's
-velocity control all process one grant cycle's ACKs with their filter
-state hoisted into locals.  The contract is *decision* equality with
-the scalar per-ACK reference: the controller must see the identical
-callback stream (every ``on_ack`` context and every ``on_loss``, in
-order) and end in the identical observable state.  Raw filter deques
-are allowed to differ by dominated same-timestamp entries (the block
-paths insert only the block extreme — future-equivalent by the
-monotonic-deque argument), so filters are compared through
+The engine hands each uplink flush to the controller as one burst.  BBR
+and PBE-CC fold it in their one burst body (the §4.1 PBE loop, BBR's
+filter/state machine with its filter state hoisted into locals); CUBIC
+and Copa loop their one per-ACK body.  The contract is *decision*
+equality with the per-ACK reference — for BBR and PBE-CC the frozen
+per-ACK bodies of ``tests/reference_cc.py``: the controller must see
+the identical callback stream (every ``on_ack`` context and every
+``on_loss``, in order) and end in the identical observable state.  Raw
+filter deques are allowed to differ by dominated same-timestamp entries
+(the burst body inserts only the burst's extreme — future-equivalent by
+the monotonic-deque argument), so filters are compared through
 ``(window_us, get())``.
 
 The matrix runs every scheme against clean, lossy, reordered and
@@ -46,6 +47,7 @@ from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
+from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_engine import ReferencePipe, reference_engine
 from .reference_pacer import ReferenceSender
 from .reference_transport import ReferenceAckingReceiver
@@ -66,8 +68,9 @@ def _ctx_row(ctx):
 def _instrument(cc):
     """Log every on_ack/on_ack_block/on_loss/on_timeout the transport
     delivers, flattening blocks so scalar and batched logs compare
-    elementwise.  Internal fallbacks (a block path re-dispatching to
-    ``self.on_ack``) must not double-log, hence the depth guard."""
+    elementwise.  A callback the controller makes to its own other ACK
+    entry point (a burst looping ``self.on_ack``, or ``on_ack`` as a
+    burst of one) must not double-log, hence the depth guard."""
     rows = []
     depth = [0]
     real_ack = cc.on_ack
@@ -78,11 +81,16 @@ def _instrument(cc):
     def on_ack(ctx):
         if not depth[0]:
             rows.append(("ack",) + _ctx_row(ctx))
-        real_ack(ctx)
+        depth[0] += 1
+        try:
+            real_ack(ctx)
+        finally:
+            depth[0] -= 1
 
     def on_ack_block(contexts):
-        for ctx in contexts:
-            rows.append(("ack",) + _ctx_row(ctx))
+        if not depth[0]:
+            for ctx in contexts:
+                rows.append(("ack",) + _ctx_row(ctx))
         depth[0] += 1
         try:
             real_block(contexts)
@@ -226,14 +234,21 @@ _SCHEMES = {
     "copa": Copa,
 }
 
+#: The reference side: BBR and PBE-CC as their per-ACK bodies.
+_REFERENCE_SCHEMES = {
+    **_SCHEMES,
+    "pbe": lambda: ReferencePbeSender(initial_rate_bps=6e6),
+    "bbr": lambda: ReferenceBbr(initial_rate_bps=6e6),
+}
+
 _STREAMS = ("clean", "lossy", "reordered", "dup")
 
 
 def _run(scheme, stream, batched):
     """``batched=False`` delivers every ACK as its own event, to the
-    per-ACK sender."""
+    per-ACK sender and the per-ACK controller."""
     sim = Simulator()
-    cc = _SCHEMES[scheme]()
+    cc = (_SCHEMES if batched else _REFERENCE_SCHEMES)[scheme]()
     rows = _instrument(cc)
     sender = (Sender if batched else ReferenceSender)(
         sim, flow_id=1, cc=cc, egress=None)

@@ -1,0 +1,69 @@
+"""Docs cannot point at code that is gone.
+
+Every backticked repository path in README.md, DESIGN.md and docs/*.md
+— a token with a ``/`` or a ``:line`` / ``:a-b`` suffix, ending in a
+file extension — must name a file, tried from the repository root and
+then from ``src/repro/``, and a line reference must lie inside that
+file.  ROADMAP.md is left out: it names files that are only planned.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+BASES = (ROOT, ROOT / "src" / "repro")
+
+_TICKED = re.compile(r"`([^`\n]+)`")
+_PATH = re.compile(r"([\w.-]+(?:/[\w.-]+)*"
+                   r"\.(?:py|md|json|toml|yml|yaml|txt|cfg|sh|ini))"
+                   r"(?::(\d+)(?:-(\d+))?)?")
+
+
+def references(text):
+    """``(doc line, path, last referenced line or None)`` per reference."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for ticked in _TICKED.finditer(line):
+            match = _PATH.fullmatch(ticked.group(1).strip())
+            if match is None:
+                continue
+            path, first, last = match.groups()
+            if "/" in path or first:
+                yield lineno, path, int(last or first) if first else None
+
+
+def broken(text):
+    """One message per reference that names no file or a line past it."""
+    out = []
+    for lineno, path, last in references(text):
+        target = next((base / path for base in BASES
+                       if (base / path).is_file()), None)
+        if target is None:
+            out.append(f"line {lineno}: {path} does not exist")
+        elif last is not None:
+            length = len(target.read_text().splitlines())
+            if last > length:
+                out.append(f"line {lineno}: {path}:{last} is past its "
+                           f"{length} lines")
+    return out
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda d: d.name)
+def test_doc_references_resolve(doc):
+    assert broken(doc.read_text()) == []
+
+
+def test_the_scan_sees_references_and_catches_breakage():
+    text = ("`baselines/bbr.py` `core/sender.py:1-2` `README.md:1` "
+            "`quickstart.py` `exec/journal.py` `src/repro/cli.py:999999`")
+    found = list(references(text))
+    assert [path for _, path, _ in found] == [
+        "baselines/bbr.py", "core/sender.py", "README.md",
+        "exec/journal.py", "src/repro/cli.py"]
+    assert [message.split(": ")[1].split()[0] for message in broken(text)
+            ] == ["exec/journal.py", "src/repro/cli.py:999999"]

@@ -9,7 +9,8 @@ under them queues nothing, finite ones (PBE's watchdog deadline) are
 carried up to their horizon under the 1 ms poll chain, default ones are
 re-asked for every packet.  The oracle is ``tests/reference_pacer.py``:
 one heap event per packet, both queries asked at every one, a 1 ms poll
-while blocked, every ACK folded on its own.
+while blocked, every ACK folded on its own — by BBR and PBE-CC through
+their per-ACK bodies (``tests/reference_cc.py``).
 
 Scripts mix ACK bursts and single ACKs (with PBE feedback fresh, stale,
 lost, Internet-bottlenecked or carrier-activating), lost packets,
@@ -32,6 +33,7 @@ from repro.baselines.cubic import Cubic, Reno
 from repro.core.feedback import PbeFeedback
 from repro.core.sender import PbeSender
 
+from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_pacer import ReferenceSender
 from .test_cc_block import _instrument
 from .test_pacing_trains import END_US, _build, _run, assert_same_run
@@ -57,8 +59,23 @@ FEEDBACK = {
 }
 
 
+#: The oracle's controllers: BBR and PBE-CC fold one ACK at a time.
+REFERENCE_SCHEMES = {
+    **SCHEMES,
+    "bbr": lambda: ReferenceBbr(initial_rate_bps=6e6),
+    "bbr_capped": lambda: ReferenceBbr(initial_rate_bps=6e6,
+                                       probe_rate_cap=lambda: 9e6),
+    "pbe": lambda: ReferencePbeSender(initial_rate_bps=6e6),
+}
+
+
 def _real(flow):
     cc = SCHEMES[flow["scheme"]]()
+    return cc, _instrument(cc)
+
+
+def _reference(flow):
+    cc = REFERENCE_SCHEMES[flow["scheme"]]()
     return cc, _instrument(cc)
 
 
@@ -112,7 +129,7 @@ def _answers(flows):
 
 def check_script(script):
     """Engine ≡ per-packet oracle on one script (the property body)."""
-    expected, ref_flows = _run(ReferenceSender, script, make_cc=_real)
+    expected, ref_flows = _run(ReferenceSender, script, make_cc=_reference)
     got, flows = _run(Sender, script, make_cc=_real)
     assert_same_run(expected, got)
     assert _answers(flows) == _answers(ref_flows)

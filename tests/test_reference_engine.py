@@ -16,10 +16,11 @@ from unittest import mock
 
 import pytest
 
-from repro.baselines import Sender
+from repro.baselines import Bbr, Sender
 from repro.cell import basestation
 from repro.cell.basestation import CHANNEL_BLOCK_SUBFRAMES, CellularNetwork
 from repro.cli import main
+from repro.core.sender import PbeSender
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import fingerprint_configs, run_fingerprint
 from repro.harness.runner import BACKGROUND_RNTI_BASE
@@ -32,6 +33,7 @@ from repro.phy import dci
 from repro.phy.channel import (ChannelModel, GaussMarkovChannel,
                                StaticChannel, TraceChannel)
 
+from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_engine import ReferenceExperiment, reference_engine
 from .reference_pacer import ReferenceSender
 from .test_batch_engine import DURATION_S, _sparse_metro_params
@@ -134,6 +136,23 @@ def test_reference_sender_wakes_for_every_packet_and_polls():
     assert run(False) == sent > 2_000
     assert wake_ups[True] > 1.2 * sent      # every packet, and the polls
     assert wake_ups[False] < 0.9 * wake_ups[True]
+
+
+def test_reference_flows_run_the_per_ack_controllers():
+    """BBR and PBE-CC flows of the reference fold every ACK through the
+    frozen per-ACK bodies, not through the engine's burst bodies."""
+    scenario, specs = fingerprint_configs(DURATION_S)[
+        "mixed_1cc_five_schemes"]
+    kinds = {}
+    for reference in (False, True):
+        experiment = (ReferenceExperiment if reference
+                      else Experiment)(scenario)
+        kinds[reference] = {h.spec.scheme: type(h.cc)
+                            for h in map(experiment.add_flow, specs)}
+    assert kinds[False]["bbr"] is Bbr and kinds[False]["pbe"] is PbeSender
+    assert kinds[True]["bbr"] is ReferenceBbr
+    assert kinds[True]["pbe"] is ReferencePbeSender
+    assert kinds[True]["cubic"] is kinds[False]["cubic"]
 
 
 def test_reference_ticks_every_cell_of_the_sparse_shard():
