@@ -16,12 +16,7 @@ promises end to end:
   finished — verifies with nothing quarantined;
 * re-running the same command on the same fleet+cache executes exactly
   the jobs the store does not hold and saves entries byte-identical
-  to the pool run's;
-* a fourth fleet run arms the ``kill_mid_job`` fault with
-  ``--checkpoint-dir``: every worker SIGKILLs itself *mid-simulation*
-  right after writing a snapshot, the reclaimed retry restores that
-  snapshot, and the final entries are still byte-identical to the
-  pool baseline.
+  to the pool run's.
 
 CI runs this (CI-sized) on every push; run it locally with no
 arguments, or ``--duration`` to scale it up.
@@ -42,10 +37,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.exec import ChaosSpec, ResultStore  # noqa: E402
 
 SWEEP = ("--schemes", "pbe,bbr", "--busy", "2", "--idle", "1")
-#: The two fault plans: SIGKILL once per job after its claim, and once
-#: per job mid-simulation (right after a snapshot).
+#: The fault plan: SIGKILL once per job after its claim.
 KILL = ChaosSpec(seed=3, kill_prob=1.0)
-KILL_MID = ChaosSpec(seed=5, kill_mid_job_prob=1.0)
 
 
 def fleet_cmd(fleet_dir: str, cache_dir: str, args, chaos: Path,
@@ -84,9 +77,8 @@ def main(argv=None) -> None:
 
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
-        kill, kill_mid = work / "kill.json", work / "kill-mid.json"
+        kill = work / "kill.json"
         KILL.save(kill)
-        KILL_MID.save(kill_mid)
 
         # --- chaos run vs. pool baseline (byte-identity) -------------
         pool = subprocess.run(
@@ -172,39 +164,6 @@ def main(argv=None) -> None:
                  "uninterrupted pool run")
         print(f"re-run ok: {executed} executed, {cached} cached, "
               f"byte-identical output", flush=True)
-
-        # --- mid-job SIGKILL -> checkpoint restore -------------------
-        fleet_c = Path(work / "fleet-c")
-        ck_dir = work / "checkpoints"
-        midkill = subprocess.run(
-            fleet_cmd(str(fleet_c), str(work / "cache-c"), args, kill_mid,
-                      extra=("--checkpoint-dir", str(ck_dir),
-                             "--checkpoint-every", "200",
-                             "--save", str(work / "midkill.json"))),
-            env=env(), cwd=REPO_ROOT, capture_output=True, text=True,
-            timeout=args.timeout)
-        if midkill.returncode != 0:
-            fail(f"mid-job-kill fleet sweep exited "
-                 f"{midkill.returncode}\n{midkill.stderr}")
-        fired = list((fleet_c / "chaos-events").glob("kill_mid_job.*"))
-        if not fired:
-            fail("kill_mid_job fault never fired")
-        worker_logs = "".join(
-            p.read_text() for p in (fleet_c / "workers").glob("*.log"))
-        if "chaos: SIGKILL at subframe" not in worker_logs:
-            fail("no worker logged the mid-simulation SIGKILL")
-        if "leases reclaimed" not in midkill.stderr:
-            fail(f"mid-job kills reclaimed no leases\n{midkill.stderr}")
-        snapshots = list(ck_dir.glob("*/ckpt-*.snap"))
-        if not snapshots:
-            fail("no mid-run snapshots were persisted")
-        if ((work / "midkill.json").read_bytes()
-                != (work / "pool.json").read_bytes()):
-            fail("checkpoint-restored sweep differs from the "
-                 "uninterrupted pool baseline")
-        print(f"checkpoint ok: {len(fired)} mid-simulation SIGKILLs, "
-              f"{len(snapshots)} snapshots, restored entries "
-              f"byte-identical to pool run", flush=True)
 
     print("fleet smoke PASSED", flush=True)
 

@@ -35,9 +35,8 @@ isolated as structured records instead of aborting (``--strict`` to
 abort on the first failure, ``--failure-budget PCT`` to abort once
 more than PCT%% of jobs fail), and Ctrl-C drains in-flight work.
 The result cache is the only record of a finished job, so re-running
-the same command *is* the resume: finished jobs are cache hits,
-failures (never cached) re-attempt, and with ``--checkpoint-dir``
-interrupted jobs restore their newest mid-run snapshot.
+the same command *is* the resume: finished jobs are cache hits, and
+failed or interrupted jobs (never cached) run again from the start.
 
 Examples
 --------
@@ -197,9 +196,7 @@ def _run_supervised(args: argparse.Namespace, drive, render) -> int:
                if getattr(args, "fleet_dir", None) else None)
     runner = _make_runner(
         args, retries=args.retries, timeout_s=args.timeout,
-        strict=args.strict, failure_budget=budget, backend=backend,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every)
+        strict=args.strict, failure_budget=budget, backend=backend)
     try:
         result = drive(runner)
     except SweepInterrupted as exc:
@@ -307,18 +304,10 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
              "beacon age (s)"],
             rows))
     if status["leases"]:
-        rows = []
-        for lease in status["leases"]:
-            subframe = lease["checkpoint_subframe"]
-            age = lease["checkpoint_age_s"]
-            rows.append([
-                lease["label"], lease["worker"],
-                round(lease["held_s"], 1),
-                "-" if subframe is None else subframe,
-                "-" if age is None else round(age, 1)])
-        print(format_table(
-            ["job", "worker", "held (s)", "ckpt subframe",
-             "ckpt age (s)"], rows))
+        rows = [[lease["label"], lease["worker"],
+                 round(lease["held_s"], 1)]
+                for lease in status["leases"]]
+        print(format_table(["job", "worker", "held (s)"], rows))
     return 0
 
 
@@ -422,7 +411,7 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
-    """Failure-isolation/deadline/checkpoint knobs for the long sweeps."""
+    """Failure-isolation/deadline/retry knobs for the long sweeps."""
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="S",
                         help="per-job deadline in seconds, enforced "
@@ -438,17 +427,6 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
                         metavar="PCT",
                         help="abort early once more than PCT%% of jobs "
                              "have failed")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        metavar="DIR",
-                        help="write crash-consistent mid-run snapshots "
-                             "under DIR/<fingerprint>/ so killed or "
-                             "preempted jobs, on a re-run, restore "
-                             "their newest snapshot and finish "
-                             "byte-identically")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="snapshot cadence in simulated subframes "
-                             "(default 1000 = one simulated second)")
 
 
 def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
@@ -613,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fstat = fleet_sub.add_parser(
         "status", help="read-only snapshot of a fleet directory: "
-                       "queue depth, live leases (with each job's "
-                       "newest-checkpoint age), and per-worker "
-                       "throughput from the liveness beacons")
+                       "queue depth, live leases (with how long each "
+                       "is held), and per-worker throughput from the "
+                       "liveness beacons")
     p_fstat.add_argument("--dir", required=True,
                          help="the fleet's shared directory")
     p_fstat.set_defaults(func=cmd_fleet_status)

@@ -245,15 +245,8 @@ def job_to_wire(job) -> dict:
         raise TypeError(
             f"{type(job).__name__} has no registered wire kind; fleet "
             f"workers rebuild only {sorted(_JOB_KINDS)} jobs")
-    wire = {"kind": kind, "fingerprint": job.fingerprint(),
+    return {"kind": kind, "fingerprint": job.fingerprint(),
             "label": job.label, "spec": job.to_dict()}
-    # The checkpoint config travels OUTSIDE "spec": it steers where a
-    # worker snapshots, never what the job computes, so it must not
-    # perturb the fingerprint or the cached payload.
-    checkpoint = getattr(job, "checkpoint", None)
-    if checkpoint is not None:
-        wire["checkpoint"] = checkpoint
-    return wire
 
 
 def job_from_wire(data: dict):
@@ -266,11 +259,7 @@ def job_from_wire(data: dict):
         raise ValueError(f"unknown wire job kind {kind!r}; known: "
                          f"{sorted(_JOB_KINDS)}")
     try:
-        job = loader(data.get("spec"))
+        return loader(data.get("spec"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"wire job of kind {kind!r} has a bad spec: "
                          f"{type(exc).__name__}: {exc}") from exc
-    checkpoint = data.get("checkpoint")
-    if checkpoint is not None:
-        job.checkpoint = checkpoint
-    return job

@@ -13,10 +13,6 @@ written by the driver, read by every worker).  Faults:
 * ``kill``  — the worker SIGKILLs itself after claiming a job and
   before writing its result: a mid-job crash whose lease must expire
   and be reclaimed;
-* ``kill_mid_job`` — the worker SIGKILLs itself *mid-simulation*, at a
-  deterministic subframe boundary right after writing a snapshot
-  (checkpoint-enabled jobs only): the retry must restore that snapshot
-  and converge byte-identically to an uninterrupted run;
 * ``stall`` — the worker stops renewing its heartbeat for ``stall_s``
   mid-job: the driver must reclaim the lease, and the eventual
   duplicate completion must be harmless;
@@ -58,7 +54,6 @@ CHAOS_FILE = "chaos.json"
 #: Fault kinds and the spec field holding each one's probability.
 FAULT_PROBS = {
     "kill": "kill_prob",
-    "kill_mid_job": "kill_mid_job_prob",
     "stall": "stall_prob",
     "claim_delay": "claim_delay_prob",
     "duplicate_claim": "duplicate_claim_prob",
@@ -73,12 +68,6 @@ class ChaosSpec:
     seed: int = 0
     #: P(SIGKILL self after claim, before result), per fingerprint.
     kill_prob: float = 0.0
-    #: P(SIGKILL self *mid-simulation*, at a deterministic subframe
-    #: boundary), per fingerprint.  Requires checkpointing: the retry
-    #: must restore the snapshot the dying worker left behind and the
-    #: resumed result must be byte-identical to an uninterrupted run.
-    #: Applied only to checkpoint-enabled jobs.
-    kill_mid_job_prob: float = 0.0
     #: P(heartbeat stall of ``stall_s`` mid-job), per fingerprint.
     stall_prob: float = 0.0
     stall_s: float = 0.0
@@ -163,19 +152,6 @@ class ChaosSpec:
         digest = hashlib.sha256(
             f"{self.seed}:{kind}:{fingerprint}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2 ** 64 < prob
-
-    def kill_subframe(self, fingerprint: str,
-                      duration_subframes: int) -> int:
-        """The deterministic ``kill_mid_job`` point for one job.
-
-        A subframe boundary in ``[1, duration_subframes - 1]`` derived
-        from the seed and fingerprint, so every replay of the same
-        chaos run kills the same job at the same simulated instant.
-        """
-        digest = hashlib.sha256(
-            f"{self.seed}:kill-subframe:{fingerprint}".encode()).digest()
-        span = max(1, duration_subframes - 1)
-        return 1 + int.from_bytes(digest[:8], "big") % span
 
     def fire(self, root: Union[str, Path], kind: str,
              fingerprint: str) -> bool:

@@ -292,15 +292,6 @@ class FleetWorker:
         if self.stop_requested:
             raise _TermSignal
         self.stop_requested = True
-        # Checkpoint-enabled jobs drain at the next snapshot boundary
-        # instead of running minutes more: one final snapshot, then
-        # CheckpointDrain abandons the job (lease released, no result)
-        # so whoever picks it up resumes from that snapshot.
-        try:
-            from ..harness.checkpoint import request_drain
-            request_drain()
-        except ImportError:  # pragma: no cover - partial install
-            pass
 
     def install_signals(self) -> None:
         initialize_worker(role="fleet")
@@ -376,30 +367,6 @@ class FleetWorker:
             self.root / RESULT_DIR / f"{fingerprint}.json",
             json.dumps(entry, separators=(",", ":")).encode())
 
-    def _maybe_kill_mid_job(self, job, fingerprint: str) -> None:
-        """Arm the chaos mid-simulation SIGKILL on a checkpointed job.
-
-        The kill subframe is deterministic (seed + fingerprint) and
-        lands strictly inside the run, so the job dies right after
-        writing a snapshot at that boundary; ``fire``'s once-per-job
-        marker guarantees the reclaim-retry runs unarmed and resumes
-        from the snapshot.
-        """
-        chaos = self.chaos
-        config = getattr(job, "checkpoint", None)
-        scenario = getattr(job, "scenario", None)
-        if chaos is None or config is None or scenario is None:
-            return
-        duration_subframes = int(scenario.duration_s * 1000)
-        if duration_subframes < 2:
-            return
-        if not chaos.fire(self.root, "kill_mid_job", fingerprint):
-            return
-        kill_at = chaos.kill_subframe(fingerprint, duration_subframes)
-        job.checkpoint = dict(config, kill_at_subframe=kill_at)
-        self._say(f"chaos: SIGKILL at subframe {kill_at} of "
-                  f"{fingerprint[:12]}")
-
     def _execute_claimed(self, fingerprint: str,
                          entry_path: Path) -> None:
         entry = _read_json(entry_path)
@@ -426,7 +393,6 @@ class FleetWorker:
                           f"{fingerprint[:12]} by "
                           f"{chaos.claim_delay_s}s")
                 self._sleep_interruptible(chaos.claim_delay_s)
-            from ..harness.checkpoint import CheckpointDrain
             try:
                 job = job_from_wire(entry)
                 # Its result is filed under the queue name: refuse a
@@ -439,16 +405,9 @@ class FleetWorker:
                         f"{job.fingerprint()} under this worker's code "
                         f"(fingerprint field "
                         f"{entry.get('fingerprint')!r}); refusing it")
-                self._maybe_kill_mid_job(job, fingerprint)
                 payload = execute_job(job)
             except _TermSignal:
                 raise
-            except CheckpointDrain:
-                # Not a failure: the simulation parked itself in a
-                # snapshot.  Write no result so the job stays queued;
-                # the lease release below hands it to the next worker.
-                self._say(f"drained {entry.get('label', '?')} at a "
-                          f"snapshot boundary")
             except Exception as exc:
                 self._write_failure(fingerprint, exc)
                 self.executed += 1  # failed jobs count toward max_jobs
@@ -561,11 +520,10 @@ def fleet_status(root: Union[str, Path],
     """One snapshot of a fleet directory's operational state.
 
     Pure observation (no lease mutations, no reclaims): queue depth,
-    live leases with the age of each job's newest mid-run snapshot,
-    and per-worker throughput from the liveness beacons.  Backs
-    ``python -m repro fleet status`` and is safe to call while a sweep
-    is running — every read tolerates torn writes the same way the
-    workers do.
+    live leases with how long each has been held, and per-worker
+    throughput from the liveness beacons.  Backs ``python -m repro
+    fleet status`` and is safe to call while a sweep is running — every
+    read tolerates torn writes the same way the workers do.
     """
     root = Path(root)
     now = time.time() if now is None else now
@@ -585,25 +543,11 @@ def fleet_status(root: Union[str, Path],
             continue
         fingerprint = path.stem
         entry = _read_json(queue_dir / f"{fingerprint}.json") or {}
-        row = {"fingerprint": fingerprint,
-               "label": entry.get("label", fingerprint[:12]),
-               "worker": lease.get("worker", "?"),
-               "held_s": max(0.0, now - lease.get("acquired", now)),
-               "checkpoint_subframe": None,
-               "checkpoint_age_s": None}
-        config = entry.get("checkpoint")
-        if isinstance(config, dict) and config.get("dir"):
-            snapshots = sorted(Path(config["dir"]).glob("ckpt-*.snap"))
-            if snapshots:
-                newest = snapshots[-1]
-                try:
-                    row["checkpoint_age_s"] = max(
-                        0.0, now - newest.stat().st_mtime)
-                    row["checkpoint_subframe"] = int(
-                        newest.stem.split("-", 1)[1])
-                except (OSError, ValueError):
-                    pass
-        leases.append(row)
+        leases.append({"fingerprint": fingerprint,
+                       "label": entry.get("label", fingerprint[:12]),
+                       "worker": lease.get("worker", "?"),
+                       "held_s": max(0.0,
+                                     now - lease.get("acquired", now))})
 
     workers = []
     workers_dir = root / WORKERS_DIR

@@ -69,24 +69,9 @@ class Job:
         :class:`repro.metro.MetroShardJob`) plug into the same
         supervised runner and cache.  Imports are deferred:
         the job module stays importable without the full harness.
-
-        A ``checkpoint`` attribute (a :meth:`CheckpointConfig.to_dict`
-        dictionary, attached by the runner or decoded off the fleet
-        wire format) enables mid-run snapshots: the newest valid
-        snapshot is restored before the run and the simulation saves on
-        the configured subframe cadence.  The attribute is deliberately
-        *not* part of :meth:`to_dict` — where a job checkpoints never
-        changes what it computes, so fingerprints and cached results
-        are shared between checkpointed and plain executions.
         """
         from ..harness.runner import run_flow
         from ..harness.serialize import result_to_dict
-        manager = None
-        config = getattr(self, "checkpoint", None)
-        if config is not None:
-            from ..harness.checkpoint import (CheckpointConfig,
-                                              CheckpointManager)
-            manager = CheckpointManager(CheckpointConfig.from_dict(config))
         result = run_flow(self.scenario, self.scheme,
-                          dict(self.spec_overrides), checkpoint=manager)
+                          dict(self.spec_overrides))
         return result_to_dict(result)

@@ -37,9 +37,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from ..checks import require_real
 from .backend import ExecBackend, ProcessPoolBackend
 from .job import Job
 from .store import ResultStore
@@ -98,10 +98,6 @@ class RunnerStats:
     failed: int = 0
     #: Cache entries quarantined as invalid during this run.
     quarantined: int = 0
-    #: Corrupt/unreadable mid-run snapshots quarantined under the
-    #: checkpoint root (each one is a restore that fell back to an
-    #: older snapshot or to from-scratch execution).
-    checkpoints_quarantined: int = 0
     #: Total seconds slept in retry backoff.
     backoff_s: float = 0.0
     #: Fleet backend only: expired leases reclaimed (each one is a job
@@ -123,17 +119,13 @@ class RunnerStats:
         if self.lease_reclaims or self.worker_restarts:
             fleet = (f", {self.lease_reclaims} leases reclaimed, "
                      f"{self.worker_restarts} workers respawned")
-        snaps = ""
-        if self.checkpoints_quarantined:
-            snaps = (f", {self.checkpoints_quarantined} "
-                     f"snapshots quarantined")
         return (f"{self.total} jobs: {self.executed} executed, "
                 f"{self.cache_hits} cached "
                 f"({100 * self.cache_hit_rate:.0f}% hit rate), "
                 f"{self.deduplicated} deduplicated, "
                 f"{self.retries} retries, {self.failed} failed, "
                 f"{self.quarantined} quarantined, "
-                f"{self.backoff_s:.1f}s backoff{fleet}{snaps}, "
+                f"{self.backoff_s:.1f}s backoff{fleet}, "
                 f"{self.wall_s:.1f}s wall")
 
 
@@ -197,15 +189,15 @@ class ParallelRunner:
                  backoff: Optional[BackoffPolicy] = None,
                  handle_signals: bool = True,
                  backend: Optional[ExecBackend] = None,
-                 checkpoint_dir=None,
-                 checkpoint_every: Optional[int] = None,
                  ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        if timeout_s is not None:
+            require_real("timeout_s", timeout_s)
+            if timeout_s <= 0:
+                raise ValueError("timeout_s must be positive")
         if failure_budget is not None and not 0 <= failure_budget <= 1:
             raise ValueError("failure_budget is a fraction in [0, 1]")
         self.jobs = jobs
@@ -223,14 +215,6 @@ class ParallelRunner:
         #: retry round, with inline fallback when the platform has no
         #: usable process pool.
         self.backend = backend
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every is a subframe count >= 1")
-        #: Root directory for mid-run snapshots; each job checkpoints
-        #: under ``<checkpoint_dir>/<fingerprint>`` so resumed sweeps
-        #: find their snapshots by content, not by submission order.
-        #: ``None`` disables checkpointing.
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         self.stats = RunnerStats()
         self._done = 0
         #: True while the current pool round holds a timed-out worker
@@ -275,9 +259,6 @@ class ParallelRunner:
             else:
                 pending.append((i, job))
 
-        if self.checkpoint_dir is not None and pending:
-            self._attach_checkpoints(pending, fingerprints)
-
         drain = SignalDrain(enabled=self.handle_signals)
         try:
             with drain:
@@ -310,34 +291,11 @@ class ParallelRunner:
         self._finish(t0, quarantined_before)
         return results
 
-    def _attach_checkpoints(self, pending: list,
-                            fingerprints: list) -> None:
-        """Give every pending flow job a per-fingerprint snapshot dir.
-
-        Only single-flow jobs are checkpointable: metro shards schedule
-        local closures (population epochs) on the simulator, which the
-        snapshot codec rejects by design — those jobs simply run
-        straight through, as before.
-        """
-        from ..harness.checkpoint import DEFAULT_INTERVAL_SUBFRAMES
-        from .backend import wire_kind_of
-        interval = self.checkpoint_every or DEFAULT_INTERVAL_SUBFRAMES
-        root = Path(self.checkpoint_dir)
-        for i, job in pending:
-            if wire_kind_of(job) != "flow":
-                continue
-            job.checkpoint = {"dir": str(root / fingerprints[i]),
-                              "interval_subframes": interval}
-
     def _finish(self, t0: float, quarantined_before: int) -> None:
         self.stats.wall_s = time.monotonic() - t0
         if self.store is not None:
             self.stats.quarantined = (self.store.quarantine_events
                                       - quarantined_before)
-        if self.checkpoint_dir is not None:
-            from ..harness.checkpoint import count_quarantined
-            self.stats.checkpoints_quarantined = count_quarantined(
-                Path(self.checkpoint_dir))
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, job: Optional[Job] = None,
@@ -670,9 +628,7 @@ def make_runner(jobs: int = 1, cache_dir=None,
                 strict: bool = False,
                 failure_budget: Optional[float] = None,
                 handle_signals: bool = True,
-                backend: Optional[ExecBackend] = None,
-                checkpoint_dir=None,
-                checkpoint_every: Optional[int] = None) -> ParallelRunner:
+                backend: Optional[ExecBackend] = None) -> ParallelRunner:
     """The experiment drivers' shared runner-construction shorthand.
 
     Builds a :class:`ParallelRunner` from ``jobs`` and an optional
@@ -684,6 +640,4 @@ def make_runner(jobs: int = 1, cache_dir=None,
                           retries=retries, timeout_s=timeout_s,
                           strict=strict, failure_budget=failure_budget,
                           handle_signals=handle_signals,
-                          backend=backend,
-                          checkpoint_dir=checkpoint_dir,
-                          checkpoint_every=checkpoint_every)
+                          backend=backend)

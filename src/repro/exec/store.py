@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from ..checks import require_real
 from ..harness.serialize import canonical_json, write_bytes_atomic
 
 #: Bump when the envelope layout changes incompatibly.
@@ -259,6 +260,9 @@ class ResultStore:
         sweep that is writing the store concurrently.
         """
         grace = TMP_GRACE_S if tmp_grace_s is None else tmp_grace_s
+        require_real("tmp_grace_s", grace)
+        if grace < 0:
+            raise ValueError(f"tmp_grace_s must be >= 0, got {grace!r}")
         now = time.time()
         removed = 0
         freed = 0

@@ -58,38 +58,5 @@ def execute_job(job: Job) -> dict:
     results are byte-identical to cache-loaded ones (string dictionary
     keys, JSON float formatting) regardless of where they were
     produced.
-
-    For checkpoint-enabled jobs the pool's blanket SIGTERM SIG_IGN is
-    temporarily replaced with a drain request: the simulation finishes
-    the current snapshot interval, writes one last snapshot at the
-    boundary and raises :class:`~repro.harness.checkpoint.
-    CheckpointDrain` (an ``OSError``, so the supervising runner files
-    it under crash-retry and a later re-run picks the job up from the
-    snapshot instead of from scratch).
     """
-    if getattr(job, "checkpoint", None) is None:
-        return json.loads(json.dumps(job.execute()))
-
-    from ..harness import checkpoint as ckpt
-    ckpt.clear_drain()  # a pooled worker may be reused after a drain
-
-    previous = None
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        ckpt.request_drain()
-        if callable(previous):  # keep e.g. the fleet worker's own
-            previous(signum, frame)  # two-stage stop semantics alive
-
-    try:
-        previous = signal.signal(signal.SIGTERM, _drain)
-    except (ValueError, OSError):  # non-main thread: keep pool default
-        previous = None
-    try:
-        return json.loads(json.dumps(job.execute()))
-    finally:
-        ckpt.clear_drain()
-        if previous is not None:
-            try:
-                signal.signal(signal.SIGTERM, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
+    return json.loads(json.dumps(job.execute()))

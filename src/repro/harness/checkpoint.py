@@ -44,7 +44,6 @@ import json
 import logging
 import os
 import pickle
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,9 +109,9 @@ DEFAULT_INTERVAL_SUBFRAMES = 1000
 #: time elapsed since the last save has amortized that save's cost
 #: below this fraction.  The first eligible boundary always saves (it
 #: establishes the cost estimate and guarantees an early restore
-#: point), and drain/kill saves are unconditional.  2% leaves headroom
-#: under the 5% acceptance bound: the cost estimate trails growth by
-#: one save, so the realized fraction can exceed the nominal budget.
+#: point).  2% leaves headroom under the 5% acceptance bound: the cost
+#: estimate trails growth by one save, so the realized fraction can
+#: exceed the nominal budget.
 #: Measured overhead on the busy 2-carrier PBE scenario is in
 #: EXPERIMENTS.md.
 DEFAULT_WALL_BUDGET = 0.02
@@ -158,37 +157,6 @@ for _cls in _IDENTITY:
     statedict.register_identity_type(_cls)
 for _cls in _STATE:
     statedict.register_state_type(_cls)
-
-
-# ---------------------------------------------------------------------
-# Drain requests (SIGTERM-driven graceful preemption)
-# ---------------------------------------------------------------------
-class CheckpointDrain(OSError):
-    """A drain request interrupted a checkpointed run.
-
-    Raised from the run loop right after a boundary snapshot was
-    persisted.  Subclasses :class:`OSError` so the exec layer's crash
-    handling (`_CRASH_ERRORS`) retries the job — the retry restores the
-    snapshot and loses no work.
-    """
-
-
-_drain_requested = False
-
-
-def request_drain() -> None:
-    """Ask the running checkpointed experiment to snapshot and stop."""
-    global _drain_requested
-    _drain_requested = True
-
-
-def drain_requested() -> bool:
-    return _drain_requested
-
-
-def clear_drain() -> None:
-    global _drain_requested
-    _drain_requested = False
 
 
 # ---------------------------------------------------------------------
@@ -467,25 +435,12 @@ def quarantine_snapshot(path: Path, reason: str) -> Path:
     return target
 
 
-def count_quarantined(directory: "str | Path") -> int:
-    """Quarantined snapshot files under ``directory`` (recursive)."""
-    root = Path(directory)
-    if not root.is_dir():
-        return 0
-    return sum(1 for _ in root.rglob(f"*{QUARANTINE_SUFFIX}"))
-
-
 # ---------------------------------------------------------------------
 # Checkpoint manager
 # ---------------------------------------------------------------------
 @dataclass
 class CheckpointConfig:
-    """Where and how often to snapshot one job's run.
-
-    ``kill_at_subframe`` is the chaos hook: the run loop persists a
-    boundary snapshot at that subframe and then SIGKILLs its own
-    process — the retried job restores the snapshot and must finish
-    byte-identical to an uninterrupted run.
+    """Where and how often to snapshot one experiment's run.
 
     ``wall_budget`` caps the amortized wall-clock fraction spent
     saving snapshots (see :data:`DEFAULT_WALL_BUDGET`); ``None`` or
@@ -495,27 +450,7 @@ class CheckpointConfig:
 
     directory: str
     interval_subframes: int = DEFAULT_INTERVAL_SUBFRAMES
-    kill_at_subframe: Optional[int] = None
     wall_budget: Optional[float] = DEFAULT_WALL_BUDGET
-
-    def to_dict(self) -> dict:
-        out: dict = {"dir": self.directory,
-                     "interval_subframes": self.interval_subframes}
-        if self.kill_at_subframe is not None:
-            out["kill_at_subframe"] = self.kill_at_subframe
-        if self.wall_budget != DEFAULT_WALL_BUDGET:
-            out["wall_budget"] = self.wall_budget
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckpointConfig":
-        return cls(directory=data["dir"],
-                   interval_subframes=data.get(
-                       "interval_subframes",
-                       DEFAULT_INTERVAL_SUBFRAMES),
-                   kill_at_subframe=data.get("kill_at_subframe"),
-                   wall_budget=data.get("wall_budget",
-                                        DEFAULT_WALL_BUDGET))
 
 
 class CheckpointManager:
@@ -527,7 +462,6 @@ class CheckpointManager:
         self.config = config
         self.saved = 0
         self.quarantined = 0
-        self.restored_subframe: Optional[int] = None
         #: Wall-clock bookkeeping for the amortization throttle.
         self._last_save_end: Optional[float] = None
         self._save_cost = 0.0
@@ -575,7 +509,6 @@ class CheckpointManager:
                 self.quarantined += 1
                 continue
             restore_experiment(experiment, doc)
-            self.restored_subframe = subframe
             logger.info("restored checkpoint %s (subframe %d)",
                         path.name, subframe)
             return subframe
@@ -591,31 +524,11 @@ class CheckpointManager:
         """
         sim: Simulator = experiment.sim
         interval_us = self.config.interval_subframes * SUBFRAME_US
-        kill_us: Optional[int] = None
-        if self.config.kill_at_subframe is not None:
-            kill_us = self.config.kill_at_subframe * SUBFRAME_US
-            if kill_us <= sim.now:
-                kill_us = None  # already past it (restored run)
         while sim.now < end_us:
             target = min(end_us,
                          (sim.now // interval_us + 1) * interval_us)
-            if kill_us is not None and sim.now < kill_us:
-                target = min(target, kill_us)
             sim.run(until_us=target)
-            if kill_us is not None and sim.now >= kill_us:
-                # Chaos fault: persist the boundary snapshot, then die
-                # the hard way — the retry must resume, not restart.
-                self.save(experiment)
-                os.kill(os.getpid(), signal.SIGKILL)
             if sim.now >= end_us:
                 break
-            if drain_requested():
-                # Preemption must persist a restore point regardless of
-                # the amortization budget — losing work is the one
-                # thing a drain exists to prevent.
-                self.save(experiment)
-                raise CheckpointDrain(
-                    f"drained at subframe {sim.now // SUBFRAME_US} "
-                    f"after snapshot")
             if self._should_save():
                 self.save(experiment)

@@ -433,17 +433,9 @@ class Experiment:
 
 
 def run_flow(scenario: Scenario, scheme: str,
-             spec_overrides: Optional[dict] = None,
-             checkpoint=None) -> FlowResult:
-    """Convenience: one flow, full scenario duration.
-
-    With a :class:`repro.harness.checkpoint.CheckpointManager`, the
-    newest valid snapshot (if any) is restored before running and the
-    run snapshots on the manager's cadence.
-    """
+             spec_overrides: Optional[dict] = None) -> FlowResult:
+    """Convenience: one flow, full scenario duration."""
     experiment = Experiment(scenario)
     spec = FlowSpec(scheme=scheme, **(spec_overrides or {}))
     experiment.add_flow(spec)
-    if checkpoint is not None:
-        checkpoint.try_restore(experiment)
-    return experiment.run(checkpoint=checkpoint)[0]
+    return experiment.run()[0]

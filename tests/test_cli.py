@@ -8,8 +8,7 @@ from repro.cli import EXPERIMENTS, SWEEP_VIEWS, build_parser, main
 from repro.harness.runner import SCHEMES
 
 _SUPERVISION = ["--jobs", "--cache-dir", "--timeout", "--retries",
-                "--strict", "--failure-budget", "--checkpoint-dir",
-                "--checkpoint-every"]
+                "--strict", "--failure-budget"]
 _FLEET = ["--fleet-dir", "--fleet-workers", "--fleet-ttl", "--chaos"]
 
 #: Every subcommand's arguments, in declaration order (positionals by
@@ -54,7 +53,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 75
+    assert sum(len(flags) for flags in inventory.values()) == 69
 
 
 def test_parser_requires_command():

@@ -145,8 +145,7 @@ def test_inactive_spec_reports_inactive():
     assert not ChaosSpec(seed=3).active
     assert ChaosSpec(seed=3, duplicate_claim_prob=0.1).active
     assert set(FAULT_PROBS) == {"kill", "stall", "claim_delay",
-                                "duplicate_claim", "corrupt",
-                                "kill_mid_job"}
+                                "duplicate_claim", "corrupt"}
 
 
 def test_corrupt_bytes_is_deterministic_and_damaging():

@@ -199,7 +199,6 @@ def test_every_shipped_job_kind_round_trips_to_its_own_fingerprint():
             *resilience_jobs(duration_s=1.0),
             *shard_jobs(metro_scenario_sets()["smoke"]),
             probe(1), probe(2, fail=True)]
-    jobs[0].checkpoint = {"dir": "ckpt", "interval_subframes": 100}
     assert {type(job).__name__ for job in jobs} == {
         "Job", "MetroShardJob", "ProbeJob"}
     for job in jobs:

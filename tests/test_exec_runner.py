@@ -314,6 +314,9 @@ def test_constructor_validation():
         ParallelRunner(retries=-1)
     with pytest.raises(ValueError):
         ParallelRunner(timeout_s=0)
+    # NaN fails ``<= 0`` too, and used to time every job out
+    with pytest.raises(ValueError, match="timeout_s"):
+        ParallelRunner(timeout_s=float("nan"))
     with pytest.raises(ValueError):
         ParallelRunner(failure_budget=1.5)
 

@@ -243,6 +243,20 @@ def test_gc_spares_fresh_tmp_of_a_concurrent_writer(tmp_path):
     assert out["removed"] == 1
 
 
+@pytest.mark.parametrize("grace", [float("nan"), -1.0])
+def test_gc_rejects_a_grace_that_would_disarm_the_writer_guard(tmp_path,
+                                                               grace):
+    # ``now - mtime < nan`` is false, so a NaN (or negative) grace used
+    # to reclaim a live writer's temp file written a moment earlier.
+    store = ResultStore(tmp_path)
+    live = tmp_path / "ab" / f".{FP}.json.777.tmp"
+    live.parent.mkdir(parents=True)
+    live.write_text('{"half": "written"}')
+    with pytest.raises(ValueError, match="tmp_grace_s"):
+        store.gc(tmp_grace_s=grace)
+    assert live.exists()
+
+
 def test_discard_missing_is_fine(tmp_path):
     ResultStore(tmp_path).discard(FP)
 
