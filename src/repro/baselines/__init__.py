@@ -27,7 +27,6 @@ from .cubic import Cubic, Reno
 from .fixedrate import FixedRate
 from .pcc import PccAllegro, PccVivace
 from .sprout import Sprout
-from .vegas import Vegas
 from .verus import Verus
 from .windowed import WindowedMax, WindowedMin
 
@@ -36,6 +35,6 @@ __all__ = [
     "Cubic", "DUPACK_THRESHOLD", "FixedRate", "PROBE_BW", "PROBE_BW_GAINS",
     "PROBE_RTT",
     "PccAllegro", "PccVivace", "Reno", "STARTUP", "STARTUP_GAIN", "Sender",
-    "Sprout", "UNTIL_CALLBACK", "Vegas", "Verus", "WindowedMax",
+    "Sprout", "UNTIL_CALLBACK", "Verus", "WindowedMax",
     "WindowedMin",
 ]

@@ -59,6 +59,8 @@ class CongestionControl:
 
     #: Human-readable scheme name (used by the harness).
     name = "base"
+    #: Segment size the window and pacing arithmetic counts in.
+    mss_bits = MSS_BITS
 
     def on_ack(self, ctx: AckContext) -> None:
         """Process one acknowledgement."""
@@ -116,6 +118,8 @@ class Sender(Receiver):
     #: Pacing poll interval while blocked (zero rate or full window)
     #: under answers with a finite validity horizon.
     _IDLE_POLL_US = 1_000
+    #: Size of every data packet sent.
+    mss_bits = MSS_BITS
 
     #: Checkpointing: wiring restored from the rebuilt experiment.  The
     #: congestion controller is *not* skipped — its state is restored
@@ -128,7 +132,7 @@ class Sender(Receiver):
                      "_held_until")
 
     def __init__(self, sim: Simulator, flow_id: int, cc: CongestionControl,
-                 egress: Receiver, mss_bits: int = MSS_BITS,
+                 egress: Receiver,
                  app_rate_bps: Optional[float] = None) -> None:
         """``app_rate_bps`` caps the send rate below what congestion
         control allows, modelling an application-limited source (e.g. a
@@ -141,7 +145,6 @@ class Sender(Receiver):
         self.flow_id = flow_id
         self.cc = cc
         self.egress = egress
-        self.mss_bits = mss_bits
         self.app_rate_bps = app_rate_bps
 
         self.next_seq = 0

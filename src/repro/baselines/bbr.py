@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 from .windowed import WindowedMax, WindowedMin
 
@@ -49,12 +49,10 @@ class Bbr(CongestionControl):
     SNAPSHOT_SKIP = ("probe_rate_cap",)
 
     def __init__(self, initial_rate_bps: float = 2.4e6,
-                 mss_bits: int = MSS_BITS,
                  probe_rate_cap: Optional[Callable[[], Optional[float]]]
                  = None) -> None:
         if initial_rate_bps <= 0:
             raise ValueError("initial rate must be positive")
-        self.mss_bits = mss_bits
         self.initial_rate_bps = initial_rate_bps
         self.probe_rate_cap = probe_rate_cap
 

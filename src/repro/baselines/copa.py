@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 from .windowed import WindowedMin
 
@@ -30,12 +30,10 @@ class Copa(CongestionControl):
 
     name = "copa"
 
-    def __init__(self, delta: float = DEFAULT_DELTA,
-                 mss_bits: int = MSS_BITS) -> None:
+    def __init__(self, delta: float = DEFAULT_DELTA) -> None:
         if delta <= 0:
             raise ValueError("delta must be positive")
         self.delta = delta
-        self.mss_bits = mss_bits
         self.cwnd = 4.0  # packets
         self.velocity = 1.0
         self._direction = 0  # +1 up, -1 down

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 
 #: CUBIC scaling constant (packets/s³).
@@ -27,8 +27,7 @@ class Cubic(CongestionControl):
 
     name = "cubic"
 
-    def __init__(self, mss_bits: int = MSS_BITS) -> None:
-        self.mss_bits = mss_bits
+    def __init__(self) -> None:
         self.cwnd = INITIAL_CWND          # packets
         self.ssthresh = float("inf")      # packets
         self._w_max = 0.0
@@ -112,8 +111,7 @@ class Reno(CongestionControl):
 
     name = "reno"
 
-    def __init__(self, mss_bits: int = MSS_BITS) -> None:
-        self.mss_bits = mss_bits
+    def __init__(self) -> None:
         self.cwnd = INITIAL_CWND
         self.ssthresh = float("inf")
         self._srtt_us = 100_000

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import AckContext, CongestionControl
 
 
@@ -21,8 +21,8 @@ class FixedRate(CongestionControl):
     name = "cbr"
 
     def __init__(self, rate_bps: float = 10e6,
-                 schedule: Optional[Sequence[tuple[float, float]]] = None,
-                 mss_bits: int = MSS_BITS) -> None:
+                 schedule: Optional[Sequence[tuple[float, float]]] = None
+                 ) -> None:
         """``schedule`` is an optional ``(start_s, rate_bps)`` list that
         overrides ``rate_bps`` from each start time onward (sorted).
         """
@@ -34,7 +34,6 @@ class FixedRate(CongestionControl):
                 raise ValueError("schedule times must increase")
         self.rate_bps = rate_bps
         self.schedule = list(schedule) if schedule else None
-        self.mss_bits = mss_bits
 
     def on_ack(self, ctx: AckContext) -> None:
         pass  # open loop: ACKs are ignored

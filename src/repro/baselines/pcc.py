@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import AckContext, CongestionControl
 
 #: Exploration size ε for paired trials.
@@ -76,10 +76,9 @@ class _PccBase(CongestionControl):
     MIN_MI_US = 10_000
 
     def __init__(self, initial_rate_bps: float = 2.4e6,
-                 mss_bits: int = MSS_BITS, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if initial_rate_bps <= 0:
             raise ValueError("initial rate must be positive")
-        self.mss_bits = mss_bits
         self.rate_bps = initial_rate_bps
         self._srtt_us = 100_000
         self._rng = np.random.default_rng(seed)
@@ -147,8 +146,8 @@ class PccAllegro(_PccBase):
     name = "pcc"
 
     def __init__(self, initial_rate_bps: float = 2.4e6,
-                 mss_bits: int = MSS_BITS, seed: int = 0) -> None:
-        super().__init__(initial_rate_bps, mss_bits, seed)
+                 seed: int = 0) -> None:
+        super().__init__(initial_rate_bps, seed)
         self._starting = True
         self._last_utility: Optional[float] = None
         self._last_loss = 0.0
@@ -203,8 +202,8 @@ class PccVivace(_PccBase):
     name = "vivace"
 
     def __init__(self, initial_rate_bps: float = 2.4e6,
-                 mss_bits: int = MSS_BITS, seed: int = 0) -> None:
-        super().__init__(initial_rate_bps, mss_bits, seed)
+                 seed: int = 0) -> None:
+        super().__init__(initial_rate_bps, seed)
         self._base_rate = initial_rate_bps
         self._pending: Optional[tuple[float, float]] = None  # (rate, util)
         self._step_mbps = 0.4

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import AckContext, CongestionControl
 
 #: Forecast horizon (the Sprout paper's 100 ms target).
@@ -37,8 +37,7 @@ class Sprout(CongestionControl):
 
     name = "sprout"
 
-    def __init__(self, mss_bits: int = MSS_BITS) -> None:
-        self.mss_bits = mss_bits
+    def __init__(self) -> None:
         self._tick_start = 0
         self._tick_bits = 0
         self._mean_bps = 0.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .base import AckContext, CongestionControl
 
 #: Epoch length (the Verus paper uses 5 ms).
@@ -41,8 +41,7 @@ class Verus(CongestionControl):
 
     name = "verus"
 
-    def __init__(self, mss_bits: int = MSS_BITS) -> None:
-        self.mss_bits = mss_bits
+    def __init__(self) -> None:
         self.cwnd = 10.0  # packets
         self._profile: dict[int, float] = {}  # delay bucket -> window
         self._d_min_us: Optional[int] = None

@@ -30,7 +30,7 @@ from typing import Optional
 from ..baselines.base import AckContext, CongestionControl
 from ..baselines.bbr import PROBE_BW, Bbr
 from ..net.packet import Packet
-from ..net.units import MSS_BITS, US_PER_S
+from ..net.units import US_PER_S
 from .feedback import PbeFeedback
 from .guard import FeedbackGuard
 
@@ -65,19 +65,14 @@ class PbeSender(CongestionControl):
     name = "pbe"
 
     def __init__(self, initial_rate_bps: float = 1.2e6,
-                 mss_bits: int = MSS_BITS,
                  ramp_rtts: float = RAMP_RTTS,
-                 pacing_gain: float = WIRELESS_PACING_GAIN,
                  retx_margin_us: int = RETX_MARGIN_US,
-                 cap_probe_at_fair_share: bool = True,
                  guard: Optional[FeedbackGuard] = None,
                  feedback_timeout_us: Optional[int] = None) -> None:
         """Ablation knobs (defaults are the paper's design):
 
         ``ramp_rtts=0`` jumps straight to Cf instead of the §4.1 linear
-        ramp; ``retx_margin_us=0`` sizes the cwnd at the bare BDP;
-        ``cap_probe_at_fair_share=False`` probes at plain 1.25·BtlBw
-        instead of Eqn. 7's ``min(1.25·BtlBw, Cf)``.
+        ramp; ``retx_margin_us=0`` sizes the cwnd at the bare BDP.
 
         ``guard`` optionally attaches the §7 misreported-feedback
         detector: once it flags the client, the sender ignores inflated
@@ -90,16 +85,13 @@ class PbeSender(CongestionControl):
         """
         if initial_rate_bps <= 0:
             raise ValueError("initial rate must be positive")
-        if ramp_rtts < 0 or retx_margin_us < 0 or pacing_gain <= 0:
+        if ramp_rtts < 0 or retx_margin_us < 0:
             raise ValueError("ablation knobs must be non-negative")
         if feedback_timeout_us is not None and feedback_timeout_us <= 0:
             raise ValueError("feedback timeout must be positive")
-        self.mss_bits = mss_bits
         self.initial_rate_bps = initial_rate_bps
         self.ramp_rtts = ramp_rtts
-        self.pacing_gain = pacing_gain
         self.retx_margin_us = retx_margin_us
-        self.cap_probe_at_fair_share = cap_probe_at_fair_share
         self.guard = guard
         self.state = STARTUP
 
@@ -107,7 +99,6 @@ class PbeSender(CongestionControl):
         #: RTprop filters are warm the instant the bottleneck moves into
         #: the Internet.  Its probing rate is capped at Cf (Eqn. 7).
         self.bbr = Bbr(initial_rate_bps=initial_rate_bps,
-                       mss_bits=mss_bits,
                        probe_rate_cap=self._fair_share_cap)
 
         self.target_rate_bps = 0.0
@@ -129,8 +120,6 @@ class PbeSender(CongestionControl):
 
     # ------------------------------------------------------------------
     def _fair_share_cap(self) -> Optional[float]:
-        if not self.cap_probe_at_fair_share:
-            return None
         return self.fair_rate_bps if self.fair_rate_bps > 0 else None
 
     @property
@@ -349,7 +338,7 @@ class PbeSender(CongestionControl):
         if self.state == STARTUP:
             return self._current_wireless_rate(now_us)
         if self.state == WIRELESS:
-            return self.pacing_gain * self._current_wireless_rate(now_us)
+            return WIRELESS_PACING_GAIN * self._current_wireless_rate(now_us)
         if self.state == DRAIN:
             btlbw = self.bbr.btlbw_bps or self.target_rate_bps
             return max(self.initial_rate_bps, DRAIN_GAIN * btlbw)

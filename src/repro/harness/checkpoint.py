@@ -57,7 +57,6 @@ from ..baselines.cubic import Cubic, Reno
 from ..baselines.fixedrate import FixedRate
 from ..baselines.pcc import PccAllegro, PccVivace, _MonitorInterval, _PccBase
 from ..baselines.sprout import Sprout
-from ..baselines.vegas import Vegas
 from ..baselines.verus import Verus
 from ..baselines.windowed import WindowedMax, WindowedMin
 from ..cell.basestation import (
@@ -133,7 +132,7 @@ _STATE = (
     Link, DelayPipe, BatchingPipe, FlowDemux, FlowStats,
     Sender, AckingReceiver,
     # congestion controllers
-    Bbr, Cubic, Reno, Copa, Sprout, Verus, Vegas, FixedRate,
+    Bbr, Cubic, Reno, Copa, Sprout, Verus, FixedRate,
     _PccBase, PccAllegro, PccVivace, _MonitorInterval,
     WindowedMax, WindowedMin,
     PbeSender, PbeClient, FeedbackGuard,

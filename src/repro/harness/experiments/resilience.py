@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ...checks import require_int
 from ...exec import Job, is_failure, make_runner
 from ...faults import FaultSpec
 from ..metrics import FlowSummary
@@ -51,8 +52,13 @@ def fault_dict(miss_rate: float, outage_ms: int, duration_s: float,
 
     A non-zero outage is scheduled at the midpoint of the flow, so the
     run shows all three phases: healthy tracking, degraded/fallback
-    operation, and recovery after reports resume.
+    operation, and recovery after reports resume.  A negative outage
+    raises: it would schedule none, yet the ACK-path dose would still
+    apply to a row the table reads as the clean reference.
     """
+    require_int("outage_ms", outage_ms)
+    if outage_ms < 0:
+        raise ValueError(f"outage_ms must be non-negative, got {outage_ms!r}")
     if miss_rate == 0 and outage_ms == 0:
         return None
     outages = []

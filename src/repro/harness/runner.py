@@ -23,7 +23,6 @@ from ..baselines import (
     Reno,
     Sender,
     Sprout,
-    Vegas,
     Verus,
 )
 from ..cell.basestation import CellularNetwork
@@ -45,7 +44,7 @@ TEST_RNTI_BASE = 100
 #: RNTI range for background (exogenous) users.
 BACKGROUND_RNTI_BASE = 1_000
 
-#: Scheme-name registry (the eight algorithms of §6.1 plus Reno).
+#: Scheme-name registry (the eight algorithms of §6.1, Reno and CBR).
 SCHEMES: dict[str, Callable[..., CongestionControl]] = {
     "pbe": PbeSender,
     "bbr": Bbr,
@@ -56,7 +55,6 @@ SCHEMES: dict[str, Callable[..., CongestionControl]] = {
     "copa": Copa,
     "pcc": PccAllegro,
     "vivace": PccVivace,
-    "vegas": Vegas,
     "cbr": FixedRate,
 }
 

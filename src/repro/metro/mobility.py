@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checks import require_real
 from ..traces.seeds import derived_seed
 
 #: Shortest dwell on a cell before the next handover, seconds.
@@ -33,8 +34,9 @@ def walker_plan(cells: list[dict], duration_s: float, n_walkers: int,
     """
     if n_walkers < 0:
         raise ValueError("walker count must be non-negative")
+    require_real("duration_s", duration_s)
     if duration_s <= 0:
-        raise ValueError("duration must be positive")
+        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
     if mean_dwell_s <= 0:
         mean_dwell_s = max(MIN_DWELL_S, duration_s / 5.0)
 

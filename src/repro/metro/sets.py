@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from ..checks import require_int, require_real
 from .grid import GridSpec
 
 
@@ -36,6 +37,28 @@ class MetroSet:
     fleet: tuple = ("pbe", "cubic", "bbr")
     scheduler_policy: str = "equal"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # CLI overrides land here: a NaN hour or a negative walker count
+        # fails before any shard is planned, naming its field.
+        for name in ("hour_s", "users_scale"):
+            value = getattr(self, name)
+            require_real(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name, minimum in (("shard_cells", 1), ("walkers_per_shard", 0),
+                              ("max_users_per_cell", 0)):
+            value = getattr(self, name)
+            require_int(name, value)
+            if value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, "
+                                 f"got {value!r}")
+        if not self.hours:
+            raise ValueError("hours must name at least one hour")
+        for hour in self.hours:
+            require_int("hours", hour)
+            if not 0 <= hour <= 23:
+                raise ValueError(f"hours must lie in 0..23, got {hour!r}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -6,15 +6,7 @@ filtering, capacity estimation (Eqns. 1-4) and cross-layer rate
 translation (Eqn. 5), packaged behind :class:`PbeMonitor`.
 """
 
-from .bursttracker import (
-    IDLE,
-    UPSTREAM_BOTTLENECK,
-    WIRELESS_BOTTLENECK,
-    BurstTracker,
-    BurstWindow,
-)
 from .capacity import CellCapacityEstimator, CellEstimate, CellSample
-from .occupancy import OccupancyAnalyzer, UserOccupancy
 from .decoder import (
     N_DCI_FORMATS,
     N_SEARCH_POSITIONS,
@@ -36,13 +28,10 @@ from .translation import (
 )
 
 __all__ = [
-    "ActiveUserFilter", "BurstTracker", "BurstWindow",
-    "CellCapacityEstimator", "CellEstimate",
+    "ActiveUserFilter", "CellCapacityEstimator", "CellEstimate",
     "CellSample", "ControlChannelDecoder", "DEFAULT_WINDOW_SUBFRAMES",
     "MIN_ACTIVE_SUBFRAMES", "MIN_AVG_PRBS",
-    "IDLE", "MonitorReport", "N_DCI_FORMATS", "N_SEARCH_POSITIONS",
-    "OccupancyAnalyzer", "UserOccupancy",
-    "UPSTREAM_BOTTLENECK", "WIRELESS_BOTTLENECK",
+    "MonitorReport", "N_DCI_FORMATS", "N_SEARCH_POSITIONS",
     "PROTOCOL_OVERHEAD", "PbeMonitor", "SECONDARY_INACTIVE_TIMEOUT",
     "TranslationTable", "UserActivity", "physical_from_transport",
     "transport_from_physical",

@@ -9,13 +9,11 @@ named streams), so trace-driven runs are replayable.
 
 from .cellactivity import DIURNAL_SHAPE, DiurnalCellActivity, paper_cells
 from .mobility import paper_trajectory, random_walk_trajectory
-from .replay import CapacityTrace, TraceLink
 from .seeds import derived_seed
 from .workload import CbrDemand, OnOffRandomDemand, ScheduledDemand
 
 __all__ = [
     "CbrDemand", "DIURNAL_SHAPE", "DiurnalCellActivity",
-    "CapacityTrace", "OnOffRandomDemand", "ScheduledDemand",
-    "TraceLink", "derived_seed", "paper_cells",
+    "OnOffRandomDemand", "ScheduledDemand", "derived_seed", "paper_cells",
     "paper_trajectory", "random_walk_trajectory",
 ]

@@ -19,13 +19,16 @@ grant plus the cell's idle PRBs) that the grant actually consumed:
 This classifier runs on the same decoded control channel PBE-CC's
 monitor consumes, giving an independent check of the client's
 Dth-based bottleneck-state machine (§4.2.2): the two should agree.
+Nothing under ``src/`` imports this module; ``tests/test_bursttracker.py``
+runs it beside a PBE flow as an oracle shaped independently of
+:class:`repro.core.client.PbeClient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..phy.dci import SubframeRecord
+from repro.phy.dci import SubframeRecord
 
 #: Default classification window (subframes = ms).
 DEFAULT_WINDOW = 100

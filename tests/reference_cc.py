@@ -138,7 +138,6 @@ class ReferencePbeSender(PbeSender):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.bbr = ReferenceBbr(initial_rate_bps=self.initial_rate_bps,
-                                mss_bits=self.mss_bits,
                                 probe_rate_cap=self._fair_share_cap)
 
     def on_ack(self, ctx: AckContext) -> None:

@@ -1,14 +1,15 @@
-"""Tests for the BurstTracker bottleneck classifier."""
+"""Tests for the BurstTracker bottleneck classifier (a test oracle)."""
 
 import pytest
 
-from repro.monitor.bursttracker import (
+from repro.phy.dci import DciMessage, SubframeRecord
+
+from .reference_bursttracker import (
     IDLE,
     UPSTREAM_BOTTLENECK,
     WIRELESS_BOTTLENECK,
     BurstTracker,
 )
-from repro.phy.dci import DciMessage, SubframeRecord
 
 OWN = 100
 

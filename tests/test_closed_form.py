@@ -51,6 +51,14 @@ The same arithmetic covers the rest of the static idle cell (seed 1,
   read 25.8–27.4 ms and its maximum 28.2–36.8 ms over seeds 1–8 at
   both SINRs and both 2 s and 10 s: a block that fails waits one HARQ
   round (8 ms) per retransmission, at most ``MAX_RETRANSMISSIONS``.
+* *Eqn. 5 per carrier, counted.*  The retransmission grants each
+  carrier's control channel shows are what ``1 − (1 − p)^L`` predicts
+  for its new blocks, HARQ's chase-combining gain included.  A
+  saturated 2 s flow over 3 CCs sends ~1 800 new blocks and 50–150
+  retransmissions per carrier; the count's z-score read −1.56 … +1.57
+  (pooled over the CCs, seeds 1–5) and −1.51 … +1.73 per carrier
+  (seed 1, 1–3 CCs at 8 / 14 / 20 dB).  Drawing the error at half the
+  block's bits halves the count (z ≈ −8).
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ from repro.harness.metrics import jain_index
 from repro.harness.runner import SCHEMES, run_flow
 from repro.net.units import US_PER_MS
 from repro.phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
-from repro.phy.error import block_error_rate, sinr_to_ber
+from repro.phy.error import (block_error_rate, retransmission_ber,
+                             sinr_to_ber)
 from repro.phy.mcs import bits_per_prb, sinr_to_mcs
 
 SINRS_DB = (14.0, 20.0)
@@ -83,6 +92,10 @@ CBR_BELOW_BPS = 50e6
 SHARED_SINR_DB = 20.0
 #: HARQ retransmits a failed block one round later.
 HARQ_ROUND_MS = RETX_DELAY_SUBFRAMES
+#: A saturating source for the per-carrier TBLER count, and its run.
+CBR_SATURATING_BPS = 400e6
+TBLER_S = 2.0
+TBLER_CELLS = 3
 
 
 def _scenario(sinr_db, duration_s, cells=1):
@@ -205,3 +218,48 @@ def test_cbr_below_capacity_sees_the_delay_floor(sinr_db):
     assert summary.p95_delay_ms <= floor_ms + HARQ_ROUND_MS
     worst_ms = max(result.stats.delay_us) / US_PER_MS
     assert worst_ms <= floor_ms + MAX_RETRANSMISSIONS * HARQ_ROUND_MS
+
+
+def expected_retransmissions(ber, tb_bits, rounds):
+    """Eqn. 5's expected retransmissions of one new ``tb_bits`` block
+    whose first ``rounds`` retransmissions fall inside the run: the
+    k-th happens when the first transmission and the k − 1 before it
+    all failed, each at its chase-combined BER."""
+    expected, all_failed = 0.0, 1.0
+    for attempt in range(min(rounds, MAX_RETRANSMISSIONS)):
+        all_failed *= block_error_rate(retransmission_ber(ber, attempt),
+                                       tb_bits)
+        expected += all_failed
+    return expected
+
+
+@pytest.mark.parametrize("sinr_db", SINRS_DB)
+def test_retransmissions_per_carrier_match_eqn5(sinr_db):
+    scenario = _scenario(sinr_db, TBLER_S, TBLER_CELLS)
+    experiment = Experiment(scenario)
+    spec = FlowSpec(scheme="cbr",
+                    cc_kwargs={"rate_bps": CBR_SATURATING_BPS})
+    experiment.add_flow(spec)
+    records = {carrier.cell_id: [] for carrier in
+               scenario.carriers[:scenario.aggregated_cells]}
+    for cell_id, recorded in records.items():
+        experiment.network.attach_monitor(cell_id, recorded.append)
+    experiment.run()
+    ber = sinr_to_ber(sinr_db)
+    for cell_id, recorded in records.items():
+        last = recorded[-1].subframe
+        expected = observed = new_blocks = 0
+        for record in recorded:
+            for dci in record.messages:
+                if dci.rnti != spec.rnti or dci.is_control:
+                    continue
+                if not dci.new_data:
+                    observed += 1
+                    continue
+                new_blocks += 1
+                rounds = (last - record.subframe) // RETX_DELAY_SUBFRAMES
+                expected += expected_retransmissions(ber, dci.tbs_bits,
+                                                     rounds)
+        assert new_blocks > 1_000, (cell_id, new_blocks)
+        z = (observed - expected) / expected ** 0.5
+        assert abs(z) <= 4.0, (cell_id, observed, expected, z)

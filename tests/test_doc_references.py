@@ -4,11 +4,15 @@ Every backticked repository path in README.md, DESIGN.md and docs/*.md
 — a token with a ``/`` or a ``:line`` / ``:a-b`` suffix, ending in a
 file extension — must name a file, tried from the repository root and
 then from ``src/repro/``, and a line reference must lie inside that
-file.  ROADMAP.md is left out: it names files that are only planned.
+file.  Every backticked dotted name ``repro.<module>[.<attr>…]`` must
+resolve, a call's arguments aside: the longest prefix that is a module
+imports, and the rest are attributes of it.  ROADMAP.md is left out: it
+names files and code that are only planned.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -23,6 +27,7 @@ _TICKED = re.compile(r"`([^`\n]+)`")
 _PATH = re.compile(r"([\w.-]+(?:/[\w.-]+)*"
                    r"\.(?:py|md|json|toml|yml|yaml|txt|cfg|sh|ini))"
                    r"(?::(\d+)(?:-(\d+))?)?")
+_DOTTED = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
 
 
 def references(text):
@@ -53,9 +58,45 @@ def broken(text):
     return out
 
 
+def dotted_names(text):
+    """``(doc line, name)`` per backticked ``repro.…`` dotted name."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for ticked in _TICKED.finditer(line):
+            match = _DOTTED.fullmatch(ticked.group(1).strip())
+            if match is not None:
+                yield lineno, match.group(1)
+
+
+def resolves(name):
+    """Import the longest module prefix of ``name``, then walk the rest
+    as attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not f"{module}.".startswith(f"{exc.name}."):
+                raise  # the module exists but lacks a dependency
+            continue
+        break
+    for attr in parts[cut:]:
+        if not hasattr(target, attr):
+            return False
+        target = getattr(target, attr)
+    return True
+
+
+def unresolved(text):
+    """One message per dotted name that names nothing."""
+    return [f"line {lineno}: {name} does not resolve"
+            for lineno, name in dotted_names(text) if not resolves(name)]
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda d: d.name)
 def test_doc_references_resolve(doc):
-    assert broken(doc.read_text()) == []
+    text = doc.read_text()
+    assert broken(text) + unresolved(text) == []
 
 
 def test_the_scan_sees_references_and_catches_breakage():
@@ -67,3 +108,16 @@ def test_the_scan_sees_references_and_catches_breakage():
         "exec/journal.py", "src/repro/cli.py"]
     assert [message.split(": ")[1].split()[0] for message in broken(text)
             ] == ["exec/journal.py", "src/repro/cli.py:999999"]
+
+
+def test_the_dotted_scan_resolves_modules_and_attributes():
+    text = ("`repro.monitor` `repro.exec.store.seal` `repro.net.Tap` "
+            "`repro.monitor.NoSuchClass` `repro.no_such_module` "
+            "`repro.cli.main()` `repro.baselines.Bbr.on_ack.missing`")
+    assert [name for _, name in dotted_names(text)] == [
+        "repro.monitor", "repro.exec.store.seal", "repro.net.Tap",
+        "repro.monitor.NoSuchClass", "repro.no_such_module",
+        "repro.cli.main", "repro.baselines.Bbr.on_ack.missing"]
+    assert [message.split(": ")[1].split()[0] for message in unresolved(text)
+            ] == ["repro.monitor.NoSuchClass", "repro.no_such_module",
+                  "repro.baselines.Bbr.on_ack.missing"]

@@ -1,5 +1,4 @@
-"""Loaders fail loudly: snapshots, sealed results, capacity traces and
-scenarios, fuzzed.
+"""Loaders fail loudly: snapshots, sealed results and scenarios, fuzzed.
 
 Whatever bytes sit on disk, :func:`repro.harness.checkpoint.read_snapshot`
 either returns the document that was written or raises
@@ -7,10 +6,9 @@ either returns the document that was written or raises
 the payload that was sealed or raises :class:`ValueError` — each naming
 the reason, which is what the quarantine logs record.  No other
 exception may escape: a stray ``KeyError`` or ``RecursionError`` would
-crash a resume or a sweep instead of quarantining one file.  A Mahimahi
-trace either parses or raises a :class:`ValueError` naming its bad
-line, and a scenario (a wire job's included) or a link or channel built
-with a bad field raises one naming the field, before anything runs.
+crash a resume or a sweep instead of quarantining one file.  A scenario
+(a wire job's included) or a link or channel built with a bad field
+raises a :class:`ValueError` naming the field, before anything runs.
 """
 
 import json
@@ -20,17 +18,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exec import seal, unseal
 from repro.exec.backend import job_from_wire, job_to_wire
 from repro.exec.job import Job
 from repro.harness import Experiment, FlowSpec, Scenario
+from repro.metro import resolve_set
 from repro.net.link import Link, PacketSink
 from repro.net.sim import Simulator
 from repro.phy.channel import GaussMarkovChannel, StaticChannel, TraceChannel
-from repro.traces.replay import MAX_TRACE_MS, CapacityTrace
 from repro.harness.checkpoint import (
     CheckpointConfig,
     CheckpointManager,
@@ -143,57 +141,9 @@ def test_sealed_payload_round_trips_and_any_byte_flip_is_named(payload,
         unseal(bytes(blob))
 
 
-
 # ---------------------------------------------------------------------
-# Mahimahi capacity traces.
-
-#: Mostly short timestamps (a parsed trace is a dense per-ms list, so
-#: long ones make slow examples), plus what a hostile file holds.
-TRACE_LINES = st.one_of(
-    st.integers(-3, 2_000).map(str),
-    st.sampled_from(["", "  7 ", "# note", "1.5", "abc", "10000000000",
-                     str(MAX_TRACE_MS + 1), "9" * 5_000]),
-    st.text(max_size=6))
-
-
-@FUZZ
-@given(lines=st.lists(TRACE_LINES, max_size=30))
-@example(lines=["10000000000"])
-def test_mahimahi_lines_parse_or_name_their_line(lines):
-    try:
-        trace = CapacityTrace.from_mahimahi_lines(lines)
-    except ValueError as exc:
-        named = re.match(r"line (\d+): ", str(exc))
-        if named is None:
-            assert str(exc) == "empty trace"
-            assert all(not line.strip() or line.strip().startswith("#")
-                       for line in lines)
-        else:
-            assert 1 <= int(named.group(1)) <= len(lines)
-        return
-    again = CapacityTrace.from_mahimahi_lines(trace.to_mahimahi_lines())
-    assert again.bits_per_ms == trace.bits_per_ms
-
-
-@pytest.mark.parametrize("lines, reason", [
-    (["10000000000"], "line 1: timestamp 10000000000 ms is outside"),
-    (["5", "abc"], "line 2: not an integer timestamp: 'abc'"),
-    (["1.5"], "line 1: not an integer timestamp: '1.5'"),
-    (["# header", "", "0"], "line 3: timestamp 0 ms is outside"),
-])
-def test_a_bad_mahimahi_line_is_named(lines, reason):
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        CapacityTrace.from_mahimahi_lines(lines)
-
-
-@pytest.mark.parametrize("bits", [[math.nan], [True, 2], [1.5]])
-def test_a_capacity_trace_takes_ints_only(bits):
-    with pytest.raises(ValueError, match=r"bits_per_ms\[\d\] must be a non-negative integer"):
-        CapacityTrace(bits)
-
-
-# ---------------------------------------------------------------------
-# Scenarios, wire jobs, links and channels: a bad field is named.
+# Scenarios, metro sets, wire jobs, links and channels: a bad field is
+# named.
 
 BAD_SCENARIO_FIELDS = [
     ("aggregated_cells", True), ("background_users", -3),
@@ -211,6 +161,22 @@ BAD_SCENARIO_FIELDS = [
 def test_a_bad_scenario_field_is_named(name, value):
     with pytest.raises(ValueError, match=name):
         Scenario(name="bad", **{name: value})
+
+
+BAD_METRO_SET_FIELDS = [
+    ("hour_s", math.nan), ("hour_s", math.inf), ("hour_s", 0.0),
+    ("shard_cells", 0), ("shard_cells", 2.5),
+    ("walkers_per_shard", -1), ("max_users_per_cell", -1),
+    ("users_scale", math.nan), ("users_scale", 0.0),
+    ("hours", ()), ("hours", (3, 24)), ("hours", (3.5,)),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_METRO_SET_FIELDS)
+def test_a_bad_metro_set_field_is_named(name, value):
+    # What `repro metro --hour-s nan` / `--walkers -1` build.
+    with pytest.raises(ValueError, match=name):
+        resolve_set("smoke").with_overrides(**{name: value})
 
 
 def test_a_wire_job_names_its_bad_scenario_field():

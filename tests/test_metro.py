@@ -12,6 +12,7 @@ missing-shard accounting).
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_walker_plan_is_deterministic_and_in_range():
         assert all(cell in ids for _, cell in plan["moves"])
     counts = handovers_into(plans)
     assert sum(counts.values()) == sum(len(p["moves"]) for p in plans)
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
+def test_walker_plan_rejects_a_duration_it_cannot_end(duration_s):
+    # No move time compares >= to a NaN duration, so the plan would
+    # grow without bound.  Shard params arrive from fleet wire jobs too.
+    with pytest.raises(ValueError, match="duration_s"):
+        walker_plan(_tiny_cells(), duration_s, n_walkers=1, seed=11)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,16 @@ def test_jobs_grid_rejects_empty_axes():
         resilience_jobs(miss_rates=())
 
 
+@pytest.mark.parametrize("outage_ms", [-5, 2.5, True])
+def test_a_bad_outage_is_named(outage_ms):
+    # A negative outage schedules none but would keep the ACK-path dose:
+    # an impaired row the table would take for the clean reference.
+    with pytest.raises(ValueError, match="outage_ms"):
+        fault_dict(0.0, outage_ms, 4.0)
+    with pytest.raises(ValueError, match="outage_ms"):
+        resilience_jobs(outages_ms=(0, outage_ms))
+
+
 def test_fault_dict_schedules_outage_at_midpoint():
     assert fault_dict(0.0, 0, 4.0) is None
     faults = fault_dict(0.2, 500, 4.0, fault_seed=7)
