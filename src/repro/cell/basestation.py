@@ -537,13 +537,6 @@ class CellularNetwork:
         self._drain_wire()
         return self._users[rnti]
 
-    def aggregation_state(self, rnti: int) -> AggregationState:
-        return self._users[rnti].agg
-
-    def queue_backlog_bits(self, rnti: int) -> int:
-        self._drain_wire()
-        return self._users[rnti].queue.backlog_bits
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

@@ -111,13 +111,6 @@ class ProportionalFairState:
                 del seen_at[rnti]
                 del throughput[rnti]
 
-    def tracked_users(self) -> int:
-        """How many RNTIs currently hold EWMA state (bound tests)."""
-        return len(self._throughput)
-
-    def throughput_of(self, rnti: int) -> float:
-        return self._throughput.get(rnti, 0.0)
-
 
 def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
                   rotation: int = 0,

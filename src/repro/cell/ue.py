@@ -42,12 +42,6 @@ class UserEquipment:
         self.abandoned_tbs = 0
 
     # ------------------------------------------------------------------
-    @property
-    def reorder_depth(self) -> int:
-        """Transport blocks currently parked in the reordering buffer."""
-        return self._reorder.held
-
-    # ------------------------------------------------------------------
     def receive_tb(self, tb: TransportBlock) -> None:
         """Accept a correctly decoded transport block."""
         self.receive_subframe(((tb, True),))

@@ -91,11 +91,6 @@ class PbeClient(AckingReceiver):
         value = self._dprop.get()
         return int(value) if value is not None else 0
 
-    @property
-    def delay_threshold_us(self) -> int:
-        """``Dth`` of §4.2.2."""
-        return self.dprop_us + self.delay_margin_us
-
     # ------------------------------------------------------------------
     # Per-burst processing
     # ------------------------------------------------------------------

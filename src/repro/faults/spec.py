@@ -120,10 +120,6 @@ class FaultSpec:
                 or self.ack_reorder_rate > 0
                 or self.feedback_corrupt_rate > 0)
 
-    @property
-    def is_noop(self) -> bool:
-        return not (self.impairs_decoder or self.impairs_pipe)
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready representation (inverse of :meth:`from_dict`)."""

@@ -2,10 +2,9 @@
 
 Each ``run_*`` function executes the corresponding experiment on the
 simulator and returns a structured result with a ``format()`` method
-that prints the same rows/series the paper reports.  The benchmark
-suite under ``benchmarks/`` is a thin wrapper around these drivers, and
-EXPERIMENTS.md records one full run's output against the paper's
-numbers.
+that prints the same rows/series the paper reports.  The claims
+registry (:mod:`repro.harness.claims`) names each driver's arguments at
+reduced and paper scale and the paper's claims about its result.
 """
 
 from .ablation import run_ablation

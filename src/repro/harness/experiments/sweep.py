@@ -45,34 +45,15 @@ class SweepResult:
     #: Structured :class:`repro.exec.JobFailure` records for runs that
     #: failed (non-strict execution keeps the rest of the sweep).
     failures: list = field(default_factory=list)
-    #: Lazily built {location: {scheme: entry}} index, rebuilt whenever
-    #: the entry count changes (entries are append-only in practice).
-    _location_index: dict | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _indexed_len: int = field(
-        default=-1, init=False, repr=False, compare=False)
 
     def for_scheme(self, scheme: str) -> list[SweepEntry]:
         return [e for e in self.entries if e.scheme == scheme]
-
-    def for_location(self, location: str) -> dict[str, SweepEntry]:
-        return dict(self._by_location().get(location, {}))
 
     def locations(self) -> list[str]:
         return list(dict.fromkeys(e.location for e in self.entries))
 
     def schemes(self) -> list[str]:
         return list(dict.fromkeys(e.scheme for e in self.entries))
-
-    def _by_location(self) -> dict:
-        if (self._location_index is None
-                or self._indexed_len != len(self.entries)):
-            index: dict[str, dict] = {}
-            for entry in self.entries:
-                index.setdefault(entry.location, {})[entry.scheme] = entry
-            self._location_index = index
-            self._indexed_len = len(self.entries)
-        return self._location_index
 
 
 def entry_to_dict(entry: SweepEntry) -> dict:

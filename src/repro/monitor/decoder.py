@@ -55,10 +55,3 @@ class ControlChannelDecoder:
     #: ``bench/trace.py``'s ``CALL_SPANS`` still names, kept as an alias so
     #: ``bench/`` needs no edit; the next ``benchmark`` PR removes it.
     ingest_batch = on_subframe
-
-    @property
-    def mean_messages_per_subframe(self) -> float:
-        """Average decoded control messages per subframe (§7 figure)."""
-        if self.subframes_decoded == 0:
-            return 0.0
-        return self.messages_decoded / self.subframes_decoded

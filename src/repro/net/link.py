@@ -212,12 +212,6 @@ class Link(Receiver):
         return (self._accepted - self.queue_depth
                 - (self._busy_until > self.sim.now))
 
-    def queue_delay_estimate_us(self, size_bits: int) -> int:
-        """Exact wait + serialization a ``size_bits`` arrival would see
-        (the in-flight packet's remainder included)."""
-        return (max(0, self._busy_until - self.sim.now)
-                + transmission_time_us(size_bits, self.rate_bps))
-
     def receive(self, packet: Packet) -> None:
         now = self.sim.now
         starts = self._starts

@@ -23,8 +23,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-from .units import US_PER_S
-
 #: Never bother compacting heaps smaller than this; the scan costs more
 #: than the dead entries do.
 _COMPACT_MIN_EVENTS = 64
@@ -183,10 +181,6 @@ class Simulator:
             self.now = until_us
         self._running = False
 
-    def run_for(self, duration_us: int) -> None:
-        """Run for ``duration_us`` from the current clock."""
-        self.run(until_us=self.now + duration_us)
-
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
         self._running = False
@@ -251,21 +245,3 @@ class Simulator:
             event._owner = self
             heap.append((event.time, event.seq, event))
         self._heap[:] = heap
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of *live* (non-cancelled) events still queued."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def queued_entries(self) -> int:
-        """Raw heap size, cancelled entries included (diagnostics)."""
-        return len(self._heap)
-
-    @property
-    def now_seconds(self) -> float:
-        """Current simulation time in float seconds (reporting only)."""
-        return self.now / US_PER_S

@@ -77,12 +77,3 @@ class SubframeRecord:
                 f"over-allocated subframe {self.subframe} on cell "
                 f"{self.cell_id}: {self.allocated_prbs}/{self.total_prbs}")
         return idle
-
-    def prbs_for(self, rnti: int) -> int:
-        """PRBs allocated to one user this subframe."""
-        return sum(m.n_prbs for m in self.messages if m.rnti == rnti)
-
-    def active_rntis(self) -> set[int]:
-        """Users that received any allocation this subframe."""
-        return {m.rnti for m in self.messages if m.n_prbs > 0}
-

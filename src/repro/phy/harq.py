@@ -11,7 +11,7 @@ motivates PBE-CC's delay threshold ``Dprop + 3·8 + 3`` ms (§4.2.2).
 
 from __future__ import annotations
 
-from typing import Generic, Optional, TypeVar
+from typing import Generic, TypeVar
 
 #: Subframes between a failed transmission and its retransmission.
 RETX_DELAY_SUBFRAMES = 8
@@ -36,16 +36,6 @@ class ReorderingBuffer(Generic[T]):
         #: Sequence numbers abandoned before their turn came up.
         self._abandoned: set[int] = set()
         self.max_held = 0
-
-    @property
-    def expected_seq(self) -> int:
-        """Next sequence number the buffer will release."""
-        return self._expected
-
-    @property
-    def held(self) -> int:
-        """Blocks currently parked waiting for an earlier block."""
-        return len(self._held)
 
     def insert(self, seq: int, payload: T) -> list[T]:
         """Accept block ``seq``; return now-deliverable payloads in order."""
@@ -99,10 +89,3 @@ class HarqProcess(Generic[T]):
     def can_retransmit(self) -> bool:
         """Whether another retransmission is allowed."""
         return self.attempt < MAX_RETRANSMISSIONS
-
-    def next_attempt(self) -> Optional[int]:
-        """Advance to the next attempt; returns its number, or ``None``."""
-        if not self.can_retransmit():
-            return None
-        self.attempt += 1
-        return self.attempt

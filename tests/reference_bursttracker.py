@@ -42,6 +42,11 @@ UPSTREAM_BOTTLENECK = "upstream"
 IDLE = "idle"
 
 
+def prbs_for(record: SubframeRecord, rnti: int) -> int:
+    """PRBs allocated to one user in a subframe, retransmissions
+    included."""
+    return sum(m.n_prbs for m in record.messages if m.rnti == rnti)
+
 @dataclass
 class BurstWindow:
     """One classification window's raw observations."""
@@ -87,7 +92,7 @@ class BurstTracker:
         """Fold one decoded subframe in; closes windows as they fill."""
         if self._count == 0:
             self._window_start = record.subframe
-        own = record.prbs_for(self.own_rnti)
+        own = prbs_for(record, self.own_rnti)
         self._count += 1
         if own > 0:
             self._scheduled += 1

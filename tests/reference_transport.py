@@ -228,7 +228,7 @@ class ReferencePbeClient(_PerPacketReceiver, PbeClient):
                                      now_subframe=now // US_PER_MS)
         self._last_report = report
 
-        threshold = self.delay_threshold_us
+        threshold = self.dprop_us + self.delay_margin_us
         npkt = self._npkt(report.transport_capacity)
         if delay > threshold:
             self._over_threshold_run += 1

@@ -97,7 +97,7 @@ def _drive(network_cls, case):
         sim.run(until_us=END_US)
     counters = {
         rnti: (ue.delivered_tbs, ue.abandoned_tbs, ue.delivered_packets,
-               ue.lost_packets, ue.reorder_depth, ue._reorder.max_held)
+               ue.lost_packets, len(ue._reorder._held), ue._reorder.max_held)
         for rnti, ue in ues.items()}
     return stream, counters, bursts
 
@@ -223,7 +223,7 @@ def test_one_client_pass_per_subframe_for_an_aggregated_user():
         net.enqueue(1, Packet(1, seq, MSS_BITS))
     net.start()
     sim.run(until_us=60_000)
-    assert net.aggregation_state(1).active_count == 3
+    assert net._users[1].agg.active_count == 3
     assert ue.delivered_tbs > len(calls)       # several blocks a tick
     assert len(calls) == len(set(calls))       # one burst per instant
 
@@ -299,7 +299,7 @@ class _Twins:
         assert acks[0] == acks[1]              # equal feedback values
         assert block.uplink.arrival_us == loop.uplink.arrival_us
         for name in ("state", "state_changes",
-                     "stale_reports", "dprop_us", "delay_threshold_us",
+                     "stale_reports", "dprop_us", "delay_margin_us",
                      "_over_threshold_run", "_under_threshold_run",
                      "_last_report"):
             assert getattr(block, name) == getattr(loop, name), name

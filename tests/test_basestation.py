@@ -14,6 +14,8 @@ from repro.net.units import MSS_BITS
 from repro.phy.carrier import CarrierConfig
 from repro.phy.channel import StaticChannel
 
+from .reference_bursttracker import prbs_for
+
 
 def _network(sim, carriers=None, **kw):
     carriers = carriers or [CarrierConfig(0, 20.0)]
@@ -158,7 +160,7 @@ def test_exogenous_user_occupies_prbs():
     net.start()
     sim.run(until_us=200_000)
     steady = records[50:]
-    assert all(r.prbs_for(2) > 0 for r in steady)
+    assert all(prbs_for(r, 2) > 0 for r in steady)
     assert all(r.idle_prbs > 0 for r in steady)  # demand below capacity
 
 
@@ -278,15 +280,15 @@ def test_wire_packets_cost_no_event_and_land_on_arrival():
     net = _network(sim)
     net.add_user(1, [0], StaticChannel(20.0))
     link = _link_into(sim, net, 1)
-    before = sim.pending_events
+    before = len(sim._heap) - sim._cancelled
     for seq in range(5):
         link.receive(Packet(1, seq, MSS_BITS))
-    assert sim.pending_events == before  # parked, not scheduled
+    assert len(sim._heap) - sim._cancelled == before  # parked, not scheduled
     assert len(net.ingress(1).wire) == 5
     sim.run(until_us=17_999)
-    assert net.queue_backlog_bits(1) == 0  # none has arrived yet
+    assert net.user(1).queue.backlog_bits == 0  # none has arrived yet
     sim.run(until_us=18_100)  # 12 µs of serialization each
-    assert net.queue_backlog_bits(1) == 5 * MSS_BITS
+    assert net.user(1).queue.backlog_bits == 5 * MSS_BITS
     assert not net.ingress(1).wire
 
 
@@ -343,11 +345,11 @@ def test_detach_reattach_resolves_rnti_at_arrival_time():
     sim.run(until_us=18_500)  # the rest arrive at a detached RNTI
     net.add_user(1, [0], StaticChannel(20.0))
     assert net.unrouted_packets == on_wire
-    assert net.queue_backlog_bits(1) == 0
+    assert net.user(1).queue.backlog_bits == 0
     assert not net.ingress(1).wire
     link.receive(Packet(1, 99, MSS_BITS))  # the newcomer's own traffic
     sim.run(until_us=40_000)
-    assert net.queue_backlog_bits(1) == MSS_BITS
+    assert net.user(1).queue.backlog_bits == MSS_BITS
     assert net.unrouted_packets == on_wire
 
 
@@ -360,9 +362,9 @@ def test_two_links_into_one_ingress_keep_arrival_order():
     slow = _link_into(sim, net, 1, delay_us=50_000)
     fast = _link_into(sim, net, 1, delay_us=1_000)
     slow.receive(Packet(1, 0, MSS_BITS))
-    before = sim.pending_events
+    before = len(sim._heap) - sim._cancelled
     fast.receive(Packet(1, 1, MSS_BITS))
-    assert sim.pending_events == before + 1
+    assert len(sim._heap) - sim._cancelled == before + 1
     slow.receive(Packet(1, 2, MSS_BITS))
     sim.run(until_us=60_000)
     queue = net.user(1).queue

@@ -265,7 +265,7 @@ def test_a_channel_model_belongs_to_one_live_user():
     with pytest.raises(ValueError, match="held by RNTI 2"):
         network.handover(1, [1], channel=other)
     assert 3 not in network._users
-    assert network.aggregation_state(1).configured == [0]   # untouched
+    assert network._users[1].agg.configured == [0]   # untouched
     experiment.sim.run(until_us=10 * SUBFRAME_US)
     # Handing a user its own channel is not a swap: the block stays.
     cursor = network.user(1)._blk_idx

@@ -131,7 +131,7 @@ def test_reattached_rnti_starts_carrier_aggregation_afresh():
     network.start()
     sim.run(until_us=59_500)
     assert network.ca.activations_for(9) == 1
-    assert network.aggregation_state(9).active_cells == [0, 1]
+    assert network._users[9].agg.active_cells == [0, 1]
 
     network.remove_user(9)
     assert 9 not in network.ca._users

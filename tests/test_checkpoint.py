@@ -282,7 +282,7 @@ def test_kill_point_with_blocks_and_an_abandon_on_the_air(
     on_air = [(tb.seq, tb.cell_id, decoded) for tb, decoded in blocks]
     assert len(on_air) >= 2
     assert [decoded for _, _, decoded in on_air].count(False) == 1
-    assert ue.reorder_depth > 0
+    assert len(ue._reorder._held) > 0
     manager.save(experiment)  # what a kill point does, then SIGKILL
 
     experiment, handles = _build(*config())

@@ -32,9 +32,9 @@ def test_default_rtprop_used_without_srtt_meta():
     sim = Simulator()
     client, monitor, sink = _setup(sim, default_rtprop_us=33_000)
     _feed(monitor, 0)
-    sim.run_for(5_000)
+    sim.run(until_us=sim.now + 5_000)
     client.receive(Packet(1, 0, sent_time_us=0))  # no srtt_us in meta
-    sim.run_for(35_000)
+    sim.run(until_us=sim.now + 35_000)
     packet = Packet(1, 1, sent_time_us=20_000)
     client.receive(packet)
     assert len(sink.packets) == 2  # feedback produced without crashing
@@ -62,7 +62,7 @@ def test_zero_margin_client_flaps_on_jitter():
     for burst in range(40):
         delay = 20_000 if burst % 2 == 0 else 28_000
         for _ in range(60):
-            sim.run_for(1_000)
+            sim.run(until_us=sim.now + 1_000)
             p = Packet(1, seq, sent_time_us=sim.now - delay)
             p.meta["srtt_us"] = 40_000
             client.receive(p)

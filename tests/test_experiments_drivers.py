@@ -38,8 +38,9 @@ def test_sweep_structure(tiny_sweep):
     assert len(tiny_sweep.entries) == 4
     assert set(tiny_sweep.schemes()) == {"pbe", "bbr"}
     assert len(tiny_sweep.locations()) == 2
-    by_scheme = tiny_sweep.for_location(tiny_sweep.locations()[0])
-    assert set(by_scheme) == {"pbe", "bbr"}
+    first = tiny_sweep.locations()[0]
+    assert {e.scheme for e in tiny_sweep.entries
+            if e.location == first} == {"pbe", "bbr"}
 
 
 def test_sweep_validation():
@@ -48,8 +49,8 @@ def test_sweep_validation():
 
 
 def test_sweep_index_tracks_appended_entries():
-    # Pure-data check of SweepResult's lazily built location index:
-    # dedup is order-preserving and the index follows later appends.
+    # Pure-data check of SweepResult's location and scheme lists: dedup
+    # is order-preserving and the lists follow later appends.
     from dataclasses import replace
 
     from repro.harness.experiments import SweepEntry, SweepResult
@@ -63,14 +64,13 @@ def test_sweep_index_tracks_appended_entries():
                                  entry("pbe", "a")])
     assert sweep.locations() == ["b", "a"]
     assert sweep.schemes() == ["pbe", "bbr"]
-    assert set(sweep.for_location("b")) == {"pbe", "bbr"}
-    assert sweep.for_location("missing") == {}
-    # mutating the returned view must not corrupt the index
-    sweep.for_location("b").clear()
-    assert set(sweep.for_location("b")) == {"pbe", "bbr"}
+    # mutating a returned list must not corrupt the next answer
+    sweep.locations().clear()
+    assert sweep.locations() == ["b", "a"]
 
-    sweep.entries.append(entry("bbr", "a"))
-    assert set(sweep.for_location("a")) == {"pbe", "bbr"}
+    sweep.entries.append(entry("cubic", "c"))
+    assert sweep.locations() == ["b", "a", "c"]
+    assert sweep.schemes() == ["pbe", "bbr", "cubic"]
     assert replace(sweep.entries[0]) == sweep.entries[0]
 
 

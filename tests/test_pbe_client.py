@@ -84,7 +84,7 @@ def test_dprop_tracks_minimum():
     _deliver(sim, client, delay_us=22_000, n=1)
     _deliver(sim, client, delay_us=35_000, n=5)
     assert client.dprop_us == 22_000
-    assert client.delay_threshold_us == 22_000 + DELAY_MARGIN_US
+    assert client.delay_margin_us == DELAY_MARGIN_US
 
 
 def test_margin_matches_paper():

@@ -75,7 +75,7 @@ class ReorderMachine(RuleBasedStateMachine):
     def frontier_consistent(self):
         # Everything below the frontier was either delivered or
         # abandoned.
-        frontier = self.buffer.expected_seq
+        frontier = self.buffer._expected
         for seq in range(frontier):
             assert seq in self.inserted or seq in self.abandoned
         covered = set(self.delivered) | self.abandoned

@@ -99,7 +99,7 @@ class Side:
         state["pace_due"] = (sender._pace_event.time
                              if sender._pace_event is not None else None)
         return (state, self.cc.log, self.wire.sent, self.sim.now,
-                self.sim.pending_events)
+                len(self.sim._heap) - self.sim._cancelled)
 
 
 #: One burst item: an ACK of the unacked packet at an index (mod the

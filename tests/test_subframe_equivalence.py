@@ -237,7 +237,7 @@ def test_reorder_fast_path_equals_the_drain_path(ops):
         assert (fast._expected, fast._held, fast._abandoned,
                 fast.max_held) == (slow._expected, slow._held,
                                    slow._abandoned, slow.max_held)
-        expected = fast.expected_seq
+        expected = fast._expected
 
 
 # ----------------------------------------------------------------------

@@ -33,10 +33,10 @@ def test_out_of_order_tbs_buffered():
     p0, p1 = Packet(1, 0), Packet(1, 1)
     ue.receive_tb(_tb(1, [p1]))
     assert got == []
-    assert ue.reorder_depth == 1
+    assert len(ue._reorder._held) == 1
     ue.receive_tb(_tb(0, [p0]))
     assert got == [p0, p1]
-    assert ue.reorder_depth == 0
+    assert len(ue._reorder._held) == 0
 
 
 def test_abandoned_tb_drops_and_unblocks():
