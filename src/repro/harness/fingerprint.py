@@ -51,6 +51,27 @@ def _hash_update(hasher: "hashlib._Hash", *parts: object) -> None:
         hasher.update(b"\x00")
 
 
+#: Values per chunk when a packed column is streamed into the digest.
+_CHUNK = 4096
+
+
+def _hash_column(hasher: "hashlib._Hash", column) -> None:
+    """Hash an int column exactly as ``_hash_update(hasher, tuple(column))``.
+
+    The bytes are ``repr(tuple(column))`` and the separator, streamed
+    :data:`_CHUNK` values at a time (``str`` of an int is its ``repr``;
+    ``()`` and ``(x,)`` are the empty and one-value forms), so a run's
+    packet log is never boxed into one tuple and one string.
+    """
+    update = hasher.update
+    update(b"(")
+    for start in range(0, len(column), _CHUNK):
+        if start:
+            update(b", ")
+        update(", ".join(map(str, column[start:start + _CHUNK])).encode())
+    update(b",)\x00" if len(column) == 1 else b")\x00")
+
+
 def _monitor_digest(hasher: "hashlib._Hash", monitor: PbeMonitor) -> None:
     """Fold the monitor's full internal state into the digest.
 
@@ -91,12 +112,12 @@ def digest_run(experiment: Experiment, handles: list, results: list,
     _hash_update(hasher, experiment.sim.now, experiment.network.subframe)
     for handle, result in zip(handles, results):
         stats = result.stats
+        for column in (stats.arrival_us, stats.size_bits, stats.delay_us):
+            _hash_column(hasher, column)
         _hash_update(
-            hasher, tuple(stats.arrival_us), tuple(stats.size_bits),
-            tuple(stats.delay_us), result.sent_packets,
-            result.lost_packets, result.ca_activations,
-            result.state_fractions, result.sender_states,
-            result.fault_stats)
+            hasher, result.sent_packets, result.lost_packets,
+            result.ca_activations, result.state_fractions,
+            result.sender_states, result.fault_stats)
         if handle.monitor is not None:
             _monitor_digest(hasher, handle.monitor)
             report = handle.monitor.report(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 
-from .units import US_PER_MS, US_PER_S
+from .units import US_PER_S
 
 
 class FlowStats:
@@ -20,10 +20,11 @@ class FlowStats:
     The three per-packet columns are flat ``array('q')`` buffers rather
     than lists of boxed ints: a busy flow appends hundreds of thousands
     of rows per simulated minute, and the packed columns cut that
-    storage ~4× while keeping every consumer — ``tuple()`` for
-    fingerprints, ``numpy.asarray`` for metrics, ``list()`` for
-    serialization, iteration/``zip`` everywhere else — working
-    unchanged.
+    storage ~4×.  End-of-run readers work on the packed columns
+    directly: metrics through ``numpy.asarray`` views, fingerprints by
+    streaming fixed-size chunks into the hash; ``list()`` is left for
+    serialization.  A live view blocks ``append`` (``BufferError``),
+    so no reader may keep one past its return.
     """
 
     def __init__(self, flow_id: int) -> None:
@@ -77,7 +78,3 @@ class FlowStats:
         if span <= 0:
             return 0.0
         return self.total_bits * US_PER_S / span
-
-    def delays_ms(self) -> list[float]:
-        """All one-way delays in milliseconds."""
-        return [d / US_PER_MS for d in self.delay_us]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.metrics import summarize_flow
 from repro.net.flow import FlowStats
 
 
@@ -10,7 +11,7 @@ def test_empty_stats():
     assert s.packets == 0
     assert s.total_bits == 0
     assert s.average_throughput_bps() == 0.0
-    assert s.delays_ms() == []
+    assert list(s.delay_us) == []
 
 
 def test_record_accumulates():
@@ -38,6 +39,8 @@ def test_single_packet_throughput_is_zero_span():
 
 
 def test_delays_in_milliseconds():
+    # The log keeps µs; summaries report ms.
     s = FlowStats(1)
     s.record(0, 1, 25_500)
-    assert s.delays_ms() == [25.5]
+    assert list(s.delay_us) == [25_500]
+    assert summarize_flow(s).median_delay_ms == 25.5
