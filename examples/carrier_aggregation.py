@@ -11,11 +11,15 @@ Run:  python examples/carrier_aggregation.py
 """
 
 from repro.harness.experiments import run_fig02
+from repro.harness.report import format_table
 
 
 def main() -> None:
     result = run_fig02()
-    print(result.format())
+    print(format_table(
+        ["t (s)", "primary PRBs", "secondary PRBs", "delay (ms)"],
+        [[f"{t:.1f}", p, s, d] for t, p, s, d in result.timeline],
+        title="Per-cell PRBs and mean delay, 100 ms bins"))
     print()
     print(f"activation:   t = {result.activation_s:.3f} s "
           f"(paper: ~0.13 s)")

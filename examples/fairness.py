@@ -21,7 +21,11 @@ from repro.harness.report import format_table
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
     result = run_fig21(time_scale=scale)
-    print(result.format())
+    print(format_table(
+        ["variant", "schemes", "jain2 %", "jain3 %"],
+        [[v.name, "/".join(v.schemes), 100 * v.jain_2, 100 * v.jain_3]
+         for v in result.variants],
+        title="Jain's index over the two- and three-flow overlaps"))
     print()
     variant = result.variant("multi_user")
     rows = [[f"{t:.1f}"] + [f"{p:.1f}" for p in prbs]

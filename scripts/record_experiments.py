@@ -43,9 +43,8 @@ def main(argv=None) -> None:
         ["git", "describe", "--always", "--dirty"], cwd=ROOT,
         capture_output=True, text=True).stdout.strip()
     data = claims.record(runs, commit)
-    for e in data["claims"]:
-        print(f"{e['id']:45s} {e['measured']!s:>22} {e['op']} "
-              f"{e['bound']}  {'holds' if e['holds'] else 'FAILS'}")
+    for entry in data["claims"]:
+        print(claims.claim_line(entry))
     (ROOT / "results").mkdir(exist_ok=True)
     (ROOT / "results" / "paper.json").write_text(
         json.dumps(data, indent=1) + "\n")

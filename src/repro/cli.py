@@ -4,9 +4,11 @@ Commands
 --------
 ``run``        one flow per scheme over a configurable cell (scheme
                list, SINR, carriers, busy/idle, duration)
-``experiment`` run one of the paper's figure drivers by name
-``sweep``      the §6.3.1 stationary sweep, parallel and cacheable;
-               ``--view`` reduces it to Table 1, Fig. 12 or Fig. 15
+``experiment`` run one figure of the claims registry
+               (:mod:`repro.harness.claims`) at its reduced scale and
+               print a line per claim
+``sweep``      the §6.3.1 stationary sweep, parallel and cacheable,
+               at any size
 ``resilience`` fault-injection sweep: DCI miss-rate × decoder-outage
                grid with graceful-degradation telemetry
 ``metro``      metro-scale scenario engine: hundreds of cells with
@@ -24,7 +26,7 @@ Commands
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes, experiments and metro scenario sets
 
-Multi-run commands (``experiment fig13|ablation``, ``sweep``,
+Multi-run commands (``experiment``, ``sweep``,
 ``resilience``, ``metro``) accept ``--jobs N`` to fan simulations out
 over worker processes and ``--cache-dir`` to memoize completed runs on
 disk (see :mod:`repro.exec`).  The long sweeps (``sweep``,
@@ -43,7 +45,7 @@ Examples
     python -m repro run --scheme pbe --sinr 18 --busy --duration 6
     python -m repro run --scheme pbe,bbr,cubic --duration 5
     python -m repro experiment fig02
-    python -m repro sweep --view table1 --busy 4 --idle 2 --jobs 4
+    python -m repro experiment table1 --jobs 4
     python -m repro sweep --schemes pbe,bbr --busy 8 --idle 5 \\
         --jobs 8 --cache-dir .repro-cache
     python -m repro resilience --miss 0,0.05,0.2 --outage-ms 0,500 \\
@@ -66,56 +68,36 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .harness import Experiment, FlowSpec, Scenario
+from .harness import Experiment, FlowSpec, Scenario, claims
 from .harness.report import format_table
 from .harness.runner import SCHEMES
 
-#: ``repro experiment <name>`` → its driver call, given the drivers
-#: module and the parsed arguments.
-_DRIVERS = {
-    "fig02": lambda exp, args: exp.run_fig02(),
-    "fig05": lambda exp, args: exp.run_fig05(),
-    "fig06": lambda exp, args: exp.run_fig06(),
-    "fig07": lambda exp, args: exp.run_fig07(duration_s=args.duration),
-    "fig08": lambda exp, args: exp.run_fig08(),
-    "fig11": lambda exp, args: exp.run_fig11(),
-    "fig13": lambda exp, args: exp.run_fig13_14(
-        duration_s=args.duration, runner=_make_runner(args)),
-    "fig16": lambda exp, args: exp.run_fig16_17(
-        duration_s=2 * args.duration),
-    "fig18": lambda exp, args: exp.run_fig18_19(
-        duration_s=2 * args.duration),
-    "fig20": lambda exp, args: exp.run_fig20(duration_s=args.duration),
-    "fig21": lambda exp, args: exp.run_fig21(
-        time_scale=args.duration / 60.0),
-    "ablation": lambda exp, args: exp.run_ablation(
-        duration_s=args.duration, runner=_make_runner(args)),
-}
-#: Experiment-name registry for the ``experiment`` command.
-EXPERIMENTS = tuple(_DRIVERS)
-
-#: ``sweep --view`` → the schemes its ``--schemes`` defaults to.  Table
-#: 1, Fig. 12 and Fig. 15 are views of the one stationary sweep.
-SWEEP_VIEWS = {"summary": ("pbe", "bbr"),
-               "table1": ("pbe", "bbr", "verus", "copa"),
-               "fig12": ("pbe", "bbr", "cubic", "verus"),
-               "fig15": ("pbe", "bbr", "cubic", "copa", "sprout")}
-
-
-def _names(text: str) -> tuple:
-    """A comma-separated list → its stripped, non-empty items."""
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
 def _scheme_list(text: str) -> tuple:
-    """``--scheme a,b,…`` → a tuple of known scheme names."""
-    schemes = _names(text)
+    """``--scheme(s) a,b,…`` → a tuple of known scheme names."""
+    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
     for scheme in schemes or (text,):
         if scheme not in SCHEMES:
             raise argparse.ArgumentTypeError(
                 f"unknown scheme {scheme!r}; known: "
                 f"{', '.join(sorted(SCHEMES))}")
     return schemes
+
+
+def _grid(convert, what: str, check, requirement: str):
+    """A ``--opt a,b,…`` type: each item ``convert``-ed, then held to
+    ``check``; a bad item exits 2 naming the option."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(s) for s in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {what}: {text!r}") from None
+        for value in values:
+            if not check(value):
+                raise argparse.ArgumentTypeError(
+                    f"{value!r} is not {requirement}")
+        return values
+    return parse
 
 
 def _chaos_file(path: str):
@@ -223,41 +205,38 @@ def _run_supervised(args: argparse.Namespace, drive, render) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """``repro experiment <name>``: run a paper figure driver."""
-    from .harness import experiments as exp
-    print(_DRIVERS[args.name](exp, args).format())
+    """``repro experiment <name>``: one figure of the claims registry
+    at its reduced scale, a line per claim."""
+    runs = claims.Runs("reduced", _make_runner(args))
+    for entry in claims.entries(runs, claims.by_name(args.name)):
+        print(claims.claim_line(entry))
     return 0
 
 
 def _print_sweep(args: argparse.Namespace, sweep) -> None:
-    """Render a finished stationary sweep per ``--view`` / ``--save``."""
+    """Print a finished stationary sweep's per-scheme summary; write
+    its entries to ``--save``."""
     from .harness import experiments as exp
     from .harness.serialize import write_json_atomic
-    views = {"table1": exp.table1_from_sweep,
-             "fig12": exp.fig12_from_sweep,
-             "fig15": exp.fig15_from_sweep}
-    if args.view in views:
-        print(views[args.view](sweep).format())
-    else:
-        rows = []
-        for scheme in sweep.schemes():
-            for condition in ("busy", "idle"):
-                entries = [e for e in sweep.for_scheme(scheme)
-                           if e.busy == (condition == "busy")]
-                if not entries:
-                    continue
-                n = len(entries)
-                rows.append([
-                    scheme, condition, n,
-                    sum(e.summary.average_throughput_mbps
-                        for e in entries) / n,
-                    sum(e.summary.average_delay_ms for e in entries) / n,
-                    sum(e.summary.p95_delay_ms for e in entries) / n])
-        print(format_table(
-            ["scheme", "cond", "locs", "tput (Mbit/s)",
-             "avg delay (ms)", "p95 delay (ms)"], rows,
-            title=f"Stationary sweep ({args.busy} busy + {args.idle} "
-                  f"idle locations, {args.duration:g} s flows)"))
+    rows = []
+    for scheme in sweep.schemes():
+        for condition in ("busy", "idle"):
+            entries = [e for e in sweep.for_scheme(scheme)
+                       if e.busy == (condition == "busy")]
+            if not entries:
+                continue
+            n = len(entries)
+            rows.append([
+                scheme, condition, n,
+                sum(e.summary.average_throughput_mbps
+                    for e in entries) / n,
+                sum(e.summary.average_delay_ms for e in entries) / n,
+                sum(e.summary.p95_delay_ms for e in entries) / n])
+    print(format_table(
+        ["scheme", "cond", "locs", "tput (Mbit/s)",
+         "avg delay (ms)", "p95 delay (ms)"], rows,
+        title=f"Stationary sweep ({args.busy} busy + {args.idle} "
+              f"idle locations, {args.duration:g} s flows)"))
     if args.save:
         write_json_atomic([exp.entry_to_dict(e) for e in sweep.entries],
                           args.save)
@@ -268,11 +247,10 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: the stationary sweep, supervised end to end."""
     from .harness import experiments as exp
-    schemes = args.schemes or SWEEP_VIEWS[args.view]
     return _run_supervised(
         args,
         lambda runner: exp.run_stationary_sweep(
-            schemes=schemes, n_busy=args.busy, n_idle=args.idle,
+            schemes=args.schemes, n_busy=args.busy, n_idle=args.idle,
             duration_s=args.duration, base_seed=args.seed,
             runner=runner),
         lambda sweep: _print_sweep(args, sweep))
@@ -323,8 +301,8 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         duration = 2.0
     else:
         schemes = args.schemes
-        miss_rates = tuple(float(m) for m in args.miss.split(","))
-        outages_ms = tuple(int(o) for o in args.outage_ms.split(","))
+        miss_rates = args.miss
+        outages_ms = args.outage_ms
         duration = args.duration
     return _run_supervised(
         args,
@@ -391,8 +369,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     """``repro list``: schemes, experiments and metro scenario sets."""
     from .metro import metro_scenario_sets
     print("schemes:     " + ", ".join(sorted(SCHEMES)))
-    print("experiments: " + ", ".join(EXPERIMENTS))
-    print("sweep views: " + ", ".join(SWEEP_VIEWS))
+    print("experiments: " + ", ".join(f.name for f in claims.FIGURES))
     print("metro sets:")
     for name, mset in sorted(metro_scenario_sets().items()):
         print(f"  {name:<14} {mset.grid.n_cells} cells — "
@@ -479,19 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser(
-        "experiment", help="run a paper figure driver (Table 1, Fig. 12 "
-                           "and Fig. 15 are `repro sweep --view`)")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
-    p_exp.add_argument("--duration", type=float, default=6.0)
+        "experiment", help="run one paper figure of the claims registry "
+                           "at reduced scale, a line per claim")
+    p_exp.add_argument("name", choices=[f.name for f in claims.FIGURES])
     _add_exec_options(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sweep = sub.add_parser(
         "sweep", help="run the stationary location sweep "
                       "(parallel, cacheable)")
-    p_sweep.add_argument("--schemes", type=_names, default=None,
-                         help="comma-separated scheme list (default: "
-                              "the --view's schemes)")
+    p_sweep.add_argument("--schemes", type=_scheme_list,
+                         default="pbe,bbr",
+                         help="comma-separated scheme list (default "
+                              "pbe,bbr)")
     p_sweep.add_argument("--busy", type=int, default=4,
                          help="busy locations (paper: 25)")
     p_sweep.add_argument("--idle", type=int, default=2,
@@ -500,11 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flow duration in seconds")
     p_sweep.add_argument("--seed", type=int, default=100,
                          help="base seed of the location grid")
-    p_sweep.add_argument("--view", default="summary",
-                         choices=tuple(SWEEP_VIEWS),
-                         help="how to reduce the sweep for printing: "
-                              + "; ".join(f"{v} ({','.join(s)})" for v, s
-                                          in SWEEP_VIEWS.items()))
     p_sweep.add_argument("--save", default=None, metavar="FILE",
                          help="also write per-run JSON entries here")
     _add_exec_options(p_sweep)
@@ -515,11 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = sub.add_parser(
         "resilience",
         help="fault-injection sweep: DCI miss-rate x outage grid")
-    p_res.add_argument("--schemes", type=_names, default="pbe,bbr",
+    p_res.add_argument("--schemes", type=_scheme_list, default="pbe,bbr",
                        help="comma-separated scheme list")
     p_res.add_argument("--miss", default="0,0.05,0.2",
+                       type=_grid(float, "numbers",
+                                  lambda p: 0.0 <= p <= 1.0, "in [0, 1]"),
                        help="comma-separated DCI miss probabilities")
     p_res.add_argument("--outage-ms", default="0,500",
+                       type=_grid(int, "whole milliseconds",
+                                  lambda ms: ms >= 0, "≥ 0"),
                        help="comma-separated decoder outage durations")
     p_res.add_argument("--duration", type=float, default=6.0,
                        help="flow duration in seconds")

@@ -1,7 +1,8 @@
 """The paper's claims as data: one registry feeds the shape gate
 (``benchmarks/``), the paper-scale record (``results/paper.json``,
-written by ``scripts/record_experiments.py``) and the result blocks
-generated into EXPERIMENTS.md and README.md.
+written by ``scripts/record_experiments.py``), the result blocks
+generated into EXPERIMENTS.md and README.md, and ``repro experiment``
+(a figure at reduced scale, one :func:`claim_line` per claim).
 
 A :class:`Figure` names a driver and its keyword arguments at two
 scales: ``reduced`` (the gate: fewer locations, shorter flows) and
@@ -355,7 +356,8 @@ FIGURES = (
 )
 
 
-def _figure(name: str) -> Figure:
+def by_name(name: str) -> Figure:
+    """The figure called ``name``."""
     return next(f for f in FIGURES if f.name == name)
 
 
@@ -393,21 +395,35 @@ _CLAIM_FIELDS = ("id", "figure", "paper", "measured", "op", "bound",
                  "holds", "xfail")
 
 
-def record(runs: Runs, commit: str) -> dict:
-    """Every claim measured through ``runs``, as a JSON-ready dict."""
+def entries(runs: Runs, figure: Figure) -> list:
+    """``figure``'s claims measured through ``runs``: one record entry
+    (``_CLAIM_FIELDS``) per claim."""
+    result = runs(figure)
     out = []
-    for figure, claim in claims():
-        value = claim.measure(runs(figure))
+    for claim in figure.claims:
+        value = claim.measure(result)
         out.append({"id": claim.id, "figure": figure.name,
                     "paper": claim.paper, "measured": value,
                     "op": claim.op, "bound": claim.bound,
                     "holds": claim.holds(value), "xfail": claim.xfail})
+    return out
+
+
+def claim_line(entry: dict) -> str:
+    """One claim entry as a console line: ``repro experiment`` and
+    ``scripts/record_experiments.py`` print these."""
+    return (f"{entry['id']:45s} {entry['measured']!s:>22} {entry['op']} "
+            f"{entry['bound']}  {'holds' if entry['holds'] else 'FAILS'}")
+
+
+def record(runs: Runs, commit: str) -> dict:
+    """Every claim measured through ``runs``, as a JSON-ready dict."""
     return {"schema": SCHEMA, "scale": runs.scale, "commit": commit,
             "code_id": code_id(),
             "figures": {f.name: getattr(f, runs.scale) for f in FIGURES},
             "table1": [{**asdict(r), "paper": list(r.paper)}
-                       for r in runs(_figure("table1")).rows],
-            "claims": out}
+                       for r in runs(by_name("table1")).rows],
+            "claims": [e for f in FIGURES for e in entries(runs, f)]}
 
 
 def load_record(path) -> dict:

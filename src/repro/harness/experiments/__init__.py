@@ -1,10 +1,11 @@
 """Experiment drivers: one module per table/figure of the paper.
 
 Each ``run_*`` function executes the corresponding experiment on the
-simulator and returns a structured result with a ``format()`` method
-that prints the same rows/series the paper reports.  The claims
-registry (:mod:`repro.harness.claims`) names each driver's arguments at
-reduced and paper scale and the paper's claims about its result.
+simulator and returns a result dataclass holding the rows/series the
+paper reports.  The claims registry (:mod:`repro.harness.claims`)
+names each driver's arguments at reduced and paper scale and the
+paper's claims about its result, and is what prints a figure: one line
+per claim (``repro experiment NAME``).
 """
 
 from .ablation import run_ablation

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ...exec import Job, is_failure, make_runner
 from ..metrics import FlowSummary
-from ..report import format_table
 from ..scenarios import Scenario
 from ..serialize import summary_from_dict
 
@@ -54,15 +53,6 @@ class AblationResult:
             if r.variant == variant:
                 return r
         raise KeyError(variant)
-
-    def format(self) -> str:
-        return format_table(
-            ["variant", "tput (Mbit/s)", "avg delay", "p95 delay",
-             "internet-state %"],
-            [[r.variant, r.summary.average_throughput_mbps,
-              r.summary.average_delay_ms, r.summary.p95_delay_ms,
-              100 * r.internet_fraction] for r in self.rows],
-            title="PBE-CC ablations (busy two-carrier cell)")
 
 
 def run_ablation(variants: tuple = tuple(VARIANTS),

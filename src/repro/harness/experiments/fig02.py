@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...phy.carrier import CarrierConfig
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -28,17 +27,6 @@ class Fig02Result:
     deactivation_s: float | None
     peak_delay_ms: float
     steady_delay_ms: float
-
-    def format(self) -> str:
-        rows = [[f"{t:.1f}", p, s, d] for t, p, s, d in self.timeline]
-        header = (f"Figure 2: CA timeline — activation at "
-                  f"{self.activation_s}s (paper: ~0.13s), deactivation "
-                  f"at {self.deactivation_s}s after the rate drop; "
-                  f"peak delay {self.peak_delay_ms:.0f} ms, steady "
-                  f"{self.steady_delay_ms:.0f} ms")
-        return header + "\n" + format_table(
-            ["t (s)", "primary PRBs", "secondary PRBs", "delay (ms)"],
-            rows)
 
 
 def run_fig02(high_rate_bps: float = 40e6, low_rate_bps: float = 6e6,

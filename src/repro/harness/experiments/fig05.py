@@ -24,7 +24,6 @@ import numpy as np
 
 from ...net.link import Tap
 from ...phy.carrier import CarrierConfig
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -41,23 +40,6 @@ class Fig05Result:
     #: Rate-limited user's throughput before/after (should not change).
     limited_before_mbps: float
     limited_after_mbps: float
-
-    def format(self) -> str:
-        rows = [[f"{t:.2f}", c] for t, c in self.estimate_series]
-        return "\n".join([
-            f"Figure 5: competitor departs at "
-            f"t={self.competitor_end_s:.1f}s",
-            f"  monitor detection latency:  "
-            f"{self.detection_latency_ms:.0f} ms "
-            f"(bounded by the RTprop averaging window)",
-            f"  capacity occupation latency: "
-            f"{self.occupation_latency_ms:.0f} ms (~1-2 RTT)",
-            f"  rate-limited user: {self.limited_before_mbps:.1f} -> "
-            f"{self.limited_after_mbps:.1f} Mbit/s (cannot grow)",
-            format_table(["t (s)", "victim Ct (Mbit/s)"], rows,
-                         title="  victim capacity estimate around the "
-                               "departure"),
-        ])
 
 
 def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,

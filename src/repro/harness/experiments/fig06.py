@@ -25,7 +25,6 @@ from ...cell.basestation import MIMO_SINR_THRESHOLD_DB
 from ...phy.carrier import CarrierConfig
 from ...phy.error import block_error_rate, sinr_to_ber
 from ...phy.mcs import bits_per_prb, sinr_to_mcs
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -54,19 +53,6 @@ class TblerPoint:
 class Fig06Result:
     overhead: list        #: Figure 6(a) points
     tbler: list           #: Figure 6(b) points
-
-    def format(self) -> str:
-        a = format_table(
-            ["SINR (dB)", "load (Mbit/s)", "retx %", "protocol %"],
-            [[p.sinr_db, p.offered_mbps, p.retransmission_pct,
-              p.protocol_pct] for p in self.overhead],
-            title="Figure 6a: overhead vs offered load")
-        b = format_table(
-            ["TB size (kbit)", "BER", "TBLER theory", "TBLER measured"],
-            [[p.tb_bits / 1_000, f"{p.ber:.1e}", p.theory, p.empirical]
-             for p in self.tbler],
-            title="Figure 6b: transport-block error rate vs TB size")
-        return a + "\n\n" + b
 
 
 def _overhead_at(sinr_db: float, load_fraction: float,

@@ -15,7 +15,6 @@ import numpy as np
 
 from ...monitor.filters import ActiveUserFilter
 from ...phy.carrier import CarrierConfig
-from ..report import format_cdf
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -42,21 +41,6 @@ class Fig07Result:
     @property
     def frac_single_subframe(self) -> float:
         return float(np.mean(np.asarray(self.active_lengths) == 1))
-
-    def format(self) -> str:
-        return "\n".join([
-            "Figure 7a: active users per 40 ms window",
-            f"  all users      mean={self.mean_detected:.1f} "
-            f"max={max(self.all_user_counts)}  (paper: 15.8 / 28)",
-            f"  Ta>1, Pa>4     mean={self.mean_filtered:.2f} "
-            f"max={max(self.filtered_counts)}  (paper: 1.3 / 7)",
-            "Figure 7b: per-user activity",
-            f"  active length (subframes): "
-            f"{format_cdf(self.active_lengths)}",
-            f"  single-subframe users: "
-            f"{100 * self.frac_single_subframe:.1f}%  (paper: 68.2%)",
-            f"  occupied PRBs: {format_cdf(self.average_prbs)}",
-        ])
 
 
 def run_fig07(duration_s: float = 20.0, busy_arrivals: float = 0.4,

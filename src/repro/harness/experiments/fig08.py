@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...phy.carrier import CarrierConfig
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -33,16 +32,6 @@ class Fig08Series:
 @dataclass
 class Fig08Result:
     series: list
-
-    def format(self) -> str:
-        return format_table(
-            ["load (Mbit/s)", "floor (ms)", "no-retx %", "+8ms %",
-             ">12ms %", "p95 (ms)"],
-            [[s.offered_mbps, s.min_delay_ms,
-              100 * s.baseline_fraction, 100 * s.one_retx_fraction,
-              100 * s.more_fraction, s.p95_delay_ms]
-             for s in self.series],
-            title="Figure 8: retransmission-quantized one-way delay")
 
 
 def run_fig08(loads_mbps: tuple = (6.0, 24.0, 36.0),

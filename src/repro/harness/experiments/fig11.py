@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...traces.cellactivity import paper_cells
-from ..report import format_cdf, format_table
 
 
 @dataclass
@@ -32,20 +31,6 @@ class Fig11Result:
     def frac_below_half_peak(self, cell: str) -> float:
         rates = np.asarray(self.user_rates[cell])
         return float(np.mean(rates < 0.9))  # half of 1.8 Mbit/s/PRB
-
-    def format(self) -> str:
-        rows = []
-        for hour in range(24):
-            rows.append([hour] + [self.hourly_counts[c][hour]
-                                  for c in self.hourly_counts])
-        a = format_table(["hour"] + list(self.hourly_counts), rows,
-                         title="Figure 11a: detected users per hour")
-        lines = [a, "Figure 11b: physical data rate (Mbit/s/PRB)"]
-        for cell, rates in self.user_rates.items():
-            lines.append(f"  {cell}: {format_cdf(list(rates))} "
-                         f"({100 * self.frac_below_half_peak(cell):.1f}%"
-                         f" below half peak; paper: ~72-77%)")
-        return "\n".join(lines)
 
 
 def run_fig11(seed: int = 31) -> Fig11Result:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..report import format_cdf
 from .sweep import SweepResult
 
 HIGH_THROUGHPUT_SCHEMES = ("pbe", "bbr", "cubic", "verus")
@@ -23,16 +22,6 @@ class Fig12Result:
     throughput_mbps: dict
     #: {scheme: sorted per-location 95th-percentile delay, ms}
     p95_delay_ms: dict
-
-    def format(self) -> str:
-        lines = ["Figure 12a: per-location average throughput CDF "
-                 "(Mbit/s)"]
-        for scheme, values in self.throughput_mbps.items():
-            lines.append(f"  {scheme:6s} {format_cdf(values)}")
-        lines.append("Figure 12b: per-location 95th-pctl delay CDF (ms)")
-        for scheme, values in self.p95_delay_ms.items():
-            lines.append(f"  {scheme:6s} {format_cdf(values)}")
-        return "\n".join(lines)
 
 
 def fig12_from_sweep(sweep: SweepResult,

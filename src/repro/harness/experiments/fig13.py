@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...exec import Job, is_failure, make_runner
-from ..metrics import ORDER_STATS, FlowSummary
-from ..report import format_table
+from ..metrics import FlowSummary
 from ..scenarios import representative_locations
 from ..serialize import summary_from_dict
 
@@ -27,25 +26,6 @@ class Fig13Result:
 
     def summary(self, location_key: str, scheme: str) -> FlowSummary:
         return self.locations[location_key][scheme]
-
-    def format(self) -> str:
-        blocks = []
-        for key, by_scheme in self.locations.items():
-            rows = []
-            for scheme, summary in by_scheme.items():
-                tput = summary.throughput_percentiles_bps
-                delay = summary.delay_percentiles_ms
-                rows.append(
-                    [scheme]
-                    + [tput[p] / 1e6 for p in ORDER_STATS]
-                    + [delay[p] for p in ORDER_STATS])
-            headers = (["scheme"]
-                       + [f"tput p{p}" for p in ORDER_STATS]
-                       + [f"delay p{p}" for p in ORDER_STATS])
-            blocks.append(format_table(
-                headers, rows,
-                title=f"{key} (tput Mbit/s, delay ms)"))
-        return "\n\n".join(blocks)
 
 
 def run_fig13_14(schemes: tuple = EIGHT_SCHEMES,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..report import format_table
 from .sweep import SweepResult
 
 
@@ -32,12 +31,6 @@ class Fig15Result:
             if row.scheme == scheme:
                 return row.ca_triggered
         raise KeyError(scheme)
-
-    def format(self) -> str:
-        return format_table(
-            ["scheme", "CA triggered", "eligible locations"],
-            [[r.scheme, r.ca_triggered, r.eligible] for r in self.rows],
-            title="Figure 15: locations triggering carrier aggregation")
 
 
 def fig15_from_sweep(sweep: SweepResult) -> Fig15Result:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...traces.mobility import paper_trajectory
-from ..metrics import FlowSummary, windowed_throughput_bps
-from ..report import format_table
+from ..metrics import FlowSummary
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 from .fig13 import EIGHT_SCHEMES
@@ -37,22 +36,6 @@ class Fig16Result:
     summaries: dict
     #: Figure 17 timelines (PBE and BBR by default).
     timelines: list
-
-    def format(self) -> str:
-        rows = [[s, v.average_throughput_mbps, v.average_delay_ms,
-                 v.p95_delay_ms]
-                for s, v in self.summaries.items()]
-        parts = [format_table(
-            ["scheme", "tput (Mbit/s)", "avg delay", "p95 delay"],
-            rows, title="Figure 16: mobility (40 s trajectory)")]
-        for tl in self.timelines:
-            rows = [[f"{i * tl.interval_s:.0f}", t, d]
-                    for i, (t, d) in enumerate(
-                        zip(tl.throughput_mbps, tl.delay_ms))]
-            parts.append(format_table(
-                ["t (s)", "tput (Mbit/s)", "median delay (ms)"], rows,
-                title=f"Figure 17 ({tl.scheme})"))
-        return "\n\n".join(parts)
 
 
 def _timeline(scheme: str, stats, duration_s: float,

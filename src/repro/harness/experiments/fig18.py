@@ -16,7 +16,6 @@ import numpy as np
 
 from ...traces.workload import ScheduledDemand
 from ..metrics import FlowSummary
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 from .fig13 import EIGHT_SCHEMES
@@ -36,25 +35,6 @@ class Fig18Result:
     timelines: list
     #: For each scheme: mean tput while the competitor is on vs off.
     on_off_split: dict
-
-    def format(self) -> str:
-        rows = [[s, v.average_throughput_mbps, v.average_delay_ms,
-                 v.p95_delay_ms, self.on_off_split[s][0],
-                 self.on_off_split[s][1]]
-                for s, v in self.summaries.items()]
-        parts = [format_table(
-            ["scheme", "tput", "avg delay", "p95 delay",
-             "tput comp-on", "tput comp-off"],
-            rows, title="Figure 18: controlled on-off competition "
-                        "(Mbit/s, ms)")]
-        for tl in self.timelines:
-            rows = [[f"{i * tl.interval_s:.1f}", t, d]
-                    for i, (t, d) in enumerate(
-                        zip(tl.throughput_mbps, tl.mean_delay_ms))]
-            parts.append(format_table(
-                ["t (s)", "tput (Mbit/s)", "delay (ms)"], rows,
-                title=f"Figure 19 ({tl.scheme})"))
-        return "\n\n".join(parts)
 
 
 def _competitor_on(t_s: float, period_s: float, on_s: float,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..metrics import FlowSummary, jain_index
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 from .fig13 import EIGHT_SCHEMES
@@ -34,19 +33,6 @@ class Fig20Result:
         a, b = self.pairs[scheme]
         return jain_index([a.average_throughput_bps,
                            b.average_throughput_bps])
-
-    def format(self) -> str:
-        rows = []
-        for scheme, (a, b) in self.pairs.items():
-            rows.append([scheme, a.average_throughput_mbps,
-                         b.average_throughput_mbps,
-                         self.balance(scheme),
-                         a.median_delay_ms, b.median_delay_ms])
-        return format_table(
-            ["scheme", "flow1 tput", "flow2 tput", "jain", "flow1 med d",
-             "flow2 med d"],
-            rows, title="Figure 20: two concurrent flows from one "
-                        "device (Mbit/s, ms)")
 
 
 def run_fig20(schemes: tuple = EIGHT_SCHEMES,

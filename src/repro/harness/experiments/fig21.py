@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..metrics import jain_index
-from ..report import format_table
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
@@ -45,17 +42,6 @@ class Fig21Result:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-    def format(self) -> str:
-        rows = [[v.name, "/".join(v.schemes),
-                 " ".join(f"{p:.1f}" for p in v.prb_shares_3),
-                 100 * v.jain_2, 100 * v.jain_3]
-                for v in self.variants]
-        return format_table(
-            ["variant", "schemes", "PRB shares (3 flows)", "jain2 %",
-             "jain3 %"],
-            rows, title="Figure 21: primary-cell fairness "
-                        "(paper: all Jain indices > 98%)")
 
 
 def _run_variant(name: str, schemes: tuple, delays_us: tuple,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..report import format_table
 from .sweep import SweepResult
 
 #: The paper's Table 1 numbers, for side-by-side comparison:
@@ -49,23 +48,6 @@ class Table1Result:
             if r.baseline == baseline and r.condition == condition:
                 return r
         raise KeyError((baseline, condition))
-
-    def format(self) -> str:
-        headers = ["scheme", "cond", "locs", "tput speedup", "(paper)",
-                   "p95 delay red.", "(paper)", "avg delay red.",
-                   "(paper)"]
-        table_rows = []
-        for r in self.rows:
-            paper = r.paper or ("-", "-", "-")
-            table_rows.append([
-                r.baseline, r.condition, r.locations,
-                r.throughput_speedup, paper[0],
-                r.p95_delay_reduction, paper[1],
-                r.avg_delay_reduction, paper[2]])
-        return format_table(
-            headers, table_rows,
-            title="Table 1: PBE-CC vs baselines (ratios, >1 favours PBE"
-                  " for tput/delay-reduction)")
 
 
 def table1_from_sweep(sweep: SweepResult,

@@ -1,8 +1,6 @@
-"""Plain-text table rendering for experiment outputs.
-
-Every experiment driver returns structured rows; this module prints
-them the way the paper's tables/figures report them, for benchmark
-logs and EXPERIMENTS.md.
+"""Plain-text table rendering for the CLI's run, sweep and resilience
+tables.  Paper figures print as claim lines
+(:func:`repro.harness.claims.claim_line`).
 """
 
 from __future__ import annotations
@@ -41,15 +39,3 @@ def _cell(value: object) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def format_cdf(values: Sequence[float], points: int = 5) -> str:
-    """Summarize a distribution as evenly spaced CDF quantiles."""
-    if not values:
-        return "(empty)"
-    ordered = sorted(values)
-    quantiles = []
-    for i in range(points):
-        q = i / (points - 1) if points > 1 else 0.5
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1)))
-        quantiles.append(f"p{q * 100:.0f}={ordered[index]:.2f}")
-    return "  ".join(quantiles)

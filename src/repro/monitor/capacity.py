@@ -69,7 +69,6 @@ class CellCapacityEstimator:
     MAX_WINDOW = 400
 
     def __init__(self, cell_id: int, total_prbs: int, own_rnti: int,
-                 user_window_subframes: int = 40,
                  filter_control_users: bool = True) -> None:
         """``filter_control_users=False`` disables the §4.2.1 Ta/Pa
         filter: every detected user counts toward N (ablation knob —
@@ -79,7 +78,7 @@ class CellCapacityEstimator:
         self.total_prbs = total_prbs
         self.own_rnti = own_rnti
         self.filter_control_users = filter_control_users
-        self.users = ActiveUserFilter(user_window_subframes)
+        self.users = ActiveUserFilter()
         cap = self.MAX_WINDOW
         self._cap = cap
         #: Total samples ever folded in.

@@ -93,7 +93,6 @@ class PbeMonitor:
     def __init__(self, own_rnti: int, cell_prbs: dict[int, int],
                  primary_cell: int,
                  own_rate_hint: Callable[[], tuple[int, float]],
-                 user_window_subframes: int = 40,
                  filter_control_users: bool = True,
                  averaging_window_override: Optional[int] = None) -> None:
         """``cell_prbs`` maps every *configured* cell id to its PRB count.
@@ -123,7 +122,7 @@ class PbeMonitor:
         self.averaging_window_override = averaging_window_override
         self.estimators = {
             cell_id: CellCapacityEstimator(
-                cell_id, total, own_rnti, user_window_subframes,
+                cell_id, total, own_rnti,
                 filter_control_users=filter_control_users)
             for cell_id, total in cell_prbs.items()}
         self.decoders = {

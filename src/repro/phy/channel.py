@@ -34,10 +34,9 @@ from ..net.units import SUBFRAME_US
 NOISE_FLOOR_DBM = -111.0
 
 
-def rssi_to_sinr_db(rssi_dbm: float,
-                    noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
+def rssi_to_sinr_db(rssi_dbm: float) -> float:
     """Convert a received signal strength to an SINR estimate."""
-    return rssi_dbm - noise_floor_dbm
+    return rssi_dbm - NOISE_FLOOR_DBM
 
 
 class ChannelModel:
@@ -169,8 +168,7 @@ class TraceChannel(ChannelModel):
     """
 
     def __init__(self, waypoints: Sequence[tuple[int, float]],
-                 fading_std_db: float = 1.0, seed: int = 0,
-                 noise_floor_dbm: float = NOISE_FLOOR_DBM) -> None:
+                 fading_std_db: float = 1.0, seed: int = 0) -> None:
         if len(waypoints) < 1:
             raise ValueError("need at least one waypoint")
         times = [t for t, _ in waypoints]
@@ -184,7 +182,6 @@ class TraceChannel(ChannelModel):
         self._times = np.asarray(times, dtype=np.int64)
         self._rssi = np.asarray([r for _, r in waypoints], dtype=np.float64)
         self.fading_std_db = fading_std_db
-        self.noise_floor_dbm = noise_floor_dbm
         self._rng = np.random.default_rng(seed)
         # Precomputed per-segment slopes, replicating np.interp's exact
         # arithmetic — slope = Δy/Δx, value = slope·(x-x_lo) + y_lo — so
@@ -221,7 +218,7 @@ class TraceChannel(ChannelModel):
         return out
 
     def sinr_db(self, now_us: int) -> float:
-        sinr = rssi_to_sinr_db(self.rssi_dbm(now_us), self.noise_floor_dbm)
+        sinr = rssi_to_sinr_db(self.rssi_dbm(now_us))
         if self.fading_std_db > 0:
             sinr += self._rng.normal(0.0, self.fading_std_db)
         return sinr
@@ -229,7 +226,7 @@ class TraceChannel(ChannelModel):
     def sinr_block(self, start_us: int, n_subframes: int) -> np.ndarray:
         times_us = (start_us
                     + SUBFRAME_US * np.arange(n_subframes, dtype=np.int64))
-        sinr = self._rssi_block(times_us) - self.noise_floor_dbm
+        sinr = rssi_to_sinr_db(self._rssi_block(times_us))
         if self.fading_std_db > 0:
             sinr += self._rng.normal(0.0, self.fading_std_db, n_subframes)
         return sinr

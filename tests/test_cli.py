@@ -4,7 +4,8 @@ import argparse
 
 import pytest
 
-from repro.cli import EXPERIMENTS, SWEEP_VIEWS, build_parser, main
+from repro.cli import build_parser, main
+from repro.harness import claims
 from repro.harness.runner import SCHEMES
 
 _SUPERVISION = ["--jobs", "--cache-dir", "--timeout", "--retries",
@@ -17,9 +18,9 @@ _FLEET = ["--fleet-dir", "--fleet-workers", "--fleet-ttl", "--chaos"]
 CLI_INVENTORY = {
     "run": ["--scheme", "--sinr", "--carriers", "--busy",
             "--internet-mbps", "--duration", "--seed"],
-    "experiment": ["name", "--duration", "--jobs", "--cache-dir"],
+    "experiment": ["name", "--jobs", "--cache-dir"],
     "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
-              "--view", "--save", *_SUPERVISION, *_FLEET],
+              "--save", *_SUPERVISION, *_FLEET],
     "resilience": ["--schemes", "--miss", "--outage-ms", "--duration",
                    "--seed", "--fault-seed", "--smoke", *_SUPERVISION],
     "metro": ["--set", "--smoke", "--seed", "--cells", "--hours",
@@ -53,7 +54,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 69
+    assert sum(len(flags) for flags in inventory.values()) == 67
 
 
 def test_parser_requires_command():
@@ -66,8 +67,16 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for scheme in SCHEMES:
         assert scheme in out
-    for experiment in EXPERIMENTS:
-        assert experiment in out
+    names = ", ".join(f.name for f in claims.FIGURES)
+    assert f"experiments: {names}" in out.splitlines()
+
+
+def test_experiment_choices_are_the_registrys_figures():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in sub.choices["experiment"]._actions
+                if a.dest == "name")
+    assert list(name.choices) == [f.name for f in claims.FIGURES]
 
 
 def test_run_command_executes_flow(capsys):
@@ -100,9 +109,12 @@ def test_run_command_compares_schemes(capsys):
                                          "running cubic..."]
 
 
-@pytest.mark.parametrize("argv", [["compare"], ["experiment", "table1"],
-                                  ["experiment", "fig12"],
-                                  ["experiment", "fig15"]])
+@pytest.mark.parametrize("argv", [["compare"], ["experiment", "fig13"],
+                                  ["experiment", "fig16"],
+                                  ["experiment", "fig18"],
+                                  ["experiment", "fig11", "--duration",
+                                   "1"],
+                                  ["sweep", "--view", "fig15"]])
 def test_removed_commands_exit_2(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -110,9 +122,12 @@ def test_removed_commands_exit_2(argv):
 
 
 def test_experiment_command_cheap(capsys):
+    # fig11 runs no simulation: its lines are the registry's, exactly
     assert main(["experiment", "fig11"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 11" in out
+    entries = claims.entries(claims.Runs(), claims.by_name("fig11"))
+    assert len(entries) == 7
+    assert capsys.readouterr().out.splitlines() == \
+        [claims.claim_line(e) for e in entries]
 
 
 def test_experiment_rejects_unknown():
@@ -138,20 +153,31 @@ def test_sweep_command_with_cache(capsys, tmp_path):
     assert "cached" in captured.err
 
 
-def test_sweep_command_table1_view(capsys):
-    assert main(["sweep", "--schemes", "pbe,bbr,verus,copa", "--busy",
-                 "1", "--idle", "1", "--duration", "1", "--view",
-                 "table1"]) == 0
-    assert "Table 1" in capsys.readouterr().out
+def test_sweep_schemes_default_to_pbe_and_bbr():
+    assert build_parser().parse_args(["sweep"]).schemes == ("pbe", "bbr")
 
 
-def test_sweep_view_defaults_its_schemes(capsys):
-    assert main(["sweep", "--view", "fig15", "--busy", "1", "--idle",
-                 "0", "--duration", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "Figure 15" in out
-    rows = [line.split()[0] for line in out.splitlines()[3:]]
-    assert tuple(rows) == SWEEP_VIEWS["fig15"]
+@pytest.mark.parametrize("argv,option", [
+    (["sweep", "--schemes", "pbe,warp", "--busy", "1", "--idle", "0",
+      "--duration", "0.2"], "--schemes"),
+    (["resilience", "--schemes", "warp"], "--schemes"),
+    (["resilience", "--miss", "0,x"], "--miss"),
+    (["resilience", "--miss", ","], "--miss"),
+    (["resilience", "--miss", "1.5"], "--miss"),
+    (["resilience", "--miss", "nan"], "--miss"),
+    (["resilience", "--outage-ms", "0,1.5"], "--outage-ms"),
+    (["resilience", "--outage-ms", "-5"], "--outage-ms"),
+])
+def test_bad_grid_exits_2_before_any_job(capsys, monkeypatch, argv,
+                                         option):
+    def no_jobs(*args, **kwargs):
+        raise AssertionError("a job ran before the arguments were checked")
+
+    monkeypatch.setattr("repro.cli._run_supervised", no_jobs)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("document,named", [
@@ -174,7 +200,17 @@ def test_malformed_chaos_file_exits_2_naming_the_field(
     assert not (tmp_path / "fleet").exists()
 
 
-def test_sweep_isolates_bad_scheme(capsys):
+@pytest.fixture
+def broken_scheme(monkeypatch):
+    """A scheme the parser accepts whose every flow fails to start: the
+    sweep's failure isolation is under test, not its argument check."""
+    def fail(**kwargs):
+        raise ValueError("scheme 'warp-drive' cannot start")
+
+    monkeypatch.setitem(SCHEMES, "warp-drive", fail)
+
+
+def test_sweep_isolates_bad_scheme(capsys, broken_scheme):
     # a poisoned configuration: the sweep still prints the good rows,
     # reports the failure on stderr, and exits non-zero
     assert main(["sweep", "--schemes", "bbr,warp-drive", "--busy", "1",
@@ -185,13 +221,13 @@ def test_sweep_isolates_bad_scheme(capsys):
     assert "warp-drive" in captured.err
 
 
-def test_sweep_strict_aborts_on_bad_scheme():
+def test_sweep_strict_aborts_on_bad_scheme(broken_scheme):
     with pytest.raises(ValueError):
         main(["sweep", "--schemes", "bbr,warp-drive", "--busy", "1",
               "--idle", "1", "--duration", "1", "--strict"])
 
 
-def test_sweep_failure_budget_exit_code():
+def test_sweep_failure_budget_exit_code(broken_scheme):
     # every job fails, budget 10% -> circuit breaker (exit code 3)
     assert main(["sweep", "--schemes", "warp-drive", "--busy", "2",
                  "--idle", "1", "--duration", "1",

@@ -80,7 +80,6 @@ def test_table1_reduction(tiny_sweep):
     row = result.row("bbr", "busy")
     assert row.locations == 1
     assert row.throughput_speedup > 0
-    assert "Table 1" in result.format()
 
 
 def test_table1_requires_pbe():
@@ -93,20 +92,17 @@ def test_table1_requires_pbe():
 def test_fig12_reduction(tiny_sweep):
     result = fig12_from_sweep(tiny_sweep, schemes=("pbe", "bbr"))
     assert set(result.throughput_mbps) == {"pbe", "bbr"}
-    assert "Figure 12" in result.format()
 
 
 def test_fig15_reduction(tiny_sweep):
     result = fig15_from_sweep(tiny_sweep)
     assert {r.scheme for r in result.rows} == {"pbe", "bbr"}
-    assert "Figure 15" in result.format()
 
 
 def test_fig02_structure():
     result = run_fig02(duration_s=3.0)
     assert result.activation_s is not None
     assert len(result.timeline) == 30
-    assert "Figure 2" in result.format()
 
 
 def test_fig06_structure():
@@ -114,7 +110,6 @@ def test_fig06_structure():
                        duration_s=1.0, trials=500)
     assert len(result.overhead) == 2      # two SINRs x one load
     assert len(result.tbler) == 4         # two BERs x two sizes
-    assert "Figure 6" in result.format()
 
 
 def test_fig08_structure():

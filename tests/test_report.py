@@ -1,8 +1,8 @@
-"""Tests for plain-text table/CDF rendering."""
+"""Tests for plain-text table rendering."""
 
 import pytest
 
-from repro.harness.report import format_cdf, format_table
+from repro.harness.report import format_table
 
 
 def test_table_alignment_and_title():
@@ -32,18 +32,3 @@ def test_table_with_strings():
     out = format_table(["name", "ok"], [["pbe", "yes"]])
     assert "pbe" in out and "yes" in out
 
-
-def test_cdf_quantiles():
-    out = format_cdf(list(range(101)), points=5)
-    assert "p0=0.00" in out
-    assert "p50=50.00" in out
-    assert "p100=100.00" in out
-
-
-def test_cdf_empty():
-    assert format_cdf([]) == "(empty)"
-
-
-def test_cdf_single_value():
-    out = format_cdf([7.0])
-    assert "7.00" in out
