@@ -13,7 +13,7 @@ Package layout
                     decoding, user filtering, Eqns. 1-5)
 ``repro.core``      the PBE-CC congestion-control algorithm (sender,
                     mobile client, ACK feedback)
-``repro.baselines`` BBR, CUBIC, Reno, Verus, Sprout, Copa, PCC, Vivace
+``repro.baselines`` BBR, CUBIC, Verus, Sprout, Copa, PCC, Vivace
 ``repro.harness``   Pantheon-like runner, scenarios and metrics
 ``repro.traces``    workload, mobility and cell-activity generators
 

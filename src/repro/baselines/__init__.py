@@ -3,7 +3,8 @@
 Every scheme plugs into the shared :class:`~repro.baselines.base.Sender`
 endpoint machinery as a :class:`CongestionControl` strategy:
 BBR and CUBIC (deployed kernels), Verus and Sprout (cellular-specific),
-Copa, PCC Allegro and PCC Vivace (recent research), plus Reno.
+Copa, PCC Allegro and PCC Vivace (recent research), plus a fixed-rate
+sender for offered-load experiments.
 """
 
 from .base import (
@@ -23,7 +24,7 @@ from .bbr import (
     Bbr,
 )
 from .copa import Copa
-from .cubic import Cubic, Reno
+from .cubic import Cubic
 from .fixedrate import FixedRate
 from .pcc import PccAllegro, PccVivace
 from .sprout import Sprout
@@ -34,7 +35,7 @@ __all__ = [
     "AckContext", "AckingReceiver", "Bbr", "CongestionControl", "Copa",
     "Cubic", "DUPACK_THRESHOLD", "FixedRate", "PROBE_BW", "PROBE_BW_GAINS",
     "PROBE_RTT",
-    "PccAllegro", "PccVivace", "Reno", "STARTUP", "STARTUP_GAIN", "Sender",
+    "PccAllegro", "PccVivace", "STARTUP", "STARTUP_GAIN", "Sender",
     "Sprout", "UNTIL_CALLBACK", "Verus", "WindowedMax",
     "WindowedMin",
 ]

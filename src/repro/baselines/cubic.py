@@ -104,44 +104,3 @@ class Cubic(CongestionControl):
         # Both answers read only cwnd and srtt, which only callbacks
         # write: the cubic law advances per ACK, not with the clock.
         return UNTIL_CALLBACK
-
-
-class Reno(CongestionControl):
-    """TCP NewReno-style AIMD (used in friendliness/ablation tests)."""
-
-    name = "reno"
-
-    def __init__(self) -> None:
-        self.cwnd = INITIAL_CWND
-        self.ssthresh = float("inf")
-        self._srtt_us = 100_000
-        self._last_loss_us = -10**9
-
-    def on_ack(self, ctx: AckContext) -> None:
-        if ctx.rtt_us > 0:
-            self._srtt_us = round(0.875 * self._srtt_us + 0.125 * ctx.rtt_us)
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0
-        else:
-            self.cwnd += 1.0 / self.cwnd
-
-    def on_loss(self, now_us: int, lost_bits: int,
-                inflight_bits: int) -> None:
-        if now_us - self._last_loss_us < self._srtt_us:
-            return
-        self._last_loss_us = now_us
-        self.cwnd = max(2.0, self.cwnd / 2)
-        self.ssthresh = self.cwnd
-
-    def on_timeout(self, now_us: int) -> None:
-        self.ssthresh = max(2.0, self.cwnd / 2)
-        self.cwnd = 2.0
-
-    def pacing_rate_bps(self, now_us: int) -> float:
-        return 2.0 * self.cwnd * self.mss_bits * US_PER_S / self._srtt_us
-
-    def cwnd_bits(self, now_us: int) -> Optional[float]:
-        return self.cwnd * self.mss_bits
-
-    def rate_valid_until_us(self, now_us: int) -> int:
-        return UNTIL_CALLBACK  # cwnd and srtt move only on callbacks

@@ -12,7 +12,6 @@ from .basestation import (
     MIMO_SINR_THRESHOLD_DB,
     CellularNetwork,
     DemandSource,
-    UeCategory,
 )
 from .ca_manager import CaPolicy, CarrierAggregationManager
 from .control_traffic import (
@@ -29,5 +28,5 @@ __all__ = [
     "CarrierAggregationManager", "CellularNetwork", "ControlBurst",
     "ControlTrafficGenerator", "DemandEntry", "DemandSource",
     "DownlinkQueue", "MIMO_SINR_THRESHOLD_DB", "TransportBlock",
-    "UeCategory", "UserEquipment", "allocate_prbs",
+    "UserEquipment", "allocate_prbs",
 ]

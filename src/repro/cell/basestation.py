@@ -16,7 +16,7 @@ Once per subframe (1 ms) it runs, for every component carrier:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from ..net.link import Receiver
 from ..net.packet import Packet
 from ..net.sim import Simulator
-from ..net.units import SUBFRAME_US
+from ..net.units import MSS_BITS, SUBFRAME_US
 from ..phy.carrier import AggregationState, CarrierConfig
 from ..phy.channel import ChannelModel
 from ..phy.dci import DciMessage, SubframeRecord
@@ -35,12 +35,7 @@ from ..phy.error import (
     sinr_to_ber_block,
 )
 from ..phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
-from ..phy.mcs import (
-    MAX_MCS_INDEX,
-    bits_per_prb,
-    bits_per_prb_block,
-    sinr_to_mcs_block,
-)
+from ..phy.mcs import bits_per_prb, bits_per_prb_block, sinr_to_mcs_block
 from .ca_manager import CaPolicy, CarrierAggregationManager
 from .control_traffic import ControlTrafficGenerator
 from .queues import PROTOCOL_OVERHEAD, DownlinkQueue, TransportBlock
@@ -53,6 +48,9 @@ from .ue import UserEquipment
 
 #: SINR above which a UE uses its full spatial-stream count.
 MIMO_SINR_THRESHOLD_DB = 10.0
+#: A UE's full spatial-stream count (2x2 MIMO; every UE decodes up to
+#: ``MAX_MCS_INDEX``).
+MIMO_STREAMS = 2
 #: Control-plane bursts use the most robust MCS.
 CONTROL_MCS = 4
 #: Their fixed per-PRB rate, precomputed for the per-burst hot path.
@@ -67,20 +65,6 @@ _new_dci = tuple.__new__
 #: ``sinr_block`` draw + one vectorized SINR→MCS→rate/BER chain instead
 #: of 64 scalar rounds).
 CHANNEL_BLOCK_SUBFRAMES = 64
-
-
-@dataclass
-class UeCategory:
-    """Hardware capabilities of a phone model."""
-
-    max_mcs: int = MAX_MCS_INDEX
-    max_streams: int = 2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_mcs <= MAX_MCS_INDEX:
-            raise ValueError("max_mcs out of range")
-        if not 1 <= self.max_streams <= 4:
-            raise ValueError("max_streams out of range")
 
 
 @dataclass(slots=True)
@@ -105,7 +89,7 @@ class _User:
     """Internal per-user state inside the network."""
 
     __slots__ = (
-        "rnti", "agg", "channel", "category", "queue", "ue", "tb_seq",
+        "rnti", "agg", "channel", "queue", "ue", "tb_seq",
         "demand_source", "sinr_db", "current_mcs", "current_streams",
         "rate_now", "ber_now", "active_cell_set", "active_prb_total",
         "allocated_history", "exo_packet_seq", "suspended_until",
@@ -114,13 +98,12 @@ class _User:
     )
 
     def __init__(self, rnti: int, agg: AggregationState,
-                 channel: ChannelModel, category: UeCategory,
+                 channel: ChannelModel,
                  queue: DownlinkQueue, ue: Optional[UserEquipment],
                  cqi_delay_subframes: int = 0) -> None:
         self.rnti = rnti
         self.agg = agg
         self.channel = channel
-        self.category = category
         self.queue = queue
         self.ue = ue
         self.tb_seq = 0
@@ -187,9 +170,9 @@ class _User:
                 h + np.arange(n_subframes) - cqi_delay_subframes, 0)]
         else:
             reported = sinr
-        mcs = sinr_to_mcs_block(reported, self.category.max_mcs)
+        mcs = sinr_to_mcs_block(reported)
         streams = np.where(reported >= MIMO_SINR_THRESHOLD_DB,
-                           self.category.max_streams, 1)
+                           MIMO_STREAMS, 1)
         # Plain-Python lists: per-tick indexing below is several times
         # cheaper than numpy scalar extraction, and the float64→float
         # round-trip is exact.
@@ -341,7 +324,6 @@ class CellularNetwork:
     # Configuration
     # ------------------------------------------------------------------
     def add_user(self, rnti: int, cells: list[int], channel: ChannelModel,
-                 category: Optional[UeCategory] = None,
                  on_packet_block: Optional[
                      Callable[[list[Packet]], None]] = None,
                  queue_packets: int = 3000,
@@ -349,8 +331,7 @@ class CellularNetwork:
         """Attach a full transport endpoint user; returns its UE object
         (``on_packet_block`` takes each instant's delivered burst)."""
         ue = UserEquipment(self.sim, rnti, on_packet_block)
-        user = self._make_user(rnti, cells, channel, category,
-                               queue_packets, ue)
+        user = self._make_user(rnti, cells, channel, queue_packets, ue)
         if log_allocations:
             user.allocated_history = []
         return ue
@@ -358,20 +339,19 @@ class CellularNetwork:
     def add_exogenous_user(self, rnti: int, cells: list[int],
                            channel: ChannelModel,
                            demand: DemandSource,
-                           category: Optional[UeCategory] = None,
                            queue_packets: int = 3000) -> None:
         """Attach a background user whose demand is generated at the MAC.
 
         Its delivered transport blocks are discarded — only its PRB
         footprint matters (competing traffic, Figure 18/19).
         """
-        user = self._make_user(rnti, cells, channel, category,
-                               queue_packets, ue=None)
+        user = self._make_user(rnti, cells, channel, queue_packets,
+                               ue=None)
         user.demand_source = demand
 
     def _make_user(self, rnti: int, cells: list[int],
-                   channel: ChannelModel, category: Optional[UeCategory],
-                   queue_packets: int, ue: Optional[UserEquipment]) -> _User:
+                   channel: ChannelModel, queue_packets: int,
+                   ue: Optional[UserEquipment]) -> _User:
         if rnti in self._users:
             raise ValueError(f"duplicate RNTI {rnti}")
         for cell in cells:
@@ -380,8 +360,7 @@ class CellularNetwork:
         self._check_channel_owner(channel, rnti)
         self._drain_wire()  # arrivals so far found no such user
         user = _User(rnti, AggregationState(configured=list(cells)),
-                     channel, category or UeCategory(),
-                     DownlinkQueue(queue_packets), ue,
+                     channel, DownlinkQueue(queue_packets), ue,
                      cqi_delay_subframes=self.cqi_delay_subframes)
         self._users[rnti] = user
         self._refresh_active_cells(user)
@@ -678,7 +657,7 @@ class CellularNetwork:
         flow_id = -user.rnti
         push = user.queue.push
         while bits > 0:
-            size = min(bits, 12_000)
+            size = min(bits, MSS_BITS)
             packet = Packet(flow_id=flow_id, seq=user.exo_packet_seq,
                             size_bits=size, sent_time_us=now)
             user.exo_packet_seq += 1

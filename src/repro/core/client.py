@@ -31,14 +31,17 @@ from ..monitor.pbe import MonitorReport, PbeMonitor
 from ..net.link import Receiver
 from ..net.packet import Packet
 from ..net.sim import Simulator
-from ..net.units import MSS_BITS, US_PER_MS, US_PER_S
+from ..net.units import MSS_BITS, SUBFRAME_US, US_PER_MS, US_PER_S
+from ..phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
 from .feedback import PbeFeedback, encode_interval_us
+from .sender import DEFAULT_RTPROP_US
 
 #: Dprop min-filter window (§4.2.2: minimum over a 10-second window).
 DPROP_WINDOW_US = 10 * US_PER_S
 #: Delay-threshold margin: three chained 8 ms retransmissions + 3 ms
 #: jitter (94.1% of measured jitter is ≤ 3 ms).
-DELAY_MARGIN_US = (3 * 8 + 3) * US_PER_MS
+DELAY_MARGIN_US = (MAX_RETRANSMISSIONS * RETX_DELAY_SUBFRAMES * SUBFRAME_US
+                   + 3 * US_PER_MS)
 #: Npkt = SWITCH_SUBFRAMES · Ct / MSS (Eqn. 6).
 SWITCH_SUBFRAMES = 6
 #: Fraction of the fair share the receive rate must reach before
@@ -57,7 +60,6 @@ class PbeClient(AckingReceiver):
 
     def __init__(self, sim: Simulator, flow_id: int, uplink: Receiver,
                  monitor: PbeMonitor,
-                 default_rtprop_us: int = 40_000,
                  delay_margin_us: int = DELAY_MARGIN_US) -> None:
         """``delay_margin_us`` is the §4.2.2 threshold margin above
         Dprop (default 3·8+3 ms); an ablation knob — 0 reproduces the
@@ -66,7 +68,6 @@ class PbeClient(AckingReceiver):
         if delay_margin_us < 0:
             raise ValueError("delay margin must be non-negative")
         self.monitor = monitor
-        self.default_rtprop_us = default_rtprop_us
         self.delay_margin_us = delay_margin_us
         self.state = WIRELESS
         self._dprop = WindowedMin(DPROP_WINDOW_US)
@@ -101,7 +102,7 @@ class PbeClient(AckingReceiver):
         body this replaced as the oracle): fold the one-way delay into
         Dprop, add the packet to the receive-rate window (pruned to the
         RTprop the sender stamped as ``meta["srtt_us"]``, else
-        ``default_rtprop_us``), read the monitor's report over that
+        ``DEFAULT_RTPROP_US``), read the monitor's report over that
         window, run the §4.2.2 state machine against ``Dth`` and
         ``Npkt``, and stamp the ACK with a :class:`PbeFeedback`.
         Everything that is constant across a burst — ``now`` and
@@ -132,7 +133,6 @@ class PbeClient(AckingReceiver):
         now = self.sim.now
         flow_id = self.flow_id
         monitor = self.monitor
-        default_rtprop = self.default_rtprop_us
         margin = self.delay_margin_us
         recent = self._recent
         recent_bits = self._recent_bits
@@ -171,7 +171,7 @@ class PbeClient(AckingReceiver):
             srtt = packet.meta.get("srtt_us", 0)
             if srtt != last_srtt:
                 last_srtt = srtt
-                rtprop_us = srtt if srtt > 0 else default_rtprop
+                rtprop_us = srtt if srtt > 0 else DEFAULT_RTPROP_US
                 prune_horizon = now - rtprop_us
                 while recent and recent[0][0] < prune_horizon:
                     recent_bits -= recent.popleft()[1]

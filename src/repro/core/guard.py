@@ -28,16 +28,7 @@ CAPPED_HEADROOM = 1.2
 class FeedbackGuard:
     """Server-side plausibility check on client capacity reports."""
 
-    def __init__(self, suspicion_ratio: float = SUSPICION_RATIO,
-                 flag_after: int = FLAG_AFTER_WINDOWS,
-                 window_us: int = WINDOW_US) -> None:
-        if suspicion_ratio <= 1.0:
-            raise ValueError("suspicion ratio must exceed 1")
-        if flag_after < 1 or window_us < 1:
-            raise ValueError("windows must be positive")
-        self.suspicion_ratio = suspicion_ratio
-        self.flag_after = flag_after
-        self.window_us = window_us
+    def __init__(self) -> None:
         self._achieved = WindowedMax(10 * US_PER_S)
         self._window_start = 0
         self._window_max_reported = 0.0
@@ -56,7 +47,7 @@ class FeedbackGuard:
             self._achieved.update(now_us, delivery_rate_bps)
         self._window_max_reported = max(self._window_max_reported,
                                         reported_bps)
-        if now_us - self._window_start < self.window_us:
+        if now_us - self._window_start < WINDOW_US:
             return
         self._evaluate()
         self._window_start = now_us
@@ -66,9 +57,9 @@ class FeedbackGuard:
         achieved = self.achieved_bps
         if achieved <= 0:
             return
-        if self._window_max_reported > self.suspicion_ratio * achieved:
+        if self._window_max_reported > SUSPICION_RATIO * achieved:
             self._suspicious_run += 1
-            if self._suspicious_run >= self.flag_after:
+            if self._suspicious_run >= FLAG_AFTER_WINDOWS:
                 self.flagged = True
         else:
             self._suspicious_run = 0

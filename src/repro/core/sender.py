@@ -30,7 +30,8 @@ from typing import Optional
 from ..baselines.base import AckContext, CongestionControl
 from ..baselines.bbr import PROBE_BW, Bbr
 from ..net.packet import Packet
-from ..net.units import US_PER_S
+from ..net.units import SUBFRAME_US, US_PER_S
+from ..phy.harq import RETX_DELAY_SUBFRAMES
 from .feedback import PbeFeedback
 from .guard import FeedbackGuard
 
@@ -53,7 +54,10 @@ CWND_SLACK_PACKETS = 4
 #: the receiver-side reordering stalls of §3/Figure 3, otherwise every
 #: 8 ms stall blocks the window and the paced sender can never win the
 #: time back.
-RETX_MARGIN_US = 16_000
+RETX_MARGIN_US = 2 * RETX_DELAY_SUBFRAMES * SUBFRAME_US
+#: RTprop assumed before any is measured, µs (the sender's until its
+#: first RTT sample; the client's for packets that carry no srtt).
+DEFAULT_RTPROP_US = 40_000
 #: Floor of the feedback watchdog timeout, µs (the auto timeout is
 #: ``max(4·RTprop, this)`` so ordinary ACK batching never trips it).
 MIN_FEEDBACK_TIMEOUT_US = 100_000
@@ -65,14 +69,11 @@ class PbeSender(CongestionControl):
     name = "pbe"
 
     def __init__(self, initial_rate_bps: float = 1.2e6,
-                 ramp_rtts: float = RAMP_RTTS,
                  retx_margin_us: int = RETX_MARGIN_US,
                  guard: Optional[FeedbackGuard] = None,
                  feedback_timeout_us: Optional[int] = None) -> None:
-        """Ablation knobs (defaults are the paper's design):
-
-        ``ramp_rtts=0`` jumps straight to Cf instead of the §4.1 linear
-        ramp; ``retx_margin_us=0`` sizes the cwnd at the bare BDP.
+        """``retx_margin_us=0`` sizes the cwnd at the bare BDP (an
+        ablation; the default is the paper's design).
 
         ``guard`` optionally attaches the §7 misreported-feedback
         detector: once it flags the client, the sender ignores inflated
@@ -85,12 +86,11 @@ class PbeSender(CongestionControl):
         """
         if initial_rate_bps <= 0:
             raise ValueError("initial rate must be positive")
-        if ramp_rtts < 0 or retx_margin_us < 0:
-            raise ValueError("ablation knobs must be non-negative")
+        if retx_margin_us < 0:
+            raise ValueError("retx margin must be non-negative")
         if feedback_timeout_us is not None and feedback_timeout_us <= 0:
             raise ValueError("feedback timeout must be positive")
         self.initial_rate_bps = initial_rate_bps
-        self.ramp_rtts = ramp_rtts
         self.retx_margin_us = retx_margin_us
         self.guard = guard
         self.state = STARTUP
@@ -127,7 +127,7 @@ class PbeSender(CongestionControl):
         rtprop = self.bbr.rtprop_us
         if rtprop:
             return rtprop
-        return self._srtt_us or 40_000
+        return self._srtt_us or DEFAULT_RTPROP_US
 
     def _switch(self, state: str, now_us: int) -> None:
         self.state = state
@@ -313,9 +313,7 @@ class PbeSender(CongestionControl):
     def _ramp_progress(self, now_us: int) -> float:
         if self._ramp_start_us is None:
             return 0.0
-        ramp_us = self.ramp_rtts * max(self._srtt_us, 10_000)
-        if ramp_us <= 0:
-            return 1.0
+        ramp_us = RAMP_RTTS * max(self._srtt_us, 10_000)
         return min(1.0, (now_us - self._ramp_start_us) / ramp_us)
 
     def _current_wireless_rate(self, now_us: int) -> float:

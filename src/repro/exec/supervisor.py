@@ -26,8 +26,7 @@ import hashlib
 import signal
 import threading
 import traceback as traceback_module
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 #: Failure classification: the job's own code raised, the job exceeded
 #: its deadline, or the worker process executing it died.

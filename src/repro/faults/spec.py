@@ -11,24 +11,23 @@ schedule, on any machine, in any process.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
 from dataclasses import dataclass
 
 from ..checks import require_int, require_real
+from ..traces.seeds import derived_seed
 
 
 def derived_rng(seed: int, *scope) -> random.Random:
     """A private random stream for one injector.
 
     The stream is keyed by the fault seed plus a scope tuple (e.g.
-    ``("dci", cell_id)``), hashed with SHA-256 so that streams are
-    independent of each other, of consumption order, and of the
-    platform — the cross-process determinism the result cache needs.
+    ``("dci", cell_id)``) through :func:`repro.traces.derived_seed`, so
+    streams are independent of each other, of consumption order, and of
+    the platform — the cross-process determinism the result cache
+    needs.
     """
-    key = ":".join(str(part) for part in (seed, *scope))
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(derived_seed(seed, *scope))
 
 
 _RATE_FIELDS = ("dci_miss_rate", "dci_false_rate", "outage_enter_rate",

@@ -30,9 +30,7 @@ from .scenarios import (
     stationary_locations,
 )
 from .serialize import (
-    load_results,
     result_to_dict,
-    save_results,
     summary_from_dict,
     summary_to_dict,
     write_json_atomic,
@@ -41,9 +39,9 @@ from .serialize import (
 __all__ = [
     "Experiment", "FlowHandle", "FlowResult", "FlowSpec", "FlowSummary",
     "ORDER_STATS", "SCHEMES", "Scenario", "WINDOW_US", "default_carriers",
-    "jain_index", "load_results", "make_cc", "percentile",
+    "jain_index", "make_cc", "percentile",
     "representative_locations", "result_to_dict", "run_flow",
-    "save_results", "stationary_locations", "summarize_flow",
+    "stationary_locations", "summarize_flow",
     "summary_from_dict", "summary_to_dict", "windowed_throughput_bps",
     "write_json_atomic",
 ]

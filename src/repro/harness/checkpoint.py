@@ -53,14 +53,14 @@ from .. import statedict
 from ..baselines.base import AckingReceiver, Sender
 from ..baselines.bbr import Bbr
 from ..baselines.copa import Copa
-from ..baselines.cubic import Cubic, Reno
+from ..baselines.cubic import Cubic
 from ..baselines.fixedrate import FixedRate
 from ..baselines.pcc import PccAllegro, PccVivace, _MonitorInterval, _PccBase
 from ..baselines.sprout import Sprout
 from ..baselines.verus import Verus
 from ..baselines.windowed import WindowedMax, WindowedMin
 from ..cell.basestation import (
-    CellularNetwork, UeCategory, _HarqState, _Ingress, _User)
+    CellularNetwork, _HarqState, _Ingress, _User)
 from ..cell.ca_manager import CarrierAggregationManager, _UserCaState
 from ..cell.control_traffic import ControlBurst, ControlTrafficGenerator
 from ..cell.queues import DownlinkQueue, TransportBlock
@@ -85,7 +85,7 @@ from ..phy.carrier import AggregationState
 from ..phy.channel import GaussMarkovChannel, StaticChannel, TraceChannel
 from ..phy.dci import DciMessage, SubframeRecord
 from ..phy.harq import ReorderingBuffer
-from ..traces.workload import CbrDemand, OnOffRandomDemand, ScheduledDemand
+from ..traces.workload import OnOffRandomDemand, ScheduledDemand
 from .serialize import code_id, write_bytes_atomic
 
 logger = logging.getLogger("repro.checkpoint")
@@ -132,18 +132,18 @@ _STATE = (
     Link, DelayPipe, BatchingPipe, FlowDemux, FlowStats,
     Sender, AckingReceiver,
     # congestion controllers
-    Bbr, Cubic, Reno, Copa, Sprout, Verus, FixedRate,
+    Bbr, Cubic, Copa, Sprout, Verus, FixedRate,
     _PccBase, PccAllegro, PccVivace, _MonitorInterval,
     WindowedMax, WindowedMin,
     PbeSender, PbeClient, FeedbackGuard,
     # cellular network
-    CellularNetwork, _User, _Ingress, _HarqState, UeCategory, UserEquipment,
+    CellularNetwork, _User, _Ingress, _HarqState, UserEquipment,
     DownlinkQueue, ReorderingBuffer, AggregationState,
     ControlTrafficGenerator, ControlBurst,
     ProportionalFairState, CarrierAggregationManager, _UserCaState,
     # channels and demand
     StaticChannel, GaussMarkovChannel, TraceChannel,
-    CbrDemand, ScheduledDemand, OnOffRandomDemand,
+    ScheduledDemand, OnOffRandomDemand,
     # monitor pipeline
     PbeMonitor, CellCapacityEstimator, CellEstimate,
     ControlChannelDecoder, ActiveUserFilter, UserActivity, _SubframeUsers,

@@ -8,8 +8,9 @@ A :class:`Figure` names a driver and its keyword arguments at two
 scales: ``reduced`` (the gate: fewer locations, shorter flows) and
 ``paper`` (the paper's setup).  Figures whose driver and arguments
 match share one run: the stationary sweep feeds Table 1, Figure 12 and
-Figure 15.  Each :class:`Claim` under a figure reduces the figure's
-result to one number — the worst case where the shape quantifies over
+Figure 15, whose claims reduce the :class:`SweepResult` itself.  Each
+:class:`Claim` under a figure reduces the driver's result to one
+number — the worst case where the shape quantifies over
 locations, points or series — and holds when that number meets its
 bound.  ``paper`` is the paper's own value of that number, or ``None``
 where the paper gives only a shape.  A claim the gate is known to miss
@@ -65,10 +66,6 @@ class Claim:
         return bool(_OPS[self.op](value, self.bound))
 
 
-def _same(result):
-    return result
-
-
 @dataclass(frozen=True)
 class Figure:
     name: str
@@ -76,8 +73,6 @@ class Figure:
     reduced: dict
     paper: dict
     claims: tuple
-    #: The figure's reduction of the driver's result.
-    view: Callable = _same
 
 
 _tput = attrgetter("average_throughput_bps")
@@ -85,13 +80,27 @@ _med = attrgetter("median_delay_ms")
 
 
 def _table1(baseline, cond, field):
-    return lambda r: getattr(r.row(baseline, cond), field)
+    return lambda r: getattr(exp.table1_from_sweep(r).row(baseline, cond),
+                             field)
 
 
-def _median_ratio(series, scheme):
-    """PBE's median over ``scheme``'s median of a Figure 12 CDF."""
-    return lambda r: (np.median(getattr(r, series)["pbe"])
-                      / np.median(getattr(r, series)[scheme]))
+def _median_ratio(metric, scheme):
+    """PBE's median over ``scheme``'s median, across the sweep's
+    locations, of one ``summary`` metric (Figure 12's CDFs)."""
+    def median(r, s):
+        return np.median([getattr(e.summary, metric)
+                          for e in r.for_scheme(s)])
+    return lambda r: median(r, "pbe") / median(r, scheme)
+
+
+def _ca_share(scheme):
+    """The share of ``scheme``'s multi-carrier locations at which it
+    triggered carrier aggregation (Figure 15)."""
+    def share(r):
+        eligible = [e for e in r.for_scheme(scheme)
+                    if e.aggregated_cells > 1]
+        return sum(e.ca_activations > 0 for e in eligible) / len(eligible)
+    return share
 
 
 def _worst(agg, metric, num, den):
@@ -167,7 +176,7 @@ _TABLE1_XFAIL = {
 
 FIGURES = (
     Figure("table1", exp.run_stationary_sweep, _SWEEP_REDUCED,
-           _SWEEP_PAPER, view=exp.table1_from_sweep, claims=tuple(
+           _SWEEP_PAPER, claims=tuple(
         Claim(f"table1.{base}.{cond}.{name}", op, bound,
               _table1(base, cond, field), PAPER_TABLE1[base, cond][col],
               _copa(_TABLE1_XFAIL.get((base, cond, name))))
@@ -182,18 +191,17 @@ FIGURES = (
             ("copa", "p95_reduction", "p95_delay_reduction", 1, "<",
              1.0)))),
     Figure("fig12", exp.run_stationary_sweep, _SWEEP_REDUCED,
-           _SWEEP_PAPER, view=exp.fig12_from_sweep, claims=(
+           _SWEEP_PAPER, claims=(
         *(Claim(f"fig12.{s}.median_tput_ratio", ">", 0.9,
-                _median_ratio("throughput_mbps", s))
+                _median_ratio("average_throughput_mbps", s))
           for s in ("bbr", "cubic", "verus")),
         *(Claim(f"fig12.{s}.median_p95_ratio", "<", bound,
                 _median_ratio("p95_delay_ms", s))
           for s, bound in (("bbr", 0.75), ("cubic", 0.5),
                            ("verus", 0.5))))),
     Figure("fig15", exp.run_stationary_sweep, _SWEEP_REDUCED,
-           _SWEEP_PAPER, view=exp.fig15_from_sweep, claims=tuple(
-        Claim(f"fig15.{s}.ca_share", op, bound,
-              lambda r, s=s: r.count(s) / r.rows[0].eligible, xfail=xfail)
+           _SWEEP_PAPER, claims=tuple(
+        Claim(f"fig15.{s}.ca_share", op, bound, _ca_share(s), xfail=xfail)
         for s, op, bound, xfail in (
             ("pbe", ">=", 0.8, None), ("bbr", ">=", 0.8, None),
             ("cubic", ">=", 0.8, None),
@@ -368,9 +376,9 @@ def claims():
 
 
 class Runs:
-    """Each driver run once per argument set at ``scale``; a figure's
-    view of that run on demand.  ``runner`` goes to the drivers that
-    take one (the multi-job ones)."""
+    """Each driver run once per argument set at ``scale``; the run's
+    result on demand.  ``runner`` goes to the drivers that take one
+    (the multi-job ones)."""
 
     def __init__(self, scale: str = "reduced", runner=None):
         self.scale, self.runner = scale, runner
@@ -383,7 +391,7 @@ class Runs:
             pooled = "runner" in inspect.signature(figure.driver).parameters
             extra = {"runner": self.runner} if pooled else {}
             self._done[key] = figure.driver(**kwargs, **extra)
-        return figure.view(self._done[key])
+        return self._done[key]
 
 
 # ----------------------------------------------------------------------
@@ -411,9 +419,13 @@ def entries(runs: Runs, figure: Figure) -> list:
 
 def claim_line(entry: dict) -> str:
     """One claim entry as a console line: ``repro experiment`` and
-    ``scripts/record_experiments.py`` print these."""
+    ``scripts/record_experiments.py`` print these.  A known miss (a
+    claim with an ``xfail`` reason) reads ``xfail``, a regression
+    ``FAILS``."""
+    verdict = ("holds" if entry["holds"] else
+               "xfail" if entry["xfail"] else "FAILS")
     return (f"{entry['id']:45s} {entry['measured']!s:>22} {entry['op']} "
-            f"{entry['bound']}  {'holds' if entry['holds'] else 'FAILS'}")
+            f"{entry['bound']}  {verdict}")
 
 
 def record(runs: Runs, commit: str) -> dict:
@@ -421,8 +433,8 @@ def record(runs: Runs, commit: str) -> dict:
     return {"schema": SCHEMA, "scale": runs.scale, "commit": commit,
             "code_id": code_id(),
             "figures": {f.name: getattr(f, runs.scale) for f in FIGURES},
-            "table1": [{**asdict(r), "paper": list(r.paper)}
-                       for r in runs(by_name("table1")).rows],
+            "table1": [{**asdict(r), "paper": list(r.paper)} for r in
+                       exp.table1_from_sweep(runs(by_name("table1"))).rows],
             "claims": [e for f in FIGURES for e in entries(runs, f)]}
 
 

@@ -15,9 +15,7 @@ from .fig06 import run_fig06
 from .fig07 import run_fig07
 from .fig08 import run_fig08
 from .fig11 import run_fig11
-from .fig12 import fig12_from_sweep
 from .fig13 import run_fig13_14
-from .fig15 import fig15_from_sweep
 from .fig16 import run_fig16_17
 from .fig18 import run_fig18_19
 from .fig20 import run_fig20
@@ -39,8 +37,7 @@ from .table1 import table1_from_sweep
 
 __all__ = [
     "ResilienceEntry", "ResilienceResult", "SweepEntry", "SweepResult",
-    "entry_to_dict", "fig12_from_sweep",
-    "fig15_from_sweep", "resilience_jobs", "run_ablation",
+    "entry_to_dict", "resilience_jobs", "run_ablation",
     "run_fig02", "run_fig05", "run_fig06", "run_fig07", "run_fig08",
     "run_fig11",
     "run_fig13_14", "run_fig16_17", "run_fig18_19", "run_fig20",

@@ -9,7 +9,6 @@ Each variant disables one mechanism the paper argues for:
 * ``no_delay_margin``— Dth = Dprop (the "theoretical threshold" §4.2.2
   shows working poorly, flapping into the Internet state on HARQ
   jitter).
-* ``no_linear_ramp`` — jump straight to Cf instead of the 3-RTT ramp.
 * ``bare_bdp_cwnd``  — no HARQ-stall margin in the congestion window.
 """
 
@@ -30,8 +29,6 @@ VARIANTS: dict[str, dict] = {
         "pbe_monitor_kwargs": {"filter_control_users": False}},
     "no_delay_margin": {
         "pbe_client_kwargs": {"delay_margin_us": 0}},
-    "no_linear_ramp": {
-        "cc_kwargs": {"ramp_rtts": 0}},
     "bare_bdp_cwnd": {
         "cc_kwargs": {"retx_margin_us": 0}},
 }

@@ -30,11 +30,6 @@ from ..scenarios import Scenario
 
 @dataclass
 class Fig05Result:
-    #: (time_s, victim Ct estimate Mbit/s) samples.
-    estimate_series: list
-    #: (time_s, victim delivered Mbit/s per 50 ms window) samples.
-    delivered_series: list
-    competitor_end_s: float
     detection_latency_ms: float
     occupation_latency_ms: float
     #: Rate-limited user's throughput before/after (should not change).
@@ -90,11 +85,7 @@ def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,
     lim_before = lsz[(larr > end - 1.0) & (larr < end)].sum() / 1e6
     lim_after = lsz[(larr > end) & (larr < end + 1.0)].sum() / 1e6
 
-    window = [(t, r) for t, r in estimates if end - 0.2 < t < end + 0.4]
     return Fig05Result(
-        estimate_series=window[::max(1, len(window) // 20)],
-        delivered_series=delivered,
-        competitor_end_s=end,
         detection_latency_ms=(detection - end) * 1e3,
         occupation_latency_ms=(occupation - end) * 1e3,
         limited_before_mbps=lim_before,

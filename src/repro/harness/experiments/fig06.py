@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cell.basestation import MIMO_SINR_THRESHOLD_DB
+from ...cell.basestation import MIMO_SINR_THRESHOLD_DB, MIMO_STREAMS
+from ...cell.queues import PROTOCOL_OVERHEAD
 from ...phy.carrier import CarrierConfig
 from ...phy.error import block_error_rate, sinr_to_ber
 from ...phy.mcs import bits_per_prb, sinr_to_mcs
@@ -67,7 +68,7 @@ def _overhead_at(sinr_db: float, load_fraction: float,
     experiment.network.attach_monitor(0, records.append)
     # Estimate the location's capacity from the PHY tables, then offer
     # the requested fraction of it.
-    streams = 2 if sinr_db >= MIMO_SINR_THRESHOLD_DB else 1
+    streams = MIMO_STREAMS if sinr_db >= MIMO_SINR_THRESHOLD_DB else 1
     capacity_bps = bits_per_prb(sinr_to_mcs(sinr_db), streams) * 100 * 1_000
     offered = load_fraction * capacity_bps
 
@@ -86,7 +87,6 @@ def _overhead_at(sinr_db: float, load_fraction: float,
                 retx_bits += message.tbs_bits
     total = new_bits + retx_bits
     retx_pct = 100.0 * retx_bits / total if total else 0.0
-    from ...cell.queues import PROTOCOL_OVERHEAD
     return OverheadPoint(
         sinr_db=sinr_db, offered_mbps=offered / 1e6,
         retransmission_pct=retx_pct,

@@ -27,8 +27,6 @@ class Fig07Result:
     filtered_counts: list
     #: Per-user activity lengths (subframes) across the run.
     active_lengths: list
-    #: Per-user average occupied PRBs.
-    average_prbs: list
 
     @property
     def mean_detected(self) -> float:
@@ -43,8 +41,8 @@ class Fig07Result:
         return float(np.mean(np.asarray(self.active_lengths) == 1))
 
 
-def run_fig07(duration_s: float = 20.0, busy_arrivals: float = 0.4,
-              background_users: int = 2, seed: int = 23) -> Fig07Result:
+def run_fig07(duration_s: float = 20.0, background_users: int = 2,
+              seed: int = 23) -> Fig07Result:
     """Observe a busy cell through the monitor's user filter."""
     scenario = Scenario(
         name="fig07", carriers=[CarrierConfig(0, 20.0)],
@@ -55,7 +53,8 @@ def run_fig07(duration_s: float = 20.0, busy_arrivals: float = 0.4,
     user_filter = ActiveUserFilter(window_subframes=40)
     all_counts: list[int] = []
     filtered_counts: list[int] = []
-    user_activity: dict[int, list[int]] = {}
+    # PRB grants per RNTI over the run: its activity length, subframes.
+    grants: dict[int, int] = {}
 
     def observe(record):
         user_filter.update(record)
@@ -64,14 +63,11 @@ def run_fig07(duration_s: float = 20.0, busy_arrivals: float = 0.4,
             filtered_counts.append(len(user_filter.data_users()))
         for message in record.messages:
             if message.n_prbs > 0:
-                user_activity.setdefault(message.rnti, []).append(
-                    message.n_prbs)
+                grants[message.rnti] = grants.get(message.rnti, 0) + 1
 
     experiment.network.attach_monitor(0, observe)
     # One data flow of our own plus the scenario's background users.
     experiment.add_flow(FlowSpec(scheme="pbe"))
     experiment.run()
 
-    lengths = [len(prbs) for prbs in user_activity.values()]
-    avg_prbs = [float(np.mean(prbs)) for prbs in user_activity.values()]
-    return Fig07Result(all_counts, filtered_counts, lengths, avg_prbs)
+    return Fig07Result(all_counts, filtered_counts, list(grants.values()))

@@ -20,13 +20,10 @@ from ..scenarios import Scenario
 class Fig08Series:
     offered_mbps: float
     min_delay_ms: float
-    #: Fraction of packets within 4 ms of the floor (no retx).
-    baseline_fraction: float
     #: Fraction delayed by roughly one HARQ cycle (6-12 ms above).
     one_retx_fraction: float
     #: Fraction delayed further (chained retransmissions/reordering).
     more_fraction: float
-    p95_delay_ms: float
 
 
 @dataclass
@@ -55,9 +52,7 @@ def run_fig08(loads_mbps: tuple = (6.0, 24.0, 36.0),
         series.append(Fig08Series(
             offered_mbps=load,
             min_delay_ms=floor,
-            baseline_fraction=float(np.mean(over < 4.0)),
             one_retx_fraction=float(np.mean((over >= 4.0)
                                             & (over < 12.0))),
-            more_fraction=float(np.mean(over >= 12.0)),
-            p95_delay_ms=float(np.percentile(delays, 95))))
+            more_fraction=float(np.mean(over >= 12.0))))
     return Fig08Result(series)

@@ -5,7 +5,9 @@ on for 4 seconds out of every 8 at a fixed 60 Mbit/s offered load.
 Figure 18 compares all schemes' overall delay/throughput; Figure 19
 plots the victim's 200 ms throughput and per-packet delay around the
 competition windows — PBE yields promptly (no queue) and re-grabs the
-idle capacity the moment the competitor stops.
+idle capacity the moment the competitor stops.  The reproduction
+reduces Figure 19 to each victim's mean throughput while the
+competitor is on versus off.
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ from .fig13 import EIGHT_SCHEMES
 
 
 @dataclass
-class CompetitionTimeline:
-    scheme: str
-    interval_s: float
-    throughput_mbps: list
-    mean_delay_ms: list
-
-
-@dataclass
 class Fig18Result:
     summaries: dict
-    timelines: list
     #: For each scheme: mean tput while the competitor is on vs off.
     on_off_split: dict
 
@@ -44,14 +37,11 @@ def _competitor_on(t_s: float, period_s: float, on_s: float,
 
 
 def run_fig18_19(schemes: tuple = EIGHT_SCHEMES,
-                 timeline_schemes: tuple = ("pbe", "bbr"),
                  duration_s: float = 40.0, period_s: float = 8.0,
                  on_s: float = 4.0, competitor_rate_bps: float = 60e6,
-                 offset_s: float = 4.0, interval_s: float = 0.2,
-                 seed: int = 41) -> Fig18Result:
+                 offset_s: float = 4.0, seed: int = 41) -> Fig18Result:
     """Run the controlled-competition experiment for each scheme."""
     summaries: dict[str, FlowSummary] = {}
-    timelines = []
     split = {}
     for scheme in schemes:
         scenario = Scenario(name="competition", aggregated_cells=2,
@@ -85,16 +75,4 @@ def run_fig18_19(schemes: tuple = EIGHT_SCHEMES,
         tput_on = sizes[on_mask].sum() / span_on / 1e6
         tput_off = sizes[~on_mask].sum() / span_off / 1e6
         split[scheme] = (float(tput_on), float(tput_off))
-
-        if scheme in timeline_schemes:
-            delays = np.asarray(result.stats.delay_us) / 1_000.0
-            tl_t, tl_d = [], []
-            step = interval_s
-            for lo in np.arange(0.0, duration_s, step):
-                mask = (arrivals >= lo) & (arrivals < lo + step)
-                tl_t.append(float(sizes[mask].sum() / step / 1e6))
-                tl_d.append(float(delays[mask].mean())
-                            if mask.any() else 0.0)
-            timelines.append(CompetitionTimeline(scheme, step, tl_t,
-                                                 tl_d))
-    return Fig18Result(summaries, timelines, split)
+    return Fig18Result(summaries, split)

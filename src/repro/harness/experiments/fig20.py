@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import FlowSummary, jain_index
+from ..metrics import jain_index
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 from .fig13 import EIGHT_SCHEMES

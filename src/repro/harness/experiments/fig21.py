@@ -25,8 +25,6 @@ SCHEDULE = ((0.0, 60.0), (10.0, 50.0), (20.0, 40.0))
 class Fig21Variant:
     name: str
     schemes: tuple
-    #: Per-flow mean primary-cell PRBs during the three-flow overlap.
-    prb_shares_3: list
     jain_2: float
     jain_3: float
     #: (time_s, prbs per flow) rows for plotting, 50-subframe averages.
@@ -82,7 +80,7 @@ def _run_variant(name: str, schemes: tuple, delays_us: tuple,
             row.append(sum(prbs) / 500)
         timeline.append(tuple(row))
     return Fig21Variant(
-        name=name, schemes=schemes, prb_shares_3=three,
+        name=name, schemes=schemes,
         jain_2=jain_index(two), jain_3=jain_index(three),
         timeline=timeline)
 

@@ -2,8 +2,9 @@
 
 Runs every requested scheme over every location of the 40-location
 grid (or a subset — the full sweep is hundreds of flow-seconds of
-simulation).  Table 1, Figure 12 and Figure 15 are all views of this
-one sweep's results.
+simulation).  Table 1, Figure 12 and Figure 15 are all reductions of
+this one sweep's results (the claims registry,
+:mod:`repro.harness.claims`, holds them).
 
 Each (location, scheme) run is an independent, deterministic job, so
 the sweep submits through :class:`repro.exec.ParallelRunner`: pass
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ...exec import Job, is_failure, make_runner
 from ..metrics import FlowSummary
-from ..scenarios import Scenario, stationary_locations
+from ..scenarios import stationary_locations
 from ..serialize import summary_from_dict, summary_to_dict
 
 

@@ -20,7 +20,6 @@ from ..baselines import (
     FixedRate,
     PccAllegro,
     PccVivace,
-    Reno,
     Sender,
     Sprout,
     Verus,
@@ -44,12 +43,11 @@ TEST_RNTI_BASE = 100
 #: RNTI range for background (exogenous) users.
 BACKGROUND_RNTI_BASE = 1_000
 
-#: Scheme-name registry (the eight algorithms of §6.1, Reno and CBR).
+#: Scheme-name registry (the eight algorithms of §6.1 and CBR).
 SCHEMES: dict[str, Callable[..., CongestionControl]] = {
     "pbe": PbeSender,
     "bbr": Bbr,
     "cubic": Cubic,
-    "reno": Reno,
     "verus": Verus,
     "sprout": Sprout,
     "copa": Copa,

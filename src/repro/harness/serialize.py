@@ -86,14 +86,10 @@ def summary_from_dict(data: dict) -> FlowSummary:
         packets=data["packets"])
 
 
-def result_to_dict(result: FlowResult,
-                   include_samples: bool = False) -> dict:
-    """Flatten a :class:`FlowResult`.
-
-    ``include_samples=True`` additionally embeds the raw per-packet
-    arrival/delay series (large!).
-    """
-    out = {
+def result_to_dict(result: FlowResult) -> dict:
+    """Flatten a :class:`FlowResult` (its summary, not its per-packet
+    log)."""
+    return {
         "scheme": result.spec.scheme,
         "rnti": result.spec.rnti,
         "summary": summary_to_dict(result.summary),
@@ -104,13 +100,6 @@ def result_to_dict(result: FlowResult,
         "sender_states": result.sender_states,
         "fault_stats": result.fault_stats,
     }
-    if include_samples:
-        out["samples"] = {
-            "arrival_us": list(result.stats.arrival_us),
-            "delay_us": list(result.stats.delay_us),
-            "size_bits": list(result.stats.size_bits),
-        }
-    return out
 
 
 def write_bytes_atomic(path: Union[str, Path], data: bytes,
@@ -154,21 +143,8 @@ def write_bytes_atomic(path: Union[str, Path], data: bytes,
 
 
 def write_json_atomic(payload, path: Union[str, Path],
-                      indent: Optional[int] = 2,
-                      fsync: bool = False) -> None:
-    """Write ``payload`` as JSON through :func:`write_bytes_atomic`."""
+                      indent: Optional[int] = 2) -> None:
+    """Write ``payload`` as JSON through :func:`write_bytes_atomic`
+    (atomic, not flushed to disk)."""
     write_bytes_atomic(path, json.dumps(payload, indent=indent).encode(),
-                       fsync=fsync)
-
-
-def save_results(results: list, path: Union[str, Path],
-                 include_samples: bool = False) -> None:
-    """Write a list of :class:`FlowResult` to a JSON file (atomically,
-    with the file and its directory entry both flushed to disk)."""
-    payload = [result_to_dict(r, include_samples) for r in results]
-    write_json_atomic(payload, path, fsync=True)
-
-
-def load_results(path: Union[str, Path]) -> list:
-    """Read back what :func:`save_results` wrote (as dictionaries)."""
-    return json.loads(Path(path).read_text())
+                       fsync=False)

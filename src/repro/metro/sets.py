@@ -10,7 +10,7 @@ scheduler policy.  ``python -m repro list`` enumerates the registry.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..checks import require_int, require_real
 from .grid import GridSpec

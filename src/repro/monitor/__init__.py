@@ -20,19 +20,13 @@ from .filters import (
     UserActivity,
 )
 from .pbe import SECONDARY_INACTIVE_TIMEOUT, MonitorReport, PbeMonitor
-from .translation import (
-    PROTOCOL_OVERHEAD,
-    TranslationTable,
-    physical_from_transport,
-    transport_from_physical,
-)
+from .translation import TranslationTable, transport_from_physical
 
 __all__ = [
     "ActiveUserFilter", "CellCapacityEstimator", "CellEstimate",
     "CellSample", "ControlChannelDecoder", "DEFAULT_WINDOW_SUBFRAMES",
     "MIN_ACTIVE_SUBFRAMES", "MIN_AVG_PRBS",
     "MonitorReport", "N_DCI_FORMATS", "N_SEARCH_POSITIONS",
-    "PROTOCOL_OVERHEAD", "PbeMonitor", "SECONDARY_INACTIVE_TIMEOUT",
-    "TranslationTable", "UserActivity", "physical_from_transport",
-    "transport_from_physical",
+    "PbeMonitor", "SECONDARY_INACTIVE_TIMEOUT", "TranslationTable",
+    "UserActivity", "transport_from_physical",
 ]

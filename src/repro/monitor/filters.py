@@ -103,16 +103,6 @@ class ActiveUserFilter:
                     del activity[rnti]
 
     # ------------------------------------------------------------------
-    def activity(self) -> dict[int, UserActivity]:
-        """Per-user activity aggregated over the window.
-
-        Returns a fresh copy — mutating it does not corrupt the
-        filter's running aggregates.
-        """
-        return {
-            rnti: UserActivity(act.active_subframes, act.total_prbs)
-            for rnti, act in self._activity.items()}
-
     def detected_users(self) -> set[int]:
         """Every RNTI seen in the window (Figure 7a, 'All users')."""
         return set(self._activity)

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 
+from ..cell.queues import PROTOCOL_OVERHEAD
 from ..phy.error import block_error_rate
-
-#: Protocol overhead measured by the paper (§4.2.1).
-PROTOCOL_OVERHEAD = 0.068
 
 #: Lookup-table quantization, bits per subframe (1 kbit ≈ 1 Mbit/s).
 _CP_QUANTUM = 1_000
@@ -29,16 +27,14 @@ _CP_QUANTUM = 1_000
 _BER_QUANTUM = 0.25
 
 
-def transport_from_physical(cp_bits_per_subframe: float, ber: float,
-                            overhead: float = PROTOCOL_OVERHEAD) -> float:
+def transport_from_physical(cp_bits_per_subframe: float,
+                            ber: float) -> float:
     """Solve Eqn. 5 for the transport goodput ``Ct`` (bits/subframe)."""
     if cp_bits_per_subframe < 0:
         raise ValueError("capacity must be non-negative")
-    if not 0 <= overhead < 1:
-        raise ValueError("overhead must be in [0, 1)")
     if cp_bits_per_subframe == 0:
         return 0.0
-    target = (1.0 - overhead) * cp_bits_per_subframe
+    target = (1.0 - PROTOCOL_OVERHEAD) * cp_bits_per_subframe
 
     def surplus(ct: float) -> float:
         tbler = block_error_rate(ber, int(ct))
@@ -56,15 +52,6 @@ def transport_from_physical(cp_bits_per_subframe: float, ber: float,
     return lo
 
 
-def physical_from_transport(ct_bits_per_subframe: float, ber: float,
-                            overhead: float = PROTOCOL_OVERHEAD) -> float:
-    """Forward direction of Eqn. 5 (used by tests and Figure 6a)."""
-    if ct_bits_per_subframe < 0:
-        raise ValueError("rate must be non-negative")
-    tbler = block_error_rate(ber, int(ct_bits_per_subframe))
-    return ct_bits_per_subframe * (1.0 + tbler) / (1.0 - overhead)
-
-
 class TranslationTable:
     """Memoizing wrapper around :func:`transport_from_physical`.
 
@@ -73,8 +60,7 @@ class TranslationTable:
     mirroring the lookup table in the paper's implementation.
     """
 
-    def __init__(self, overhead: float = PROTOCOL_OVERHEAD) -> None:
-        self.overhead = overhead
+    def __init__(self) -> None:
         self._cache: dict[tuple[int, int], float] = {}
 
     def __len__(self) -> int:
@@ -91,7 +77,6 @@ class TranslationTable:
         if cached is not None:
             return cached
         ber_rep = 0.0 if ber <= 0 else 10.0 ** (ber_q * _BER_QUANTUM)
-        value = transport_from_physical(
-            cp_q * _CP_QUANTUM, ber_rep, self.overhead)
+        value = transport_from_physical(cp_q * _CP_QUANTUM, ber_rep)
         self._cache[key] = value
         return value

@@ -24,12 +24,7 @@ from .units import (
     SUBFRAME_US,
     US_PER_MS,
     US_PER_S,
-    bps_from_mbps,
-    mbps,
-    ms,
-    seconds,
     transmission_time_us,
-    us_from_ms,
     us_from_seconds,
 )
 
@@ -37,6 +32,6 @@ __all__ = [
     "ACK_BITS", "BatchingPipe", "DelayPipe", "Event", "FlowDemux",
     "FlowStats", "Link", "MSS_BITS",
     "MSS_BYTES", "Packet", "PacketSink", "Receiver", "SUBFRAME_US",
-    "Simulator", "Tap", "US_PER_MS", "US_PER_S", "bps_from_mbps", "mbps", "ms",
-    "seconds", "transmission_time_us", "us_from_ms", "us_from_seconds",
+    "Simulator", "Tap", "US_PER_MS", "US_PER_S", "transmission_time_us",
+    "us_from_seconds",
 ]

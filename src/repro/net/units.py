@@ -23,34 +23,9 @@ MSS_BYTES = 1_500
 MSS_BITS = MSS_BYTES * 8
 
 
-def seconds(us: int) -> float:
-    """Convert integer microseconds to float seconds (for reporting)."""
-    return us / US_PER_S
-
-
 def us_from_seconds(s: float) -> int:
     """Convert float seconds to integer microseconds (for scheduling)."""
     return round(s * US_PER_S)
-
-
-def ms(us: int) -> float:
-    """Convert integer microseconds to float milliseconds (for reporting)."""
-    return us / US_PER_MS
-
-
-def us_from_ms(milliseconds: float) -> int:
-    """Convert float milliseconds to integer microseconds."""
-    return round(milliseconds * US_PER_MS)
-
-
-def mbps(bits_per_second: float) -> float:
-    """Convert bits/second to Mbit/second (for reporting)."""
-    return bits_per_second / 1e6
-
-
-def bps_from_mbps(megabits_per_second: float) -> float:
-    """Convert Mbit/second to bits/second."""
-    return megabits_per_second * 1e6
 
 
 def transmission_time_us(size_bits: int, rate_bps: float) -> int:

@@ -28,7 +28,7 @@ class PerfCounters:
         sim = Simulator(perf_counters=perf)
         network = CellularNetwork(sim, carriers, perf_counters=perf)
         ...
-        print(perf.as_dict())
+        print(perf.ticks, perf.cancelled_event_ratio)
 
     or pass it to :class:`repro.harness.runner.Experiment`, which wires
     both for you.  Counters:
@@ -75,15 +75,3 @@ class PerfCounters:
             return 0.0
         return self.events_cancelled_popped / total
 
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot of every counter."""
-        return {
-            "ticks": self.ticks,
-            "events_popped": self.events_popped,
-            "events_cancelled_popped": self.events_cancelled_popped,
-            "events_scheduled": self.events_scheduled,
-            "heap_compactions": self.heap_compactions,
-            "ack_batches": self.ack_batches,
-            "acks_batched": self.acks_batched,
-            "cancelled_event_ratio": round(self.cancelled_event_ratio, 6),
-        }

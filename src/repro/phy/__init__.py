@@ -31,7 +31,6 @@ from .error import (
 from .harq import (
     MAX_RETRANSMISSIONS,
     RETX_DELAY_SUBFRAMES,
-    HarqProcess,
     ReorderingBuffer,
 )
 from .mcs import (
@@ -42,7 +41,6 @@ from .mcs import (
     bits_per_prb,
     max_bits_per_prb,
     sinr_to_mcs,
-    transport_block_bits,
 )
 from .prb import (
     PRB_BANDWIDTH_HZ,
@@ -53,7 +51,7 @@ from .prb import (
 
 __all__ = [
     "AggregationState", "CarrierConfig", "ChannelModel", "DATA_RE_PER_PRB",
-    "DciMessage", "GaussMarkovChannel", "HARQ_COMBINING_GAIN", "HarqProcess",
+    "DciMessage", "GaussMarkovChannel", "HARQ_COMBINING_GAIN",
     "MAX_MCS_INDEX", "MAX_RETRANSMISSIONS", "MCS_TABLE", "McsEntry",
     "NR_PRBS_30KHZ", "nr_carrier",
     "NOISE_FLOOR_DBM", "PRBS_PER_BANDWIDTH_MHZ", "PRB_BANDWIDTH_HZ",
@@ -61,5 +59,4 @@ __all__ = [
     "StaticChannel", "SubframeRecord", "TraceChannel", "bits_per_prb",
     "block_error_rate", "max_bits_per_prb", "prbs_for_bandwidth",
     "retransmission_ber", "rssi_to_sinr_db", "sinr_to_ber", "sinr_to_mcs",
-    "transport_block_bits",
 ]

@@ -73,19 +73,3 @@ class ReorderingBuffer(Generic[T]):
                 break
         return released
 
-
-class HarqProcess(Generic[T]):
-    """Sender-side HARQ state for one in-flight transport block."""
-
-    __slots__ = ("seq", "payload", "attempt", "tb_bits")
-
-    def __init__(self, seq: int, payload: T, tb_bits: int) -> None:
-        self.seq = seq
-        self.payload = payload
-        self.tb_bits = tb_bits
-        #: 0 on the initial transmission, incremented per retransmission.
-        self.attempt = 0
-
-    def can_retransmit(self) -> bool:
-        """Whether another retransmission is allowed."""
-        return self.attempt < MAX_RETRANSMISSIONS

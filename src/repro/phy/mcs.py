@@ -142,10 +142,3 @@ def max_bits_per_prb(spatial_streams: int = 2) -> int:
     """Peak per-PRB rate (the paper's 1.8 Mbit/s/PRB for 2 streams)."""
     return bits_per_prb(MAX_MCS_INDEX, spatial_streams)
 
-
-def transport_block_bits(n_prbs: int, mcs_index: int,
-                         spatial_streams: int = 1) -> int:
-    """Transport block size for an allocation of ``n_prbs`` PRBs."""
-    if n_prbs < 0:
-        raise ValueError("PRB count must be non-negative")
-    return n_prbs * bits_per_prb(mcs_index, spatial_streams)

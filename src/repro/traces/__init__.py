@@ -10,10 +10,10 @@ named streams), so trace-driven runs are replayable.
 from .cellactivity import DIURNAL_SHAPE, DiurnalCellActivity, paper_cells
 from .mobility import paper_trajectory, random_walk_trajectory
 from .seeds import derived_seed
-from .workload import CbrDemand, OnOffRandomDemand, ScheduledDemand
+from .workload import OnOffRandomDemand, ScheduledDemand
 
 __all__ = [
-    "CbrDemand", "DIURNAL_SHAPE", "DiurnalCellActivity",
+    "DIURNAL_SHAPE", "DiurnalCellActivity",
     "OnOffRandomDemand", "ScheduledDemand", "derived_seed", "paper_cells",
     "paper_trajectory", "random_walk_trajectory",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..phy.channel import StaticChannel
 from ..phy.mcs import bits_per_prb, sinr_to_mcs
 
 #: Normalized diurnal shape (fraction of peak activity per hour 0-23).

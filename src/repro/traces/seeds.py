@@ -7,8 +7,8 @@ determined by one top-level scenario seed.  Passing the same integer to
 two ``default_rng`` calls produces the identical stream, and ad-hoc
 arithmetic (``seed + i``) collides as soon as two call sites pick the
 same offset.  :func:`derived_seed` avoids both failure modes by hashing
-the seed together with a string scope path, the same construction as
-``repro.faults.spec.derived_rng``.
+the seed together with a string scope path; the fault injectors'
+streams (``repro.faults.spec.derived_rng``) are seeded by it too.
 """
 
 from __future__ import annotations

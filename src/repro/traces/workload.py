@@ -9,28 +9,11 @@ cell, §6.3.1).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..cell.basestation import DemandSource
-from ..net.units import US_PER_S
-
-
-class CbrDemand(DemandSource):
-    """Constant bit-rate demand (a fixed offered load, e.g. Figure 2)."""
-
-    def __init__(self, rate_bps: float) -> None:
-        if rate_bps < 0:
-            raise ValueError("rate must be non-negative")
-        self.rate_bps = rate_bps
-        self._frac_bits = 0.0
-
-    def bits(self, subframe: int) -> int:
-        self._frac_bits += self.rate_bps / 1_000.0  # bits per 1 ms subframe
-        whole = int(self._frac_bits)
-        self._frac_bits -= whole
-        return whole
 
 
 class ScheduledDemand(DemandSource):

@@ -54,12 +54,10 @@ class ReferenceCellularNetwork(CellularNetwork):
     ``_air`` stays empty, so the inherited ``_tick`` lands nothing.
     """
 
-    def add_user(self, rnti, cells, channel, category=None,
-                 on_packet_block=None, queue_packets=3000,
-                 log_allocations=False):
+    def add_user(self, rnti, cells, channel, on_packet_block=None,
+                 queue_packets=3000, log_allocations=False):
         ue = ReferenceUserEquipment(self.sim, rnti, on_packet_block)
-        user = self._make_user(rnti, cells, channel, category,
-                               queue_packets, ue)
+        user = self._make_user(rnti, cells, channel, queue_packets, ue)
         if log_allocations:
             user.allocated_history = []
         return ue

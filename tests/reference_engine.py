@@ -24,8 +24,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.cell.basestation import (MIMO_SINR_THRESHOLD_DB, CellularNetwork,
-                                    _User)
+from repro.cell.basestation import (MIMO_SINR_THRESHOLD_DB, MIMO_STREAMS,
+                                    CellularNetwork, _User)
 from repro.harness import fingerprint, runner
 from repro.metro import shard
 from repro.net.link import BatchingPipe
@@ -59,9 +59,9 @@ class ReferenceUser(_User):
             reported = self._sinr_history[0]
         else:
             reported = self.sinr_db
-        self.current_mcs = sinr_to_mcs(reported, self.category.max_mcs)
+        self.current_mcs = sinr_to_mcs(reported)
         if reported >= MIMO_SINR_THRESHOLD_DB:
-            self.current_streams = self.category.max_streams
+            self.current_streams = MIMO_STREAMS
         else:
             self.current_streams = 1
         self.rate_now = bits_per_prb(self.current_mcs,

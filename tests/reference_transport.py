@@ -28,6 +28,7 @@ from repro.baselines.base import (DUPACK_THRESHOLD, AckContext,
 from repro.core.client import (FAIR_SHARE_FRACTION, INTERNET,
                                SWITCH_SUBFRAMES, WIRELESS, PbeClient)
 from repro.core.feedback import PbeFeedback
+from repro.core.sender import DEFAULT_RTPROP_US
 from repro.net.link import Receiver
 from repro.net.packet import Packet
 from repro.net.units import MSS_BITS, US_PER_MS, US_PER_S
@@ -187,7 +188,7 @@ class ReferencePbeClient(_PerPacketReceiver, PbeClient):
 
     def _rtprop_us(self, packet: Packet) -> int:
         srtt = packet.meta.get("srtt_us", 0)
-        return srtt if srtt > 0 else self.default_rtprop_us
+        return srtt if srtt > 0 else DEFAULT_RTPROP_US
 
     def _prune_recent(self, horizon_us: int) -> None:
         recent = self._recent

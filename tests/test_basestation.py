@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cell.basestation import CellularNetwork, DemandSource, UeCategory
+from repro.cell.basestation import CellularNetwork, DemandSource
 from repro.cell.queues import TransportBlock
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -191,18 +191,6 @@ def test_monitor_records_idle_accounting():
     for record in records:
         assert record.idle_prbs >= 0  # never over-allocated
         assert record.total_prbs == 100
-
-
-def test_ue_category_limits_rate():
-    sim = Simulator()
-    net = _network(sim)
-    low = net.add_user(1, [0], StaticChannel(30.0),
-                       category=UeCategory(max_mcs=9, max_streams=1))
-    net.start()
-    sim.run(until_us=10_000)
-    user = net.user(1)
-    assert user.current_mcs <= 9
-    assert user.current_streams == 1
 
 
 def test_cqi_delay_uses_stale_reports():

@@ -120,14 +120,15 @@ def test_reattached_rnti_starts_carrier_aggregation_afresh():
     from repro.net.sim import Simulator
     from repro.phy.carrier import CarrierConfig
     from repro.phy.channel import StaticChannel
-    from repro.traces.workload import CbrDemand
+    from repro.traces.workload import ScheduledDemand
 
     policy = _policy(window=32, cooldown=10)
     sim = Simulator()
     network = CellularNetwork(
         sim, [CarrierConfig(cell_id=0), CarrierConfig(cell_id=1)],
         ca_policy=policy)
-    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0), CbrDemand(200e6))
+    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0),
+                               ScheduledDemand([(0.0, 200e6)]))
     network.start()
     sim.run(until_us=59_500)
     assert network.ca.activations_for(9) == 1
@@ -135,7 +136,8 @@ def test_reattached_rnti_starts_carrier_aggregation_afresh():
 
     network.remove_user(9)
     assert 9 not in network.ca._users
-    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0), CbrDemand(200e6))
+    network.add_exogenous_user(9, [0, 1], StaticChannel(20.0),
+                               ScheduledDemand([(0.0, 200e6)]))
     reattached_at = network.subframe
     assert network.ca.activations_for(9) == 0
     sim.run(until_us=60_500)

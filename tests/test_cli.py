@@ -99,6 +99,18 @@ def test_run_rejects_unknown_scheme_in_a_list(capsys):
     assert "'warp-drive'" in capsys.readouterr().err
 
 
+def test_run_rejects_reno_naming_the_known_schemes(capsys):
+    # Reno is not one of the paper's schemes (§6.1): the registry has
+    # no entry for it, and the parser says which names it knows.
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--scheme", "reno"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "'reno'" in err
+    assert "known: " + ", ".join(sorted(SCHEMES)) in err
+    assert len(SCHEMES) == 9
+
+
 def test_run_command_compares_schemes(capsys):
     assert main(["run", "--scheme", "bbr,cubic", "--duration",
                  "1", "--carriers", "1", "--sinr", "12"]) == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.client import PbeClient
+from repro.core.sender import DEFAULT_RTPROP_US
 from repro.monitor.pbe import PbeMonitor
 from repro.net.link import PacketSink
 from repro.net.packet import Packet
@@ -30,16 +31,16 @@ def _feed(monitor, subframe, prbs=50):
 
 def test_default_rtprop_used_without_srtt_meta():
     sim = Simulator()
-    client, monitor, sink = _setup(sim, default_rtprop_us=33_000)
+    client, monitor, sink = _setup(sim)
     _feed(monitor, 0)
     sim.run(until_us=sim.now + 5_000)
     client.receive(Packet(1, 0, sent_time_us=0))  # no srtt_us in meta
-    sim.run(until_us=sim.now + 35_000)
+    sim.run(until_us=sim.now + DEFAULT_RTPROP_US + 3_000)
     packet = Packet(1, 1, sent_time_us=20_000)
     client.receive(packet)
     assert len(sink.packets) == 2  # feedback produced without crashing
-    # The receive-rate window spans the 33 ms default RTprop: the first
-    # packet (8 ms older than that) has left it, the second is all.
+    # The receive-rate window spans the default RTprop: the first
+    # packet (3 ms older than that) has left it, the second is all.
     assert client._recent_bits == packet.size_bits
 
 

@@ -67,7 +67,7 @@ import functools
 
 import pytest
 
-from repro.cell.basestation import MIMO_SINR_THRESHOLD_DB, UeCategory
+from repro.cell.basestation import MIMO_SINR_THRESHOLD_DB, MIMO_STREAMS
 from repro.cell.queues import PROTOCOL_OVERHEAD
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.metrics import jain_index
@@ -108,10 +108,9 @@ def closed_form_bps(scenario, users=1):
     """Goodput one of ``users`` equally served UEs can get from the
     scenario's aggregated carriers: each carrier's PRBs split ``users``
     ways, so each UE's transport block (and its TBLER) is that size."""
-    category = UeCategory()
     sinr = scenario.mean_sinr_db
-    mcs = sinr_to_mcs(sinr, category.max_mcs)
-    streams = category.max_streams if sinr >= MIMO_SINR_THRESHOLD_DB else 1
+    mcs = sinr_to_mcs(sinr)
+    streams = MIMO_STREAMS if sinr >= MIMO_SINR_THRESHOLD_DB else 1
     total = 0.0
     for carrier in scenario.carriers[:scenario.aggregated_cells]:
         tb_bits = carrier.total_prbs / users * bits_per_prb(mcs, streams)

@@ -51,7 +51,7 @@ def test_scheme_and_spec_changes_change_fingerprint():
                                      "bbr").fingerprint()
     assert base.fingerprint() != Job(
         tiny_scenario(), "pbe",
-        {"cc_kwargs": {"ramp_rtts": 0}}).fingerprint()
+        {"cc_kwargs": {"retx_margin_us": 0}}).fingerprint()
 
 
 def test_to_dict_is_json_ready_and_versioned():

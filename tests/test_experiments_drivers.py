@@ -11,8 +11,6 @@ import pytest
 from repro.exec import make_runner
 from repro.harness.experiments.ablation import VARIANTS
 from repro.harness.experiments import (
-    fig12_from_sweep,
-    fig15_from_sweep,
     run_ablation,
     run_fig02,
     run_fig06,
@@ -89,16 +87,6 @@ def test_table1_requires_pbe():
         table1_from_sweep(sweep)
 
 
-def test_fig12_reduction(tiny_sweep):
-    result = fig12_from_sweep(tiny_sweep, schemes=("pbe", "bbr"))
-    assert set(result.throughput_mbps) == {"pbe", "bbr"}
-
-
-def test_fig15_reduction(tiny_sweep):
-    result = fig15_from_sweep(tiny_sweep)
-    assert {r.scheme for r in result.rows} == {"pbe", "bbr"}
-
-
 def test_fig02_structure():
     result = run_fig02(duration_s=3.0)
     assert result.activation_s is not None
@@ -116,9 +104,7 @@ def test_fig08_structure():
     result = run_fig08(loads_mbps=(6.0, 24.0), duration_s=1.5)
     assert len(result.series) == 2
     fractions = result.series[0]
-    total = (fractions.baseline_fraction + fractions.one_retx_fraction
-             + fractions.more_fraction)
-    assert total == pytest.approx(1.0)
+    assert 0 <= fractions.one_retx_fraction + fractions.more_fraction <= 1
 
 
 def test_fig11_structure():
@@ -145,8 +131,7 @@ def test_fig16_structure():
 
 
 def test_fig18_structure():
-    result = run_fig18_19(schemes=("pbe",), timeline_schemes=(),
-                          duration_s=8.0)
+    result = run_fig18_19(schemes=("pbe",), duration_s=8.0)
     assert "pbe" in result.summaries
     on_tput, off_tput = result.on_off_split["pbe"]
     assert on_tput > 0 and off_tput > 0
@@ -164,17 +149,17 @@ def test_fig20_structure():
 def test_fig21_structure():
     result = run_fig21(time_scale=0.05, variants=("multi_user",))
     variant = result.variant("multi_user")
-    assert len(variant.prb_shares_3) == 3
+    assert variant.schemes == ("pbe", "pbe", "pbe")
     assert 0 < variant.jain_3 <= 1.0
     with pytest.raises(ValueError):
         run_fig21(time_scale=0)
 
 
 def test_ablation_structure():
-    result = run_ablation(variants=("paper", "no_linear_ramp"),
+    result = run_ablation(variants=("paper", "bare_bdp_cwnd"),
                           duration_s=2.0)
     assert {r.variant for r in result.rows} == {"paper",
-                                                "no_linear_ramp"}
+                                                "bare_bdp_cwnd"}
     assert result.row("paper").summary.average_throughput_bps > 0
 
 

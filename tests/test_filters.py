@@ -70,7 +70,7 @@ def test_activity_aggregates_prbs():
     f = ActiveUserFilter(window_subframes=10)
     f.update(_record(0, [(1, 10), (1, 6)]))  # two DCIs, same user
     f.update(_record(1, [(1, 8)]))
-    act = f.activity()[1]
+    act = f._activity[1]
     assert act.active_subframes == 2
     assert act.total_prbs == 24
     assert act.average_prbs == 12.0

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from repro.phy.harq import (
     MAX_RETRANSMISSIONS,
     RETX_DELAY_SUBFRAMES,
-    HarqProcess,
     ReorderingBuffer,
 )
 
@@ -94,14 +93,3 @@ def test_abandoned_blocks_are_skipped_not_delivered(order, abandoned):
         else:
             out.extend(buf.insert(seq, seq))
     assert out == sorted(set(range(10)) - abandoned)
-
-
-def test_harq_process_attempt_budget():
-    h = HarqProcess(seq=0, payload="tb", tb_bits=1000)
-    assert h.attempt == 0
-    attempts = []
-    while h.can_retransmit():
-        h.attempt += 1
-        attempts.append(h.attempt)
-    assert attempts == [1, 2, 3]
-    assert not h.can_retransmit()

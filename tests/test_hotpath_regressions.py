@@ -31,7 +31,7 @@ from repro.monitor.filters import ActiveUserFilter
 from repro.net.sim import Simulator
 from repro.phy.carrier import AggregationState
 from repro.phy.dci import DciMessage, SubframeRecord
-from repro.traces.workload import CbrDemand
+from repro.traces.workload import ScheduledDemand
 
 from .reference_bursttracker import prbs_for
 
@@ -609,7 +609,7 @@ def test_estimator_update_scans_a_records_messages_once():
         own = [m for m in messages if m.rnti == 1 and m.n_prbs > 0]
         assert sample.own_rate == (
             max(1, own[-1].tbs_bits // own[-1].n_prbs) if own else 555)
-        assert est.users.activity() == users.activity()
+        assert est.users._activity == users._activity
         assert est.last_own_grant_subframe == max(
             (s.subframe for s in est.samples() if s.own_prbs), default=-1)
 
@@ -677,7 +677,8 @@ def test_sparse_network_builds_rosters_once_and_ticks_one_cell():
     from repro.phy.channel import StaticChannel
 
     sim, network, calls = _sparse_network()
-    network.add_exogenous_user(1, [7], StaticChannel(20.0), CbrDemand(20e6))
+    network.add_exogenous_user(1, [7], StaticChannel(20.0),
+                               ScheduledDemand([(0.0, 20e6)]))
     network.start()
     sim.run(until_us=999_000)
     assert network.subframe == 1_000
@@ -694,7 +695,7 @@ def test_attach_burst_costs_one_roster_rebuild():
     assert calls == {"build": 1, "cell": 0}
     for i in range(20):
         network.add_exogenous_user(100 + i, [10 * i], StaticChannel(15.0),
-                                   CbrDemand(20e6))
+                                   ScheduledDemand([(0.0, 20e6)]))
     sim.run(until_us=19_500)
     assert calls == {"build": 2, "cell": 20 * 10}
 
@@ -710,7 +711,8 @@ def test_roster_rebuilds_stop_once_departed_users_harq_drains():
 
     bound = MAX_RETRANSMISSIONS * (RETX_DELAY_SUBFRAMES + 1) + 1
     sim, network, calls = _sparse_network()
-    network.add_exogenous_user(1, [7], StaticChannel(20.0), CbrDemand(20e6))
+    network.add_exogenous_user(1, [7], StaticChannel(20.0),
+                               ScheduledDemand([(0.0, 20e6)]))
     network.start()
     with mock.patch.object(basestation, "block_error_rate",
                            lambda ber, bits: 1.0):

@@ -25,9 +25,8 @@ def _scenario(**kw):
     return Scenario(**defaults)
 
 
-@pytest.mark.parametrize("scheme", ["pbe", "bbr", "cubic", "reno",
-                                    "verus", "sprout", "copa", "pcc",
-                                    "vivace"])
+@pytest.mark.parametrize("scheme", ["pbe", "bbr", "cubic", "verus",
+                                    "sprout", "copa", "pcc", "vivace"])
 def test_every_scheme_completes_a_flow(scheme):
     r = run_flow(_scenario(duration_s=2.0), scheme)
     assert r.summary.packets > 50

@@ -1,9 +1,9 @@
-"""Unit tests for CUBIC and Reno."""
+"""Unit tests for CUBIC."""
 
 import pytest
 
 from repro.baselines.base import AckContext
-from repro.baselines.cubic import CUBIC_BETA, INITIAL_CWND, Cubic, Reno
+from repro.baselines.cubic import CUBIC_BETA, INITIAL_CWND, Cubic
 from repro.net.packet import Packet
 
 
@@ -70,34 +70,3 @@ class TestCubic:
         assert cc.cwnd_bits(0) == INITIAL_CWND * cc.mss_bits
         assert cc.pacing_rate_bps(0) > 0
 
-
-class TestReno:
-    def test_slow_start_then_linear(self):
-        cc = Reno()
-        cc.ssthresh = 12.0
-        for i in range(4):
-            cc.on_ack(_ack(i * 1_000))
-        # 10 -> 11 -> 12 (slow start), then two congestion-avoidance
-        # increments of 1/cwnd each.
-        expected = 12 + 1 / 12
-        expected += 1 / expected
-        assert cc.cwnd == pytest.approx(expected)
-
-    def test_halves_on_loss(self):
-        cc = Reno()
-        cc.cwnd = 64.0
-        cc.on_loss(1_000_000, 12_000, 0)
-        assert cc.cwnd == 32.0
-
-    def test_floor_of_two(self):
-        cc = Reno()
-        cc.cwnd = 2.0
-        cc.on_loss(1_000_000, 12_000, 0)
-        assert cc.cwnd == 2.0
-
-    def test_timeout(self):
-        cc = Reno()
-        cc.cwnd = 64.0
-        cc.on_timeout(0)
-        assert cc.cwnd == 2.0
-        assert cc.ssthresh == 32.0

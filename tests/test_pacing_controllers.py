@@ -2,7 +2,7 @@
 
 ``tests/test_pacing_trains.py`` drives the train with a scripted
 controller; this differential drives it with the schemes themselves —
-CUBIC, Reno, Copa, BBR with and without a probe cap, and PBE-CC — whose
+CUBIC, Copa, BBR with and without a probe cap, and PBE-CC — whose
 answers decide what the engine may skip: callback-bound ones
 (:data:`UNTIL_CALLBACK`) are carried across wake-ups and a sender blocked
 under them queues nothing, finite ones (PBE's watchdog deadline) are
@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.base import UNTIL_CALLBACK, Sender
 from repro.baselines.bbr import Bbr
 from repro.baselines.copa import Copa
-from repro.baselines.cubic import Cubic, Reno
+from repro.baselines.cubic import Cubic
 from repro.core.feedback import PbeFeedback
 from repro.core.sender import PbeSender
 
@@ -40,7 +40,6 @@ from .test_pacing_trains import END_US, _build, _run, assert_same_run
 
 SCHEMES = {
     "cubic": Cubic,
-    "reno": Reno,
     "copa": Copa,
     "bbr": lambda: Bbr(initial_rate_bps=6e6),
     "bbr_capped": lambda: Bbr(initial_rate_bps=6e6,
@@ -142,11 +141,11 @@ def test_real_controllers_match_the_per_packet_pacer(script):
 
 
 def test_the_schemes_declare_the_expected_horizons():
-    """Callback-bound: CUBIC, Reno, Copa, uncapped BBR.  Not: a capped
+    """Callback-bound: CUBIC, Copa, uncapped BBR.  Not: a capped
     BBR (its cap is another object's state) and PBE (watchdog)."""
     bound = {name for name, make in SCHEMES.items()
              if make().rate_valid_until_us(5_000) == UNTIL_CALLBACK}
-    assert bound == {"cubic", "reno", "copa", "bbr"}
+    assert bound == {"cubic", "copa", "bbr"}
 
 
 def test_a_window_blocked_scheme_waits_for_its_ack():

@@ -80,14 +80,6 @@ def test_bits_per_prb_validation():
         mcs.bits_per_prb(5, spatial_streams=5)
 
 
-def test_transport_block_bits():
-    assert mcs.transport_block_bits(10, 15, 2) == \
-        10 * mcs.bits_per_prb(15, 2)
-    assert mcs.transport_block_bits(0, 15) == 0
-    with pytest.raises(ValueError):
-        mcs.transport_block_bits(-1, 15)
-
-
 @given(st.floats(min_value=-20, max_value=40),
        st.integers(min_value=1, max_value=4))
 def test_bits_per_prb_always_valid(sinr, streams):

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.harness import Experiment, FlowSpec, Scenario
-from repro.harness.serialize import (
-    load_results,
-    result_to_dict,
-    save_results,
-    summary_to_dict,
-)
+from repro.harness.serialize import result_to_dict, summary_to_dict
 from repro.phy.carrier import CarrierConfig
 
 
@@ -39,20 +34,3 @@ def test_result_dict_fields(results):
     assert d["scheme"] == "pbe"
     assert d["state_fractions"] is not None
     assert "samples" not in d
-
-
-def test_result_dict_with_samples(results):
-    d = result_to_dict(results[1], include_samples=True)
-    samples = d["samples"]
-    assert (len(samples["arrival_us"]) == len(samples["delay_us"])
-            == d["summary"]["packets"])
-
-
-def test_save_and_load(results, tmp_path):
-    path = tmp_path / "run.json"
-    save_results(results, path)
-    loaded = load_results(path)
-    assert len(loaded) == 2
-    assert {r["scheme"] for r in loaded} == {"pbe", "bbr"}
-    assert loaded[0]["summary"]["average_throughput_bps"] == \
-        results[0].summary.average_throughput_bps

@@ -35,7 +35,7 @@ from repro.phy.carrier import CarrierConfig
 from repro.phy.channel import StaticChannel
 from repro.phy.dci import DciMessage, SubframeRecord
 from repro.phy.harq import ReorderingBuffer
-from repro.traces.workload import CbrDemand
+from repro.traces.workload import ScheduledDemand
 
 # ----------------------------------------------------------------------
 # Capacity estimator: the BER window fold
@@ -270,7 +270,7 @@ def test_engine_emits_dci_the_checked_constructor_accepts():
         network.attach_monitor(cell_id, records.append)
     for rnti in range(1, 5):
         network.add_exogenous_user(rnti, [rnti % 2], StaticChannel(-1.0),
-                                   CbrDemand(60e6))
+                                   ScheduledDemand([(0.0, 60e6)]))
     network.start()
     sim.run(until_us=300_000)
     messages = [m for record in records for m in record.messages]

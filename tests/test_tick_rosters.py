@@ -26,7 +26,7 @@ from repro.harness.fingerprint import digest_run
 from repro.net.packet import Packet
 from repro.phy.carrier import CarrierConfig
 from repro.phy.channel import StaticChannel
-from repro.traces.workload import CbrDemand
+from repro.traces.workload import ScheduledDemand
 
 from .reference_engine import ReferenceExperiment
 
@@ -60,7 +60,8 @@ def _apply(experiment: Experiment, records: dict, n_cells: int,
     elif rnti not in network._users:
         if salt & 1:
             network.add_exogenous_user(
-                rnti, cells, channel, CbrDemand(4e6 + salt % 30_000 * 1e3))
+                rnti, cells, channel,
+                ScheduledDemand([(0.0, 4e6 + salt % 30_000 * 1e3)]))
         else:
             network.add_user(rnti, cells, channel)
             for seq in range(150):

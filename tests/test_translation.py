@@ -3,18 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cell.queues import PROTOCOL_OVERHEAD
 from repro.monitor.translation import (
-    PROTOCOL_OVERHEAD,
     TranslationTable,
-    physical_from_transport,
     transport_from_physical,
 )
-from repro.cell.queues import PROTOCOL_OVERHEAD as CELL_OVERHEAD
+from repro.phy.error import block_error_rate
 
 
-def test_overhead_constant_matches_cell_model():
-    # The monitor's γ must equal the overhead the MAC actually imposes.
-    assert PROTOCOL_OVERHEAD == CELL_OVERHEAD == pytest.approx(0.068)
+def physical_from_transport(ct_bits_per_subframe, ber):
+    """Eqn. 5 forwards: ``Cp`` from ``Ct`` (the oracle of its solver)."""
+    tbler = block_error_rate(ber, int(ct_bits_per_subframe))
+    return ct_bits_per_subframe * (1.0 + tbler) / (1.0 - PROTOCOL_OVERHEAD)
 
 
 def test_zero_capacity():
@@ -42,10 +42,6 @@ def test_higher_ber_means_lower_goodput():
 def test_validation():
     with pytest.raises(ValueError):
         transport_from_physical(-1, 1e-6)
-    with pytest.raises(ValueError):
-        transport_from_physical(100, 1e-6, overhead=1.0)
-    with pytest.raises(ValueError):
-        physical_from_transport(-5, 1e-6)
 
 
 @given(st.floats(min_value=0, max_value=300_000),

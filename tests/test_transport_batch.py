@@ -228,7 +228,6 @@ def test_block_loop_counts_batches():
     sim.run(until_us=us_from_seconds(0.15))
     assert perf.ack_batches > 0
     assert perf.acks_batched > perf.ack_batches   # real multi-ACK bursts
-    assert perf.as_dict()["ack_batches"] == perf.ack_batches
 
 
 # ---------------------------------------------------------------------------

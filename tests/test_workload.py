@@ -2,28 +2,7 @@
 
 import pytest
 
-from repro.traces.workload import (
-    CbrDemand,
-    OnOffRandomDemand,
-    ScheduledDemand,
-)
-
-
-def test_cbr_long_run_rate():
-    d = CbrDemand(rate_bps=10e6)
-    total = sum(d.bits(sf) for sf in range(1_000))  # one second
-    assert total == pytest.approx(10e6, rel=0.001)
-
-
-def test_cbr_fractional_carry():
-    d = CbrDemand(rate_bps=1_500)  # 1.5 bits per subframe
-    bits = [d.bits(sf) for sf in range(4)]
-    assert bits == [1, 2, 1, 2]
-
-
-def test_cbr_validation():
-    with pytest.raises(ValueError):
-        CbrDemand(rate_bps=-1)
+from repro.traces.workload import OnOffRandomDemand, ScheduledDemand
 
 
 def test_scheduled_steps():
