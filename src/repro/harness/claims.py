@@ -86,19 +86,24 @@ def _table1(baseline, cond, field):
 
 def _median_ratio(metric, scheme):
     """PBE's median over ``scheme``'s median, across the sweep's
-    locations, of one ``summary`` metric (Figure 12's CDFs)."""
-    def median(r, s):
-        return np.median([getattr(e.summary, metric)
-                          for e in r.for_scheme(s)])
-    return lambda r: median(r, "pbe") / median(r, scheme)
+    locations, of one ``summary`` metric (Figure 12's CDFs); ``None``
+    where the sweep ran only one of the two."""
+    def ratio(r):
+        pbe, other = ([getattr(e.summary, metric) for e in r.for_scheme(s)]
+                      for s in ("pbe", scheme))
+        return np.median(pbe) / np.median(other) if pbe and other else None
+    return ratio
 
 
 def _ca_share(scheme):
     """The share of ``scheme``'s multi-carrier locations at which it
-    triggered carrier aggregation (Figure 15)."""
+    triggered carrier aggregation (Figure 15); ``None`` where it ran at
+    none."""
     def share(r):
         eligible = [e for e in r.for_scheme(scheme)
                     if e.aggregated_cells > 1]
+        if not eligible:
+            return None
         return sum(e.ca_activations > 0 for e in eligible) / len(eligible)
     return share
 

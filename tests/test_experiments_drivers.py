@@ -9,6 +9,7 @@ is already visible at small scale.  The benchmarks run the real
 import pytest
 
 from repro.exec import make_runner
+from repro.harness import claims
 from repro.harness.experiments.ablation import VARIANTS
 from repro.harness.experiments import (
     run_ablation,
@@ -85,6 +86,28 @@ def test_table1_requires_pbe():
                                  duration_s=1.0)
     with pytest.raises(ValueError, match="pbe"):
         table1_from_sweep(sweep)
+
+
+def test_fig12_reduction(tiny_sweep):
+    # The fig12 claims reduce the sweep itself; a scheme the sweep did
+    # not run measures nothing rather than NaN.
+    fig12 = {c.id: c.measure(tiny_sweep)
+             for c in claims.by_name("fig12").claims}
+    assert fig12["fig12.bbr.median_tput_ratio"] > 0
+    assert fig12["fig12.bbr.median_p95_ratio"] > 0
+    assert fig12["fig12.cubic.median_tput_ratio"] is None
+    assert fig12["fig12.verus.median_p95_ratio"] is None
+
+
+def test_fig15_reduction(tiny_sweep):
+    # Every tiny-sweep location has one carrier: no location is eligible
+    # for carrier aggregation, so each share measures nothing (and does
+    # not divide by zero).
+    assert all(e.aggregated_cells == 1 for e in tiny_sweep.entries)
+    fig15 = claims.by_name("fig15")
+    assert [c.measure(tiny_sweep) for c in fig15.claims] == \
+        [None] * len(fig15.claims)
+    assert not any(c.holds(c.measure(tiny_sweep)) for c in fig15.claims)
 
 
 def test_fig02_structure():
