@@ -41,9 +41,6 @@ class _WindowedExtreme:
             return None
         return self._samples[0][1]
 
-    def reset(self) -> None:
-        self._samples.clear()
-
 
 class WindowedMax(_WindowedExtreme):
     """Sliding-window maximum (e.g. BBR's BtlBw filter)."""

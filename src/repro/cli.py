@@ -9,8 +9,6 @@ Commands
                print a line per claim
 ``sweep``      the §6.3.1 stationary sweep, parallel and cacheable,
                at any size
-``resilience`` fault-injection sweep: DCI miss-rate × decoder-outage
-               grid with graceful-degradation telemetry
 ``metro``      metro-scale scenario engine: hundreds of cells with
                diurnal populations, walker handover churn and
                coexistence fleets; writes the per-cell fairness/
@@ -26,11 +24,11 @@ Commands
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes, experiments and metro scenario sets
 
-Multi-run commands (``experiment``, ``sweep``,
-``resilience``, ``metro``) accept ``--jobs N`` to fan simulations out
-over worker processes and ``--cache-dir`` to memoize completed runs on
-disk (see :mod:`repro.exec`).  The long sweeps (``sweep``,
-``resilience``, ``metro``) are additionally *supervised*:
+Multi-run commands (``experiment``, ``sweep``, ``metro``) accept
+``--jobs N`` to fan simulations out over worker processes and
+``--cache-dir`` to memoize completed runs on disk (see
+:mod:`repro.exec`).  The long sweeps (``sweep``, ``metro``) are
+additionally *supervised*:
 ``--timeout`` enforces a concurrent per-job deadline, ``--retries``
 re-submits crashed/timed-out jobs with jittered backoff, failures are
 isolated as structured records instead of aborting (``--strict`` to
@@ -48,9 +46,6 @@ Examples
     python -m repro experiment table1 --jobs 4
     python -m repro sweep --schemes pbe,bbr --busy 8 --idle 5 \\
         --jobs 8 --cache-dir .repro-cache
-    python -m repro resilience --miss 0,0.05,0.2 --outage-ms 0,500 \\
-        --jobs 4
-    python -m repro resilience --smoke
     python -m repro metro --smoke --out metro_matrix.json
     python -m repro metro --set metro-240 --jobs 8 \\
         --cache-dir .repro-cache
@@ -81,23 +76,6 @@ def _scheme_list(text: str) -> tuple:
                 f"unknown scheme {scheme!r}; known: "
                 f"{', '.join(sorted(SCHEMES))}")
     return schemes
-
-
-def _grid(convert, what: str, check, requirement: str):
-    """A ``--opt a,b,…`` type: each item ``convert``-ed, then held to
-    ``check``; a bad item exits 2 naming the option."""
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(convert(s) for s in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated list of {what}: {text!r}") from None
-        for value in values:
-            if not check(value):
-                raise argparse.ArgumentTypeError(
-                    f"{value!r} is not {requirement}")
-        return values
-    return parse
 
 
 def _chaos_file(path: str):
@@ -174,8 +152,7 @@ def _run_supervised(args: argparse.Namespace, drive, render) -> int:
     from .exec import FailureBudgetExceeded, SweepInterrupted
     budget = (args.failure_budget / 100.0
               if args.failure_budget is not None else None)
-    backend = (_fleet_backend(args)
-               if getattr(args, "fleet_dir", None) else None)
+    backend = _fleet_backend(args) if args.fleet_dir else None
     runner = _make_runner(
         args, retries=args.retries, timeout_s=args.timeout,
         strict=args.strict, failure_budget=budget, backend=backend)
@@ -287,31 +264,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
                 for lease in status["leases"]]
         print(format_table(["job", "worker", "held (s)"], rows))
     return 0
-
-
-def cmd_resilience(args: argparse.Namespace) -> int:
-    """``repro resilience``: the fault-injection degradation sweep."""
-    from .harness import experiments as exp
-    if args.smoke:
-        # CI-sized: one scheme, one impaired cell with a mid-run
-        # outage, so the fallback/recovery path runs on every push.
-        schemes: tuple = ("pbe",)
-        miss_rates: tuple = (0.0, 0.2)
-        outages_ms: tuple = (0, 500)
-        duration = 2.0
-    else:
-        schemes = args.schemes
-        miss_rates = args.miss
-        outages_ms = args.outage_ms
-        duration = args.duration
-    return _run_supervised(
-        args,
-        lambda runner: exp.run_resilience(
-            schemes=schemes, miss_rates=miss_rates,
-            outages_ms=outages_ms, duration_s=duration,
-            base_seed=args.seed, fault_seed=args.fault_seed,
-            runner=runner),
-        lambda result: print(result.format()))
 
 
 def cmd_metro(args: argparse.Namespace) -> int:
@@ -483,31 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_supervision_options(p_sweep)
     _add_fleet_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_res = sub.add_parser(
-        "resilience",
-        help="fault-injection sweep: DCI miss-rate x outage grid")
-    p_res.add_argument("--schemes", type=_scheme_list, default="pbe,bbr",
-                       help="comma-separated scheme list")
-    p_res.add_argument("--miss", default="0,0.05,0.2",
-                       type=_grid(float, "numbers",
-                                  lambda p: 0.0 <= p <= 1.0, "in [0, 1]"),
-                       help="comma-separated DCI miss probabilities")
-    p_res.add_argument("--outage-ms", default="0,500",
-                       type=_grid(int, "whole milliseconds",
-                                  lambda ms: ms >= 0, "≥ 0"),
-                       help="comma-separated decoder outage durations")
-    p_res.add_argument("--duration", type=float, default=6.0,
-                       help="flow duration in seconds")
-    p_res.add_argument("--seed", type=int, default=400,
-                       help="scenario seed")
-    p_res.add_argument("--fault-seed", type=int, default=7,
-                       help="fault-schedule seed")
-    p_res.add_argument("--smoke", action="store_true",
-                       help="CI-sized grid (one scheme, short flows)")
-    _add_exec_options(p_res)
-    _add_supervision_options(p_res)
-    p_res.set_defaults(func=cmd_resilience)
 
     p_metro = sub.add_parser(
         "metro", help="metro-scale scenario engine: run a named set "

@@ -25,8 +25,8 @@ The degradation machinery that lets PBE-CC survive these faults lives
 with the components themselves: gap/staleness tracking in
 :mod:`repro.monitor.pbe`, saturating feedback decoding in
 :mod:`repro.core.feedback`, and the feedback watchdog + delay-based
-fallback in :mod:`repro.core.sender`.  The sweep driver is
-:mod:`repro.harness.experiments.resilience`.
+fallback in :mod:`repro.core.sender`.  A flow is impaired through
+``FlowSpec.faults`` (a :meth:`FaultSpec.to_dict` dictionary).
 """
 
 from .decoder import LossyDecoder

@@ -23,12 +23,10 @@ imports every driver.
 from __future__ import annotations
 
 import inspect
-import json
 import operator
 import textwrap
 from dataclasses import asdict, dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -402,15 +400,9 @@ class Runs:
 # ----------------------------------------------------------------------
 # The record (``results/paper.json``) and the blocks generated from it
 # ----------------------------------------------------------------------
-_FIELDS = ("schema", "scale", "commit", "code_id", "figures", "table1",
-           "claims")
-_CLAIM_FIELDS = ("id", "figure", "paper", "measured", "op", "bound",
-                 "holds", "xfail")
-
-
 def entries(runs: Runs, figure: Figure) -> list:
     """``figure``'s claims measured through ``runs``: one record entry
-    (``_CLAIM_FIELDS``) per claim."""
+    per claim."""
     result = runs(figure)
     out = []
     for claim in figure.claims:
@@ -429,7 +421,8 @@ def claim_line(entry: dict) -> str:
     ``FAILS``."""
     verdict = ("holds" if entry["holds"] else
                "xfail" if entry["xfail"] else "FAILS")
-    return (f"{entry['id']:45s} {entry['measured']!s:>22} {entry['op']} "
+    measured = "—" if entry["measured"] is None else entry["measured"]
+    return (f"{entry['id']:45s} {measured!s:>22} {entry['op']} "
             f"{entry['bound']}  {verdict}")
 
 
@@ -441,22 +434,6 @@ def record(runs: Runs, commit: str) -> dict:
             "table1": [{**asdict(r), "paper": list(r.paper)} for r in
                        exp.table1_from_sweep(runs(by_name("table1"))).rows],
             "claims": [e for f in FIGURES for e in entries(runs, f)]}
-
-
-def load_record(path) -> dict:
-    """Read a record; a ``ValueError`` names the first field that is
-    missing, or the schema version it does not know."""
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: field 'schema' is "
-                         f"{data.get('schema')!r}, not {SCHEMA}")
-    for where, entry, fields in [("record", data, _FIELDS)] + [
-            (f"claim {c.get('id')!r}", c, _CLAIM_FIELDS)
-            for c in data.get("claims", ())]:
-        for key in fields:
-            if key not in entry:
-                raise ValueError(f"{path}: {where} lacks field {key!r}")
-    return data
 
 
 def _num(value) -> str:

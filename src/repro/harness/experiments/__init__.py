@@ -20,12 +20,6 @@ from .fig16 import run_fig16_17
 from .fig18 import run_fig18_19
 from .fig20 import run_fig20
 from .fig21 import run_fig21
-from .resilience import (
-    ResilienceEntry,
-    ResilienceResult,
-    resilience_jobs,
-    run_resilience,
-)
 from .sweep import (
     SweepEntry,
     SweepResult,
@@ -36,11 +30,10 @@ from .sweep import (
 from .table1 import table1_from_sweep
 
 __all__ = [
-    "ResilienceEntry", "ResilienceResult", "SweepEntry", "SweepResult",
-    "entry_to_dict", "resilience_jobs", "run_ablation",
+    "SweepEntry", "SweepResult", "entry_to_dict", "run_ablation",
     "run_fig02", "run_fig05", "run_fig06", "run_fig07", "run_fig08",
     "run_fig11",
     "run_fig13_14", "run_fig16_17", "run_fig18_19", "run_fig20",
-    "run_fig21", "run_resilience", "run_stationary_sweep", "sweep_jobs",
+    "run_fig21", "run_stationary_sweep", "sweep_jobs",
     "table1_from_sweep",
 ]

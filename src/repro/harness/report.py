@@ -1,4 +1,4 @@
-"""Plain-text table rendering for the CLI's run, sweep and resilience
+"""Plain-text table rendering for the CLI's run, sweep and fleet status
 tables.  Paper figures print as claim lines
 (:func:`repro.harness.claims.claim_line`).
 """

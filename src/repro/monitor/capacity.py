@@ -53,7 +53,6 @@ class CellEstimate:
     cell_id: int
     physical_capacity: float   #: Cp_i, bits per subframe.
     fair_share: float          #: Cf_i, bits per subframe.
-    own_allocation: float      #: mean Pa, PRBs.
     idle: float                #: mean Pidle, PRBs.
     users: int                 #: N_i.
     mean_ber: float
@@ -175,7 +174,7 @@ class CellCapacityEstimator:
             raise ValueError("window must be positive")
         count = self._count
         if count == 0:
-            return CellEstimate(self.cell_id, 0.0, 0.0, 0.0, 0.0, 1, 0.0,
+            return CellEstimate(self.cell_id, 0.0, 0.0, 0.0, 1, 0.0,
                                 coverage=0.0)
         cap = self._cap
         n = min(window_subframes, count, cap)
@@ -212,5 +211,5 @@ class CellCapacityEstimator:
         physical = mean_rate * (mean_pa + mean_idle / users)
         fair = mean_rate * self.total_prbs / users
         return CellEstimate(
-            self.cell_id, physical, fair, mean_pa, mean_idle, users,
-            mean_ber, coverage)
+            self.cell_id, physical, fair, mean_idle, users, mean_ber,
+            coverage)

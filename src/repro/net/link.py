@@ -1,13 +1,13 @@
-"""Wired network links with droptail queues.
-
-Two flavours:
+"""Wired network links and pipes.
 
 * :class:`Link` — a finite-rate FIFO link with propagation delay and a
   droptail queue, worked out analytically at each arrival.  Used for the
   Internet segment of the end-to-end path (and as the Internet
   *bottleneck* when its rate is set below the cellular capacity).
-* :class:`DelayPipe` — an infinite-rate, pure-propagation-delay pipe.
-  Used for ACK return paths and non-bottleneck segments.
+* :class:`BatchingPipe` — a pure-delay pipe that releases packets in
+  periodic bursts: the LTE uplink that carries every flow's ACKs.
+* :class:`DelayPipe` — an infinite-rate, pure-propagation-delay pipe
+  for hand-wired paths.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ buffer of Figure 3, downlink control messages (DCI) and component-
 carrier descriptions for carrier aggregation.
 """
 
+from ..net.units import SUBFRAME_US
 from .carrier import (
     NR_PRBS_30KHZ,
     AggregationState,
@@ -42,19 +43,14 @@ from .mcs import (
     max_bits_per_prb,
     sinr_to_mcs,
 )
-from .prb import (
-    PRB_BANDWIDTH_HZ,
-    PRBS_PER_BANDWIDTH_MHZ,
-    SUBFRAME_US,
-    prbs_for_bandwidth,
-)
+from .prb import PRBS_PER_BANDWIDTH_MHZ, prbs_for_bandwidth
 
 __all__ = [
     "AggregationState", "CarrierConfig", "ChannelModel", "DATA_RE_PER_PRB",
     "DciMessage", "GaussMarkovChannel", "HARQ_COMBINING_GAIN",
     "MAX_MCS_INDEX", "MAX_RETRANSMISSIONS", "MCS_TABLE", "McsEntry",
     "NR_PRBS_30KHZ", "nr_carrier",
-    "NOISE_FLOOR_DBM", "PRBS_PER_BANDWIDTH_MHZ", "PRB_BANDWIDTH_HZ",
+    "NOISE_FLOOR_DBM", "PRBS_PER_BANDWIDTH_MHZ",
     "RETX_DELAY_SUBFRAMES", "ReorderingBuffer", "SUBFRAME_US",
     "StaticChannel", "SubframeRecord", "TraceChannel", "bits_per_prb",
     "block_error_rate", "max_bits_per_prb", "prbs_for_bandwidth",

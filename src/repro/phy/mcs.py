@@ -88,30 +88,23 @@ _BITS_PER_PRB_BY_MCS: tuple[int, ...] = tuple(
 _BITS_PER_PRB_ARR = np.asarray(_BITS_PER_PRB_BY_MCS, dtype=np.int64)
 
 
-def sinr_to_mcs(sinr_db: float, max_index: int = MAX_MCS_INDEX) -> int:
+def sinr_to_mcs(sinr_db: float) -> int:
     """Highest MCS index supported at ``sinr_db`` (0 if below range).
 
-    ``max_index`` caps the result, modelling UE category limits (e.g. a
-    phone without 256-QAM support passes ``max_index=15``).
+    One threshold per index above 0, so the result tops out at
+    :data:`MAX_MCS_INDEX`.
     """
-    if max_index < 1 or max_index > MAX_MCS_INDEX:
-        raise ValueError(f"max_index out of range: {max_index}")
-    index = bisect.bisect_right(_SINR_THRESHOLDS_DB, sinr_db)
-    return min(index, max_index)
+    return bisect.bisect_right(_SINR_THRESHOLDS_DB, sinr_db)
 
 
-def sinr_to_mcs_block(sinr_db: np.ndarray,
-                      max_index: int = MAX_MCS_INDEX) -> np.ndarray:
+def sinr_to_mcs_block(sinr_db: np.ndarray) -> np.ndarray:
     """Vectorized :func:`sinr_to_mcs` over an SINR trajectory.
 
     ``np.searchsorted(side="right")`` is element-for-element identical
     to ``bisect.bisect_right``, so the returned indices match n scalar
     calls exactly.
     """
-    if max_index < 1 or max_index > MAX_MCS_INDEX:
-        raise ValueError(f"max_index out of range: {max_index}")
-    index = np.searchsorted(_SINR_THRESHOLDS_ARR, sinr_db, side="right")
-    return np.minimum(index, max_index)
+    return np.searchsorted(_SINR_THRESHOLDS_ARR, sinr_db, side="right")
 
 
 def bits_per_prb(mcs_index: int, spatial_streams: int = 1) -> int:

@@ -9,13 +9,6 @@ pairs), exactly the granularity the paper's control messages describe.
 
 from __future__ import annotations
 
-from ..net.units import SUBFRAME_US
-
-#: PRB bandwidth in Hz.
-PRB_BANDWIDTH_HZ = 180_000
-#: Slot duration in microseconds (two slots form a subframe).
-SLOT_US = SUBFRAME_US // 2
-
 #: Standard LTE channel bandwidth (MHz) → number of PRBs (3GPP TS 36.101).
 PRBS_PER_BANDWIDTH_MHZ = {
     1.4: 6,

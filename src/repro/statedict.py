@@ -154,9 +154,6 @@ class EventRef:
         self.seq = seq
 
 
-MARKER_TYPES = (ObjState, ObjRef, NpRngState, PyRngState, EventRef)
-
-
 # ---------------------------------------------------------------------
 # Attribute walking
 # ---------------------------------------------------------------------

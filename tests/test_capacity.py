@@ -33,7 +33,6 @@ def test_sole_user_gets_own_plus_all_idle():
         est.update(_record(sf, [(OWN, 60, 1000)]), own_rate_hint=1000,
                    ber_hint=1e-6)
     out = est.estimate(40)
-    assert out.own_allocation == pytest.approx(60.0)
     assert out.idle == pytest.approx(40.0)
     assert out.users == 1
     assert out.physical_capacity == pytest.approx(1000 * (60 + 40))
@@ -91,8 +90,8 @@ def test_window_limits_averaging():
         est.update(_record(sf, [(OWN, prbs, 1000)]), own_rate_hint=1000,
                    ber_hint=1e-6)
     # Short window sees only the recent 80-PRB regime.
-    assert est.estimate(10).own_allocation == pytest.approx(80.0)
-    assert est.estimate(50).own_allocation < 40.0
+    assert est.estimate(10).idle == pytest.approx(20.0)
+    assert est.estimate(50).idle > 60.0
 
 
 def test_last_own_grant_tracking():

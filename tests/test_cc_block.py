@@ -42,7 +42,6 @@ from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import run_fingerprint
 from repro.net.flow import FlowStats
 from repro.net.link import BatchingPipe, DelayPipe, Link, Receiver
-from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters

@@ -24,6 +24,26 @@ from repro.harness.metrics import FlowSummary
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "results" / "paper.json"
+FIELDS = ("schema", "scale", "commit", "code_id", "figures", "table1",
+          "claims")
+CLAIM_FIELDS = ("id", "figure", "paper", "measured", "op", "bound",
+                "holds", "xfail")
+
+
+def load_record(path) -> dict:
+    """Read a record; a ``ValueError`` names the first field that is
+    missing, or the schema version it does not know."""
+    data = json.loads(Path(path).read_text())
+    if data.get("schema") != claims.SCHEMA:
+        raise ValueError(f"{path}: field 'schema' is "
+                         f"{data.get('schema')!r}, not {claims.SCHEMA}")
+    for where, entry, fields in [("record", data, FIELDS)] + [
+            (f"claim {c.get('id')!r}", c, CLAIM_FIELDS)
+            for c in data.get("claims", ())]:
+        for key in fields:
+            if key not in entry:
+                raise ValueError(f"{path}: {where} lacks field {key!r}")
+    return data
 
 
 def test_registry_is_well_formed():
@@ -55,6 +75,16 @@ def test_predicates():
     assert not less.holds(None)
     assert inside.holds(0.5) and not inside.holds(0.0)
     assert not inside.holds(1.0)
+
+
+def test_an_unmeasured_claim_line_reads_a_dash_and_fails():
+    claim = claims.Claim("fig12.x.median_tput_ratio", ">", 1.0, float)
+    line = claims.claim_line({
+        "id": claim.id, "measured": None, "op": claim.op,
+        "bound": claim.bound, "holds": claim.holds(None), "xfail": None})
+    assert line.split()[1] == "—"
+    assert line.split()[-1] == "FAILS"
+    assert "None" not in line
 
 
 def _sweep(rows):
@@ -120,7 +150,7 @@ def test_experiment_prints_known_misses_as_xfail(capsys, monkeypatch):
 
 
 def test_record_matches_the_registry():
-    data = claims.load_record(RECORD)
+    data = load_record(RECORD)
     assert data["scale"] == "paper"
     assert [e["id"] for e in data["claims"]] == \
         [c.id for _, c in claims.claims()]
@@ -135,7 +165,7 @@ def test_record_matches_the_registry():
 
 @pytest.mark.parametrize("doc", sorted(claims.BLOCKS))
 def test_generated_blocks_match_the_record(doc):
-    data = claims.load_record(RECORD)
+    data = load_record(RECORD)
     text = (ROOT / doc).read_text()
     for name, render in claims.BLOCKS[doc].items():
         assert claims.generated(text, name) == render(data), \
@@ -148,7 +178,7 @@ def test_loader_names_the_bad_field(tmp_path):
 
     def load(data):
         path.write_text(json.dumps(data))
-        return claims.load_record(path)
+        return load_record(path)
 
     assert load(good)["schema"] == claims.SCHEMA
     with pytest.raises(ValueError, match="'schema'"):

@@ -21,8 +21,6 @@ CLI_INVENTORY = {
     "experiment": ["name", "--jobs", "--cache-dir"],
     "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
               "--save", *_SUPERVISION, *_FLEET],
-    "resilience": ["--schemes", "--miss", "--outage-ms", "--duration",
-                   "--seed", "--fault-seed", "--smoke", *_SUPERVISION],
     "metro": ["--set", "--smoke", "--seed", "--cells", "--hours",
               "--hour-s", "--shard-cells", "--walkers", "--out",
               *_SUPERVISION, *_FLEET],
@@ -54,7 +52,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 67
+    assert sum(len(flags) for flags in inventory.values()) == 54
 
 
 def test_parser_requires_command():
@@ -126,7 +124,8 @@ def test_run_command_compares_schemes(capsys):
                                   ["experiment", "fig18"],
                                   ["experiment", "fig11", "--duration",
                                    "1"],
-                                  ["sweep", "--view", "fig15"]])
+                                  ["sweep", "--view", "fig15"],
+                                  ["resilience"]])
 def test_removed_commands_exit_2(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -172,13 +171,6 @@ def test_sweep_schemes_default_to_pbe_and_bbr():
 @pytest.mark.parametrize("argv,option", [
     (["sweep", "--schemes", "pbe,warp", "--busy", "1", "--idle", "0",
       "--duration", "0.2"], "--schemes"),
-    (["resilience", "--schemes", "warp"], "--schemes"),
-    (["resilience", "--miss", "0,x"], "--miss"),
-    (["resilience", "--miss", ","], "--miss"),
-    (["resilience", "--miss", "1.5"], "--miss"),
-    (["resilience", "--miss", "nan"], "--miss"),
-    (["resilience", "--outage-ms", "0,1.5"], "--outage-ms"),
-    (["resilience", "--outage-ms", "-5"], "--outage-ms"),
 ])
 def test_bad_grid_exits_2_before_any_job(capsys, monkeypatch, argv,
                                          option):

@@ -1,7 +1,5 @@
 """Tests for the BER/TBLER error model (paper Figure 6)."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import numbers
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -17,6 +17,7 @@ import pytest
 from repro.exec import (
     FleetBackend,
     FleetWorker,
+    Job,
     ParallelRunner,
     ProbeJob,
     RunnerStats,
@@ -42,6 +43,8 @@ from repro.exec.fleet import (
     try_claim,
 )
 from repro.exec.store import ENVELOPE_KEY, SCHEMA_VERSION
+from repro.faults import FaultSpec
+from repro.harness import Scenario
 
 
 def probe(i, **extra):
@@ -187,16 +190,19 @@ def test_job_from_wire_names_the_field_it_failed_on(data, field):
 
 def test_every_shipped_job_kind_round_trips_to_its_own_fingerprint():
     """The worker's fingerprint check cannot fire on good input: every
-    job a shipped driver submits rebuilds from its JSON wire form to the
-    fingerprint it was queued under."""
-    from repro.harness.experiments.resilience import resilience_jobs
+    job a shipped driver submits, and a flow job with a ``faults``
+    override, rebuilds from its JSON wire form to the fingerprint it was
+    queued under."""
     from repro.harness.experiments.sweep import sweep_jobs
     from repro.metro.driver import shard_jobs
     from repro.metro.sets import metro_scenario_sets
 
     jobs = [*sweep_jobs(("pbe", "bbr", "cubic"), n_busy=2, n_idle=1,
                         duration_s=1.0),
-            *resilience_jobs(duration_s=1.0),
+            Job(Scenario(name="faulted", duration_s=1.0, seed=400),
+                "pbe", {"faults": FaultSpec(
+                    seed=7, dci_miss_rate=0.2, outages=((250, 500),),
+                    ack_loss_rate=0.01).to_dict()}),
             *shard_jobs(metro_scenario_sets()["smoke"]),
             probe(1), probe(2, fail=True)]
     assert {type(job).__name__ for job in jobs} == {

@@ -562,12 +562,13 @@ def test_estimator_bitwise_equal_to_naive_rescan():
         for window in (1, 2, 7, 40, 399, 400):
             got = est.estimate(window)
             pa, idle, rate, ber, cov = naive.estimate(window)
-            assert got.own_allocation == pa
             assert got.idle == idle
             assert got.mean_ber == ber
             assert got.coverage == cov
-            # physical/fair recombine mean_rate with the user count;
-            # verify the rate term via the fair-share identity.
+            # physical/fair recombine the means with the user count;
+            # verify the Pa and rate terms via Eqn. 3 and the fair share.
+            assert got.physical_capacity == \
+                rate * (pa + idle / got.users)
             assert got.fair_share == rate * 100 / got.users
 
 
@@ -625,7 +626,8 @@ def test_estimator_memo_invalidated_by_update():
     _feed(est, naive, 2, rng)
     second = est.estimate(40)
     pa, idle, rate, ber, cov = naive.estimate(40)
-    assert second.own_allocation == pa and second.mean_ber == ber
+    assert second.physical_capacity == rate * (pa + idle / second.users)
+    assert second.mean_ber == ber
 
 
 def test_estimator_samples_roundtrip():

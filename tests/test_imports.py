@@ -1,6 +1,8 @@
-"""Every name a ``src/repro`` module imports is used in that module.
+"""Every name a module imports is used in that module.
 
-An ``ast`` scan, no import of the package: a module's imported names
+The scan covers ``src/repro``, the top-level ``tests/*.py``, and
+``scripts/``, ``examples/`` and ``benchmarks/``.  It is an ``ast``
+scan, no import of the package: a module's imported names
 (``import a.b`` binds ``a``; ``from m import x as y`` binds ``y``)
 must each appear as a name somewhere in the module's code, string
 annotations included.  ``__init__.py`` files are exempt (their imports
@@ -14,8 +16,18 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+MODULES = sorted(p for p in (
+    *SRC.rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+    *(ROOT / "scripts").rglob("*.py"), *(ROOT / "examples").rglob("*.py"),
+    *(ROOT / "benchmarks").rglob("*.py")) if p.name != "__init__.py")
+
+
+def module_id(path: Path) -> str:
+    """A module's path below ``src/repro``, else below the repo root."""
+    return path.relative_to(SRC if SRC in path.parents else ROOT) \
+        .as_posix()
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -58,12 +70,11 @@ def used_names(tree: ast.AST) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize(
-    "path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = used_names(tree)
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported_names(tree).items()
                     if name not in used)
-    assert not unused, f"{path.relative_to(SRC)} imports unused {unused}"
+    assert not unused, f"{module_id(path)} imports unused {unused}"

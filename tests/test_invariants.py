@@ -3,7 +3,6 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cell.basestation import CellularNetwork, DemandSource

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import phy
 from repro.phy import mcs, prb
 
 
@@ -19,8 +20,8 @@ def test_nonstandard_bandwidth_rejected():
 
 
 def test_prb_constants():
-    assert prb.PRB_BANDWIDTH_HZ == 180_000
-    assert prb.SUBFRAME_US == 2 * prb.SLOT_US == 1_000
+    # A PRB pair spans one 1 ms subframe: the scheduler's time unit.
+    assert phy.SUBFRAME_US == 1_000
 
 
 def test_mcs_table_efficiency_monotonic():
@@ -42,15 +43,9 @@ def test_sinr_to_mcs_extremes():
     assert mcs.sinr_to_mcs(40.0) == mcs.MAX_MCS_INDEX
 
 
-def test_sinr_to_mcs_respects_ue_cap():
-    assert mcs.sinr_to_mcs(40.0, max_index=15) == 15
-
-
-def test_sinr_to_mcs_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        mcs.sinr_to_mcs(10.0, max_index=0)
-    with pytest.raises(ValueError):
-        mcs.sinr_to_mcs(10.0, max_index=99)
+def test_one_sinr_threshold_per_mcs_index_above_zero():
+    # bisect over the thresholds can return no index past the table.
+    assert len(mcs._SINR_THRESHOLDS_DB) == mcs.MAX_MCS_INDEX
 
 
 def test_bits_per_prb_zero_for_mcs_zero():

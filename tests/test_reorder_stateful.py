@@ -6,7 +6,6 @@ deliver exactly the non-abandoned payloads, in order, never twice.
 
 from hypothesis import settings
 from hypothesis.stateful import (
-    Bundle,
     RuleBasedStateMachine,
     invariant,
     rule,

@@ -1,18 +1,14 @@
 """Tests for the shared Sender endpoint machinery."""
 
-from typing import Optional
-
 import pytest
 
 from repro.baselines.base import (
-    DUPACK_THRESHOLD,
     AckContext,
     AckingReceiver,
     CongestionControl,
     Sender,
 )
 from repro.net.link import DelayPipe, Receiver
-from repro.net.packet import Packet
 from repro.net.sim import Simulator
 
 

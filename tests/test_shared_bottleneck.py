@@ -5,7 +5,6 @@ import pytest
 from repro.harness import Experiment, FlowSpec, Scenario, jain_index
 from repro.net.link import FlowDemux, Link, PacketSink
 from repro.net.packet import Packet
-from repro.net.sim import Simulator
 from repro.phy.carrier import CarrierConfig
 
 

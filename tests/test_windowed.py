@@ -40,13 +40,6 @@ def test_expire_without_update():
     assert f.get() is None
 
 
-def test_reset_clears():
-    f = WindowedMax(5_000)
-    f.update(0, 1.0)
-    f.reset()
-    assert f.get() is None
-
-
 def test_window_resize_applies_on_next_update():
     f = WindowedMax(100_000)
     f.update(0, 50.0)
