@@ -1,13 +1,11 @@
-"""The paper-shape gate's one session of driver runs.
+"""The paper-shape gate's one session of figure runs.
 
 Every claim of :mod:`repro.harness.claims` runs at its figure's
-``reduced`` scale (fewer locations, shorter flows); the paper-scale
-record is ``scripts/record_experiments.py``.  Each driver runs once per
-session and its claims share the result.  The multi-job drivers (the
-stationary sweep, Figures 13-14, the ablations) go through
-:mod:`repro.exec`: ``REPRO_JOBS`` sets the worker-process count
-(default: one per CPU, capped at 8) and ``REPRO_CACHE_DIR`` points the
-content-addressed result cache at a directory.
+``reduced`` scale; the paper-scale record is
+``scripts/record_experiments.py``.  The session runs the collected
+claims' figures in one pass, one :mod:`repro.exec` job per figure run.
+``REPRO_JOBS`` sets the worker-process count (default: one per CPU,
+capped at 8) and ``REPRO_CACHE_DIR`` the result cache directory.
 """
 
 import os
@@ -19,8 +17,12 @@ from repro.harness.claims import Runs
 
 
 @pytest.fixture(scope="session")
-def runs():
+def runs(request):
     jobs = (int(os.environ.get("REPRO_JOBS") or 0)
             or min(os.cpu_count() or 1, 8))
-    return Runs("reduced", make_runner(
+    runs = Runs("reduced", make_runner(
         jobs=jobs, cache_dir=os.environ.get("REPRO_CACHE_DIR") or None))
+    runs.run(item.callspec.params["figure"]
+             for item in request.session.items
+             if "runs" in getattr(item, "fixturenames", ()))
+    return runs

@@ -20,8 +20,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from ..harness.runner import run_flow
 from ..harness.scenarios import Scenario
-from ..harness.serialize import fingerprint_of
+from ..harness.serialize import fingerprint_of, result_to_dict
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -66,12 +67,10 @@ class Job:
 
         The execution subsystem dispatches through this method, so job
         types other than the single-flow simulation (e.g.
-        :class:`repro.metro.MetroShardJob`) plug into the same
-        supervised runner and cache.  Imports are deferred:
-        the job module stays importable without the full harness.
+        :class:`repro.metro.MetroShardJob` and the claims registry's
+        :class:`repro.harness.claims.Run`) plug into the same
+        supervised runner and cache.
         """
-        from ..harness.runner import run_flow
-        from ..harness.serialize import result_to_dict
         result = run_flow(self.scenario, self.scheme,
                           dict(self.spec_overrides))
         return result_to_dict(result)

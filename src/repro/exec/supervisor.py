@@ -150,7 +150,7 @@ class SignalDrain:
     drains in-flight jobs and persists what finished.  A second signal
     restores the original handlers and raises ``KeyboardInterrupt``
     immediately (hard abort).  Handlers are always restored on exit;
-    off the main thread the drain degrades to an inert flag.
+    off the main thread, or for an ignored signal, it is an inert flag.
     """
 
     SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -164,6 +164,8 @@ class SignalDrain:
         if (self.enabled and threading.current_thread()
                 is threading.main_thread()):
             for sig in self.SIGNALS:
+                if signal.getsignal(sig) == signal.SIG_IGN:
+                    continue
                 try:
                     self._previous[sig] = signal.signal(sig, self._handle)
                 except (ValueError, OSError):  # pragma: no cover

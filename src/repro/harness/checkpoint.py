@@ -77,7 +77,7 @@ from ..monitor.decoder import ControlChannelDecoder
 from ..monitor.filters import ActiveUserFilter, UserActivity, _SubframeUsers
 from ..monitor.pbe import MonitorReport, PbeMonitor
 from ..net.flow import FlowStats
-from ..net.link import BatchingPipe, DelayPipe, FlowDemux, Link
+from ..net.link import BatchingPipe, FlowDemux, Link
 from ..net.packet import Packet
 from ..net.sim import Event, Simulator
 from ..net.units import SUBFRAME_US
@@ -129,7 +129,7 @@ _IDENTITY = (Packet, TransportBlock, PbeFeedback, DciMessage,
 #: Classes restored through the generic attribute walker.
 _STATE = (
     # network / transport plumbing
-    Link, DelayPipe, BatchingPipe, FlowDemux, FlowStats,
+    Link, BatchingPipe, FlowDemux, FlowStats,
     Sender, AckingReceiver,
     # congestion controllers
     Bbr, Cubic, Copa, Sprout, Verus, FixedRate,

@@ -22,7 +22,6 @@ imports every driver.
 
 from __future__ import annotations
 
-import inspect
 import operator
 import textwrap
 from dataclasses import asdict, dataclass
@@ -31,11 +30,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..exec import is_failure, make_runner
 from . import experiments as exp
 from .experiments.policy import run_fairness_policy
 from .experiments.table1 import PAPER_TABLE1
 from .metrics import jain_index
-from .serialize import code_id
+from .serialize import code_id, fingerprint_of
 
 SCHEMA = 1
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -378,23 +378,60 @@ def claims():
             for claim in figure.claims]
 
 
+@dataclass(frozen=True)
+class Run:
+    """A figure's driver run at ``scale``: one job of the runner.  It
+    fingerprints the driver and its arguments (figures that share a run
+    share the job) and measures all of their claims; a flow the sweep
+    lost fails the job, so no measured value is partial."""
+
+    figure: str
+    scale: str
+    label = property(attrgetter("figure"))
+
+    def to_dict(self) -> dict:
+        f = by_name(self.figure)
+        return {"driver": f"{f.driver.__module__}.{f.driver.__qualname__}",
+                "kwargs": getattr(f, self.scale)}
+
+    def fingerprint(self) -> str:
+        return fingerprint_of(self.to_dict())
+
+    def execute(self) -> dict:
+        figure = by_name(self.figure)
+        result = figure.driver(**getattr(figure, self.scale))
+        for failure in getattr(result, "failures", ()):
+            raise RuntimeError(failure.summary())
+        payload = {"measured": {
+            claim.id: claim.measure(result) for f in FIGURES
+            if Run(f.name, self.scale).to_dict() == self.to_dict()
+            for claim in f.claims}}
+        if isinstance(result, exp.SweepResult):
+            payload["table1"] = [
+                {**asdict(r), "paper": list(r.paper)}
+                for r in exp.table1_from_sweep(result).rows]
+        return payload
+
+
 class Runs:
-    """Each driver run once per argument set at ``scale``; the run's
-    result on demand.  ``runner`` goes to the drivers that take one
-    (the multi-job ones)."""
+    """Each figure's :class:`Run` at ``scale`` through ``runner``, at
+    most once; ``payloads`` maps a figure's name to its payload."""
 
     def __init__(self, scale: str = "reduced", runner=None):
-        self.scale, self.runner = scale, runner
-        self._done: dict = {}
+        self.scale, self.runner = scale, runner or make_runner()
+        self.payloads: dict = {}
 
-    def __call__(self, figure: Figure):
-        kwargs = getattr(figure, self.scale)
-        key = (figure.driver, repr(kwargs))
-        if key not in self._done:
-            pooled = "runner" in inspect.signature(figure.driver).parameters
-            extra = {"runner": self.runner} if pooled else {}
-            self._done[key] = figure.driver(**kwargs, **extra)
-        return self._done[key]
+    def run(self, figures) -> None:
+        """Run the figures not run yet in one runner pass, which runs a
+        shared run once; a failed run raises, naming its figure."""
+        todo = [f.name for f in figures if f.name not in self.payloads]
+        if not todo:
+            return
+        payloads = self.runner.run([Run(name, self.scale) for name in todo])
+        for name, payload in zip(todo, payloads):
+            if is_failure(payload):
+                raise RuntimeError(f"figure {name}: {payload.summary()}")
+            self.payloads[name] = payload
 
 
 # ----------------------------------------------------------------------
@@ -403,15 +440,12 @@ class Runs:
 def entries(runs: Runs, figure: Figure) -> list:
     """``figure``'s claims measured through ``runs``: one record entry
     per claim."""
-    result = runs(figure)
-    out = []
-    for claim in figure.claims:
-        value = claim.measure(result)
-        out.append({"id": claim.id, "figure": figure.name,
-                    "paper": claim.paper, "measured": value,
-                    "op": claim.op, "bound": claim.bound,
-                    "holds": claim.holds(value), "xfail": claim.xfail})
-    return out
+    runs.run([figure])
+    measured = runs.payloads[figure.name]["measured"]
+    return [{"id": claim.id, "figure": figure.name, "paper": claim.paper,
+             "measured": measured[claim.id], "op": claim.op,
+             "bound": claim.bound, "holds": claim.holds(measured[claim.id]),
+             "xfail": claim.xfail} for claim in figure.claims]
 
 
 def claim_line(entry: dict) -> str:
@@ -428,11 +462,11 @@ def claim_line(entry: dict) -> str:
 
 def record(runs: Runs, commit: str) -> dict:
     """Every claim measured through ``runs``, as a JSON-ready dict."""
+    runs.run(FIGURES)
     return {"schema": SCHEMA, "scale": runs.scale, "commit": commit,
             "code_id": code_id(),
             "figures": {f.name: getattr(f, runs.scale) for f in FIGURES},
-            "table1": [{**asdict(r), "paper": list(r.paper)} for r in
-                       exp.table1_from_sweep(runs(by_name("table1"))).rows],
+            "table1": runs.payloads["table1"]["table1"],
             "claims": [e for f in FIGURES for e in entries(runs, f)]}
 
 

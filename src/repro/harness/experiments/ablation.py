@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...exec import Job, is_failure, make_runner
 from ..metrics import FlowSummary
+from ..runner import run_flow
 from ..scenarios import Scenario
-from ..serialize import summary_from_dict
 
 VARIANTS: dict[str, dict] = {
     "paper": {},
@@ -53,30 +52,16 @@ class AblationResult:
 
 
 def run_ablation(variants: tuple = tuple(VARIANTS),
-                 duration_s: float = 6.0, seed: int = 53,
-                 runner=None) -> AblationResult:
-    """Run each PBE variant on the same busy cell.
-
-    Variants are independent jobs submitted through ``runner``
-    (default: ``make_runner()``; see :mod:`repro.exec`).  Every
-    variant is reported, so a failed job raises a ``RuntimeError``
-    carrying its summary.
-    """
-    job_list = [
-        Job(Scenario(name=f"ablation-{variant}",
-                     aggregated_cells=2, mean_sinr_db=17.0,
-                     busy=True, background_users=2,
-                     duration_s=duration_s, seed=seed),
-            "pbe", spec_overrides=dict(VARIANTS[variant]))
-        for variant in variants]
-    payloads = (runner or make_runner()).run(job_list)
-    for failure in filter(is_failure, payloads):
-        raise RuntimeError(failure.summary())
+                 duration_s: float = 6.0, seed: int = 53) -> AblationResult:
+    """Run each PBE variant on the same busy cell."""
     rows = []
-    for variant, payload in zip(variants, payloads):
-        fractions = payload["state_fractions"] or {}
-        rows.append(AblationRow(
-            variant=variant,
-            summary=summary_from_dict(payload["summary"]),
-            internet_fraction=fractions.get("internet", 0.0)))
+    for variant in variants:
+        result = run_flow(
+            Scenario(name=f"ablation-{variant}", aggregated_cells=2,
+                     mean_sinr_db=17.0, busy=True, background_users=2,
+                     duration_s=duration_s, seed=seed),
+            "pbe", dict(VARIANTS[variant]))
+        fractions = result.state_fractions or {}
+        rows.append(AblationRow(variant, result.summary,
+                                fractions.get("internet", 0.0)))
     return AblationResult(rows)

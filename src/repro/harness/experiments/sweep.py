@@ -4,15 +4,8 @@ Runs every requested scheme over every location of the 40-location
 grid (or a subset — the full sweep is hundreds of flow-seconds of
 simulation).  Table 1, Figure 12 and Figure 15 are all reductions of
 this one sweep's results (the claims registry,
-:mod:`repro.harness.claims`, holds them).
-
-Each (location, scheme) run is an independent, deterministic job, so
-the sweep submits through :class:`repro.exec.ParallelRunner`: pass
-``runner=make_runner(jobs=N, cache_dir=...)`` to fan runs out over
-worker processes and memoize completed runs on disk (re-running a
-sweep then only executes jobs whose inputs changed or that never
-finished — the result store is the one record of finished work, so
-re-running *is* resuming).
+:mod:`repro.harness.claims`, holds them).  Each (location, scheme) run
+is one job of a :class:`repro.exec.ParallelRunner`.
 """
 
 from __future__ import annotations

@@ -87,18 +87,14 @@ def summary_from_dict(data: dict) -> FlowSummary:
 
 
 def result_to_dict(result: FlowResult) -> dict:
-    """Flatten a :class:`FlowResult` (its summary, not its per-packet
-    log)."""
+    """Flatten a :class:`FlowResult` to what the sweep's readers take:
+    its summary, CA activations and PBE state fractions."""
     return {
         "scheme": result.spec.scheme,
         "rnti": result.spec.rnti,
         "summary": summary_to_dict(result.summary),
-        "sent_packets": result.sent_packets,
-        "lost_packets": result.lost_packets,
         "ca_activations": result.ca_activations,
         "state_fractions": result.state_fractions,
-        "sender_states": result.sender_states,
-        "fault_stats": result.fault_stats,
     }
 
 

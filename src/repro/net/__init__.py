@@ -9,7 +9,6 @@ pipes and per-flow delivery logs.
 from .flow import FlowStats
 from .link import (
     BatchingPipe,
-    DelayPipe,
     FlowDemux,
     Link,
     PacketSink,
@@ -29,7 +28,7 @@ from .units import (
 )
 
 __all__ = [
-    "ACK_BITS", "BatchingPipe", "DelayPipe", "Event", "FlowDemux",
+    "ACK_BITS", "BatchingPipe", "Event", "FlowDemux",
     "FlowStats", "Link", "MSS_BITS",
     "MSS_BYTES", "Packet", "PacketSink", "Receiver", "SUBFRAME_US",
     "Simulator", "Tap", "US_PER_MS", "US_PER_S", "transmission_time_us",

@@ -6,8 +6,6 @@
   *bottleneck* when its rate is set below the cellular capacity).
 * :class:`BatchingPipe` — a pure-delay pipe that releases packets in
   periodic bursts: the LTE uplink that carries every flow's ACKs.
-* :class:`DelayPipe` — an infinite-rate, pure-propagation-delay pipe
-  for hand-wired paths.
 """
 
 from __future__ import annotations
@@ -47,28 +45,6 @@ class Receiver:
 
     def receive_at(self, packet: Packet, arrival_us: int) -> bool:
         return False
-
-
-class DelayPipe(Receiver):
-    """Infinite-bandwidth link: every packet arrives ``delay_us`` later."""
-
-    #: Checkpointing: the simulator and downstream sink are wiring,
-    #: restored from the rebuilt experiment (see repro.statedict).
-    SNAPSHOT_SKIP = ("sim", "sink")
-
-    def __init__(self, sim: Simulator, sink: Receiver, delay_us: int,
-                 name: str = "pipe") -> None:
-        if delay_us < 0:
-            raise ValueError("delay must be non-negative")
-        self.sim = sim
-        self.sink = sink
-        self.delay_us = delay_us
-        self.name = name
-        self.forwarded = 0
-
-    def receive(self, packet: Packet) -> None:
-        self.forwarded += 1
-        self.sim.schedule(self.delay_us, self.sink.receive, packet)
 
 
 class BatchingPipe(Receiver):

@@ -41,11 +41,12 @@ from repro.core.sender import PbeSender
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import run_fingerprint
 from repro.net.flow import FlowStats
-from repro.net.link import BatchingPipe, DelayPipe, Link, Receiver
+from repro.net.link import BatchingPipe, Link, Receiver
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
+from .delay_pipe import DelayPipe
 from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_engine import ReferencePipe, reference_engine
 from .reference_pacer import ReferenceSender

@@ -13,12 +13,15 @@ from __future__ import annotations
 import inspect
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.exec import make_runner
 from repro.harness import claims
+from repro.harness import experiments as exp
 from repro.harness.experiments import SweepEntry, SweepResult
 from repro.harness.metrics import FlowSummary
 
@@ -128,6 +131,41 @@ def test_fig12_and_fig15_reduce_the_sweep_itself():
     assert _measure("fig15", sweep)["fig15.copa.ca_share"] == 1 / 2
 
 
+def _replace_sweep(monkeypatch, driver):
+    """Run ``driver`` where the registry runs the stationary sweep."""
+    monkeypatch.setattr(claims, "FIGURES", tuple(
+        replace(f, driver=driver)
+        if f.driver is exp.run_stationary_sweep else f
+        for f in claims.FIGURES))
+
+
+def test_one_pass_runs_the_shared_sweep_once(monkeypatch):
+    rows = [(s, loc, busy, 10, 10, 10, 2, 1)
+            for s in ("pbe", "bbr", "cubic", "verus", "copa")
+            for loc, busy in (("a", True), ("b", False))]
+    sweeps = []
+    _replace_sweep(monkeypatch, lambda **kwargs: sweeps.append(kwargs)
+                   or _sweep(rows))
+    runner, passes = make_runner(), []
+    monkeypatch.setattr(runner, "run",
+                        lambda jobs, run=runner.run: passes.append(
+                            [job.label for job in jobs]) or run(jobs))
+    runs = claims.Runs("reduced", runner)
+    figures = [claims.by_name(n) for n in ("table1", "fig12", "fig15")]
+    runs.run(figures)
+    assert passes == [["table1", "fig12", "fig15"]]
+    assert sweeps == [claims.by_name("table1").reduced]
+    assert runner.stats.executed == 1 and runner.stats.deduplicated == 2
+    # the entries read the pass: nothing runs again
+    assert [e["measured"] for e in claims.entries(runs, figures[2])] == \
+        [1.0] * len(figures[2].claims)
+    assert len(passes) == 1 and len(sweeps) == 1
+    # Table 1's rows ship in the shape record() writes
+    table1 = runs.payloads["table1"]["table1"]
+    assert table1 and all(set(row) == set(load_record(RECORD)["table1"][0])
+                          for row in table1)
+
+
 def test_experiment_prints_known_misses_as_xfail(capsys, monkeypatch):
     rows = []
     for location, busy, copa_p95 in (("busy", True, 12), ("idle", False, 8)):
@@ -135,8 +173,7 @@ def test_experiment_prints_known_misses_as_xfail(capsys, monkeypatch):
                  ("bbr", location, busy, 10, 20, 20, 1, 0),
                  ("verus", location, busy, 10, 30, 30, 1, 0),
                  ("copa", location, busy, 5, copa_p95, copa_p95, 1, 0)]
-    sweep = _sweep(rows)
-    monkeypatch.setattr(claims.Runs, "__call__", lambda self, fig: sweep)
+    _replace_sweep(monkeypatch, lambda **kwargs: _sweep(rows))
     assert main(["experiment", "table1"]) == 0
     verdicts = {line.split()[0]: line.split()[-1]
                 for line in capsys.readouterr().out.splitlines()}

@@ -265,6 +265,19 @@ def test_disabled_drain_leaves_handlers_alone():
         assert signal.getsignal(signal.SIGINT) == before
 
 
+def test_drain_leaves_an_ignored_signal_ignored():
+    # A pool worker ignores SIGINT/SIGTERM (initialize_worker); a sweep
+    # run inside one must not turn a Ctrl-C into a job error.
+    for sig in SignalDrain.SIGNALS:
+        previous = signal.signal(sig, signal.SIG_IGN)
+        try:
+            with SignalDrain():
+                assert signal.getsignal(sig) == signal.SIG_IGN
+            assert signal.getsignal(sig) == signal.SIG_IGN
+        finally:
+            signal.signal(sig, previous)
+
+
 def test_inline_run_stops_at_drain_request(tmp_path):
     store = ResultStore(tmp_path)
     runner = ParallelRunner(store=store)

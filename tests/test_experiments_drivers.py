@@ -6,11 +6,12 @@ is already visible at small scale.  The benchmarks run the real
 (bigger) versions.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec import make_runner
 from repro.harness import claims
-from repro.harness.experiments.ablation import VARIANTS
 from repro.harness.experiments import (
     run_ablation,
     run_fig02,
@@ -50,8 +51,6 @@ def test_sweep_validation():
 def test_sweep_index_tracks_appended_entries():
     # Pure-data check of SweepResult's location and scheme lists: dedup
     # is order-preserving and the lists follow later appends.
-    from dataclasses import replace
-
     from repro.harness.experiments import SweepEntry, SweepResult
 
     def entry(scheme, location):
@@ -186,15 +185,15 @@ def test_ablation_structure():
     assert result.row("paper").summary.average_throughput_bps > 0
 
 
-def test_drivers_name_a_failed_job(monkeypatch):
-    # Both read payloads by position: any runner's failure record must
-    # surface as an error naming the job, not a TypeError on indexing.
-    with pytest.raises(RuntimeError, match="warp-drive"):
-        run_fig13_14(schemes=("warp-drive",),
-                     location_keys=("fig13d_3cc_indoor_idle",),
-                     duration_s=0.5, runner=make_runner())
-    monkeypatch.setitem(VARIANTS, "warped",
-                        {"cc_kwargs": {"warp_factor": 9}})
-    with pytest.raises(RuntimeError, match="ablation-warped.*warp_factor"):
-        run_ablation(variants=("warped",), duration_s=0.5,
-                     runner=make_runner())
+def test_a_figure_whose_driver_raises_names_the_figure(monkeypatch):
+    # A bad scheme raises make_cc's ValueError inside the driver; the
+    # registry's pass fails naming the figure whose run raised.
+    broken = replace(claims.by_name("fig13_14"), reduced={
+        "schemes": ("warp-drive",), "duration_s": 0.5,
+        "location_keys": ("fig13d_3cc_indoor_idle",)})
+    with pytest.raises(ValueError, match="unknown scheme 'warp-drive'"):
+        run_fig13_14(**broken.reduced)
+    monkeypatch.setattr(claims, "FIGURES", tuple(
+        broken if f.name == broken.name else f for f in claims.FIGURES))
+    with pytest.raises(RuntimeError, match="figure fig13_14: .*warp-drive"):
+        claims.Runs("reduced", make_runner()).run([broken])

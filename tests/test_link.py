@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.net.link import DelayPipe, Link, PacketSink
+from repro.net.link import Link, PacketSink
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import transmission_time_us
+
+from .delay_pipe import DelayPipe
 
 
 def _queue_delay_estimate_us(link, size_bits):

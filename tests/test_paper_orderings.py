@@ -62,7 +62,7 @@ def test_verus_and_cubic_queue_more_than_pbe(table1, condition):
 
 
 #: Copa's throughput deficit against PBE, as a band around the value
-#: recorded above.  The paper's is 10.35 / 12.94; ROADMAP item 2 (a
+#: recorded above.  The paper's is 10.35 / 12.94; ROADMAP item 5 (a
 #: spec-grounded LTE uplink) is what may move it, and that PR re-records
 #: this band with the rest of its evidence.
 COPA_DEFICIT = {"busy": (3.0, 6.0), "idle": (1.9, 4.0)}

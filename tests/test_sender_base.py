@@ -8,8 +8,10 @@ from repro.baselines.base import (
     CongestionControl,
     Sender,
 )
-from repro.net.link import DelayPipe, Receiver
+from repro.net.link import Receiver
 from repro.net.sim import Simulator
+
+from .delay_pipe import DelayPipe
 
 
 class FixedCc(CongestionControl):

@@ -33,4 +33,6 @@ def test_result_dict_fields(results):
     d = result_to_dict(results[0])
     assert d["scheme"] == "pbe"
     assert d["state_fractions"] is not None
-    assert "samples" not in d
+    # what the sweep's readers take; no per-packet log, no counters
+    assert set(d) == {"scheme", "rnti", "summary", "ca_activations",
+                      "state_fractions"}

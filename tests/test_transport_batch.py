@@ -29,12 +29,13 @@ from repro.harness.fingerprint import (
     fingerprint_configs,
     run_fingerprint,
 )
-from repro.net.link import BatchingPipe, DelayPipe, Receiver
+from repro.net.link import BatchingPipe, Receiver
 from repro.net.packet import Packet
 from repro.net.sim import Simulator
 from repro.net.units import us_from_seconds
 from repro.perf import PerfCounters
 
+from .delay_pipe import DelayPipe
 from .reference_engine import ReferencePipe, reference_engine
 from .reference_pacer import ReferenceSender
 from .reference_transport import ReferenceAckingReceiver
