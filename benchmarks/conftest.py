@@ -1,11 +1,7 @@
-"""The paper-shape gate's one session of figure runs.
-
-Every claim of :mod:`repro.harness.claims` runs at its figure's
-``reduced`` scale; the paper-scale record is
-``scripts/record_experiments.py``.  The session runs the collected
-claims' figures in one pass, one :mod:`repro.exec` job per figure run.
-``REPRO_JOBS`` sets the worker-process count (default: one per CPU,
-capped at 8) and ``REPRO_CACHE_DIR`` the result cache directory.
+"""The paper-shape gate's one pass over the collected claims' figures,
+at each figure's ``reduced`` scale.  ``REPRO_JOBS`` sets the
+worker-process count (default: one per CPU, capped at 8) and
+``REPRO_CACHE_DIR`` the result cache directory.
 """
 
 import os

@@ -6,11 +6,11 @@ arguments (each driver at its default seed), writes
 ``results/paper.json`` and re-renders the generated blocks of
 EXPERIMENTS.md and README.md from it.  Prints one line per claim.
 
-Each figure's run is one job of :mod:`repro.exec`: ``--jobs N`` runs
-figures side by side in worker processes, and ``--cache-dir DIR``
-memoizes finished figure runs, so an interrupted pass, re-run, executes
-only what never finished (a cache serves only the code that filled
-it); a run that fails aborts the pass, so no record is partial.
+All figures run in one :mod:`repro.exec` pass: a job per flow of the
+stationary sweep and per other figure run.  ``--jobs N`` runs them in
+worker processes; ``--cache-dir DIR`` memoizes finished jobs, so an
+interrupted pass, re-run, executes only what never finished (a cache
+serves only the code that filled it).  A failed job aborts the pass.
 
 Run:  PYTHONPATH=src python scripts/record_experiments.py --jobs 2
 """
@@ -31,7 +31,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--jobs", type=int,
                         default=min(os.cpu_count() or 1, 8),
-                        help="worker processes, one figure run each "
+                        help="worker processes, one job each "
                              "(default: one per CPU, capped at 8)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed result cache directory")

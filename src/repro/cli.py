@@ -25,10 +25,10 @@ Commands
 ``list``       list schemes, experiments and metro scenario sets
 
 Multi-run commands (``experiment``, ``sweep``, ``metro``) accept
-``--jobs N`` to fan simulations out over worker processes and
-``--cache-dir`` to memoize completed runs on disk (see
-:mod:`repro.exec`).  The long sweeps (``sweep``, ``metro``) are
-additionally *supervised*:
+``--jobs N`` to fan flows out over worker processes (``experiment``:
+the sweep's, for table1/fig12/fig15) and ``--cache-dir`` to memoize
+completed runs on disk (see :mod:`repro.exec`).  The long sweeps
+(``sweep``, ``metro``) are additionally *supervised*:
 ``--timeout`` enforces a concurrent per-job deadline, ``--retries``
 re-submits crashed/timed-out jobs with jittered backoff, failures are
 isolated as structured records instead of aborting (``--strict`` to

@@ -19,8 +19,8 @@ package is the backbone that exploits both properties:
   failures as :class:`JobFailure` records, and drains cleanly on
   SIGINT/SIGTERM (:class:`SweepInterrupted`).
 
-The stationary sweep, the claims registry (a job per figure run), the
-benchmark suite and ``python -m repro sweep`` all submit through here.
+The stationary sweep, the claims registry, the benchmark suite and
+``python -m repro sweep`` all submit through here.
 """
 
 from ..harness.serialize import canonical_json

@@ -33,6 +33,7 @@ import numpy as np
 from ..exec import is_failure, make_runner
 from . import experiments as exp
 from .experiments.policy import run_fairness_policy
+from .experiments.sweep import sweep_jobs, sweep_result
 from .experiments.table1 import PAPER_TABLE1
 from .metrics import jain_index
 from .serialize import code_id, fingerprint_of
@@ -378,12 +379,25 @@ def claims():
             for claim in figure.claims]
 
 
+def measure(figure: Figure, scale: str, result) -> dict:
+    """Every claim of the figures sharing ``figure``'s run at ``scale``
+    measured on its ``result``, plus Table 1's rows for the sweep."""
+    run = figure.driver, getattr(figure, scale)
+    payload = {"measured": {
+        claim.id: claim.measure(result) for f in FIGURES
+        if (f.driver, getattr(f, scale)) == run for claim in f.claims}}
+    if isinstance(result, exp.SweepResult):
+        payload["table1"] = [
+            {**asdict(r), "paper": list(r.paper)}
+            for r in exp.table1_from_sweep(result).rows]
+    return payload
+
+
 @dataclass(frozen=True)
 class Run:
     """A figure's driver run at ``scale``: one job of the runner.  It
-    fingerprints the driver and its arguments (figures that share a run
-    share the job) and measures all of their claims; a flow the sweep
-    lost fails the job, so no measured value is partial."""
+    fingerprints the driver and its arguments, so figures that share a
+    run share the job, and its payload is :func:`measure`'s."""
 
     figure: str
     scale: str
@@ -399,23 +413,14 @@ class Run:
 
     def execute(self) -> dict:
         figure = by_name(self.figure)
-        result = figure.driver(**getattr(figure, self.scale))
-        for failure in getattr(result, "failures", ()):
-            raise RuntimeError(failure.summary())
-        payload = {"measured": {
-            claim.id: claim.measure(result) for f in FIGURES
-            if Run(f.name, self.scale).to_dict() == self.to_dict()
-            for claim in f.claims}}
-        if isinstance(result, exp.SweepResult):
-            payload["table1"] = [
-                {**asdict(r), "paper": list(r.paper)}
-                for r in exp.table1_from_sweep(result).rows]
-        return payload
+        return measure(figure, self.scale,
+                       figure.driver(**getattr(figure, self.scale)))
 
 
 class Runs:
-    """Each figure's :class:`Run` at ``scale`` through ``runner``, at
-    most once; ``payloads`` maps a figure's name to its payload."""
+    """Each figure's run at ``scale`` through ``runner``, at most once;
+    ``payloads`` maps a figure's name to its payload.  The sweep runs as
+    its flows, which a pool fans out and a cache keeps one by one."""
 
     def __init__(self, scale: str = "reduced", runner=None):
         self.scale, self.runner = scale, runner or make_runner()
@@ -423,15 +428,23 @@ class Runs:
 
     def run(self, figures) -> None:
         """Run the figures not run yet in one runner pass, which runs a
-        shared run once; a failed run raises, naming its figure."""
-        todo = [f.name for f in figures if f.name not in self.payloads]
+        shared job once; a failed job raises, naming its figure."""
+        todo = [f for f in figures if f.name not in self.payloads]
         if not todo:
             return
-        payloads = self.runner.run([Run(name, self.scale) for name in todo])
-        for name, payload in zip(todo, payloads):
-            if is_failure(payload):
-                raise RuntimeError(f"figure {name}: {payload.summary()}")
-            self.payloads[name] = payload
+        jobs = [sweep_jobs(**getattr(f, self.scale))
+                if f.driver is exp.run_stationary_sweep
+                else [Run(f.name, self.scale)] for f in todo]
+        payloads = iter(self.runner.run([j for js in jobs for j in js]))
+        for figure, js in zip(todo, jobs):
+            done = [next(payloads) for _ in js]
+            failure = next(filter(is_failure, done), None)
+            if failure is not None:
+                raise RuntimeError(
+                    f"figure {figure.name}: {failure.summary()}")
+            self.payloads[figure.name] = (
+                measure(figure, self.scale, sweep_result(js, done))
+                if figure.driver is exp.run_stationary_sweep else done[0])
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,8 @@
-"""The §6.3.1 stationary-location sweep.
-
-Runs every requested scheme over every location of the 40-location
-grid (or a subset — the full sweep is hundreds of flow-seconds of
-simulation).  Table 1, Figure 12 and Figure 15 are all reductions of
-this one sweep's results (the claims registry,
-:mod:`repro.harness.claims`, holds them).  Each (location, scheme) run
-is one job of a :class:`repro.exec.ParallelRunner`.
+"""The §6.3.1 stationary-location sweep: every requested scheme over
+the 40-location grid or its first locations, one
+:class:`repro.exec.ParallelRunner` job per (location, scheme) run.
+Table 1, Figure 12 and Figure 15 reduce its result
+(:mod:`repro.harness.claims`).
 """
 
 from __future__ import annotations
@@ -96,24 +93,20 @@ def run_stationary_sweep(schemes: tuple[str, ...] = ("pbe", "bbr"),
                          runner=None) -> SweepResult:
     """Run ``schemes`` over a busy/idle location grid.
 
-    ``n_busy=25, n_idle=15`` reproduces the paper's full 40-location
-    grid; smaller values subsample it proportionally (benchmarks use a
-    reduced grid by default to keep runtimes sane).
-
-    ``runner`` (default: ``make_runner()``, inline and uncached) sets
-    parallelism, result caching and supervision (deadline, retries,
-    ``strict``, failure budget), and keeps the telemetry; see
-    :func:`repro.exec.make_runner`.  Failed jobs land in ``.failures`` as
-    :class:`repro.exec.JobFailure` records; with a cache an
-    interrupted run, re-run, recomputes only what never finished.
+    ``n_busy=25, n_idle=15`` is the paper's full 40-location grid;
+    smaller values take its first locations.  ``runner`` (default:
+    ``make_runner()``, inline and uncached) sets parallelism, caching
+    and supervision (:func:`repro.exec.make_runner`).  Failed jobs land
+    in ``.failures`` as :class:`repro.exec.JobFailure` records.
     """
     job_list = sweep_jobs(schemes, n_busy=n_busy, n_idle=n_idle,
                           duration_s=duration_s, base_seed=base_seed)
-    payloads = (runner or make_runner()).run(job_list)
-    result = SweepResult()
-    for job, payload in zip(job_list, payloads):
-        if is_failure(payload):
-            result.failures.append(payload)
-        else:
-            result.entries.append(entry_from_payload(job, payload))
-    return result
+    return sweep_result(job_list, (runner or make_runner()).run(job_list))
+
+
+def sweep_result(jobs: list[Job], payloads: list) -> SweepResult:
+    """The sweep of ``jobs`` (:func:`sweep_jobs`) from their payloads."""
+    return SweepResult(
+        [entry_from_payload(job, payload)
+         for job, payload in zip(jobs, payloads) if not is_failure(payload)],
+        list(filter(is_failure, payloads)))

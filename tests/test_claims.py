@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import re
-from dataclasses import replace
+import signal
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.exec import make_runner
+from repro.exec import Job, SweepInterrupted, make_runner
 from repro.harness import claims
 from repro.harness import experiments as exp
 from repro.harness.experiments import SweepEntry, SweepResult
 from repro.harness.metrics import FlowSummary
+from repro.harness.serialize import summary_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "results" / "paper.json"
@@ -131,49 +133,67 @@ def test_fig12_and_fig15_reduce_the_sweep_itself():
     assert _measure("fig15", sweep)["fig15.copa.ca_share"] == 1 / 2
 
 
-def _replace_sweep(monkeypatch, driver):
-    """Run ``driver`` where the registry runs the stationary sweep."""
-    monkeypatch.setattr(claims, "FIGURES", tuple(
-        replace(f, driver=driver)
-        if f.driver is exp.run_stationary_sweep else f
-        for f in claims.FIGURES))
+def _fake_flows(monkeypatch, row):
+    """Run the registry's sweep on hand-built flows: ``row(scheme,
+    busy)`` gives a flow's ``(tput Mbit/s, p95 ms, avg ms, CA
+    activations)``.  The returned list collects the flows run."""
+    flows = []
+
+    def execute(job):
+        flows.append(job)
+        tput, p95, avg, ca = row(job.scheme, job.scenario.busy)
+        return {"summary": summary_to_dict(FlowSummary(
+                    job.scheme, tput * 1e6, {}, avg, avg, p95, {}, 1)),
+                "ca_activations": ca, "state_fractions": None}
+    monkeypatch.setattr(Job, "execute", execute)
+    return flows
 
 
 def test_one_pass_runs_the_shared_sweep_once(monkeypatch):
-    rows = [(s, loc, busy, 10, 10, 10, 2, 1)
-            for s in ("pbe", "bbr", "cubic", "verus", "copa")
-            for loc, busy in (("a", True), ("b", False))]
-    sweeps = []
-    _replace_sweep(monkeypatch, lambda **kwargs: sweeps.append(kwargs)
-                   or _sweep(rows))
+    flows = _fake_flows(monkeypatch, lambda scheme, busy: (10, 10, 10, 1))
     runner, passes = make_runner(), []
     monkeypatch.setattr(runner, "run",
                         lambda jobs, run=runner.run: passes.append(
-                            [job.label for job in jobs]) or run(jobs))
+                            len(jobs)) or run(jobs))
     runs = claims.Runs("reduced", runner)
     figures = [claims.by_name(n) for n in ("table1", "fig12", "fig15")]
     runs.run(figures)
-    assert passes == [["table1", "fig12", "fig15"]]
-    assert sweeps == [claims.by_name("table1").reduced]
-    assert runner.stats.executed == 1 and runner.stats.deduplicated == 2
+    sweep = exp.sweep_jobs(**figures[0].reduced)
+    assert passes == [3 * len(sweep)]
+    assert [job.label for job in flows] == [job.label for job in sweep]
+    assert runner.stats.executed == len(sweep)
+    assert runner.stats.deduplicated == 2 * len(sweep)
     # the entries read the pass: nothing runs again
     assert [e["measured"] for e in claims.entries(runs, figures[2])] == \
         [1.0] * len(figures[2].claims)
-    assert len(passes) == 1 and len(sweeps) == 1
+    assert len(passes) == 1 and len(flows) == len(sweep)
     # Table 1's rows ship in the shape record() writes
     table1 = runs.payloads["table1"]["table1"]
     assert table1 and all(set(row) == set(load_record(RECORD)["table1"][0])
                           for row in table1)
 
 
+def test_an_interrupt_stops_the_pass_at_the_first_run(monkeypatch):
+    # Ctrl-C during an inline pass ends it once the running job is
+    # done: the next figure never starts.
+    ran = []
+
+    def execute(run):
+        ran.append(run.figure)
+        os.kill(os.getpid(), signal.SIGINT)
+        return {"measured": {}}
+    monkeypatch.setattr(claims.Run, "execute", execute)
+    runs = claims.Runs("reduced", make_runner())
+    with pytest.raises(SweepInterrupted):
+        runs.run([claims.by_name("fig02"), claims.by_name("fig05")])
+    assert ran == ["fig02"] and not runs.payloads
+
+
 def test_experiment_prints_known_misses_as_xfail(capsys, monkeypatch):
-    rows = []
-    for location, busy, copa_p95 in (("busy", True, 12), ("idle", False, 8)):
-        rows += [("pbe", location, busy, 10, 10, 10, 1, 0),
-                 ("bbr", location, busy, 10, 20, 20, 1, 0),
-                 ("verus", location, busy, 10, 30, 30, 1, 0),
-                 ("copa", location, busy, 5, copa_p95, copa_p95, 1, 0)]
-    _replace_sweep(monkeypatch, lambda **kwargs: _sweep(rows))
+    flows = {"pbe": (10, 10, 10), "bbr": (10, 20, 20),
+             "cubic": (10, 20, 20), "verus": (10, 30, 30)}
+    _fake_flows(monkeypatch, lambda scheme, busy: (
+        *flows.get(scheme, (5,) + (12 if busy else 8,) * 2), 0))
     assert main(["experiment", "table1"]) == 0
     verdicts = {line.split()[0]: line.split()[-1]
                 for line in capsys.readouterr().out.splitlines()}
