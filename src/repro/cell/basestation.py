@@ -39,11 +39,7 @@ from ..phy.mcs import bits_per_prb, bits_per_prb_block, sinr_to_mcs_block
 from .ca_manager import CaPolicy, CarrierAggregationManager
 from .control_traffic import ControlTrafficGenerator
 from .queues import PROTOCOL_OVERHEAD, DownlinkQueue, TransportBlock
-from .scheduler import (
-    DemandEntry,
-    ProportionalFairState,
-    allocate_prbs,
-)
+from .scheduler import DemandEntry, allocate_prbs
 from .ue import UserEquipment
 
 #: SINR above which a UE uses its full spatial-stream count.
@@ -304,10 +300,6 @@ class CellularNetwork:
             cell_id: ControlTrafficGenerator(
                 rate_for(cell_id), seed=seed + 17 * cell_id)
             for cell_id in self.carriers}
-        self._pf: dict[int, ProportionalFairState] = {}
-        if scheduler_policy == "proportional_fair":
-            self._pf = {cell_id: ProportionalFairState()
-                        for cell_id in self.carriers}
         self._started = False
         #: Users configured (not merely active) per cell; a cell with
         #: no configured users and no monitors is unobservable.
@@ -614,8 +606,7 @@ class CellularNetwork:
 
         The one place that decides which cells tick and who is on them.
         A cell on which nothing can be observed (no monitor, no
-        configured user, no HARQ in flight, no PF bookkeeping with
-        amortized eviction) is left out and stamped in
+        configured user, no HARQ in flight) is left out and stamped in
         ``_dormant_since``, deferring its control-traffic RNG draws until
         ``_catch_up_control``.  Only a cell kept live by HARQ alone can
         go dormant without an invalidating call — when its last
@@ -626,8 +617,7 @@ class CellularNetwork:
         retx_only = False
         for cell_id, total_prbs in self._prbs_by_cell.items():
             if (not self._monitors[cell_id]
-                    and self._cell_user_count[cell_id] == 0
-                    and cell_id not in self._pf):
+                    and self._cell_user_count[cell_id] == 0):
                 if self._cell_retx_count[cell_id] == 0:
                     self._dormant_since.setdefault(cell_id, subframe)
                     continue
@@ -703,19 +693,16 @@ class CellularNetwork:
 
         # 3. Equal-share allocation over backlogged data users.
         demands = []
-        roster = self._cell_roster[cell_id]
-        for user in roster:
+        for user in self._cell_roster[cell_id]:
             queue = user.queue
             if not queue._packets or subframe < user.suspended_until:
                 continue
             demands.append(DemandEntry(user.rnti, queue.backlog_bits,
                                        user.rate_now))
-        pf = self._pf.get(cell_id)
         grants = allocate_prbs(available, demands, subframe,
-                               self.scheduler_policy, pf)
+                               self.scheduler_policy)
 
         # 4. Transport-block assembly and transmission.
-        served_bits: dict[int, int] = {}
         users = self._users
         transmit = self._transmit
         for rnti, n_prbs in grants.items():
@@ -730,14 +717,10 @@ class CellularNetwork:
             pulled = user.queue.pull(int(tb.bits * _PAYLOAD_SHARE), tb)
             if pulled:
                 tb.bits = int(pulled / _PAYLOAD_SHARE)
-            served_bits[rnti] = tb.bits
             transmit(_HarqState(tb, user.ber_now), subframe, messages,
                      used_by_user)
             if user.allocated_history is not None:
                 user.allocated_history.append((subframe, cell_id, n_prbs))
-
-        if pf is not None:
-            pf.record(served_bits, {u.rnti for u in roster})
 
         # 5. Publish the decoded control channel.
         if callbacks:

@@ -50,92 +50,28 @@ class DemandEntry:
 #: observed commercial behaviour); ``equal_rate`` weights shares
 #: inversely to each user's physical rate so everyone gets similar
 #: *throughput* (the §7 example: "active users with lower physical
-#: data rate grab larger bandwidth"); ``proportional_fair`` weights by
-#: instantaneous rate over served-throughput EWMA (the textbook PF
-#: scheduler), which needs the per-cell state in
-#: :class:`ProportionalFairState`.
-POLICIES = ("equal", "equal_rate", "proportional_fair")
-
-
-class ProportionalFairState:
-    """Per-cell served-throughput averages for the PF policy.
-
-    The classic PF metric prioritizes ``r_i(t) / T_i(t)`` — each user's
-    current achievable rate over an exponentially averaged history of
-    served throughput — so users on channel upswings get scheduled and
-    long-starved users age upward in priority.
-
-    State is bounded: an RNTI that stays absent from ``known_rntis``
-    for a full time constant is evicted, so day-long runs with user
-    churn (Fig. 11's diurnal traces) do not grow without bound.  An
-    evicted user that later returns starts over at the never-served
-    priority, which is also what a real scheduler would do after the
-    RNTI is released.
-    """
-
-    def __init__(self, time_constant_subframes: int = 100) -> None:
-        if time_constant_subframes < 1:
-            raise ValueError("time constant must be positive")
-        self.time_constant = time_constant_subframes
-        #: rnti -> served-throughput EWMA, bits per subframe.
-        self._throughput: dict[int, float] = {}
-        #: rnti -> index of the last record() that saw it attached.
-        self._seen_at: dict[int, int] = {}
-        self._records = 0
-
-    def weight(self, demand: "DemandEntry") -> float:
-        served = self._throughput.get(demand.rnti, 0.0)
-        if served <= 0.0:
-            return 1.0  # never served: highest relative priority
-        return demand.bits_per_prb / served
-
-    def record(self, served_bits: dict[int, int],
-               known_rntis: set[int]) -> None:
-        """Fold one subframe's served bits into the averages."""
-        alpha = 1.0 / self.time_constant
-        self._records += 1
-        now = self._records
-        throughput = self._throughput
-        seen_at = self._seen_at
-        for rnti in known_rntis | set(served_bits):
-            old = throughput.get(rnti, 0.0)
-            throughput[rnti] = ((1 - alpha) * old
-                                + alpha * served_bits.get(rnti, 0))
-            seen_at[rnti] = now
-        # Amortized eviction sweep: once per time constant, drop every
-        # RNTI that has been detached for at least a full time constant.
-        if now % self.time_constant == 0 and len(seen_at) > len(known_rntis):
-            cutoff = now - self.time_constant
-            for rnti in [r for r, last in seen_at.items()
-                         if last <= cutoff]:
-                del seen_at[rnti]
-                del throughput[rnti]
+#: data rate grab larger bandwidth").
+POLICIES = ("equal", "equal_rate")
 
 
 def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
                   rotation: int = 0,
-                  policy: str = "equal",
-                  pf_state: "ProportionalFairState | None" = None)\
-        -> dict[int, int]:
+                  policy: str = "equal") -> dict[int, int]:
     """Water-filling weighted-share PRB allocation.
 
     Returns ``{rnti: n_prbs}`` for users receiving a non-zero grant.
     ``rotation`` rotates which users receive the integer-division
     remainder so per-subframe rounding does not bias long-run shares
-    (callers pass the subframe index).  ``proportional_fair`` requires
-    ``pf_state``.
+    (callers pass the subframe index).
     """
     if available_prbs < 0:
         raise ValueError("available PRBs must be non-negative")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-    if policy == "proportional_fair" and pf_state is None:
-        raise ValueError("proportional_fair needs a pf_state")
     grants: dict[int, int] = {}
     # Materialize per-user demand (here, DemandEntry.demand_prbs
     # inlined) and weight (below) once: both are pure functions of the
-    # entry (and the frozen pf_state), and recomputing them per round
-    # was the dominant cost here.
+    # entry, and recomputing them per round was the dominant cost here.
     pending: list[DemandEntry] = []
     demand_prbs: list[int] = []
     for d in demands:
@@ -158,8 +94,6 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     # the one float ``remaining * 1.0 / n``, computed once per round.
     if policy == "equal":
         weights = None
-    elif policy == "proportional_fair":
-        weights = [max(1e-9, pf_state.weight(d)) for d in pending]
     else:  # equal_rate: share inversely proportional to per-PRB rate.
         weights = [1.0 / max(1, d.bits_per_prb) for d in pending]
 

@@ -9,31 +9,26 @@ Commands
                print a line per claim
 ``sweep``      the §6.3.1 stationary sweep, parallel and cacheable,
                at any size
-``metro``      metro-scale scenario engine: hundreds of cells with
-               diurnal populations, walker handover churn and
-               coexistence fleets; writes the per-cell fairness/
-               capacity matrix (``--smoke`` for the CI-sized set)
 ``fleet``      distributed sweep fabric: ``fleet worker`` joins a
                shared-directory worker fleet (leases, heartbeats,
                crash reclamation) from any host that shares the
-               directory, ``fleet status`` observes one; ``sweep`` and
-               ``metro`` drive their jobs through a fleet with
-               ``--fleet-dir`` (``--chaos FILE`` arms a seeded fault
-               plan)
+               directory, ``fleet status`` observes one; ``sweep``
+               drives its jobs through a fleet with ``--fleet-dir``
+               (``--chaos FILE`` arms a seeded fault plan)
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
-``list``       list schemes, experiments and metro scenario sets
+``list``       list schemes and experiments
 
-Multi-run commands (``experiment``, ``sweep``, ``metro``) accept
-``--jobs N`` to fan flows out over worker processes (``experiment``:
-the sweep's, for table1/fig12/fig15) and ``--cache-dir`` to memoize
-completed runs on disk (see :mod:`repro.exec`).  The long sweeps
-(``sweep``, ``metro``) are additionally *supervised*:
-``--timeout`` enforces a concurrent per-job deadline, ``--retries``
-re-submits crashed/timed-out jobs with jittered backoff, failures are
-isolated as structured records instead of aborting (``--strict`` to
-abort on the first failure, ``--failure-budget PCT`` to abort once
-more than PCT%% of jobs fail), and Ctrl-C drains in-flight work.
+Multi-run commands (``experiment``, ``sweep``) accept ``--jobs N`` to
+fan flows out over worker processes (``experiment``: the sweep's, for
+table1/fig12/fig15) and ``--cache-dir`` to memoize completed runs on
+disk (see :mod:`repro.exec`).  The long ``sweep`` is additionally
+*supervised*: ``--timeout`` enforces a concurrent per-job deadline,
+``--retries`` re-submits crashed/timed-out jobs with jittered backoff,
+failures are isolated as structured records instead of aborting
+(``--strict`` to abort on the first failure, ``--failure-budget PCT``
+to abort once more than PCT%% of jobs fail), and Ctrl-C drains
+in-flight work.
 The result cache is the only record of a finished job, so re-running
 the same command *is* the resume: finished jobs are cache hits, and
 failed or interrupted jobs (never cached) run again from the start.
@@ -46,15 +41,10 @@ Examples
     python -m repro experiment table1 --jobs 4
     python -m repro sweep --schemes pbe,bbr --busy 8 --idle 5 \\
         --jobs 8 --cache-dir .repro-cache
-    python -m repro metro --smoke --out metro_matrix.json
-    python -m repro metro --set metro-240 --jobs 8 \\
-        --cache-dir .repro-cache
     python -m repro cache verify --cache-dir .repro-cache
     python -m repro sweep --fleet-dir /shared/fleet --fleet-workers 4 \\
         --cache-dir .repro-cache
     python -m repro fleet worker --dir /shared/fleet   # on any host
-    python -m repro metro --smoke --fleet-dir /tmp/fleet \\
-        --fleet-workers 2
 """
 
 from __future__ import annotations
@@ -144,9 +134,8 @@ def _fleet_backend(args: argparse.Namespace):
 def _run_supervised(args: argparse.Namespace, drive, render) -> int:
     """Run ``drive(runner)`` supervised, ``render`` what it returns.
 
-    Builds the supervised runner for the long sweep commands (through
-    a worker fleet when the command has ``--fleet-dir`` set) and maps
-    its aborts to exit codes: a drained SIGINT/SIGTERM → 130, a
+    Builds the supervised runner for ``repro sweep`` (through a worker
+    fleet when ``--fleet-dir`` is set) and maps its aborts to exit codes: a drained SIGINT/SIGTERM → 130, a
     tripped failure budget → 3, any isolated job failure → 1.
     """
     from .exec import FailureBudgetExceeded, SweepInterrupted
@@ -266,39 +255,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metro(args: argparse.Namespace) -> int:
-    """``repro metro``: the metro-scale fairness/capacity matrix."""
-    from .harness.serialize import write_json_atomic
-    from .metro import format_summary, resolve_set, run_metro
-    mset = resolve_set("smoke" if args.smoke else args.set)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-        overrides["grid"] = {"seed": args.seed}
-    if args.cells is not None:
-        overrides.setdefault("grid", {})["n_cells"] = args.cells
-    if args.hours is not None:
-        overrides["hours"] = tuple(
-            int(h) for h in args.hours.split(",") if h.strip())
-    if args.hour_s is not None:
-        overrides["hour_s"] = args.hour_s
-    if args.shard_cells is not None:
-        overrides["shard_cells"] = args.shard_cells
-    if args.walkers is not None:
-        overrides["walkers_per_shard"] = args.walkers
-    if overrides:
-        mset = mset.with_overrides(**overrides)
-
-    def render(result) -> None:
-        print(format_summary(result.matrix))
-        write_json_atomic(result.matrix, args.out)
-        print(f"wrote matrix ({len(result.matrix['cells'])} cells) to "
-              f"{args.out}", file=sys.stderr)
-
-    return _run_supervised(
-        args, lambda runner: run_metro(mset, runner=runner), render)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache verify|gc``: audit/repair the result store."""
     from .exec import ResultStore
@@ -318,14 +274,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    """``repro list``: schemes, experiments and metro scenario sets."""
-    from .metro import metro_scenario_sets
+    """``repro list``: schemes and experiments."""
     print("schemes:     " + ", ".join(sorted(SCHEMES)))
     print("experiments: " + ", ".join(f.name for f in claims.FIGURES))
-    print("metro sets:")
-    for name, mset in sorted(metro_scenario_sets().items()):
-        print(f"  {name:<14} {mset.grid.n_cells} cells — "
-              f"{mset.description}")
     return 0
 
 
@@ -436,43 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_metro = sub.add_parser(
-        "metro", help="metro-scale scenario engine: run a named set "
-                      "and write the per-cell fairness matrix")
-    p_metro.add_argument("--set", default="metro-240",
-                         help="scenario set name (see `repro list`; "
-                              "default metro-240)")
-    p_metro.add_argument("--smoke", action="store_true",
-                         help="CI-sized run (the 'smoke' set)")
-    p_metro.add_argument("--seed", type=int, default=None,
-                         help="override the set's seed (grid layout, "
-                              "populations, mobility, fleets)")
-    p_metro.add_argument("--cells", type=int, default=None,
-                         help="override the grid's carrier count")
-    p_metro.add_argument("--hours", default=None,
-                         help="comma-separated hours of day to "
-                              "simulate (e.g. 3,9,14,21)")
-    p_metro.add_argument("--hour-s", type=float, default=None,
-                         metavar="S",
-                         help="simulated seconds per diurnal hour")
-    p_metro.add_argument("--shard-cells", type=int, default=None,
-                         help="target cells per exec shard")
-    p_metro.add_argument("--walkers", type=int, default=None,
-                         help="override walkers per shard")
-    p_metro.add_argument("--out", default="metro_matrix.json",
-                         metavar="FILE",
-                         help="matrix output path "
-                              "(default metro_matrix.json)")
-    _add_exec_options(p_metro)
-    _add_supervision_options(p_metro)
-    _add_fleet_options(p_metro)
-    p_metro.set_defaults(func=cmd_metro)
-
     p_fleet = sub.add_parser(
         "fleet", help="distributed sweep fabric: join or observe a "
                       "shared-directory worker fleet (drive one "
-                      "with `sweep --fleet-dir` / `metro "
-                      "--fleet-dir`)")
+                      "with `sweep --fleet-dir`)")
     fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
 
     p_fw = fleet_sub.add_parser(

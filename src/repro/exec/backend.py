@@ -26,8 +26,7 @@ Because fleet workers receive jobs through a directory instead of a
 pickle stream, jobs cross the wire as JSON (:func:`job_to_wire` /
 :func:`job_from_wire`).  Any job type used with a fleet must have a
 registered reconstructor; the built-in kinds are the single-flow
-:class:`repro.exec.Job`, the :class:`repro.metro.MetroShardJob` and
-the fabric-testing :class:`ProbeJob`.
+:class:`repro.exec.Job` and the fabric-testing :class:`ProbeJob`.
 """
 
 from __future__ import annotations
@@ -209,16 +208,10 @@ def _flow_job_from_spec(spec: dict) -> Job:
                spec_overrides=dict(spec.get("spec_overrides", {})))
 
 
-def _metro_shard_from_spec(spec: dict):
-    from ..metro.shard import MetroShardJob
-    return MetroShardJob(params=spec["params"])
-
-
 #: kind -> reconstructor(spec_dict) -> job: every job kind a fleet
 #: worker can rebuild.
 _JOB_KINDS: Dict[str, Callable[[dict], object]] = {
     "flow": _flow_job_from_spec,
-    "metro-shard": _metro_shard_from_spec,
     "probe": lambda spec: ProbeJob(params=spec["params"]),
 }
 
@@ -229,8 +222,7 @@ def wire_kind_of(job) -> Optional[str]:
         return "flow"
     if isinstance(job, ProbeJob):
         return "probe"
-    kind = job.to_dict().get("kind") if hasattr(job, "to_dict") else None
-    return kind if kind in _JOB_KINDS else None
+    return None
 
 
 def job_to_wire(job) -> dict:

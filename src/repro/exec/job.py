@@ -66,10 +66,9 @@ class Job:
         """Run the job and return a JSON-serializable payload.
 
         The execution subsystem dispatches through this method, so job
-        types other than the single-flow simulation (e.g.
-        :class:`repro.metro.MetroShardJob` and the claims registry's
-        :class:`repro.harness.claims.Run`) plug into the same
-        supervised runner and cache.
+        types other than the single-flow simulation (e.g. the claims
+        registry's :class:`repro.harness.claims.Run`) plug into the
+        same supervised runner and cache.
         """
         result = run_flow(self.scenario, self.scheme,
                           dict(self.spec_overrides))

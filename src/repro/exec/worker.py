@@ -53,8 +53,8 @@ def execute_job(job: Job) -> dict:
     """Run one job to completion and return its result payload.
 
     Dispatches through ``job.execute()`` (any fingerprinted job type —
-    single-flow :class:`Job`, metro shards — runs through the same
-    pool), then round-trips the payload through JSON so that fresh
+    single-flow :class:`Job`, a claims-registry run — runs through the
+    same pool), then round-trips the payload through JSON so that fresh
     results are byte-identical to cache-loaded ones (string dictionary
     keys, JSON float formatting) regardless of where they were
     produced.

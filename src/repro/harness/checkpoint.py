@@ -64,7 +64,6 @@ from ..cell.basestation import (
 from ..cell.ca_manager import CarrierAggregationManager, _UserCaState
 from ..cell.control_traffic import ControlBurst, ControlTrafficGenerator
 from ..cell.queues import DownlinkQueue, TransportBlock
-from ..cell.scheduler import ProportionalFairState
 from ..cell.ue import UserEquipment
 from ..core.client import PbeClient
 from ..core.feedback import PbeFeedback
@@ -140,7 +139,7 @@ _STATE = (
     CellularNetwork, _User, _Ingress, _HarqState, UserEquipment,
     DownlinkQueue, ReorderingBuffer, AggregationState,
     ControlTrafficGenerator, ControlBurst,
-    ProportionalFairState, CarrierAggregationManager, _UserCaState,
+    CarrierAggregationManager, _UserCaState,
     # channels and demand
     StaticChannel, GaussMarkovChannel, TraceChannel,
     ScheduledDemand, OnOffRandomDemand,

@@ -427,24 +427,33 @@ class Runs:
         self.payloads: dict = {}
 
     def run(self, figures) -> None:
-        """Run the figures not run yet in one runner pass, which runs a
-        shared job once; a failed job raises, naming its figure."""
-        todo = [f for f in figures if f.name not in self.payloads]
-        if not todo:
+        """Run the figures not run yet in one runner pass.  Figures that
+        share a run (its :class:`Run` fingerprint) submit its jobs once
+        and all get its payload; a failed job raises, naming them."""
+        groups: dict = {}
+        for f in figures:
+            if f.name not in self.payloads:
+                groups.setdefault(Run(f.name, self.scale).fingerprint(),
+                                  []).append(f)
+        if not groups:
             return
-        jobs = [sweep_jobs(**getattr(f, self.scale))
-                if f.driver is exp.run_stationary_sweep
-                else [Run(f.name, self.scale)] for f in todo]
+        jobs = [sweep_jobs(**getattr(fs[0], self.scale))
+                if fs[0].driver is exp.run_stationary_sweep
+                else [Run(fs[0].name, self.scale)]
+                for fs in groups.values()]
         payloads = iter(self.runner.run([j for js in jobs for j in js]))
-        for figure, js in zip(todo, jobs):
+        for fs, js in zip(groups.values(), jobs):
             done = [next(payloads) for _ in js]
             failure = next(filter(is_failure, done), None)
             if failure is not None:
                 raise RuntimeError(
-                    f"figure {figure.name}: {failure.summary()}")
-            self.payloads[figure.name] = (
-                measure(figure, self.scale, sweep_result(js, done))
-                if figure.driver is exp.run_stationary_sweep else done[0])
+                    f"figure {'/'.join(f.name for f in fs)}: "
+                    f"{failure.summary()}")
+            payload = (measure(fs[0], self.scale, sweep_result(js, done))
+                       if fs[0].driver is exp.run_stationary_sweep
+                       else done[0])
+            for f in fs:
+                self.payloads[f.name] = payload
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,7 @@ def jain_index(values: Sequence[float]) -> float:
 
     Two degenerate inputs get defined values instead of a
     ZeroDivisionError: an empty sequence and all-zero throughputs both
-    return 1.0 (no flow is disadvantaged relative to any other — the
-    metro matrix reports these for cells that carry no test flows).
+    return 1.0 (no flow is disadvantaged relative to any other).
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:

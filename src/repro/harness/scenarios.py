@@ -81,8 +81,7 @@ class Scenario:
     #: batches at this interval (sender-side ACK compression, §2).
     uplink_batch_us: int = 5_000
     internet_queue_packets: int = 1000
-    #: Base-station PRB fairness policy (§7): "equal", "equal_rate"
-    #: or "proportional_fair".
+    #: Base-station PRB fairness policy (§7): "equal" or "equal_rate".
     scheduler_policy: str = "equal"
     #: CQI reporting delay, subframes (0 = oracle link adaptation).
     cqi_delay_subframes: int = 0

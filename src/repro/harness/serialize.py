@@ -90,8 +90,6 @@ def result_to_dict(result: FlowResult) -> dict:
     """Flatten a :class:`FlowResult` to what the sweep's readers take:
     its summary, CA activations and PBE state fractions."""
     return {
-        "scheme": result.spec.scheme,
-        "rnti": result.spec.rnti,
         "summary": summary_to_dict(result.summary),
         "ca_activations": result.ca_activations,
         "state_fractions": result.state_fractions,

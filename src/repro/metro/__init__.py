@@ -1,34 +1,26 @@
-"""Metro-scale scenario engine (ROADMAP item 1).
+"""Metro shards: one many-carrier cell group as an experiment.
 
-Generates seeded city-scale deployments — hundreds of component
-carriers with per-cell frequency/bandwidth tiers, diurnal user
-populations driven by the ``repro.traces`` activity processes,
-trajectory-driven walkers handing over between cells, and coexistence
-fleets of concurrent PBE/cubic/BBR flows on busy cells — then shards
-the grid into fingerprinted jobs for the supervised ``repro.exec``
-runner and reports a per-cell fairness/capacity matrix.
+Generates a seeded city-scale grid — component carriers with per-cell
+frequency/bandwidth tiers, diurnal user populations driven by the
+``repro.traces`` activity processes, trajectory-driven walkers handing
+over between cells, and coexistence fleets of PBE/cubic/BBR flows on
+busy cells — and wires one site-aligned shard of it into a
+:class:`repro.harness.Experiment`.  Almost every cell of a sparse
+shard is unobservable, which is what the dormant-cell catch-up of
+:class:`repro.cell.CellularNetwork` exists for.
 
-Entry points: ``python -m repro metro`` (CLI), :func:`run_metro`
-(library), :func:`metro_scenario_sets` (the named-set registry).
+Entry points: :func:`shard_jobs` (a :class:`MetroSet`'s shard plans),
+:func:`build_shard` (wire one up) and :func:`shard_fingerprint` (run
+one and digest it).
 """
 
-from .driver import (MetroRunResult, resolve_set, run_metro,
-                     shard_jobs)
-from .grid import (CARRIER_TIERS, GridSpec, MetroCell, MetroGrid,
-                   build_grid)
-from .mobility import handovers_into, walker_plan
-from .population import cell_activity, offered_counts, population_plan
-from .report import MATRIX_SCHEMA, build_matrix, format_summary
-from .sets import MetroSet, metro_scenario_sets
-from .shard import (SHARD_SCHEMA, MetroShardJob, build_shard, run_shard,
-                    shard_fingerprint)
+from .grid import GridSpec, build_grid
+from .mobility import walker_plan
+from .population import population_plan
+from .sets import MetroSet
+from .shard import build_shard, shard_fingerprint, shard_jobs
 
 __all__ = [
-    "CARRIER_TIERS", "GridSpec", "MATRIX_SCHEMA", "MetroCell",
-    "MetroGrid", "MetroRunResult", "MetroSet", "MetroShardJob",
-    "SHARD_SCHEMA", "build_grid", "build_matrix",
-    "build_shard", "cell_activity", "format_summary",
-    "handovers_into", "metro_scenario_sets", "offered_counts",
-    "population_plan", "resolve_set", "run_metro", "run_shard",
-    "shard_fingerprint", "shard_jobs", "walker_plan",
+    "GridSpec", "MetroSet", "build_grid", "build_shard",
+    "population_plan", "shard_fingerprint", "shard_jobs", "walker_plan",
 ]

@@ -10,9 +10,8 @@ fraction of their primaries become *hotspots* that carry the fairness
 fleets, while outlying quiet cells may switch off overnight like the
 paper's 10 MHz cell.
 
-Everything is a pure function of :class:`GridSpec` — the same spec
-always lays out the identical grid, which is what makes metro shard
-jobs content-fingerprintable.
+Everything is a pure function of :class:`GridSpec`: the same spec
+always lays out the identical grid.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..phy.carrier import CarrierConfig
 from ..traces.seeds import derived_seed
 
 #: (bandwidth_mhz, frequency_ghz) tiers; index 0 is the site primary.
@@ -64,9 +62,6 @@ class GridSpec:
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot fraction must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class MetroCell:
@@ -91,17 +86,6 @@ class MetroCell:
         out["off_hours"] = list(self.off_hours)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetroCell":
-        data = dict(data)
-        data["off_hours"] = tuple(data.get("off_hours", ()))
-        return cls(**data)
-
-    def carrier(self) -> CarrierConfig:
-        return CarrierConfig(cell_id=self.cell_id,
-                             bandwidth_mhz=self.bandwidth_mhz,
-                             frequency_ghz=self.frequency_ghz)
-
 
 @dataclass(frozen=True)
 class MetroGrid:
@@ -109,9 +93,6 @@ class MetroGrid:
 
     spec: GridSpec
     cells: tuple
-
-    def busy_cells(self) -> list[MetroCell]:
-        return [cell for cell in self.cells if cell.busy]
 
     def shards(self, shard_cells: int) -> list[list[MetroCell]]:
         """Partition into site-aligned shards of ~``shard_cells`` cells.
@@ -127,10 +108,6 @@ class MetroGrid:
         shards = [list(self.cells[i:i + chunk])
                   for i in range(0, len(self.cells), chunk)]
         return [shard for shard in shards if shard]
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec.to_dict(),
-                "cells": [cell.to_dict() for cell in self.cells]}
 
 
 def build_grid(spec: GridSpec) -> MetroGrid:

@@ -4,12 +4,11 @@ A *walker* is an exogenous user that roams the shard: it dwells on a
 cell for a seeded exponential holding time, then hands over to a
 neighbouring cell (same or adjacent site — metro handovers are short
 hops, not teleports).  Each handover exercises the base station's
-X2-style handover path — HARQ abandonment, scheduling interruption,
-carrier re-aggregation and, under the ``proportional_fair`` policy,
-the PF-state eviction fixed in PR 4 — at metro churn rates.
+X2-style handover path — HARQ abandonment, scheduling interruption
+and carrier re-aggregation — at metro churn rates.
 
-The plan is pure data (a pure function of its seed), so shard
-fingerprints cover mobility exactly.
+The plan is pure data (a pure function of its seed), so a shard's
+parameters determine its mobility exactly.
 """
 
 from __future__ import annotations
@@ -68,11 +67,3 @@ def walker_plan(cells: list[dict], duration_s: float, n_walkers: int,
         plans.append(plan)
     return plans
 
-
-def handovers_into(plans: list[dict]) -> dict:
-    """Count of handovers *into* each cell across all plans."""
-    counts: dict = {}
-    for plan in plans:
-        for _t, cell_id in plan["moves"]:
-            counts[cell_id] = counts.get(cell_id, 0) + 1
-    return counts

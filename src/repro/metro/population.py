@@ -2,8 +2,8 @@
 
 Each metro cell owns a :class:`repro.traces.DiurnalCellActivity`
 process seeded from the scenario seed and the cell id.  The *offered*
-hourly user counts come straight from that trace (they are what the
-matrix reports, matching the paper's Figure 11 measurement); the
+hourly user counts come straight from that trace (the paper's
+Figure 11 measurement); the
 *simulated* counts subsample them by ``users_scale`` (capped at
 ``max_users_per_cell``) so a thousand-cell grid with tens of thousands
 of offered users stays simulable, while preserving the diurnal shape
@@ -14,19 +14,6 @@ from __future__ import annotations
 
 from ..traces.cellactivity import DiurnalCellActivity
 from ..traces.seeds import derived_seed
-
-
-def cell_activity(cell: dict, seed: int) -> DiurnalCellActivity:
-    """The cell's diurnal trace process (independent per cell)."""
-    return DiurnalCellActivity(
-        peak_users_per_hour=max(1, int(cell["peak_users"])),
-        off_hours=tuple(cell.get("off_hours", ())),
-        seed=derived_seed(seed, "metro-activity", cell["cell_id"]))
-
-
-def offered_counts(cell: dict, seed: int) -> list[int]:
-    """Offered distinct users for all 24 hours of the cell's day."""
-    return cell_activity(cell, seed).hourly_user_counts()
 
 
 def population_plan(cells: list[dict], hours: list[int], seed: int,
@@ -45,7 +32,12 @@ def population_plan(cells: list[dict], hours: list[int], seed: int,
         raise ValueError("users_scale must be non-negative")
     plan = {}
     for cell in cells:
-        day = offered_counts(cell, seed)
+        # The cell's diurnal trace process (independent per cell).
+        day = DiurnalCellActivity(
+            peak_users_per_hour=max(1, int(cell["peak_users"])),
+            off_hours=tuple(cell.get("off_hours", ())),
+            seed=derived_seed(seed, "metro-activity", cell["cell_id"]),
+        ).hourly_user_counts()
         offered = [day[h] for h in hours]
         sim = [min(max_users_per_cell, round(n * users_scale))
                for n in offered]

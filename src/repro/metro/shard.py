@@ -1,18 +1,15 @@
 """One metro shard: a cell-group simulated end to end.
 
-A shard is the unit of metro execution: a site-aligned group of cells
-simulated as one :class:`repro.harness.Experiment` — diurnal
-background populations attached and detached at hour boundaries,
-walkers handing over between cells, and a PBE/cubic/BBR fairness fleet
-on every busy cell.  :class:`MetroShardJob` wraps the shard's
-parameter dictionary with a content fingerprint so shards run through
-the supervised :mod:`repro.exec` machinery (process pool, result
-cache, resume) exactly like single-flow jobs.
+A shard is a site-aligned group of cells simulated as one
+:class:`repro.harness.Experiment` — diurnal background populations
+attached and detached at hour boundaries, walkers handing over between
+cells, and a PBE/cubic/BBR fairness fleet on every busy cell.
+:func:`shard_jobs` plans a :class:`MetroSet`'s shards as parameter
+dictionaries and :func:`build_shard` wires one up.
 
 Everything the shard simulates is derived from ``params`` and the code
-alone, so the fingerprint fully keys the result (:func:`shard_fingerprint`
-digests a run for the equivalence tests against
-``tests/reference_engine.py``).
+alone (:func:`shard_fingerprint` digests a run for the equivalence
+tests against ``tests/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -21,22 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..harness.metrics import jain_index
 from ..harness.runner import Experiment, FlowSpec
 from ..harness.scenarios import (BUSY_CONTROL_ARRIVALS,
                                  IDLE_CONTROL_ARRIVALS, Scenario)
-from ..harness.serialize import fingerprint_of
 from ..net.units import us_from_seconds
 from ..phy.carrier import CarrierConfig
 from ..phy.channel import StaticChannel
 from ..traces.mobility import random_walk_trajectory
 from ..traces.seeds import derived_seed
 from ..traces.workload import OnOffRandomDemand
-from .mobility import handovers_into, walker_plan
+from .grid import build_grid
+from .mobility import walker_plan
 from .population import population_plan
-
-#: Shard result payload schema.
-SHARD_SCHEMA = "repro.metro/shard/v1"
+from .sets import MetroSet
 
 #: RNTI layout inside one shard simulation.  Fleet flows sit in the
 #: device-under-test range; background slots and walkers are far above
@@ -51,29 +45,37 @@ WALKER_RNTI_BASE = 50_000
 
 @dataclass
 class MetroShardJob:
-    """One fingerprinted cell-group job for the exec runner."""
+    """One shard's parameters, as :func:`build_shard` takes them."""
 
     params: dict
 
-    @property
-    def label(self) -> str:
-        return f"{self.params['set']}/shard{self.params['index']:02d}"
 
-    def to_dict(self) -> dict:
-        return {"kind": "metro-shard", "params": self.params}
-
-    def fingerprint(self) -> str:
-        return fingerprint_of(self.to_dict())
-
-    def execute(self) -> dict:
-        return run_shard(self.params)
+def shard_jobs(mset: MetroSet, grid=None) -> list[MetroShardJob]:
+    """The set's shards in shard order (``grid`` defaults to the
+    set's :func:`build_grid`)."""
+    grid = grid or build_grid(mset.grid)
+    jobs = []
+    for index, shard in enumerate(grid.shards(mset.shard_cells)):
+        jobs.append(MetroShardJob(params={
+            "set": mset.name,
+            "index": index,
+            "seed": mset.seed,
+            "cells": [cell.to_dict() for cell in shard],
+            "hours": list(mset.hours),
+            "hour_s": mset.hour_s,
+            "users_scale": mset.users_scale,
+            "max_users_per_cell": mset.max_users_per_cell,
+            "walkers": mset.walkers_per_shard,
+            "fleet": list(mset.fleet),
+            "scheduler_policy": mset.scheduler_policy,
+        }))
+    return jobs
 
 
 class _ShardRun:
     """A wired-up shard experiment, ready to run."""
 
     def __init__(self, params: dict) -> None:
-        self.params = params
         cells = params["cells"]
         hours = list(params["hours"])
         hour_s = float(params["hour_s"])
@@ -87,7 +89,6 @@ class _ShardRun:
         self.walkers = walker_plan(
             cells, duration_s, int(params["walkers"]),
             derived_seed(seed, "metro-walkers", index))
-        self.handovers_in = handovers_into(self.walkers)
 
         scenario = Scenario(
             name=f"{params['set']}-shard{index:02d}",
@@ -202,77 +203,6 @@ def _unit(seed: int, *scope: object) -> float:
 def build_shard(params: dict) -> _ShardRun:
     """Wire up (but do not run) one shard experiment."""
     return _ShardRun(params)
-
-
-def run_shard(params: dict) -> dict:
-    """Simulate one shard and return its JSON-ready payload.
-
-    The payload carries one row per cell — fleet flow summaries, Jain
-    index, PBE capacity-tracking error, fallback time, handover and
-    diurnal population counts — which the reporting layer merges into
-    the metro matrix.  No wall-clock values: payloads must be
-    byte-identical across runs and across cache hits.
-    """
-    shard = build_shard(params)
-    results = shard.run()
-    network = shard.experiment.network
-
-    per_cell_flows: dict = {}
-    for handle, result in zip(shard.handles, results):
-        cell_id = handle.spec.cells[0]
-        summary = result.summary
-        row = {
-            "scheme": handle.spec.scheme,
-            "throughput_mbps": summary.average_throughput_bps / 1e6,
-            "mean_delay_ms": summary.average_delay_ms,
-            "p95_delay_ms": summary.p95_delay_ms,
-        }
-        if handle.monitor is not None:
-            report = handle.monitor.report(
-                40, now_subframe=network.subframe)
-            fair_bps = report.transport_fair_share_bps
-            row["fair_share_mbps"] = fair_bps / 1e6
-            row["capacity_error"] = (
-                abs(summary.average_throughput_bps - fair_bps)
-                / fair_bps if fair_bps > 0 else None)
-            states = result.sender_states or {}
-            row["fallback_s"] = states.get("fallback", 0.0)
-        per_cell_flows.setdefault(cell_id, []).append(row)
-
-    return _assemble_payload(params, shard, per_cell_flows)
-
-
-def _assemble_payload(params: dict, shard: _ShardRun,
-                      per_cell_flows: dict) -> dict:
-    cells_out = {}
-    for cell in params["cells"]:
-        cell_id = cell["cell_id"]
-        flows = per_cell_flows.get(cell_id, [])
-        plan = shard.plan[cell_id]
-        cells_out[str(cell_id)] = {
-            "bandwidth_mhz": cell["bandwidth_mhz"],
-            "frequency_ghz": cell["frequency_ghz"],
-            "site": cell["site"],
-            "busy": cell["busy"],
-            "peak_users": cell["peak_users"],
-            "off_hours": list(cell.get("off_hours", ())),
-            "offered_users": list(plan["offered"]),
-            "sim_users": list(plan["sim"]),
-            "handovers_in": shard.handovers_in.get(cell_id, 0),
-            "flows": flows,
-            "jain_index": jain_index(
-                [f["throughput_mbps"] for f in flows]),
-        }
-    return {
-        "schema": SHARD_SCHEMA,
-        "set": params["set"],
-        "index": params["index"],
-        "hours": list(params["hours"]),
-        "hour_s": params["hour_s"],
-        "walkers": len(shard.walkers),
-        "handovers": sum(shard.handovers_in.values()),
-        "cells": cells_out,
-    }
 
 
 def shard_fingerprint(params: dict) -> str:

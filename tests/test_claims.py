@@ -159,10 +159,12 @@ def test_one_pass_runs_the_shared_sweep_once(monkeypatch):
     figures = [claims.by_name(n) for n in ("table1", "fig12", "fig15")]
     runs.run(figures)
     sweep = exp.sweep_jobs(**figures[0].reduced)
-    assert passes == [3 * len(sweep)]
+    # the three figures share one run: its flows are submitted once
+    assert passes == [len(sweep)]
     assert [job.label for job in flows] == [job.label for job in sweep]
+    assert runner.stats.total == len(sweep)
     assert runner.stats.executed == len(sweep)
-    assert runner.stats.deduplicated == 2 * len(sweep)
+    assert runner.stats.deduplicated == 0
     # the entries read the pass: nothing runs again
     assert [e["measured"] for e in claims.entries(runs, figures[2])] == \
         [1.0] * len(figures[2].claims)

@@ -21,9 +21,6 @@ CLI_INVENTORY = {
     "experiment": ["name", "--jobs", "--cache-dir"],
     "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
               "--save", *_SUPERVISION, *_FLEET],
-    "metro": ["--set", "--smoke", "--seed", "--cells", "--hours",
-              "--hour-s", "--shard-cells", "--walkers", "--out",
-              *_SUPERVISION, *_FLEET],
     "fleet": [],
     "fleet worker": ["--dir", "--id", "--ttl", "--poll", "--max-jobs"],
     "fleet status": ["--dir"],
@@ -52,7 +49,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 54
+    assert sum(len(flags) for flags in inventory.values()) == 35
 
 
 def test_parser_requires_command():
@@ -125,7 +122,7 @@ def test_run_command_compares_schemes(capsys):
                                   ["experiment", "fig11", "--duration",
                                    "1"],
                                   ["sweep", "--view", "fig15"],
-                                  ["resilience"]])
+                                  ["resilience"], ["metro"]])
 def test_removed_commands_exit_2(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -190,7 +187,7 @@ def test_bad_grid_exits_2_before_any_job(capsys, monkeypatch, argv,
     ('{"kill": 1}', "kill"),
     ("junk", "Expecting value"),
 ])
-@pytest.mark.parametrize("command", ["sweep", "metro"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_malformed_chaos_file_exits_2_naming_the_field(
         capsys, tmp_path, command, document, named):
     path = tmp_path / "chaos.json"

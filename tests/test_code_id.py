@@ -30,16 +30,13 @@ from repro.harness.checkpoint import (
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
-#: Prints the code id and one flow and one metro-shard fingerprint.
+#: Prints the code id and one flow-job fingerprint.
 PROBE = """
 from repro.exec import Job
 from repro.harness import Scenario
 from repro.harness.serialize import code_id
-from repro.metro import shard_jobs
-from repro.metro.sets import metro_scenario_sets
 print(code_id())
 print(Job(Scenario(name="c", duration_s=1.0, seed=3), "pbe").fingerprint())
-print(shard_jobs(metro_scenario_sets()["smoke"])[0].fingerprint())
 """
 
 
@@ -70,9 +67,9 @@ def test_one_comment_byte_parts_every_fingerprint(tmp_path):
     edited = _ids_of_copy(tmp_path / "edited", _flip_one_comment_byte)
     # An untouched copy elsewhere on disk is the same code ...
     assert same[0] == serialize.code_id()
-    assert len(same) == len(edited) == 3
-    # ... one comment byte is not: code id, flow-job and metro-shard
-    # fingerprints all change.
+    assert len(same) == len(edited) == 2
+    # ... one comment byte is not: code id and flow-job fingerprint
+    # both change.
     for before, after in zip(same, edited):
         assert before != after
 

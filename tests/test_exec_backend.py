@@ -81,15 +81,6 @@ def test_flow_job_wire_execution_is_byte_identical():
         == canonical_json(execute_job(job))
 
 
-def test_metro_shard_wire_round_trip_preserves_fingerprint():
-    from repro.metro import resolve_set
-    from repro.metro.driver import shard_jobs
-    job = shard_jobs(resolve_set("smoke"))[0]
-    rebuilt = job_from_wire(json_round_trip(job_to_wire(job)))
-    assert rebuilt.fingerprint() == job.fingerprint()
-    assert rebuilt.label == job.label
-
-
 def test_probe_job_wire_round_trip_and_execution():
     job = ProbeJob(params={"id": "a", "value": 3})
     rebuilt = job_from_wire(json_round_trip(job_to_wire(job)))

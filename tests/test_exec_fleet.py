@@ -194,8 +194,6 @@ def test_every_shipped_job_kind_round_trips_to_its_own_fingerprint():
     override, rebuilds from its JSON wire form to the fingerprint it was
     queued under."""
     from repro.harness.experiments.sweep import sweep_jobs
-    from repro.metro.driver import shard_jobs
-    from repro.metro.sets import metro_scenario_sets
 
     jobs = [*sweep_jobs(("pbe", "bbr", "cubic"), n_busy=2, n_idle=1,
                         duration_s=1.0),
@@ -203,10 +201,8 @@ def test_every_shipped_job_kind_round_trips_to_its_own_fingerprint():
                 "pbe", {"faults": FaultSpec(
                     seed=7, dci_miss_rate=0.2, outages=((250, 500),),
                     ack_loss_rate=0.01).to_dict()}),
-            *shard_jobs(metro_scenario_sets()["smoke"]),
             probe(1), probe(2, fail=True)]
-    assert {type(job).__name__ for job in jobs} == {
-        "Job", "MetroShardJob", "ProbeJob"}
+    assert {type(job).__name__ for job in jobs} == {"Job", "ProbeJob"}
     for job in jobs:
         wire = json.loads(json.dumps(job_to_wire(job)))
         assert job_from_wire(wire).fingerprint() == wire["fingerprint"] \

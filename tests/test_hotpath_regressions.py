@@ -5,8 +5,6 @@ Each test here fails on the pre-PR code:
 * scheduler idle-PRB leak — remainder PRBs freed by demand caps or by
   float truncation of the weighted shares were dropped instead of
   redistributed;
-* PF state leak — ``ProportionalFairState.record`` never evicted
-  departed users, so day-long churny runs grew without bound;
 * event-heap bloat — the simulator lazily cancelled events but never
   compacted, and its live-event count counted corpses as pending;
 
@@ -21,11 +19,7 @@ import random
 from collections import deque
 
 from repro.cell.ca_manager import CaPolicy, CarrierAggregationManager
-from repro.cell.scheduler import (
-    DemandEntry,
-    ProportionalFairState,
-    allocate_prbs,
-)
+from repro.cell.scheduler import DemandEntry, allocate_prbs
 from repro.monitor.capacity import CellCapacityEstimator
 from repro.monitor.filters import ActiveUserFilter
 from repro.net.sim import Simulator
@@ -114,53 +108,16 @@ def test_scheduler_totals_match_brute_force():
             assert 0 < prbs <= by_rnti[rnti]
 
 
-def test_scheduler_leak_free_under_pf_weights():
-    """The redistribution loop also closes the gap for weighted
-    policies, where truncation losses were far easier to hit."""
-    pf = ProportionalFairState(time_constant_subframes=50)
-    pf.record({1: 10**6, 2: 10}, known_rntis={1, 2, 3})
-    demands = [DemandEntry(rnti=i, demand_bits=10**9, bits_per_prb=500)
-               for i in (1, 2, 3)]
+def test_scheduler_leak_free_under_weighted_shares():
+    """The redistribution loop also closes the gap for the weighted
+    ``equal_rate`` policy, where truncation losses are far easier to
+    hit than under equal shares."""
+    demands = [DemandEntry(rnti=i, demand_bits=10**9, bits_per_prb=rate)
+               for i, rate in ((1, 7), (2, 500), (3, 1999))]
     for available in (7, 100, 9973):
         grants = allocate_prbs(available, demands, rotation=3,
-                               policy="proportional_fair", pf_state=pf)
+                               policy="equal_rate")
         assert _total(grants) == available
-
-
-# ----------------------------------------------------------------------
-# Proportional-fair state eviction
-# ----------------------------------------------------------------------
-def test_pf_state_evicts_departed_users():
-    pf = ProportionalFairState(time_constant_subframes=10)
-    pf.record({1: 1000, 2: 2000}, known_rntis={1, 2})
-    assert pf._throughput.get(2, 0.0) > 0.0
-    # User 2 departs; its EWMA must be gone after a full time constant.
-    for _ in range(25):
-        pf.record({1: 1000}, known_rntis={1})
-    assert pf._throughput.get(2, 0.0) == 0.0
-    assert len(pf._throughput) == 1
-
-
-def test_pf_state_bounded_under_churn():
-    """A revolving population leaves only recently-seen users behind."""
-    pf = ProportionalFairState(time_constant_subframes=20)
-    for step in range(2_000):
-        rnti = step % 400  # 400 distinct users cycling through
-        pf.record({rnti: 500}, known_rntis={rnti})
-    # Bound: users seen within the last time constant, plus at most one
-    # eviction period of slack before the next amortized sweep.
-    assert len(pf._throughput) <= 2 * 20
-
-
-def test_pf_returning_user_starts_fresh():
-    pf = ProportionalFairState(time_constant_subframes=5)
-    pf.record({9: 4000}, known_rntis={9})
-    for _ in range(12):
-        pf.record({}, known_rntis=set())
-    assert pf._throughput.get(9, 0.0) == 0.0
-    pf.record({9: 800}, known_rntis={9})
-    # Restarts from zero history, not the stale EWMA.
-    assert pf._throughput.get(9, 0.0) == (1.0 / 5) * 800
 
 
 # ----------------------------------------------------------------------

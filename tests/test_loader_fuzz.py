@@ -25,7 +25,7 @@ from repro.exec import seal, unseal
 from repro.exec.backend import job_from_wire, job_to_wire
 from repro.exec.job import Job
 from repro.harness import Experiment, FlowSpec, Scenario
-from repro.metro import resolve_set
+from repro.metro import GridSpec, MetroSet
 from repro.net.link import Link, PacketSink
 from repro.net.sim import Simulator
 from repro.phy.channel import GaussMarkovChannel, StaticChannel, TraceChannel
@@ -154,6 +154,8 @@ BAD_SCENARIO_FIELDS = [
     ("background_on_s", 0.0), ("background_off_s", math.inf),
     ("internet_rate_bps", math.nan), ("duration_s", math.nan),
     ("scheduler_policy", "fifo"),
+    # a policy the scheduler no longer has (a stale wire job's)
+    ("scheduler_policy", "proportional_fair"),
 ]
 
 
@@ -174,9 +176,9 @@ BAD_METRO_SET_FIELDS = [
 
 @pytest.mark.parametrize("name, value", BAD_METRO_SET_FIELDS)
 def test_a_bad_metro_set_field_is_named(name, value):
-    # What `repro metro --hour-s nan` / `--walkers -1` build.
     with pytest.raises(ValueError, match=name):
-        resolve_set("smoke").with_overrides(**{name: value})
+        MetroSet(name="bad", description="bad", grid=GridSpec(),
+                 **{name: value})
 
 
 def test_a_wire_job_names_its_bad_scenario_field():

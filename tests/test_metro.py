@@ -1,34 +1,25 @@
-"""Metro scenario engine: determinism, sharding, matrix, exec wiring.
+"""Metro shards: determinism of the grid, plans and shards.
 
-The metro engine's contract is end-to-end replayability: one seed
-determines the grid layout, the diurnal populations, the walker
-trajectories, the fleets — and therefore every shard fingerprint and
-the final matrix, byte for byte.  These tests pin that, plus the
-shard/exec integration (cache hits return identical payloads) and the
-matrix semantics (cell order, defined Jain values on idle cells,
-missing-shard accounting).
+A shard's contract is replayability: one seed determines the
+grid layout, the diurnal populations, the walker trajectories and the
+fleets — and therefore every shard plan and shard run, byte for byte.
+These tests pin that, and hold a busy shard's run against the
+reference engine.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 
 import pytest
 
-from repro.exec import make_runner
+from repro.harness.serialize import fingerprint_of
 from repro.metro import (
     GridSpec,
     MetroSet,
     build_grid,
-    build_matrix,
-    format_summary,
-    handovers_into,
-    metro_scenario_sets,
     population_plan,
-    resolve_set,
-    run_metro,
-    run_shard,
     shard_fingerprint,
     shard_jobs,
     walker_plan,
@@ -51,13 +42,13 @@ TINY = MetroSet(
 
 def test_grid_is_deterministic():
     spec = GridSpec(name="g", n_cells=60, seed=9)
-    assert build_grid(spec).to_dict() == build_grid(spec).to_dict()
+    assert build_grid(spec).cells == build_grid(spec).cells
 
 
 def test_grid_seed_changes_layout():
     a = build_grid(GridSpec(name="g", n_cells=60, seed=1))
     b = build_grid(GridSpec(name="g", n_cells=60, seed=2))
-    assert a.to_dict() != b.to_dict()
+    assert a.cells != b.cells
 
 
 def test_grid_shape_and_tiers():
@@ -72,7 +63,7 @@ def test_grid_shape_and_tiers():
         if cell.busy:
             assert cell.bandwidth_mhz == 20.0
             assert not cell.off_hours
-    assert grid.busy_cells()
+    assert any(cell.busy for cell in grid.cells)
 
 
 def test_shards_are_site_aligned_and_cover_the_grid():
@@ -120,39 +111,31 @@ def test_walker_plan_is_deterministic_and_in_range():
         assert times == sorted(times)
         assert all(0 < t < 2.0 for t in times)
         assert all(cell in ids for _, cell in plan["moves"])
-    counts = handovers_into(plans)
-    assert sum(counts.values()) == sum(len(p["moves"]) for p in plans)
 
 
 @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
 def test_walker_plan_rejects_a_duration_it_cannot_end(duration_s):
     # No move time compares >= to a NaN duration, so the plan would
-    # grow without bound.  Shard params arrive from fleet wire jobs too.
+    # grow without bound.
     with pytest.raises(ValueError, match="duration_s"):
         walker_plan(_tiny_cells(), duration_s, n_walkers=1, seed=11)
 
 
 # ---------------------------------------------------------------------------
-# Shard jobs and fingerprints
+# Shard plans and runs
 # ---------------------------------------------------------------------------
 
+def _plan_fingerprints(mset):
+    return [fingerprint_of(job.params) for job in shard_jobs(mset)]
+
+
 def test_shard_jobs_fingerprints_are_stable_and_distinct():
-    first = [job.fingerprint() for job in shard_jobs(TINY)]
-    second = [job.fingerprint() for job in shard_jobs(TINY)]
-    assert first == second
+    first = _plan_fingerprints(TINY)
+    assert _plan_fingerprints(TINY) == first
     assert len(set(first)) == len(first)
-    reseeded = TINY.with_overrides(seed=99, grid={"seed": 99})
-    assert [j.fingerprint() for j in shard_jobs(reseeded)] != first
-
-
-def test_shard_payload_is_deterministic():
-    job = shard_jobs(TINY)[0]
-    a = run_shard(job.params)
-    b = run_shard(job.params)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert a["schema"] == "repro.metro/shard/v1"
-    assert set(a["cells"]) == {str(c["cell_id"])
-                               for c in job.params["cells"]}
+    reseeded = dataclasses.replace(
+        TINY, seed=99, grid=dataclasses.replace(TINY.grid, seed=99))
+    assert _plan_fingerprints(reseeded) != first
 
 
 def test_shard_batched_matches_scalar():
@@ -161,81 +144,3 @@ def test_shard_batched_matches_scalar():
     engine = shard_fingerprint(busy_job.params)
     with reference_engine():
         assert shard_fingerprint(busy_job.params) == engine
-
-
-# ---------------------------------------------------------------------------
-# Matrix assembly and the metro driver
-# ---------------------------------------------------------------------------
-
-def test_run_metro_matrix_is_byte_identical_across_runs():
-    a = run_metro(TINY)
-    b = run_metro(TINY)
-    assert not a.failures
-    blob_a = json.dumps(a.matrix, sort_keys=True)
-    assert blob_a == json.dumps(b.matrix, sort_keys=True)
-
-
-def test_matrix_rows_are_sorted_and_complete():
-    result = run_metro(TINY)
-    matrix = result.matrix
-    ids = [row["cell_id"] for row in matrix["cells"]]
-    assert ids == sorted(ids)
-    assert len(ids) == TINY.grid.n_cells
-    assert matrix["missing_shards"] == []
-    for row in matrix["cells"]:
-        # Idle cells have no fleet but still a defined Jain value.
-        if not row["flows"]:
-            assert row["jain_index"] == 1.0
-        assert len(row["offered_users"]) == len(TINY.hours)
-    busy_rows = [row for row in matrix["cells"] if row["flows"]]
-    assert busy_rows
-    assert matrix["summary"]["mean_jain_index"] is not None
-    assert "metro set" in format_summary(matrix)
-
-
-def test_matrix_reports_missing_shards():
-    jobs = shard_jobs(TINY)
-    payload = run_shard(jobs[0].params)
-    matrix = build_matrix(TINY, build_grid(TINY.grid).to_dict(),
-                          [payload])
-    assert len(matrix["cells"]) == len(jobs[0].params["cells"])
-    assert matrix["shards_present"] == [0]
-
-
-def test_metro_jobs_run_through_exec_cache(tmp_path):
-    jobs_list = shard_jobs(TINY)[:1]
-    runner = make_runner(jobs=1, cache_dir=tmp_path)
-    fresh = runner.run(jobs_list)
-    assert runner.stats.executed == 1
-    runner2 = make_runner(jobs=1, cache_dir=tmp_path)
-    cached = runner2.run(jobs_list)
-    assert runner2.stats.cache_hits == 1
-    assert runner2.stats.executed == 0
-    assert json.dumps(fresh) == json.dumps(cached)
-
-
-# ---------------------------------------------------------------------------
-# Registry / CLI surface
-# ---------------------------------------------------------------------------
-
-def test_registry_has_the_documented_sets():
-    sets = metro_scenario_sets()
-    assert {"smoke", "metro-240", "downtown-999", "pf-churn"} <= set(sets)
-    assert 100 <= sets["smoke"].grid.n_cells
-    assert sets["downtown-999"].grid.n_cells <= 1000
-    assert sets["pf-churn"].scheduler_policy == "proportional_fair"
-
-
-def test_resolve_set_rejects_unknown_names():
-    assert resolve_set("smoke").name == "smoke"
-    assert resolve_set(TINY) is TINY
-    with pytest.raises(ValueError, match="unknown metro set"):
-        resolve_set("no-such-set")
-
-
-def test_cli_parses_metro_options():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(
-        ["metro", "--smoke", "--hour-s", "0.2", "--jobs", "2",
-         "--cache-dir", "/tmp/x", "--out", "m.json"])
-    assert args.smoke and args.hour_s == 0.2 and args.out == "m.json"

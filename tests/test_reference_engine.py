@@ -24,7 +24,7 @@ from repro.core.sender import PbeSender
 from repro.harness import Experiment, FlowSpec, Scenario
 from repro.harness.fingerprint import fingerprint_configs, run_fingerprint
 from repro.harness.runner import BACKGROUND_RNTI_BASE
-from repro.metro import build_shard, run_shard, shard_fingerprint
+from repro.metro import build_shard, shard_fingerprint
 from repro.metro.shard import _ShardRun
 from repro.monitor.pbe import PbeMonitor
 from repro.net.link import BatchingPipe
@@ -169,7 +169,7 @@ def test_reference_ticks_every_cell_of_the_sparse_shard():
 
 def test_no_engine_switch(capsys):
     for func in (CellularNetwork, Experiment, BatchingPipe, PbeMonitor,
-                 _ShardRun, build_shard, run_shard, shard_fingerprint,
+                 _ShardRun, build_shard, shard_fingerprint,
                  run_fingerprint):
         names = set(inspect.signature(func).parameters)
         assert not names & {"batched", "batch_ingest"}, func

@@ -31,8 +31,8 @@ def test_summary_roundtrips_through_json(results):
 
 def test_result_dict_fields(results):
     d = result_to_dict(results[0])
-    assert d["scheme"] == "pbe"
+    assert d["summary"]["scheme"] == "pbe"
     assert d["state_fractions"] is not None
-    # what the sweep's readers take; no per-packet log, no counters
-    assert set(d) == {"scheme", "rnti", "summary", "ca_activations",
-                      "state_fractions"}
+    # what the sweep's readers take; no per-packet log, no counters,
+    # and no scheme or RNTI: the reader takes those from its job
+    assert set(d) == {"summary", "ca_activations", "state_fractions"}

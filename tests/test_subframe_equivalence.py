@@ -22,12 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cell import basestation
 from repro.cell.basestation import CellularNetwork
-from repro.cell.scheduler import (
-    POLICIES,
-    DemandEntry,
-    ProportionalFairState,
-    allocate_prbs,
-)
+from repro.cell.scheduler import POLICIES, DemandEntry, allocate_prbs
 from repro.monitor.capacity import CellCapacityEstimator
 from repro.monitor.filters import ActiveUserFilter
 from repro.net.sim import Simulator
@@ -103,8 +98,7 @@ def test_data_user_count_at_the_average_cut():
 # ----------------------------------------------------------------------
 # Scheduler: the rotation order without the sort
 # ----------------------------------------------------------------------
-def _sorted_order_allocate(available_prbs, demands, rotation, policy,
-                           pf_state):
+def _sorted_order_allocate(available_prbs, demands, rotation, policy):
     """``allocate_prbs`` as it stood with ``sorted(..., key=...)`` for
     the rotation order and ``DemandEntry.demand_prbs`` per entry."""
     grants = {}
@@ -122,8 +116,6 @@ def _sorted_order_allocate(available_prbs, demands, rotation, policy,
         return grants
     if policy == "equal":
         weights = None
-    elif policy == "proportional_fair":
-        weights = [max(1e-9, pf_state.weight(d)) for d in pending]
     else:
         weights = [1.0 / max(1, d.bits_per_prb) for d in pending]
     active = list(range(len(pending)))
@@ -183,21 +175,15 @@ _DEMANDS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(raw=_DEMANDS, available=st.integers(min_value=0, max_value=120),
-       policy=st.sampled_from(POLICIES),
-       served=st.dictionaries(st.integers(min_value=0, max_value=7),
-                              st.integers(min_value=0, max_value=10**5),
-                              max_size=8))
-def test_allocate_prbs_equals_the_sort_key_order(raw, available, policy,
-                                                 served):
+       policy=st.sampled_from(POLICIES))
+def test_allocate_prbs_equals_the_sort_key_order(raw, available, policy):
     demands = [DemandEntry(rnti, bits, rate)
                for rnti, (bits, rate) in enumerate(raw)]
-    pf = ProportionalFairState()
-    pf.record(served, set(served))
     n = max(1, len(demands))
     for rotation in range(2 * n + 1):
-        got = allocate_prbs(available, demands, rotation, policy, pf)
+        got = allocate_prbs(available, demands, rotation, policy)
         want = _sorted_order_allocate(available, demands, rotation,
-                                      policy, pf)
+                                      policy)
         assert list(got.items()) == list(want.items()), rotation
 
 

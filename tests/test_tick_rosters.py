@@ -9,7 +9,7 @@ schedules of ``add_user`` / ``add_exogenous_user`` / ``remove_user`` /
 block error rate high enough that users routinely depart with HARQ
 still pending (the volatile case), and compare everything observable.  The white-box test
 checks, after every tick of the engine, the rule itself: a cell is
-ticked iff the four-clause predicate holds at the top of that tick, the
+ticked iff the three-clause predicate holds at the top of that tick, the
 rosters equal the from-scratch filters, and a dormant cell's stamp
 replays exactly the ticks it was skipped.
 """
@@ -74,14 +74,13 @@ def _apply(experiment: Experiment, records: dict, n_cells: int,
                          channel=channel if salt & 2 else None)
 
 
-def _build(n_cells: int, ops: list, reference: bool,
-           policy: str = "equal") -> tuple:
+def _build(n_cells: int, ops: list, reference: bool) -> tuple:
     scenario = Scenario(
         name="rosters",
         carriers=[CarrierConfig(cell_id=c,
                                 bandwidth_mhz=(20.0, 10.0, 5.0)[c % 3])
                   for c in range(n_cells)],
-        aggregated_cells=2, scheduler_policy=policy,
+        aggregated_cells=2,
         duration_s=DURATION_MS / 1000, seed=n_cells,
         control_arrivals_by_cell={c: (0.4 if c % 2 else 0.05)
                                   for c in range(n_cells)})
@@ -95,14 +94,13 @@ def _build(n_cells: int, ops: list, reference: bool,
     return experiment, handle, records
 
 
-def _observable(n_cells: int, ops: list, cuts: list, reference: bool,
-                policy: str = "equal") -> tuple[dict, int]:
+def _observable(n_cells: int, ops: list, cuts: list,
+                reference: bool) -> tuple[dict, int]:
     """Everything observable after a run, and how many cells ended it
     dormant."""
     with mock.patch.object(basestation, "block_error_rate",
                            lambda ber, bits: BLER):
-        experiment, handle, records = _build(n_cells, ops, reference,
-                                             policy)
+        experiment, handle, records = _build(n_cells, ops, reference)
         for cut in sorted(cuts):
             experiment.sim.run(until_us=cut)
         results = experiment.run()
@@ -134,22 +132,11 @@ def test_batched_matches_scalar_under_random_schedules(n_cells, ops, cuts):
     assert engine == reference
 
 
-@settings(max_examples=8, deadline=None)
-@given(n_cells=_CELLS, ops=_OPS)
-def test_proportional_fair_network_keeps_every_cell_live(n_cells, ops):
-    engine, dormant = _observable(n_cells, ops, [], False,
-                                  "proportional_fair")
-    reference, _ = _observable(n_cells, ops, [], True, "proportional_fair")
-    assert dormant == 0
-    assert engine == reference
-
-
 def _observable_now(network, cell_id: int) -> bool:
-    """The four-clause liveness predicate, from scratch."""
+    """The three-clause liveness predicate, from scratch."""
     return (bool(network._monitors[cell_id])
             or network._cell_user_count[cell_id] > 0
-            or network._cell_retx_count[cell_id] > 0
-            or cell_id in network._pf)
+            or network._cell_retx_count[cell_id] > 0)
 
 
 @settings(max_examples=20, deadline=None)
