@@ -39,7 +39,7 @@ from ..phy.mcs import bits_per_prb, bits_per_prb_block, sinr_to_mcs_block
 from .ca_manager import CaPolicy, CarrierAggregationManager
 from .control_traffic import ControlTrafficGenerator
 from .queues import PROTOCOL_OVERHEAD, DownlinkQueue, TransportBlock
-from .scheduler import DemandEntry, allocate_prbs
+from .scheduler import allocate_prbs
 from .ue import UserEquipment
 
 #: SINR above which a UE uses its full spatial-stream count.
@@ -61,10 +61,20 @@ _new_dci = tuple.__new__
 #: ``sinr_block`` draw + one vectorized SINR→MCS→rate/BER chain instead
 #: of 64 scalar rounds).
 CHANNEL_BLOCK_SUBFRAMES = 64
+#: Transport-block error uniforms drawn per refill of the network's
+#: draw-ahead list: one ``Generator.random(n)`` call yields the values
+#: ``n`` scalar ``random()`` calls would, in the same order.
+TB_UNIFORM_BLOCK = 64
+#: The packet lists of a background user's transport blocks: it has no
+#: UE, so nothing ever reads which packets its blocks carried.
+_NO_PACKETS = ()
 
 
 @dataclass(slots=True)
 class _HarqState:
+    """A transport block awaiting retransmission (built on its first
+    failure: a block decoded at once never needs one)."""
+
     tb: TransportBlock
     base_ber: float
     attempt: int = 0
@@ -259,6 +269,11 @@ class CellularNetwork:
         self._prbs_by_cell = {c.cell_id: c.total_prbs for c in carriers}
         self.ca = CarrierAggregationManager(ca_policy)
         self._rng = np.random.default_rng(seed)
+        #: Error uniforms drawn ahead from ``_rng`` (``TB_UNIFORM_BLOCK``
+        #: at a time) and the index of the next one to use; an index of
+        #: ``TB_UNIFORM_BLOCK`` means the next block draws a fresh list.
+        self._tb_uniforms: list[float] = []
+        self._tb_uniform_idx = TB_UNIFORM_BLOCK
         self._users: dict[int, _User] = {}
         #: One wired-side adapter per RNTI ever asked for; their ``wire``
         #: FIFOs are the packets in flight towards this network.
@@ -578,7 +593,9 @@ class CellularNetwork:
         # Injection touches only the user's own demand RNG and queue,
         # never a channel, so it may follow the whole refresh loop.
         for user in self._exo_users:
-            self._inject_exogenous(user, subframe)
+            bits = user.demand_source.bits(subframe)
+            if bits > 0:
+                self._inject_exogenous(user, bits)
 
         used_by_user: dict[int, int] = {}
         for cell_id, total_prbs in live:
@@ -587,11 +604,11 @@ class CellularNetwork:
         observe = self.ca.observe
         used_get = used_by_user.get
         for user in self._ca_users:
+            # observe(subframe, rnti, agg, used_prbs, active_total_prbs,
+            # backlogged), positionally: once per CA user per tick.
             switched = observe(
-                subframe, user.rnti, user.agg,
-                used_prbs=used_get(user.rnti, 0),
-                active_total_prbs=user.active_prb_total,
-                backlogged=bool(user.queue._packets))
+                subframe, user.rnti, user.agg, used_get(user.rnti, 0),
+                user.active_prb_total, bool(user.queue._packets))
             if switched is not None:
                 self._refresh_active_cells(user)
 
@@ -639,20 +656,19 @@ class CellularNetwork:
         self._live_cells = None if retx_only else live
         return live
 
-    def _inject_exogenous(self, user: _User, subframe: int) -> None:
-        bits = user.demand_source.bits(subframe)
-        if bits <= 0:
-            return
+    def _inject_exogenous(self, user: _User, bits: int) -> None:
+        """Queue a background user's ``bits`` of this subframe's demand
+        as MSS-sized packets (the last one shorter)."""
         now = self.sim.now
         flow_id = -user.rnti
         push = user.queue.push
+        seq = user.exo_packet_seq
         while bits > 0:
-            size = min(bits, MSS_BITS)
-            packet = Packet(flow_id=flow_id, seq=user.exo_packet_seq,
-                            size_bits=size, sent_time_us=now)
-            user.exo_packet_seq += 1
-            push(packet)
+            size = bits if bits < MSS_BITS else MSS_BITS
+            push(Packet(flow_id, seq, size, False, now))
+            seq += 1
             bits -= size
+        user.exo_packet_seq = seq
 
     def _tick_cell(self, cell_id: int, total_prbs: int,
                    subframe: int, used_by_user: dict[int, int]) -> None:
@@ -674,7 +690,8 @@ class CellularNetwork:
                     deferred.append(harq)
                     continue
                 available -= harq.tb.n_prbs
-                self._transmit(harq, subframe, messages, used_by_user)
+                self._transmit(harq.tb, harq.base_ber, harq, subframe,
+                               messages, used_by_user)
             if deferred:
                 self._retx.setdefault((cell_id, subframe + 1), []).extend(
                     deferred)
@@ -691,14 +708,14 @@ class CellularNetwork:
                     subframe, cell_id, burst.rnti, grant, CONTROL_MCS, 1,
                     grant * _CONTROL_BITS_PER_PRB, True, True)))
 
-        # 3. Equal-share allocation over backlogged data users.
+        # 3. Equal-share allocation over backlogged data users, whose
+        # demands are ``(rnti, backlog bits, bits per PRB)`` triples.
         demands = []
         for user in self._cell_roster[cell_id]:
             queue = user.queue
             if not queue._packets or subframe < user.suspended_until:
                 continue
-            demands.append(DemandEntry(user.rnti, queue.backlog_bits,
-                                       user.rate_now))
+            demands.append((user.rnti, queue.backlog_bits, user.rate_now))
         grants = allocate_prbs(available, demands, subframe,
                                self.scheduler_policy)
 
@@ -707,17 +724,27 @@ class CellularNetwork:
         transmit = self._transmit
         for rnti, n_prbs in grants.items():
             user = users[rnti]
-            tb = TransportBlock(
-                user.tb_seq, rnti, cell_id, subframe,
-                n_prbs * user.rate_now, n_prbs,
-                user.current_mcs, user.current_streams)
-            user.tb_seq += 1
+            bits = n_prbs * user.rate_now
             # γ of the TB is protocol headers (Eqn. 5): only the rest
             # carries transport-layer payload.
-            pulled = user.queue.pull(int(tb.bits * _PAYLOAD_SHARE), tb)
-            if pulled:
-                tb.bits = int(pulled / _PAYLOAD_SHARE)
-            transmit(_HarqState(tb, user.ber_now), subframe, messages,
+            payload = int(bits * _PAYLOAD_SHARE)
+            if user.ue is None:
+                pulled = user.queue.pull_bits(payload)
+                if pulled:
+                    bits = int(pulled / _PAYLOAD_SHARE)
+                tb = TransportBlock(
+                    user.tb_seq, rnti, cell_id, subframe, bits, n_prbs,
+                    user.current_mcs, user.current_streams,
+                    _NO_PACKETS, _NO_PACKETS)
+            else:
+                tb = TransportBlock(
+                    user.tb_seq, rnti, cell_id, subframe, bits, n_prbs,
+                    user.current_mcs, user.current_streams)
+                pulled = user.queue.pull(payload, tb)
+                if pulled:
+                    tb.bits = int(pulled / _PAYLOAD_SHARE)
+            user.tb_seq += 1
+            transmit(tb, user.ber_now, None, subframe, messages,
                      used_by_user)
             if user.allocated_history is not None:
                 user.allocated_history.append((subframe, cell_id, n_prbs))
@@ -729,27 +756,43 @@ class CellularNetwork:
             for callback in callbacks:
                 callback(record)
 
-    def _transmit(self, harq: _HarqState, subframe: int,
+    def _transmit(self, tb: TransportBlock, base_ber: float,
+                  harq: Optional[_HarqState], subframe: int,
                   messages: Optional[list[DciMessage]],
                   used_by_user: dict[int, int]) -> None:
-        tb = harq.tb
+        """Send ``tb`` once: a first transmission (``harq`` None) or a
+        retransmission of ``harq``; on failure the block is queued for
+        retransmission, otherwise it lands at the top of the next tick."""
         rnti = tb.rnti
-        attempt = harq.attempt
+        attempt = 0 if harq is None else harq.attempt
         if messages is not None:
             messages.append(_new_dci(DciMessage, (
                 subframe, tb.cell_id, rnti, tb.n_prbs, tb.mcs,
                 tb.spatial_streams, tb.bits, attempt == 0, False)))
-        used_by_user[rnti] = used_by_user.get(rnti, 0) + tb.n_prbs
-        user = self._users.get(rnti)
-        if user is None:
+        if rnti in used_by_user:
+            used_by_user[rnti] += tb.n_prbs
+        else:
+            used_by_user[rnti] = tb.n_prbs
+        users = self._users
+        if rnti not in users:
             return  # user departed mid-HARQ
+        user = users[rnti]
 
         # A first transmission's BER is the base BER (ber * 0.1 ** 0).
-        ber = (retransmission_ber(harq.base_ber, attempt) if attempt
-               else harq.base_ber)
-        failed = self._rng.random() < block_error_rate(ber, tb.bits)
+        ber = (retransmission_ber(base_ber, attempt) if attempt
+               else base_ber)
+        i = self._tb_uniform_idx
+        if i == TB_UNIFORM_BLOCK:
+            self._tb_uniforms = self._rng.random(TB_UNIFORM_BLOCK).tolist()
+            i = 0
+        uniforms = self._tb_uniforms
+        self._tb_uniform_idx = i + 1
+        failed = uniforms[i] < block_error_rate(ber, tb.bits)
         if failed and attempt < MAX_RETRANSMISSIONS:
-            harq.attempt = attempt + 1
+            if harq is None:
+                harq = _HarqState(tb, base_ber, 1)
+            else:
+                harq.attempt = attempt + 1
             key = (tb.cell_id, subframe + RETX_DELAY_SUBFRAMES)
             self._retx.setdefault(key, []).append(harq)
             self._cell_retx_count[tb.cell_id] += 1

@@ -78,15 +78,21 @@ class CarrierAggregationManager:
         self.events: list[tuple[int, int, str, int]] = []
 
     def state_for(self, rnti: int) -> _UserCaState:
-        return self._users.setdefault(rnti, _UserCaState())
+        """The user's bookkeeping, built the first time it is asked for."""
+        state = self._users.get(rnti)
+        if state is None:
+            state = self._users[rnti] = _UserCaState()
+        return state
 
     def forget(self, rnti: int) -> None:
         """Drop a user's bookkeeping (departure, or a handover's restart)."""
         self._users.pop(rnti, None)
 
     def activations_for(self, rnti: int) -> int:
-        """How many times a secondary cell was activated for this user."""
-        return self.state_for(rnti).activations
+        """How many times a secondary cell was activated for this user
+        (a read: an RNTI never observed gets no bookkeeping)."""
+        state = self._users.get(rnti)
+        return 0 if state is None else state.activations
 
     def observe(self, subframe: int, rnti: int, agg: AggregationState,
                 used_prbs: int, active_total_prbs: int,

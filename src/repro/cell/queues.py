@@ -34,6 +34,8 @@ class TransportBlock:
     mcs: int
     spatial_streams: int
     #: Packets whose final bit rides in this TB (deliverable on release).
+    #: A background user's blocks, which no UE receives, share one empty
+    #: tuple here and in ``touches`` (:meth:`DownlinkQueue.pull_bits`).
     completes: list[Packet] = field(default_factory=list)
     #: Packets with any bit in this TB (corrupted if the TB is abandoned).
     touches: list[Packet] = field(default_factory=list)
@@ -103,6 +105,26 @@ class DownlinkQueue:
                 break
             taken += remaining
             complete(packet)
+            packets.popleft()
+            remaining = packets[0].size_bits if packets else 0
+        self._head_remaining = remaining
+        self.backlog_bits -= taken
+        return taken
+
+    def pull_bits(self, max_bits: int) -> int:
+        """:meth:`pull` for a block whose packets nobody reads (a
+        background user's): the same bits leave the queue, and no
+        packet is recorded as touched or completed."""
+        taken = 0
+        packets = self._packets
+        remaining = self._head_remaining
+        while taken < max_bits and packets:
+            room = max_bits - taken
+            if remaining > room:
+                remaining -= room
+                taken = max_bits
+                break
+            taken += remaining
             packets.popleft()
             remaining = packets[0].size_bits if packets else 0
         self._head_remaining = remaining

@@ -21,17 +21,21 @@ observable behaviour:
 
 This function runs once per carrier per subframe — it is one of the
 measured hot paths — so demands and weights are materialized once per
-call instead of being recomputed every water-filling round.
+call instead of being recomputed every water-filling round, and a
+demand is a plain ``(rnti, demand_bits, bits_per_prb)`` triple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(slots=True)
-class DemandEntry:
-    """One user's scheduling input for a subframe on one carrier."""
+class DemandEntry(NamedTuple):
+    """One user's scheduling input for a subframe on one carrier.
+
+    A named ``(rnti, demand_bits, bits_per_prb)`` triple: the base
+    station hands :func:`allocate_prbs` plain tuples of the same shape.
+    """
 
     rnti: int
     demand_bits: int      #: Queue backlog the user wants served.
@@ -54,15 +58,17 @@ class DemandEntry:
 POLICIES = ("equal", "equal_rate")
 
 
-def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
+def allocate_prbs(available_prbs: int,
+                  demands: Iterable[tuple[int, int, int]],
                   rotation: int = 0,
                   policy: str = "equal") -> dict[int, int]:
     """Water-filling weighted-share PRB allocation.
 
-    Returns ``{rnti: n_prbs}`` for users receiving a non-zero grant.
-    ``rotation`` rotates which users receive the integer-division
-    remainder so per-subframe rounding does not bias long-run shares
-    (callers pass the subframe index).
+    ``demands`` are ``(rnti, demand_bits, bits_per_prb)`` triples
+    (:class:`DemandEntry` is one).  Returns ``{rnti: n_prbs}`` for
+    users receiving a non-zero grant.  ``rotation`` rotates which users
+    receive the integer-division remainder so per-subframe rounding
+    does not bias long-run shares (callers pass the subframe index).
     """
     if available_prbs < 0:
         raise ValueError("available PRBs must be non-negative")
@@ -72,13 +78,13 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     # Materialize per-user demand (here, DemandEntry.demand_prbs
     # inlined) and weight (below) once: both are pure functions of the
     # entry, and recomputing them per round was the dominant cost here.
-    pending: list[DemandEntry] = []
+    pending: list[int] = []       #: RNTIs of the users with a demand.
+    rates: list[int] = []
     demand_prbs: list[int] = []
-    for d in demands:
-        bits = d.demand_bits
-        rate = d.bits_per_prb
+    for rnti, bits, rate in demands:
         if bits > 0 and rate > 0:
-            pending.append(d)
+            pending.append(rnti)
+            rates.append(rate)
             demand_prbs.append(-(-bits // rate))
     remaining = available_prbs
     if not pending or remaining == 0:
@@ -87,7 +93,7 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
         # Lone backlogged user: every policy hands it the whole carrier
         # (its weight share is 1), capped by its own demand — the
         # water-filling/remainder rounds below reduce to exactly this.
-        grants[pending[0].rnti] = min(demand_prbs[0], remaining)
+        grants[pending[0]] = min(demand_prbs[0], remaining)
         return grants
 
     # ``equal`` keeps weights as None: every user's share in a round is
@@ -95,29 +101,35 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
     if policy == "equal":
         weights = None
     else:  # equal_rate: share inversely proportional to per-PRB rate.
-        weights = [1.0 / max(1, d.bits_per_prb) for d in pending]
+        weights = [1.0 / max(1, rate) for rate in rates]
 
     #: Indices (into ``pending``) of users still below their demand.
     active = list(range(len(pending)))
 
     # Water-filling: repeatedly satisfy users below their weighted
-    # share, redistributing what they do not need.
+    # share, redistributing what they do not need.  A round compares
+    # every user against the PRBs left at its start (``start``), grants
+    # the satisfied in ``active`` order and keeps the rest; a demand is
+    # at least one PRB, so a round that satisfied nobody left
+    # ``remaining`` at ``start``.
     while active and remaining > 0:
+        start = remaining
         if weights is None:
-            share = remaining * 1.0 / len(active)
-            satisfied = [i for i in active if demand_prbs[i] <= share]
+            share = start * 1.0 / len(active)
         else:
             total_weight = sum(weights[i] for i in active)
-            satisfied = [i for i in active
-                         if demand_prbs[i]
-                         <= remaining * weights[i] / total_weight]
-        if not satisfied:
+        still = []
+        for i in active:
+            need = demand_prbs[i]
+            if (need <= share if weights is None
+                    else need <= start * weights[i] / total_weight):
+                grants[pending[i]] = need
+                remaining -= need
+            else:
+                still.append(i)
+        if remaining == start:
             break
-        for i in satisfied:
-            grants[pending[i].rnti] = demand_prbs[i]
-            remaining -= demand_prbs[i]
-        done = set(satisfied)
-        active = [i for i in active if i not in done]
+        active = still
 
     # Remainder rounds: split what is left proportionally among the
     # still-backlogged users, rotating the integer-division extras.
@@ -141,16 +153,19 @@ def allocate_prbs(available_prbs: int, demands: list[DemandEntry],
         for rank in range(n):
             k = (rank - rotation) % n
             i = active[k]
-            extra = 1 if rank < leftover else 0
+            grant = shares[k] + 1 if rank < leftover else shares[k]
             room = demand_prbs[i] - granted[i]
-            grant = min(shares[k] + extra, room)
+            if grant > room:
+                grant = room
             if grant > 0:
                 granted[i] += grant
-                grants[pending[i].rnti] = granted[i]
+                grants[pending[i]] = granted[i]
                 remaining -= grant
                 progress += grant
-        if progress == 0:
-            break  # nothing movable (all shares truncated to zero)
+        if progress == 0 or remaining == 0:
+            # Nothing movable (all shares truncated to zero), or
+            # nothing left to move.
+            break
         active = [i for i in active if granted[i] < demand_prbs[i]]
 
     return grants

@@ -131,45 +131,6 @@ def _fleet_backend(args: argparse.Namespace):
                         chaos=chaos, telemetry=telemetry)
 
 
-def _run_supervised(args: argparse.Namespace, drive, render) -> int:
-    """Run ``drive(runner)`` supervised, ``render`` what it returns.
-
-    Builds the supervised runner for ``repro sweep`` (through a worker
-    fleet when ``--fleet-dir`` is set) and maps its aborts to exit codes: a drained SIGINT/SIGTERM → 130, a
-    tripped failure budget → 3, any isolated job failure → 1.
-    """
-    from .exec import FailureBudgetExceeded, SweepInterrupted
-    budget = (args.failure_budget / 100.0
-              if args.failure_budget is not None else None)
-    backend = _fleet_backend(args) if args.fleet_dir else None
-    runner = _make_runner(
-        args, retries=args.retries, timeout_s=args.timeout,
-        strict=args.strict, failure_budget=budget, backend=backend)
-    try:
-        result = drive(runner)
-    except SweepInterrupted as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 130
-    except FailureBudgetExceeded as exc:
-        print(f"[repro] {exc}", file=sys.stderr)
-        return 3
-    finally:
-        # The runner shuts a persistent backend down when it ran jobs;
-        # cover the all-cache-hits path (and idempotently otherwise)
-        # so spawned local workers never outlive the drive.
-        if backend is not None:
-            backend.shutdown(wait=True)
-    render(result)
-    # Surface degraded-run telemetry; exit non-zero on failures.
-    stats = runner.stats
-    if (runner.progress is not None or result.failures or stats.failed
-            or stats.quarantined):
-        print(f"[repro] {stats.format()}", file=sys.stderr)
-    for failure in result.failures:
-        print(f"[repro] FAILED {failure.summary()}", file=sys.stderr)
-    return 1 if result.failures else 0
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     """``repro experiment <name>``: one figure of the claims registry
     at its reduced scale, a line per claim."""
@@ -211,15 +172,46 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """``repro sweep``: the stationary sweep, supervised end to end."""
+    """``repro sweep``: the stationary sweep, supervised end to end.
+
+    Runs the sweep on the supervised runner (through a worker fleet
+    when ``--fleet-dir`` is set) and maps its aborts to exit codes: a
+    drained SIGINT/SIGTERM → 130, a tripped failure budget → 3, any
+    isolated job failure → 1.
+    """
+    from .exec import FailureBudgetExceeded, SweepInterrupted
     from .harness import experiments as exp
-    return _run_supervised(
-        args,
-        lambda runner: exp.run_stationary_sweep(
+    budget = (args.failure_budget / 100.0
+              if args.failure_budget is not None else None)
+    backend = _fleet_backend(args) if args.fleet_dir else None
+    runner = _make_runner(
+        args, retries=args.retries, timeout_s=args.timeout,
+        strict=args.strict, failure_budget=budget, backend=backend)
+    try:
+        sweep = exp.run_stationary_sweep(
             schemes=args.schemes, n_busy=args.busy, n_idle=args.idle,
-            duration_s=args.duration, base_seed=args.seed,
-            runner=runner),
-        lambda sweep: _print_sweep(args, sweep))
+            duration_s=args.duration, base_seed=args.seed, runner=runner)
+    except SweepInterrupted as exc:
+        print(f"[repro] {exc}", file=sys.stderr)
+        return 130
+    except FailureBudgetExceeded as exc:
+        print(f"[repro] {exc}", file=sys.stderr)
+        return 3
+    finally:
+        # The runner shuts a persistent backend down when it ran jobs;
+        # cover the all-cache-hits path (and idempotently otherwise)
+        # so spawned local workers never outlive the sweep.
+        if backend is not None:
+            backend.shutdown(wait=True)
+    _print_sweep(args, sweep)
+    # Surface degraded-run telemetry; exit non-zero on failures.
+    stats = runner.stats
+    if (runner.progress is not None or sweep.failures or stats.failed
+            or stats.quarantined):
+        print(f"[repro] {stats.format()}", file=sys.stderr)
+    for failure in sweep.failures:
+        print(f"[repro] FAILED {failure.summary()}", file=sys.stderr)
+    return 1 if sweep.failures else 0
 
 
 def cmd_fleet_worker(args: argparse.Namespace) -> int:

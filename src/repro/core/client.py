@@ -49,6 +49,9 @@ SWITCH_SUBFRAMES = 6
 FAIR_SHARE_FRACTION = 0.9
 
 WIRELESS, INTERNET = "wireless", "internet"
+#: Builds each report's :class:`PbeFeedback` from its five fields in
+#: one C call (``_make`` semantics, like ``basestation._new_dci``).
+_new_feedback = tuple.__new__
 
 
 class PbeClient(AckingReceiver):
@@ -122,8 +125,8 @@ class PbeClient(AckingReceiver):
           carrier-activation edge; the burst's first read leaves no
           pending activation or decode hints behind, and nothing feeds
           the monitor with no callback in between;
-        * ACKs share one frozen :class:`PbeFeedback` until the report
-          is re-read or the state flips (replace, never mutate).
+        * ACKs share one immutable :class:`PbeFeedback` until the
+          report is re-read or the state flips (replace, never mutate).
 
         Every per-packet *decision* stays per packet: the threshold
         test against the running Dprop, the over/under runs against
@@ -218,9 +221,9 @@ class PbeClient(AckingReceiver):
             if is_stale:
                 stale_reports += 1
             if feedback is None:
-                feedback = PbeFeedback(target_interval, fair_interval,
-                                       state == INTERNET, activated,
-                                       is_stale)
+                feedback = _new_feedback(PbeFeedback, (
+                    target_interval, fair_interval, state == INTERNET,
+                    activated, is_stale))
             ack_append(packet.make_ack(feedback))
 
         if not acks:

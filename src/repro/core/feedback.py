@@ -16,7 +16,7 @@ one bad ACK can never kill the sender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..net.units import MSS_BITS, US_PER_S
 
@@ -47,9 +47,14 @@ def decode_rate_bps(interval_us: int) -> float:
     return MSS_BITS * US_PER_S / interval_us
 
 
-@dataclass(frozen=True)
-class PbeFeedback:
-    """The capacity report riding on every PBE-CC acknowledgement."""
+class PbeFeedback(NamedTuple):
+    """The capacity report riding on every PBE-CC acknowledgement.
+
+    Immutable: a named tuple (what a tuple costs to build, once per
+    capacity report) rather than a frozen dataclass, whose every field
+    goes through ``object.__setattr__``.  ``_replace`` derives a changed
+    copy.  It compares and hashes as the tuple of its fields.
+    """
 
     #: Encoded send-rate interval the sender should pace at (µs/packet).
     target_interval_us: int

@@ -22,8 +22,6 @@ were absent.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..core.feedback import PbeFeedback
 from ..net.link import Receiver
 from ..net.packet import Packet
@@ -66,8 +64,7 @@ class ImpairedPipe(Receiver):
         if self._rng.random() < 0.5:
             mangled.feedback = None  # undecodable option field
         else:
-            mangled.feedback = replace(
-                packet.feedback,
+            mangled.feedback = packet.feedback._replace(
                 target_interval_us=self._rng.getrandbits(32))
         return mangled
 

@@ -73,7 +73,7 @@ from ..faults.decoder import LossyDecoder
 from ..faults.pipe import ImpairedPipe
 from ..monitor.capacity import CellCapacityEstimator, CellEstimate
 from ..monitor.decoder import ControlChannelDecoder
-from ..monitor.filters import ActiveUserFilter, UserActivity, _SubframeUsers
+from ..monitor.filters import ActiveUserFilter, UserActivity
 from ..monitor.pbe import MonitorReport, PbeMonitor
 from ..net.flow import FlowStats
 from ..net.link import BatchingPipe, FlowDemux, Link
@@ -145,7 +145,7 @@ _STATE = (
     ScheduledDemand, OnOffRandomDemand,
     # monitor pipeline
     PbeMonitor, CellCapacityEstimator, CellEstimate,
-    ControlChannelDecoder, ActiveUserFilter, UserActivity, _SubframeUsers,
+    ControlChannelDecoder, ActiveUserFilter, UserActivity,
     MonitorReport,
     # fault injectors
     ImpairedPipe, LossyDecoder,

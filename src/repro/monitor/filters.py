@@ -12,7 +12,7 @@ filters on activity length and bandwidth: ``Ta > 1`` subframes and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..phy.dci import SubframeRecord
 
@@ -37,13 +37,6 @@ class UserActivity:
         return self.total_prbs / self.active_subframes
 
 
-@dataclass(slots=True)
-class _SubframeUsers:
-    subframe: int
-    #: ``{rnti: prbs}`` allocations seen this subframe.
-    allocations: dict = field(default_factory=dict)
-
-
 class ActiveUserFilter:
     """Sliding-window user tracker for one cell's control channel.
 
@@ -61,7 +54,8 @@ class ActiveUserFilter:
         if window_subframes < 1:
             raise ValueError("window must be positive")
         self.window_subframes = window_subframes
-        self._window: deque[_SubframeUsers] = deque()
+        #: ``(subframe, {rnti: prbs})`` of each subframe in the window.
+        self._window: deque[tuple[int, dict[int, int]]] = deque()
         #: Running per-user aggregates over the current window.
         self._activity: dict[int, UserActivity] = {}
 
@@ -92,10 +86,9 @@ class ActiveUserFilter:
             else:
                 activity[rnti] = UserActivity(1, prbs)
         window = self._window
-        window.append(_SubframeUsers(subframe, allocations))
+        window.append((subframe, allocations))
         if len(window) > self.window_subframes:
-            evicted = window.popleft()
-            for rnti, prbs in evicted.allocations.items():
+            for rnti, prbs in window.popleft()[1].items():
                 act = activity[rnti]
                 act.active_subframes -= 1
                 act.total_prbs -= prbs

@@ -11,7 +11,7 @@ base station now lands at the top of the next tick.
 
 from __future__ import annotations
 
-from repro.cell.basestation import CellularNetwork
+from repro.cell.basestation import CellularNetwork, _HarqState
 from repro.cell.ue import CORRUPT_KEY, UserEquipment
 from repro.net.packet import Packet
 from repro.net.units import SUBFRAME_US
@@ -62,8 +62,10 @@ class ReferenceCellularNetwork(CellularNetwork):
             user.allocated_history = []
         return ue
 
-    def _transmit(self, harq, subframe, messages, used_by_user) -> None:
-        tb = harq.tb
+    def _transmit(self, tb, base_ber, harq, subframe, messages,
+                  used_by_user) -> None:
+        if harq is None:
+            harq = _HarqState(tb, base_ber)
         user = self._users.get(tb.rnti)
         if messages is not None:
             messages.append(DciMessage(

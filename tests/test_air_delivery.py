@@ -53,7 +53,9 @@ FAST_CA = dict(window=4, cooldown=4, deactivation_hold=8,
 # Base station + UE: same stream, same counters
 # ----------------------------------------------------------------------
 def _drive(network_cls, case):
-    """Run one drawn case; returns ``(stream, counters, bursts)``."""
+    """Run one drawn case; returns ``(stream, counters, bursts, draws)``,
+    ``draws`` the transport-block error uniforms used (one
+    ``block_error_rate`` call each)."""
     sim = Simulator()
     carriers = list(range(case["carriers"]))
     net = network_cls(sim, [CarrierConfig(c, 5.0) for c in carriers],
@@ -87,7 +89,13 @@ def _drive(network_cls, case):
         sim.schedule_at(time_us, act, kind, rnti, cells)
     net.start()
 
-    tbler = lambda ber, bits: case["tbler"]  # noqa: E731
+    draws = 0
+
+    def tbler(ber, bits):
+        nonlocal draws
+        draws += 1
+        return case["tbler"]
+
     with ExitStack() as stack:
         for module in (basestation, reference_air):
             stack.enter_context(
@@ -99,7 +107,7 @@ def _drive(network_cls, case):
         rnti: (ue.delivered_tbs, ue.abandoned_tbs, ue.delivered_packets,
                ue.lost_packets, len(ue._reorder._held), ue._reorder.max_held)
         for rnti, ue in ues.items()}
-    return stream, counters, bursts
+    return stream, counters, bursts, draws
 
 
 @st.composite
@@ -135,6 +143,7 @@ def test_landed_air_matches_event_per_block_delivery(case):
     landed = _drive(CellularNetwork, case)
     assert landed[0] == reference[0]           # the packet stream
     assert landed[1] == reference[1]           # the UE counters
+    assert landed[3] == reference[3]           # the error uniforms
     # Same packets in fewer, larger bursts — never more.
     assert sum(landed[2]) == sum(reference[2])
     assert len(landed[2]) <= len(reference[2])
@@ -142,12 +151,16 @@ def test_landed_air_matches_event_per_block_delivery(case):
 
 def test_the_differential_reaches_abandonment_and_aggregation():
     """The drawn space is not vacuous: a lossy 3-carrier case abandons
-    blocks, parks others in the reordering buffer and merges bursts."""
+    blocks, parks others in the reordering buffer and merges bursts —
+    and, across a handover, uses more than two of the engine's blocks
+    of error uniforms, each value of which the scalar oracle draws by
+    itself."""
     case = {"carriers": 3, "seed": 7, "gaps_us": [150], "tbler": 0.8,
             "actions": [(60_000, "handover", 1, [1])], "cuts_us": []}
     reference = _drive(ReferenceCellularNetwork, case)
     landed = _drive(CellularNetwork, case)
     assert landed[:2] == reference[:2]
+    assert landed[3] == reference[3] > 2 * basestation.TB_UNIFORM_BLOCK
     delivered, abandoned, _, lost, _, max_held = landed[1][1]
     assert delivered > 50 and abandoned > 5 and lost > 0 and max_held > 3
     assert len(landed[2]) < len(reference[2])

@@ -112,6 +112,18 @@ def test_forget_drops_a_users_bookkeeping():
     assert not manager.state_for(1).history
 
 
+def test_activations_for_an_unknown_rnti_is_a_read():
+    """Asking about a user the manager never observed builds it no
+    bookkeeping; the first observation does."""
+    manager = CarrierAggregationManager(_policy())
+    assert manager.activations_for(5) == 0
+    assert manager._users == {}
+    manager.observe(0, 5, AggregationState(configured=[0, 1]),
+                    used_prbs=10, active_total_prbs=100, backlogged=True)
+    state = manager._users[5]
+    assert manager.state_for(5) is state and len(state.history) == 1
+
+
 def test_reattached_rnti_starts_carrier_aggregation_afresh():
     """``remove_user`` forgets the departed user: the same RNTI attached
     again must earn its secondary cell over a full window, not inherit

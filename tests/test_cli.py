@@ -174,7 +174,7 @@ def test_bad_grid_exits_2_before_any_job(capsys, monkeypatch, argv,
     def no_jobs(*args, **kwargs):
         raise AssertionError("a job ran before the arguments were checked")
 
-    monkeypatch.setattr("repro.cli._run_supervised", no_jobs)
+    monkeypatch.setattr("repro.cli._make_runner", no_jobs)
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
