@@ -9,12 +9,9 @@ Commands
                print a line per claim
 ``sweep``      the §6.3.1 stationary sweep, parallel and cacheable,
                at any size
-``fleet``      distributed sweep fabric: ``fleet worker`` joins a
-               shared-directory worker fleet (leases, heartbeats,
-               crash reclamation) from any host that shares the
-               directory, ``fleet status`` observes one; ``sweep``
-               drives its jobs through a fleet with ``--fleet-dir``
-               (``--chaos FILE`` arms a seeded fault plan)
+``fleet``      ``fleet worker``: one queue-pulling worker of a
+               :class:`repro.exec.FleetBackend` directory, the process
+               that backend spawns for each of its local workers
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes and experiments
@@ -42,9 +39,6 @@ Examples
     python -m repro sweep --schemes pbe,bbr --busy 8 --idle 5 \\
         --jobs 8 --cache-dir .repro-cache
     python -m repro cache verify --cache-dir .repro-cache
-    python -m repro sweep --fleet-dir /shared/fleet --fleet-workers 4 \\
-        --cache-dir .repro-cache
-    python -m repro fleet worker --dir /shared/fleet   # on any host
 """
 
 from __future__ import annotations
@@ -66,18 +60,6 @@ def _scheme_list(text: str) -> tuple:
                 f"unknown scheme {scheme!r}; known: "
                 f"{', '.join(sorted(SCHEMES))}")
     return schemes
-
-
-def _chaos_file(path: str):
-    """``--chaos FILE`` → the :class:`ChaosSpec` that file holds."""
-    from .exec import ChaosSpec
-    try:
-        spec = ChaosSpec.load(path)
-    except (OSError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if spec is None:
-        raise argparse.ArgumentTypeError(f"no chaos spec at {path}")
-    return spec
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -113,22 +95,6 @@ def _make_runner(args: argparse.Namespace, **supervision):
     progress = StderrReporter() if (args.jobs > 1 or args.cache_dir) \
         else None
     return make_runner(args.jobs, args.cache_dir, progress, **supervision)
-
-
-def _fleet_backend(args: argparse.Namespace):
-    """Build the ``--fleet-dir`` backend (and its telemetry line)."""
-    from .exec import FleetBackend
-    chaos = args.chaos if args.chaos and args.chaos.active else None
-    if chaos is not None:
-        print(f"[repro] chaos injection armed: {chaos.to_dict()}",
-              file=sys.stderr)
-
-    def telemetry(line: str) -> None:
-        print(f"[repro] {line}", file=sys.stderr, flush=True)
-
-    return FleetBackend(args.fleet_dir, ttl_s=args.fleet_ttl,
-                        local_workers=args.fleet_workers,
-                        chaos=chaos, telemetry=telemetry)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -174,19 +140,17 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: the stationary sweep, supervised end to end.
 
-    Runs the sweep on the supervised runner (through a worker fleet
-    when ``--fleet-dir`` is set) and maps its aborts to exit codes: a
-    drained SIGINT/SIGTERM → 130, a tripped failure budget → 3, any
-    isolated job failure → 1.
+    Runs the sweep on the supervised runner and maps its aborts to
+    exit codes: a drained SIGINT/SIGTERM → 130, a tripped failure
+    budget → 3, any isolated job failure → 1.
     """
     from .exec import FailureBudgetExceeded, SweepInterrupted
     from .harness import experiments as exp
     budget = (args.failure_budget / 100.0
               if args.failure_budget is not None else None)
-    backend = _fleet_backend(args) if args.fleet_dir else None
     runner = _make_runner(
         args, retries=args.retries, timeout_s=args.timeout,
-        strict=args.strict, failure_budget=budget, backend=backend)
+        strict=args.strict, failure_budget=budget)
     try:
         sweep = exp.run_stationary_sweep(
             schemes=args.schemes, n_busy=args.busy, n_idle=args.idle,
@@ -197,12 +161,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except FailureBudgetExceeded as exc:
         print(f"[repro] {exc}", file=sys.stderr)
         return 3
-    finally:
-        # The runner shuts a persistent backend down when it ran jobs;
-        # cover the all-cache-hits path (and idempotently otherwise)
-        # so spawned local workers never outlive the sweep.
-        if backend is not None:
-            backend.shutdown(wait=True)
     _print_sweep(args, sweep)
     # Surface degraded-run telemetry; exit non-zero on failures.
     stats = runner.stats
@@ -218,33 +176,7 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     """``repro fleet worker``: join a fleet and pull jobs until stopped."""
     from .exec import run_worker
     return run_worker(args.dir, worker_id=args.id, ttl_s=args.ttl,
-                      poll_s=args.poll, max_jobs=args.max_jobs)
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    """``repro fleet status``: observe a fleet directory, read-only."""
-    from .exec import fleet_status
-    status = fleet_status(args.dir)
-    print(f"fleet {status['root']}: {status['queued']} queued, "
-          f"{len(status['leases'])} leases in flight, "
-          f"{status['results']} results")
-    if status["workers"]:
-        rows = []
-        for worker in status["workers"]:
-            rows.append([worker["worker"], worker["pid"],
-                         worker["executed"], worker["reclaimed"],
-                         round(worker["jobs_per_min"], 2),
-                         round(worker["stale_s"], 1)])
-        print(format_table(
-            ["worker", "pid", "executed", "reclaimed", "jobs/min",
-             "beacon age (s)"],
-            rows))
-    if status["leases"]:
-        rows = [[lease["label"], lease["worker"],
-                 round(lease["held_s"], 1)]
-                for lease in status["leases"]]
-        print(format_table(["job", "worker", "held (s)"], rows))
-    return 0
+                      poll_s=args.poll)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -301,28 +233,6 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
                              "have failed")
 
 
-def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
-    """``--fleet-*`` routing plus a seeded fault plan for it."""
-    parser.add_argument("--fleet-dir", default=None, metavar="DIR",
-                        help="route jobs through a worker fleet "
-                             "sharing DIR instead of a local process "
-                             "pool (external workers may join with "
-                             "`repro fleet worker --dir DIR`)")
-    parser.add_argument("--fleet-workers", type=int, default=2,
-                        metavar="N",
-                        help="local fleet workers to spawn "
-                             "(default 2; 0 = external workers only)")
-    parser.add_argument("--fleet-ttl", type=float, default=10.0,
-                        metavar="S",
-                        help="fleet lease TTL in seconds (default 10)")
-    parser.add_argument("--chaos", type=_chaos_file, default=None,
-                        metavar="FILE",
-                        help="the fleet's seeded fault plan: a "
-                             "ChaosSpec JSON object, e.g. {\"seed\": 3, "
-                             "\"kill_prob\": 1}; each fault fires at "
-                             "most once per job fleet-wide")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests/docs)."""
     parser = argparse.ArgumentParser(
@@ -376,13 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write per-run JSON entries here")
     _add_exec_options(p_sweep)
     _add_supervision_options(p_sweep)
-    _add_fleet_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fleet = sub.add_parser(
-        "fleet", help="distributed sweep fabric: join or observe a "
-                      "shared-directory worker fleet (drive one "
-                      "with `sweep --fleet-dir`)")
+        "fleet", help="the worker process a FleetBackend spawns")
     fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
 
     p_fw = fleet_sub.add_parser(
@@ -398,18 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="lease TTL in seconds (default 10)")
     p_fw.add_argument("--poll", type=float, default=0.2, metavar="S",
                       help="idle queue poll interval (default 0.2)")
-    p_fw.add_argument("--max-jobs", type=int, default=None,
-                      help="exit after executing this many jobs")
     p_fw.set_defaults(func=cmd_fleet_worker)
-
-    p_fstat = fleet_sub.add_parser(
-        "status", help="read-only snapshot of a fleet directory: "
-                       "queue depth, live leases (with how long each "
-                       "is held), and per-worker throughput from the "
-                       "liveness beacons")
-    p_fstat.add_argument("--dir", required=True,
-                         help="the fleet's shared directory")
-    p_fstat.set_defaults(func=cmd_fleet_status)
 
     p_cache = sub.add_parser(
         "cache", help="audit the result cache (verify / gc)")

@@ -32,13 +32,11 @@ from .backend import (
     job_to_wire,
     wire_kind_of,
 )
-from .chaos import ChaosSpec, chaos_events
 from .fleet import (
     FleetBackend,
     FleetWorker,
     RemoteJobError,
     WorkerLostError,
-    fleet_status,
     run_worker,
     spawn_local_workers,
 )
@@ -63,15 +61,14 @@ from .supervisor import (
 from .worker import execute_job, initialize_worker
 
 __all__ = [
-    "BackoffPolicy", "ChaosSpec", "ExecBackend",
-    "FailureBudgetExceeded", "FleetBackend", "FleetWorker", "Job",
-    "JobEvent", "JobExecutionError", "JobFailure", "ParallelRunner",
-    "ProbeJob", "ProcessPoolBackend", "RemoteJobError", "ResultStore",
+    "BackoffPolicy", "ExecBackend", "FailureBudgetExceeded",
+    "FleetBackend", "FleetWorker", "Job", "JobEvent",
+    "JobExecutionError", "JobFailure", "ParallelRunner", "ProbeJob",
+    "ProcessPoolBackend", "RemoteJobError", "ResultStore",
     "RunnerStats", "SignalDrain", "StderrReporter", "StoreStats",
     "SweepInterrupted", "WorkerLostError", "canonical_json",
-    "chaos_events", "execute_job", "fleet_status", "initialize_worker",
-    "is_failure", "job_from_wire", "job_to_wire", "make_runner",
-    "payload_checksum", "run_worker",
+    "execute_job", "initialize_worker", "is_failure", "job_from_wire",
+    "job_to_wire", "make_runner", "payload_checksum", "run_worker",
     "scenario_to_dict", "seal", "spawn_local_workers", "unseal",
     "wire_kind_of",
 ]

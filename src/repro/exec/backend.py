@@ -157,9 +157,8 @@ class ProcessPoolBackend(ExecBackend):
 class ProbeJob:
     """A tiny deterministic job for exercising the execution fabric.
 
-    The fleet/chaos tests and ``repro fleet``'s smoke path need jobs
-    whose wall time and payload are fully controllable without paying
-    for a simulation.  ``params`` keys: ``id`` (any JSON value),
+    The runner and fleet tests need jobs whose wall time and payload
+    are fully controllable without paying for a simulation.  ``params`` keys: ``id`` (any JSON value),
     ``sleep_s`` (busy-wait wall time), ``value`` (echoed into the
     payload), ``fail`` (truthy → raise ``RuntimeError``).
     """

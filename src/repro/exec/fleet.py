@@ -1,14 +1,14 @@
 """Fleet execution: a shared on-disk queue, leases, and reclamation.
 
-One sweep, many machines.  The driver (a
-:class:`repro.exec.ParallelRunner` with a :class:`FleetBackend`)
-publishes fingerprinted jobs as JSON files in a shared directory; any
-number of independent ``python -m repro fleet worker`` processes — on
-this host or on others, against the same (possibly SSH/NFS-mounted)
-directory — pull jobs from the queue and push results back.  No
-sockets, no broker: the filesystem's atomic primitives (``O_EXCL``
-create, ``os.replace``) are the whole coordination protocol, which is
-what lets a fleet survive any member dying at any instant.
+The driver (a :class:`repro.exec.ParallelRunner` with a
+:class:`FleetBackend`) publishes fingerprinted jobs as JSON files in a
+directory and spawns local ``python -m repro fleet worker`` processes
+that pull jobs from the queue and push results back.  No sockets, no
+broker: the filesystem's atomic primitives (``O_EXCL`` create,
+``os.replace``) are the whole coordination protocol, which is what
+lets the fleet survive any worker dying at any instant.  The
+benchmark's ``sweep_pool`` workload is its one driver; sweeps run on
+the process pool.
 
 Layout of a fleet directory::
 
@@ -16,9 +16,9 @@ Layout of a fleet directory::
       queue/<fp>.json     job wire form (driver writes, workers read)
       leases/<fp>.json    claim + heartbeat (worker renews every ttl/4)
       results/<fp>.json   checksummed result envelope (worker writes)
-      workers/<id>.json   worker liveness beacons (telemetry)
+      workers/<id>.json   worker liveness beacons (takeover counts)
+      workers/<id>.log    each local worker's stderr
       quarantine/         corrupt results, kept for diagnosis
-      chaos.json          optional :class:`repro.exec.chaos.ChaosSpec`
       STOP                shutdown sentinel (driver writes at the end)
 
 The robustness contract:
@@ -33,16 +33,15 @@ The robustness contract:
 * results are the same bytes a :class:`~repro.exec.ResultStore` entry
   holds, written and read through the same
   :func:`~repro.exec.store.seal` / :func:`~repro.exec.store.unseal`
-  codec; a corrupt file (torn write, chaos injection) is quarantined
-  and the job re-runs;
+  codec; a corrupt file (a torn write) is quarantined and the job
+  re-runs;
 * duplicate completions (lease takeover racing a stalled-but-alive
   worker) are harmless: jobs are deterministic, so both writers
   produce identical bytes and atomic rename makes last-write-wins
   safe; one landing after its job was collected is swept up when the
   driver shuts its local workers down;
-* everything flows into the driver's ``ResultStore``, the one record
-  of which jobs are done, so resume works at fleet scope: a SIGKILLed
-  fleet restarted on the same cache re-runs only unfinished jobs.
+* a result left by a dead driver is collected, not re-run, when a new
+  driver submits the same job to the same directory.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from typing import Iterable, Optional, Set, Union
 
 from ..harness.serialize import write_bytes_atomic, write_json_atomic
 from .backend import ExecBackend, job_from_wire, job_to_wire
-from .chaos import CHAOS_FILE, ChaosSpec, corrupt_bytes
 from .store import seal, unseal
 from .worker import execute_job, initialize_worker
 
@@ -77,6 +75,9 @@ DEFAULT_TTL_S = 10.0
 #: Heartbeats renew the lease at ttl/4, so one missed beat never costs
 #: a lease.
 HEARTBEAT_FRACTION = 0.25
+#: Runaway backstop: the driver stops respawning dead local workers
+#: after this many restarts in one backend's life.
+MAX_RESTARTS = 1000
 
 
 class WorkerLostError(OSError):
@@ -150,22 +151,19 @@ CLAIM_TAKEOVER = 2
 
 
 def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
-              ttl_s: float = DEFAULT_TTL_S,
-              force: bool = False) -> int:
+              ttl_s: float = DEFAULT_TTL_S) -> int:
     """Atomically claim one job's lease; returns a ``CLAIM_*`` code.
 
     The fast path is an ``O_EXCL`` create — exactly one of N racing
     workers wins.  An existing lease may be taken over only when it is
-    expired (its worker stopped heartbeating) or ``force`` is set (the
-    chaos injector's duplicate-claim fault).  Takeover itself is an
+    expired (its worker stopped heartbeating).  Takeover itself is an
     atomic replace; if two workers take over the same expired lease in
     the same instant both will run the job, which the fabric tolerates
     by design (deterministic jobs, last-write-wins results).
 
     The return value is truthy on success: ``CLAIM_FRESH`` for an
-    uncontested claim (or a forced duplicate of a live lease) and
-    ``CLAIM_TAKEOVER`` when an expired lease was replaced;
-    ``CLAIM_FAILED`` otherwise.
+    uncontested claim and ``CLAIM_TAKEOVER`` when an expired lease was
+    replaced; ``CLAIM_FAILED`` otherwise.
     """
     path = Path(root) / LEASE_DIR / f"{fingerprint}.json"
     now = time.time()
@@ -176,15 +174,13 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
     try:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        stale = _read_json(path)
-        expired = lease_expired(stale, now)
-        if not force and not expired:
+        if not lease_expired(_read_json(path), now):
             return CLAIM_FAILED
         try:
             write_bytes_atomic(path, encoded)
         except OSError:
             return CLAIM_FAILED
-        return CLAIM_TAKEOVER if expired else CLAIM_FRESH
+        return CLAIM_TAKEOVER
     except OSError:
         return CLAIM_FAILED
     try:
@@ -206,29 +202,25 @@ class _LeaseHeartbeat(threading.Thread):
     """Renews one lease every ``ttl/4`` while its job executes.
 
     Reads the lease before each renewal: if another worker took it
-    over (duplicate-claim chaos, or an over-eager reclaim), the thread
-    flags :attr:`lost` and stops renewing — the job keeps running and
-    its (identical) result is still written, but the lease now belongs
-    to someone else.  ``stall_s`` suppresses renewal for that long at
-    the start — the chaos injector's heartbeat-stall fault.
+    over (this worker stalled past the TTL and a peer reclaimed it),
+    the thread flags :attr:`lost` and stops renewing — the job keeps
+    running and its (identical) result is still written, but the lease
+    now belongs to someone else.
     """
 
     def __init__(self, root: Path, fingerprint: str, worker_id: str,
-                 ttl_s: float, stall_s: float = 0.0) -> None:
+                 ttl_s: float) -> None:
         super().__init__(daemon=True,
                          name=f"lease-{fingerprint[:8]}")
         self.root = root
         self.fingerprint = fingerprint
         self.worker_id = worker_id
         self.ttl_s = ttl_s
-        self.stall_s = stall_s
         self.lost = False
         self._halt = threading.Event()
 
     def run(self) -> None:
         path = self.root / LEASE_DIR / f"{self.fingerprint}.json"
-        if self.stall_s > 0 and self._halt.wait(self.stall_s):
-            return
         period = max(0.02, self.ttl_s * HEARTBEAT_FRACTION)
         while not self._halt.wait(period):
             lease = _read_json(path)
@@ -270,7 +262,6 @@ class FleetWorker:
                  ttl_s: float = DEFAULT_TTL_S,
                  poll_s: float = 0.2,
                  max_jobs: Optional[int] = None,
-                 chaos: Optional[ChaosSpec] = None,
                  log=None) -> None:
         self.root = Path(root)
         self.worker_id = worker_id or (
@@ -278,12 +269,9 @@ class FleetWorker:
         self.ttl_s = ttl_s
         self.poll_s = poll_s
         self.max_jobs = max_jobs
-        self.chaos = (chaos if chaos is not None
-                      else ChaosSpec.load(self.root / CHAOS_FILE))
         self.log = log if log is not None else sys.stderr
         self.executed = 0
         self.reclaimed = 0
-        self.started = time.time()
         self.stop_requested = False
         self._beacon_at = 0.0
 
@@ -307,9 +295,7 @@ class FleetWorker:
             return
         self._beacon_at = now
         record = {"worker": self.worker_id, "pid": os.getpid(),
-                  "renewed": now, "started": self.started,
-                  "executed": self.executed,
-                  "reclaimed": self.reclaimed}
+                  "renewed": now, "reclaimed": self.reclaimed}
         try:
             write_bytes_atomic(
                 self.root / WORKERS_DIR / f"{self.worker_id}.json",
@@ -323,7 +309,7 @@ class FleetWorker:
 
     # -- claiming ------------------------------------------------------
     def _claimable(self) -> Iterable[tuple]:
-        """(fingerprint, entry, force) candidates, deterministic order."""
+        """(fingerprint, entry path) candidates, deterministic order."""
         queue = self.root / QUEUE_DIR
         if not queue.is_dir():
             return
@@ -332,28 +318,14 @@ class FleetWorker:
             if (self.root / RESULT_DIR / f"{fp}.json").exists():
                 continue
             lease = _read_json(self.root / LEASE_DIR / f"{fp}.json")
-            if lease is not None and not lease_expired(lease):
-                if self.chaos is not None and self.chaos.fire(
-                        self.root, "duplicate_claim", fp):
-                    yield fp, path, True  # race the live owner
-                continue
-            yield fp, path, False
+            if lease is None or lease_expired(lease):
+                yield fp, path
 
     # -- execution -----------------------------------------------------
-    def _sleep_interruptible(self, seconds: float) -> None:
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline and not self.stop_requested:
-            time.sleep(min(0.05, deadline - time.monotonic()))
-
     def _write_result(self, fingerprint: str, payload: dict) -> None:
-        encoded = seal(payload)
-        if self.chaos is not None and self.chaos.fire(
-                self.root, "corrupt", fingerprint):
-            encoded = corrupt_bytes(encoded, self.chaos.seed,
-                                    fingerprint)
-            self._say(f"chaos: corrupting result {fingerprint[:12]}")
         write_bytes_atomic(
-            self.root / RESULT_DIR / f"{fingerprint}.json", encoded)
+            self.root / RESULT_DIR / f"{fingerprint}.json",
+            seal(payload))
 
     def _write_failure(self, fingerprint: str,
                        exc: BaseException) -> None:
@@ -373,51 +345,34 @@ class FleetWorker:
         if entry is None:  # cancelled/collected under us
             release_lease(self.root, fingerprint)
             return
-        chaos = self.chaos
         heartbeat = _LeaseHeartbeat(
-            self.root, fingerprint, self.worker_id, self.ttl_s,
-            stall_s=(chaos.stall_s if chaos is not None
-                     and chaos.fire(self.root, "stall", fingerprint)
-                     else 0.0))
+            self.root, fingerprint, self.worker_id, self.ttl_s)
         heartbeat.start()
         try:
-            if chaos is not None and chaos.fire(self.root, "kill",
-                                                fingerprint):
-                self._say(f"chaos: SIGKILL mid-job "
-                          f"{fingerprint[:12]}")
-                self.log.flush() if hasattr(self.log, "flush") else None
-                os.kill(os.getpid(), signal.SIGKILL)
-            if chaos is not None and chaos.fire(
-                    self.root, "claim_delay", fingerprint):
-                self._say(f"chaos: delaying claimed job "
-                          f"{fingerprint[:12]} by "
-                          f"{chaos.claim_delay_s}s")
-                self._sleep_interruptible(chaos.claim_delay_s)
-            try:
-                job = job_from_wire(entry)
-                # Its result is filed under the queue name: refuse a
-                # job that is not the one the name and field promise
-                # (as every job queued by a driver running other code).
-                if not fingerprint == job.fingerprint() == entry.get(
-                        "fingerprint"):
-                    raise ValueError(
-                        f"queue entry {fingerprint} holds job "
-                        f"{job.fingerprint()} under this worker's code "
-                        f"(fingerprint field "
-                        f"{entry.get('fingerprint')!r}); refusing it")
-                payload = execute_job(job)
-            except _TermSignal:
-                raise
-            except Exception as exc:
-                self._write_failure(fingerprint, exc)
-                self.executed += 1  # failed jobs count toward max_jobs
-                self._say(f"{entry.get('label', fingerprint[:12])} "
-                          f"raised {type(exc).__name__}: {exc}")
-            else:
-                self._write_result(fingerprint, payload)
-                self.executed += 1
-                self._say(f"done {entry.get('label', '?')} "
-                          f"({self.executed} executed)")
+            job = job_from_wire(entry)
+            # Its result is filed under the queue name: refuse a
+            # job that is not the one the name and field promise
+            # (as every job queued by a driver running other code).
+            if not fingerprint == job.fingerprint() == entry.get(
+                    "fingerprint"):
+                raise ValueError(
+                    f"queue entry {fingerprint} holds job "
+                    f"{job.fingerprint()} under this worker's code "
+                    f"(fingerprint field "
+                    f"{entry.get('fingerprint')!r}); refusing it")
+            payload = execute_job(job)
+        except _TermSignal:
+            raise
+        except Exception as exc:
+            self._write_failure(fingerprint, exc)
+            self.executed += 1  # failed jobs count toward max_jobs
+            self._say(f"{entry.get('label', fingerprint[:12])} "
+                      f"raised {type(exc).__name__}: {exc}")
+        else:
+            self._write_result(fingerprint, payload)
+            self.executed += 1
+            self._say(f"done {entry.get('label', '?')} "
+                      f"({self.executed} executed)")
         finally:
             heartbeat.stop()
             release_lease(self.root, fingerprint)
@@ -437,15 +392,14 @@ class FleetWorker:
                         and self.executed >= self.max_jobs):
                     break
                 claimed = False
-                for fp, entry_path, force in self._claimable():
+                for fp, entry_path in self._claimable():
                     if self.stop_requested:
                         break
                     outcome = try_claim(self.root, fp, self.worker_id,
-                                        ttl_s=self.ttl_s, force=force)
+                                        ttl_s=self.ttl_s)
                     if not outcome:
                         continue
-                    if not force and (self.root / RESULT_DIR
-                                      / f"{fp}.json").exists():
+                    if (self.root / RESULT_DIR / f"{fp}.json").exists():
                         # A peer wrote this result (then released its
                         # lease) between _claimable's result check and
                         # its lease read: leave the envelope for the
@@ -476,11 +430,10 @@ class FleetWorker:
 
 def run_worker(root: Union[str, Path],
                worker_id: Optional[str] = None,
-               ttl_s: float = DEFAULT_TTL_S, poll_s: float = 0.2,
-               max_jobs: Optional[int] = None) -> int:
+               ttl_s: float = DEFAULT_TTL_S, poll_s: float = 0.2) -> int:
     """Entry point behind ``python -m repro fleet worker``."""
     worker = FleetWorker(root, worker_id=worker_id, ttl_s=ttl_s,
-                         poll_s=poll_s, max_jobs=max_jobs)
+                         poll_s=poll_s)
     worker.install_signals()
     return worker.run()
 
@@ -515,67 +468,6 @@ def spawn_local_workers(root: Union[str, Path], count: int,
     return procs
 
 
-def fleet_status(root: Union[str, Path],
-                 now: Optional[float] = None) -> dict:
-    """One snapshot of a fleet directory's operational state.
-
-    Pure observation (no lease mutations, no reclaims): queue depth,
-    live leases with how long each has been held, and per-worker
-    throughput from the liveness beacons.  Backs ``python -m repro
-    fleet status`` and is safe to call while a sweep is running — every
-    read tolerates torn writes the same way the workers do.
-    """
-    root = Path(root)
-    now = time.time() if now is None else now
-    results = {path.stem
-               for path in (root / RESULT_DIR).glob("*.json")
-               } if (root / RESULT_DIR).is_dir() else set()
-    queue_dir = root / QUEUE_DIR
-    queued = sorted(path.stem for path in queue_dir.glob("*.json")
-                    ) if queue_dir.is_dir() else []
-
-    leases = []
-    lease_dir = root / LEASE_DIR
-    for path in sorted(lease_dir.glob("*.json")
-                       ) if lease_dir.is_dir() else []:
-        lease = _read_json(path)
-        if lease is None or lease_expired(lease, now):
-            continue
-        fingerprint = path.stem
-        entry = _read_json(queue_dir / f"{fingerprint}.json") or {}
-        leases.append({"fingerprint": fingerprint,
-                       "label": entry.get("label", fingerprint[:12]),
-                       "worker": lease.get("worker", "?"),
-                       "held_s": max(0.0,
-                                     now - lease.get("acquired", now))})
-
-    workers = []
-    workers_dir = root / WORKERS_DIR
-    for path in sorted(workers_dir.glob("*.json")
-                       ) if workers_dir.is_dir() else []:
-        record = _read_json(path)
-        if record is None:
-            continue
-        renewed = record.get("renewed", 0.0)
-        started = record.get("started", renewed)
-        executed = int(record.get("executed", 0))
-        uptime = max(0.0, now - started) if started else 0.0
-        workers.append({
-            "worker": record.get("worker", path.stem),
-            "pid": record.get("pid"),
-            "executed": executed,
-            "reclaimed": int(record.get("reclaimed", 0)),
-            "stale_s": max(0.0, now - renewed),
-            "uptime_s": uptime,
-            "jobs_per_min": (60.0 * executed / uptime
-                             if uptime > 0 else 0.0)})
-
-    outstanding = [fp for fp in queued if fp not in results]
-    return {"root": str(root), "queued": len(outstanding),
-            "results": len(results), "leases": leases,
-            "workers": workers}
-
-
 # ---------------------------------------------------------------------
 # Driver side.
 
@@ -597,13 +489,11 @@ class FleetBackend(ExecBackend):
     """Drive a sweep through a shared-directory worker fleet.
 
     ``local_workers`` > 0 spawns that many worker subprocesses against
-    the fleet directory (and respawns any that die — chaos kills,
-    OOMs); external workers on other hosts join by running ``python -m
-    repro fleet worker --dir <shared-path>`` at any time, including
-    mid-sweep.  The backend is ``persistent``: one instance spans
-    every retry round, accumulating ``lease_reclaims`` /
-    ``worker_restarts`` telemetry that the runner folds into its
-    :class:`~repro.exec.RunnerStats`.
+    the fleet directory and respawns any that die (a crash, an OOM
+    kill), up to :data:`MAX_RESTARTS`.  The backend is ``persistent``:
+    one instance spans every retry round, accumulating
+    ``lease_reclaims`` / ``worker_restarts`` counters that the runner
+    folds into its :class:`~repro.exec.RunnerStats`.
     """
 
     name = "fleet"
@@ -613,38 +503,25 @@ class FleetBackend(ExecBackend):
     def __init__(self, root: Union[str, Path],
                  ttl_s: float = DEFAULT_TTL_S,
                  poll_s: float = 0.1,
-                 local_workers: int = 0,
-                 chaos: Optional[ChaosSpec] = None,
-                 telemetry=None,
-                 respawn: bool = True,
-                 max_restarts: int = 1000) -> None:
+                 local_workers: int = 0) -> None:
         self.root = Path(root)
         self.ttl_s = ttl_s
         self.poll_s = poll_s
-        self.telemetry = telemetry
-        self.respawn = respawn
-        self.max_restarts = max_restarts
         self._driver_reclaims = 0
         self.worker_restarts = 0
         self.corrupt_results = 0
-        self.collected = 0
         #: Fingerprints whose result was collected (or failed).
         self._settled: Set[str] = set()
-        self._telemetry_at = 0.0
         self._shutdown = False
         for sub in (QUEUE_DIR, LEASE_DIR, RESULT_DIR, WORKERS_DIR):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Beacons persist across sweeps of the same directory:
         # baseline the takeover counts now so a previous run's
-        # reclaims don't inflate this one's telemetry.
+        # reclaims don't inflate this one's count.
         self._beacon_reclaim_base = self._beacon_reclaims()
         # A fresh driver owns the directory: clear a previous run's
         # stop sentinel so workers (re)joining don't exit on sight.
         _unlink_quiet(self.root / STOP_FILE)
-        if chaos is not None:
-            chaos.save(self.root / CHAOS_FILE)
-        self.chaos = (chaos if chaos is not None
-                      else ChaosSpec.load(self.root / CHAOS_FILE))
         self._procs = (spawn_local_workers(
             self.root, local_workers, ttl_s=ttl_s)
             if local_workers else [])
@@ -702,7 +579,6 @@ class FleetBackend(ExecBackend):
                         f"heartbeating); job reclaimed")
                     done.add(handle)
             self._respawn_dead()
-            self._telemetry_tick(handles, done)
             remaining = deadline - time.monotonic()
             if done or remaining <= 0:
                 return done
@@ -725,7 +601,6 @@ class FleetBackend(ExecBackend):
         self._cleanup(handle.fingerprint)
         if isinstance(payload, RemoteJobError):
             raise payload
-        self.collected += 1
         return payload
 
     def cancel(self, handle: FleetHandle) -> bool:
@@ -833,12 +708,12 @@ class FleetBackend(ExecBackend):
         _unlink_quiet(self._result_path(fp))
 
     def _respawn_dead(self) -> None:
-        if self._shutdown or not self.respawn:
+        if self._shutdown:
             return
         for i, proc in enumerate(self._procs):
             if proc.poll() is None:
                 continue
-            if self.worker_restarts >= self.max_restarts:
+            if self.worker_restarts >= MAX_RESTARTS:
                 return  # runaway backstop; external workers may remain
             self.worker_restarts += 1
             replacement = spawn_local_workers(
@@ -875,37 +750,6 @@ class FleetBackend(ExecBackend):
                 except (TypeError, ValueError):
                     pass
             # Dead workers' beacons keep their final counts, so the
-            # sum survives chaos kills and respawns (respawned
-            # workers get fresh ids, hence fresh beacon files).
+            # sum survives kills and respawns (respawned workers get
+            # fresh ids, hence fresh beacon files).
         return total
-
-    def live_workers(self) -> int:
-        """Workers with a fresh liveness beacon (local or remote)."""
-        beacons = self.root / WORKERS_DIR
-        if not beacons.is_dir():
-            return 0
-        now = time.time()
-        alive = 0
-        for path in beacons.glob("*.json"):
-            record = _read_json(path)
-            if record is not None and now - record.get(
-                    "renewed", 0.0) < 3 * self.ttl_s:
-                alive += 1
-        return alive
-
-    def _telemetry_tick(self, handles, done) -> None:
-        if self.telemetry is None:
-            return
-        now = time.monotonic()
-        if now - self._telemetry_at < 1.0:
-            return
-        self._telemetry_at = now
-        queued = sum(1 for _ in (self.root / QUEUE_DIR).glob("*.json"))
-        leased = sum(1 for _ in (self.root / LEASE_DIR).glob("*.json"))
-        self.telemetry(
-            f"fleet: {self.live_workers()} workers "
-            f"({sum(1 for p in self._procs if p.poll() is None)} "
-            f"local), {queued} queued, {leased} leased, "
-            f"{self.collected} collected, "
-            f"{self.lease_reclaims} reclaimed, "
-            f"{self.worker_restarts} respawned")

@@ -1,5 +1,5 @@
-"""Plain-text table rendering for the CLI's run, sweep and fleet status
-tables.  Paper figures print as claim lines
+"""Plain-text table rendering for the CLI's run and sweep tables.
+Paper figures print as claim lines
 (:func:`repro.harness.claims.claim_line`).
 """
 

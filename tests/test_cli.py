@@ -10,7 +10,6 @@ from repro.harness.runner import SCHEMES
 
 _SUPERVISION = ["--jobs", "--cache-dir", "--timeout", "--retries",
                 "--strict", "--failure-budget"]
-_FLEET = ["--fleet-dir", "--fleet-workers", "--fleet-ttl", "--chaos"]
 
 #: Every subcommand's arguments, in declaration order (positionals by
 #: dest, subcommand choosers left out).  Adding one is meant to show
@@ -20,10 +19,9 @@ CLI_INVENTORY = {
             "--internet-mbps", "--duration", "--seed"],
     "experiment": ["name", "--jobs", "--cache-dir"],
     "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
-              "--save", *_SUPERVISION, *_FLEET],
+              "--save", *_SUPERVISION],
     "fleet": [],
-    "fleet worker": ["--dir", "--id", "--ttl", "--poll", "--max-jobs"],
-    "fleet status": ["--dir"],
+    "fleet worker": ["--dir", "--id", "--ttl", "--poll"],
     "cache": ["action", "--cache-dir", "--tmp-grace"],
     "list": [],
 }
@@ -49,7 +47,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 35
+    assert sum(len(flags) for flags in inventory.values()) == 29
 
 
 def test_parser_requires_command():
@@ -122,7 +120,11 @@ def test_run_command_compares_schemes(capsys):
                                   ["experiment", "fig11", "--duration",
                                    "1"],
                                   ["sweep", "--view", "fig15"],
-                                  ["resilience"], ["metro"]])
+                                  ["resilience"], ["metro"],
+                                  ["sweep", "--fleet-dir", "fleet"],
+                                  ["fleet", "status", "--dir", "fleet"],
+                                  ["fleet", "worker", "--dir", "fleet",
+                                   "--max-jobs", "1"]])
 def test_removed_commands_exit_2(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -179,26 +181,6 @@ def test_bad_grid_exits_2_before_any_job(capsys, monkeypatch, argv,
         main(argv)
     assert exit_.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("document,named", [
-    ('{"kill_prob": 2.0}', "kill_prob"),
-    ('{"seed": 1, "stall_s": NaN}', "stall_s"),
-    ('{"kill": 1}', "kill"),
-    ("junk", "Expecting value"),
-])
-@pytest.mark.parametrize("command", ["sweep"])
-def test_malformed_chaos_file_exits_2_naming_the_field(
-        capsys, tmp_path, command, document, named):
-    path = tmp_path / "chaos.json"
-    path.write_text(document)
-    with pytest.raises(SystemExit) as exit_:
-        main([command, "--fleet-dir", str(tmp_path / "fleet"),
-              "--chaos", str(path)])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert "--chaos" in err and named in err
-    assert not (tmp_path / "fleet").exists()
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from repro.exec import (
     ProbeJob,
     RunnerStats,
     WorkerLostError,
+    execute_job,
     is_failure,
     job_from_wire,
     job_to_wire,
@@ -29,6 +30,7 @@ from repro.exec import (
     seal,
     spawn_local_workers,
 )
+from repro.exec import fleet
 from repro.exec.fleet import (
     CLAIM_FRESH,
     CLAIM_TAKEOVER,
@@ -37,7 +39,6 @@ from repro.exec.fleet import (
     RESULT_DIR,
     STOP_FILE,
     WORKERS_DIR,
-    fleet_status,
     lease_expired,
     release_lease,
     try_claim,
@@ -45,6 +46,7 @@ from repro.exec.fleet import (
 from repro.exec.store import ENVELOPE_KEY, SCHEMA_VERSION
 from repro.faults import FaultSpec
 from repro.harness import Scenario
+from repro.harness.serialize import write_bytes_atomic
 
 
 def probe(i, **extra):
@@ -89,22 +91,12 @@ def test_expired_lease_can_be_taken_over(tmp_path):
     assert lease["worker"] == "w2"
 
 
-def test_force_claim_races_a_live_lease(tmp_path):
-    fp = "ef" * 16
-    assert try_claim(tmp_path, fp, "w1", ttl_s=60)
-    assert not try_claim(tmp_path, fp, "w2", ttl_s=60)
-    assert try_claim(tmp_path, fp, "w2", ttl_s=60, force=True)
-
-
 def test_claim_codes_distinguish_takeover_from_fresh(tmp_path):
     fp = "12" * 16
     assert try_claim(tmp_path, fp, "w1", ttl_s=0.05) == CLAIM_FRESH
     time.sleep(0.2)
-    # Replacing an expired lease is a reclamation...
+    # Replacing an expired lease is a reclamation.
     assert try_claim(tmp_path, fp, "w2", ttl_s=60) == CLAIM_TAKEOVER
-    # ...but a forced duplicate of a live lease is just a race.
-    assert try_claim(tmp_path, fp, "w3", ttl_s=60,
-                     force=True) == CLAIM_FRESH
 
 
 def test_release_lease_tolerates_absence(tmp_path):
@@ -246,7 +238,7 @@ def test_worker_leaves_a_job_finished_during_its_scan(tmp_path):
             worker.stop_requested = True
         else:
             scans.append(fp)
-            yield fp, tmp_path / QUEUE_DIR / f"{fp}.json", False
+            yield fp, tmp_path / QUEUE_DIR / f"{fp}.json"
 
     worker._claimable = stale_scan
     worker._execute_claimed = lambda *args: pytest.fail("job ran twice")
@@ -304,7 +296,7 @@ def test_worker_takeover_is_counted_and_folded_into_stats(tmp_path):
     # driver's poll notices the dead heartbeat; the driver would
     # otherwise undercount lease_reclaims.  The worker counts the
     # takeover, publishes it through its beacon, and the backend
-    # folds beacon counts into the telemetry.
+    # folds beacon counts into its lease_reclaims.
     backend = FleetBackend(tmp_path, ttl_s=0.2, poll_s=0.02)
     fp = enqueue(tmp_path, probe(9))
     assert try_claim(tmp_path, fp, "dead-worker", ttl_s=0.2)
@@ -318,9 +310,58 @@ def test_worker_takeover_is_counted_and_folded_into_stats(tmp_path):
         (tmp_path / WORKERS_DIR / "healthy.json").read_text())
     assert beacon["reclaimed"] == 1
     assert backend.lease_reclaims == 1  # driver never saw the expiry
-    row, = [w for w in fleet_status(tmp_path)["workers"]
-            if w["worker"] == "healthy"]
-    assert row["reclaimed"] == 1
+
+
+def wait_for(predicate, what, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting: {what}"
+        time.sleep(0.02)
+
+
+def test_heartbeat_flags_a_lease_rewritten_under_it(tmp_path, monkeypatch):
+    """A running job's lease rewritten as another worker's (a peer that
+    took it over while this worker stalled): the heartbeat flags
+    ``lost`` and stops renewing, the job still finishes, its result
+    lands once, and collection drains the directory."""
+    beats = []
+
+    class RecordingHeartbeat(fleet._LeaseHeartbeat):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            beats.append(self)
+
+    monkeypatch.setattr(fleet, "_LeaseHeartbeat", RecordingHeartbeat)
+    job = probe("usurped", sleep_s=1.0)
+    lease = tmp_path / LEASE_DIR / f"{job.fingerprint()}.json"
+    backend = FleetBackend(tmp_path, ttl_s=0.4, poll_s=0.02)
+    runner = ParallelRunner(jobs=2, backend=backend, retries=0)
+    worker, thread = worker_thread(tmp_path, max_jobs=1, ttl_s=0.4)
+
+    def usurp():
+        wait_for(lambda: beats and lease.exists(), "job claimed")
+        assert json.loads(lease.read_text())["worker"] == worker.worker_id
+        # Rewrite until the heartbeat notices: a renewal that read the
+        # lease just before a rewrite would put its own record back.
+        while not beats[0].lost and lease.exists():
+            now = time.time()
+            write_bytes_atomic(lease, json.dumps(
+                {"worker": "usurper", "fingerprint": job.fingerprint(),
+                 "acquired": now, "renewed": now, "ttl_s": 60.0}).encode())
+            time.sleep(0.15)
+
+    usurper = threading.Thread(target=usurp, daemon=True)
+    usurper.start()
+    payloads = runner.run([job])
+    usurper.join(timeout=10)
+    thread.join(timeout=10)
+    assert [beat.lost for beat in beats] == [True]
+    assert payloads == [execute_job(job)]
+    assert worker.executed == 1
+    assert runner.stats.executed == 1 and runner.stats.retries == 0
+    assert backend.lease_reclaims == 0
+    for sub in (QUEUE_DIR, LEASE_DIR, RESULT_DIR):
+        assert list((tmp_path / sub).iterdir()) == []
 
 
 def test_backend_baselines_stale_beacon_reclaims(tmp_path):
@@ -488,6 +529,40 @@ def test_spawned_local_workers_complete_a_sweep(tmp_path):
     assert (tmp_path / STOP_FILE).exists()
     for proc in backend._procs:
         assert proc.wait(timeout=20) == 0
+
+
+def test_worker_killed_holding_a_lease_is_respawned_and_reclaimed(
+        tmp_path):
+    """SIGKILL the local worker that holds a running job's lease: the
+    lease expires, the job is reclaimed and re-run, the driver
+    respawns the dead worker, and the payload is the job's own."""
+    job = probe("killed", sleep_s=1.0)
+    lease = tmp_path / LEASE_DIR / f"{job.fingerprint()}.json"
+    backend = FleetBackend(tmp_path, ttl_s=1.0, poll_s=0.05,
+                           local_workers=2)
+    runner = ParallelRunner(jobs=2, backend=backend, retries=2)
+    killed = []
+
+    def kill_lease_holder():
+        wait_for(lease.exists, "job claimed")
+        holder = json.loads(lease.read_text())["worker"]
+        beacon = tmp_path / WORKERS_DIR / f"{holder}.json"
+        wait_for(beacon.exists, "holder's beacon")
+        pid = json.loads(beacon.read_text())["pid"]
+        os.kill(pid, signal.SIGKILL)
+        killed.append(pid)
+
+    killer = threading.Thread(target=kill_lease_holder, daemon=True)
+    killer.start()
+    try:
+        payloads = runner.run([job])
+    finally:
+        backend.shutdown(wait=True)
+    killer.join(timeout=10)
+    assert len(killed) == 1
+    assert payloads == [execute_job(job)]
+    assert runner.stats.worker_restarts >= 1
+    assert runner.stats.lease_reclaims >= 1
 
 
 def test_sigterm_finishes_job_and_releases_lease(tmp_path):
