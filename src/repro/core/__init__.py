@@ -16,12 +16,11 @@ from .client import (
     PbeClient,
 )
 from .feedback import PbeFeedback, decode_rate_bps, encode_interval_us
-from .guard import FeedbackGuard
 from .sender import DRAIN, RAMP_RTTS, STARTUP, PbeSender
 
 __all__ = [
     "DELAY_MARGIN_US", "DPROP_WINDOW_US", "DRAIN", "FAIR_SHARE_FRACTION",
-    "FeedbackGuard", "INTERNET", "PbeClient", "PbeFeedback", "PbeSender", "RAMP_RTTS",
+    "INTERNET", "PbeClient", "PbeFeedback", "PbeSender", "RAMP_RTTS",
     "STARTUP", "SWITCH_SUBFRAMES", "WIRELESS", "decode_rate_bps",
     "encode_interval_us",
 ]

@@ -33,7 +33,6 @@ from ..net.packet import Packet
 from ..net.units import SUBFRAME_US, US_PER_S
 from ..phy.harq import RETX_DELAY_SUBFRAMES
 from .feedback import PbeFeedback
-from .guard import FeedbackGuard
 
 STARTUP, WIRELESS, DRAIN, INTERNET, FALLBACK = (
     "startup", "wireless", "drain", "internet", "fallback")
@@ -70,14 +69,9 @@ class PbeSender(CongestionControl):
 
     def __init__(self, initial_rate_bps: float = 1.2e6,
                  retx_margin_us: int = RETX_MARGIN_US,
-                 guard: Optional[FeedbackGuard] = None,
                  feedback_timeout_us: Optional[int] = None) -> None:
         """``retx_margin_us=0`` sizes the cwnd at the bare BDP (an
         ablation; the default is the paper's design).
-
-        ``guard`` optionally attaches the §7 misreported-feedback
-        detector: once it flags the client, the sender ignores inflated
-        capacity reports and caps at the measured throughput.
 
         ``feedback_timeout_us`` overrides the feedback watchdog: with
         no fresh (non-stale) capacity report for this long, the sender
@@ -92,7 +86,6 @@ class PbeSender(CongestionControl):
             raise ValueError("feedback timeout must be positive")
         self.initial_rate_bps = initial_rate_bps
         self.retx_margin_us = retx_margin_us
-        self.guard = guard
         self.state = STARTUP
 
         #: Embedded cellular-tailored BBR: fed every ACK so its BtlBw /
@@ -257,9 +250,6 @@ class PbeSender(CongestionControl):
                 fair_rate = feedback.fair_rate_bps
             self.target_rate_bps = target_rate
             self.fair_rate_bps = fair_rate
-            if self.guard is not None:
-                self.guard.observe(now, target_rate,
-                                   ctx.delivery_rate_bps)
             if (self.state == STARTUP and self._ramp_start_us is None
                     and fair_rate > 0):
                 self._ramp_start_us = now  # first Cf report arms the ramp
@@ -322,14 +312,10 @@ class PbeSender(CongestionControl):
                 return self.initial_rate_bps
             progress = self._ramp_progress(now_us)
             goal = self.fair_rate_bps or self.initial_rate_bps
-            rate = max(self.initial_rate_bps,
+            return max(self.initial_rate_bps,
                        self._ramp_base_bps
                        + (goal - self._ramp_base_bps) * progress)
-        else:
-            rate = self.target_rate_bps or self.initial_rate_bps
-        if self.guard is not None:
-            rate = max(self.initial_rate_bps, self.guard.cap_rate(rate))
-        return rate
+        return self.target_rate_bps or self.initial_rate_bps
 
     def pacing_rate_bps(self, now_us: int) -> float:
         self._check_watchdog(now_us)

@@ -322,6 +322,16 @@ class FleetWorker:
                 yield fp, path
 
     # -- execution -----------------------------------------------------
+    def _release(self, fingerprint: str) -> None:
+        """Drop a job's lease unless a peer has taken it over.
+
+        Reads the lease instead of trusting the heartbeat's ``lost``
+        flag, which misses a takeover after the last renewal.
+        """
+        lease = _read_json(self.root / LEASE_DIR / f"{fingerprint}.json")
+        if lease is not None and lease.get("worker") == self.worker_id:
+            release_lease(self.root, fingerprint)
+
     def _write_result(self, fingerprint: str, payload: dict) -> None:
         write_bytes_atomic(
             self.root / RESULT_DIR / f"{fingerprint}.json",
@@ -343,7 +353,7 @@ class FleetWorker:
                          entry_path: Path) -> None:
         entry = _read_json(entry_path)
         if entry is None:  # cancelled/collected under us
-            release_lease(self.root, fingerprint)
+            self._release(fingerprint)
             return
         heartbeat = _LeaseHeartbeat(
             self.root, fingerprint, self.worker_id, self.ttl_s)
@@ -375,7 +385,7 @@ class FleetWorker:
                       f"({self.executed} executed)")
         finally:
             heartbeat.stop()
-            release_lease(self.root, fingerprint)
+            self._release(fingerprint)
 
     # -- main loop -----------------------------------------------------
     def run(self) -> int:
@@ -404,7 +414,7 @@ class FleetWorker:
                         # lease) between _claimable's result check and
                         # its lease read: leave the envelope for the
                         # driver instead of running the job again.
-                        release_lease(self.root, fp)
+                        self._release(fp)
                         continue
                     if outcome == CLAIM_TAKEOVER:
                         # A dead peer's expired lease: count it and

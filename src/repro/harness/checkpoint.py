@@ -67,7 +67,6 @@ from ..cell.queues import DownlinkQueue, TransportBlock
 from ..cell.ue import UserEquipment
 from ..core.client import PbeClient
 from ..core.feedback import PbeFeedback
-from ..core.guard import FeedbackGuard
 from ..core.sender import PbeSender
 from ..faults.decoder import LossyDecoder
 from ..faults.pipe import ImpairedPipe
@@ -134,7 +133,7 @@ _STATE = (
     Bbr, Cubic, Copa, Sprout, Verus, FixedRate,
     _PccBase, PccAllegro, PccVivace, _MonitorInterval,
     WindowedMax, WindowedMin,
-    PbeSender, PbeClient, FeedbackGuard,
+    PbeSender, PbeClient,
     # cellular network
     CellularNetwork, _User, _Ingress, _HarqState, UserEquipment,
     DownlinkQueue, ReorderingBuffer, AggregationState,

@@ -13,7 +13,7 @@ cells and busy/idle links (25 busy + 15 idle, as in Table 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cell.scheduler import POLICIES
@@ -131,10 +131,6 @@ class Scenario:
         """Default stationary channel for this location."""
         return StaticChannel(self.mean_sinr_db, self.fading_std_db,
                              seed=self.seed + seed_offset)
-
-    def with_overrides(self, **kwargs) -> "Scenario":
-        """A copy of this scenario with fields replaced."""
-        return replace(self, **kwargs)
 
 
 def stationary_locations(duration_s: float = 8.0,

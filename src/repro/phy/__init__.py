@@ -1,4 +1,4 @@
-"""LTE/5G physical-layer substrate.
+"""LTE physical-layer substrate.
 
 Everything the paper's §3 primer describes: the PRB grid, CQI/MCS
 tables, SINR channel models, the transport-block error model of
@@ -8,12 +8,7 @@ carrier descriptions for carrier aggregation.
 """
 
 from ..net.units import SUBFRAME_US
-from .carrier import (
-    NR_PRBS_30KHZ,
-    AggregationState,
-    CarrierConfig,
-    nr_carrier,
-)
+from .carrier import AggregationState, CarrierConfig
 from .channel import (
     NOISE_FLOOR_DBM,
     ChannelModel,
@@ -49,7 +44,6 @@ __all__ = [
     "AggregationState", "CarrierConfig", "ChannelModel", "DATA_RE_PER_PRB",
     "DciMessage", "GaussMarkovChannel", "HARQ_COMBINING_GAIN",
     "MAX_MCS_INDEX", "MAX_RETRANSMISSIONS", "MCS_TABLE", "McsEntry",
-    "NR_PRBS_30KHZ", "nr_carrier",
     "NOISE_FLOOR_DBM", "PRBS_PER_BANDWIDTH_MHZ",
     "RETX_DELAY_SUBFRAMES", "ReorderingBuffer", "SUBFRAME_US",
     "StaticChannel", "SubframeRecord", "TraceChannel", "bits_per_prb",

@@ -18,57 +18,16 @@ from .prb import prbs_for_bandwidth
 
 @dataclass(frozen=True)
 class CarrierConfig:
-    """Static description of one component carrier (one cell).
-
-    ``prb_override`` sets the PRB count directly for non-LTE grids —
-    5G NR carriers have their own bandwidth/SCS tables (e.g. a 100 MHz
-    NR carrier at 30 kHz subcarrier spacing exposes 273 PRBs).  Use
-    :func:`nr_carrier` for the common NR configurations.
-    """
+    """Static description of one component carrier (one cell)."""
 
     cell_id: int
     bandwidth_mhz: float = 20.0
     frequency_ghz: float = 1.94
-    prb_override: int = 0
 
     @property
     def total_prbs(self) -> int:
         """PRBs available per subframe on this carrier."""
-        if self.prb_override:
-            return self.prb_override
         return prbs_for_bandwidth(self.bandwidth_mhz)
-
-
-#: 5G NR FR1 bandwidth (MHz) → PRB count at 30 kHz subcarrier spacing
-#: (3GPP TS 38.101-1 Table 5.3.2-1).
-NR_PRBS_30KHZ = {
-    20.0: 51,
-    40.0: 106,
-    50.0: 133,
-    60.0: 162,
-    80.0: 217,
-    100.0: 273,
-}
-
-
-def nr_carrier(cell_id: int, bandwidth_mhz: float = 100.0,
-               frequency_ghz: float = 3.5) -> CarrierConfig:
-    """A 5G NR FR1 component carrier (30 kHz SCS).
-
-    The scheduler still works on 1 ms intervals — for 30 kHz SCS that
-    aggregates two 0.5 ms slots per decision, which leaves per-PRB-pair
-    rates identical and only coarsens scheduling granularity slightly.
-    """
-    try:
-        prbs = NR_PRBS_30KHZ[float(bandwidth_mhz)]
-    except KeyError:
-        valid = sorted(NR_PRBS_30KHZ)
-        raise ValueError(
-            f"non-standard NR bandwidth {bandwidth_mhz} MHz; "
-            f"expected one of {valid}") from None
-    return CarrierConfig(cell_id=cell_id, bandwidth_mhz=bandwidth_mhz,
-                         frequency_ghz=frequency_ghz,
-                         prb_override=prbs)
 
 
 @dataclass

@@ -167,12 +167,8 @@ class ReferencePbeSender(PbeSender):
         if self.state == FALLBACK:
             self._resync_after_fallback(now)
         self._last_fresh_us = now
-        target_rate = feedback.target_rate_bps
-        self.target_rate_bps = target_rate
+        self.target_rate_bps = feedback.target_rate_bps
         self.fair_rate_bps = feedback.fair_rate_bps
-        if self.guard is not None:
-            self.guard.observe(now, target_rate,
-                               ctx.delivery_rate_bps)
         if (self.state == STARTUP and self._ramp_start_us is None
                 and self.fair_rate_bps > 0):
             self._ramp_start_us = now  # first Cf report arms the ramp

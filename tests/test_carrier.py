@@ -48,30 +48,3 @@ def test_active_count_validation():
         AggregationState(configured=[0], active_count=2)
     with pytest.raises(ValueError):
         AggregationState(configured=[0], active_count=0)
-
-
-def test_prb_override():
-    from repro.phy.carrier import CarrierConfig
-    assert CarrierConfig(0, prb_override=273).total_prbs == 273
-
-
-def test_nr_carrier_presets():
-    from repro.phy.carrier import nr_carrier
-    import pytest
-    assert nr_carrier(0, 100.0).total_prbs == 273
-    assert nr_carrier(0, 40.0).total_prbs == 106
-    with pytest.raises(ValueError, match="non-standard NR"):
-        nr_carrier(0, 37.0)
-
-
-def test_nr_cell_end_to_end():
-    """A 100 MHz NR carrier carries several hundred Mbit/s and PBE
-    tracks it like any LTE cell."""
-    from repro.harness import Scenario, run_flow
-    from repro.phy.carrier import nr_carrier
-    scenario = Scenario(name="nr", carriers=[nr_carrier(0)],
-                        aggregated_cells=1, mean_sinr_db=24.0,
-                        fading_std_db=0.0, duration_s=1.5, seed=3)
-    result = run_flow(scenario, "pbe")
-    assert result.summary.average_throughput_mbps > 250.0
-    assert result.summary.p95_delay_ms < 50.0

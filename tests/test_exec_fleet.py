@@ -364,6 +364,32 @@ def test_heartbeat_flags_a_lease_rewritten_under_it(tmp_path, monkeypatch):
         assert list((tmp_path / sub).iterdir()) == []
 
 
+def test_finishing_worker_keeps_a_peers_lease(tmp_path):
+    """A lease taken over while its job runs belongs to the peer: the
+    first worker finishes the job but leaves the peer's lease in place.
+    The takeover lands after the last renewal (the worker's 60 s TTL
+    renews every 15 s), so only a read at release time can see it."""
+    job = probe("taken", sleep_s=1.0)
+    fp = enqueue(tmp_path, job)
+    lease = tmp_path / LEASE_DIR / f"{fp}.json"
+    worker = FleetWorker(tmp_path, worker_id="a", ttl_s=60.0,
+                         poll_s=0.02, max_jobs=1,
+                         log=open(os.devnull, "w"))
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    wait_for(lambda: (fleet._read_json(lease) or {}).get("worker") == "a",
+             "job claimed by a")
+    now = time.time()
+    write_bytes_atomic(lease, json.dumps(
+        {"worker": "b", "fingerprint": fp, "acquired": now,
+         "renewed": now, "ttl_s": 60.0}).encode())
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert worker.executed == 1
+    assert (tmp_path / RESULT_DIR / f"{fp}.json").exists()
+    assert json.loads(lease.read_text())["worker"] == "b"
+
+
 def test_backend_baselines_stale_beacon_reclaims(tmp_path):
     # Beacons persist across sweeps of a reused fleet directory: a
     # fresh driver must not inherit a previous run's takeover counts.

@@ -43,13 +43,6 @@ def test_channel_is_reproducible():
         [b.sinr_db(t) for t in range(5)]
 
 
-def test_with_overrides():
-    s = Scenario(name="x", duration_s=8.0)
-    s2 = s.with_overrides(duration_s=2.0)
-    assert s2.duration_s == 2.0
-    assert s.duration_s == 8.0
-
-
 def test_sweep_composition_matches_table1():
     locations = stationary_locations()
     assert len(locations) == 40
