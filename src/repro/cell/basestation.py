@@ -251,8 +251,7 @@ class CellularNetwork:
                  = 0.0,
                  scheduler_policy: str = "equal",
                  cqi_delay_subframes: int = 0,
-                 seed: int = 0,
-                 perf_counters: Optional[Any] = None) -> None:
+                 seed: int = 0) -> None:
         if cqi_delay_subframes < 0:
             raise ValueError("CQI delay must be non-negative")
         if not carriers:
@@ -299,7 +298,9 @@ class CellularNetwork:
         self._user_list: list[_User] = []
         self._exo_users: list[_User] = []
         self._ca_users: list[_User] = []
-        self.perf = perf_counters
+        #: Optional :class:`repro.perf.PerfCounters`, assigned from
+        #: outside; counts ticks only, never alters behaviour.
+        self.perf: Optional[Any] = None
         self.subframe = 0
         self._retx: dict[tuple[int, int], list[_HarqState]] = {}
         self._monitors: dict[int, list[Callable[[SubframeRecord], None]]] = {

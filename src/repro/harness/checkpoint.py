@@ -16,7 +16,7 @@ valid snapshot on top, finish the run — the run fingerprint
 This holds because snapshots are taken between events (``Simulator.run``
 segments see a continuous timeline), the encoder only *reads* state,
 and the heap is preserved verbatim (cancelled entries included, so
-sequence numbers and compaction behaviour replay exactly).
+sequence numbers and the pop order replay exactly).
 
 On-disk format (one file per snapshot, ``ckpt-<subframe>.snap``)::
 
@@ -110,7 +110,7 @@ DEFAULT_INTERVAL_SUBFRAMES = 1000
 #: estimate trails growth by one save, so the realized fraction can
 #: exceed the nominal budget.
 #: Measured overhead on the busy 2-carrier PBE scenario is in
-#: EXPERIMENTS.md.
+#: EXPERIMENTS.md's overheads table.
 DEFAULT_WALL_BUDGET = 0.02
 
 
@@ -313,7 +313,7 @@ def restore_experiment(experiment: Any, doc: dict) -> None:
             if cancelled:
                 # A dead entry whose owner no longer exists (e.g. a
                 # departed user): it only occupies heap space until
-                # popped or compacted; never fires.
+                # popped; never fires.
                 continue
             raise statedict.SnapshotError(
                 f"heap event seq={seq} targets unknown owner {key!r}")

@@ -170,21 +170,16 @@ class FlowResult:
 class Experiment:
     """One scenario's simulation: network plus any number of flows."""
 
-    def __init__(self, scenario: Scenario, perf_counters=None) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        #: Optional :class:`repro.perf.PerfCounters`; wired into both
-        #: the simulator and the MAC engine (observability only — an
-        #: instrumented run stays byte-identical).
-        self.perf = perf_counters
-        self.sim = Simulator(perf_counters=perf_counters)
+        self.sim = Simulator()
         self.network = CellularNetwork(
             self.sim, scenario.carriers,
             control_arrivals_per_subframe=(
                 scenario.control_arrivals_per_subframe),
             scheduler_policy=scenario.scheduler_policy,
             cqi_delay_subframes=scenario.cqi_delay_subframes,
-            seed=scenario.seed,
-            perf_counters=perf_counters)
+            seed=scenario.seed)
         self.flows: list[FlowHandle] = []
         #: Shared bottleneck links (checkpointed alongside the flows).
         self._shared_links: list[Link] = []

@@ -7,15 +7,11 @@ monotonically increasing sequence number breaks ties), which makes runs
 fully deterministic for a given seed.
 
 Implementation notes for the hot loop: heap entries are plain
-``(time, seq, event)`` tuples so ordering is resolved by C-level tuple
-comparison instead of a Python ``__lt__`` call, and cancelled events
-are lazily deleted — they stay in the heap and are skipped when popped.
-Lazy deletion alone lets retransmission/pacing-heavy runs accumulate
-dead entries (every RTO re-arm cancels its predecessor), inflating
-every push and pop, so the simulator tracks how many queued entries
-are dead and compacts the heap once more than half of it is cancelled.
-Compaction preserves execution order exactly: the (time, seq) key is a
-strict total order, so rebuilding the heap cannot reorder live events.
+``(time, seq, event)`` tuples with a unique ``seq``, so ordering is
+resolved by C-level tuple comparison and never reaches the event, and
+cancelled events are lazily deleted — they stay in the heap and are
+skipped when popped.  The simulator counts the dead entries still
+queued, so ``len(_heap) - _cancelled`` is the number of live events.
 """
 
 from __future__ import annotations
@@ -23,18 +19,13 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-#: Never bother compacting heaps smaller than this; the scan costs more
-#: than the dead entries do.
-_COMPACT_MIN_EVENTS = 64
-
 
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     Events can be cancelled; cancelled events stay in the heap but are
     skipped when popped (lazy deletion), which is O(1) instead of O(n).
-    The owning simulator counts cancellations so it can compact the
-    heap when dead entries start to dominate.
+    The owning simulator counts the cancelled entries it still holds.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner")
@@ -57,21 +48,18 @@ class Event:
         self.cancelled = True
         owner = self._owner
         if owner is not None:
-            owner._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+            owner._cancelled += 1
 
 
 class Simulator:
     """Deterministic discrete-event simulator with an integer-µs clock.
 
-    ``perf_counters`` (see :class:`repro.perf.PerfCounters`) is an
-    optional observability hook: when attached, the run loop maintains
-    pop/cancel/compaction counters.  It never alters behaviour.
+    ``perf`` (see :class:`repro.perf.PerfCounters`, ``None`` by default)
+    is an optional observability hook: assign one and the loop counts
+    scheduled, popped and cancelled events.  It never alters behaviour.
     """
 
-    def __init__(self, perf_counters: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._seq: int = 0
@@ -80,7 +68,7 @@ class Simulator:
         self._limit: float = 0
         #: Cancelled events still sitting in the heap.
         self._cancelled: int = 0
-        self.perf = perf_counters
+        self.perf: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -116,33 +104,6 @@ class Simulator:
         if self.perf is not None:
             self.perf.events_scheduled += 1
         return event
-
-    # ------------------------------------------------------------------
-    # Lazy-deletion bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """One queued event was just cancelled; compact if dead-heavy."""
-        self._cancelled += 1
-        heap_len = len(self._heap)
-        if (heap_len >= _COMPACT_MIN_EVENTS
-                and self._cancelled * 2 > heap_len):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify the survivors.
-
-        O(live) rather than O(n log n): heapify on the filtered list.
-        Execution order is untouched — (time, seq) totally orders live
-        events regardless of internal heap layout.  The list is mutated
-        in place so the run loop's local alias stays valid even when a
-        callback's cancel triggers compaction mid-run.
-        """
-        self._heap[:] = [entry for entry in self._heap
-                         if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        if self.perf is not None:
-            self.perf.heap_compactions += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -216,7 +177,7 @@ class Simulator:
         owner key and the args through the state-dict codec).  The heap
         array is kept **verbatim** — cancelled entries included, in heap
         order — so a restored simulator replays the exact same pop
-        sequence, compactions and all.
+        sequence.
         """
         return {
             "now": self.now,

@@ -22,16 +22,17 @@ __all__ = ["PerfCounters"]
 class PerfCounters:
     """Shared counter block for one simulation's hot paths.
 
-    Attach one instance to the pieces you want to observe::
+    Attach one instance to the pieces you want to observe by assigning
+    it; ``None``, the default, counts nothing::
 
         perf = PerfCounters()
-        sim = Simulator(perf_counters=perf)
-        network = CellularNetwork(sim, carriers, perf_counters=perf)
+        experiment = Experiment(scenario)
+        experiment.sim.perf = perf
+        experiment.network.perf = perf
         ...
-        print(perf.ticks, perf.cancelled_event_ratio)
+        print(perf.ticks, perf.events_popped)
 
-    or pass it to :class:`repro.harness.runner.Experiment`, which wires
-    both for you.  Counters:
+    Counters:
 
     ``ticks``
         subframes the MAC engine processed.
@@ -41,9 +42,6 @@ class PerfCounters:
         lazily-deleted events that were popped and skipped.
     ``events_scheduled``
         total events pushed onto the heap.
-    ``heap_compactions``
-        times the simulator rebuilt its heap to evict cancelled
-        entries (see :meth:`Simulator.schedule`'s lazy deletion).
     ``ack_batches`` / ``acks_batched``
         grant-cycle flushes the uplink delivered, each as one
         ``receive_batch`` event carrying the burst, and how many ACKs
@@ -51,27 +49,12 @@ class PerfCounters:
     """
 
     __slots__ = ("ticks", "events_popped", "events_cancelled_popped",
-                 "events_scheduled", "heap_compactions", "ack_batches",
-                 "acks_batched")
+                 "events_scheduled", "ack_batches", "acks_batched")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter (the attachment points are kept)."""
         self.ticks = 0
         self.events_popped = 0
         self.events_cancelled_popped = 0
         self.events_scheduled = 0
-        self.heap_compactions = 0
         self.ack_batches = 0
         self.acks_batched = 0
-
-    @property
-    def cancelled_event_ratio(self) -> float:
-        """Fraction of popped events that were dead on arrival."""
-        total = self.events_popped + self.events_cancelled_popped
-        if total == 0:
-            return 0.0
-        return self.events_cancelled_popped / total
-

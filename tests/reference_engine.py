@@ -123,9 +123,9 @@ class ReferenceExperiment(runner.Experiment):
     """An :class:`Experiment` wired from the reference parts: its UEs'
     bursts reach the receivers' per-packet loops."""
 
-    def __init__(self, scenario, perf_counters=None) -> None:
+    def __init__(self, scenario) -> None:
         with mock.patch.multiple(runner, **_PARTS):
-            super().__init__(scenario, perf_counters)
+            super().__init__(scenario)
 
     def add_flow(self, spec):
         with mock.patch.multiple(runner, **_PARTS):

@@ -106,7 +106,8 @@ def test_batched_mode_delivers_one_event_per_flush():
     sim = Simulator()
     sink = PacketSink(sim)
     perf = PerfCounters()
-    sim = Simulator(perf_counters=perf)
+    sim = Simulator()
+    sim.perf = perf
     sink = PacketSink(sim)
     pipe = BatchingPipe(sim, sink, delay_us=1_000,
                         batch_interval_us=5_000)
@@ -125,7 +126,8 @@ def test_batched_mode_delivers_one_event_per_flush():
 
 def test_single_packet_flush_is_a_batch_of_one():
     perf = PerfCounters()
-    sim = Simulator(perf_counters=perf)
+    sim = Simulator()
+    sim.perf = perf
     sink = PacketSink(sim)
     pipe = BatchingPipe(sim, sink, delay_us=0, batch_interval_us=5_000)
     sim.schedule(100, pipe.receive, _ack(0))

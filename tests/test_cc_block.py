@@ -326,7 +326,8 @@ def _faulted_scenario():
 
 def test_impaired_uplink_runs_batched_and_matches_scalar():
     perf = PerfCounters()
-    experiment = Experiment(_faulted_scenario(), perf_counters=perf)
+    experiment = Experiment(_faulted_scenario())
+    experiment.sim.perf = experiment.network.perf = perf
     handle = experiment.add_flow(FlowSpec(scheme="pbe",
                                           faults=ACK_FAULTS))
     experiment.run()

@@ -1,25 +1,30 @@
-"""Docs cannot point at code that is gone.
+"""Docs cannot point at code or claims that are gone.
 
-Every backticked repository path in README.md, DESIGN.md and docs/*.md
-— a token with a ``/`` or a ``:line`` / ``:a-b`` suffix, ending in a
-file extension — must name a file, tried from the repository root and
-then from ``src/repro/``, and a line reference must lie inside that
-file.  Every backticked dotted name ``repro.<module>[.<attr>…]`` must
+Every backticked repository path in README.md, DESIGN.md,
+EXPERIMENTS.md and docs/*.md — a token with a ``/`` or a ``:line`` /
+``:a-b`` suffix, ending in a file extension — must name a file, tried
+from the repository root and then from ``src/repro/``, and a line
+reference must lie inside that file.  Every backticked dotted name ``repro.<module>[.<attr>…]`` must
 resolve, a call's arguments aside: the longest prefix that is a module
-imports, and the rest are attributes of it.  ROADMAP.md is left out: it
-names files and code that are only planned.
+imports, and the rest are attributes of it.  Every backticked claim id
+in EXPERIMENTS.md's hand-written text — ``*`` and ``{a,b}`` patterns
+included — must name a claim of the registry.  ROADMAP.md is left out:
+it names files and code that are only planned.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.harness import claims
+
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 BASES = (ROOT, ROOT / "src" / "repro")
 
@@ -28,6 +33,8 @@ _PATH = re.compile(r"([\w.-]+(?:/[\w.-]+)*"
                    r"\.(?:py|md|json|toml|yml|yaml|txt|cfg|sh|ini))"
                    r"(?::(\d+)(?:-(\d+))?)?")
 _DOTTED = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
+_CLAIM = re.compile(r"(?:table\d+|fig\d\w*|ablation|policy)(?:\.[\w*{},]+)+")
+_BRACES = re.compile(r"\{([^{}]*)\}")
 
 
 def references(text):
@@ -93,6 +100,41 @@ def unresolved(text):
             for lineno, name in dotted_names(text) if not resolves(name)]
 
 
+def claim_patterns(text):
+    """``(doc line, pattern)`` per backticked claim id or id pattern."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for ticked in _TICKED.finditer(line):
+            token = ticked.group(1).strip()
+            if _CLAIM.fullmatch(token):
+                yield lineno, token
+
+
+def expand(pattern):
+    """``pattern`` with its first ``{a,b}`` group expanded, recursively."""
+    match = _BRACES.search(pattern)
+    if match is None:
+        return [pattern]
+    return [name for option in match.group(1).split(",")
+            for name in expand(pattern[:match.start()] + option
+                               + pattern[match.end():])]
+
+
+def unknown_claims(text, ids):
+    """One message per claim pattern of which some expansion names no
+    claim in ``ids``."""
+    return [f"line {lineno}: {pattern} names no claim"
+            for lineno, pattern in claim_patterns(text)
+            if not all(fnmatch.filter(ids, name)
+                       for name in expand(pattern))]
+
+
+def hand_written(text):
+    """``text`` without its generated ``<!-- claims:… -->`` blocks."""
+    for name in claims.BLOCKS["EXPERIMENTS.md"]:
+        text = text.replace(claims.generated(text, name), "")
+    return text
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda d: d.name)
 def test_doc_references_resolve(doc):
     text = doc.read_text()
@@ -121,3 +163,25 @@ def test_the_dotted_scan_resolves_modules_and_attributes():
     assert [message.split(": ")[1].split()[0] for message in unresolved(text)
             ] == ["repro.monitor.NoSuchClass", "repro.no_such_module",
                   "repro.baselines.Bbr.on_ack.missing"]
+
+
+def test_experiments_cites_only_registry_claims():
+    text = hand_written((ROOT / "EXPERIMENTS.md").read_text())
+    ids = [claim.id for _, claim in claims.claims()]
+    assert len(list(claim_patterns(text))) > 0
+    assert unknown_claims(text, ids) == []
+
+
+def test_the_claim_scan_expands_patterns_and_catches_breakage():
+    ids = ["fig16.bbr.p95_ratio", "fig16.copa.tput_ratio",
+           "fig16.vivace.tput_ratio", "table1.bbr.busy.tput_speedup"]
+    text = ("`fig16.bbr.*` `fig16.{copa,vivace}.tput_ratio` "
+            "`table1.bbr.busy.tput_speedup` `fig16.{copa,sprout}.tput_ratio` "
+            "`fig99.pbe.dip` `net.uplink` `repro.harness.claims`")
+    assert [pattern for _, pattern in claim_patterns(text)] == [
+        "fig16.bbr.*", "fig16.{copa,vivace}.tput_ratio",
+        "table1.bbr.busy.tput_speedup", "fig16.{copa,sprout}.tput_ratio",
+        "fig99.pbe.dip"]
+    assert [message.split(": ")[1].split()[0]
+            for message in unknown_claims(text, ids)] == [
+        "fig16.{copa,sprout}.tput_ratio", "fig99.pbe.dip"]

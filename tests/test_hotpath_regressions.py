@@ -5,8 +5,8 @@ Each test here fails on the pre-PR code:
 * scheduler idle-PRB leak — remainder PRBs freed by demand caps or by
   float truncation of the weighted shares were dropped instead of
   redistributed;
-* event-heap bloat — the simulator lazily cancelled events but never
-  compacted, and its live-event count counted corpses as pending;
+* event-heap accounting — the simulator's live-event count counted
+  lazily cancelled corpses as pending;
 
 plus exact-equivalence suites for the rolling-sum rewrites (capacity
 estimator, CA manager): the optimized implementations must be
@@ -121,7 +121,7 @@ def test_scheduler_leak_free_under_weighted_shares():
 
 
 # ----------------------------------------------------------------------
-# Event-heap compaction
+# Event-heap lazy deletion
 # ----------------------------------------------------------------------
 def test_pending_events_excludes_cancelled():
     sim = Simulator()
@@ -131,61 +131,18 @@ def test_pending_events_excludes_cancelled():
     assert len(sim._heap) - sim._cancelled == 10
 
 
-def test_heap_compacts_when_mostly_cancelled():
+def test_cancellation_preserves_fire_order():
+    """Cancelled events never fire; the rest keep (time, seq) order."""
     sim = Simulator()
-    events = [sim.schedule(1_000 + i, lambda: None) for i in range(600)]
-    for event in events[:400]:
+    order = []
+    events = [
+        # Deliberate time collisions exercise the seq tie-break.
+        sim.schedule((i % 37) * 100, order.append, i) for i in range(300)]
+    for event in events[:200]:
         event.cancel()
-    # Compaction is amortized: corpses may linger only while they are
-    # a minority of the (>=64-entry) heap.  Pre-PR all 400 stayed.
-    assert len(sim._heap) - sim._cancelled == 200
-    dead = sim._cancelled
-    assert dead * 2 <= len(sim._heap)
-    assert len(sim._heap) < 400
-
-
-def test_compaction_preserves_fire_order():
-    """Same timeline with and without cancellation-triggered compaction."""
-    fired = []
-
-    def build(n_cancel):
-        sim = Simulator()
-        order = []
-        keep = []
-        for i in range(300):
-            # Deliberate time collisions exercise the seq tie-break.
-            event = sim.schedule((i % 37) * 100, order.append, i)
-            keep.append(event)
-        for event in keep[:n_cancel]:
-            event.cancel()
-        sim.run()
-        return order
-
-    expected = [i for i in range(300) if i >= 200]
-    baseline = build(200)       # triggers compaction (200/300 dead)
-    assert baseline == sorted(
-        expected, key=lambda i: ((i % 37) * 100, i))
-    fired = build(200)
-    assert fired == baseline
-
-
-def test_compaction_mid_run_keeps_heap_alias_valid():
-    """A callback that cancels enough events to trigger compaction must
-    not desync the run loop (the compaction mutates the heap list in
-    place)."""
-    sim = Simulator()
-    victims = [sim.schedule(5_000 + i, lambda: None) for i in range(200)]
-    ran = []
-
-    def massacre():
-        for event in victims:
-            event.cancel()
-
-    sim.schedule(10, massacre)
-    sim.schedule(20, ran.append, "after")
     sim.run()
-    assert ran == ["after"]
-    assert len(sim._heap) - sim._cancelled == 0
+    assert order == sorted(range(200, 300),
+                           key=lambda i: ((i % 37) * 100, i))
 
 
 def test_cancel_after_pop_does_not_corrupt_count():
@@ -218,7 +175,8 @@ def test_event_budget_per_data_packet():
 
     scenario, specs = fingerprint_configs(1.0)["idle_3cc_pbe"]
     perf = PerfCounters()
-    experiment = Experiment(scenario, perf_counters=perf)
+    experiment = Experiment(scenario)
+    experiment.sim.perf = experiment.network.perf = perf
     (handle,) = [experiment.add_flow(spec) for spec in specs]
     experiment.run()
     sent = handle.sender.sent_packets

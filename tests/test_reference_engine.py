@@ -47,7 +47,8 @@ def _observe(name: str, reference: bool) -> dict:
     scenario, specs = fingerprint_configs(DURATION_S)[name]
     perf = PerfCounters()
     experiment = (ReferenceExperiment if reference else Experiment)(
-        scenario, perf_counters=perf)
+        scenario)
+    experiment.sim.perf = experiment.network.perf = perf
     (handle,) = [experiment.add_flow(spec) for spec in specs]
     staged = 0
     for ms in range(1, int(DURATION_S * 1000)):

@@ -217,7 +217,8 @@ def test_block_loop_matches_scalar_exactly(with_losses, with_dups):
 
 def test_block_loop_counts_batches():
     perf = PerfCounters()
-    sim = Simulator(perf_counters=perf)
+    sim = Simulator()
+    sim.perf = perf
     cc = RecordingCc()
     sender = Sender(sim, flow_id=1, cc=cc, egress=None)
     uplink = BatchingPipe(sim, sender, delay_us=7_000,
@@ -251,7 +252,8 @@ def test_ack_impaired_flows_stay_on_the_batched_transport():
     # ACK either flow's uplink forwards rides in a burst: nothing is
     # demoted to per-ACK events.
     perf = PerfCounters()
-    experiment = Experiment(_scenario(), perf_counters=perf)
+    experiment = Experiment(_scenario())
+    experiment.sim.perf = experiment.network.perf = perf
     impaired = experiment.add_flow(FlowSpec(scheme="pbe",
                                             faults=ACK_FAULTS))
     clean = experiment.add_flow(FlowSpec(scheme="pbe", rnti=101))
