@@ -80,9 +80,6 @@ class CongestionControl:
         for ctx in contexts:
             on_ack(ctx)
 
-    def on_send(self, packet: Packet) -> None:
-        """Hook invoked for every transmitted packet (may tag metadata)."""
-
     def on_loss(self, now_us: int, lost_bits: int,
                 inflight_bits: int) -> None:
         """React to packets declared lost (duplicate-ACK detection)."""
@@ -101,14 +98,13 @@ class CongestionControl:
     def rate_valid_until_us(self, now_us: int) -> int:
         """Instant up to which the :meth:`pacing_rate_bps`/:meth:`cwnd_bits`
         answers given for ``now_us`` hold unless an ``on_ack``/``on_loss``/
-        ``on_timeout`` callback intervenes (``on_send`` must not move
-        them; asked together with every fresh pair of answers, which the
-        sender keeps across wake-ups until this instant or the next
-        callback).  :data:`UNTIL_CALLBACK` says no clock instant ends
-        them — only a scheme whose two queries read nothing but state
-        its callbacks write may return it; a sender blocked under such
-        answers queues no wake-up.  The default re-asks for every
-        packet."""
+        ``on_timeout`` callback intervenes (asked together with every
+        fresh pair of answers, which the sender keeps across wake-ups
+        until this instant or the next callback).  :data:`UNTIL_CALLBACK`
+        says no clock instant ends them — only a scheme whose two
+        queries read nothing but state its callbacks write may return
+        it; a sender blocked under such answers queues no wake-up.  The
+        default re-asks for every packet."""
         return now_us
 
 
@@ -253,7 +249,8 @@ class Sender(Receiver):
         delivered_bits = self.delivered_bits
         delivered_time_us = self.delivered_time_us
         now = sim.now
-        rto_us = max(MIN_RTO_US, 4 * self.srtt_us)  # = _rto_us(), no call
+        srtt_us = self.srtt_us
+        rto_us = max(MIN_RTO_US, 4 * srtt_us)  # = _rto_us(), no call
         rate, cwnd = self._held_rate, self._held_cwnd
         valid_until = self._held_until
         while True:  # one pass per set of answers
@@ -273,11 +270,10 @@ class Sender(Receiver):
                 seq = self.next_seq
                 packet = Packet(flow_id, seq, mss, False, now, None,
                                 delivered_bits, delivered_time_us or now,
-                                app_limited)
+                                app_limited, srtt_us)
                 self.next_seq = seq + 1
                 outstanding.add(seq)
                 self.inflight_bits += mss
-                cc.on_send(packet)
                 self._rto_deadline_us = now + rto_us
                 if self._rto_event is None:
                     self._rto_event = sim.schedule(rto_us, self._on_rto)

@@ -21,10 +21,10 @@ from .control_traffic import (
 )
 from .queues import DownlinkQueue, TransportBlock
 from .scheduler import DemandEntry, allocate_prbs
-from .ue import CORRUPT_KEY, UserEquipment
+from .ue import UserEquipment
 
 __all__ = [
-    "CONTROL_MCS", "CONTROL_RNTI_BASE", "CORRUPT_KEY", "CaPolicy",
+    "CONTROL_MCS", "CONTROL_RNTI_BASE", "CaPolicy",
     "CarrierAggregationManager", "CellularNetwork", "ControlBurst",
     "ControlTrafficGenerator", "DemandEntry", "DemandSource",
     "DownlinkQueue", "MIMO_SINR_THRESHOLD_DB", "TransportBlock",

@@ -65,7 +65,7 @@ CHANNEL_BLOCK_SUBFRAMES = 64
 #: draw-ahead list: one ``Generator.random(n)`` call yields the values
 #: ``n`` scalar ``random()`` calls would, in the same order.
 TB_UNIFORM_BLOCK = 64
-#: The packet lists of a background user's transport blocks: it has no
+#: The ``completes`` of a background user's transport blocks: it has no
 #: UE, so nothing ever reads which packets its blocks carried.
 _NO_PACKETS = ()
 
@@ -736,7 +736,7 @@ class CellularNetwork:
                 tb = TransportBlock(
                     user.tb_seq, rnti, cell_id, subframe, bits, n_prbs,
                     user.current_mcs, user.current_streams,
-                    _NO_PACKETS, _NO_PACKETS)
+                    _NO_PACKETS)
             else:
                 tb = TransportBlock(
                     user.tb_seq, rnti, cell_id, subframe, bits, n_prbs,

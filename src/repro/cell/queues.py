@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..net.packet import Packet
 
@@ -35,10 +36,12 @@ class TransportBlock:
     spatial_streams: int
     #: Packets whose final bit rides in this TB (deliverable on release).
     #: A background user's blocks, which no UE receives, share one empty
-    #: tuple here and in ``touches`` (:meth:`DownlinkQueue.pull_bits`).
+    #: tuple here (:meth:`DownlinkQueue.pull_bits`).
     completes: list[Packet] = field(default_factory=list)
-    #: Packets with any bit in this TB (corrupted if the TB is abandoned).
-    touches: list[Packet] = field(default_factory=list)
+    #: The packet whose first bits ride here and whose later bits ride a
+    #: later TB (corrupted if this TB is abandoned).  Only the queue head
+    #: is ever part-sent, so there is at most one.
+    partial: Optional[Packet] = None
 
 
 class DownlinkQueue:
@@ -84,24 +87,23 @@ class DownlinkQueue:
              tb: TransportBlock) -> int:
         """Move up to ``max_bits`` from the queue into ``tb``.
 
-        Fills the transport block's ``completes``/``touches`` lists and
-        returns the number of bits actually taken (0 if the queue is
-        empty).
+        Fills the transport block's ``completes`` list, sets its
+        ``partial`` when the head is cut short, and returns the number of
+        bits actually taken (0 if the queue is empty).
         """
         if max_bits < 0:
             raise ValueError("max_bits must be non-negative")
         taken = 0
         packets = self._packets
         remaining = self._head_remaining
-        touch = tb.touches.append
         complete = tb.completes.append
         while taken < max_bits and packets:
             packet = packets[0]
-            touch(packet)
             room = max_bits - taken
             if remaining > room:
                 remaining -= room
                 taken = max_bits
+                tb.partial = packet
                 break
             taken += remaining
             complete(packet)
@@ -114,7 +116,7 @@ class DownlinkQueue:
     def pull_bits(self, max_bits: int) -> int:
         """:meth:`pull` for a block whose packets nobody reads (a
         background user's): the same bits leave the queue, and no
-        packet is recorded as touched or completed."""
+        packet is recorded as completed or part-sent."""
         taken = 0
         packets = self._packets
         remaining = self._head_remaining

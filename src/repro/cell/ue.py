@@ -16,9 +16,6 @@ from ..net.sim import Simulator
 from ..phy.harq import ReorderingBuffer
 from .queues import TransportBlock
 
-#: Metadata key marking packets that lost a fragment in an abandoned TB.
-CORRUPT_KEY = "harq_corrupt"
-
 
 class UserEquipment:
     """Receiver-side state for one mobile user."""
@@ -36,6 +33,10 @@ class UserEquipment:
         #: ``receive_block``).
         self.on_packet_block = on_packet_block
         self._reorder: ReorderingBuffer[TransportBlock] = ReorderingBuffer()
+        #: Seqs of packets that lost their first bits with an abandoned
+        #: block, each kept until its completing block is released or
+        #: abandoned (one RNTI carries one flow: a seq names one packet).
+        self._corrupt: set[int] = set()
         self.delivered_packets = 0
         self.lost_packets = 0
         self.delivered_tbs = 0
@@ -59,6 +60,7 @@ class UserEquipment:
         ``receive_tb``/``abandon_tb`` are the one-entry case).
         """
         reorder = self._reorder
+        corrupt = self._corrupt
         delivered: list[Packet] = []
         for tb, decoded in entries:
             if decoded:
@@ -66,18 +68,18 @@ class UserEquipment:
                 released = reorder.insert(tb.seq, tb)
             else:
                 self.abandoned_tbs += 1
-                for packet in tb.touches:
-                    packet.meta[CORRUPT_KEY] = True
                 self.lost_packets += len(tb.completes)
+                corrupt.difference_update(p.seq for p in tb.completes)
+                if tb.partial is not None:
+                    corrupt.add(tb.partial.seq)
                 released = reorder.abandon(tb.seq)
             for block in released:
                 completes = block.completes
-                # Only an abandoned block sets CORRUPT_KEY, and only on
-                # this UE's packets: none abandoned, none to look for.
-                if self.abandoned_tbs:
-                    intact = [packet for packet in completes
-                              if not packet.meta.get(CORRUPT_KEY)]
+                # Nothing cut short, nothing to look for.
+                if corrupt:
+                    intact = [p for p in completes if p.seq not in corrupt]
                     self.lost_packets += len(completes) - len(intact)
+                    corrupt.difference_update(p.seq for p in completes)
                     completes = intact
                 delivered += completes
         if not delivered:

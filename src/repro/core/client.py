@@ -104,8 +104,8 @@ class PbeClient(AckingReceiver):
         Per packet (``tests/reference_transport.py`` keeps the per-packet
         body this replaced as the oracle): fold the one-way delay into
         Dprop, add the packet to the receive-rate window (pruned to the
-        RTprop the sender stamped as ``meta["srtt_us"]``, else
-        ``DEFAULT_RTPROP_US``), read the monitor's report over that
+        sender's stamped ``srtt_us``, or ``DEFAULT_RTPROP_US`` while that
+        is 0), read the monitor's report over that
         window, run the §4.2.2 state machine against ``Dth`` and
         ``Npkt``, and stamp the ACK with a :class:`PbeFeedback`.
         Everything that is constant across a burst — ``now`` and
@@ -171,7 +171,7 @@ class PbeClient(AckingReceiver):
                 threshold = delay + margin
             recent_bits += size_bits
 
-            srtt = packet.meta.get("srtt_us", 0)
+            srtt = packet.srtt_us
             if srtt != last_srtt:
                 last_srtt = srtt
                 rtprop_us = srtt if srtt > 0 else DEFAULT_RTPROP_US

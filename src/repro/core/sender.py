@@ -29,7 +29,6 @@ from typing import Optional
 
 from ..baselines.base import AckContext, CongestionControl
 from ..baselines.bbr import PROBE_BW, Bbr
-from ..net.packet import Packet
 from ..net.units import SUBFRAME_US, US_PER_S
 from ..phy.harq import RETX_DELAY_SUBFRAMES
 from .feedback import PbeFeedback
@@ -291,11 +290,6 @@ class PbeSender(CongestionControl):
         self._ramp_base_bps = 0.0
         self._ramp_start_us = now_us
         self._switch(STARTUP, now_us)
-
-    def on_send(self, packet: Packet) -> None:
-        # The client needs the connection RTT to size its averaging
-        # window (§4.2.1) — piggyback it on every data packet.
-        packet.meta["srtt_us"] = self._srtt_us
 
     # ------------------------------------------------------------------
     # Rate control

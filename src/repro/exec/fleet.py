@@ -52,6 +52,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -154,9 +155,11 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
               ttl_s: float = DEFAULT_TTL_S) -> int:
     """Atomically claim one job's lease; returns a ``CLAIM_*`` code.
 
-    The fast path is an ``O_EXCL`` create — exactly one of N racing
-    workers wins.  An existing lease may be taken over only when it is
-    expired (its worker stopped heartbeating).  Takeover itself is an
+    The fast path writes the record to a temp file and hard-links it
+    onto the lease path — exactly one of N racing workers wins, and no
+    peer ever reads a lease before its record is whole (an unreadable
+    lease counts as expired).  An existing lease may be taken over only
+    when it is expired (its worker stopped heartbeating).  Takeover is an
     atomic replace; if two workers take over the same expired lease in
     the same instant both will run the job, which the fabric tolerates
     by design (deterministic jobs, last-write-wins results).
@@ -172,7 +175,15 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
     encoded = json.dumps(record, separators=(",", ":")).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+    except OSError:
+        return CLAIM_FAILED
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(encoded)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.link(tmp, path)
     except FileExistsError:
         if not lease_expired(_read_json(path), now):
             return CLAIM_FAILED
@@ -183,14 +194,8 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
         return CLAIM_TAKEOVER
     except OSError:
         return CLAIM_FAILED
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(encoded)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except OSError:
-        _unlink_quiet(path)
-        return CLAIM_FAILED
+    finally:
+        _unlink_quiet(Path(tmp))
     return CLAIM_FRESH
 
 

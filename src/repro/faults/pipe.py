@@ -22,6 +22,8 @@ were absent.
 
 from __future__ import annotations
 
+import copy
+
 from ..core.feedback import PbeFeedback
 from ..net.link import Receiver
 from ..net.packet import Packet
@@ -54,13 +56,7 @@ class ImpairedPipe(Receiver):
     def _corrupt_feedback(self, packet: Packet) -> Packet:
         """Mangle the PBE feedback field (never mutates the original)."""
         self.corrupted += 1
-        mangled = Packet(packet.flow_id, packet.seq,
-                         size_bits=packet.size_bits, is_ack=packet.is_ack,
-                         sent_time_us=packet.sent_time_us)
-        mangled.delivered_at_send = packet.delivered_at_send
-        mangled.delivered_time_at_send = packet.delivered_time_at_send
-        mangled.app_limited = packet.app_limited
-        mangled.meta = dict(packet.meta)
+        mangled = copy.copy(packet)
         if self._rng.random() < 0.5:
             mangled.feedback = None  # undecodable option field
         else:

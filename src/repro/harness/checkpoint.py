@@ -2,12 +2,11 @@
 
 A checkpoint captures a live :class:`repro.harness.runner.Experiment`
 at a subframe boundary — event heap, packets on the wire, derived RNG
-streams, PHY/channel/HARQ state, scheduler and PF state, monitor and
-decoder state, per-flow transport state — as one state
-document built by the :mod:`repro.statedict` codec (no raw pickling of
-live objects; every class is registered with an explicit skip list, and
-anything unrecognized raises instead of silently corrupting the
-snapshot).
+streams, PHY/channel/HARQ state, monitor and decoder state, per-flow
+transport state — as one state document built by the
+:mod:`repro.statedict` codec (no raw pickling of live objects; every
+class is registered with an explicit skip list, and anything
+unrecognized raises instead of silently corrupting the snapshot).
 
 The restore contract is **byte identity**: rebuild the experiment from
 its spec exactly as an uninterrupted run would, restore the newest

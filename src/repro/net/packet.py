@@ -25,7 +25,7 @@ class Packet:
     __slots__ = (
         "flow_id", "seq", "size_bits", "is_ack", "sent_time_us",
         "feedback", "delivered_at_send", "delivered_time_at_send",
-        "app_limited", "meta",
+        "app_limited", "srtt_us",
     )
 
     def __init__(self, flow_id: int, seq: int, size_bits: int = MSS_BITS,
@@ -33,7 +33,7 @@ class Packet:
                  feedback: Optional[Any] = None,
                  delivered_at_send: int = 0,
                  delivered_time_at_send: int = 0,
-                 app_limited: bool = False) -> None:
+                 app_limited: bool = False, srtt_us: int = 0) -> None:
         self.flow_id = flow_id
         #: A data packet's sequence number; on an ACK, the one it acks.
         self.seq = seq
@@ -48,8 +48,9 @@ class Packet:
         self.delivered_at_send = delivered_at_send
         self.delivered_time_at_send = delivered_time_at_send
         self.app_limited = app_limited
-        #: Free-form per-packet metadata (e.g. HARQ bookkeeping).
-        self.meta: dict = {}
+        #: The sender's smoothed RTT at send time, piggybacked so PBE-CC's
+        #: client can size its averaging window (§4.2.1); 0 on an ACK.
+        self.srtt_us = srtt_us
 
     def make_ack(self, feedback: Optional[Any] = None,
                  size_bits: int = ACK_BITS) -> "Packet":
@@ -72,7 +73,7 @@ class Packet:
         ack.delivered_at_send = self.delivered_at_send
         ack.delivered_time_at_send = self.delivered_time_at_send
         ack.app_limited = self.app_limited
-        ack.meta = {}
+        ack.srtt_us = 0
         return ack
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

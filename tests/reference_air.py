@@ -6,13 +6,15 @@ interface left the event heap: one ``receive_tb``/``abandon_tb`` heap
 event per transport block, due one subframe later, and one
 ``on_packet_block`` call per *released block*.  Nothing under ``src/``
 imports it; ``tests/test_air_delivery.py`` runs it beside the list the
-base station now lands at the top of the next tick.
+base station now lands at the top of the next tick.  An abandoned
+block marks the packet it cut short by that packet's seq in the UE's
+``_corrupt`` set, as the engine does, but never clears the mark.
 """
 
 from __future__ import annotations
 
 from repro.cell.basestation import CellularNetwork, _HarqState
-from repro.cell.ue import CORRUPT_KEY, UserEquipment
+from repro.cell.ue import UserEquipment
 from repro.net.packet import Packet
 from repro.net.units import SUBFRAME_US
 from repro.phy.dci import DciMessage
@@ -30,8 +32,8 @@ class ReferenceUserEquipment(UserEquipment):
 
     def abandon_tb(self, tb) -> None:
         self.abandoned_tbs += 1
-        for packet in tb.touches:
-            packet.meta[CORRUPT_KEY] = True
+        if tb.partial is not None:
+            self._corrupt.add(tb.partial.seq)
         self.lost_packets += len(tb.completes)
         for released in self._reorder.abandon(tb.seq):
             self._release(released)
@@ -39,7 +41,7 @@ class ReferenceUserEquipment(UserEquipment):
     def _release(self, tb) -> None:
         delivered: list[Packet] = []
         for packet in tb.completes:
-            if packet.meta.get(CORRUPT_KEY):
+            if packet.seq in self._corrupt:
                 self.lost_packets += 1
                 continue
             delivered.append(packet)

@@ -52,7 +52,7 @@ class ReferenceSender(ReferenceAckSender):
     def _transmit(self, app_limited: bool = False) -> None:
         now = self.sim.now
         packet = Packet(self.flow_id, self.next_seq, self.mss_bits,
-                        sent_time_us=now)
+                        sent_time_us=now, srtt_us=self.srtt_us)
         packet.app_limited = app_limited
         packet.delivered_at_send = self.delivered_bits
         packet.delivered_time_at_send = self.delivered_time_us or now
@@ -61,6 +61,5 @@ class ReferenceSender(ReferenceAckSender):
         self._send_order.append(packet.seq)
         self.inflight_bits += packet.size_bits
         self.sent_packets += 1
-        self.cc.on_send(packet)
         self._arm_rto()
         self.egress.receive(packet)

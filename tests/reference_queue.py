@@ -2,17 +2,29 @@
 test oracle.
 
 This is ``repro.cell.queues.DownlinkQueue`` as it stood before the
-queue became a deque of packets plus one head-remainder int.  Nothing
-under ``src/`` imports it; ``tests/test_queues.py`` drives it beside
-the queue with random push/pull/droptail schedules.
+queue became a deque of packets plus one head-remainder int, and it
+still fills a block's ``touches`` (every packet with a bit in it), which
+the engine's :class:`~repro.cell.queues.TransportBlock` no longer
+keeps.  Nothing under ``src/`` imports it; ``tests/test_queues.py``
+drives it beside the queue with random push/pull/droptail schedules.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 
-from repro.cell.queues import TransportBlock
 from repro.net.packet import Packet
+
+
+@dataclass
+class Block:
+    """What a pull puts in a transport block, in the old shape."""
+
+    #: Packets whose final bit rides in this block.
+    completes: list[Packet] = field(default_factory=list)
+    #: Packets with any bit in this block.
+    touches: list[Packet] = field(default_factory=list)
 
 
 class DownlinkQueue:
@@ -48,8 +60,7 @@ class DownlinkQueue:
         self.enqueued += 1
         return True
 
-    def pull(self, max_bits: int,
-             tb: TransportBlock) -> int:
+    def pull(self, max_bits: int, tb: Block) -> int:
         """Move up to ``max_bits`` from the queue into ``tb``.
 
         Fills the transport block's ``completes``/``touches`` lists and

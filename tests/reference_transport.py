@@ -187,7 +187,7 @@ class ReferencePbeClient(_PerPacketReceiver, PbeClient):
         return {k: v / span for k, v in totals.items()}
 
     def _rtprop_us(self, packet: Packet) -> int:
-        srtt = packet.meta.get("srtt_us", 0)
+        srtt = packet.srtt_us
         return srtt if srtt > 0 else DEFAULT_RTPROP_US
 
     def _prune_recent(self, horizon_us: int) -> None:

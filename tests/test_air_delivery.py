@@ -294,8 +294,7 @@ class _Twins:
             burst = []
             for i, (delay_us, srtt_us, size_bits) in enumerate(packets):
                 packet = Packet(1, self.seq + i, size_bits,
-                                sent_time_us=now - delay_us)
-                packet.meta["srtt_us"] = srtt_us
+                                sent_time_us=now - delay_us, srtt_us=srtt_us)
                 burst.append(packet)
             if client is self.block:
                 client.receive_block(burst)

@@ -131,7 +131,8 @@ def test_kill_point_with_a_half_pulled_head_and_held_acks(tmp_path):
         uplink = handle.uplink
         return (queue._head_remaining, [p.seq for p in queue._packets],
                 queue.backlog_bits,
-                [[p.seq for p in tb.touches] for tb, _ in blocks],
+                [([p.seq for p in tb.completes],
+                  tb.partial and tb.partial.seq) for tb, _ in blocks],
                 [p.seq for p in uplink._held])
 
     straight = run_fingerprint(*config())

@@ -34,7 +34,7 @@ def test_default_rtprop_used_without_srtt_meta():
     client, monitor, sink = _setup(sim)
     _feed(monitor, 0)
     sim.run(until_us=sim.now + 5_000)
-    client.receive(Packet(1, 0, sent_time_us=0))  # no srtt_us in meta
+    client.receive(Packet(1, 0, sent_time_us=0))  # srtt_us 0: no sample
     sim.run(until_us=sim.now + DEFAULT_RTPROP_US + 3_000)
     packet = Packet(1, 1, sent_time_us=20_000)
     client.receive(packet)
@@ -64,8 +64,7 @@ def test_zero_margin_client_flaps_on_jitter():
         delay = 20_000 if burst % 2 == 0 else 28_000
         for _ in range(60):
             sim.run(until_us=sim.now + 1_000)
-            p = Packet(1, seq, sent_time_us=sim.now - delay)
-            p.meta["srtt_us"] = 40_000
+            p = Packet(1, seq, sent_time_us=sim.now - delay, srtt_us=40_000)
             client.receive(p)
             seq += 1
     assert any(state == "internet" for _, state in client.state_changes)

@@ -81,6 +81,30 @@ def test_claim_is_exclusive(tmp_path):
     assert not try_claim(tmp_path, "ab" * 16, "w2", ttl_s=60)
 
 
+def test_a_claim_racing_a_fresh_claims_write_loses(tmp_path, monkeypatch):
+    """A second worker claims while the first is still writing its
+    record: exactly one of them may win.  Were the lease visible before
+    its record, the second would read it as expired and take it over."""
+    fp = "ef" * 16
+    real_fdopen = os.fdopen
+    inner = []
+
+    def fdopen_racing_a_peer(*args, **kwargs):
+        if not inner:
+            inner.append(None)  # the peer's own claim writes unraced
+            inner[0] = try_claim(tmp_path, fp, "w2", ttl_s=60)
+        return real_fdopen(*args, **kwargs)
+
+    monkeypatch.setattr(fleet.os, "fdopen", fdopen_racing_a_peer)
+    outer = try_claim(tmp_path, fp, "w1", ttl_s=60)
+    monkeypatch.undo()
+    assert inner, "the first claim wrote nothing through os.fdopen"
+    assert sorted(map(bool, (outer, inner[0]))) == [False, True]
+    lease = json.loads((tmp_path / LEASE_DIR / f"{fp}.json").read_text())
+    assert lease["worker"] == ("w1" if outer else "w2")
+    assert os.listdir(tmp_path / LEASE_DIR) == [f"{fp}.json"]
+
+
 def test_expired_lease_can_be_taken_over(tmp_path):
     fp = "cd" * 16
     assert try_claim(tmp_path, fp, "w1", ttl_s=0.05)

@@ -221,13 +221,13 @@ def _calls_during_run(config):
 #: ``idle_3cc_pbe`` config at the parent of the last change to this
 #: budget, by interpreter (the count depends on how an interpreter
 #: reports comprehensions and builtins, so each needs its own figure).
-PARENT_CALLS_PER_PACKET = {(3, 11): 47.9}
+PARENT_CALLS_PER_PACKET = {(3, 11): 45.85}
 
 
 def test_call_budget_per_data_packet():
     """A packet's life — pace, link, wire, queue, transport block, UE,
     client, ACK, uplink batch, ACK clock, controller — costs at most
-    0.99 of the Python and C calls it cost before the last change to
+    0.95 of the Python and C calls it cost before the last change to
     it (DESIGN.md, "A packet's life" and "Each fact once").
 
     Figures, calls over packets sent, CPython 3.11.7: 69.1 before the
@@ -235,8 +235,12 @@ def test_call_budget_per_data_packet():
     54.6 after (20.6 + 34.0, bound 0.92 x 69.1); 47.9 before the
     per-packet state that nothing read or that another field held was
     cut (``hops``, ``recv_time_us``, ``acked_seq``, the ``(bits, t)``
-    tuples and the send-order deque), 46.9 after; the bound is
-    0.99 x 47.9 = 47.4.  A count, so it cannot flake on a busy box; an
+    tuples and the send-order deque), 46.9 after (bound 0.99 x 47.9);
+    45.85 before the per-packet ``CongestionControl.on_send`` call,
+    the ``Packet.meta`` dicts and ``TransportBlock.touches`` went,
+    42.76 after; the bound is 0.95 x 45.85 = 43.56, which one re-added
+    call per packet (43.76) exceeds.  A count, so it cannot flake on a
+    busy box; an
     interpreter with no recorded parent figure skips (3.10 and 3.12
     were not available with numpy where this was written).
     """
@@ -251,20 +255,20 @@ def test_call_budget_per_data_packet():
     calls, _, (handle,) = _calls_during_run("idle_3cc_pbe")
     sent = handle.sender.sent_packets
     assert sent > 5_000
-    assert calls / sent <= 0.99 * parent
+    assert calls / sent <= 0.95 * parent
 
 
 #: ``call`` + ``c_call`` profile events per subframe tick on the
 #: ``busy_2cc_pbe`` config at the parent of the last change to this
 #: budget, by interpreter (see PARENT_CALLS_PER_PACKET).
-PARENT_CALLS_PER_TICK = {(3, 11): 461.9}
+PARENT_CALLS_PER_TICK = {(3, 11): 443.0}
 
 
 def test_call_budget_per_tick():
     """A subframe's life — channel refresh, exogenous injection, HARQ,
     control traffic, scheduler, transport blocks, DCI, monitor ingest,
     CA, and the air landing with its capacity reports — costs at most
-    0.97 of the Python and C calls it cost before the last change to
+    0.96 of the Python and C calls it cost before the last change to
     it (DESIGN.md, "A subframe's life" and "Each fact once").
 
     Figures, calls over ``network.subframe``, CPython 3.11.7: 578.1
@@ -277,10 +281,12 @@ def test_call_budget_per_tick():
     subframe, a CA state per observation, the feedback's dataclass
     ``__init__``, the per-block ``dict.get`` and ``min`` calls, the
     scheduler's per-round list comprehensions, the injection call of
-    an idle background user), 443.2 after; the bound is 0.97 x 461.9 =
-    448.0.  A count, so it cannot
-    flake on a busy box; an interpreter with no recorded parent figure
-    skips.
+    an idle background user), 443.2 after (bound 0.97 x 461.9); 443.0
+    before the per-packet ``on_send`` call, ``meta`` dicts and
+    ``touches`` appends went, 419.5 after; the bound is 0.96 x 443.0 =
+    425.3, which one re-added call per packet (427.0) exceeds.  A
+    count, so it cannot flake on a busy box; an interpreter with no
+    recorded parent figure skips.
     """
     import sys
 
@@ -293,7 +299,7 @@ def test_call_budget_per_tick():
     calls, experiment, _ = _calls_during_run("busy_2cc_pbe")
     ticks = experiment.network.subframe
     assert ticks > 900
-    assert calls / ticks <= 0.97 * parent
+    assert calls / ticks <= 0.96 * parent
 
 
 def test_harq_state_is_built_only_for_a_failed_block():

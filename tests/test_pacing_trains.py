@@ -83,14 +83,6 @@ class ScriptedCc(CongestionControl):
         self.held = (now_us, until)
         return until
 
-    def on_send(self, packet):
-        # The sender never acts on an answer past its validity, nor on
-        # one an ACK/loss/timeout callback has since invalidated.
-        assert self.held is not None
-        asked_at, until = self.held
-        assert asked_at <= packet.sent_time_us <= max(asked_at, until)
-        self.log.append(("send", packet.seq, packet.sent_time_us))
-
     def on_ack(self, ctx):
         self.held = None
         self.acks_seen += 1
@@ -108,16 +100,29 @@ class ScriptedCc(CongestionControl):
 
 
 class Wire(Receiver):
-    """Egress that records what was sent and keeps it for the ACK script."""
+    """Egress that records what was sent and keeps it for the ACK script.
 
-    def __init__(self):
+    Given the flow's :class:`ScriptedCc`, it also checks each packet
+    against the answers the sender held as it left, and logs the send
+    among the controller's callbacks."""
+
+    def __init__(self, cc=None):
+        self.cc = cc
         self.sent = []
         self.unacked = []
 
     def receive(self, packet):
+        cc = self.cc
+        if cc is not None:
+            # The sender never acts on an answer past its validity, nor
+            # on one an ACK/loss/timeout callback has since invalidated.
+            assert cc.held is not None
+            asked_at, until = cc.held
+            assert asked_at <= packet.sent_time_us <= max(asked_at, until)
+            cc.log.append(("send", packet.seq, packet.sent_time_us))
         self.sent.append((packet.seq, packet.sent_time_us,
                           packet.app_limited, packet.delivered_at_send,
-                          packet.delivered_time_at_send, dict(packet.meta)))
+                          packet.delivered_time_at_send, packet.srtt_us))
         self.unacked.append(packet)
 
 
@@ -133,7 +138,7 @@ def _build(sender_cls, script, make_cc=_scripted):
     flows = []
     for flow_id, flow in enumerate(script["flows"]):
         cc, log = make_cc(flow)
-        wire = Wire()
+        wire = Wire(cc if isinstance(cc, ScriptedCc) else None)
         sender = sender_cls(sim, flow_id, cc, wire,
                             app_rate_bps=flow["app_rate_bps"])
         flows.append((sender, cc, log, wire))
@@ -290,7 +295,7 @@ def test_train_matches_per_packet_pacer(case):
 def _lone_sender(rate_bps=12e6, horizon="step"):
     sim = Simulator()
     cc = ScriptedCc([(0, rate_bps, None)], [1.0], horizon)
-    wire = Wire()
+    wire = Wire(cc)
     sender = Sender(sim, 0, cc, wire)
     sender.start()
     return sim, sender, cc, wire

@@ -8,7 +8,7 @@ def test_data_packet_defaults():
     p = Packet(flow_id=1, seq=7)
     assert p.size_bits == MSS_BITS
     assert not p.is_ack
-    assert p.meta == {}
+    assert p.srtt_us == 0
 
 
 def test_a_packet_has_ten_slots():
@@ -17,7 +17,7 @@ def test_a_packet_has_ten_slots():
     assert Packet.__slots__ == (
         "flow_id", "seq", "size_bits", "is_ack", "sent_time_us",
         "feedback", "delivered_at_send", "delivered_time_at_send",
-        "app_limited", "meta")
+        "app_limited", "srtt_us")
 
 
 def test_make_ack_echoes_identity_and_timestamps():
@@ -43,8 +43,7 @@ def test_make_ack_equals_the_constructor_built_ack_slot_for_slot():
     cannot be forgotten there (an unset slot raises AttributeError)."""
     data = Packet(flow_id=3, seq=42, size_bits=9_000, sent_time_us=123_456,
                   delivered_at_send=999, delivered_time_at_send=111,
-                  app_limited=True)
-    data.meta["srtt_us"] = 40_000
+                  app_limited=True, srtt_us=40_000)
     feedback = object()
     for kwargs in ({}, {"feedback": feedback},
                    {"feedback": feedback, "size_bits": 512}):
@@ -56,24 +55,23 @@ def test_make_ack_equals_the_constructor_built_ack_slot_for_slot():
                        app_limited=True)
         for name in Packet.__slots__:
             assert getattr(ack, name) == getattr(built, name), name
-        assert ack.meta is not data.meta
 
 
 def test_constructor_takes_the_delivery_bookkeeping():
-    p = Packet(1, 0, MSS_BITS, False, 5, None, 100, 200, True)
+    p = Packet(1, 0, MSS_BITS, False, 5, None, 100, 200, True, 40_000)
     assert (p.delivered_at_send, p.delivered_time_at_send,
-            p.app_limited) == (100, 200, True)
+            p.app_limited, p.srtt_us) == (100, 200, True, 40_000)
 
 
 def test_ack_is_small():
     assert ACK_BITS < MSS_BITS / 10
 
 
-def test_meta_is_per_packet():
-    a = Packet(1, 0)
-    b = Packet(1, 1)
-    a.meta["k"] = 1
-    assert "k" not in b.meta
+def test_srtt_us_rides_the_data_packet_only():
+    """The sender's srtt is for the client; an ACK echoes none."""
+    data = Packet(1, 0, srtt_us=40_000)
+    assert data.srtt_us == 40_000
+    assert data.make_ack().srtt_us == 0
 
 
 def test_repr_mentions_kind():

@@ -38,8 +38,7 @@ def _deliver(sim, client, delay_us, n=1, gap_us=1_000, srtt_us=40_000):
     seq = getattr(client, "_test_seq", 0)
     for _ in range(n):
         sim.run(until_us=sim.now + gap_us)
-        p = Packet(1, seq, sent_time_us=sim.now - delay_us)
-        p.meta["srtt_us"] = srtt_us
+        p = Packet(1, seq, sent_time_us=sim.now - delay_us, srtt_us=srtt_us)
         client.receive(p)
         seq += 1
     client._test_seq = seq

@@ -126,13 +126,30 @@ def test_probe_cap_follows_fair_share():
     assert cc._fair_share_cap() == pytest.approx(30e6, rel=0.01)
 
 
-def test_on_send_stamps_srtt():
-    cc = PbeSender()
-    _warm(cc)
-    packet = Packet(1, 0)
-    cc.on_send(packet)
-    assert packet.meta == {"srtt_us": cc._srtt_us}
-    assert cc._srtt_us > 0
+def test_every_data_packet_carries_the_senders_srtt():
+    """The client sizes its averaging window by the srtt each data
+    packet carries (§4.2.1): the sender's own estimate at that instant,
+    which is also the one PBE-CC adopted from the last ACK burst."""
+    from repro.harness import Experiment
+    from repro.harness.fingerprint import fingerprint_configs
+    from repro.net.link import Receiver
+
+    scenario, specs = fingerprint_configs(0.3)["busy_2cc_pbe"]
+    experiment = Experiment(scenario)
+    handle = experiment.add_flow(specs[0])
+    sender, cc = handle.sender, handle.cc
+    stamps = []
+
+    class Stamped(Receiver):
+        def receive(self, packet):
+            stamps.append((packet.srtt_us, sender.srtt_us, cc._srtt_us))
+            egress.receive(packet)
+
+    egress, sender.egress = sender.egress, Stamped()
+    experiment.run()
+    assert len(stamps) > 500
+    assert all(stamp == now == adopted for stamp, now, adopted in stamps)
+    assert stamps[0][0] == 0 and len({stamp for stamp, _, _ in stamps}) > 10
 
 
 def test_timeout_restarts():

@@ -64,10 +64,11 @@ def test_pull_splits_packet_across_blocks():
     tb1, tb2 = _tb(0), _tb(1)
     assert q.pull(5_000, tb1) == 5_000
     assert tb1.completes == []          # packet not finished yet
-    assert len(tb1.touches) == 1
+    assert tb1.partial.seq == 0
     assert q.backlog_bits == 7_000
     assert q.pull(50_000, tb2) == 7_000  # only the remainder available
     assert [p.seq for p in tb2.completes] == [0]
+    assert tb2.partial is None
 
 
 def test_pull_from_empty_queue():
@@ -81,14 +82,14 @@ def test_pull_rejects_negative():
         q.pull(-1, _tb())
 
 
-def test_touches_includes_partially_carried_packets():
+def test_partial_is_the_packet_cut_short():
     q = DownlinkQueue()
     q.push(_packet(0, bits=10_000))
     q.push(_packet(1, bits=10_000))
     tb = _tb()
     q.pull(15_000, tb)  # all of packet 0, half of packet 1
-    assert [p.seq for p in tb.touches] == [0, 1]
     assert [p.seq for p in tb.completes] == [0]
+    assert tb.partial.seq == 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +107,12 @@ _OPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 6), ops=_OPS)
 def test_queue_matches_the_pair_queue_on_random_schedules(capacity, ops):
-    """Equal ``completes`` / ``touches`` / return value and equal
-    ``backlog_bits`` / ``dropped`` / ``enqueued`` / ``len`` / ``empty``
-    after every call: zero-size packets, zero-bit pulls, pulls that stop
-    mid-packet (several in a row on one head) and droptail included."""
+    """Equal ``completes`` / return value, ``partial`` = the oracle's
+    ``touches`` minus its ``completes`` (nothing or one packet), and
+    equal ``backlog_bits`` / ``dropped`` / ``enqueued`` / ``len`` /
+    ``empty`` after every call: zero-size packets, zero-bit pulls, pulls
+    that stop mid-packet (several in a row on one head) and droptail
+    included."""
     queue = DownlinkQueue(capacity)
     oracle = reference_queue.DownlinkQueue(capacity)
     seq = 0
@@ -119,10 +122,13 @@ def test_queue_matches_the_pair_queue_on_random_schedules(capacity, ops):
             seq += 1
             assert queue.push(packet) == oracle.push(packet)
         else:
-            tb, oracle_tb = _tb(), _tb()
+            tb, oracle_tb = _tb(), reference_queue.Block()
             assert queue.pull(bits, tb) == oracle.pull(bits, oracle_tb)
             assert tb.completes == oracle_tb.completes
-            assert tb.touches == oracle_tb.touches
+            cut_short = [p for p in oracle_tb.touches
+                         if p not in oracle_tb.completes]
+            assert cut_short == ([] if tb.partial is None
+                                 else [tb.partial])
         assert queue.backlog_bits == oracle.backlog_bits
         assert queue.dropped == oracle.dropped
         assert queue.enqueued == oracle.enqueued

@@ -6,12 +6,10 @@ from repro.net.packet import Packet
 from repro.net.sim import Simulator
 
 
-def _tb(seq, completes=(), touches=None):
-    tb = TransportBlock(seq=seq, rnti=1, cell_id=0, subframe=0, bits=1000,
-                        n_prbs=1, mcs=10, spatial_streams=1)
-    tb.completes = list(completes)
-    tb.touches = list(touches if touches is not None else completes)
-    return tb
+def _tb(seq, completes=(), partial=None):
+    return TransportBlock(seq=seq, rnti=1, cell_id=0, subframe=0,
+                          bits=1000, n_prbs=1, mcs=10, spatial_streams=1,
+                          completes=list(completes), partial=partial)
 
 
 def test_in_order_delivery_lands_at_its_instant():
@@ -58,10 +56,44 @@ def test_packet_spanning_abandoned_tb_is_corrupt():
     ue = UserEquipment(sim, 1, on_packet_block=got.extend)
     spanning = Packet(1, 5)
     # TB 0 carries part of `spanning` but is abandoned; TB 1 completes it.
-    ue.abandon_tb(_tb(0, completes=[], touches=[spanning]))
+    ue.abandon_tb(_tb(0, partial=spanning))
     ue.receive_tb(_tb(1, completes=[spanning]))
     assert got == []
     assert ue.lost_packets == 1
+    assert ue._corrupt == set()
+
+
+def _three_block_packet(ue):
+    """Packet 5 spans TBs 0-2 (TB 2 also completes packet 6); TB 1, its
+    middle, is abandoned.  Returns the TB that completes it."""
+    first, middle = Packet(1, 4), Packet(1, 5)
+    ue.receive_tb(_tb(0, completes=[first], partial=middle))
+    ue.abandon_tb(_tb(1, partial=middle))
+    assert ue._corrupt == {5}
+    return _tb(2, completes=[middle, Packet(1, 6)])
+
+
+def test_packet_whose_middle_block_is_abandoned_is_lost_once():
+    sim = Simulator()
+    got = []
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
+    last = _three_block_packet(ue)
+    ue.receive_tb(last)
+    assert [p.seq for p in got] == [4, 6]
+    assert ue.lost_packets == 1
+    assert ue.delivered_packets == 2
+    assert ue._corrupt == set()
+
+
+def test_packet_whose_middle_and_last_blocks_are_abandoned_is_lost_once():
+    sim = Simulator()
+    got = []
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
+    last = _three_block_packet(ue)
+    ue.abandon_tb(last)
+    assert [p.seq for p in got] == [4]
+    assert ue.lost_packets == 2  # packets 5 and 6, each once
+    assert ue._corrupt == set()
 
 
 def test_no_callback_is_fine():
