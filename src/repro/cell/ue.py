@@ -35,7 +35,8 @@ class UserEquipment:
         self._reorder: ReorderingBuffer[TransportBlock] = ReorderingBuffer()
         #: Seqs of packets that lost their first bits with an abandoned
         #: block, each kept until its completing block is released or
-        #: abandoned (one RNTI carries one flow: a seq names one packet).
+        #: abandoned (one RNTI carries one flow: a seq names one packet;
+        #: a handover abandoning that block first leaves the seq here).
         self._corrupt: set[int] = set()
         self.delivered_packets = 0
         self.lost_packets = 0

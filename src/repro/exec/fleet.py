@@ -4,7 +4,7 @@ The driver (a :class:`repro.exec.ParallelRunner` with a
 :class:`FleetBackend`) publishes fingerprinted jobs as JSON files in a
 directory and spawns local ``python -m repro fleet worker`` processes
 that pull jobs from the queue and push results back.  No sockets, no
-broker: the filesystem's atomic primitives (``O_EXCL`` create,
+broker: the filesystem's atomic primitives (hard link,
 ``os.replace``) are the whole coordination protocol, which is what
 lets the fleet survive any worker dying at any instant.  The
 benchmark's ``sweep_pool`` workload is its one driver; sweeps run on
@@ -23,8 +23,9 @@ Layout of a fleet directory::
 
 The robustness contract:
 
-* a claim is an ``O_EXCL`` lease create; an existing lease may only be
-  taken over once it **expires** (no heartbeat for ``ttl_s``);
+* a claim hard-links a whole lease record into place (the directory
+  needs hard links); an existing lease may only be taken over once it
+  **expires** (no heartbeat for ``ttl_s``);
 * a worker that dies mid-job stops heartbeating; the driver reclaims
   the expired lease, surfaces :class:`WorkerLostError` and the runner
   retries the job under its existing
@@ -156,9 +157,9 @@ def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
     """Atomically claim one job's lease; returns a ``CLAIM_*`` code.
 
     The fast path writes the record to a temp file and hard-links it
-    onto the lease path — exactly one of N racing workers wins, and no
-    peer ever reads a lease before its record is whole (an unreadable
-    lease counts as expired).  An existing lease may be taken over only
+    onto the lease path (``leases/`` must support hard links) — exactly
+    one of N racing workers wins, and no peer ever reads a lease before
+    its record is whole (an unreadable lease counts as expired).  An existing lease may be taken over only
     when it is expired (its worker stopped heartbeating).  Takeover is an
     atomic replace; if two workers take over the same expired lease in
     the same instant both will run the job, which the fabric tolerates
@@ -676,6 +677,8 @@ class FleetBackend(ExecBackend):
             # collected; with the local workers gone, nothing else will.
             for fp in self._settled:
                 self._cleanup(fp)
+            for path in (self.root / LEASE_DIR).glob("*.tmp"):
+                _unlink_quiet(path)  # a claimer killed in try_claim
         else:
             for proc in self._procs:
                 if proc.poll() is None:

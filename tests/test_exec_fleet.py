@@ -526,6 +526,16 @@ def test_shutdown_sweeps_a_duplicate_result_landing_after_collection(
     assert list((tmp_path / QUEUE_DIR).iterdir()) == []
 
 
+def test_shutdown_sweeps_a_killed_claimers_temp_lease(tmp_path):
+    """A worker killed between writing its lease record and linking it
+    leaves the temp file; shutdown removes it, and no lease with it."""
+    backend = FleetBackend(tmp_path, ttl_s=2.0, poll_s=0.02)
+    assert try_claim(tmp_path, "cd" * 16, "w1", ttl_s=60)
+    (tmp_path / LEASE_DIR / "tmpdead.tmp").write_bytes(b"{}")
+    backend.shutdown(wait=True)
+    assert os.listdir(tmp_path / LEASE_DIR) == [f"{'cd' * 16}.json"]
+
+
 def test_submit_discards_invalid_leftover_results(tmp_path):
     job = probe(11)
     fp = job.fingerprint()

@@ -104,9 +104,10 @@ class Wire(Receiver):
 
     Given the flow's :class:`ScriptedCc`, it also checks each packet
     against the answers the sender held as it left, and logs the send
-    among the controller's callbacks."""
+    among the controller's callbacks; ``cc`` is None only for a real
+    controller, which keeps no record of its answers."""
 
-    def __init__(self, cc=None):
+    def __init__(self, cc):
         self.cc = cc
         self.sent = []
         self.unacked = []
@@ -352,7 +353,7 @@ def _blocked_sender(horizon):
     """A 2-packet window, both packets out by 1 000 µs, no ACK yet."""
     sim = Simulator()
     cc = ScriptedCc([(0, 12e6, 2 * MSS_BITS)], [1.0, 0.5], horizon)
-    wire = Wire()
+    wire = Wire(cc)
     sender = Sender(sim, 0, cc, wire)
     sender.start()
     sim.run(until_us=10_000)
@@ -404,7 +405,7 @@ def test_a_stopped_sender_holds_no_answers():
     def queries(sender_cls):
         sim = Simulator()
         cc = ScriptedCc([(0, 0.0, None)], [1.0], "default")
-        sender = sender_cls(sim, 0, cc, Wire())
+        sender = sender_cls(sim, 0, cc, Wire(cc))
         sender.start()  # wakes at 0: zero rate, blocked
 
         def restart():

@@ -96,6 +96,23 @@ def test_packet_whose_middle_and_last_blocks_are_abandoned_is_lost_once():
     assert ue._corrupt == set()
 
 
+def test_completing_block_abandoned_first_still_loses_the_packet_once():
+    """A handover abandons the blocks on the cells being left at once,
+    so a packet's completing block can fail before the block that cut
+    it short.  The packet is counted lost once; its seq stays in the
+    set, since no later block completes it."""
+    sim = Simulator()
+    got = []
+    ue = UserEquipment(sim, 1, on_packet_block=got.extend)
+    first, spanning = Packet(1, 4), Packet(1, 5)
+    ue.abandon_tb(_tb(1, completes=[spanning]))   # on a cell being left
+    ue.abandon_tb(_tb(0, completes=[first], partial=spanning))
+    ue.receive_tb(_tb(2, completes=[Packet(1, 6)]))
+    assert [p.seq for p in got] == [6]
+    assert ue.lost_packets == 2  # packets 4 and 5, each once
+    assert ue._corrupt == {5}
+
+
 def test_no_callback_is_fine():
     sim = Simulator()
     ue = UserEquipment(sim, 1, on_packet_block=None)
