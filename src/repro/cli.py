@@ -9,9 +9,6 @@ Commands
                print a line per claim
 ``sweep``      the §6.3.1 stationary sweep, parallel and cacheable,
                at any size
-``fleet``      ``fleet worker``: one queue-pulling worker of a
-               :class:`repro.exec.FleetBackend` directory, the process
-               that backend spawns for each of its local workers
 ``cache``      audit the result cache: ``verify`` (scan, checksum,
                quarantine) or ``gc`` (reclaim quarantined/temp space)
 ``list``       list schemes and experiments
@@ -172,13 +169,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if sweep.failures else 0
 
 
-def cmd_fleet_worker(args: argparse.Namespace) -> int:
-    """``repro fleet worker``: join a fleet and pull jobs until stopped."""
-    from .exec import run_worker
-    return run_worker(args.dir, worker_id=args.id, ttl_s=args.ttl,
-                      poll_s=args.poll)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache verify|gc``: audit/repair the result store."""
     from .exec import ResultStore
@@ -287,25 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_options(p_sweep)
     _add_supervision_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="the worker process a FleetBackend spawns")
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
-
-    p_fw = fleet_sub.add_parser(
-        "worker", help="join the fleet at --dir: claim jobs under "
-                       "heartbeat-renewed leases until stopped "
-                       "(first SIGTERM finishes the current job and "
-                       "exits; a second abandons it)")
-    p_fw.add_argument("--dir", required=True,
-                      help="the fleet's shared directory")
-    p_fw.add_argument("--id", default=None,
-                      help="worker id (default host-pid)")
-    p_fw.add_argument("--ttl", type=float, default=10.0, metavar="S",
-                      help="lease TTL in seconds (default 10)")
-    p_fw.add_argument("--poll", type=float, default=0.2, metavar="S",
-                      help="idle queue poll interval (default 0.2)")
-    p_fw.set_defaults(func=cmd_fleet_worker)
 
     p_cache = sub.add_parser(
         "cache", help="audit the result cache (verify / gc)")

@@ -10,9 +10,8 @@ somewhere else to an :class:`ExecBackend`:
   local machine (one backend instance per retry round, recreated so a
   hung worker can be abandoned with its pool);
 * :class:`repro.exec.fleet.FleetBackend` — a shared on-disk work queue
-  that independent ``python -m repro fleet worker`` processes (on this
-  or other hosts, against a shared/SSH-mounted directory) pull from
-  under heartbeat-renewed leases.
+  that the backend's own worker subprocesses pull from, each job held
+  by one worker's exclusive lease.
 
 The contract is deliberately future-shaped: ``submit`` returns an
 opaque handle, ``wait`` blocks until at least one handle settles (or a

@@ -2,45 +2,48 @@
 
 The driver (a :class:`repro.exec.ParallelRunner` with a
 :class:`FleetBackend`) publishes fingerprinted jobs as JSON files in a
-directory and spawns local ``python -m repro fleet worker`` processes
-that pull jobs from the queue and push results back.  No sockets, no
-broker: the filesystem's atomic primitives (hard link,
-``os.replace``) are the whole coordination protocol, which is what
-lets the fleet survive any worker dying at any instant.  The
-benchmark's ``sweep_pool`` workload is its one driver; sweeps run on
-the process pool.
+directory and spawns its own worker subprocesses that pull jobs from
+the queue and push results back.  No sockets, no broker: the
+filesystem's atomic primitives (hard link, ``os.replace``) are the
+whole coordination protocol, and every worker is the driver's child,
+so the driver sees a worker die the moment it polls.  The benchmark's
+``sweep_pool`` workload is its one driver; sweeps run on the process
+pool.
 
 Layout of a fleet directory::
 
     fleet/
       queue/<fp>.json     job wire form (driver writes, workers read)
-      leases/<fp>.json    claim + heartbeat (worker renews every ttl/4)
+      leases/<fp>.json    claim: worker id + acquired time
       results/<fp>.json   checksummed result envelope (worker writes)
-      workers/<id>.json   worker liveness beacons (takeover counts)
-      workers/<id>.log    each local worker's stderr
+      workers/<id>.log    each worker's stderr
       quarantine/         corrupt results, kept for diagnosis
       STOP                shutdown sentinel (driver writes at the end)
 
 The robustness contract:
 
 * a claim hard-links a whole lease record into place (the directory
-  needs hard links); an existing lease may only be taken over once it
-  **expires** (no heartbeat for ``ttl_s``);
-* a worker that dies mid-job stops heartbeating; the driver reclaims
-  the expired lease, surfaces :class:`WorkerLostError` and the runner
-  retries the job under its existing
-  :class:`~repro.exec.BackoffPolicy` — fleet reclamation and pool
-  crash-retry share one policy and one stats surface;
+  needs hard links), so exactly one worker holds a job; the lease is
+  released by its owner, or by the driver once the owner has exited;
+* a worker that dies mid-job is noticed at the driver's next poll: the
+  driver releases the dead worker's leases, surfaces
+  :class:`WorkerLostError`, respawns the worker, and the runner retries
+  the job under its existing :class:`~repro.exec.BackoffPolicy` —
+  fleet reclamation and pool crash-retry share one policy and one
+  stats surface;
+* a worker leaves its loop once its parent (the driver) is gone, and a
+  new driver clears ``leases/``, so no lease outlives the process tree
+  that wrote it;
 * results are the same bytes a :class:`~repro.exec.ResultStore` entry
   holds, written and read through the same
   :func:`~repro.exec.store.seal` / :func:`~repro.exec.store.unseal`
   codec; a corrupt file (a torn write) is quarantined and the job
   re-runs;
-* duplicate completions (lease takeover racing a stalled-but-alive
-  worker) are harmless: jobs are deterministic, so both writers
-  produce identical bytes and atomic rename makes last-write-wins
-  safe; one landing after its job was collected is swept up when the
-  driver shuts its local workers down;
+* duplicate completions (a reclaimed job re-run while a late envelope
+  lands) are harmless: jobs are deterministic, so both writers produce
+  identical bytes and atomic rename makes last-write-wins safe; one
+  landing after its job was collected is swept up when the driver
+  shuts its workers down;
 * a result left by a dead driver is collected, not re-run, when a new
   driver submits the same job to the same directory.
 """
@@ -50,14 +53,12 @@ from __future__ import annotations
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Set, Union
+from typing import Dict, Iterable, Optional, Set, Union
 
 from ..harness.serialize import write_bytes_atomic, write_json_atomic
 from .backend import ExecBackend, job_from_wire, job_to_wire
@@ -71,15 +72,14 @@ WORKERS_DIR = "workers"
 QUARANTINE_DIR = "quarantine"
 STOP_FILE = "STOP"
 
-#: Default lease time-to-live: a worker that misses heartbeats for
-#: this long is presumed dead and its job is reclaimed.
-DEFAULT_TTL_S = 10.0
-#: Heartbeats renew the lease at ttl/4, so one missed beat never costs
-#: a lease.
-HEARTBEAT_FRACTION = 0.25
-#: Runaway backstop: the driver stops respawning dead local workers
-#: after this many restarts in one backend's life.
+#: Runaway backstop: the driver stops respawning dead workers after
+#: this many restarts in one backend's life.
 MAX_RESTARTS = 1000
+
+#: A worker process: ``run_worker(root, worker_id, poll_s)``.
+_WORKER_MAIN = ("import sys; from repro.exec.fleet import run_worker; "
+                "sys.exit(run_worker(sys.argv[1], sys.argv[2], "
+                "float(sys.argv[3])))")
 
 
 class WorkerLostError(OSError):
@@ -87,8 +87,8 @@ class WorkerLostError(OSError):
 
     An :class:`OSError` subclass on purpose: the runner already treats
     ``OSError`` from a backend as "the worker died, not the job" and
-    retries with backoff — lease expiry, vanished results and corrupt
-    envelopes all reduce to that same contract.
+    retries with backoff — a dead lease holder and a corrupt envelope
+    both reduce to that same contract.
     """
 
 
@@ -127,122 +127,38 @@ def _unlink_quiet(path: Path) -> None:
         pass
 
 
-def lease_expired(lease: Optional[dict], now: Optional[float] = None,
-                  default_ttl_s: float = DEFAULT_TTL_S) -> bool:
-    """True when a lease record has gone ``ttl_s`` without renewal."""
-    if lease is None:
-        return True
-    now = time.time() if now is None else now
-    renewed = lease.get("renewed", 0.0)
-    ttl = lease.get("ttl_s", default_ttl_s)
-    if not isinstance(renewed, (int, float)) \
-            or not isinstance(ttl, (int, float)):
-        return True
-    return now - renewed > ttl
+def try_claim(root: Union[str, Path], fingerprint: str,
+              worker_id: str) -> bool:
+    """Atomically claim one job's lease; True when this worker won it.
 
-
-#: ``try_claim`` outcomes.  ``CLAIM_TAKEOVER`` means an *expired*
-#: lease was replaced — the previous worker stopped heartbeating and
-#: this claim is a reclamation, which workers count and surface
-#: through their liveness beacon so the driver's ``lease_reclaims``
-#: telemetry stays accurate even when a sibling worker wins the
-#: takeover race before the driver's poll notices the expiry.
-CLAIM_FAILED = 0
-CLAIM_FRESH = 1
-CLAIM_TAKEOVER = 2
-
-
-def try_claim(root: Union[str, Path], fingerprint: str, worker_id: str,
-              ttl_s: float = DEFAULT_TTL_S) -> int:
-    """Atomically claim one job's lease; returns a ``CLAIM_*`` code.
-
-    The fast path writes the record to a temp file and hard-links it
-    onto the lease path (``leases/`` must support hard links) — exactly
-    one of N racing workers wins, and no peer ever reads a lease before
-    its record is whole (an unreadable lease counts as expired).  An existing lease may be taken over only
-    when it is expired (its worker stopped heartbeating).  Takeover is an
-    atomic replace; if two workers take over the same expired lease in
-    the same instant both will run the job, which the fabric tolerates
-    by design (deterministic jobs, last-write-wins results).
-
-    The return value is truthy on success: ``CLAIM_FRESH`` for an
-    uncontested claim and ``CLAIM_TAKEOVER`` when an expired lease was
-    replaced; ``CLAIM_FAILED`` otherwise.
+    The record is written to a temp file and hard-linked onto the lease
+    path (``leases/`` must support hard links): exactly one of N racing
+    workers wins, and no reader ever sees a lease before its record is
+    whole.  An existing lease is never replaced.
     """
     path = Path(root) / LEASE_DIR / f"{fingerprint}.json"
-    now = time.time()
     record = {"worker": worker_id, "fingerprint": fingerprint,
-              "acquired": now, "renewed": now, "ttl_s": ttl_s}
-    encoded = json.dumps(record, separators=(",", ":")).encode()
+              "acquired": time.time()}
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
     except OSError:
-        return CLAIM_FAILED
+        return False
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(encoded)
+            handle.write(json.dumps(record, separators=(",", ":")).encode())
             handle.flush()
             os.fsync(handle.fileno())
         os.link(tmp, path)
-    except FileExistsError:
-        if not lease_expired(_read_json(path), now):
-            return CLAIM_FAILED
-        try:
-            write_bytes_atomic(path, encoded)
-        except OSError:
-            return CLAIM_FAILED
-        return CLAIM_TAKEOVER
-    except OSError:
-        return CLAIM_FAILED
+    except OSError:  # FileExistsError: another worker holds it
+        return False
     finally:
         _unlink_quiet(Path(tmp))
-    return CLAIM_FRESH
+    return True
 
 
 def release_lease(root: Union[str, Path], fingerprint: str) -> None:
     _unlink_quiet(Path(root) / LEASE_DIR / f"{fingerprint}.json")
-
-
-class _LeaseHeartbeat(threading.Thread):
-    """Renews one lease every ``ttl/4`` while its job executes.
-
-    Reads the lease before each renewal: if another worker took it
-    over (this worker stalled past the TTL and a peer reclaimed it),
-    the thread flags :attr:`lost` and stops renewing — the job keeps
-    running and its (identical) result is still written, but the lease
-    now belongs to someone else.
-    """
-
-    def __init__(self, root: Path, fingerprint: str, worker_id: str,
-                 ttl_s: float) -> None:
-        super().__init__(daemon=True,
-                         name=f"lease-{fingerprint[:8]}")
-        self.root = root
-        self.fingerprint = fingerprint
-        self.worker_id = worker_id
-        self.ttl_s = ttl_s
-        self.lost = False
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        path = self.root / LEASE_DIR / f"{self.fingerprint}.json"
-        period = max(0.02, self.ttl_s * HEARTBEAT_FRACTION)
-        while not self._halt.wait(period):
-            lease = _read_json(path)
-            if lease is None or lease.get("worker") != self.worker_id:
-                self.lost = True
-                return
-            lease["renewed"] = time.time()
-            try:
-                write_bytes_atomic(path, json.dumps(
-                    lease, separators=(",", ":")).encode())
-            except OSError:  # pragma: no cover - transient fs hiccup
-                pass
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=2.0)
 
 
 # ---------------------------------------------------------------------
@@ -253,33 +169,29 @@ class _TermSignal(Exception):
 
 
 class FleetWorker:
-    """One queue-pulling worker process (``repro fleet worker``).
+    """One queue-pulling worker, a child process of its driver.
 
     SIGTERM is two-stage, mirroring the driver's
     :class:`~repro.exec.SignalDrain`: the first requests a stop (the
     current job finishes, its result persists, the lease is released,
     the loop exits); a second abandons the job mid-flight — the lease
-    is released so any other worker can pick the job up immediately
-    instead of waiting out the TTL.
+    is released so any other worker can pick the job up at once.  The
+    loop also ends when the driver is gone (the parent pid changed).
     """
 
     def __init__(self, root: Union[str, Path],
                  worker_id: Optional[str] = None,
-                 ttl_s: float = DEFAULT_TTL_S,
                  poll_s: float = 0.2,
                  max_jobs: Optional[int] = None,
                  log=None) -> None:
         self.root = Path(root)
-        self.worker_id = worker_id or (
-            f"{socket.gethostname()}-{os.getpid()}")
-        self.ttl_s = ttl_s
+        self.worker_id = worker_id or f"worker-{os.getpid()}"
         self.poll_s = poll_s
         self.max_jobs = max_jobs
         self.log = log if log is not None else sys.stderr
         self.executed = 0
-        self.reclaimed = 0
         self.stop_requested = False
-        self._beacon_at = 0.0
+        self._parent = os.getppid()
 
     # -- signals -------------------------------------------------------
     def _handle_sigterm(self, signum, frame) -> None:
@@ -294,21 +206,6 @@ class FleetWorker:
         except (ValueError, OSError):  # pragma: no cover - non-main
             pass
 
-    # -- liveness beacon ----------------------------------------------
-    def _beacon(self) -> None:
-        now = time.time()
-        if now - self._beacon_at < self.ttl_s:
-            return
-        self._beacon_at = now
-        record = {"worker": self.worker_id, "pid": os.getpid(),
-                  "renewed": now, "reclaimed": self.reclaimed}
-        try:
-            write_bytes_atomic(
-                self.root / WORKERS_DIR / f"{self.worker_id}.json",
-                json.dumps(record, separators=(",", ":")).encode())
-        except OSError:  # pragma: no cover - diagnostics only
-            pass
-
     def _say(self, message: str) -> None:
         print(f"[repro.fleet:{self.worker_id}] {message}",
               file=self.log, flush=True)
@@ -321,23 +218,11 @@ class FleetWorker:
             return
         for path in sorted(queue.glob("*.json")):
             fp = path.stem
-            if (self.root / RESULT_DIR / f"{fp}.json").exists():
-                continue
-            lease = _read_json(self.root / LEASE_DIR / f"{fp}.json")
-            if lease is None or lease_expired(lease):
+            if not (self.root / RESULT_DIR / f"{fp}.json").exists() \
+                    and not (self.root / LEASE_DIR / f"{fp}.json").exists():
                 yield fp, path
 
     # -- execution -----------------------------------------------------
-    def _release(self, fingerprint: str) -> None:
-        """Drop a job's lease unless a peer has taken it over.
-
-        Reads the lease instead of trusting the heartbeat's ``lost``
-        flag, which misses a takeover after the last renewal.
-        """
-        lease = _read_json(self.root / LEASE_DIR / f"{fingerprint}.json")
-        if lease is not None and lease.get("worker") == self.worker_id:
-            release_lease(self.root, fingerprint)
-
     def _write_result(self, fingerprint: str, payload: dict) -> None:
         write_bytes_atomic(
             self.root / RESULT_DIR / f"{fingerprint}.json",
@@ -359,11 +244,8 @@ class FleetWorker:
                          entry_path: Path) -> None:
         entry = _read_json(entry_path)
         if entry is None:  # cancelled/collected under us
-            self._release(fingerprint)
+            release_lease(self.root, fingerprint)
             return
-        heartbeat = _LeaseHeartbeat(
-            self.root, fingerprint, self.worker_id, self.ttl_s)
-        heartbeat.start()
         try:
             job = job_from_wire(entry)
             # Its result is filed under the queue name: refuse a
@@ -390,19 +272,19 @@ class FleetWorker:
             self._say(f"done {entry.get('label', '?')} "
                       f"({self.executed} executed)")
         finally:
-            heartbeat.stop()
-            self._release(fingerprint)
+            release_lease(self.root, fingerprint)
 
     # -- main loop -----------------------------------------------------
     def run(self) -> int:
         """Pull and execute jobs until stopped; returns an exit code."""
-        self._say(f"joining fleet at {self.root} "
-                  f"(ttl {self.ttl_s:g}s)")
+        self._say(f"joining fleet at {self.root}")
         try:
             while not self.stop_requested:
-                self._beacon()
                 if (self.root / STOP_FILE).exists():
                     self._say("stop sentinel seen; exiting")
+                    break
+                if os.getppid() != self._parent:
+                    self._say("driver gone; exiting")
                     break
                 if (self.max_jobs is not None
                         and self.executed >= self.max_jobs):
@@ -411,27 +293,15 @@ class FleetWorker:
                 for fp, entry_path in self._claimable():
                     if self.stop_requested:
                         break
-                    outcome = try_claim(self.root, fp, self.worker_id,
-                                        ttl_s=self.ttl_s)
-                    if not outcome:
+                    if not try_claim(self.root, fp, self.worker_id):
                         continue
                     if (self.root / RESULT_DIR / f"{fp}.json").exists():
                         # A peer wrote this result (then released its
                         # lease) between _claimable's result check and
-                        # its lease read: leave the envelope for the
+                        # its lease check: leave the envelope for the
                         # driver instead of running the job again.
-                        self._release(fp)
+                        release_lease(self.root, fp)
                         continue
-                    if outcome == CLAIM_TAKEOVER:
-                        # A dead peer's expired lease: count it and
-                        # beacon immediately so the driver's
-                        # lease_reclaims telemetry sees takeovers it
-                        # lost the reclaim race on.
-                        self.reclaimed += 1
-                        self._beacon_at = 0.0
-                        self._beacon()
-                        self._say(f"took over expired lease on "
-                                  f"{fp[:12]}")
                     claimed = True
                     self._execute_claimed(fp, entry_path)
                     break  # rescan: fresh view of queue and leases
@@ -446,19 +316,18 @@ class FleetWorker:
 
 def run_worker(root: Union[str, Path],
                worker_id: Optional[str] = None,
-               ttl_s: float = DEFAULT_TTL_S, poll_s: float = 0.2) -> int:
-    """Entry point behind ``python -m repro fleet worker``."""
-    worker = FleetWorker(root, worker_id=worker_id, ttl_s=ttl_s,
-                         poll_s=poll_s)
+               poll_s: float = 0.2) -> int:
+    """Entry point of each worker process a driver spawns."""
+    worker = FleetWorker(root, worker_id=worker_id, poll_s=poll_s)
     worker.install_signals()
     return worker.run()
 
 
 def spawn_local_workers(root: Union[str, Path], count: int,
-                        ttl_s: float = DEFAULT_TTL_S,
                         poll_s: float = 0.2,
-                        prefix: str = "local") -> list:
-    """Start ``count`` worker subprocesses against ``root``.
+                        prefix: str = "local"
+                        ) -> Dict[str, subprocess.Popen]:
+    """Start ``count`` worker subprocesses against ``root``, by id.
 
     Workers inherit the environment plus a ``PYTHONPATH`` that
     resolves this very package, so spawning works from tests and
@@ -471,15 +340,14 @@ def spawn_local_workers(root: Union[str, Path], count: int,
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
     (root / WORKERS_DIR).mkdir(parents=True, exist_ok=True)
-    procs = []
+    procs = {}
     for i in range(count):
         worker_id = f"{prefix}-{i}-{os.getpid()}"
         log = open(root / WORKERS_DIR / f"{worker_id}.log", "ab")
-        procs.append(subprocess.Popen(
-            [sys.executable, "-m", "repro", "fleet", "worker",
-             "--dir", str(root), "--id", worker_id,
-             "--ttl", str(ttl_s), "--poll", str(poll_s)],
-            env=env, stdout=log, stderr=subprocess.STDOUT))
+        procs[worker_id] = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_MAIN, str(root), worker_id,
+             str(poll_s)],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
         log.close()  # the child holds its own descriptor
     return procs
 
@@ -505,11 +373,14 @@ class FleetBackend(ExecBackend):
     """Drive a sweep through a shared-directory worker fleet.
 
     ``local_workers`` > 0 spawns that many worker subprocesses against
-    the fleet directory and respawns any that die (a crash, an OOM
-    kill), up to :data:`MAX_RESTARTS`.  The backend is ``persistent``:
-    one instance spans every retry round, accumulating
-    ``lease_reclaims`` / ``worker_restarts`` counters that the runner
-    folds into its :class:`~repro.exec.RunnerStats`.
+    the fleet directory.  Each poll of :meth:`wait` reaps any that
+    exited (a crash, an OOM kill): their leases are released, the jobs
+    they held fail with :class:`WorkerLostError` for the runner to
+    retry, and a replacement is spawned, up to :data:`MAX_RESTARTS`.
+    The backend is ``persistent``: one instance spans every retry
+    round, accumulating ``lease_reclaims`` / ``worker_restarts``
+    counters that the runner folds into its
+    :class:`~repro.exec.RunnerStats`.
     """
 
     name = "fleet"
@@ -517,30 +388,29 @@ class FleetBackend(ExecBackend):
     capacity = None  # enqueue everything; workers pace themselves
 
     def __init__(self, root: Union[str, Path],
-                 ttl_s: float = DEFAULT_TTL_S,
                  poll_s: float = 0.1,
                  local_workers: int = 0) -> None:
         self.root = Path(root)
-        self.ttl_s = ttl_s
         self.poll_s = poll_s
-        self._driver_reclaims = 0
+        self.lease_reclaims = 0
         self.worker_restarts = 0
         self.corrupt_results = 0
         #: Fingerprints whose result was collected (or failed).
         self._settled: Set[str] = set()
+        #: Fingerprint -> id of the exited worker whose lease on it was
+        #: released; its handle fails at the next poll.
+        self._lost: Dict[str, str] = {}
         self._shutdown = False
         for sub in (QUEUE_DIR, LEASE_DIR, RESULT_DIR, WORKERS_DIR):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        # Beacons persist across sweeps of the same directory:
-        # baseline the takeover counts now so a previous run's
-        # reclaims don't inflate this one's count.
-        self._beacon_reclaim_base = self._beacon_reclaims()
-        # A fresh driver owns the directory: clear a previous run's
-        # stop sentinel so workers (re)joining don't exit on sight.
+        # A fresh driver owns the directory: a previous run's leases
+        # name workers that are gone, and its stop sentinel would send
+        # workers (re)joining home on sight.
+        for path in (self.root / LEASE_DIR).iterdir():
+            _unlink_quiet(path)
         _unlink_quiet(self.root / STOP_FILE)
-        self._procs = (spawn_local_workers(
-            self.root, local_workers, ttl_s=ttl_s)
-            if local_workers else [])
+        self._workers = (spawn_local_workers(self.root, local_workers)
+                         if local_workers else {})
 
     # -- paths ---------------------------------------------------------
     def _queue_path(self, fp: str) -> Path:
@@ -557,15 +427,11 @@ class FleetBackend(ExecBackend):
         wire = job_to_wire(job)
         fp = wire["fingerprint"]
         handle = FleetHandle(fp, wire["label"])
-        # Stale state from a dead fleet (or an earlier attempt): an
-        # expired lease is cleared now rather than waited out; a
-        # pre-existing result is kept only if it validates — a
+        # A pre-existing result is kept only if it validates — a
         # completed-but-uncollected job from a SIGKILLed driver is
         # picked up for free, which is fleet-scope resume — and is
         # otherwise quarantined and counted like any corrupt result.
-        lease = _read_json(self._lease_path(fp))
-        if lease is not None and lease_expired(lease):
-            _unlink_quiet(self._lease_path(fp))
+        self._lost.pop(fp, None)  # its lease is gone: claimable again
         self._validate(fp)  # a missing result is not a corrupt one
         write_json_atomic(wire, self._queue_path(fp), indent=None)
         return handle
@@ -574,27 +440,23 @@ class FleetBackend(ExecBackend):
              timeout: float) -> Set[FleetHandle]:
         deadline = time.monotonic() + max(0.0, timeout)
         while True:
+            self._reap_dead()
             done: Set[FleetHandle] = set()
-            now = time.time()
             for handle in handles:
-                if handle.error is not None \
-                        or self._result_path(handle.fingerprint).exists():
+                fp = handle.fingerprint
+                lost_to = self._lost.pop(fp, None)
+                if self._result_path(fp).exists():
                     done.add(handle)
-                    continue
-                lease = _read_json(self._lease_path(handle.fingerprint))
-                if lease is not None and lease_expired(lease, now):
-                    # The worker stopped heartbeating: reclaim.  The
-                    # runner retries under its BackoffPolicy — one
-                    # retry machinery for pool crashes and fleet
-                    # losses alike.
-                    _unlink_quiet(self._lease_path(handle.fingerprint))
-                    self._driver_reclaims += 1
+                elif lost_to is not None and handle.error is None:
+                    # Its worker exited holding the lease.  The runner
+                    # retries under its BackoffPolicy — one retry
+                    # machinery for pool crashes and fleet losses alike.
+                    self.lease_reclaims += 1
                     handle.error = WorkerLostError(
-                        f"lease on {handle.label} expired (worker "
-                        f"{lease.get('worker', '?')} stopped "
-                        f"heartbeating); job reclaimed")
+                        f"worker {lost_to} exited holding the lease on "
+                        f"{handle.label}; job reclaimed")
+                if handle.error is not None:
                     done.add(handle)
-            self._respawn_dead()
             remaining = deadline - time.monotonic()
             if done or remaining <= 0:
                 return done
@@ -621,11 +483,9 @@ class FleetBackend(ExecBackend):
 
     def cancel(self, handle: FleetHandle) -> bool:
         if handle.error is not None \
-                or self._result_path(handle.fingerprint).exists():
-            return False
-        lease = _read_json(self._lease_path(handle.fingerprint))
-        if lease is not None and not lease_expired(lease):
-            return False  # genuinely executing somewhere
+                or self._result_path(handle.fingerprint).exists() \
+                or self._lease_path(handle.fingerprint).exists():
+            return False  # settled, or executing
         _unlink_quiet(self._queue_path(handle.fingerprint))
         return True
 
@@ -653,10 +513,11 @@ class FleetBackend(ExecBackend):
             (self.root / STOP_FILE).touch()
         except OSError:  # pragma: no cover - unwritable fleet dir
             pass
+        procs = list(self._workers.values())
         # With ``wait``, the sentinel gets 2 s first: a worker still
         # starting up has no SIGTERM handler yet and dies of the signal.
         grace = time.monotonic() + (2.0 if wait else 0.0)
-        for proc in self._procs:
+        for proc in procs:
             try:
                 proc.wait(timeout=max(0.0, grace - time.monotonic()))
             except subprocess.TimeoutExpired:
@@ -665,8 +526,8 @@ class FleetBackend(ExecBackend):
                 except OSError:  # pragma: no cover
                     pass
         if wait:
-            deadline = time.monotonic() + max(5.0, 2 * self.ttl_s)
-            for proc in self._procs:
+            deadline = time.monotonic() + 5.0
+            for proc in procs:
                 budget = deadline - time.monotonic()
                 try:
                     proc.wait(timeout=max(0.1, budget))
@@ -680,7 +541,7 @@ class FleetBackend(ExecBackend):
             for path in (self.root / LEASE_DIR).glob("*.tmp"):
                 _unlink_quiet(path)  # a claimer killed in try_claim
         else:
-            for proc in self._procs:
+            for proc in procs:
                 if proc.poll() is None:
                     proc.kill()
 
@@ -725,49 +586,22 @@ class FleetBackend(ExecBackend):
         _unlink_quiet(self._lease_path(fp))
         _unlink_quiet(self._result_path(fp))
 
-    def _respawn_dead(self) -> None:
+    def _reap_dead(self) -> None:
+        """Release exited workers' leases and respawn the workers."""
         if self._shutdown:
             return
-        for i, proc in enumerate(self._procs):
-            if proc.poll() is None:
-                continue
-            if self.worker_restarts >= MAX_RESTARTS:
-                return  # runaway backstop; external workers may remain
-            self.worker_restarts += 1
-            replacement = spawn_local_workers(
-                self.root, 1, ttl_s=self.ttl_s,
-                prefix=f"respawn{self.worker_restarts}")
-            self._procs[i] = replacement[0]
-
-    @property
-    def lease_reclaims(self) -> int:
-        """Expired leases reclaimed, by whoever got there first.
-
-        The driver reclaims a lease only when *its* poll notices the
-        expired heartbeat; a sibling worker often takes the lease over
-        first, which the driver would otherwise never see.  Workers
-        count those takeovers (:data:`CLAIM_TAKEOVER`) and publish
-        them through their liveness beacons; both sources are summed
-        here.  The paths are mutually exclusive in the common case —
-        whichever side replaces/unlinks the lease first wins — so the
-        sum counts each leaked lease once.
-        """
-        return self._driver_reclaims + max(
-            0, self._beacon_reclaims() - self._beacon_reclaim_base)
-
-    def _beacon_reclaims(self) -> int:
-        beacons = self.root / WORKERS_DIR
-        if not beacons.is_dir():
-            return 0
-        total = 0
-        for path in beacons.glob("*.json"):
-            record = _read_json(path)
-            if record is not None:
-                try:
-                    total += int(record.get("reclaimed", 0))
-                except (TypeError, ValueError):
-                    pass
-            # Dead workers' beacons keep their final counts, so the
-            # sum survives kills and respawns (respawned workers get
-            # fresh ids, hence fresh beacon files).
-        return total
+        dead = {worker_id for worker_id, proc in self._workers.items()
+                if proc.poll() is not None}
+        if not dead:
+            return
+        for path in (self.root / LEASE_DIR).glob("*.json"):
+            worker_id = (_read_json(path) or {}).get("worker")
+            if worker_id in dead:
+                _unlink_quiet(path)
+                self._lost[path.stem] = worker_id
+        for worker_id in dead:
+            del self._workers[worker_id]
+            if self.worker_restarts < MAX_RESTARTS:
+                self.worker_restarts += 1
+                self._workers.update(spawn_local_workers(
+                    self.root, 1, prefix=f"respawn{self.worker_restarts}"))

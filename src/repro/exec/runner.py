@@ -100,10 +100,8 @@ class RunnerStats:
     quarantined: int = 0
     #: Total seconds slept in retry backoff.
     backoff_s: float = 0.0
-    #: Fleet backend only: expired leases reclaimed (each one is a job
-    #: re-queued after its worker stopped heartbeating), whether the
-    #: driver's poll reclaimed the lease or a sibling worker took it
-    #: over first (workers report takeovers via their beacons).
+    #: Fleet backend only: leases the driver released because their
+    #: worker exited mid-job (each one a job retried).
     lease_reclaims: int = 0
     #: Fleet backend only: dead local workers respawned by the driver.
     worker_restarts: int = 0

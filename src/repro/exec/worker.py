@@ -17,7 +17,7 @@ from .job import Job
 
 
 def initialize_worker(role: str = "pool") -> None:
-    """Worker initializer (pool children and standalone fleet workers).
+    """Worker initializer (pool children and fleet workers).
 
     Pins the math libraries to one thread per worker (the parallelism
     budget belongs to the process pool / fleet, not to BLAS), then
@@ -30,12 +30,12 @@ def initialize_worker(role: str = "pool") -> None:
     — completed jobs already sit in the result store, making
     interrupted sweeps resumable.
 
-    ``"fleet"`` ignores only SIGINT: a standalone fleet worker has no
-    supervising parent on its host, so SIGTERM must reach the worker
-    loop's own two-stage handler (finish or abandon the leased job,
-    release the lease, then exit) instead of being swallowed — an
-    unconditional SIG_IGN here once made fleet workers unkillable
-    except by SIGKILL, which leaks leases until their TTL expires.
+    ``"fleet"`` ignores only SIGINT: its driver stops a fleet worker
+    with SIGTERM once the stop sentinel has had its grace, so SIGTERM
+    must reach the worker loop's own two-stage handler (finish or
+    abandon the leased job, release the lease, then exit) instead of
+    being swallowed — an unconditional SIG_IGN here once made fleet
+    workers unkillable except by SIGKILL.
     """
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):

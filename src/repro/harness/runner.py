@@ -79,7 +79,8 @@ class FlowSpec:
     start_s: float = 0.0
     #: ``None`` runs until the scenario ends.
     duration_s: Optional[float] = None
-    #: Per-flow server distance (one-way wired delay override), µs.
+    #: Per-flow server distance (one-way wired delay override), µs;
+    #: refused with ``shared_link``, whose delay is the wired path's.
     internet_delay_us: Optional[int] = None
     #: Channel override (e.g. a mobility trace).
     channel: Optional[ChannelModel] = None
@@ -207,12 +208,15 @@ class Experiment:
         sim = self.sim
         cells = spec.cells or scenario.device_cells
         channel = spec.channel or scenario.channel(seed_offset=spec.rnti)
-        delay_us = (spec.internet_delay_us
-                    if spec.internet_delay_us is not None
-                    else scenario.internet_delay_us)
 
         private_link: Optional[Link] = None
         if spec.shared_link is not None:
+            if spec.internet_delay_us is not None:
+                # The shared link's own delay is the flow's whole wired
+                # path: there is no per-flow hop to put this delay on.
+                raise ValueError(
+                    "internet_delay_us cannot be set on a shared_link "
+                    "flow: the shared link's delay is its wired delay")
             # Shared bottleneck: the link's sink must be a FlowDemux
             # (see make_shared_bottleneck); register this flow's route.
             egress: Receiver = spec.shared_link
@@ -226,7 +230,9 @@ class Experiment:
             private_link = Link(
                 sim, self.network.ingress(spec.rnti),
                 rate_bps=scenario.internet_rate_bps,
-                delay_us=delay_us,
+                delay_us=(spec.internet_delay_us
+                          if spec.internet_delay_us is not None
+                          else scenario.internet_delay_us),
                 queue_packets=scenario.internet_queue_packets,
                 name=f"internet-{spec.rnti}")
             egress = private_link

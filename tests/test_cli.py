@@ -20,8 +20,6 @@ CLI_INVENTORY = {
     "experiment": ["name", "--jobs", "--cache-dir"],
     "sweep": ["--schemes", "--busy", "--idle", "--duration", "--seed",
               "--save", *_SUPERVISION],
-    "fleet": [],
-    "fleet worker": ["--dir", "--id", "--ttl", "--poll"],
     "cache": ["action", "--cache-dir", "--tmp-grace"],
     "list": [],
 }
@@ -47,7 +45,7 @@ def _inventory(parser, path=()):
 def test_cli_inventory_is_pinned():
     inventory = _inventory(build_parser())
     assert inventory == CLI_INVENTORY
-    assert sum(len(flags) for flags in inventory.values()) == 29
+    assert sum(len(flags) for flags in inventory.values()) == 25
 
 
 def test_parser_requires_command():
@@ -129,6 +127,14 @@ def test_removed_commands_exit_2(argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
+
+
+def test_fleet_worker_is_not_a_command(capsys):
+    """A backend starts its own worker processes; the CLI has none."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["fleet", "worker", "--dir", "X"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
 
 def test_experiment_command_cheap(capsys):

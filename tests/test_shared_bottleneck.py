@@ -37,6 +37,18 @@ def test_shared_link_requires_demux():
         exp.add_flow(FlowSpec(scheme="bbr", shared_link=bogus))
 
 
+def test_shared_link_flow_refuses_its_own_internet_delay():
+    """A shared-link flow has no private hop to carry a per-flow
+    delay: setting one is refused, not silently run at the shared
+    link's delay."""
+    exp = Experiment(_scenario())
+    shared = exp.make_shared_bottleneck(rate_bps=20e6, delay_us=18_000)
+    with pytest.raises(ValueError,
+                       match="internet_delay_us.*shared_link"):
+        exp.add_flow(FlowSpec(scheme="bbr", shared_link=shared,
+                              internet_delay_us=40_000))
+
+
 def test_two_pbe_flows_share_wired_bottleneck_fairly():
     """Both flows detect the Internet bottleneck and split the 20
     Mbit/s wired link roughly evenly via the capped-BBR mode."""
