@@ -285,14 +285,15 @@ class CellularNetwork:
         #: attributes in this order, so each ``ue`` here is a reference
         #: to the one already written under ``_users``.)
         self._air: list[tuple[UserEquipment, list]] = []
-        #: Tick rosters (DESIGN.md, "Tick rosters"): what the subframe
-        #: loop visits, built by ``_build_rosters`` at the next tick
-        #: after anything that could change them set ``_live_cells`` to
-        #: None.  ``_live_cells`` holds ``(cell_id, total_prbs)`` of the
-        #: cells to tick, in ``carriers`` order; ``_cell_roster`` each
-        #: live cell's active users, ``_user_list`` every user,
-        #: ``_exo_users`` those with a demand source and ``_ca_users``
-        #: those the CA manager observes — all in ``_users`` order.
+        #: Tick rosters (DESIGN.md, "The subframe tick and its rosters"):
+        #: what the subframe loop visits, built by ``_build_rosters`` at
+        #: the next tick after anything that could change them set
+        #: ``_live_cells`` to None.  ``_live_cells`` holds ``(cell_id,
+        #: total_prbs)`` of the cells to tick, in ``carriers`` order;
+        #: ``_cell_roster`` each live cell's active users, ``_user_list``
+        #: every user, ``_exo_users`` those with a demand source and
+        #: ``_ca_users`` those the CA manager observes — all in ``_users``
+        #: order.
         self._live_cells: Optional[list[tuple[int, int]]] = None
         self._cell_roster: dict[int, list[_User]] = {}
         self._user_list: list[_User] = []
@@ -566,8 +567,8 @@ class CellularNetwork:
 
     def _tick(self) -> None:
         # Last subframe's transport blocks land first: they were events
-        # queued just ahead of this tick (DESIGN.md, "Event-free air
-        # interface"), one burst per run of same-UE blocks.
+        # queued just ahead of this tick (DESIGN.md, "The delivery
+        # contract"), one burst per run of same-UE blocks.
         if self._air:
             air, self._air = self._air, []
             for ue, entries in air:

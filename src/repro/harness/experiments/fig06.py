@@ -2,12 +2,13 @@
 
 (a) The fraction of wireless capacity spent on HARQ retransmissions
 (grows with offered load, larger at the weak-signal location) and on
-protocol headers (constant γ = 6.8%), measured from decoded control
-messages at two signal strengths.
+protocol headers (constant γ = 6.8%), at two signal strengths.  The
+retransmission share is measured from decoded control messages; the
+protocol share is the constant ``PROTOCOL_OVERHEAD`` itself.
 
 (b) Transport-block error rate vs TB size: the theoretical
-``1-(1-p)^L`` curves against the error rate the simulated MAC actually
-produces.
+``1-(1-p)^L`` curves against a Monte-Carlo sample of that same formula
+(the law the MAC draws from), not against the MAC's own blocks.
 
 Substitution note: the paper's two locations are RSSI −98/−113 dBm;
 we use the SINRs those map to under our noise-floor model, and sweep
@@ -95,7 +96,7 @@ def _overhead_at(sinr_db: float, load_fraction: float,
 
 def _empirical_tbler(ber: float, tb_bits: int, trials: int,
                      rng: np.random.Generator) -> float:
-    """Monte-Carlo the MAC's per-TB error draw."""
+    """Sample ``block_error_rate(ber, tb_bits)`` ``trials`` times."""
     p = block_error_rate(ber, tb_bits)
     return float(np.mean(rng.random(trials) < p))
 
@@ -104,7 +105,14 @@ def run_fig06(load_fractions: tuple = (0.15, 0.3, 0.5, 0.7, 0.9),
               tb_sizes_kbit: tuple = (10, 20, 30, 40, 50, 60, 70),
               duration_s: float = 2.0, trials: int = 4_000,
               seed: int = 17) -> Fig06Result:
-    """Run both halves of Figure 6."""
+    """Run both halves of Figure 6.
+
+    Two of its claims check the model against itself, so no change to
+    the MAC can flip them: ``fig06.protocol_overhead_error_pct``
+    compares the constant ``PROTOCOL_OVERHEAD`` with 6.8 %, and
+    ``fig06.tbler_fit_error`` compares a sample of
+    ``block_error_rate`` with ``block_error_rate``.
+    """
     overhead = []
     for sinr in (STRONG_SINR_DB, WEAK_SINR_DB):
         for fraction in load_fractions:

@@ -87,9 +87,10 @@ class Scenario:
     cqi_delay_subframes: int = 0
     duration_s: float = 8.0
     seed: int = 0
-    #: Optional per-cell control-plane burst rates (``{cell_id: rate}``).
-    #: When set it overrides the scenario-wide busy/idle rate — metro
-    #: grids mix busy hotspots and idle cells in one network.
+    #: Optional per-cell control-plane burst rates (``{cell_id: rate}``,
+    #: int ids of ``carriers``).  When set it overrides the scenario-wide
+    #: busy/idle rate, and a cell it leaves out gets none — metro grids
+    #: mix busy hotspots and idle cells in one network.
     control_arrivals_by_cell: Optional[dict] = None
 
     def __post_init__(self) -> None:
@@ -114,6 +115,24 @@ class Scenario:
         if self.scheduler_policy not in POLICIES:
             raise ValueError(f"scheduler_policy must be one of {POLICIES}, "
                              f"got {self.scheduler_policy!r}")
+        rates = self.control_arrivals_by_cell
+        if rates is not None:
+            # The network looks a cell's rate up by int id and gives any
+            # other cell 0.0, so a JSON string key or an unknown id would
+            # silently run that cell without control traffic.
+            name = "control_arrivals_by_cell"
+            if not isinstance(rates, dict):
+                raise ValueError(f"{name} must be a dict, got {rates!r}")
+            cells = {c.cell_id for c in self.carriers}
+            for cell, rate in rates.items():
+                require_int(f"{name} key", cell)
+                if cell not in cells:
+                    raise ValueError(f"{name} names cell {cell!r}, which is "
+                                     f"not one of carriers {sorted(cells)}")
+                require_real(f"{name}[{cell}]", rate)
+                if rate < 0:
+                    raise ValueError(f"{name}[{cell}] must be non-negative, "
+                                     f"got {rate!r}")
 
     @property
     def control_arrivals_per_subframe(self) -> "float | dict":

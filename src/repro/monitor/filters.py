@@ -123,7 +123,8 @@ class ActiveUserFilter:
         it runs once per capacity estimate.  ``Pa > 4`` is tested as
         ``total >= MIN_AVG_PRBS * subframes`` on the integer counts,
         which decides as ``total / subframes >= MIN_AVG_PRBS`` does for
-        any count below 2**51 (DESIGN.md, "A subframe's life").
+        any count below 2**51 (DESIGN.md, "The monitor's per-record
+        fold").
         """
         count = 0
         include_counted = include is None

@@ -8,8 +8,12 @@ reference must lie inside that file.  Every backticked dotted name ``repro.<modu
 resolve, a call's arguments aside: the longest prefix that is a module
 imports, and the rest are attributes of it.  Every backticked claim id
 in EXPERIMENTS.md's hand-written text — ``*`` and ``{a,b}`` patterns
-included — must name a claim of the registry.  ROADMAP.md is left out:
-it names files and code that are only planned.
+included — must name a claim of the registry.  Every double-quoted
+section title cited right after the name of the design record (``…md,
+"Title"`` or ``…md "A" and "B"``, a citation broken across lines or
+comment lines included) in ``src/``, ``tests/``, ``scripts/``, README.md,
+EXPERIMENTS.md and docs/*.md must be one of its ``## `` headings.
+ROADMAP.md is left out: it names files and code that are only planned.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import pytest
 from repro.harness import claims
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+DESIGN = ROOT / "DESIGN.md"
+DOCS = [ROOT / "README.md", DESIGN, ROOT / "EXPERIMENTS.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 BASES = (ROOT, ROOT / "src" / "repro")
 
@@ -35,6 +40,14 @@ _PATH = re.compile(r"([\w.-]+(?:/[\w.-]+)*"
 _DOTTED = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
 _CLAIM = re.compile(r"(?:table\d+|fig\d\w*|ablation|policy)(?:\.[\w*{},]+)+")
 _BRACES = re.compile(r"\{([^{}]*)\}")
+_CITED = re.compile(r'DESIGN\.md`?(?:\'s)?,?\s+'
+                    r'((?:"[^"]+"(?:,?\s*(?:and\s+)?))+)')
+_QUOTED = re.compile(r'"([^"]+)"')
+_LINE_BREAK = re.compile(r"[ \t]*\n[ \t]*(?:#:?[ \t]*)?")
+CITING = sorted([*(ROOT / "src").rglob("*.py"),
+                 *(ROOT / "tests").rglob("*.py"),
+                 *(ROOT / "scripts").rglob("*.py"), ROOT / "README.md",
+                 ROOT / "EXPERIMENTS.md", *(ROOT / "docs").glob("*.md")])
 
 
 def references(text):
@@ -133,6 +146,54 @@ def hand_written(text):
     for name in claims.BLOCKS["EXPERIMENTS.md"]:
         text = text.replace(claims.generated(text, name), "")
     return text
+
+
+def cited_sections(text):
+    """``(line, title)`` per double-quoted title cited after the design
+    record's name.  What follows the name has its line breaks — and a
+    comment's ``#`` / ``#:`` on the next line — joined first, so a
+    citation split across lines is read whole."""
+    for name in re.finditer(r"DESIGN\.md", text):
+        line = text.count("\n", 0, name.start()) + 1
+        rest = _LINE_BREAK.sub(" ", text[name.start():name.start() + 400])
+        match = _CITED.match(rest)
+        if match is not None:
+            for title in _QUOTED.findall(match.group(1)):
+                yield line, title
+
+
+def headings(text):
+    """The ``## `` section titles of a markdown text."""
+    return {line[3:].strip() for line in text.splitlines()
+            if line.startswith("## ")}
+
+
+def missing_sections(text, titles):
+    """One message per cited title that is not in ``titles``."""
+    return [f"line {line}: \"{title}\" is not a section"
+            for line, title in cited_sections(text) if title not in titles]
+
+
+def test_cited_design_sections_exist():
+    titles = headings(DESIGN.read_text())
+    found = [f"{path.relative_to(ROOT)} {message}" for path in CITING
+             for message in missing_sections(path.read_text(), titles)]
+    assert found == []
+
+
+def test_the_section_scan_joins_lines_and_catches_breakage():
+    name = "DESIGN" + ".md"  # keeps this sample out of the scan above
+    text = (f'see {name}, "Kept"\n'
+            f'x ({name} "Kept" and "Split\n'
+            f'    # across lines"), and {name}\'s "Gone".\n'
+            f'{name} lists it; "quoted" elsewhere is no citation.\n'
+            f'#: {name}, "Also\n#: gone", "Kept"\n')
+    assert list(cited_sections(text)) == [
+        (1, "Kept"), (2, "Kept"), (2, "Split across lines"), (3, "Gone"),
+        (5, "Also gone"), (5, "Kept")]
+    assert missing_sections(text, {"Kept", "Split across lines"}) == [
+        'line 3: "Gone" is not a section',
+        'line 5: "Also gone" is not a section']
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda d: d.name)

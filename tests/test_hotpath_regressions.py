@@ -228,7 +228,7 @@ def test_call_budget_per_data_packet():
     """A packet's life — pace, link, wire, queue, transport block, UE,
     client, ACK, uplink batch, ACK clock, controller — costs at most
     0.95 of the Python and C calls it cost before the last change to
-    it (DESIGN.md, "A packet's life" and "Each fact once").
+    it (DESIGN.md, "Only what is read later" and "Each fact once").
 
     Figures, calls over packets sent, CPython 3.11.7: 69.1 before the
     per-packet and per-grant objects were cut (Python 24.8 + C 44.3),
@@ -269,7 +269,7 @@ def test_call_budget_per_tick():
     control traffic, scheduler, transport blocks, DCI, monitor ingest,
     CA, and the air landing with its capacity reports — costs at most
     0.96 of the Python and C calls it cost before the last change to
-    it (DESIGN.md, "A subframe's life" and "Each fact once").
+    it (DESIGN.md, "Only what is read later" and "Each fact once").
 
     Figures, calls over ``network.subframe``, CPython 3.11.7: 578.1
     before the per-grant, per-record and per-report work was cut

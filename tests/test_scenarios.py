@@ -29,6 +29,22 @@ def test_scenario_validation():
         Scenario(name="x", duration_s=0)
 
 
+@pytest.mark.parametrize("rates, fragment", [
+    ({"0": 0.4}, "key must be an integer"),        # JSON's string key
+    ({0: 0.4, 7: 0.3}, "names cell 7"),            # no such carrier
+    ({True: 0.4}, "key must be an integer"),
+    ({0: -0.1}, "must be non-negative"),
+    ({0: float("nan")}, "must be a finite number"),
+    ({0: "0.4"}, "must be a finite number"),
+    ([(0, 0.4)], "must be a dict"),
+], ids=["json_string_key", "unknown_cell", "bool_key", "negative_rate",
+        "nan_rate", "string_rate", "not_a_dict"])
+def test_control_arrivals_by_cell_fails_loudly(rates, fragment):
+    with pytest.raises(ValueError, match="control_arrivals_by_cell") as err:
+        Scenario(name="x", busy=True, control_arrivals_by_cell=rates)
+    assert fragment in str(err.value)
+
+
 def test_busy_controls_arrival_rate():
     busy = Scenario(name="b", busy=True)
     idle = Scenario(name="i", busy=False)

@@ -1,7 +1,8 @@
 """Exact-equivalence properties for the per-subframe rewrites.
 
-DESIGN.md, "A subframe's life", cuts work out of the subframe tick and
-the monitor with rewrites that are exact by construction.  Each test
+DESIGN.md, "The subframe tick and its rosters" and "The monitor's
+per-record fold", name the rewrites of the subframe tick and the
+monitor that are exact by construction.  Each test
 here holds one rewrite against the form it replaced and fails if the
 result drifts by one ulp or one element:
 

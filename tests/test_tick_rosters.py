@@ -1,5 +1,5 @@
 """Tick rosters: the tick visits only live cells and each cell only its
-own users (DESIGN.md, "Tick rosters").
+own users (DESIGN.md, "The subframe tick and its rosters").
 
 The oracle is ``tests/reference_engine.py``, which ticks every
 configured cell every subframe and filters every user per cell, from
