@@ -35,7 +35,7 @@ UNTIL_CALLBACK = 2**63 - 1
 @dataclass(slots=True)
 class AckContext:
     """Everything a congestion controller learns from one ACK (one per
-    ACK: slotted, and built positionally on the block path)."""
+    ACK: slotted, and built slot by slot on the block path)."""
 
     ack: Packet
     now_us: int
@@ -249,6 +249,7 @@ class Sender(Receiver):
         delivered_bits = self.delivered_bits
         delivered_time_us = self.delivered_time_us
         now = sim.now
+        new = object.__new__
         srtt_us = self.srtt_us
         rto_us = max(MIN_RTO_US, 4 * srtt_us)  # = _rto_us(), no call
         rate, cwnd = self._held_rate, self._held_cwnd
@@ -268,9 +269,20 @@ class Sender(Receiver):
             gap_us = max(1, round(mss * US_PER_S / pace_rate))
             while cwnd is None or not self.inflight_bits + mss > cwnd:
                 seq = self.next_seq
-                packet = Packet(flow_id, seq, mss, False, now, None,
-                                delivered_bits, delivered_time_us or now,
-                                app_limited, srtt_us)
+                # ``Packet(...)`` without its ``__init__`` frame: one
+                # store per slot (``tests/test_packet.py`` holds this
+                # build to the constructor's over ``__slots__``).
+                packet = new(Packet)
+                packet.flow_id = flow_id
+                packet.seq = seq
+                packet.size_bits = mss
+                packet.is_ack = False
+                packet.sent_time_us = now
+                packet.feedback = None
+                packet.delivered_at_send = delivered_bits
+                packet.delivered_time_at_send = delivered_time_us or now
+                packet.app_limited = app_limited
+                packet.srtt_us = srtt_us
                 self.next_seq = seq + 1
                 outstanding.add(seq)
                 self.inflight_bits += mss
@@ -328,12 +340,15 @@ class Sender(Receiver):
         now = self.sim.now
         outstanding = self._outstanding
         mss = self.mss_bits
+        end = self.next_seq
+        new = object.__new__
 
         # Hoisted sender state (written back before any CC callback).
         srtt = self.srtt_us
         min_rtt = self.min_rtt_us
         delivered = self.delivered_bits
         highest = self.highest_acked
+        scan = self._scan_from
         pending: list[AckContext] = []
 
         def flush_pending() -> None:
@@ -359,6 +374,11 @@ class Sender(Receiver):
             self.inflight_bits -= mss
             if acked > highest:
                 highest = acked
+            if acked == scan:
+                # The cursor stays on the lowest outstanding seq.
+                scan += 1
+                while scan < end and scan not in outstanding:
+                    scan += 1
 
             rtt = now - ack.sent_time_us
             if rtt > 0:
@@ -375,20 +395,29 @@ class Sender(Receiver):
             else:
                 rate = 0.0
 
-            # Everything outstanding is at or above the scan cursor:
-            # unless that has fallen DUPACK_THRESHOLD behind, the scan
-            # could only step past acked seqs, which the scan that does
-            # find a loss steps past just the same.
-            if highest - self._scan_from >= DUPACK_THRESHOLD:
+            # The cursor is the lowest outstanding seq: it lagging
+            # DUPACK_THRESHOLD behind is exactly a loss to declare.
+            if highest - scan >= DUPACK_THRESHOLD:
+                self._scan_from = scan
                 lost_bits = self._scan_losses(highest)
-                if lost_bits:
-                    # cc.on_loss must see every prior ACK first, exactly
-                    # as the per-ACK interleaving would deliver them.
-                    flush_pending()
-                    self.cc.on_loss(now, lost_bits, self.inflight_bits)
-            pending.append(AckContext(
-                ack, now, rtt, rate, mss, self.inflight_bits,
-                ack.app_limited, srtt))
+                scan = self._scan_from
+                # cc.on_loss must see every prior ACK first, exactly
+                # as the per-ACK interleaving would deliver them.
+                flush_pending()
+                self.cc.on_loss(now, lost_bits, self.inflight_bits)
+            # ``AckContext(...)`` without its generated ``__init__``
+            # frame: one store per slot (``tests/test_packet.py`` holds
+            # this build to the keyword-built context).
+            ctx = new(AckContext)
+            ctx.ack = ack
+            ctx.now_us = now
+            ctx.rtt_us = rtt
+            ctx.delivery_rate_bps = rate
+            ctx.newly_acked_bits = mss
+            ctx.inflight_bits = self.inflight_bits
+            ctx.app_limited = ack.app_limited
+            ctx.srtt_us = srtt
+            pending.append(ctx)
             if (self._rto_event is None and self._running
                     and outstanding):
                 # The per-ACK body creates the timer during this ACK;
@@ -400,6 +429,7 @@ class Sender(Receiver):
 
         if not pending:
             return
+        self._scan_from = scan
         flush_pending()
         self._forget_answers()
         self._arm_rto()
@@ -408,7 +438,8 @@ class Sender(Receiver):
 
     def _scan_losses(self, highest_acked: int) -> int:
         """Declare head-of-line packets lost; move the cursor past them
-        and the acked seqs among them; return the bits lost."""
+        and the acked seqs among them, onto the lowest seq still
+        outstanding (or ``next_seq``); return the bits lost."""
         outstanding = self._outstanding
         seq, end, lost = self._scan_from, self.next_seq, 0
         while seq < end:

@@ -23,13 +23,12 @@ synchronization between server and phone is required (§4.2.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from ..baselines.base import AckingReceiver
 from ..baselines.windowed import WindowedMin
-from ..monitor.pbe import MonitorReport, PbeMonitor
+from ..monitor.pbe import PbeMonitor
 from ..net.link import Receiver
-from ..net.packet import Packet
+from ..net.packet import ACK_BITS, Packet
 from ..net.sim import Simulator
 from ..net.units import MSS_BITS, SUBFRAME_US, US_PER_MS, US_PER_S
 from ..phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
@@ -81,7 +80,6 @@ class PbeClient(AckingReceiver):
         #: Running Σ size_bits over ``_recent`` (ints, so the rolling
         #: sum is exactly the re-summed window).
         self._recent_bits = 0
-        self._last_report: Optional[MonitorReport] = None
         #: ``(instant, state)`` per flip; the state at 0 is WIRELESS.
         self.state_changes: list[tuple[int, str]] = []
         #: ACKs that carried a stale-flagged report (decode gaps).
@@ -158,6 +156,7 @@ class PbeClient(AckingReceiver):
         delays: list[int] = []
         acks: list[Packet] = []
         ack_append = acks.append
+        new = object.__new__
 
         for packet in packets:
             if packet.is_ack or packet.flow_id != flow_id:
@@ -224,7 +223,21 @@ class PbeClient(AckingReceiver):
                 feedback = _new_feedback(PbeFeedback, (
                     target_interval, fair_interval, state == INTERNET,
                     activated, is_stale))
-            ack_append(packet.make_ack(feedback))
+            # ``packet.make_ack(feedback)`` without its frame: one store
+            # per slot (``tests/test_packet.py`` holds this build to the
+            # constructor-built ACK over ``__slots__``).
+            ack = new(Packet)
+            ack.flow_id = flow_id
+            ack.seq = packet.seq
+            ack.size_bits = ACK_BITS
+            ack.is_ack = True
+            ack.sent_time_us = packet.sent_time_us
+            ack.feedback = feedback
+            ack.delivered_at_send = packet.delivered_at_send
+            ack.delivered_time_at_send = packet.delivered_time_at_send
+            ack.app_limited = packet.app_limited
+            ack.srtt_us = 0
+            ack_append(ack)
 
         if not acks:
             return
@@ -236,7 +249,6 @@ class PbeClient(AckingReceiver):
         self._over_threshold_run = over_run
         self._under_threshold_run = under_run
         self.stale_reports += stale_reports
-        self._last_report = report
         self.uplink.receive_block(acks)
 
     # ------------------------------------------------------------------

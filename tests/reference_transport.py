@@ -227,7 +227,6 @@ class ReferencePbeClient(_PerPacketReceiver, PbeClient):
         # is dark — pass it so the report carries a staleness signal.
         report = self.monitor.report(rtprop_subframes,
                                      now_subframe=now // US_PER_MS)
-        self._last_report = report
 
         threshold = self.dprop_us + self.delay_margin_us
         npkt = self._npkt(report.transport_capacity)

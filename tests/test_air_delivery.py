@@ -312,8 +312,7 @@ class _Twins:
         assert block.uplink.arrival_us == loop.uplink.arrival_us
         for name in ("state", "state_changes",
                      "stale_reports", "dprop_us", "delay_margin_us",
-                     "_over_threshold_run", "_under_threshold_run",
-                     "_last_report"):
+                     "_over_threshold_run", "_under_threshold_run"):
             assert getattr(block, name) == getattr(loop, name), name
         assert block.state_fractions(now) == loop.state_fractions(now)
         for name in ("arrival_us", "size_bits", "delay_us",

@@ -186,11 +186,13 @@ class SenderPair(RuleBasedStateMachine):
                                        + sender.lost_packets + outstanding)
             assert sender.inflight_bits == sender.mss_bits * outstanding
         # The oracle's send-order head is its lowest outstanding seq
-        # (next_seq when none is): the engine's scan cursor never
-        # passes an outstanding packet.
+        # (next_seq when none is), and the engine's eager scan cursor
+        # is the same seq, found from the set alone.
         order = self.oracle.sender._send_order
         head = order[0] if order else self.oracle.sender.next_seq
-        assert self.engine.sender._scan_from <= head
+        engine = self.engine.sender
+        assert engine._scan_from == head == min(engine._outstanding,
+                                                default=engine.next_seq)
 
 
 SenderPair.TestCase.settings = settings(max_examples=150,
@@ -225,3 +227,64 @@ def test_the_machine_reaches_every_path():
     # Counted: 3 + 2.  Not: the duplicate, the other flow's ACK, the
     # data packet, the never-sent sequence number, the late ACK.
     assert sender.acked_packets == 5
+
+
+def _count_scans(sender):
+    """Wrap the instance's loss scan; return the list its calls land in."""
+    calls = []
+    scan = sender._scan_losses
+
+    def counted(highest_acked):
+        calls.append(highest_acked)
+        return scan(highest_acked)
+
+    sender._scan_losses = counted
+    return calls
+
+
+def test_an_in_order_ack_stream_never_scans_for_losses():
+    """The cursor steps past each ACK at it, so an ACK stream with no
+    hole leaves nothing lagging ``DUPACK_THRESHOLD`` behind and the
+    loss scan never runs (the lazy cursor ran it once per
+    ``DUPACK_THRESHOLD`` ACKs to declare nothing lost)."""
+    side = Side(Sender, 12e6, 40, [1.0])
+    sender, wire = side.sender, side.wire
+    scans = _count_scans(sender)
+    sender.start()
+    for step in range(60):
+        side.sim.run(until_us=side.sim.now + 2_000)
+        burst = [packet.make_ack() for packet in wire.unacked[:1 + step % 9]]
+        del wire.unacked[:len(burst)]
+        sender.receive_batch(burst)
+        assert sender._scan_from == min(sender._outstanding,
+                                        default=sender.next_seq)
+    assert sender.acked_packets > 100
+    assert sender.lost_packets == 0
+    assert scans == []
+
+
+def test_a_reordered_lossy_stream_declares_each_loss_where_the_oracle_does():
+    """Reordered bursts with holes and duplicates: every loss scan the
+    engine runs declares a loss, and each one lands in the controller's
+    log at the same ACK as the per-ACK oracle's (``agree`` compares the
+    logs entry by entry, and the cursor with the oracle's send-order
+    head, after every burst)."""
+    import random
+
+    rng = random.Random(7)
+    machine = SenderPair()
+    machine.setup(rate_bps=12e6, cwnd_packets=40, gains=[1.0])
+    scans = _count_scans(machine.engine.sender)
+    for _ in range(80):
+        machine.advance(rng.randrange(500, 4_000))
+        if rng.random() < 0.3:
+            machine.lose(rng.randrange(1, 3))
+        items = [("ack", rng.randrange(-20, 20))
+                 for _ in range(rng.randrange(1, 12))]
+        machine.ack_burst(items, one_by_one=rng.random() < 0.3)
+        machine.agree()
+    log = machine.engine.cc.log
+    losses = sum(entry[0] == "loss" for entry in log)
+    assert losses > 10
+    assert machine.engine.sender.timeouts == 0
+    assert len(scans) == losses
