@@ -148,7 +148,8 @@ class Sender(Receiver):
         self.inflight_bits = 0
         #: Seqs sent and neither acked nor declared lost.
         self._outstanding: set[int] = set()
-        #: No outstanding seq is below it; the loss scan starts here.
+        #: The lowest outstanding seq (``next_seq`` when none is);
+        #: the loss scan starts here.
         self._scan_from = 0
         self.highest_acked = -1
 
