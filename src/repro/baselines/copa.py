@@ -19,8 +19,8 @@ from ..net.units import US_PER_S
 from .base import UNTIL_CALLBACK, AckContext, CongestionControl
 from .windowed import WindowedMin
 
-#: Copa's default delta (1/packets): target rate 1/(δ·dq).
-DEFAULT_DELTA = 0.5
+#: Copa's delta (1/packets) in its default mode: target rate 1/(δ·dq).
+DELTA = 0.5
 #: RTTmin filter window, µs.
 RTT_MIN_WINDOW_US = 10 * US_PER_S
 
@@ -30,10 +30,7 @@ class Copa(CongestionControl):
 
     name = "copa"
 
-    def __init__(self, delta: float = DEFAULT_DELTA) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
+    def __init__(self) -> None:
         self.cwnd = 4.0  # packets
         self.velocity = 1.0
         self._direction = 0  # +1 up, -1 down
@@ -60,7 +57,7 @@ class Copa(CongestionControl):
             self._step(now, +1)
             return
         # Target rate in packets/s, current rate from cwnd/RTTstanding.
-        target_pps = US_PER_S / (self.delta * dq_us)
+        target_pps = US_PER_S / (DELTA * dq_us)
         current_pps = self.cwnd * US_PER_S / rtt_standing
         self._step(now, +1 if current_pps < target_pps else -1)
 
@@ -78,7 +75,7 @@ class Copa(CongestionControl):
             self.velocity = 1.0
             self._direction = direction
             self._round_start_us = now_us
-        self.cwnd += direction * self.velocity / (self.delta * self.cwnd)
+        self.cwnd += direction * self.velocity / (DELTA * self.cwnd)
         self.cwnd = max(2.0, self.cwnd)
 
     def on_loss(self, now_us: int, lost_bits: int,

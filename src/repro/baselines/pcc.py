@@ -25,6 +25,8 @@ import numpy as np
 from ..net.units import US_PER_S
 from .base import AckContext, CongestionControl
 
+#: Sending rate of the first monitor interval, bits/s.
+INITIAL_RATE_BPS = 2.4e6
 #: Exploration size ε for paired trials.
 EPSILON = 0.05
 #: Allegro's loss-cliff position and sigmoid steepness.
@@ -75,11 +77,8 @@ class _PccBase(CongestionControl):
     #: Minimum MI duration, µs.
     MIN_MI_US = 10_000
 
-    def __init__(self, initial_rate_bps: float = 2.4e6,
-                 seed: int = 0) -> None:
-        if initial_rate_bps <= 0:
-            raise ValueError("initial rate must be positive")
-        self.rate_bps = initial_rate_bps
+    def __init__(self, seed: int = 0) -> None:
+        self.rate_bps = INITIAL_RATE_BPS
         self._srtt_us = 100_000
         self._rng = np.random.default_rng(seed)
         self._mi: Optional[_MonitorInterval] = None
@@ -145,9 +144,8 @@ class PccAllegro(_PccBase):
 
     name = "pcc"
 
-    def __init__(self, initial_rate_bps: float = 2.4e6,
-                 seed: int = 0) -> None:
-        super().__init__(initial_rate_bps, seed)
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed)
         self._starting = True
         self._last_utility: Optional[float] = None
         self._last_loss = 0.0
@@ -201,10 +199,9 @@ class PccVivace(_PccBase):
 
     name = "vivace"
 
-    def __init__(self, initial_rate_bps: float = 2.4e6,
-                 seed: int = 0) -> None:
-        super().__init__(initial_rate_bps, seed)
-        self._base_rate = initial_rate_bps
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed)
+        self._base_rate = INITIAL_RATE_BPS
         self._pending: Optional[tuple[float, float]] = None  # (rate, util)
         self._step_mbps = 0.4
 

@@ -13,7 +13,7 @@ from .basestation import (
     CellularNetwork,
     DemandSource,
 )
-from .ca_manager import CaPolicy, CarrierAggregationManager
+from .ca_manager import CarrierAggregationManager
 from .control_traffic import (
     CONTROL_RNTI_BASE,
     ControlBurst,
@@ -24,9 +24,9 @@ from .scheduler import DemandEntry, allocate_prbs
 from .ue import UserEquipment
 
 __all__ = [
-    "CONTROL_MCS", "CONTROL_RNTI_BASE", "CaPolicy",
-    "CarrierAggregationManager", "CellularNetwork", "ControlBurst",
-    "ControlTrafficGenerator", "DemandEntry", "DemandSource",
-    "DownlinkQueue", "MIMO_SINR_THRESHOLD_DB", "TransportBlock",
-    "UserEquipment", "allocate_prbs",
+    "CONTROL_MCS", "CONTROL_RNTI_BASE", "CarrierAggregationManager",
+    "CellularNetwork", "ControlBurst", "ControlTrafficGenerator",
+    "DemandEntry", "DemandSource", "DownlinkQueue",
+    "MIMO_SINR_THRESHOLD_DB", "TransportBlock", "UserEquipment",
+    "allocate_prbs",
 ]

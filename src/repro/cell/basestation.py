@@ -36,7 +36,7 @@ from ..phy.error import (
 )
 from ..phy.harq import MAX_RETRANSMISSIONS, RETX_DELAY_SUBFRAMES
 from ..phy.mcs import bits_per_prb, bits_per_prb_block, sinr_to_mcs_block
-from .ca_manager import CaPolicy, CarrierAggregationManager
+from .ca_manager import CarrierAggregationManager
 from .control_traffic import ControlTrafficGenerator
 from .queues import PROTOCOL_OVERHEAD, DownlinkQueue, TransportBlock
 from .scheduler import allocate_prbs
@@ -65,6 +65,9 @@ CHANNEL_BLOCK_SUBFRAMES = 64
 #: draw-ahead list: one ``Generator.random(n)`` call yields the values
 #: ``n`` scalar ``random()`` calls would, in the same order.
 TB_UNIFORM_BLOCK = 64
+#: Handover interruption (scheduling gap), subframes.  LTE X2
+#: handovers typically interrupt the user plane for 30-50 ms.
+HANDOVER_GAP_SUBFRAMES = 40
 #: The ``completes`` of a background user's transport blocks: it has no
 #: UE, so nothing ever reads which packets its blocks carried.
 _NO_PACKETS = ()
@@ -145,20 +148,19 @@ class _User:
             maxlen=cqi_delay_subframes + 1)
 
     def fill_channel_block(self, now_us: int,
-                           cqi_delay_subframes: int,
-                           n_subframes: int = CHANNEL_BLOCK_SUBFRAMES,
-                           ) -> None:
+                           cqi_delay_subframes: int) -> None:
         """Precompute the next block of per-subframe channel state.
 
         One ``sinr_block`` draw plus one vectorized SINR→CQI→MCS→rate/
-        BER chain gives ``n`` subframes of SINR, MCS, streams, rate and
-        BER, bitwise-equal to sampling every subframe (the oracle in
-        ``tests/reference_engine.py``).  With ``cqi_delay_subframes > 0``
-        the link adaptation uses the SINR the UE reported that many
-        subframes earlier — the real CQI-reporting loop — while
+        BER chain gives ``CHANNEL_BLOCK_SUBFRAMES`` subframes of SINR,
+        MCS, streams, rate and BER, bitwise-equal to sampling every
+        subframe (the oracle in ``tests/reference_engine.py``).  With
+        ``cqi_delay_subframes > 0`` the link adaptation uses the SINR the
+        UE reported that many subframes earlier — the real CQI-reporting loop — while
         transport-block errors are always drawn at the *current*
         channel, so fast fades genuinely hurt.
         """
+        n_subframes = CHANNEL_BLOCK_SUBFRAMES
         history = self._sinr_history
         history.extend(self._blk_sinr[:self._blk_idx])
         sinr = self.channel.sinr_block(now_us, n_subframes)
@@ -246,7 +248,6 @@ class CellularNetwork:
                      "_cell_roster", "_exo_users", "_ca_users")
 
     def __init__(self, sim: Simulator, carriers: list[CarrierConfig],
-                 ca_policy: Optional[CaPolicy] = None,
                  control_arrivals_per_subframe: "float | dict[int, float]"
                  = 0.0,
                  scheduler_policy: str = "equal",
@@ -266,7 +267,7 @@ class CellularNetwork:
         #: ``cell_id -> PRBs`` (``CarrierConfig.total_prbs`` is a
         #: computed property; the subframe loop reads this dict instead).
         self._prbs_by_cell = {c.cell_id: c.total_prbs for c in carriers}
-        self.ca = CarrierAggregationManager(ca_policy)
+        self.ca = CarrierAggregationManager()
         self._rng = np.random.default_rng(seed)
         #: Error uniforms drawn ahead from ``_rng`` (``TB_UNIFORM_BLOCK``
         #: at a time) and the index of the next one to use; an index of
@@ -358,15 +359,29 @@ class CellularNetwork:
                                ue=None)
         user.demand_source = demand
 
-    def _make_user(self, rnti: int, cells: list[int],
-                   channel: ChannelModel, queue_packets: int,
-                   ue: Optional[UserEquipment]) -> _User:
+    def check_new_user(self, rnti: int, cells: list[int],
+                       channel: ChannelModel) -> None:
+        """Raise ``ValueError`` unless a user ``rnti`` on ``cells`` with
+        ``channel`` can attach: a fresh RNTI, known and distinct cells
+        (primary first), and a channel no other live user holds."""
         if rnti in self._users:
             raise ValueError(f"duplicate RNTI {rnti}")
+        self._cell_group(cells)
+        self._check_channel_owner(channel, rnti)
+
+    def _cell_group(self, cells: list[int]) -> AggregationState:
+        """A fresh aggregation state over ``cells``, which must be known
+        to this network (``AggregationState`` refuses an empty list and
+        repeated cells)."""
         for cell in cells:
             if cell not in self.carriers:
                 raise ValueError(f"unknown cell {cell}")
-        self._check_channel_owner(channel, rnti)
+        return AggregationState(configured=list(cells))
+
+    def _make_user(self, rnti: int, cells: list[int],
+                   channel: ChannelModel, queue_packets: int,
+                   ue: Optional[UserEquipment]) -> _User:
+        self.check_new_user(rnti, cells, channel)
         self._drain_wire()  # arrivals so far found no such user
         user = _User(rnti, AggregationState(configured=list(cells)),
                      channel, DownlinkQueue(queue_packets), ue,
@@ -429,31 +444,23 @@ class CellularNetwork:
         prbs = self._prbs_by_cell
         user.active_prb_total = sum(prbs[c] for c in cells)
 
-    #: Default handover interruption (scheduling gap), subframes.  LTE
-    #: X2 handovers typically interrupt the user plane for 30-50 ms.
-    HANDOVER_GAP_SUBFRAMES = 40
-
     def handover(self, rnti: int, new_cells: list[int],
-                 interruption_subframes: int = HANDOVER_GAP_SUBFRAMES,
                  channel: Optional[ChannelModel] = None) -> None:
         """Move a user to a new (primary-first) cell list (§1).
 
         Models an X2-style handover with data forwarding: the user's
-        downlink queue survives, but scheduling pauses for the
-        interruption gap, carrier aggregation restarts from the new
-        primary alone, and HARQ processes pending on cells the user is
-        leaving are abandoned (their transport blocks are lost — the
+        downlink queue survives, but scheduling pauses for
+        ``HANDOVER_GAP_SUBFRAMES``, carrier aggregation restarts from the
+        new primary alone, and HARQ processes pending on cells the user
+        is leaving are abandoned (their transport blocks are lost — the
         transport layer recovers them end to end).  A ``channel`` other
-        than the user's own replaces it from the next subframe on.
+        than the user's own replaces it from the next subframe on.  A
+        refused handover (``ValueError``) leaves the network unchanged.
         """
-        if interruption_subframes < 0:
-            raise ValueError("interruption must be non-negative")
         user = self._users.get(rnti)
         if user is None:
             raise ValueError(f"unknown RNTI {rnti}")
-        for cell in new_cells:
-            if cell not in self.carriers:
-                raise ValueError(f"unknown cell {cell}")
+        agg = self._cell_group(new_cells)
         if channel is not None:
             self._check_channel_owner(channel, rnti)
 
@@ -479,11 +486,11 @@ class CellularNetwork:
 
         for cell in user.agg.configured:
             self._cell_user_count[cell] -= 1
-        user.agg = AggregationState(configured=list(new_cells))
+        user.agg = agg
         for cell in new_cells:
             self._cell_user_count[cell] += 1
             self._catch_up_control(cell)
-        user.suspended_until = self.subframe + interruption_subframes
+        user.suspended_until = self.subframe + HANDOVER_GAP_SUBFRAMES
         if channel is not None and channel is not user.channel:
             user.invalidate_channel_block()
             user.channel = channel

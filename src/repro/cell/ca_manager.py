@@ -22,31 +22,19 @@ from dataclasses import dataclass, field
 from ..phy.carrier import AggregationState
 
 
-@dataclass
-class CaPolicy:
-    """Tunable thresholds for carrier activation/deactivation."""
-
-    #: Sliding window length, subframes.  Calibrated so activation lands
-    #: ~130 ms into an overload, like the paper's Figure 2 timeline.
-    window: int = 128
-    #: Activate the next cell when the user's mean consumed fraction of
-    #: its active cells exceeds this and it still has backlog.
-    activation_fraction: float = 0.70
-    #: Deactivate the last cell when the user's traffic would fit into
-    #: the remaining cells at below this utilization.
-    deactivation_fraction: float = 0.55
-    #: Deactivation needs this many consecutive under-utilized subframes.
-    deactivation_hold: int = 256
-    #: Minimum subframes between any two switches for one user.
-    cooldown: int = 100
-
-    def __post_init__(self) -> None:
-        if self.window < 1 or self.deactivation_hold < 1:
-            raise ValueError("windows must be positive")
-        if not 0 < self.activation_fraction <= 1:
-            raise ValueError("activation fraction must be in (0, 1]")
-        if not 0 < self.deactivation_fraction <= 1:
-            raise ValueError("deactivation fraction must be in (0, 1]")
+#: Sliding window length, subframes.  Calibrated so activation lands
+#: ~130 ms into an overload, like the paper's Figure 2 timeline.
+WINDOW = 128
+#: Activate the next cell when the user's mean consumed fraction of its
+#: active cells exceeds this and it still has backlog.
+ACTIVATION_FRACTION = 0.70
+#: Deactivate the last cell when the user's traffic would fit into the
+#: remaining cells at below this utilization.
+DEACTIVATION_FRACTION = 0.55
+#: Deactivation needs this many consecutive under-utilized subframes.
+DEACTIVATION_HOLD = 256
+#: Minimum subframes between any two switches for one user.
+COOLDOWN = 100
 
 
 @dataclass
@@ -68,11 +56,7 @@ class _UserCaState:
 class CarrierAggregationManager:
     """Per-user secondary-cell activation state machine."""
 
-    #: Checkpointing: the policy is config, kept from the rebuild.
-    SNAPSHOT_SKIP = ("policy",)
-
-    def __init__(self, policy: CaPolicy | None = None) -> None:
-        self.policy = policy or CaPolicy()
+    def __init__(self) -> None:
         self._users: dict[int, _UserCaState] = {}
         #: ``(subframe, rnti, "activate"|"deactivate", cell_id)`` log.
         self.events: list[tuple[int, int, str, int]] = []
@@ -103,23 +87,22 @@ class CarrierAggregationManager:
         state was changed this subframe (the caller's ``agg`` is mutated
         in place), else ``None``.
         """
-        policy = self.policy
         state = self.state_for(rnti)
         state.history.append((used_prbs, active_total_prbs, backlogged))
         state.used_sum += used_prbs
         state.total_sum += active_total_prbs
         if backlogged:
             state.backlog_frames += 1
-        if len(state.history) > policy.window:
+        if len(state.history) > WINDOW:
             old_used, old_total, old_backlogged = state.history.popleft()
             state.used_sum -= old_used
             state.total_sum -= old_total
             if old_backlogged:
                 state.backlog_frames -= 1
 
-        if subframe - state.last_switch_subframe < policy.cooldown:
+        if subframe - state.last_switch_subframe < COOLDOWN:
             return None
-        if len(state.history) < policy.window:
+        if len(state.history) < WINDOW:
             return None
 
         used = state.used_sum
@@ -127,8 +110,8 @@ class CarrierAggregationManager:
         backlog_frames = state.backlog_frames
         fraction = used / total if total else 0.0
 
-        if (agg.can_activate and fraction >= policy.activation_fraction
-                and backlog_frames > policy.window // 4):
+        if (agg.can_activate and fraction >= ACTIVATION_FRACTION
+                and backlog_frames > WINDOW // 4):
             cell = agg.activate_next()
             state.last_switch_subframe = subframe
             state.under_utilized_run = 0
@@ -144,10 +127,10 @@ class CarrierAggregationManager:
             remaining_prbs = (active_total_prbs
                               * (agg.active_count - 1) / agg.active_count)
             fits = (per_frame_used
-                    <= policy.deactivation_fraction * remaining_prbs)
+                    <= DEACTIVATION_FRACTION * remaining_prbs)
             state.under_utilized_run = (
                 state.under_utilized_run + 1 if fits else 0)
-            if state.under_utilized_run >= policy.deactivation_hold:
+            if state.under_utilized_run >= DEACTIVATION_HOLD:
                 cell = agg.deactivate_last()
                 state.last_switch_subframe = subframe
                 state.under_utilized_run = 0

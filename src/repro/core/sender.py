@@ -53,11 +53,15 @@ CWND_SLACK_PACKETS = 4
 #: 8 ms stall blocks the window and the paced sender can never win the
 #: time back.
 RETX_MARGIN_US = 2 * RETX_DELAY_SUBFRAMES * SUBFRAME_US
+#: Pacing rate before the first capacity report, bits/s.
+INITIAL_RATE_BPS = 1.2e6
 #: RTprop assumed before any is measured, µs (the sender's until its
 #: first RTT sample; the client's for packets that carry no srtt).
 DEFAULT_RTPROP_US = 40_000
-#: Floor of the feedback watchdog timeout, µs (the auto timeout is
-#: ``max(4·RTprop, this)`` so ordinary ACK batching never trips it).
+#: The feedback watchdog trips after ``max(FEEDBACK_TIMEOUT_RTPROPS ·
+#: RTprop, MIN_FEEDBACK_TIMEOUT_US)`` without a fresh capacity report;
+#: the floor keeps ordinary ACK batching from tripping it.
+FEEDBACK_TIMEOUT_RTPROPS = 4
 MIN_FEEDBACK_TIMEOUT_US = 100_000
 
 
@@ -66,31 +70,19 @@ class PbeSender(CongestionControl):
 
     name = "pbe"
 
-    def __init__(self, initial_rate_bps: float = 1.2e6,
-                 retx_margin_us: int = RETX_MARGIN_US,
-                 feedback_timeout_us: Optional[int] = None) -> None:
+    def __init__(self, retx_margin_us: int = RETX_MARGIN_US) -> None:
         """``retx_margin_us=0`` sizes the cwnd at the bare BDP (an
-        ablation; the default is the paper's design).
-
-        ``feedback_timeout_us`` overrides the feedback watchdog: with
-        no fresh (non-stale) capacity report for this long, the sender
-        falls back to its delay-based estimator.  ``None`` sizes the
-        timeout automatically as ``max(4·RTprop, 100 ms)``.
-        """
-        if initial_rate_bps <= 0:
-            raise ValueError("initial rate must be positive")
+        ablation; the default is the paper's design)."""
         if retx_margin_us < 0:
             raise ValueError("retx margin must be non-negative")
-        if feedback_timeout_us is not None and feedback_timeout_us <= 0:
-            raise ValueError("feedback timeout must be positive")
-        self.initial_rate_bps = initial_rate_bps
+        self.initial_rate_bps = INITIAL_RATE_BPS
         self.retx_margin_us = retx_margin_us
         self.state = STARTUP
 
         #: Embedded cellular-tailored BBR: fed every ACK so its BtlBw /
         #: RTprop filters are warm the instant the bottleneck moves into
         #: the Internet.  Its probing rate is capped at Cf (Eqn. 7).
-        self.bbr = Bbr(initial_rate_bps=initial_rate_bps,
+        self.bbr = Bbr(initial_rate_bps=self.initial_rate_bps,
                        probe_rate_cap=self._fair_share_cap)
 
         self.target_rate_bps = 0.0
@@ -104,7 +96,6 @@ class PbeSender(CongestionControl):
         #: Feedback watchdog: timestamp of the last fresh (non-stale)
         #: capacity report; falls back to the first ACK of any kind so
         #: a client that never reports (§7) still triggers a fallback.
-        self.feedback_timeout_us = feedback_timeout_us
         self._last_fresh_us: Optional[int] = None
         self._first_ack_us: Optional[int] = None
         self.fallback_entries = 0
@@ -140,9 +131,8 @@ class PbeSender(CongestionControl):
     # Feedback watchdog (graceful degradation)
     # ------------------------------------------------------------------
     def _watchdog_timeout_us(self) -> int:
-        if self.feedback_timeout_us is not None:
-            return self.feedback_timeout_us
-        return max(4 * self.rtprop_us, MIN_FEEDBACK_TIMEOUT_US)
+        return max(FEEDBACK_TIMEOUT_RTPROPS * self.rtprop_us,
+                   MIN_FEEDBACK_TIMEOUT_US)
 
     def _check_watchdog(self, now_us: int) -> None:
         """Fall back to the delay-based estimator on stale feedback.

@@ -192,16 +192,13 @@ def _flow_job_from_spec(spec: dict) -> Job:
     scenario = dict(spec["scenario"])
     scenario["carriers"] = [CarrierConfig(**c)
                             for c in scenario.get("carriers", [])]
-    # JSON round-trips tuples to lists (canonically identical) and
-    # integer dict keys to strings (the simulator looks cells up by
-    # int) — normalize what execution is sensitive to.
+    # JSON round-trips tuples to lists (canonically identical);
+    # execution is sensitive to the difference.  A per-cell control
+    # rate map comes back with string keys, which Scenario refuses: no
+    # wire job carries one.
     if scenario.get("background_rate_range") is not None:
         scenario["background_rate_range"] = tuple(
             scenario["background_rate_range"])
-    if scenario.get("control_arrivals_by_cell") is not None:
-        scenario["control_arrivals_by_cell"] = {
-            int(k): v
-            for k, v in scenario["control_arrivals_by_cell"].items()}
     return Job(scenario=Scenario(**scenario), scheme=spec["scheme"],
                spec_overrides=dict(spec.get("spec_overrides", {})))
 

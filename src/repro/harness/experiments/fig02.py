@@ -17,6 +17,14 @@ from ...phy.carrier import CarrierConfig
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
+#: The offered load before the switch, bits/s: above the 5 MHz
+#: primary's capacity.
+HIGH_RATE_BPS = 40e6
+#: The offered load after it, bits/s: within the primary alone.
+LOW_RATE_BPS = 6e6
+#: When the sender drops to the low rate, seconds.
+SWITCH_S = 2.0
+
 
 @dataclass
 class Fig02Result:
@@ -29,9 +37,7 @@ class Fig02Result:
     steady_delay_ms: float
 
 
-def run_fig02(high_rate_bps: float = 40e6, low_rate_bps: float = 6e6,
-              switch_s: float = 2.0, duration_s: float = 4.0,
-              seed: int = 3) -> Fig02Result:
+def run_fig02(duration_s: float = 4.0, seed: int = 3) -> Fig02Result:
     """Reproduce the Figure 2 experiment.
 
     The primary carrier is sized (5 MHz) so the high offered load
@@ -45,9 +51,9 @@ def run_fig02(high_rate_bps: float = 40e6, low_rate_bps: float = 6e6,
     experiment = Experiment(scenario)
     handle = experiment.add_flow(FlowSpec(
         scheme="cbr", log_allocations=True,
-        cc_kwargs={"rate_bps": high_rate_bps,
-                   "schedule": [(0.0, high_rate_bps),
-                                (switch_s, low_rate_bps)]}))
+        cc_kwargs={"rate_bps": HIGH_RATE_BPS,
+                   "schedule": [(0.0, HIGH_RATE_BPS),
+                                (SWITCH_S, LOW_RATE_BPS)]}))
     results = experiment.run()
 
     allocations = results[0].allocations or []
@@ -72,7 +78,7 @@ def run_fig02(high_rate_bps: float = 40e6, low_rate_bps: float = 6e6,
                        if kind == "activate"), None)
     deactivation = next((sf / 1_000.0 for sf, _, kind, _ in events
                          if kind == "deactivate"), None)
-    steady_mask = arrivals < switch_s * 1e6
+    steady_mask = arrivals < SWITCH_S * 1e6
     return Fig02Result(
         timeline=timeline,
         activation_s=activation,

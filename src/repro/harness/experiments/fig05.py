@@ -27,6 +27,11 @@ from ...phy.carrier import CarrierConfig
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
+#: When the unconstrained competitor's flow ends, seconds.
+COMPETITOR_END_S = 2.0
+#: The rate-limited user's application rate, bits/s.
+LIMITED_RATE_BPS = 5e6
+
 
 @dataclass
 class Fig05Result:
@@ -37,9 +42,7 @@ class Fig05Result:
     limited_after_mbps: float
 
 
-def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,
-              limited_rate_bps: float = 5e6,
-              seed: int = 51) -> Fig05Result:
+def run_fig05(duration_s: float = 4.0, seed: int = 51) -> Fig05Result:
     """Three users; the unconstrained competitor departs mid-run."""
     scenario = Scenario(name="fig05",
                         carriers=[CarrierConfig(0, 20.0)],
@@ -49,9 +52,9 @@ def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,
     experiment = Experiment(scenario)
     victim = experiment.add_flow(FlowSpec(scheme="pbe", rnti=100))
     experiment.add_flow(FlowSpec(scheme="pbe", rnti=101,
-                                 duration_s=competitor_end_s))
+                                 duration_s=COMPETITOR_END_S))
     limited = experiment.add_flow(FlowSpec(
-        scheme="pbe", rnti=102, app_rate_bps=limited_rate_bps))
+        scheme="pbe", rnti=102, app_rate_bps=LIMITED_RATE_BPS))
 
     estimates: list[tuple[float, float]] = []
     client = victim.receiver
@@ -59,7 +62,7 @@ def run_fig05(duration_s: float = 4.0, competitor_end_s: float = 2.0,
         (experiment.sim.now / 1e6, ack.feedback.target_rate_bps / 1e6)))
     results = experiment.run()
 
-    end = competitor_end_s
+    end = COMPETITOR_END_S
     before = [r for t, r in estimates if end - 0.4 < t < end]
     baseline = float(np.mean(before))
     # The freed share roughly doubles the victim's capacity estimate;

@@ -15,6 +15,9 @@ from ...phy.carrier import CarrierConfig
 from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 
+#: Every trace's static channel, dB.
+SINR_DB = 10.0
+
 
 @dataclass
 class Fig08Series:
@@ -32,14 +35,13 @@ class Fig08Result:
 
 
 def run_fig08(loads_mbps: tuple = (6.0, 24.0, 36.0),
-              sinr_db: float = 10.0, duration_s: float = 4.0,
-              seed: int = 29) -> Fig08Result:
+              duration_s: float = 4.0, seed: int = 29) -> Fig08Result:
     """Run the three fixed-load delay traces of Figure 8."""
     series = []
     for load in loads_mbps:
         scenario = Scenario(
             name="fig08", carriers=[CarrierConfig(0, 20.0)],
-            aggregated_cells=1, mean_sinr_db=sinr_db,
+            aggregated_cells=1, mean_sinr_db=SINR_DB,
             fading_std_db=0.0, busy=False, duration_s=duration_s,
             seed=seed)
         experiment = Experiment(scenario)

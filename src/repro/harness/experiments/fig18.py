@@ -22,6 +22,15 @@ from ..runner import Experiment, FlowSpec
 from ..scenarios import Scenario
 from .fig13 import EIGHT_SCHEMES
 
+#: The competitor's on-off cycle, seconds.
+PERIOD_S = 8.0
+#: How long it is on in each cycle, seconds.
+ON_S = 4.0
+#: Its offered load while on, bits/s.
+COMPETITOR_RATE_BPS = 60e6
+#: When its first on span starts, seconds.
+OFFSET_S = 4.0
+
 
 @dataclass
 class Fig18Result:
@@ -30,16 +39,14 @@ class Fig18Result:
     on_off_split: dict
 
 
-def _competitor_on(t_s: float, period_s: float, on_s: float,
-                   offset_s: float) -> bool:
-    phase = (t_s - offset_s) % period_s
-    return t_s >= offset_s and phase < on_s
+def _competitor_on(t_s: float) -> bool:
+    phase = (t_s - OFFSET_S) % PERIOD_S
+    return t_s >= OFFSET_S and phase < ON_S
 
 
 def run_fig18_19(schemes: tuple = EIGHT_SCHEMES,
-                 duration_s: float = 40.0, period_s: float = 8.0,
-                 on_s: float = 4.0, competitor_rate_bps: float = 60e6,
-                 offset_s: float = 4.0, seed: int = 41) -> Fig18Result:
+                 duration_s: float = 40.0,
+                 seed: int = 41) -> Fig18Result:
     """Run the controlled-competition experiment for each scheme."""
     summaries: dict[str, FlowSummary] = {}
     split = {}
@@ -53,8 +60,8 @@ def run_fig18_19(schemes: tuple = EIGHT_SCHEMES,
         handle = experiment.add_flow(FlowSpec(
             scheme=scheme, cells=[scenario.carriers[0].cell_id]))
         demand = ScheduledDemand.on_off(
-            period_s=period_s, on_s=on_s, rate_bps=competitor_rate_bps,
-            total_s=duration_s, offset_s=offset_s)
+            period_s=PERIOD_S, on_s=ON_S, rate_bps=COMPETITOR_RATE_BPS,
+            total_s=duration_s, offset_s=OFFSET_S)
         experiment.network.add_exogenous_user(
             900, [scenario.carriers[0].cell_id,
                   scenario.carriers[1].cell_id],
@@ -64,12 +71,10 @@ def run_fig18_19(schemes: tuple = EIGHT_SCHEMES,
 
         arrivals = np.asarray(result.stats.arrival_us) / 1e6
         sizes = np.asarray(result.stats.size_bits)
-        on_mask = np.array([_competitor_on(t, period_s, on_s, offset_s)
-                            for t in arrivals])
+        on_mask = np.array([_competitor_on(t) for t in arrivals])
         # Integrate the on/off spans over the whole run (1 ms grid).
         grid = np.arange(0.0, duration_s, 0.001)
-        grid_on = np.array([_competitor_on(t, period_s, on_s, offset_s)
-                            for t in grid])
+        grid_on = np.array([_competitor_on(t) for t in grid])
         span_on = max(0.001, float(grid_on.sum()) * 0.001)
         span_off = max(0.001, duration_s - span_on)
         tput_on = sizes[on_mask].sum() / span_on / 1e6

@@ -19,37 +19,27 @@ from ..net.units import US_PER_MS, US_PER_S
 WINDOW_US = 100_000
 
 
-def windowed_throughput_bps(stats: FlowStats,
-                            window_us: int = WINDOW_US,
-                            start_us: int | None = None,
-                            end_us: int | None = None) -> np.ndarray:
-    """Per-window goodput across the flow's active span, bits/s.
+def windowed_throughput_bps(stats: FlowStats) -> np.ndarray:
+    """Per-window goodput across the flow's active span (first to last
+    arrival, in ``WINDOW_US`` windows), bits/s.
 
     Reads the packed columns through numpy views and builds one
-    full-length temporary, the window index; rows outside
-    ``[start, end]`` are masked out only when there are any.  Window
-    sums add integer sizes far below 2**53, so they are exact in any
-    order.
+    full-length temporary, the window index.  Window sums add integer
+    sizes far below 2**53, so they are exact in any order.
     """
-    if window_us <= 0:
-        raise ValueError("window must be positive")
     if stats.packets == 0:
         return np.array([])
-    start = stats.first_arrival_us if start_us is None else start_us
-    end = stats.last_arrival_us if end_us is None else end_us
+    start = stats.first_arrival_us
+    end = stats.last_arrival_us
     if end <= start:
         return np.array([])
-    arrivals = np.asarray(stats.arrival_us)
-    sizes = np.asarray(stats.size_bits)
-    if arrivals.min() < start or arrivals.max() > end:
-        keep = (arrivals >= start) & (arrivals <= end)
-        arrivals, sizes = arrivals[keep], sizes[keep]
-    n_windows = int(np.ceil((end - start) / window_us))
-    index = arrivals - start
-    index //= window_us
+    n_windows = int(np.ceil((end - start) / WINDOW_US))
+    index = np.asarray(stats.arrival_us) - start
+    index //= WINDOW_US
     np.minimum(index, n_windows - 1, out=index)
-    sums = np.bincount(index, weights=sizes, minlength=n_windows)
-    return sums * (US_PER_S / window_us)
+    sums = np.bincount(index, weights=np.asarray(stats.size_bits),
+                       minlength=n_windows)
+    return sums * (US_PER_S / WINDOW_US)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -100,13 +90,9 @@ ORDER_STATS = (10, 25, 50, 75, 90)
 DELAY_STATS = ORDER_STATS + (95,)
 
 
-def summarize_flow(stats: FlowStats, scheme: str = "",
-                   window_us: int = WINDOW_US,
-                   skip_first_us: int = 0) -> FlowSummary:
-    """Compute the paper's reported statistics for one flow.
+def summarize_flow(stats: FlowStats, scheme: str = "") -> FlowSummary:
+    """Compute the paper's reported whole-flow statistics for one flow.
 
-    ``skip_first_us`` optionally trims the startup transient (the paper
-    reports whole-flow figures; some drill-downs exclude slow-start).
     The packed columns are read through numpy views, and the one
     full-length copy, the delays in ms, is partitioned in place for the
     order statistics after its mean is taken.  No view outlives the
@@ -116,21 +102,12 @@ def summarize_flow(stats: FlowStats, scheme: str = "",
         empty = {p: 0.0 for p in ORDER_STATS}
         return FlowSummary(scheme, 0.0, dict(empty), 0.0, 0.0, 0.0,
                            dict(empty), 0)
-    start = stats.first_arrival_us + skip_first_us
-    delays = np.asarray(stats.delay_us)
-    arrivals = np.asarray(stats.arrival_us)
-    if arrivals.min() < start:
-        kept = delays[arrivals >= start]
-        if kept.size:
-            delays = kept
-        else:
-            start = stats.first_arrival_us
-    windows = windowed_throughput_bps(stats, window_us, start_us=start)
+    windows = windowed_throughput_bps(stats)
     tput_pct = dict.fromkeys(ORDER_STATS, 0.0)
     if windows.size:
         tput_pct = dict(zip(ORDER_STATS,
                             np.percentile(windows, ORDER_STATS).tolist()))
-    delays_ms = delays / US_PER_MS
+    delays_ms = np.asarray(stats.delay_us) / US_PER_MS
     average_delay_ms = float(np.mean(delays_ms))
     delay_pct = dict(zip(DELAY_STATS, np.percentile(
         delays_ms, DELAY_STATS, overwrite_input=True).tolist()))

@@ -203,11 +203,20 @@ class Experiment:
 
     # ------------------------------------------------------------------
     def add_flow(self, spec: FlowSpec) -> FlowHandle:
-        """Wire up one end-to-end flow and schedule its start/stop."""
+        """Wire up one end-to-end flow and schedule its start/stop.
+
+        A refused flow (``ValueError``: a taken RNTI, unknown or
+        repeated cells, an unknown scheme, ...) wires nothing: every
+        check runs before the first adapter, route or monitor exists.
+        """
         scenario = self.scenario
         sim = self.sim
         cells = spec.cells or scenario.device_cells
         channel = spec.channel or scenario.channel(seed_offset=spec.rnti)
+        self.network.check_new_user(spec.rnti, cells, channel)
+        cc = make_cc(spec.scheme, seed=scenario.seed + spec.rnti,
+                     **spec.cc_kwargs)
+        fault_spec = spec.fault_spec()
 
         private_link: Optional[Link] = None
         if spec.shared_link is not None:
@@ -237,8 +246,6 @@ class Experiment:
                 name=f"internet-{spec.rnti}")
             egress = private_link
 
-        cc = make_cc(spec.scheme, seed=scenario.seed + spec.rnti,
-                     **spec.cc_kwargs)
         sender = Sender(sim, flow_id=spec.rnti, cc=cc, egress=egress,
                         app_rate_bps=spec.app_rate_bps)
         # An ACK injector sits *upstream* of the batching stage and
@@ -246,7 +253,6 @@ class Experiment:
         # reorder/dup/corruption decisions land in the held burst
         # unchanged (pinned by the faulted fingerprint configs and
         # tests/test_cc_block.py).
-        fault_spec = spec.fault_spec()
         batching = BatchingPipe(
             sim, sender, scenario.uplink_delay_us,
             batch_interval_us=scenario.uplink_batch_us,

@@ -226,8 +226,8 @@ class FlowDemux(Receiver):
     #: Routes map to per-flow ingress adapters (rebuilt wiring).
     SNAPSHOT_SKIP = ("_routes",)
 
-    def __init__(self, routes: Optional[dict] = None) -> None:
-        self._routes: dict[int, Receiver] = dict(routes or {})
+    def __init__(self) -> None:
+        self._routes: dict[int, Receiver] = {}
         self.unrouted = 0
 
     def add_route(self, flow_id: int, sink: Receiver) -> None:

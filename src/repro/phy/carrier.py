@@ -34,8 +34,8 @@ class CarrierConfig:
 class AggregationState:
     """One user's carrier-aggregation state.
 
-    ``configured`` is the ordered list of cell ids the network may
-    aggregate for this user (primary first); ``active_count`` says how
+    ``configured`` is the ordered list of distinct cell ids the network
+    may aggregate for this user (primary first); ``active_count`` says how
     many of them are currently activated (always ≥ 1: the primary cell
     can never be deactivated).
     """
@@ -46,6 +46,8 @@ class AggregationState:
     def __post_init__(self) -> None:
         if not self.configured:
             raise ValueError("a user needs at least a primary cell")
+        if len(set(self.configured)) != len(self.configured):
+            raise ValueError(f"repeated cell ids in {self.configured}")
         if not 1 <= self.active_count <= len(self.configured):
             raise ValueError("active_count out of range")
 

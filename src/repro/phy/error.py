@@ -66,13 +66,13 @@ def block_error_rate(ber: float, tb_bits: int) -> float:
     return -math.expm1(tb_bits * math.log1p(-ber))
 
 
-def retransmission_ber(ber: float, attempt: int,
-                       combining_gain: float = HARQ_COMBINING_GAIN) -> float:
+def retransmission_ber(ber: float, attempt: int) -> float:
     """Effective BER on the ``attempt``-th HARQ try (0 = first Tx).
 
     Each retransmission benefits from chase combining with the earlier
-    (failed) copies, modelled as a constant multiplicative BER gain.
+    (failed) copies, modelled as the constant multiplicative BER gain
+    ``HARQ_COMBINING_GAIN``.
     """
     if attempt < 0:
         raise ValueError("attempt must be non-negative")
-    return ber * (combining_gain ** attempt)
+    return ber * (HARQ_COMBINING_GAIN ** attempt)

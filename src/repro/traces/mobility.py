@@ -15,10 +15,13 @@ from ..net.units import US_PER_S
 from ..phy.channel import TraceChannel
 from .seeds import derived_seed
 
+#: The §6.3.2 script's start and end point RSSI, dBm.
+STRONG_RSSI_DBM = -85.0
+#: Its far point, dBm.
+WEAK_RSSI_DBM = -105.0
 
-def paper_trajectory(strong_rssi_dbm: float = -85.0,
-                     weak_rssi_dbm: float = -105.0,
-                     fading_std_db: float = 1.5,
+
+def paper_trajectory(fading_std_db: float = 1.5,
                      time_scale: float = 1.0,
                      seed: int = 0) -> TraceChannel:
     """The §6.3.2 script: 13 s hold, 13 s out, 4 s back, 10 s hold.
@@ -30,11 +33,11 @@ def paper_trajectory(strong_rssi_dbm: float = -85.0,
         raise ValueError("time_scale must be positive")
     s = US_PER_S * time_scale
     waypoints = [
-        (0, strong_rssi_dbm),
-        (int(13 * s), strong_rssi_dbm),  # stationary at the start point
-        (int(26 * s), weak_rssi_dbm),    # slow move out
-        (int(30 * s), strong_rssi_dbm),  # fast move back
-        (int(40 * s), strong_rssi_dbm),  # stationary again
+        (0, STRONG_RSSI_DBM),
+        (int(13 * s), STRONG_RSSI_DBM),  # stationary at the start point
+        (int(26 * s), WEAK_RSSI_DBM),    # slow move out
+        (int(30 * s), STRONG_RSSI_DBM),  # fast move back
+        (int(40 * s), STRONG_RSSI_DBM),  # stationary again
     ]
     return TraceChannel(waypoints, fading_std_db=fading_std_db, seed=seed)
 

@@ -22,11 +22,11 @@ burst per report instead of per packet.  Both must be unobservable:
 from contextlib import ExitStack
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cell import basestation
+from repro.cell import basestation, ca_manager
 from repro.cell.basestation import CellularNetwork
-from repro.cell.ca_manager import CaPolicy
 from repro.core.client import INTERNET, WIRELESS, PbeClient
 from repro.monitor.pbe import PbeMonitor
 from repro.net.flow import FlowStats
@@ -45,8 +45,17 @@ from .reference_transport import ReferencePbeClient
 END_US = 150_000
 #: Quick carrier activation — also for users sharing a cell three ways —
 #: so multi-carrier users really aggregate.
-FAST_CA = dict(window=4, cooldown=4, deactivation_hold=8,
-               activation_fraction=0.3)
+FAST_CA = {"WINDOW": 4, "COOLDOWN": 4, "DEACTIVATION_HOLD": 8,
+           "ACTIVATION_FRACTION": 0.3}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def fast_ca():
+    # Module-scoped: hypothesis refuses function-scoped fixtures.
+    with ExitStack() as stack:
+        for name, value in FAST_CA.items():
+            stack.enter_context(mock.patch.object(ca_manager, name, value))
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +68,7 @@ def _drive(network_cls, case):
     sim = Simulator()
     carriers = list(range(case["carriers"]))
     net = network_cls(sim, [CarrierConfig(c, 5.0) for c in carriers],
-                      ca_policy=CaPolicy(**FAST_CA), seed=case["seed"])
+                      seed=case["seed"])
     stream, bursts, ues = [], [], {}
 
     def on_block(packets):
@@ -79,7 +88,7 @@ def _drive(network_cls, case):
         if kind == "remove":
             net.remove_user(rnti)
         else:
-            net.handover(rnti, cells, interruption_subframes=5)
+            net.handover(rnti, cells)
 
     for rnti, gap_us in enumerate(case["gaps_us"], start=1):
         ues[rnti] = net.add_user(rnti, carriers, StaticChannel(20.0),
@@ -100,6 +109,8 @@ def _drive(network_cls, case):
         for module in (basestation, reference_air):
             stack.enter_context(
                 mock.patch.object(module, "block_error_rate", tbler))
+        stack.enter_context(
+            mock.patch.object(basestation, "HANDOVER_GAP_SUBFRAMES", 5))
         for cut_us in sorted(case["cuts_us"]):
             sim.run(until_us=cut_us)
         sim.run(until_us=END_US)
@@ -169,8 +180,7 @@ def test_the_differential_reaches_abandonment_and_aggregation():
 def _one_user_network(network_cls, carriers=1):
     sim = Simulator()
     net = network_cls(sim, [CarrierConfig(c, 20.0)
-                            for c in range(carriers)],
-                      ca_policy=CaPolicy(**FAST_CA))
+                            for c in range(carriers)])
     return sim, net
 
 

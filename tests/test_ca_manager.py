@@ -1,17 +1,28 @@
-"""Tests for the carrier-aggregation activation policy."""
+"""Tests for the carrier-aggregation activation policy.
+
+Each test runs the policy on short windows (the module constants, set
+by ``monkeypatch``), so a switch shows within tens of subframes.
+"""
 
 import pytest
 
-from repro.cell.ca_manager import CaPolicy, CarrierAggregationManager
+from repro.cell import ca_manager
+from repro.cell.ca_manager import CarrierAggregationManager
 from repro.phy.carrier import AggregationState
 
 
-def _policy(**kw):
-    defaults = dict(window=10, activation_fraction=0.7,
-                    deactivation_fraction=0.5, deactivation_hold=20,
-                    cooldown=5)
-    defaults.update(kw)
-    return CaPolicy(**defaults)
+def _policy(monkeypatch, **kw):
+    values = dict(WINDOW=10, ACTIVATION_FRACTION=0.7,
+                  DEACTIVATION_FRACTION=0.5, DEACTIVATION_HOLD=20,
+                  COOLDOWN=5)
+    values.update(kw)
+    for name, value in values.items():
+        monkeypatch.setattr(ca_manager, name, value)
+
+
+@pytest.fixture(autouse=True)
+def short_windows(monkeypatch):
+    _policy(monkeypatch)
 
 
 def _drive(manager, agg, subframes, used, total, backlogged, start=0):
@@ -23,17 +34,8 @@ def _drive(manager, agg, subframes, used, total, backlogged, start=0):
     return actions
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        CaPolicy(window=0)
-    with pytest.raises(ValueError):
-        CaPolicy(activation_fraction=0.0)
-    with pytest.raises(ValueError):
-        CaPolicy(deactivation_fraction=1.5)
-
-
 def test_activation_on_sustained_high_utilization():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     actions = _drive(manager, agg, 30, used=90, total=100, backlogged=True)
     assert actions and actions[0][1] == "activate"
@@ -42,28 +44,28 @@ def test_activation_on_sustained_high_utilization():
 
 
 def test_no_activation_without_backlog():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     actions = _drive(manager, agg, 50, used=90, total=100, backlogged=False)
     assert actions == []
 
 
 def test_no_activation_at_low_utilization():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     actions = _drive(manager, agg, 50, used=30, total=100, backlogged=True)
     assert actions == []
 
 
 def test_no_activation_when_all_cells_active():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0], active_count=1)
     actions = _drive(manager, agg, 50, used=95, total=100, backlogged=True)
     assert actions == []
 
 
 def test_deactivation_after_sustained_underuse():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1], active_count=2)
     actions = _drive(manager, agg, 60, used=10, total=150, backlogged=False)
     assert actions and actions[0][1] == "deactivate"
@@ -71,7 +73,7 @@ def test_deactivation_after_sustained_underuse():
 
 
 def test_deactivation_needs_consecutive_underuse():
-    manager = CarrierAggregationManager(_policy(deactivation_hold=20))
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1], active_count=2)
     # Alternate 5 idle / 5 busy subframes: the windowed mean keeps
     # jumping back above the deactivation threshold, so the
@@ -82,8 +84,9 @@ def test_deactivation_needs_consecutive_underuse():
     assert agg.active_cells == [0, 1]
 
 
-def test_cooldown_spaces_switches():
-    manager = CarrierAggregationManager(_policy(cooldown=100))
+def test_cooldown_spaces_switches(monkeypatch):
+    _policy(monkeypatch, COOLDOWN=100)
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1, 2])
     actions = _drive(manager, agg, 250, used=95, total=100, backlogged=True)
     assert len(actions) == 2
@@ -93,7 +96,7 @@ def test_cooldown_spaces_switches():
 
 
 def test_events_log():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     _drive(manager, agg, 30, used=90, total=100, backlogged=True)
     assert manager.events
@@ -102,7 +105,7 @@ def test_events_log():
 
 
 def test_forget_drops_a_users_bookkeeping():
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     _drive(manager, agg, 30, used=90, total=100, backlogged=True)
     assert manager.activations_for(1) == 1
@@ -115,7 +118,7 @@ def test_forget_drops_a_users_bookkeeping():
 def test_activations_for_an_unknown_rnti_is_a_read():
     """Asking about a user the manager never observed builds it no
     bookkeeping; the first observation does."""
-    manager = CarrierAggregationManager(_policy())
+    manager = CarrierAggregationManager()
     assert manager.activations_for(5) == 0
     assert manager._users == {}
     manager.observe(0, 5, AggregationState(configured=[0, 1]),
@@ -124,7 +127,7 @@ def test_activations_for_an_unknown_rnti_is_a_read():
     assert manager.state_for(5) is state and len(state.history) == 1
 
 
-def test_reattached_rnti_starts_carrier_aggregation_afresh():
+def test_reattached_rnti_starts_carrier_aggregation_afresh(monkeypatch):
     """``remove_user`` forgets the departed user: the same RNTI attached
     again must earn its secondary cell over a full window, not inherit
     the old utilisation history, cooldown and activation count."""
@@ -134,11 +137,10 @@ def test_reattached_rnti_starts_carrier_aggregation_afresh():
     from repro.phy.channel import StaticChannel
     from repro.traces.workload import ScheduledDemand
 
-    policy = _policy(window=32, cooldown=10)
+    _policy(monkeypatch, WINDOW=32, COOLDOWN=10)
     sim = Simulator()
     network = CellularNetwork(
-        sim, [CarrierConfig(cell_id=0), CarrierConfig(cell_id=1)],
-        ca_policy=policy)
+        sim, [CarrierConfig(cell_id=0), CarrierConfig(cell_id=1)])
     network.add_exogenous_user(9, [0, 1], StaticChannel(20.0),
                                ScheduledDemand([(0.0, 200e6)]))
     network.start()
@@ -159,5 +161,5 @@ def test_reattached_rnti_starts_carrier_aggregation_afresh():
     activations = [subframe for subframe, rnti, action, _ in
                    network.ca.events if action == "activate"]
     assert len(activations) == 2
-    assert activations[1] >= reattached_at + policy.window - 1
+    assert activations[1] >= reattached_at + ca_manager.WINDOW - 1
     assert network.ca.activations_for(9) == 1

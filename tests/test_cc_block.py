@@ -28,6 +28,7 @@ check against a plain-list reference implementation.
 from __future__ import annotations
 
 from array import array
+from unittest import mock
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.baselines.bbr import Bbr
 from repro.baselines.copa import Copa
 from repro.baselines.cubic import Cubic
 from repro.baselines.windowed import _WindowedExtreme
+from repro.core import sender as sender_module
 from repro.core.feedback import PbeFeedback
 from repro.core.sender import PbeSender
 from repro.harness import Experiment, FlowSpec, Scenario
@@ -227,8 +229,15 @@ class ScriptedPbeClient(AckingReceiver):
 # The matrix
 # ---------------------------------------------------------------------------
 
+def pbe_at_6mbps(cls=PbeSender):
+    """``cls()`` with PBE's initial rate patched to the 6 Mbit/s this
+    matrix's BBR starts at."""
+    with mock.patch.object(sender_module, "INITIAL_RATE_BPS", 6e6):
+        return cls()
+
+
 _SCHEMES = {
-    "pbe": lambda: PbeSender(initial_rate_bps=6e6),
+    "pbe": pbe_at_6mbps,
     "bbr": lambda: Bbr(initial_rate_bps=6e6),
     "cubic": Cubic,
     "copa": Copa,
@@ -237,7 +246,7 @@ _SCHEMES = {
 #: The reference side: BBR and PBE-CC as their per-ACK bodies.
 _REFERENCE_SCHEMES = {
     **_SCHEMES,
-    "pbe": lambda: ReferencePbeSender(initial_rate_bps=6e6),
+    "pbe": lambda: pbe_at_6mbps(ReferencePbeSender),
     "bbr": lambda: ReferenceBbr(initial_rate_bps=6e6),
 }
 

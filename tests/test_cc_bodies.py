@@ -31,7 +31,7 @@ from repro.core.sender import PbeSender
 from repro.net.packet import Packet
 
 from .reference_cc import ReferenceBbr, ReferencePbeSender
-from .test_cc_block import _cc_state
+from .test_cc_block import _cc_state, pbe_at_6mbps
 
 FEEDBACK = {
     "none": None,
@@ -48,8 +48,8 @@ PAIRS = {
     "bbr_capped": lambda: (
         Bbr(initial_rate_bps=6e6, probe_rate_cap=lambda: 9e6),
         ReferenceBbr(initial_rate_bps=6e6, probe_rate_cap=lambda: 9e6)),
-    "pbe": lambda: (PbeSender(initial_rate_bps=6e6),
-                    ReferencePbeSender(initial_rate_bps=6e6)),
+    "pbe": lambda: (pbe_at_6mbps(PbeSender),
+                    pbe_at_6mbps(ReferencePbeSender)),
 }
 
 

@@ -37,7 +37,7 @@ class TestCopa:
 
     def test_equilibrium_tracks_target(self):
         # With dq = 10 ms and delta = 0.5, target is 200 packets/s.
-        cc = Copa(delta=0.5)
+        cc = Copa()
         for i in range(2_000):
             rtt = 40_000 if i < 50 else 50_000
             cc.on_ack(_ack(i * 2_000, rtt_us=rtt))
@@ -50,10 +50,6 @@ class TestCopa:
         cc.cwnd = 50.0
         cc.on_loss(0, 12_000, 0)
         assert cc.cwnd == 25.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Copa(delta=0.0)
 
 
 class TestVerus:

@@ -63,15 +63,19 @@ def test_flow_job_wire_round_trip_preserves_fingerprint():
 
 
 def test_flow_job_wire_survives_tuple_and_int_key_fields():
-    # JSON turns tuples into lists and int dict keys into strings;
-    # the wire loader must hand execution back the original shapes.
+    # JSON turns tuples into lists; the wire loader must hand execution
+    # back the original shape.
     job = Job(tiny_scenario(
-        seed=12, background_rate_range=(2e6, 8e6),
-        control_arrivals_by_cell={0: 40.0}), "bbr")
+        seed=12, background_rate_range=(2e6, 8e6)), "bbr")
     rebuilt = job_from_wire(json_round_trip(job_to_wire(job)))
     assert rebuilt.fingerprint() == job.fingerprint()
     assert rebuilt.scenario.background_rate_range == (2e6, 8e6)
-    assert list(rebuilt.scenario.control_arrivals_by_cell) == [0]
+    # JSON also turns int dict keys into strings, and no wire job
+    # carries a per-cell control rate map: one that does is refused.
+    job = Job(tiny_scenario(seed=12, control_arrivals_by_cell={0: 40.0}),
+              "bbr")
+    with pytest.raises(ValueError, match="control_arrivals_by_cell"):
+        job_from_wire(json_round_trip(job_to_wire(job)))
 
 
 def test_flow_job_wire_execution_is_byte_identical():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.harness import Experiment, FlowSpec, Scenario
-from repro.phy.carrier import CarrierConfig
+from repro.harness.fingerprint import digest_run
+from repro.phy.carrier import AggregationState, CarrierConfig
 from repro.phy.channel import StaticChannel
 
 
@@ -25,8 +26,42 @@ def test_network_handover_validation():
         exp.network.handover(999, [1])
     with pytest.raises(ValueError):
         exp.network.handover(100, [9])
-    with pytest.raises(ValueError):
-        exp.network.handover(100, [1], interruption_subframes=-1)
+
+
+def _digest_with(refused=None):
+    """Digest of a 0.6 s two-carrier BBR run; ``refused(network)`` is
+    attempted at 300 ms and must raise ``ValueError``."""
+    exp = Experiment(_scenario(duration_s=0.6))
+    handle = exp.add_flow(FlowSpec(scheme="bbr", cells=[0, 1]))
+    if refused is not None:
+        exp.sim.run(until_us=300_000)
+        with pytest.raises(ValueError):
+            refused(exp.network)
+    return digest_run(exp, [handle], exp.run())
+
+
+@pytest.mark.parametrize("new_cells", [[], [1, 1], [0, 1, 0]],
+                         ids=["empty", "repeated", "repeated_primary"])
+def test_refused_handover_leaves_the_network_unchanged(new_cells):
+    """Nothing moves before the cell list is checked: no user count,
+    HARQ process or CA state, so the run is the one without the call."""
+    assert _digest_with(lambda net: net.handover(100, new_cells)) \
+        == _digest_with()
+
+
+def test_a_repeated_cell_is_refused_at_attach():
+    with pytest.raises(ValueError, match="repeated"):
+        AggregationState(configured=[0, 0])
+    exp = Experiment(_scenario())
+    network = exp.network
+    before = dict(network._cell_user_count)
+    with pytest.raises(ValueError, match="repeated"):
+        network.add_user(7, [0, 0], StaticChannel(15.0))
+    with pytest.raises(ValueError, match="repeated"):
+        network.add_exogenous_user(8, [1, 0, 1], StaticChannel(15.0),
+                                   demand=None)
+    assert network._cell_user_count == before
+    assert 7 not in network._users and 8 not in network._users
 
 
 def test_flow_survives_handover():

@@ -18,7 +18,8 @@ invariant.
 import random
 from collections import deque
 
-from repro.cell.ca_manager import CaPolicy, CarrierAggregationManager
+from repro.cell import ca_manager
+from repro.cell.ca_manager import CarrierAggregationManager
 from repro.cell.scheduler import DemandEntry, allocate_prbs
 from repro.monitor.capacity import CellCapacityEstimator
 from repro.monitor.filters import ActiveUserFilter
@@ -475,9 +476,12 @@ def test_monitor_callback_does_not_drain_the_wire():
 # ----------------------------------------------------------------------
 # Rolling-sum equivalence: CA manager
 # ----------------------------------------------------------------------
-def test_ca_rolling_sums_match_history_rescan():
-    policy = CaPolicy(window=16, cooldown=5, deactivation_hold=8)
-    manager = CarrierAggregationManager(policy)
+def test_ca_rolling_sums_match_history_rescan(monkeypatch):
+    # Short windows, so the 400 subframes switch cells many times.
+    for name, value in (("WINDOW", 16), ("COOLDOWN", 5),
+                        ("DEACTIVATION_HOLD", 8)):
+        monkeypatch.setattr(ca_manager, name, value)
+    manager = CarrierAggregationManager()
     agg = AggregationState(configured=[0, 1])
     rng = random.Random(7)
     for subframe in range(400):

@@ -31,11 +31,10 @@ from repro.baselines.bbr import Bbr
 from repro.baselines.copa import Copa
 from repro.baselines.cubic import Cubic
 from repro.core.feedback import PbeFeedback
-from repro.core.sender import PbeSender
 
 from .reference_cc import ReferenceBbr, ReferencePbeSender
 from .reference_pacer import ReferenceSender
-from .test_cc_block import _instrument
+from .test_cc_block import _instrument, pbe_at_6mbps
 from .test_pacing_trains import END_US, _build, _run, assert_same_run
 
 SCHEMES = {
@@ -44,7 +43,7 @@ SCHEMES = {
     "bbr": lambda: Bbr(initial_rate_bps=6e6),
     "bbr_capped": lambda: Bbr(initial_rate_bps=6e6,
                               probe_rate_cap=lambda: 9e6),
-    "pbe": lambda: PbeSender(initial_rate_bps=6e6),
+    "pbe": pbe_at_6mbps,
 }
 
 #: What an ACK carries back to a PBE sender (other schemes ignore it).
@@ -64,7 +63,7 @@ REFERENCE_SCHEMES = {
     "bbr": lambda: ReferenceBbr(initial_rate_bps=6e6),
     "bbr_capped": lambda: ReferenceBbr(initial_rate_bps=6e6,
                                        probe_rate_cap=lambda: 9e6),
-    "pbe": lambda: ReferencePbeSender(initial_rate_bps=6e6),
+    "pbe": lambda: pbe_at_6mbps(ReferencePbeSender),
 }
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.base import AckContext
+from repro.core import sender as sender_module
 from repro.core.feedback import PbeFeedback
 from repro.core.sender import (
     DRAIN,
@@ -31,6 +32,17 @@ def _ack(now_us, feedback, rtt_us=40_000, rate_bps=50e6):
 
 def _fb(target=50e6, fair=50e6, internet=False, activated=False):
     return PbeFeedback.from_rates(target, fair, internet, activated)
+
+
+def _watchdog(monkeypatch, timeout_us):
+    """Trip the feedback watchdog after a flat ``timeout_us``."""
+    monkeypatch.setattr(sender_module, "FEEDBACK_TIMEOUT_RTPROPS", 0)
+    monkeypatch.setattr(sender_module, "MIN_FEEDBACK_TIMEOUT_US", timeout_us)
+
+
+@pytest.fixture
+def fast_watchdog(monkeypatch):
+    _watchdog(monkeypatch, 50_000)
 
 
 def _warm(cc, target=50e6, fair=50e6, count=200, start=0, gap=1_000,
@@ -160,22 +172,16 @@ def test_timeout_restarts():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        PbeSender(initial_rate_bps=0)
+    with pytest.raises(ValueError, match="retx margin"):
+        PbeSender(retx_margin_us=-1)
 
 
 # ----------------------------------------------------------------------
 # Feedback watchdog / graceful degradation
 # ----------------------------------------------------------------------
-def test_feedback_timeout_validation():
-    with pytest.raises(ValueError):
-        PbeSender(feedback_timeout_us=0)
-    with pytest.raises(ValueError):
-        PbeSender(feedback_timeout_us=-1)
 
-
-def test_watchdog_falls_back_when_feedback_stops():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_watchdog_falls_back_when_feedback_stops(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc)
     assert cc.state == WIRELESS
     # ACKs keep arriving but carry no capacity report (lost/corrupted).
@@ -189,16 +195,16 @@ def test_watchdog_falls_back_when_feedback_stops():
     assert cc.cwnd_bits(t) == cc.bbr.cwnd_bits(t)
 
 
-def test_watchdog_trips_from_rate_query_without_acks():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_watchdog_trips_from_rate_query_without_acks(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc)
     # Total ACK silence: only the pacing loop keeps running.
     cc.pacing_rate_bps(t + 200_000)
     assert cc.state == FALLBACK
 
 
-def test_stale_feedback_does_not_steer_and_trips_watchdog():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_stale_feedback_does_not_steer_and_trips_watchdog(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc, target=50e6)
     stale = PbeFeedback.from_rates(5e6, 5e6, False, stale=True)
     for _ in range(100):
@@ -210,8 +216,8 @@ def test_stale_feedback_does_not_steer_and_trips_watchdog():
     assert cc.state == FALLBACK
 
 
-def test_fresh_feedback_resyncs_through_startup_ramp():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_fresh_feedback_resyncs_through_startup_ramp(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc, target=50e6, fair=50e6)
     for _ in range(100):
         cc.on_ack(_ack(t, None))
@@ -231,8 +237,8 @@ def test_fresh_feedback_resyncs_through_startup_ramp():
                                                 abs=2_000)
 
 
-def test_never_reporting_client_still_falls_back():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_never_reporting_client_still_falls_back(fast_watchdog):
+    cc = PbeSender()
     t = 0
     for _ in range(100):
         cc.on_ack(_ack(t, None))
@@ -249,8 +255,8 @@ def test_watchdog_auto_timeout_has_floor():
     assert cc.state == WIRELESS
 
 
-def test_state_durations_cover_whole_timeline():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_state_durations_cover_whole_timeline(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc)
     for _ in range(100):
         cc.on_ack(_ack(t, None))
@@ -289,20 +295,24 @@ def test_horizon_is_now_in_startup_before_and_after_the_first_report():
 
 
 @pytest.mark.parametrize("timeout_us", [50_000, None])
-def test_horizon_is_the_watchdog_deadline_in_wireless(timeout_us):
-    cc = PbeSender(feedback_timeout_us=timeout_us)
+def test_horizon_is_the_watchdog_deadline_in_wireless(timeout_us,
+                                                       monkeypatch):
+    if timeout_us is not None:
+        _watchdog(monkeypatch, timeout_us)
+    cc = PbeSender()
     t = _warm(cc)
     last_fresh = t - 1_000
     assert cc.state == WIRELESS
-    # Unset, the timeout is max(4 x RTprop, 100 ms) = 160 ms here.
+    # Unpatched, the timeout is max(4 x RTprop, 100 ms) = 160 ms here.
     deadline = last_fresh + (timeout_us or 4 * cc.rtprop_us)
     assert cc.rate_valid_until_us(t) == deadline
     assert cc.rate_valid_until_us(t + 7_000) == deadline  # not relative
     _assert_answers_hold_until(cc, t, deadline)
 
 
-def test_horizon_is_the_watchdog_deadline_in_drain_and_internet():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_horizon_is_the_watchdog_deadline_in_drain_and_internet(
+        fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc)
     cc.on_ack(_ack(t, _fb(internet=True)))
     assert cc.state == DRAIN
@@ -314,8 +324,8 @@ def test_horizon_is_the_watchdog_deadline_in_drain_and_internet():
     _assert_answers_hold_until(cc, t, t - 1_000 + 50_000)
 
 
-def test_horizon_is_now_in_fallback_and_after_a_timeout():
-    cc = PbeSender(feedback_timeout_us=50_000)
+def test_horizon_is_now_in_fallback_and_after_a_timeout(fast_watchdog):
+    cc = PbeSender()
     t = _warm(cc)
     cc.pacing_rate_bps(t + 200_000)
     assert cc.state == FALLBACK
@@ -324,7 +334,7 @@ def test_horizon_is_now_in_fallback_and_after_a_timeout():
     assert cc.rate_valid_until_us(t + 300_000) == t + 300_000
 
 
-def _silence_run(sender_cls):
+def _silence_run(sender_cls, monkeypatch):
     """Reports every 5 ms (RTT 40-45 ms) for 300 ms, then nothing.  The
     window (100 ms of margin) still has room when the 10 ms watchdog
     runs out, so it trips from the pacing loop, in the middle of a
@@ -338,7 +348,8 @@ def _silence_run(sender_cls):
             super()._pace()
 
     sim = Simulator()
-    cc = PbeSender(feedback_timeout_us=10_000, retx_margin_us=100_000)
+    _watchdog(monkeypatch, 10_000)
+    cc = PbeSender(retx_margin_us=100_000)
     wire = PacketSink()
     wake_ups = []
     sender = Waking(sim, 1, cc, wire)
@@ -363,12 +374,14 @@ def _silence_run(sender_cls):
             (first_fallback.seq, first_fallback.sent_time_us))
 
 
-def test_silence_mid_train_trips_the_watchdog_at_the_same_packet():
+def test_silence_mid_train_trips_the_watchdog_at_the_same_packet(
+        monkeypatch):
     from repro.baselines.base import Sender
     from .reference_pacer import ReferenceSender
 
-    cc, wake_ups, sent, first = _silence_run(Sender)
-    ref_cc, ref_wake_ups, ref_sent, ref_first = _silence_run(ReferenceSender)
+    cc, wake_ups, sent, first = _silence_run(Sender, monkeypatch)
+    ref_cc, ref_wake_ups, ref_sent, ref_first = _silence_run(
+        ReferenceSender, monkeypatch)
     assert cc.fallback_entries == ref_cc.fallback_entries == 1
     assert cc.state_changes == ref_cc.state_changes
     assert (sent, first) == (ref_sent, ref_first)

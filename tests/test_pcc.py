@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import pcc
 from repro.baselines.base import AckContext
 from repro.baselines.pcc import (
     LOSS_THRESHOLD,
@@ -59,7 +60,7 @@ class TestAllegro:
         assert lossy < 0 < clean
 
     def test_starting_doubles_until_utility_drops(self):
-        cc = PccAllegro(initial_rate_bps=1e6)
+        cc = PccAllegro()
         r1 = cc.decide(1e6, 1.0)
         assert r1 == 2e6
         r2 = cc.decide(r1, 2.0)
@@ -74,8 +75,9 @@ class TestAllegro:
         cc.utility(_mi(acked=50_000, lost=50_000))  # 50% loss observed
         assert cc.decide(10e6, -5.0) == 5e6
 
-    def test_end_to_end_rate_evolution(self):
-        cc = PccAllegro(initial_rate_bps=1e6, seed=1)
+    def test_end_to_end_rate_evolution(self, monkeypatch):
+        monkeypatch.setattr(pcc, "INITIAL_RATE_BPS", 1e6)
+        cc = PccAllegro(seed=1)
         t = 0
         for _ in range(2_000):
             t += 5_000
@@ -96,25 +98,23 @@ class TestVivace:
         flat = cc.utility(_mi(rtt0=40_000, rtt1=40_000))
         assert falling == pytest.approx(flat)
 
-    def test_gradient_ascent_moves_toward_better_rate(self):
-        cc = PccVivace(initial_rate_bps=10e6)
+    def test_gradient_ascent_moves_toward_better_rate(self, monkeypatch):
+        monkeypatch.setattr(pcc, "INITIAL_RATE_BPS", 10e6)
+        cc = PccVivace()
         base = cc._base_rate
         cc.decide(10e6 * 1.05, util=10.0)   # up-probe did better
         cc.decide(10e6 * 0.95, util=5.0)
         assert cc._base_rate > base
 
     def test_timeout_halves_rate(self):
-        cc = PccVivace(initial_rate_bps=10e6)
+        cc = PccVivace()
         cc.on_timeout(0)
-        assert cc.rate_bps == 5e6
+        assert cc.rate_bps == pcc.INITIAL_RATE_BPS / 2
 
-    def test_rate_floor(self):
-        cc = PccVivace(initial_rate_bps=200_000)
+    def test_rate_floor(self, monkeypatch):
+        monkeypatch.setattr(pcc, "INITIAL_RATE_BPS", 200_000)
+        cc = PccVivace()
         for util in [-100.0] * 50:
             cc.rate_bps = max(120_000, cc.decide(cc.rate_bps, util))
         assert cc.rate_bps >= 120_000
 
-
-def test_validation():
-    with pytest.raises(ValueError):
-        PccAllegro(initial_rate_bps=0)

@@ -37,6 +37,32 @@ def test_make_cc_unknown_scheme():
         make_cc("quic-magic")
 
 
+def test_refused_flow_wires_nothing():
+    """A flow refused for its RNTI, cells or scheme leaves no ingress
+    adapter, monitor callback or shared-link route behind."""
+    exp = Experiment(_cheap_scenario(aggregated_cells=2))
+    shared = exp.make_shared_bottleneck(rate_bps=20e6, delay_us=10_000)
+    exp.add_flow(FlowSpec(scheme="pbe", rnti=100, shared_link=shared))
+    network = exp.network
+    routes = dict(shared.sink._routes)
+
+    def wiring():
+        return ({c: len(m) for c, m in network._monitors.items()},
+                sorted(network._ingresses), sorted(network._users))
+
+    before = wiring()
+    for spec in (FlowSpec(scheme="pbe", rnti=100),
+                 FlowSpec(scheme="pbe", rnti=100, shared_link=shared),
+                 FlowSpec(scheme="quic-magic", rnti=101),
+                 FlowSpec(scheme="pbe", rnti=102, cells=[0, 0]),
+                 FlowSpec(scheme="pbe", rnti=103, cells=[0, 9])):
+        with pytest.raises(ValueError):
+            exp.add_flow(spec)
+        assert wiring() == before, spec
+        assert shared.sink._routes == routes, spec
+    assert len(exp.flows) == 1
+
+
 def test_single_flow_runs_and_summarizes():
     result_list = Experiment(_cheap_scenario())
     handle = result_list.add_flow(FlowSpec(scheme="bbr"))

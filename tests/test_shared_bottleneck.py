@@ -20,7 +20,8 @@ def _scenario(**kw):
 class TestFlowDemux:
     def test_routes_by_flow_id(self):
         a, b = PacketSink(), PacketSink()
-        demux = FlowDemux({1: a})
+        demux = FlowDemux()
+        demux.add_route(1, a)
         demux.add_route(2, b)
         demux.receive(Packet(1, 0))
         demux.receive(Packet(2, 0))

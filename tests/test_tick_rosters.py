@@ -70,8 +70,10 @@ def _apply(experiment: Experiment, records: dict, n_cells: int,
     elif kind == "toggle":
         network.remove_user(rnti)
     else:
-        network.handover(rnti, cells, interruption_subframes=salt % 5,
-                         channel=channel if salt & 2 else None)
+        with mock.patch.object(basestation, "HANDOVER_GAP_SUBFRAMES",
+                               salt % 5):
+            network.handover(rnti, cells,
+                             channel=channel if salt & 2 else None)
 
 
 def _build(n_cells: int, ops: list, reference: bool) -> tuple:
